@@ -14,13 +14,9 @@ from .algebraic import (
     ConjugateSet,
     NumberClass,
     ZqContext,
-    ZqElement,
     classify_base,
     conjugates,
-    isolate_real_roots,
     power_base,
-    zq_canonicalize,
-    zq_compare,
 )
 from .expansions import (
     DigitSequence,
@@ -33,7 +29,6 @@ from .expansions import (
 from .intpoly import IntPolynomial
 from .spectrum import (
     BfsResult,
-    DigitString,
     GapReport,
     L_estimate,
     SpectrumWindow,
@@ -56,11 +51,10 @@ from .witness import (
 
 __all__ = [
     "AlgebraicNumber", "ConjugateDisk", "ConjugateSet", "NumberClass",
-    "ZqContext", "ZqElement", "classify_base", "conjugates",
-    "isolate_real_roots", "power_base", "zq_canonicalize", "zq_compare",
+    "ZqContext", "classify_base", "conjugates", "power_base",
     "DigitSequence", "SignPattern", "greedy_expansion", "lazy_constrained",
     "periodic_completion", "verify_expansion", "IntPolynomial",
-    "BfsResult", "DigitString", "GapReport", "L_estimate", "SpectrumWindow",
+    "BfsResult", "GapReport", "L_estimate", "SpectrumWindow",
     "enumerate_A", "enumerate_X", "enumerate_Y", "gap_report", "l_estimate",
     "min_positive_bfs", "AccumulationVerdict", "Direction", "WitnessReport",
     "accumulation_verdict", "build_P_and_k", "build_witness", "choose_w",

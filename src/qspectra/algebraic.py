@@ -9,8 +9,14 @@ Three layers live here:
   error disks (simultaneous Weierstrass iteration, a-posteriori disks
   checked in exact rational arithmetic), unit-circle membership decided
   exactly through the reciprocal-factor gcd, and the Pisot predicate on top.
-* ``ZqContext`` / ``ZqElement`` -- the canonical integer-vector kernel for
-  Z[q] when the minimal polynomial is monic; exact equality and ordering.
+* ``ZqContext`` -- the exact value kernel for Z[q] when the minimal
+  polynomial is monic: canonical integer vectors with exact equality and
+  ordering (``from_digits``, ``compare``, ``cmp_fraction``); the spectrum
+  engines use it directly.  ``FractionVecArith`` is its Q[q] counterpart
+  for any base.
+
+The Gaussian-rational helpers (``_gr_*``: (re, im) Fraction pairs) serve
+both the certified disks here and the witness construction.
 
 Minimal polynomials are trusted to be irreducible (input contract).  A cheap
 screen rejects obvious violations; deeper violations surface as
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mpc, mpf, workprec
@@ -63,46 +69,74 @@ def mpf_to_fraction(x) -> Fraction:
     return -val if sign else val
 
 
-def _ipow(lo: Fraction, hi: Fraction, n: int) -> tuple[Fraction, Fraction]:
-    """Interval power [lo, hi]^n."""
-    if n == 0:
-        return (Fraction(1), Fraction(1))
-    plo, phi = lo**n, hi**n
-    if lo >= 0:
-        return (plo, phi)
-    if hi <= 0:
-        return (plo, phi) if n % 2 else (phi, plo)
-    if n % 2:
-        return (plo, phi)
-    return (Fraction(0), max(plo, phi))
+# Gaussian rationals: (re, im) Fraction pairs.
+GR = tuple[Fraction, Fraction]
 
 
-# Gaussian rationals as (re, im) Fraction pairs.
+def _gr(re, im=0) -> GR:
+    return (Fraction(re), Fraction(im))
 
 
-def _gmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+def _gr_add(a: GR, b: GR) -> GR:
+    return (a[0] + b[0], a[1] + b[1])
 
 
-def _gsub(a, b):
+def _gr_sub(a: GR, b: GR) -> GR:
     return (a[0] - b[0], a[1] - b[1])
 
 
-def _gdiv(a, b):
-    n = b[0] * b[0] + b[1] * b[1]
+def _gr_mul(a: GR, b: GR) -> GR:
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gr_scale(a: GR, c) -> GR:
+    c = Fraction(c)
+    return (c * a[0], c * a[1])
+
+
+def _gr_abs2(a: GR) -> Fraction:
+    return a[0] * a[0] + a[1] * a[1]
+
+
+def _gr_inv(a: GR) -> GR:
+    n = _gr_abs2(a)
+    if n == 0:
+        raise ZeroDivisionError("inverse of zero")
+    return (a[0] / n, -a[1] / n)
+
+
+def _gr_div(a: GR, b: GR) -> GR:
+    n = _gr_abs2(b)
     return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
 
 
-def _gpolyval(coeffs, z):
-    acc = (Fraction(0), Fraction(0))
+def _gr_pow(a: GR, n: int) -> GR:
+    out = _gr(1)
+    while n:
+        if n & 1:
+            out = _gr_mul(out, a)
+        a = _gr_mul(a, a)
+        n >>= 1
+    return out
+
+
+def _gr_polyval(coeffs, z: GR) -> GR:
+    acc = _gr(0)
     for c in reversed(coeffs):
-        acc = _gmul(acc, z)
+        acc = _gr_mul(acc, z)
         acc = (acc[0] + c, acc[1])
     return acc
 
 
+def _gr_float(a: GR) -> complex:
+    return complex(float(a[0]), float(a[1]))
+
+
 # ---------------------------------------------------------------------------
 # AlgebraicNumber
+
+#: Interval width at which a base's float values are read.
+FLOAT_WIDTH = Fraction(1, 2**72)
 
 
 class AlgebraicNumber:
@@ -129,7 +163,9 @@ class AlgebraicNumber:
         elif not _validated:
             lo, hi = Fraction(lo), Fraction(hi)
             if self.min_poly.sign_at(lo) == 0 or self.min_poly.sign_at(hi) == 0:
-                lo, hi = self._nudge_endpoints(lo, hi)
+                raise PreconditionError(
+                    "interval endpoint is a root; use from_rational for "
+                    "rational values")
             if count_roots_in(self.min_poly, lo, hi) != 1:
                 raise PreconditionError(
                     f"interval ({lo}, {hi}) does not isolate exactly one root")
@@ -140,15 +176,6 @@ class AlgebraicNumber:
         self._pow_cache_interval: tuple[Fraction, Fraction] | None = None
         screen = irreducibility_screen(self.min_poly)
         self.irreducibility = screen
-
-    def _nudge_endpoints(self, lo, hi):
-        # an endpoint hit a rational root; shrink symmetric around it or fail
-        for r in rational_roots(self.min_poly):
-            if r == lo or r == hi:
-                raise PreconditionError(
-                    "interval endpoint is a root; use from_rational for "
-                    "rational values")
-        return lo, hi
 
     # -- constructors -----------------------------------------------------
 
@@ -210,10 +237,6 @@ class AlgebraicNumber:
     def degree(self) -> int:
         return self.min_poly.degree
 
-    @property
-    def is_algebraic_integer(self) -> bool:
-        return self.min_poly.is_monic
-
     def refine_to_width(self, width: Fraction) -> tuple[Fraction, Fraction]:
         lo, hi = self._lo, self._hi
         if hi - lo <= width or self.exact_rational is not None:
@@ -228,20 +251,9 @@ class AlgebraicNumber:
     def refine_to_radius(self, radius) -> tuple[Fraction, Fraction]:
         return self.refine_to_width(2 * Fraction(radius))
 
-    def approx(self, radius) -> tuple[Fraction, Fraction]:
-        """(midpoint, half-width) with half-width <= radius."""
-        lo, hi = self.refine_to_radius(radius)
-        return ((lo + hi) / 2, (hi - lo) / 2)
-
     def float_value(self) -> float:
-        lo, hi = self.refine_to_width(Fraction(1, 2**72))
+        lo, hi = self.refine_to_width(FLOAT_WIDTH)
         return float((lo + hi) / 2)
-
-    def mpf_value(self, prec_bits: int):
-        lo, hi = self.refine_to_width(Fraction(1, 2 ** (prec_bits + 8)))
-        with workprec(prec_bits + 16):
-            return (mpf(lo.numerator) / lo.denominator
-                    + mpf(hi.numerator) / hi.denominator) / 2
 
     # -- exact decisions ----------------------------------------------------
 
@@ -321,12 +333,6 @@ class AlgebraicNumber:
     def greater_than(self, c) -> bool:
         return self.compare_to_fraction(c) > 0
 
-    def greater_equal(self, c) -> bool:
-        return self.compare_to_fraction(c) >= 0
-
-    def power(self, k: int) -> "AlgebraicNumber":
-        return power_base(self, k)
-
     def zq_context(self) -> "ZqContext":
         if not self.min_poly.is_monic:
             raise PreconditionError(
@@ -347,13 +353,6 @@ def _ipow_mul(alo, ahi, blo, bhi):
     """Interval product [alo,ahi] * [blo,bhi]."""
     cands = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
     return (min(cands), max(cands))
-
-
-def isolate_real_roots(p: IntPolynomial, radius=Fraction(1, 10**12)
-                       ) -> list[AlgebraicNumber]:
-    """All real roots of p as refinable algebraic numbers, ascending,
-    approximation radii at most ``radius``."""
-    return AlgebraicNumber.real_roots(p, Fraction(radius))
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +381,12 @@ class ZqContext:
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.d
 
-    def from_int(self, s: int) -> tuple[int, ...]:
-        return (int(s),) + (0,) * (self.d - 1)
-
     def mul_q(self, v: tuple[int, ...]) -> tuple[int, ...]:
         top = v[-1]
         shifted = (0,) + v[:-1]
         if top == 0:
             return shifted
         return tuple(a + top * b for a, b in zip(shifted, self.qd_vec))
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
 
     def sub(self, a, b):
         return tuple(x - y for x, y in zip(a, b))
@@ -427,6 +420,12 @@ class ZqContext:
 
     def compare(self, a, b) -> int:
         return self.sign(self.sub(a, b))
+
+    def cmp_fraction(self, v, c: Fraction) -> int:
+        """Sign of value(v) - c for a rational c."""
+        scaled = [c.denominator * x for x in v]
+        scaled[0] -= c.numerator
+        return self.sign(tuple(scaled))
 
     def float_bounds(self, v) -> tuple[float, float]:
         """Fast conservative float enclosure of the value of v."""
@@ -465,39 +464,6 @@ class ZqContext:
         """Refine the base interval so float enclosures are tight."""
         self.q.refine_to_width(Fraction(1, 2**bits))
         self._float_powers(self.d)
-
-
-@dataclass(frozen=True)
-class ZqElement:
-    """Canonical representative of an element of Z[q]."""
-
-    vec: tuple[int, ...]
-    ctx: ZqContext = field(compare=False, repr=False)
-
-    def sign(self) -> int:
-        return self.ctx.sign(self.vec)
-
-    def float_value(self) -> float:
-        return self.ctx.float_value(self.vec)
-
-    def value_interval(self):
-        return self.ctx.q.value_interval_of_vec(self.vec)
-
-    def __repr__(self):
-        return f"ZqElement({self.vec}, ~{self.float_value():.9g})"
-
-
-def zq_canonicalize(digits, q: AlgebraicNumber) -> ZqElement:
-    """Exact canonical vector of sum digits[i] q^i; needs monic min_poly."""
-    ctx = q.zq_context()
-    return ZqElement(ctx.from_digits(digits), ctx)
-
-
-def zq_compare(a: ZqElement, b: ZqElement) -> int:
-    """-1, 0, +1 ordering; exact.  Elements must share a base."""
-    if a.ctx is not b.ctx:
-        raise PreconditionError("elements from different bases")
-    return a.ctx.compare(a.vec, b.vec)
 
 
 class FractionVecArith:
@@ -560,6 +526,9 @@ class FractionVecArith:
         return self.q.sign_of_fraction_vec(v)
 
     def float_value(self, v) -> float:
+        """Display float of v, read on the base refined to FLOAT_WIDTH: a
+        coarser interval's midpoint can be off in the leading digits."""
+        self.q.refine_to_width(FLOAT_WIDTH)
         lo, hi = self.q.value_interval_of_vec(v)
         return float((lo + hi) / 2)
 
@@ -578,10 +547,6 @@ class ConjugateDisk:
     im: Fraction
     radius: Fraction
     location: str
-    multiplicity: int = 1
-
-    def center_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
     def modulus_bounds(self) -> tuple[float, float]:
         if self.location == "on":
@@ -589,9 +554,6 @@ class ConjugateDisk:
         m = math.hypot(float(self.re), float(self.im))
         r = float(self.radius)
         return (max(0.0, m - r), m + r)
-
-    def is_real(self) -> bool:
-        return abs(float(self.im)) <= float(self.radius)
 
 
 @dataclass(frozen=True)
@@ -697,11 +659,11 @@ def _certified_disks(coeffs: tuple[int, ...], z) -> list | None:
         den = (Fraction(lead), Fraction(0))
         for i in range(d):
             if i != j:
-                diff = _gsub(zf[j], zf[i])
+                diff = _gr_sub(zf[j], zf[i])
                 if diff == (0, 0):
                     return None
-                den = _gmul(den, diff)
-        w = _gdiv(_gpolyval(coeffs, zf[j]), den)
+                den = _gr_mul(den, diff)
+        w = _gr_div(_gr_polyval(coeffs, zf[j]), den)
         radius = d * (abs(w[0]) + abs(w[1]))
         disks.append((zf[j][0], zf[j][1], radius))
     for i in range(d):

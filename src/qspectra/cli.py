@@ -18,7 +18,6 @@ from fractions import Fraction
 from .algebraic import AlgebraicNumber, classify_base
 from .config import DEFAULT_PRECISION_BITS, DEFAULT_STATE_BUDGET
 from .errors import (
-    BudgetExceededError,
     InconclusiveError,
     PreconditionError,
     PrecisionExhaustedError,
@@ -84,12 +83,6 @@ def resolve_base(args) -> AlgebraicNumber:
         return AlgebraicNumber.base_from_poly(poly, root_interval=interval)
     index = args.root_index if args.root_index is not None else 0
     return AlgebraicNumber.base_from_poly(poly, root_index=index)
-
-
-def _base_params(args) -> dict:
-    return {"poly": args.poly, "root_index": args.root_index,
-            "root_interval": args.root_interval, "base": args.base,
-            "tolerance": args.tolerance}
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +354,6 @@ def main(argv=None) -> int:
     except (PreconditionError, ReducibleInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except BudgetExceededError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (InconclusiveError, PrecisionExhaustedError) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -15,18 +15,6 @@ class PreconditionError(QSpectraError):
     """An operation was called outside its documented domain."""
 
 
-class BudgetExceededError(QSpectraError):
-    """A state/point/depth budget ran out before the computation finished.
-
-    Carries whatever partial result was available at the point of failure
-    so callers can inspect the trace so far.
-    """
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class PrecisionExhaustedError(QSpectraError):
     """A certified decision could not be made within the precision budget."""
 

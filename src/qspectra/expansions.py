@@ -50,14 +50,6 @@ class SignPattern:
         return cls(frozenset(), 1, "in")
 
     @classmethod
-    def no_indices(cls) -> "SignPattern":
-        return cls(frozenset(), 1, "out")
-
-    @classmethod
-    def eventually_in(cls, explicit, threshold) -> "SignPattern":
-        return cls(frozenset(explicit), threshold, "in")
-
-    @classmethod
     def from_membership(cls, members, horizon: int) -> "SignPattern":
         """Materialized pattern: membership known for 1..horizon only."""
         return cls(frozenset(i for i in members if 1 <= i <= horizon),
@@ -304,25 +296,26 @@ class _Corridor:
         self.q_qm1 = ar.mul_q(qm1)
         self.u = one          # u_0 = 1
         self.k = 0
+        # the Eq-style capacity m sum_{i in P} q^{-i}, scaled by W[0], with
+        # the pessimistic/optimistic tails of an unknown pattern
+        self.cap_upper = self.up[0]
+        self.cap_lower = (ar.sub(self.cap_upper, ar.scale(qvec, m))
+                          if pattern.eventual == "unknown" else self.cap_upper)
 
-    def capacity_bounds(self) -> tuple[float, float, bool, bool]:
-        """(approx_lo, approx_hi, certified_ge_1, certified_lt_1) for the
-        Eq-style capacity m sum_{i in P} q^{-i}; the certified flags use the
-        pessimistic/optimistic tails of an unknown pattern."""
+    def capacity_bounds(self) -> tuple[bool, bool]:
+        """(certified_ge_1, certified_lt_1) for the capacity."""
         ar = self.ar
         w0 = self.w[0]
-        up0 = self.up[0]
-        if self.pattern.eventual == "unknown":
-            qvec = ar.mul_q(ar.from_fraction(1))
-            lower_vec = ar.sub(up0, ar.scale(qvec, self.m))
-            upper_vec = up0
-        else:
-            lower_vec = upper_vec = up0
-        ge1 = ar.sign(ar.sub(lower_vec, w0)) >= 0
-        lt1 = ar.sign(ar.sub(upper_vec, w0)) < 0
-        flo = ar.float_value(lower_vec) / ar.float_value(w0)
-        fhi = ar.float_value(upper_vec) / ar.float_value(w0)
-        return (flo, fhi, ge1, lt1)
+        ge1 = ar.sign(ar.sub(self.cap_lower, w0)) >= 0
+        lt1 = ar.sign(ar.sub(self.cap_upper, w0)) < 0
+        return (ge1, lt1)
+
+    def capacity_floats(self) -> tuple[float, float]:
+        """Display bounds (lower, upper) of the capacity."""
+        ar = self.ar
+        w0 = ar.float_value(self.w[0])
+        return (ar.float_value(self.cap_lower) / w0,
+                ar.float_value(self.cap_upper) / w0)
 
     def feasible_digits(self, k: int):
         """Candidate digits at index k in minimal-|s| order."""
@@ -384,10 +377,11 @@ def lazy_constrained(q: AlgebraicNumber, m: int, pattern: SignPattern,
     if pattern.eventual == "unknown" and horizon >= pattern.threshold:
         raise PreconditionError("horizon exceeds the materialized pattern")
     corr = _Corridor(q, m, pattern, horizon)
-    cap_lo, cap_hi, ge1, lt1 = corr.capacity_bounds()
+    ge1, lt1 = corr.capacity_bounds()
     if lt1:
         raise PreconditionError(
-            f"capacity condition violated: m*sum q^-i = {cap_hi:.6f} < 1")
+            f"capacity condition violated: m*sum q^-i = "
+            f"{corr.capacity_floats()[1]:.6f} < 1")
     # when only the upper bound clears 1 (materialized pattern with unknown
     # tail), the run still meets the horizon residual bound via the outer
     # corridor; certified extendability is recorded in the metadata
@@ -397,7 +391,9 @@ def lazy_constrained(q: AlgebraicNumber, m: int, pattern: SignPattern,
     return DigitSequence(
         preperiod=tuple(digits), height=m, first_index=0,
         exact_zero_tail=corr.residual_is_zero(),
-        meta={"capacity": (cap_lo, cap_hi),
+        # read after the digits: refining the base for display first would
+        # change how far the sign tests refine it, and so later displays
+        meta={"capacity": corr.capacity_floats(),
               "capacity_certified": ge1,
               "residual_scaled_float": corr.residual_float()})
 

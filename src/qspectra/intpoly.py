@@ -3,7 +3,7 @@
 Coefficients are stored in ascending order (constant term first), matching
 the digit-indexing convention used throughout the package and the CLI text
 format "c0,c1,...,cd".  All arithmetic is exact (int / Fraction); nothing in
-this module touches floating point except the convenience evaluators.
+this module touches floating point.
 """
 
 from __future__ import annotations
@@ -100,12 +100,6 @@ class IntPolynomial:
                 dpow //= den
         return (acc > 0) - (acc < 0)
 
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
@@ -135,12 +129,6 @@ class IntPolynomial:
 
     def scale(self, k: int) -> "IntPolynomial":
         return IntPolynomial(k * c for c in self.coeffs)
-
-    def shift_up(self, k: int) -> "IntPolynomial":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
@@ -343,11 +331,6 @@ def count_roots_in(p: IntPolynomial, lo: Fraction, hi: Fraction,
     return va - vb
 
 
-def count_real_roots(p: IntPolynomial, chain: list[IntPolynomial] | None = None) -> int:
-    b = cauchy_root_bound(p)
-    return count_roots_in(p, -b, b, chain)
-
-
 def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open rational intervals, ascending, each containing exactly
     one real root of p; their union covers all real roots.
@@ -384,9 +367,11 @@ def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
             mid = (lo + hi) / 2
             stack.append((lo, mid))
             stack.append((mid, hi))
-        # push each cell away from any rational root of sf it still contains
+        # push each cell away from any rational root of sf it still contains,
+        # an endpoint included: a root on a cell edge would leave no room
+        # for its own bracket below
         for i, (lo, hi) in enumerate(g_intervals):
-            while any(lo < r < hi for r in rat):
+            while any(lo <= r <= hi for r in rat):
                 lo, hi = refine_root_interval(g, lo, hi, (hi - lo) / 2)
             g_intervals[i] = (lo, hi)
 

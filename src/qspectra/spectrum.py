@@ -3,10 +3,16 @@ branch-and-bound engine for the smallest positive element.
 
 Two value kernels back every engine:
 
-* exact mode (monic minimal polynomial, including integer bases): values are
-  canonical integer vectors in Z[q]; deduplication and ordering are exact.
-* numeric mode (everything else): values are floats deduplicated within a
-  declared tolerance.
+* exact mode (monic minimal polynomial, including integer bases): the
+  base's ``ZqContext``; values are canonical integer vectors in Z[q], so
+  deduplication and ordering are exact.
+* numeric mode (everything else): ``_FloatKernel``; values are floats
+  deduplicated within a declared tolerance.
+
+Either way, the values seen so far live in a dict from value to witness
+path, so ``value in seen`` is the one deduplication test.  The X, Y and A
+windows all grow through ``_expand_level``: each state y spawns q*y + s
+for every digit s of the window's alphabet.
 
 Results are deterministic: levels are expanded in sorted order and every
 window is canonically sorted before emission.
@@ -23,30 +29,6 @@ from .config import DEFAULT_NUMERIC_TOL, DEFAULT_STATE_BUDGET
 from .errors import PreconditionError
 
 
-@dataclass(frozen=True)
-class DigitString:
-    """Finite coefficient string s_0..s_n (ascending powers) of height m."""
-
-    digits: tuple[int, ...]
-    height: int
-
-    def __post_init__(self):
-        if any(abs(s) > self.height for s in self.digits):
-            raise PreconditionError("digit exceeds height bound")
-
-    @property
-    def degree(self) -> int:
-        return len(self.digits) - 1
-
-    def validate_for_kind(self, kind: str) -> "DigitString":
-        """Window-specific digit alphabets: X needs 0..m, A needs +-1."""
-        if kind == "X" and any(s < 0 for s in self.digits):
-            raise PreconditionError("X digits must be nonnegative")
-        if kind == "A" and any(s not in (-1, 1) for s in self.digits):
-            raise PreconditionError("A digits must be +-1")
-        return self
-
-
 def _canonical_digits(top_first: tuple[int, ...]) -> tuple[int, ...]:
     """Convert a top-first construction path to ascending digits with the
     top zeros trimmed; the zero value keeps a single 0 digit."""
@@ -60,60 +42,15 @@ def _canonical_digits(top_first: tuple[int, ...]) -> tuple[int, ...]:
 # value kernels
 
 
-class _ExactKernel:
-    """Values are canonical integer vectors in Z[q] (monic min_poly)."""
-
-    is_exact = True
-
-    def __init__(self, q: AlgebraicNumber):
-        self.q = q
-        self.ctx: ZqContext = q.zq_context()
-        self.ctx.ensure_float_resolution()
-
-    @property
-    def zero(self):
-        return self.ctx.zero
-
-    def step(self, v, s: int):
-        return self.ctx.step(v, s)
-
-    def sign(self, v) -> int:
-        return self.ctx.sign(v)
-
-    def neg(self, v):
-        return self.ctx.neg(v)
-
-    def cmp_fraction(self, v, c: Fraction) -> int:
-        scaled = [c.denominator * x for x in v]
-        scaled[0] -= c.numerator
-        return self.ctx.sign(tuple(scaled))
-
-    def float_value(self, v) -> float:
-        return self.ctx.float_value(v)
-
-    def compare(self, a, b) -> int:
-        return self.ctx.compare(a, b)
-
-    def sub(self, a, b):
-        return self.ctx.sub(a, b)
-
-    def vec_of(self, v):
-        return v
-
-
 class _FloatKernel:
-    """Values are floats; equality within an absolute tolerance."""
+    """Values are floats; equality within an absolute tolerance.  Mirrors
+    the part of the ``ZqContext`` interface the engines use."""
 
-    is_exact = False
+    zero = 0.0
 
     def __init__(self, q: AlgebraicNumber, tol_abs: float):
-        self.q = q
         self.qf = q.float_value()
         self.tol = tol_abs
-
-    @property
-    def zero(self):
-        return 0.0
 
     def step(self, v, s: int):
         return self.qf * v + s
@@ -137,74 +74,49 @@ class _FloatKernel:
     def compare(self, a, b) -> int:
         return self.sign(a - b)
 
-    def sub(self, a, b):
-        return a - b
 
-    def vec_of(self, v):
-        return None
-
-
-class _ExactSeen:
-    """Insertion-ordered exact value set with witnesses."""
-
-    def __init__(self):
-        self._data: dict = {}
-
-    def add(self, v, witness) -> bool:
-        if v in self._data:
-            return False
-        self._data[v] = witness
-        return True
-
-    def __len__(self):
-        return len(self._data)
-
-    def items(self):
-        return self._data.items()
-
-
-class _FloatSeen:
-    """Tolerance-bucketed float set; the first representative wins."""
+class _FloatSeen(dict):
+    """Value -> witness dict for float values: a value within the tolerance
+    of a stored one counts as present, so the first representative wins."""
 
     def __init__(self, tol_abs: float):
+        super().__init__()
         self.tol = tol_abs
         self._buckets: dict[int, list[float]] = {}
-        self._data: dict[float, tuple] = {}
 
-    def _near(self, v: float):
+    def __contains__(self, v) -> bool:
         k = round(v / self.tol)
         for kk in (k - 1, k, k + 1):
             for u in self._buckets.get(kk, ()):
                 if abs(u - v) <= self.tol:
-                    return u
-        return None
+                    return True
+        return False
 
-    def add(self, v, witness) -> bool:
-        if self._near(v) is not None:
-            return False
+    def __setitem__(self, v, witness):
         self._buckets.setdefault(round(v / self.tol), []).append(v)
-        self._data[v] = witness
-        return True
-
-    def __len__(self):
-        return len(self._data)
-
-    def items(self):
-        return self._data.items()
+        dict.__setitem__(self, v, witness)
 
 
 def make_kernel(q: AlgebraicNumber, tol: float | None = None,
                 scale: float = 1.0):
-    """Exact kernel when the minimal polynomial is monic, else numeric with
-    absolute tolerance tol * (1 + scale)."""
+    """The base's ZqContext, with float enclosures refined, when the minimal
+    polynomial is monic; else numeric with absolute tolerance
+    tol * (1 + scale)."""
     if q.min_poly.is_monic:
-        return _ExactKernel(q)
+        ctx = q.zq_context()
+        ctx.ensure_float_resolution()
+        return ctx
     tol = DEFAULT_NUMERIC_TOL if tol is None else tol
     return _FloatKernel(q, tol * (1.0 + scale))
 
 
-def _new_seen(kernel):
-    return _ExactSeen() if kernel.is_exact else _FloatSeen(kernel.tol)
+def _new_seen(kernel) -> dict:
+    return _FloatSeen(kernel.tol) if isinstance(kernel, _FloatKernel) else {}
+
+
+def _vec(kernel, v) -> tuple[int, ...] | None:
+    """The Z[q] vector of an exact value; None in numeric mode."""
+    return v if isinstance(kernel, ZqContext) else None
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +167,33 @@ class SpectrumWindow:
         return d
 
 
-def _sorted_points(kernel, seen) -> list[SpectrumPoint]:
-    pts = [(kernel.float_value(v), v, w) for v, w in seen.items()]
+def _expand_level(kernel, level, alphabet, keep, seen: dict, budget: int):
+    """Children q*v + s (s in alphabet) of the states of one level.
+
+    A child is kept when ``keep(child)`` holds and it is not in ``seen``;
+    it is then recorded in ``seen`` with its top-first digit path.  Returns
+    (kept children, within budget): expansion stops after the first parent
+    whose children push ``seen`` past the budget.
+    """
+    nxt = []
+    for v, path in level:
+        for s in alphabet:
+            child = kernel.step(v, s)
+            if not keep(child) or child in seen:
+                continue
+            cpath = path + (s,)
+            seen[child] = cpath
+            nxt.append((child, cpath))
+        if len(seen) > budget:
+            return nxt, False
+    return nxt, True
+
+
+def _sorted_points(kernel, items) -> list[SpectrumPoint]:
+    """Points of (value, top-first path) pairs in increasing order."""
+    pts = [(kernel.float_value(v), v, w) for v, w in items]
     pts.sort(key=lambda t: t[0])
-    if kernel.is_exact:
+    if isinstance(kernel, ZqContext):
         # floats order almost everything; certify adjacent pairs exactly and
         # bubble any near-tie into its true position
         i = 0
@@ -268,7 +203,7 @@ def _sorted_points(kernel, seen) -> list[SpectrumPoint]:
                 i = max(i - 1, 0)
             else:
                 i += 1
-    return [SpectrumPoint(fv, kernel.vec_of(v), _canonical_digits(w))
+    return [SpectrumPoint(fv, _vec(kernel, v), _canonical_digits(w))
             for fv, v, w in pts]
 
 
@@ -295,25 +230,15 @@ def enumerate_X(q: AlgebraicNumber, m: int, B, *, tol: float | None = None,
         raise PreconditionError("B > 0 required")
     kernel = make_kernel(q, tol, float(B))
     seen = _new_seen(kernel)
-    seen.add(kernel.zero, ())
+    seen[kernel.zero] = ()
     level = [(kernel.zero, ())]
     complete = True
-    while level:
-        nxt = []
-        for v, path in level:
-            for s in range(m + 1):
-                child = kernel.step(v, s)
-                if kernel.cmp_fraction(child, B) > 0:
-                    continue
-                if seen.add(child, path + (s,)):
-                    nxt.append((child, path + (s,)))
-            if len(seen) > budget:
-                complete = False
-                nxt = []
-                break
-        level = nxt
+    while level and complete:
+        level, complete = _expand_level(
+            kernel, level, range(m + 1),
+            lambda c: kernel.cmp_fraction(c, B) <= 0, seen, budget)
     return SpectrumWindow(q, m, "X", None, B, complete,
-                          tuple(_sorted_points(kernel, seen)),
+                          tuple(_sorted_points(kernel, seen.items())),
                           truncated=not complete)
 
 
@@ -322,6 +247,33 @@ def _tail_max(qf: float, m: int, r: int) -> float:
     if r <= 0:
         return 0.0
     return m * (qf**r - 1.0) / (qf - 1.0)
+
+
+def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
+                   alphabet, tol: float | None, budget: int):
+    """(points, complete) for the values of the digit strings over
+    ``alphabet`` (|s| <= m) with degree+1 digits that lie in [-B, B].
+
+    Level t keeps only values that the r = degree - t digits still to come
+    can bring back into [-B, B].  The budget caps each level's states; on
+    overflow the partial level is clipped and returned as incomplete.
+    """
+    kernel = make_kernel(q, tol, float(B))
+    qf = q.float_value()
+    level = [(kernel.zero, ())]
+    complete = True
+    for r in range(degree, -1, -1):
+        cap = float(B) * 1.0000001 + _tail_max(qf, m, r) + 1e-9
+        level, complete = _expand_level(
+            kernel, level, alphabet,
+            lambda c: abs(kernel.float_value(c)) <= cap,
+            _new_seen(kernel), budget)
+        if not complete:
+            break
+    inside = [(v, path) for v, path in level
+              if kernel.cmp_fraction(v, B) <= 0
+              and kernel.cmp_fraction(kernel.neg(v), B) <= 0]
+    return _sorted_points(kernel, inside), complete
 
 
 def enumerate_Y(q: AlgebraicNumber, m: int, degree: int, B, *,
@@ -339,50 +291,30 @@ def enumerate_Y(q: AlgebraicNumber, m: int, degree: int, B, *,
     B = Fraction(B)
     if B <= 0:
         raise PreconditionError("B > 0 required")
-    kernel = make_kernel(q, tol, float(B))
-    qf = q.float_value()
-    n_digits = degree + 1
-    level = [(kernel.zero, ())]
-    complete_enum = True
-    for t in range(n_digits):
-        r = n_digits - 1 - t
-        cap = float(B) * 1.0000001 + _tail_max(qf, m, r) + 1e-9
-        nxt_seen = _new_seen(kernel)
-        nxt = []
-        for v, path in level:
-            for s in range(-m, m + 1):
-                child = kernel.step(v, s)
-                fv = kernel.float_value(child)
-                if abs(fv) > cap:
-                    continue
-                if nxt_seen.add(child, path + (s,)):
-                    nxt.append((child, path + (s,)))
-            if len(nxt_seen) > budget:
-                complete_enum = False
-                break
-        level = nxt
-        if not complete_enum:
-            break
-    final = _new_seen(kernel)
-    for v, path in level:
-        if kernel.cmp_fraction(v, B) <= 0 and kernel.cmp_fraction(
-                kernel.neg(v), B) <= 0:
-            final.add(v, path)
-    certified = complete_enum and _devries_complete(q, m, degree, B)
-    return SpectrumWindow(q, m, "Y", degree, B, certified,
-                          tuple(_sorted_points(kernel, final)),
-                          truncated=not complete_enum)
+    points, complete = _signed_window(q, m, degree, B, range(-m, m + 1),
+                                      tol, budget)
+    certified = complete and _devries_complete(q, m, degree, B)
+    return SpectrumWindow(q, m, "Y", degree, B, certified, tuple(points),
+                          truncated=not complete)
+
+
+def _devries_margin(q: AlgebraicNumber, m: int
+                    ) -> tuple[Fraction, Fraction] | None:
+    """(lo, margin) with lo a rational lower bound of q and
+    margin = 1 - m/(lo-1), so that every spectrum value with top digit at
+    degree n satisfies |y| > lo^n * margin; None when lo <= m+1."""
+    lo, _ = q.refine_to_width(Fraction(1, 2**24))
+    if lo <= m + 1:
+        return None
+    return lo, 1 - Fraction(m) / (lo - 1)
 
 
 def _devries_complete(q: AlgebraicNumber, m: int, degree: int, B: Fraction
                       ) -> bool:
     """True when every spectrum value with a digit beyond the degree cap
-    provably exceeds B: |y| > q^n (1 - m/(q-1)) for top degree n."""
-    lo, _ = q.refine_to_width(Fraction(1, 2**24))
-    if lo <= m + 1:
-        return False
-    margin = 1 - Fraction(m) / (lo - 1)
-    return lo ** (degree + 1) * margin >= B
+    provably exceeds B."""
+    bound = _devries_margin(q, m)
+    return bound is not None and bound[0] ** (degree + 1) * bound[1] >= B
 
 
 def enumerate_A(q: AlgebraicNumber, degree: int, B, *,
@@ -396,35 +328,7 @@ def enumerate_A(q: AlgebraicNumber, degree: int, B, *,
     if degree < 0:
         raise PreconditionError("degree >= 0 required")
     B = Fraction(B)
-    kernel = make_kernel(q, tol, float(B))
-    qf = q.float_value()
-    n_digits = degree + 1
-    level = [(kernel.zero, ())]
-    complete = True
-    for t in range(n_digits):
-        r = n_digits - 1 - t
-        cap = float(B) * 1.0000001 + _tail_max(qf, 1, r) + 1e-9
-        nxt_seen = _new_seen(kernel)
-        nxt = []
-        for v, path in level:
-            for s in (-1, 1):
-                child = kernel.step(v, s)
-                if abs(kernel.float_value(child)) > cap:
-                    continue
-                if nxt_seen.add(child, path + (s,)):
-                    nxt.append((child, path + (s,)))
-            if len(nxt_seen) > budget:
-                complete = False
-                break
-        level = nxt
-        if not complete:
-            break
-    final = _new_seen(kernel)
-    for v, path in level:
-        if kernel.cmp_fraction(v, B) <= 0 and kernel.cmp_fraction(
-                kernel.neg(v), B) <= 0:
-            final.add(v, path)
-    points = _sorted_points(kernel, final)
+    points, complete = _signed_window(q, 1, degree, B, (-1, 1), tol, budget)
     radius = _covering_radius([p.value for p in points], float(B))
     return SpectrumWindow(q, 1, "A", degree, B, complete, tuple(points),
                           covering_radius=radius, truncated=not complete)
@@ -438,10 +342,6 @@ def _covering_radius(values: list[float], B: float) -> float | None:
     for a, b in zip(values, values[1:]):
         r = max(r, (b - a) / 2)
     return r
-
-
-# point digits are stored top-first during construction; windows re-expose
-# them ascending via _canonical_digits
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +489,13 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
         raise PreconditionError("m >= 1 required")
     kernel = make_kernel(q, tol, 1.0)
 
+    exact = isinstance(kernel, ZqContext)
+
     def in_upper(v) -> bool:
         # v <= c  <=>  v*(q-1) - m <= 0; exact mode scales through min_poly
-        if kernel.is_exact:
-            ctx = kernel.ctx
-            w = ctx.sub(ctx.mul_q(v), v)
-            return ctx.sign(ctx.add_int(w, -m)) <= 0
+        if exact:
+            w = kernel.sub(kernel.mul_q(v), v)
+            return kernel.sign(kernel.add_int(w, -m)) <= 0
         c = m / (kernel.qf - 1.0)
         return v <= c + kernel.tol
 
@@ -604,11 +505,11 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
     trace = []
     for s in range(1, m + 1):
         v = kernel.step(kernel.zero, s)
-        if kernel.sign(v) > 0 and in_upper(v):
-            if seen.add(v, (s,)):
-                level.append((v, (s,)))
-                if best is None or kernel.compare(v, best[0]) < 0:
-                    best = (v, (s,))
+        if kernel.sign(v) > 0 and in_upper(v) and v not in seen:
+            seen[v] = (s,)
+            level.append((v, (s,)))
+            if best is None or kernel.compare(v, best[0]) < 0:
+                best = (v, (s,))
     depth = 1
     closed = False
     budget_exhausted = False
@@ -626,12 +527,12 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
                     cpath = tuple(-x for x in path) + (-s,)
                 else:
                     cpath = path + (s,)
-                if not in_upper(child):
+                if not in_upper(child) or child in seen:
                     continue
-                if seen.add(child, cpath):
-                    nxt.append((child, cpath))
-                    if best is None or kernel.compare(child, best[0]) < 0:
-                        best = (child, cpath)
+                seen[child] = cpath
+                nxt.append((child, cpath))
+                if best is None or kernel.compare(child, best[0]) < 0:
+                    best = (child, cpath)
             if len(seen) > state_budget:
                 budget_exhausted = True
                 break
@@ -647,14 +548,13 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
     closed_states = None
     if closed:
         closed_states = tuple(
-            (kernel.float_value(v), kernel.vec_of(v))
-            for v, _ in sorted(((v, w) for v, w in seen.items()),
-                               key=lambda t: kernel.float_value(t[0])))
+            (kernel.float_value(v), _vec(kernel, v))
+            for v in sorted(seen, key=kernel.float_value))
     return BfsResult(
         base=q, m=m, trace=tuple(trace), closed=closed,
         budget_exhausted=budget_exhausted, closed_states=closed_states,
         min_positive=kernel.float_value(best[0]) if best else None,
-        min_positive_vec=kernel.vec_of(best[0]) if best else None,
+        min_positive_vec=_vec(kernel, best[0]) if best else None,
         min_witness=_canonical_digits(best[1]) if best else None,
     )
 
@@ -664,7 +564,7 @@ def _depth_record(kernel, depth, best, seen, new_level):
         return BfsDepthRecord(depth, math.inf, None, (), len(seen),
                               len(new_level))
     return BfsDepthRecord(depth, kernel.float_value(best[0]),
-                          kernel.vec_of(best[0]),
+                          _vec(kernel, best[0]),
                           _canonical_digits(best[1]), len(seen),
                           len(new_level))
 

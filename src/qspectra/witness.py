@@ -18,7 +18,21 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebraic import AlgebraicNumber, FractionVecArith, classify_base
+from .algebraic import (
+    GR,
+    AlgebraicNumber,
+    FractionVecArith,
+    _gr,
+    _gr_abs2,
+    _gr_add,
+    _gr_float,
+    _gr_inv,
+    _gr_mul,
+    _gr_pow,
+    _gr_scale,
+    _gr_sub,
+    classify_base,
+)
 from .errors import (
     InconclusiveError,
     PreconditionError,
@@ -33,46 +47,7 @@ from .expansions import (
     periodic_completion,
     verify_expansion,
 )
-from .spectrum import l_estimate
-
-# Gaussian rationals: (re, im) Fraction pairs.
-GR = tuple[Fraction, Fraction]
-
-
-def _gr(re, im=0) -> GR:
-    return (Fraction(re), Fraction(im))
-
-
-def _gr_add(a: GR, b: GR) -> GR:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _gr_sub(a: GR, b: GR) -> GR:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _gr_mul(a: GR, b: GR) -> GR:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gr_scale(a: GR, c) -> GR:
-    c = Fraction(c)
-    return (c * a[0], c * a[1])
-
-
-def _gr_inv(a: GR) -> GR:
-    n = a[0] * a[0] + a[1] * a[1]
-    if n == 0:
-        raise ZeroDivisionError("inverse of zero")
-    return (a[0] / n, -a[1] / n)
-
-
-def _gr_abs2(a: GR) -> Fraction:
-    return a[0] * a[0] + a[1] * a[1]
-
-
-def _gr_float(a: GR) -> complex:
-    return complex(float(a[0]), float(a[1]))
+from .spectrum import _devries_margin, l_estimate
 
 
 def _sqrt_upper(x: Fraction, steps: int = 40) -> Fraction:
@@ -672,7 +647,7 @@ def _witness_step4_finite(q, m, p, direction, seq, k, members, horizon,
         r += 1
         if r - shifts[-1] <= n:
             continue
-        pr = _pow_gr(pinv, r)
+        pr = _gr_pow(pinv, r)
         if _gr_abs2(_gr_sub(pr, _gr(1))) < eps_j * eps_j:
             shifts.append(r)
             eps_j /= 2
@@ -688,7 +663,7 @@ def _witness_step4_finite(q, m, p, direction, seq, k, members, horizon,
     res, abss, re_exact, _ = _p_traces(rep, w0, p, out_h)
     block_sums_ok = True
     for r in shifts[1:]:
-        pr = _pow_gr(pinv, r)
+        pr = _gr_pow(pinv, r)
         bs = Fraction(0)
         power = pr
         for s in block:
@@ -709,17 +684,6 @@ def _witness_step4_finite(q, m, p, direction, seq, k, members, horizon,
             "block_sums_below_half": block_sums_ok,
             "re_trace_final": res[-1],
         })
-
-
-def _pow_gr(a: GR, n: int) -> GR:
-    out = _gr(1)
-    base = a
-    while n:
-        if n & 1:
-            out = _gr_mul(out, base)
-        base = _gr_mul(base, base)
-        n >>= 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -786,10 +750,10 @@ def _devries_certificate(q: AlgebraicNumber, m: int,
     """Degree cap beyond which every spectrum value exceeds the sample
     bound, from |y| > q^n (1 - m/(q-1)); empty at q = m+1 exactly, where
     the unit gap bound takes over."""
-    lo, _ = q.refine_to_width(Fraction(1, 2**24))
-    if lo <= m + 1:
+    bound = _devries_margin(q, m)
+    if bound is None:
         return {"applies": False}
-    margin = 1 - Fraction(m) / (lo - 1)
+    lo, margin = bound
     n = 0
     while lo ** (n + 1) * margin < sample_bound and n < 10_000:
         n += 1

@@ -16,14 +16,10 @@ import pytest
 from qspectra.algebraic import (
     AlgebraicNumber,
     NumberClass,
-    ZqElement,
     classify_base,
     conjugates,
-    isolate_real_roots,
     power_base,
     unit_circle_root_count,
-    zq_canonicalize,
-    zq_compare,
 )
 from qspectra.errors import PreconditionError
 from qspectra.intpoly import IntPolynomial
@@ -47,7 +43,7 @@ def sqrt2():
 
 
 def test_isolate_golden_ratio_roots():
-    roots = isolate_real_roots(PHI_POLY, radius=Fraction(1, 10**12))
+    roots = AlgebraicNumber.real_roots(PHI_POLY, radius=Fraction(1, 10**12))
     vals = [r.float_value() for r in roots]
     assert len(vals) == 2
     assert abs(vals[0] - (1 - math.sqrt(5)) / 2) < 1e-12
@@ -55,18 +51,27 @@ def test_isolate_golden_ratio_roots():
 
 
 def test_isolate_linear_is_exact():
-    (r,) = isolate_real_roots(IntPolynomial([-2, 1]))
+    (r,) = AlgebraicNumber.real_roots(IntPolynomial([-2, 1]))
     assert r.exact_rational == 2
 
 
 def test_isolate_plastic_number():
-    (r,) = isolate_real_roots(P1_POLY)
+    (r,) = AlgebraicNumber.real_roots(P1_POLY)
     assert abs(r.float_value() - 1.3247) < 5e-5
+
+
+def test_real_roots_rational_root_on_a_cell_edge(deadline):
+    # x^4-x^2-x+1 = (x-1)(x^3+x^2-1); isolation used to hang here
+    with deadline(30):
+        roots = AlgebraicNumber.real_roots(IntPolynomial([1, -1, -1, 0, 1]))
+    assert len(roots) == 2
+    assert abs(roots[0].float_value() - 0.7548776662) < 1e-9
+    assert roots[1].exact_rational == 1
 
 
 def test_isolate_rejects_zero_polynomial():
     with pytest.raises(PreconditionError):
-        isolate_real_roots(IntPolynomial([]))
+        AlgebraicNumber.real_roots(IntPolynomial([]))
 
 
 def test_refinement_is_monotone():
@@ -228,31 +233,35 @@ def test_power_gcd_property_concrete():
 
 
 def test_zq_zero_digits():
-    assert zq_canonicalize([0], sqrt2()).vec == (0, 0)
+    assert sqrt2().zq_context().from_digits([0]) == (0, 0)
 
 
 def test_zq_example_values():
-    assert zq_canonicalize([1, 0, 1], sqrt2()).vec == (3, 0)
-    assert zq_canonicalize([1, 1], phi()).vec == (1, 1)
+    assert sqrt2().zq_context().from_digits([1, 0, 1]) == (3, 0)
+    assert phi().zq_context().from_digits([1, 1]) == (1, 1)
 
 
 def test_zq_compare_examples():
-    q = sqrt2()
-    a = zq_canonicalize([1], q)
-    assert zq_compare(a, zq_canonicalize([1], q)) == 0
+    ctx = sqrt2().zq_context()
+    one = ctx.from_digits([1])
+    assert ctx.compare(one, ctx.from_digits([1])) == 0
     # 3 - 2*sqrt2 vs 0
-    three_minus = ZqElement((3, -2), q.zq_context())
-    assert zq_compare(three_minus, ZqElement((0, 0), q.zq_context())) == 1
-    p = phi()
-    phim1 = ZqElement((-1, 1), p.zq_context())
-    one = ZqElement((1, 0), p.zq_context())
-    assert zq_compare(phim1, one) == -1
+    assert ctx.compare((3, -2), (0, 0)) == 1
+    assert phi().zq_context().compare((-1, 1), (1, 0)) == -1   # phi-1 < 1
+
+
+def test_zq_cmp_fraction():
+    ctx = sqrt2().zq_context()
+    assert ctx.cmp_fraction((0, 1), Fraction(141, 100)) == 1
+    assert ctx.cmp_fraction((0, 1), Fraction(142, 100)) == -1
+    assert ctx.cmp_fraction((1, 1), Fraction(5, 2)) == -1     # 1+sqrt2 < 2.5
+    assert ctx.cmp_fraction((3, 0), Fraction(3)) == 0
 
 
 def test_zq_requires_monic():
     q = AlgebraicNumber.base_from_poly(IntPolynomial([-3, 0, 2]), root_index=0)
     with pytest.raises(PreconditionError):
-        zq_canonicalize([1, 1], q)
+        q.zq_context()
 
 
 def test_zq_round_trip_1000_random_strings():
@@ -263,11 +272,11 @@ def test_zq_round_trip_1000_random_strings():
         qf = q.float_value()
         for _ in range(334):
             digits = [rng.randint(-3, 3) for _ in range(rng.randint(1, 10))]
-            z = zq_canonicalize(digits, q)
+            vec = q.zq_context().from_digits(digits)
             direct = 0.0
             for i, s in enumerate(digits):
                 direct += s * qf**i
-            lo, hi = z.value_interval()
+            lo, hi = q.value_interval_of_vec(vec)
             assert float(lo) - 1e-6 <= direct <= float(hi) + 1e-6
 
 

@@ -183,15 +183,12 @@ def test_cli_inconclusive_exit4(capsys, monkeypatch):
     assert code == 4
 
 
-def test_cli_budget_error_exit3(capsys, monkeypatch):
-    from qspectra.errors import BudgetExceededError
-
-    def boom(args):
-        raise BudgetExceededError("out of states")
-
-    monkeypatch.setitem(cli.COMMANDS, "minpos", boom)
-    code, _ = run_cli(capsys, "minpos", "--poly", "-2,1", "--m", "1")
-    assert code == 3
+def test_cli_classify_without_root_above_one_exit2(capsys, deadline):
+    # x^4-x^2-x+1 has real roots 0.7549 and 1 only; isolating them used
+    # to hang
+    with deadline(30):
+        code, _ = run_cli(capsys, "classify", "--poly", "1,-1,-1,0,1")
+    assert code == 2
 
 
 # -- manifests / reproducibility --------------------------------------------------

@@ -174,6 +174,19 @@ def test_lazy_even_indices_q12():
     assert verify_expansion(seq, q, 0, 40).passed
 
 
+def test_lazy_capacity_display_on_a_fresh_base():
+    # x^8-x^6-1, q ~ 1.1748: all-in capacity m/(q-1); the fresh base's
+    # isolating interval is far too coarse to read a float from
+    poly = IntPolynomial([-1, 0, 0, 0, 0, 0, -1, 0, 1])
+    q = AlgebraicNumber.base_from_poly(poly, root_index=0)
+    seq = lazy_constrained(q, 1, SignPattern.all_indices(), 20)
+    want = 1 / (AlgebraicNumber.base_from_poly(poly, root_index=0)
+                .float_value() - 1)
+    lo, hi = seq.meta["capacity"]
+    assert abs(lo - want) < 1e-9 and abs(hi - want) < 1e-9
+    assert abs(want - 5.7191) < 1e-4
+
+
 def test_lazy_capacity_rejection():
     # q=1.9, m=1, P={1}: capacity 1/1.9 < 1
     q = rational(Fraction(19, 10))

@@ -7,6 +7,7 @@ they exercise.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import pytest
 from qspectra.errors import PreconditionError
 from qspectra.intpoly import (
     IntPolynomial,
+    cauchy_root_bound,
     count_roots_in,
     deflate_root,
     irreducibility_screen,
@@ -143,6 +145,28 @@ def test_isolation_count_and_disjointness_vs_oracle(coeffs):
         assert hi1 <= lo2
     for (lo, hi), r in zip(intervals, oracle):
         assert float(lo) - 1e-9 <= r <= float(hi) + 1e-9
+
+
+def test_isolation_terminates_when_a_rational_root_meets_a_cell_edge(
+        deadline):
+    # x^4-x^2-x+1 = (x-1)(x^3+x^2-1): bisection puts the root 1 on the edge
+    # of the cell of the cubic's root, which once made isolation loop
+    # forever; the sweep covers every squarefree monic quartic of height 1
+    checked = 0
+    with deadline(30):
+        for head in itertools.product((-1, 0, 1), repeat=4):
+            p = IntPolynomial(head + (1,))
+            if head[0] == 0 or not is_squarefree(p):
+                continue
+            intervals = isolate_roots_exact(p)
+            for lo, hi in intervals:
+                assert p.sign_at(lo) != 0 and p.sign_at(hi) != 0
+                assert count_roots_in(p, lo, hi) == 1
+            bound = cauchy_root_bound(p)
+            assert len(intervals) == count_roots_in(p, -bound, bound)
+            checked += 1
+    assert checked == 52
+    assert len(isolate_roots_exact(IntPolynomial([1, -1, -1, 0, 1]))) == 2
 
 
 def test_random_products_isolation_matches_oracle():

@@ -224,6 +224,34 @@ def test_A_covering_radius_decreases_for_1_35():
     assert all(a > b for a, b in zip(radii, radii[1:]))
 
 
+@pytest.mark.parametrize("make_q", [phi, sqrt2])
+def test_A_matches_brute_force_oracle(make_q):
+    q = make_q()
+    ctx = q.zq_context()
+    n, B = 7, 2
+    w = enumerate_A(q, n, B)
+    oracle = set()
+    for digits in itertools.product((-1, 1), repeat=n + 1):
+        vec = ctx.from_digits(digits)
+        if (ctx.sign(ctx.add_int(vec, -B)) <= 0
+                and ctx.sign(ctx.add_int(vec, B)) >= 0):
+            oracle.add(vec)
+    assert len(w.points) == len(oracle)
+    assert {p.vec for p in w.points} == oracle
+    for p in w.points:
+        assert len(p.digits) == n + 1
+        assert all(s in (-1, 1) for s in p.digits)
+        assert ctx.from_digits(p.digits) == p.vec
+
+
+def test_Y_and_A_budget_flags_truncated():
+    q = sqrt2()
+    for w in (enumerate_Y(q, 1, 8, 3, budget=5),
+              enumerate_A(q, 8, 3, budget=5)):
+        assert w.truncated
+        assert not w.complete
+
+
 def test_A_symmetric():
     q = AlgebraicNumber.from_rational(Fraction(27, 20))
     w = enumerate_A(q, 6, 2)
@@ -406,18 +434,6 @@ def test_gap_bound_shadow_below_digit_range():
         w = enumerate_X(q, m, B)
         vals = w.values()
         assert all(b - a <= 1 + 1e-9 for a, b in zip(vals, vals[1:]))
-
-
-def test_digit_string_kind_validation():
-    from qspectra.spectrum import DigitString
-    DigitString((0, 1, 1), 1).validate_for_kind("X")
-    with pytest.raises(PreconditionError):
-        DigitString((0, -1), 1).validate_for_kind("X")
-    DigitString((-1, 1), 1).validate_for_kind("A")
-    with pytest.raises(PreconditionError):
-        DigitString((0, 1), 1).validate_for_kind("A")
-    with pytest.raises(PreconditionError):
-        DigitString((2,), 1)
 
 
 def test_closed_state_set_reproduces_itself():
