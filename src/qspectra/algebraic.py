@@ -11,9 +11,10 @@ Three layers live here:
   exactly through the reciprocal-factor gcd, and the Pisot predicate on top.
 * ``ZqContext`` -- the exact value kernel for Z[q] when the minimal
   polynomial is monic: canonical integer vectors with exact equality and
-  ordering (``from_digits``, ``compare``, ``cmp_fraction``); the spectrum
-  engines use it directly.  ``FractionVecArith`` is its Q[q] counterpart
-  for any base.
+  ordering (``from_digits``, ``compare``, ``cmp_fraction``), and the
+  floating-point model (``float_model``) under which the spectrum engines
+  carry proven float enclosures of their search states.
+  ``FractionVecArith`` is its Q[q] counterpart for any base.
 
 The Gaussian-rational helpers (``_gr_*``: (re, im) Fraction pairs) serve
 both the certified disks here and the witness construction.
@@ -132,6 +133,19 @@ def _gr_float(a: GR) -> complex:
     return complex(float(a[0]), float(a[1]))
 
 
+def _float_enclosure(x) -> tuple[float, float]:
+    """Floats (lo, hi) with lo <= x <= hi for a rational x, each at most one
+    unit in the last place from x (lo == hi when x is a float)."""
+    x = Fraction(x)
+    f = float(x)
+    exact = Fraction(f)
+    if exact == x:
+        return f, f
+    if exact < x:
+        return f, math.nextafter(f, math.inf)
+    return math.nextafter(f, -math.inf), f
+
+
 # ---------------------------------------------------------------------------
 # AlgebraicNumber
 
@@ -191,17 +205,19 @@ class AlgebraicNumber:
         if p.is_zero:
             raise PreconditionError("zero polynomial rejected")
         sf = squarefree_part(p)
+        rats = rational_roots(sf)
+        # the irrational roots are roots of sf with its linear factors
+        # divided out; an isolating interval of sf isolates them in it too
+        irr = sf
+        for r in rats:
+            irr = deflate_root(irr, r)
         roots = []
         for lo, hi in isolate_roots_exact(sf):
-            mid = (lo + hi) / 2
-            if sf.degree >= 1 and sf.sign_at(mid) == 0 and lo < mid < hi:
-                roots.append(cls.from_rational(mid))
-                continue
-            rat = [r for r in rational_roots(sf) if lo < r < hi]
+            rat = [r for r in rats if lo < r < hi]
             if rat:
                 roots.append(cls.from_rational(rat[0]))
             else:
-                roots.append(cls(sf, lo, hi, _validated=True))
+                roots.append(cls(irr, lo, hi, _validated=True))
         if radius is not None:
             for r in roots:
                 r.refine_to_radius(radius)
@@ -365,6 +381,25 @@ class ZqContext:
     Elements are integer coefficient tuples of length d in the basis
     1, q, ..., q^(d-1).  A zero tuple represents the real number zero
     because the minimal polynomial is irreducible (input contract).
+
+    Carried enclosures.  The search engines keep, beside each exact vector
+    v, a float f and one radius R per level with |value(v) - f| <= R, so
+    that a sign or a comparison costs O(1) and the exact methods here run
+    only when [f - R, f + R] straddles the threshold.  ``float_model``
+    returns (qf, dq, qabs) with |q - qf| <= dq over the base interval and
+    qabs >= qf + dq.  A child q*v + s (|s| <= m) of a level whose floats
+    satisfy |f| <= F gets f' = fl(fl(qf*f) + s); under the standard model
+    fl(a op b) = (a op b)(1 + delta), |delta| <= u = 2^-53 (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 2-4),
+
+        |value(q*v + s) - f'| <= qabs*R + dq*F + u*(2*qf*F*(1 + 2u) + m).
+
+    The bound is evaluated in floats, so it is scaled by 1 + 2^-48 (more
+    than the rounding of its own few operations) and a tiny absolute term
+    covers underflow.  Refining q later only shrinks the interval, so the
+    model stays valid for a whole search.  ``float_bounds`` (a
+    heuristic-slop enclosure, exact fallback on a straddle) still serves
+    the display floats and the signs outside the searches.
     """
 
     def __init__(self, q: AlgebraicNumber):
@@ -372,8 +407,9 @@ class ZqContext:
             raise PreconditionError("monic minimal polynomial required")
         self.q = q
         self.d = q.min_poly.degree
-        # q^d = -(c_0 + c_1 q + ... + c_{d-1} q^{d-1})
-        self.qd_vec = tuple(-c for c in q.min_poly.coeffs[:-1])
+        # q^d = -(c_0 + c_1 q + ... + c_{d-1} q^{d-1}), nonzero terms only
+        self.qd_terms = tuple((i, -c) for i, c in
+                              enumerate(q.min_poly.coeffs[:-1]) if c)
         self._float_cache_key = None
         self._float_pows: list[tuple[float, float]] = []
 
@@ -382,11 +418,7 @@ class ZqContext:
         return (0,) * self.d
 
     def mul_q(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        top = v[-1]
-        shifted = (0,) + v[:-1]
-        if top == 0:
-            return shifted
-        return tuple(a + top * b for a, b in zip(shifted, self.qd_vec))
+        return self.step(v, 0)
 
     def sub(self, a, b):
         return tuple(x - y for x, y in zip(a, b))
@@ -399,7 +431,12 @@ class ZqContext:
 
     def step(self, v, s: int):
         """q*v + s: one digit-append step."""
-        return self.add_int(self.mul_q(v), s)
+        out = [s, *v[:-1]]
+        top = v[-1]
+        if top:
+            for i, c in self.qd_terms:
+                out[i] += top * c
+        return tuple(out)
 
     def from_digits(self, digits) -> tuple[int, ...]:
         """Canonical vector of sum digits[i] * q^i (ascending digits)."""
@@ -411,7 +448,10 @@ class ZqContext:
     def sign(self, v) -> int:
         if not any(v):
             return 0
-        flo, fhi = self.float_bounds(v)
+        try:
+            flo, fhi = self.float_bounds(v)
+        except OverflowError:       # a coefficient beyond float range
+            return self.q.sign_of_fraction_vec(v)
         if flo > 0:
             return 1
         if fhi < 0:
@@ -444,6 +484,15 @@ class ZqContext:
     def float_value(self, v) -> float:
         lo, hi = self.float_bounds(v)
         return 0.5 * (lo + hi)
+
+    def float_model(self) -> tuple[float, float, float]:
+        """(qf, dq, qabs): floats with |q - qf| <= dq over the current base
+        interval and qabs >= qf + dq, rounded outward exactly."""
+        lo, hi = self.q.interval()
+        qf = float((lo + hi) / 2)
+        x = Fraction(qf)
+        dq = _float_enclosure(max(hi - x, x - lo))[1]
+        return qf, dq, _float_enclosure(x + Fraction(dq))[1]
 
     def _float_powers(self, upto: int):
         key = self.q.interval()

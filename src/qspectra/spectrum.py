@@ -5,14 +5,25 @@ Two value kernels back every engine:
 
 * exact mode (monic minimal polynomial, including integer bases): the
   base's ``ZqContext``; values are canonical integer vectors in Z[q], so
-  deduplication and ordering are exact.
+  deduplication and ordering are exact.  Each state of a search level also
+  carries a float, kept in an ``array('d')`` beside the level, and the
+  level has one proven radius R with |value - float| <= R (the bound is in
+  ``ZqContext``'s docstring).  A child's sign, its window test and its
+  comparison with the current best are read off [f - R, f + R]; the exact
+  ``ZqContext.sign``/``compare``/``cmp_fraction`` run only when that
+  enclosure straddles the threshold, and the child's vector is built only
+  when a test needs it or it survives to deduplication.  A level whose
+  floats or radius overflow is decided exactly throughout.
 * numeric mode (everything else): ``_FloatKernel``; values are floats
-  deduplicated within a declared tolerance.
+  deduplicated within a declared tolerance.  It carries no proven
+  enclosure (R is infinite), so every decision falls through to its
+  tolerance tests.
 
 Either way, the values seen so far live in a dict from value to witness
 path, so ``value in seen`` is the one deduplication test.  The X, Y and A
 windows all grow through ``_expand_level``: each state y spawns q*y + s
-for every digit s of the window's alphabet.
+for every digit s of the window's alphabet.  Display floats come from the
+kernel's ``float_value``, never from the carried floats.
 
 Results are deterministic: levels are expanded in sorted order and every
 window is canonically sorted before emission.
@@ -21,10 +32,11 @@ window is canonically sorted before emission.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebraic import AlgebraicNumber, ZqContext
+from .algebraic import AlgebraicNumber, ZqContext, _float_enclosure
 from .config import DEFAULT_NUMERIC_TOL, DEFAULT_STATE_BUDGET
 from .errors import PreconditionError
 
@@ -74,6 +86,11 @@ class _FloatKernel:
     def compare(self, a, b) -> int:
         return self.sign(a - b)
 
+    def float_model(self) -> tuple[float, float, float]:
+        """No proven model: the infinite error makes every carried radius
+        infinite, so each decision is the tolerance test above."""
+        return self.qf, math.inf, math.inf
+
 
 class _FloatSeen(dict):
     """Value -> witness dict for float values: a value within the tolerance
@@ -117,6 +134,30 @@ def _new_seen(kernel) -> dict:
 def _vec(kernel, v) -> tuple[int, ...] | None:
     """The Z[q] vector of an exact value; None in numeric mode."""
     return v if isinstance(kernel, ZqContext) else None
+
+
+_U = 2.0 ** -53
+_TINY = 2.0 ** -1000
+
+
+def _down(x: float) -> float:
+    """A float no larger than the exact result that rounded to x."""
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def _child_radius(model, radius: float, floats, m: int) -> float:
+    """Proven radius of the children q*v + s (|s| <= m) of a level whose
+    floats lie within ``radius`` of their exact values (the bound in
+    ``ZqContext``'s docstring); infinite when it overflows."""
+    qf, dq, qabs = model
+    F = max(map(abs, floats), default=0.0)
+    r = ((qabs * radius + dq * F + _U * (2 * qf * F * (1 + 2 * _U) + m))
+         * (1 + 2.0 ** -48) + _TINY)
+    return r if math.isfinite(r) else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -167,26 +208,45 @@ class SpectrumWindow:
         return d
 
 
-def _expand_level(kernel, level, alphabet, keep, seen: dict, budget: int):
+def _expand_level(kernel, model, level, alphabet, band, keep, seen: dict,
+                  budget: int):
     """Children q*v + s (s in alphabet) of the states of one level.
 
-    A child is kept when ``keep(child)`` holds and it is not in ``seen``;
-    it is then recorded in ``seen`` with its top-first digit path.  Returns
-    (kept children, within budget): expansion stops after the first parent
-    whose children push ``seen`` past the budget.
+    ``level`` is (states, floats, radius): (value, top-first path) pairs,
+    their carried floats and the proven radius of those floats.
+    ``band(r)`` gives float thresholds (in_lo, in_hi, out_lo, out_hi) for
+    children of radius r: a child whose float lies in [in_lo, in_hi] is
+    kept, one below out_lo or above out_hi is dropped, and ``keep(child)``
+    decides the rest.  A kept child not in ``seen`` is recorded there with
+    its path.  Returns (next level, within budget): expansion stops after
+    the first parent whose children push ``seen`` past the budget.
     """
-    nxt = []
-    for v, path in level:
+    states, floats, radius = level
+    qf = model[0]
+    r = _child_radius(model, radius, floats, max(map(abs, alphabet)))
+    in_lo, in_hi, out_lo, out_hi = band(r)
+    step = kernel.step
+    nxt, nfl = [], array("d")
+    for (v, path), f in zip(states, floats):
         for s in alphabet:
-            child = kernel.step(v, s)
-            if not keep(child) or child in seen:
+            cf = qf * f + s
+            if cf < out_lo or cf > out_hi:
+                continue
+            child = step(v, s)
+            if not (in_lo <= cf <= in_hi or keep(child)) or child in seen:
                 continue
             cpath = path + (s,)
             seen[child] = cpath
             nxt.append((child, cpath))
+            nfl.append(cf)
         if len(seen) > budget:
-            return nxt, False
-    return nxt, True
+            return (nxt, nfl, r), False
+    return (nxt, nfl, r), True
+
+
+def _root_level(kernel):
+    """The one-state level of the empty digit string."""
+    return [(kernel.zero, ())], array("d", [0.0]), 0.0
 
 
 def _sorted_points(kernel, items) -> list[SpectrumPoint]:
@@ -229,13 +289,16 @@ def enumerate_X(q: AlgebraicNumber, m: int, B, *, tol: float | None = None,
     if B <= 0:
         raise PreconditionError("B > 0 required")
     kernel = make_kernel(q, tol, float(B))
+    model = kernel.float_model()
+    b_lo, b_hi = _float_enclosure(B)
     seen = _new_seen(kernel)
     seen[kernel.zero] = ()
-    level = [(kernel.zero, ())]
+    level = _root_level(kernel)
     complete = True
-    while level and complete:
+    while level[0] and complete:
         level, complete = _expand_level(
-            kernel, level, range(m + 1),
+            kernel, model, level, range(m + 1),
+            lambda r: (-math.inf, _down(b_lo - r), -math.inf, _up(b_hi + r)),
             lambda c: kernel.cmp_fraction(c, B) <= 0, seen, budget)
     return SpectrumWindow(q, m, "X", None, B, complete,
                           tuple(_sorted_points(kernel, seen.items())),
@@ -259,18 +322,24 @@ def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
     overflow the partial level is clipped and returned as incomplete.
     """
     kernel = make_kernel(q, tol, float(B))
+    model = kernel.float_model()
     qf = q.float_value()
-    level = [(kernel.zero, ())]
+    level = _root_level(kernel)
     complete = True
-    for r in range(degree, -1, -1):
-        cap = float(B) * 1.0000001 + _tail_max(qf, m, r) + 1e-9
+
+    def band(r):
+        lo, hi = _down(cap - r), _up(cap + r)
+        return -lo, lo, -hi, hi
+
+    for t in range(degree, -1, -1):
+        cap = float(B) * 1.0000001 + _tail_max(qf, m, t) + 1e-9
         level, complete = _expand_level(
-            kernel, level, alphabet,
+            kernel, model, level, alphabet, band,
             lambda c: abs(kernel.float_value(c)) <= cap,
             _new_seen(kernel), budget)
         if not complete:
             break
-    inside = [(v, path) for v, path in level
+    inside = [(v, path) for v, path in level[0]
               if kernel.cmp_fraction(v, B) <= 0
               and kernel.cmp_fraction(kernel.neg(v), B) <= 0]
     return _sorted_points(kernel, inside), complete
@@ -488,7 +557,8 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
     if m < 1:
         raise PreconditionError("m >= 1 required")
     kernel = make_kernel(q, tol, 1.0)
-
+    model = kernel.float_model()
+    qf = model[0]
     exact = isinstance(kernel, ZqContext)
 
     def in_upper(v) -> bool:
@@ -499,40 +569,70 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
         c = m / (kernel.qf - 1.0)
         return v <= c + kernel.tol
 
+    # float bounds of c = m/(q-1) over the base interval
+    lo, hi = q.interval()
+    c_lo = _float_enclosure(m / (hi - 1))[0]
+    c_hi = _float_enclosure(m / (lo - 1))[1] if lo > 1 else math.inf
+
+    def best_band(r):
+        # floats below lt are proven smaller than the best, above gt larger
+        _, _, bf, br = best
+        return _down(_down(bf - br) - r), _up(_up(bf + br) + r)
+
     seen = _new_seen(kernel)
-    level = []
-    best = None  # (value_repr, witness)
+    level, floats = [], array("d")
+    best = None  # (value_repr, witness, carried float, its radius)
     trace = []
     for s in range(1, m + 1):
         v = kernel.step(kernel.zero, s)
         if kernel.sign(v) > 0 and in_upper(v) and v not in seen:
             seen[v] = (s,)
             level.append((v, (s,)))
+            floats.append(s)
             if best is None or kernel.compare(v, best[0]) < 0:
-                best = (v, (s,))
+                best = (v, (s,), float(s), 0.0)
+    radius = 0.0
     depth = 1
     closed = False
     budget_exhausted = False
+    digits = range(-m, m + 1)
     trace.append(_depth_record(kernel, depth, best, seen, level))
     while depth < max_depth:
-        nxt = []
-        for v, path in level:
-            for s in range(-m, m + 1):
-                child = kernel.step(v, s)
-                sign = kernel.sign(child)
-                if sign == 0:
+        r = _child_radius(model, radius, floats, m)
+        # floats up to up_in are proven <= c, those above up_out > c
+        up_in, up_out = _down(c_lo - r), _up(c_hi + r)
+        lt, gt = best_band(r) if best else (-math.inf, math.inf)
+        nxt, nfl = [], array("d")
+        for (v, path), f in zip(level, floats):
+            for s in digits:
+                cf = qf * f + s
+                if -r <= cf <= r:            # enclosure straddles 0
+                    child = kernel.step(v, s)
+                    sign = kernel.sign(child)
+                    if sign == 0:
+                        continue
+                else:
+                    child = None
+                    sign = 1 if cf > 0 else -1
+                if sign < 0:
+                    cf = -cf
+                if cf > up_out:
                     continue
+                if child is None:
+                    child = kernel.step(v, s)
                 if sign < 0:
                     child = kernel.neg(child)
-                    cpath = tuple(-x for x in path) + (-s,)
-                else:
-                    cpath = path + (s,)
-                if not in_upper(child) or child in seen:
+                if (cf > up_in and not in_upper(child)) or child in seen:
                     continue
+                cpath = (path + (s,) if sign > 0
+                         else tuple(-x for x in path) + (-s,))
                 seen[child] = cpath
                 nxt.append((child, cpath))
-                if best is None or kernel.compare(child, best[0]) < 0:
-                    best = (child, cpath)
+                nfl.append(cf)
+                if (best is None or cf < lt or
+                        (cf <= gt and kernel.compare(child, best[0]) < 0)):
+                    best = (child, cpath, cf, r)
+                    lt, gt = best_band(r)
             if len(seen) > state_budget:
                 budget_exhausted = True
                 break
@@ -543,7 +643,7 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
         if not nxt:
             closed = True
             break
-        level = nxt
+        level, floats, radius = nxt, nfl, r
 
     closed_states = None
     if closed:

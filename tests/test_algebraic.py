@@ -69,6 +69,13 @@ def test_real_roots_rational_root_on_a_cell_edge(deadline):
     assert roots[1].exact_rational == 1
 
 
+def test_real_roots_irrational_root_of_reducible_input_gets_its_factor():
+    # the rational root's factor x-1 is divided out of the minimal polynomial
+    roots = AlgebraicNumber.real_roots(IntPolynomial([1, -1, -1, 0, 1]))
+    assert roots[0].min_poly == IntPolynomial([-1, 0, 1, 1])   # x^3+x^2-1
+    assert abs(roots[0].float_value() - 0.7548776662) < 1e-9
+
+
 def test_isolate_rejects_zero_polynomial():
     with pytest.raises(PreconditionError):
         AlgebraicNumber.real_roots(IntPolynomial([]))
@@ -256,6 +263,14 @@ def test_zq_cmp_fraction():
     assert ctx.cmp_fraction((0, 1), Fraction(142, 100)) == -1
     assert ctx.cmp_fraction((1, 1), Fraction(5, 2)) == -1     # 1+sqrt2 < 2.5
     assert ctx.cmp_fraction((3, 0), Fraction(3)) == 0
+
+
+def test_zq_sign_of_coefficients_beyond_float_range():
+    ctx = AlgebraicNumber.base_from_poly(P1_POLY, root_index=0).zq_context()
+    big = (10**400, -1, 0)
+    assert ctx.sign(big) == 1
+    assert ctx.compare((0, 0, 0), big) == -1
+    assert ctx.cmp_fraction(big, Fraction(10**399)) == 1
 
 
 def test_zq_requires_monic():

@@ -1,0 +1,275 @@
+"""Carried float enclosures of the exact Z[q] search states.
+
+The engines give every state a float f and every level one radius R with
+|value - f| <= R, and decide signs and window tests from [f - R, f + R].
+These tests check that bound against exact values along random and
+near-cancelling digit strings, and check the engines against a reference
+search that makes every decision through the exact kernel.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from qspectra.algebraic import AlgebraicNumber, _float_enclosure
+from qspectra.intpoly import IntPolynomial
+from qspectra.spectrum import (
+    BfsDepthRecord,
+    BfsResult,
+    _child_radius,
+    enumerate_X,
+    enumerate_Y,
+    min_positive_bfs,
+)
+
+POLYS = {
+    "q8": [-1, 0, 0, 0, 0, 0, -1, 0, 1],    # x^8 - x^6 - 1, q ~ 1.1749
+    "q3": [-1, -1, 0, 1],                   # x^3 - x - 1,   q ~ 1.3247
+    "phi": [-1, -1, 1],
+    "sqrt2": [-2, 0, 1],
+    "quartic": [-1, -1, 0, 0, 1],           # x^4 - x - 1,   q ~ 1.2207
+}
+
+
+def base(key) -> AlgebraicNumber:
+    """A fresh base, so no test sees another's refinement."""
+    if isinstance(key, int):
+        return AlgebraicNumber.from_rational(key)
+    return AlgebraicNumber.base_from_poly(IntPolynomial(POLYS[key]),
+                                          root_index=0)
+
+
+def walk(q: AlgebraicNumber, model, m: int, top_first):
+    """(vector, carried float, radius) after each digit of a top-first
+    string, as the engines compute them for a one-state level."""
+    ctx = q.zq_context()
+    vec, f, r = ctx.zero, 0.0, 0.0
+    out = []
+    for s in top_first:
+        r = _child_radius(model, r, [f], m)
+        f = model[0] * f + s
+        vec = ctx.step(vec, s)
+        out.append((vec, f, r))
+    return out
+
+
+def digit_strings(q, m, witness_depth, seed):
+    """Seeded random strings, and the top-first prefixes of the minimal
+    positive witness continued by random digits: the witness cancels to
+    the smallest positive value the search finds, so its prefixes are the
+    near-cancelling states."""
+    rng = random.Random(seed)
+    strings = [[rng.randint(-m, m) for _ in range(rng.randint(1, 30))]
+               for _ in range(60)]
+    res = min_positive_bfs(q, m, witness_depth)
+    top_first = list(reversed(res.min_witness))
+    for k in range(1, len(top_first) + 1):
+        strings.append(top_first[:k])
+        strings.append(top_first[:k] + [rng.randint(-m, m)
+                                        for _ in range(rng.randint(1, 12))])
+    return strings
+
+
+@pytest.mark.parametrize("key,m,witness_depth", [
+    ("q8", 1, 12), ("q3", 2, 60), ("phi", 1, 24), (3, 2, 10)])
+def test_enclosure_contains_exact_value_and_decides_signs(
+        deadline, key, m, witness_depth):
+    with deadline(60):
+        q = base(key)
+        ctx = q.zq_context()
+        ctx.ensure_float_resolution()
+        model = ctx.float_model()
+        strings = digit_strings(q, m, witness_depth, seed=f"enc:{key}")
+        # exact values are read on a much finer interval; the model was
+        # taken before, and refinement only shrinks the interval
+        q.refine_to_width(Fraction(1, 2**100))
+        decided = 0
+        for digits in strings:
+            for vec, f, r in walk(q, model, m, digits):
+                lo, hi = q.value_interval_of_vec(vec)
+                assert Fraction(f) - Fraction(r) <= lo
+                assert hi <= Fraction(f) + Fraction(r)
+                if f > r or f < -r:
+                    decided += 1
+                    assert q.sign_of_fraction_vec(vec) == (1 if f > 0 else -1)
+        assert decided > 500
+
+
+@pytest.mark.parametrize("key,m,digits", [
+    (3, 2, [0, 0, 1, -2, 0]),     # zero prefixes of an integer base
+    ("phi", 1, [1, -1, -1, 1]),   # phi^2 - phi - 1 = 0
+])
+def test_zero_children_are_left_to_the_exact_sign(key, m, digits):
+    q = base(key)
+    ctx = q.zq_context()
+    ctx.ensure_float_resolution()
+    zeros = 0
+    for vec, f, r in walk(q, ctx.float_model(), m, digits):
+        if not any(vec):
+            zeros += 1
+            assert -r <= f <= r       # the enclosure cannot decide it
+            assert ctx.sign(vec) == 0
+    assert zeros >= 1
+
+
+def test_nonfinite_radius_leaves_every_decision_exact():
+    model = base("q3").zq_context().float_model()
+    assert _child_radius(model, math.inf, [1.0], 1) == math.inf
+    assert _child_radius(model, 0.0, [math.inf], 1) == math.inf
+    assert _child_radius(base(3).zq_context().float_model(), 0.0,
+                         [math.inf], 2) == math.inf   # dq = 0 for q = 3
+
+
+def test_float_model_encloses_the_base():
+    for key in ("q8", "q3", "phi", 3):
+        q = base(key)
+        qf, dq, qabs = q.zq_context().float_model()
+        lo, hi = q.interval()
+        assert Fraction(qf) - Fraction(dq) <= lo <= hi <= (Fraction(qf)
+                                                           + Fraction(dq))
+        assert Fraction(qabs) >= Fraction(qf) + Fraction(dq)
+
+
+# -- differential: the engines against an all-exact reference ---------------
+
+
+def _canonical(top_first):
+    digits = tuple(reversed(top_first))
+    while len(digits) > 1 and digits[-1] == 0:
+        digits = digits[:-1]
+    return digits or (0,)
+
+
+def reference_bfs(q: AlgebraicNumber, m: int, max_depth: int) -> BfsResult:
+    """The smallest-positive search with every sign, window test and
+    comparison made by ``ZqContext.sign``/``compare``."""
+    ctx = q.zq_context()
+    ctx.ensure_float_resolution()
+
+    def in_upper(v):
+        return ctx.sign(ctx.add_int(ctx.sub(ctx.mul_q(v), v), -m)) <= 0
+
+    seen, level, best, trace = {}, [], None, []
+
+    def record(depth, new_level):
+        if best is None:
+            return BfsDepthRecord(depth, math.inf, None, (), len(seen),
+                                  len(new_level))
+        return BfsDepthRecord(depth, ctx.float_value(best[0]), best[0],
+                              _canonical(best[1]), len(seen), len(new_level))
+
+    for s in range(1, m + 1):
+        v = ctx.from_digits([s])
+        if ctx.sign(v) > 0 and in_upper(v) and v not in seen:
+            seen[v] = (s,)
+            level.append((v, (s,)))
+            if best is None or ctx.compare(v, best[0]) < 0:
+                best = (v, (s,))
+    depth, closed = 1, False
+    trace.append(record(depth, level))
+    while depth < max_depth:
+        nxt = []
+        for v, path in level:
+            for s in range(-m, m + 1):
+                child = ctx.step(v, s)
+                sign = ctx.sign(child)
+                if sign == 0:
+                    continue
+                if sign < 0:
+                    child = ctx.neg(child)
+                    cpath = tuple(-x for x in path) + (-s,)
+                else:
+                    cpath = path + (s,)
+                if not in_upper(child) or child in seen:
+                    continue
+                seen[child] = cpath
+                nxt.append((child, cpath))
+                if best is None or ctx.compare(child, best[0]) < 0:
+                    best = (child, cpath)
+        depth += 1
+        trace.append(record(depth, nxt))
+        if not nxt:
+            closed = True
+            break
+        level = nxt
+    closed_states = None
+    if closed:
+        closed_states = tuple((ctx.float_value(v), v)
+                              for v in sorted(seen, key=ctx.float_value))
+    return BfsResult(q, m, tuple(trace), closed, False, closed_states,
+                     ctx.float_value(best[0]) if best else None,
+                     best[0] if best else None,
+                     _canonical(best[1]) if best else None)
+
+
+BFS_CASES = [("phi", 1, 24), ("sqrt2", 1, 12), (3, 2, 10), ("q3", 2, 60),
+             ("q8", 1, 10)]
+
+
+@pytest.mark.parametrize("key,m,depth", BFS_CASES)
+def test_min_positive_bfs_matches_the_exact_reference(deadline, key, m,
+                                                      depth):
+    with deadline(60):
+        want = reference_bfs(base(key), m, depth).to_dict()
+        got = min_positive_bfs(base(key), m, depth).to_dict()
+    assert got == want
+
+
+def _coarse_model(q: AlgebraicNumber, shift: Fraction) -> AlgebraicNumber:
+    """Give q's kernel a valid but coarse float model: qf is off by
+    ``shift`` and dq covers it.  The carried floats are then wrong by far
+    more than rounding, the radius still bounds the error, and the exact
+    fallbacks decide a large share of the children."""
+    ctx = q.zq_context()
+    ctx.ensure_float_resolution()
+    qf, dq, _ = ctx.float_model()
+    off = float(Fraction(qf) + shift)
+    dq = _float_enclosure(abs(Fraction(off) - Fraction(qf)) + Fraction(dq))[1]
+    coarse = (off, dq, _float_enclosure(Fraction(off) + Fraction(dq))[1])
+    ctx.float_model = lambda: coarse
+    return q
+
+
+@pytest.mark.parametrize("key,m,depth", BFS_CASES)
+def test_coarse_enclosures_reach_the_same_result(deadline, key, m, depth):
+    with deadline(60):
+        want = reference_bfs(base(key), m, depth).to_dict()
+        q = _coarse_model(base(key), Fraction(1, 2**12))
+        got = min_positive_bfs(q, m, depth).to_dict()
+    assert got == want
+
+
+def _digest(window):
+    text = json.dumps([[list(p.vec), list(p.digits)] for p in window.points])
+    return len(window.points), hashlib.sha256(text.encode()).hexdigest()
+
+
+WINDOWS = [  # (name, window of a base factory, point count, SHA-256)
+    ("X quartic m1 B80", lambda b: enumerate_X(b("quartic"), 1, 80), 5254,
+     "18f02f656c6f217a70e94d747ed74318ee0c203544a03f3047e8ac4cd6115767"),
+    ("Y quartic m1 deg9 B3", lambda b: enumerate_Y(b("quartic"), 1, 9, 3),
+     777, "5fd1fa65503cb922301ec55bc31cfe54806d7f747f542cd6d294bc07a001f82a"),
+    ("X q8 m2 B12", lambda b: enumerate_X(b("q8"), 2, 12), 1966,
+     "607f87ecd3bb708c2752f270d01dbe5e9d935ee811173c5131c403ecdb030d05"),
+    ("Y q8 m1 deg10 B2", lambda b: enumerate_Y(b("q8"), 1, 10, 2), 10037,
+     "9ad0314fa55b6f7a7d381de393543c08ad3d06fbdbbf9681c16164578ef3e621"),
+]
+
+
+@pytest.mark.parametrize("name,make,count,sha", WINDOWS)
+def test_exact_windows_keep_their_recorded_points(name, make, count, sha):
+    # the counts and digests were recorded with every keep test exact
+    assert _digest(make(base)) == (count, sha)
+
+
+@pytest.mark.parametrize("name,make,count,sha", WINDOWS)
+def test_coarse_window_tests_keep_the_recorded_points(name, make, count, sha):
+    def coarse(key):
+        return _coarse_model(base(key), Fraction(1, 2**16))
+    assert _digest(make(coarse)) == (count, sha)
