@@ -6,9 +6,10 @@ Three layers live here:
   rational isolating interval, with monotone on-demand refinement and an
   exact sign oracle for integer-polynomial expressions in the root.
 * ``conjugates`` / ``classify_base`` -- all complex roots with certified
-  error disks (simultaneous Weierstrass iteration, a-posteriori disks
-  checked in exact rational arithmetic), unit-circle membership decided
-  exactly through the reciprocal-factor gcd, and the Pisot predicate on top.
+  error disks (simultaneous Weierstrass iteration, in double precision
+  first and in mpmath above it; a-posteriori disks checked exactly in
+  scaled Gaussian integers), unit-circle membership decided exactly
+  through the reciprocal-factor gcd, and the Pisot predicate on top.
 * ``ZqContext`` -- the exact value kernel for Z[q] when the minimal
   polynomial is monic: canonical integer vectors with exact equality and
   ordering (``from_digits``, ``compare``, ``cmp_fraction``), and the
@@ -17,7 +18,7 @@ Three layers live here:
   ``FractionVecArith`` is its Q[q] counterpart for any base.
 
 The Gaussian-rational helpers (``_gr_*``: (re, im) Fraction pairs) serve
-both the certified disks here and the witness construction.
+the witness construction.
 
 Minimal polynomials are trusted to be irreducible (input contract).  A cheap
 screen rejects obvious violations; deeper violations surface as
@@ -26,12 +27,12 @@ screen rejects obvious violations; deeper violations surface as
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import mpc, mpf, workprec
 
 from .config import MAX_CERTIFY_BITS
 from .errors import PreconditionError, ReducibleInputError
@@ -56,7 +57,8 @@ from .intpoly import (
 
 
 def mpf_to_fraction(x) -> Fraction:
-    """Exact value of an mpmath float (binary floats are rationals).
+    """Exact value of an mpmath or builtin float (binary floats are
+    rationals).
 
     Reads the mantissa/exponent pair directly: converting through mpf()
     would re-round to the ambient working precision.
@@ -106,11 +108,6 @@ def _gr_inv(a: GR) -> GR:
     return (a[0] / n, -a[1] / n)
 
 
-def _gr_div(a: GR, b: GR) -> GR:
-    n = _gr_abs2(b)
-    return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
-
-
 def _gr_pow(a: GR, n: int) -> GR:
     out = _gr(1)
     while n:
@@ -119,14 +116,6 @@ def _gr_pow(a: GR, n: int) -> GR:
         a = _gr_mul(a, a)
         n >>= 1
     return out
-
-
-def _gr_polyval(coeffs, z: GR) -> GR:
-    acc = _gr(0)
-    for c in reversed(coeffs):
-        acc = _gr_mul(acc, z)
-        acc = (acc[0] + c, acc[1])
-    return acc
 
 
 def _gr_float(a: GR) -> complex:
@@ -653,76 +642,109 @@ def unit_circle_root_count(p: IntPolynomial) -> int:
 
 def _dk_iterate(coeffs: tuple[int, ...], prec_bits: int, start=None):
     """Simultaneous Weierstrass/Durand-Kerner iteration at the given
-    precision.  Returns approximations only; certification is separate."""
+    precision.  Returns approximations only; certification is separate.
+
+    At 53 bits the iteration runs in builtin ``complex`` and returns None
+    when an iterate is not finite (say Horner overflows past 1e308); above
+    53 bits it runs in mpmath ``mpc`` under ``workprec``, whose exponent
+    range is unbounded.  ``start`` is a previous rung's approximations.
+    """
     d = len(coeffs) - 1
     lead = coeffs[-1]
-    with workprec(prec_bits):
-        bound = float(cauchy_root_bound(IntPolynomial(coeffs)))
-        if start is None:
-            seed = mpc("0.4", "0.9")
-            z = []
-            cur = mpc(1)
-            for _ in range(d):
-                cur = cur * seed
-                z.append(cur * bound / abs(cur) * mpf("0.7"))
-        else:
-            z = [mpc(s) for s in start]
-        tol = mpf(2) ** (-(prec_bits * 3) // 4) * max(1.0, bound)
-        for _ in range(60 + 12 * prec_bits // 16):
-            max_corr = mpf(0)
-            for j in range(d):
-                num = mpc(0)
-                for c in reversed(coeffs):
-                    num = num * z[j] + c
-                den = mpc(lead)
-                for i in range(d):
-                    if i != j:
-                        den *= z[j] - z[i]
-                if den == 0:
-                    z[j] = z[j] + mpf(2) ** (-prec_bits // 2)
-                    max_corr = mpf(1)
-                    continue
-                w = num / den
-                z[j] = z[j] - w
-                if abs(w) > max_corr:
-                    max_corr = abs(w)
-            if max_corr < tol:
-                break
-        return z
+    bound = float(cauchy_root_bound(IntPolynomial(coeffs)))
+    if prec_bits <= 53:     # the complex and real types of this rung
+        C, R, context = complex, float, nullcontext()
+    else:
+        from mpmath import mpc as C, mpf as R, workprec
+        context = workprec(prec_bits)
+    with context:
+        try:
+            if start is None:
+                seed = C(R("0.4"), R("0.9"))
+                z = []
+                cur = C(1)
+                for _ in range(d):
+                    cur = cur * seed
+                    z.append(cur * bound / abs(cur) * R("0.7"))
+            else:
+                z = [C(s) for s in start]
+            tol = R(2) ** (-(prec_bits * 3) // 4) * max(1.0, bound)
+            for _ in range(60 + 12 * prec_bits // 16):
+                max_corr = R(0)
+                for j in range(d):
+                    num = C(0)
+                    for c in reversed(coeffs):
+                        num = num * z[j] + c
+                    den = C(lead)
+                    for i in range(d):
+                        if i != j:
+                            den *= z[j] - z[i]
+                    if den == 0:
+                        z[j] = z[j] + R(2) ** (-prec_bits // 2)
+                        max_corr = R(1)
+                        continue
+                    w = num / den
+                    z[j] = z[j] - w
+                    if abs(w) > max_corr:
+                        max_corr = abs(w)
+                if max_corr < tol:
+                    break
+        except OverflowError:       # float range only: mpf does not overflow
+            return None
+    if prec_bits <= 53 and not all(map(cmath.isfinite, z)):
+        return None
+    return z
 
 
 def _certified_disks(coeffs: tuple[int, ...], z) -> list | None:
-    """Exact Weierstrass a-posteriori disks.
+    """Exact Weierstrass a-posteriori disks, or None when they overlap.
 
     For distinct approximations z_j the disks centered z_j with radius
-    d*|W_j| (W_j the Weierstrass correction) jointly contain all roots, and
-    pairwise disjoint disks contain exactly one root each.  Everything is
-    evaluated in exact Gaussian-rational arithmetic, so the result is a
-    certificate, not an estimate.
+    d*(|Re W_j| + |Im W_j|) (W_j the Weierstrass correction) jointly contain
+    all roots, and pairwise disjoint disks contain exactly one root each.
+
+    The centers are dyadic (floats or mpf), so one power of two S scales
+    them all to Gaussian integers Z_j = S z_j.  Then p(z_j) = N_j / S^d with
+    N_j = sum_k c_k Z_j^k S^(d-k), the Weierstrass denominator is
+    D_j / S^(d-1) with D_j = lead * prod_{i!=j} (Z_j - Z_i), and
+    W_j = N_j conj(D_j) / (S |D_j|^2).  Everything up to the one Fraction
+    radius per disk, and the disjointness test, is integer arithmetic, so
+    the result is a certificate, not an estimate.  Returns
+    [(re, im, radius)] as Fractions.
     """
     d = len(coeffs) - 1
     lead = coeffs[-1]
     zf = [(mpf_to_fraction(w.real), mpf_to_fraction(w.imag)) for w in z]
-    disks = []
-    for j in range(d):
-        den = (Fraction(lead), Fraction(0))
-        for i in range(d):
+    S = max(x.denominator for c in zf for x in c)      # all powers of two
+    Z = [(c[0].numerator * (S // c[0].denominator),
+          c[1].numerator * (S // c[1].denominator)) for c in zf]
+    scaled = [c * S ** (d - k) for k, c in enumerate(coeffs)]
+    radii = []
+    for j, (zr, zi) in enumerate(Z):
+        nr, ni = scaled[-1], 0
+        for c in reversed(scaled[:-1]):
+            nr, ni = nr * zr - ni * zi + c, nr * zi + ni * zr
+        dr, di = lead, 0
+        for i, (wr, wi) in enumerate(Z):
             if i != j:
-                diff = _gr_sub(zf[j], zf[i])
-                if diff == (0, 0):
+                er, ei = zr - wr, zi - wi
+                if er == 0 and ei == 0:
                     return None
-                den = _gr_mul(den, diff)
-        w = _gr_div(_gr_polyval(coeffs, zf[j]), den)
-        radius = d * (abs(w[0]) + abs(w[1]))
-        disks.append((zf[j][0], zf[j][1], radius))
+                dr, di = dr * er - di * ei, dr * ei + di * er
+        radii.append(Fraction(
+            d * (abs(nr * dr + ni * di) + abs(ni * dr - nr * di)),
+            S * (dr * dr + di * di)))
     for i in range(d):
+        zr, zi = Z[i]
+        a, b = radii[i].numerator, radii[i].denominator
         for j in range(i + 1, d):
-            dre = disks[i][0] - disks[j][0]
-            dim = disks[i][1] - disks[j][1]
-            rr = disks[i][2] + disks[j][2]
-            if dre * dre + dim * dim <= rr * rr:
+            er, ei = zr - Z[j][0], zi - Z[j][1]
+            a2, b2 = radii[j].numerator, radii[j].denominator
+            # |z_i - z_j| <= r_i + r_j, squared and times (S * b * b2)^2
+            if ((er * er + ei * ei) * (b * b2) ** 2
+                    <= (S * (a * b2 + a2 * b)) ** 2):
                 return None
-    return disks
+    return [(re, im, rad) for (re, im), rad in zip(zf, radii)]
 
 
 def _locate_disk(re: Fraction, im: Fraction, radius: Fraction) -> str:
@@ -742,9 +764,19 @@ def conjugates(p: IntPolynomial, radius=Fraction(1, 10**12),
     """All complex roots of squarefree p with certified disks and exact
     unit-circle location tags.
 
+    The precision ladder is 53, 64, 128, ... bits up to ``budget_bits``.
+    The 53-bit rung iterates in builtin ``complex``; each later rung
+    iterates in mpmath from the previous rung's approximations, or from
+    the seed points when the 53-bit iterates overflowed.  Each rung's
+    approximations are certified by ``_certified_disks`` (exact, in scaled
+    Gaussian integers); the first rung whose disks are disjoint, within
+    ``radius``, and straddle the unit circle exactly ``on_circle_count``
+    times wins, and ``precision_bits`` names it.
+
     Raises PreconditionError for non-squarefree input.  If the precision
     budget runs out before every off-circle root is certified inside or
-    outside the unit circle, the set is returned with ``resolved=False``.
+    outside the unit circle, the set is returned with ``resolved=False``
+    and ``precision_bits`` is the last rung run (0 if none fit the budget).
     """
     if p.is_zero or p.degree < 1:
         raise PreconditionError("need a nonconstant polynomial")
@@ -771,13 +803,13 @@ def conjugates(p: IntPolynomial, radius=Fraction(1, 10**12),
                             sum(1 for x in disks if x.location == "on"))
 
     on_count = unit_circle_root_count(work)
-    prec = 64
+    prec, ran = 53, 0
     start = None
     best: list | None = None
     while prec <= budget_bits:
         z = _dk_iterate(coeffs, prec, start)
-        start = z
-        disks = _certified_disks(coeffs, z)
+        ran, start = prec, z
+        disks = None if z is None else _certified_disks(coeffs, z)
         if disks is not None:
             located = [(_locate_disk(re, im, rad), re, im, rad)
                        for re, im, rad in disks]
@@ -791,15 +823,14 @@ def conjugates(p: IntPolynomial, radius=Fraction(1, 10**12),
                     for loc, re, im, rad in located]
                 return ConjugateSet(p, tuple(sorted_disks(out)), True, prec,
                                     on_count)
-        prec *= 2
+        prec = 64 if prec == 53 else 2 * prec
 
     out = list(zero_disks)
     if best is not None:
         out += [ConjugateDisk(re, im, rad,
                               "unresolved" if loc == "straddle" else loc)
                 for loc, re, im, rad in best]
-    return ConjugateSet(p, tuple(sorted_disks(out)), False, prec // 2,
-                        on_count)
+    return ConjugateSet(p, tuple(sorted_disks(out)), False, ran, on_count)
 
 
 def sorted_disks(disks):

@@ -63,6 +63,7 @@ class _FloatKernel:
     def __init__(self, q: AlgebraicNumber, tol_abs: float):
         self.qf = q.float_value()
         self.tol = tol_abs
+        self._bound = self._bound_f = None   # last cmp_fraction bound
 
     def step(self, v, s: int):
         return self.qf * v + s
@@ -78,7 +79,10 @@ class _FloatKernel:
         return -v
 
     def cmp_fraction(self, v, c: Fraction) -> int:
-        return self.sign(v - float(c))
+        # a window passes one bound for every child: convert it once
+        if c is not self._bound:
+            self._bound, self._bound_f = c, float(c)
+        return self.sign(v - self._bound_f)
 
     def float_value(self, v) -> float:
         return v

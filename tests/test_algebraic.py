@@ -7,22 +7,33 @@ floating evaluation for the Z[q] round trips.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 
 from qspectra.algebraic import (
     AlgebraicNumber,
     NumberClass,
+    _certified_disks,
+    _dk_iterate,
     classify_base,
     conjugates,
+    mpf_to_fraction,
     power_base,
     unit_circle_root_count,
 )
 from qspectra.errors import PreconditionError
-from qspectra.intpoly import IntPolynomial
+from qspectra.intpoly import IntPolynomial, is_squarefree
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 PHI_POLY = IntPolynomial([-1, -1, 1])
 SQRT2_POLY = IntPolynomial([-2, 0, 1])
@@ -346,6 +357,145 @@ def test_conjugates_unresolved_on_tiny_budget():
     cs_full = conjugates(p, budget_bits=4096)
     assert cs_full.resolved
     assert all(d.location == "outside" for d in cs_full.disks)
+
+
+def test_conjugates_precision_bits_is_the_last_rung_run():
+    # no rung fits 32 bits; the 53-bit rung certifies x^3 - x - 1
+    cs = conjugates(P1_POLY, budget_bits=32)
+    assert not cs.resolved and cs.precision_bits == 0 and cs.disks == ()
+    for budget in (53, 60, 64):
+        cs = conjugates(P1_POLY, budget_bits=budget)
+        assert cs.resolved and cs.precision_bits == 53
+    # the near-circle pair of the test above stays unresolved on every rung
+    n = 10**15
+    p = IntPolynomial([n + 1, -2 * n, n])
+    for budget, ran in ((53, 53), (60, 53), (64, 64), (100, 64)):
+        cs = conjugates(p, budget_bits=budget)
+        assert not cs.resolved and cs.precision_bits == ran
+
+
+# -- the integer certificate against a Fraction reference ------------------
+
+LEHMER_POLY = IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+X20_POLY = IntPolynomial([-1, -1] + [0] * 18 + [1])      # x^20 - x - 1
+
+
+def _height_one_corpus():
+    """Squarefree monic height-1 polynomials with nonzero constant term:
+    all of degree 3 and 4, a seeded sample of degrees 5 to 8."""
+    rng = random.Random(4)
+    out = []
+    for d in range(3, 9):
+        polys = [IntPolynomial([c0, *mid, 1]) for c0 in (-1, 1)
+                 for mid in itertools.product((-1, 0, 1), repeat=d - 1)]
+        polys = [p for p in polys if is_squarefree(p)]
+        out += polys if d <= 4 else rng.sample(polys, 6)
+    return out + [X20_POLY, LEHMER_POLY]
+
+
+def _reference_disks(coeffs, z):
+    """The Weierstrass disks evaluated in Gaussian rationals, one Fraction
+    operation at a time: radius d*(|Re W_j| + |Im W_j|), W_j = p(z_j) /
+    (lead * prod (z_j - z_i)); None unless pairwise disjoint."""
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    d = len(coeffs) - 1
+    zf = [(mpf_to_fraction(w.real), mpf_to_fraction(w.imag)) for w in z]
+    disks = []
+    for j in range(d):
+        den = (Fraction(coeffs[-1]), Fraction(0))
+        for i in range(d):
+            if i != j:
+                diff = (zf[j][0] - zf[i][0], zf[j][1] - zf[i][1])
+                if diff == (0, 0):
+                    return None
+                den = mul(den, diff)
+        num = (Fraction(0), Fraction(0))
+        for c in reversed(coeffs):
+            num = mul(num, zf[j])
+            num = (num[0] + c, num[1])
+        n2 = den[0] ** 2 + den[1] ** 2
+        w = ((num[0] * den[0] + num[1] * den[1]) / n2,
+             (num[1] * den[0] - num[0] * den[1]) / n2)
+        disks.append((zf[j][0], zf[j][1], d * (abs(w[0]) + abs(w[1]))))
+    for i in range(d):
+        for j in range(i + 1, d):
+            dre = disks[i][0] - disks[j][0]
+            dim = disks[i][1] - disks[j][1]
+            if dre * dre + dim * dim <= (disks[i][2] + disks[j][2]) ** 2:
+                return None
+    return disks
+
+
+def test_integer_disks_equal_the_fraction_reference(deadline):
+    checked = 0
+    with deadline(120):
+        for p in _height_one_corpus():
+            start = None
+            for prec in (53, 64, 128):
+                z = _dk_iterate(p.coeffs, prec, start)
+                start = z
+                assert z is not None
+                want = _reference_disks(p.coeffs, z)
+                assert _certified_disks(p.coeffs, z) == want, (p.coeffs, prec)
+                checked += want is not None
+    assert checked > 0
+
+
+def test_integer_disks_reject_overlap_and_coincidence():
+    # x^2 - 2 from two equal centers, and from centers whose disks overlap:
+    # radii ~6e-4 and ~2.83 around 181/128 and 0, so the scale S = 128
+    # must enter the test
+    assert _certified_disks((-2, 0, 1), [1.5 + 0j, 1.5 + 0j]) is None
+    for z in ([1.0 + 0j, 1.25 + 0j], [1.4140625 + 0j, 0j]):
+        assert _reference_disks((-2, 0, 1), z) is None
+        assert _certified_disks((-2, 0, 1), z) is None
+
+
+def test_double_rung_certifies_the_corpus(deadline):
+    with deadline(120):
+        for p in _height_one_corpus():
+            cs = conjugates(p)
+            assert cs.resolved and cs.precision_bits == 53, p.coeffs
+            with mpmath.workdps(40):
+                roots = mpmath.polyroots(list(reversed(p.coeffs)),
+                                         maxsteps=200, extraprec=200)
+                for disk in cs.disks:
+                    center = mpmath.mpc(
+                        mpmath.mpf(disk.re.numerator) / disk.re.denominator,
+                        mpmath.mpf(disk.im.numerator) / disk.im.denominator)
+                    gap = min(abs(r - center) for r in roots)
+                    assert gap <= mpmath.mpf(disk.radius.numerator) \
+                        / disk.radius.denominator + mpmath.mpf(10) ** -30
+    assert conjugates(LEHMER_POLY).on_circle_count == 8
+
+
+def test_overflowing_double_rung_falls_back_to_mpmath(deadline):
+    # Horner at the seed points (modulus ~0.7e200) overflows double range
+    p = IntPolynomial([-10**200, 0, 1])
+    assert _dk_iterate(p.coeffs, 53) is None
+    with deadline(60):
+        cs = conjugates(p)
+    assert cs.resolved and cs.precision_bits > 53
+    assert [(d.re, d.im) for d in cs.disks] == [
+        (Fraction(-10**100), 0), (Fraction(10**100), 0)]
+
+
+def test_tight_radius_escalates_past_the_double_rung(deadline):
+    with deadline(60):
+        cs = conjugates(P1_POLY, radius=Fraction(1, 10**24))
+    assert cs.resolved and cs.precision_bits >= 128
+    assert all(d.radius <= Fraction(1, 10**24) for d in cs.disks)
+
+
+def test_importing_the_package_leaves_mpmath_unloaded():
+    code = ("import sys, qspectra, qspectra.cli; "
+            "print('mpmath' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "False"
 
 
 def test_concurrent_refinement_stays_valid():
