@@ -386,9 +386,13 @@ class ZqContext:
     The bound is evaluated in floats, so it is scaled by 1 + 2^-48 (more
     than the rounding of its own few operations) and a tiny absolute term
     covers underflow.  Refining q later only shrinks the interval, so the
-    model stays valid for a whole search.  ``float_bounds`` (a
-    heuristic-slop enclosure, exact fallback on a straddle) still serves
-    the display floats and the signs outside the searches.
+    model stays valid for a whole search, and the window points display
+    their carried floats.  ``float_bounds`` (a heuristic-slop enclosure,
+    exact fallback on a straddle) still filters every ``sign``, so every
+    ``compare`` and ``cmp_fraction``: the straddles of the searches and
+    windows, the exact window sort's overlapping pairs and the minimal-gap
+    certification.  Through ``float_value`` it also gives the searches'
+    display floats and the Y-window keep test of a straddling child.
     """
 
     def __init__(self, q: AlgebraicNumber):
@@ -651,7 +655,7 @@ def _dk_iterate(coeffs: tuple[int, ...], prec_bits: int, start=None):
     """
     d = len(coeffs) - 1
     lead = coeffs[-1]
-    bound = float(cauchy_root_bound(IntPolynomial(coeffs)))
+    bound = cauchy_root_bound(IntPolynomial(coeffs))
     if prec_bits <= 53:     # the complex and real types of this rung
         C, R, context = complex, float, nullcontext()
     else:
@@ -659,6 +663,10 @@ def _dk_iterate(coeffs: tuple[int, ...], prec_bits: int, start=None):
         context = workprec(prec_bits)
     with context:
         try:
+            # in the rung's real type, so that a bound beyond float range
+            # ends the 53-bit rung like any other overflow
+            bound = (float(bound) if R is float
+                     else R(bound.numerator) / bound.denominator)
             if start is None:
                 seed = C(R("0.4"), R("0.9"))
                 z = []

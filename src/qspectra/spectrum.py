@@ -22,8 +22,13 @@ Two value kernels back every engine:
 Either way, the values seen so far live in a dict from value to witness
 path, so ``value in seen`` is the one deduplication test.  The X, Y and A
 windows all grow through ``_expand_level``: each state y spawns q*y + s
-for every digit s of the window's alphabet.  Display floats come from the
-kernel's ``float_value``, never from the carried floats.
+for every digit s of the window's alphabet.  A window is built from the
+levels' carried floats: the Y/A clip to [-B, B] and the sort read
+[f - R, f + R] and run exact comparisons only where enclosures overlap,
+and a window point displays its carried float, within R of its value (in
+numeric mode the carried float is the value itself).  The searches'
+display floats and their closed-state order still come from the kernel's
+``float_value``.
 
 Results are deterministic: levels are expanded in sorted order and every
 window is canonically sorted before emission.
@@ -44,10 +49,10 @@ from .errors import PreconditionError
 def _canonical_digits(top_first: tuple[int, ...]) -> tuple[int, ...]:
     """Convert a top-first construction path to ascending digits with the
     top zeros trimmed; the zero value keeps a single 0 digit."""
-    digits = tuple(reversed(top_first))
+    digits = top_first[::-1]
     while len(digits) > 1 and digits[-1] == 0:
         digits = digits[:-1]
-    return digits if digits else (0,)
+    return digits or (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -254,21 +259,24 @@ def _root_level(kernel):
 
 
 def _sorted_points(kernel, items) -> list[SpectrumPoint]:
-    """Points of (value, top-first path) pairs in increasing order."""
-    pts = [(kernel.float_value(v), v, w) for v, w in items]
-    pts.sort(key=lambda t: t[0])
+    """Points of (value, top-first path, carried float, radius) items in
+    increasing order; each point displays its carried float."""
+    pts = sorted(items, key=lambda t: t[2])
     if isinstance(kernel, ZqContext):
-        # floats order almost everything; certify adjacent pairs exactly and
-        # bubble any near-tie into its true position
+        # floats order almost everything: a pair whose enclosures are
+        # disjoint is certified, any other is compared exactly and a
+        # near-tie bubbles into its true position
         i = 0
         while i < len(pts) - 1:
-            if kernel.compare(pts[i][1], pts[i + 1][1]) > 0:
-                pts[i], pts[i + 1] = pts[i + 1], pts[i]
-                i = max(i - 1, 0)
-            else:
+            a, b = pts[i], pts[i + 1]
+            if (_up(a[2] + a[3]) < _down(b[2] - b[3])
+                    or kernel.compare(a[0], b[0]) < 0):
                 i += 1
-    return [SpectrumPoint(fv, _vec(kernel, v), _canonical_digits(w))
-            for fv, v, w in pts]
+            else:
+                pts[i], pts[i + 1] = b, a
+                i = max(i - 1, 0)
+    return [SpectrumPoint(f, _vec(kernel, v), _canonical_digits(w))
+            for v, w, f, _ in pts]
 
 
 def _check_base(q: AlgebraicNumber):
@@ -297,15 +305,19 @@ def enumerate_X(q: AlgebraicNumber, m: int, B, *, tol: float | None = None,
     b_lo, b_hi = _float_enclosure(B)
     seen = _new_seen(kernel)
     seen[kernel.zero] = ()
-    level = _root_level(kernel)
+    # every value in seen lives in exactly one level, the root in the first
+    levels = [_root_level(kernel)]
     complete = True
-    while level[0] and complete:
+    while levels[-1][0] and complete:
         level, complete = _expand_level(
-            kernel, model, level, range(m + 1),
+            kernel, model, levels[-1], range(m + 1),
             lambda r: (-math.inf, _down(b_lo - r), -math.inf, _up(b_hi + r)),
             lambda c: kernel.cmp_fraction(c, B) <= 0, seen, budget)
+        levels.append(level)
+    items = [(v, path, f, r) for states, floats, r in levels
+             for (v, path), f in zip(states, floats)]
     return SpectrumWindow(q, m, "X", None, B, complete,
-                          tuple(_sorted_points(kernel, seen.items())),
+                          tuple(_sorted_points(kernel, items)),
                           truncated=not complete)
 
 
@@ -343,9 +355,19 @@ def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
             _new_seen(kernel), budget)
         if not complete:
             break
-    inside = [(v, path) for v, path in level[0]
-              if kernel.cmp_fraction(v, B) <= 0
-              and kernel.cmp_fraction(kernel.neg(v), B) <= 0]
+    # clip to [-B, B]: floats up to keep are proven inside, those above
+    # drop proven outside, and the exact tests decide the band between
+    states, floats, r = level
+    b_lo, b_hi = _float_enclosure(B)
+    keep, drop = _down(b_lo - r), _up(b_hi + r)
+    inside = []
+    for (v, path), f in zip(states, floats):
+        a = abs(f)
+        if a > drop:
+            continue
+        if a <= keep or (kernel.cmp_fraction(v, B) <= 0 and
+                         kernel.cmp_fraction(kernel.neg(v), B) <= 0):
+            inside.append((v, path, f, r))
     return _sorted_points(kernel, inside), complete
 
 
@@ -452,43 +474,45 @@ def gap_report(window: SpectrumWindow, tail_fraction: float = 0.5,
     """Consecutive-gap statistics of a window.
 
     In exact mode gaps are grouped by canonical vector, so the histogram and
-    the minimum are exact; numerically gaps are clustered within hist_tol.
+    the minimum are exact, and each group's float is read off its vector on
+    the refined base rather than from a difference of display floats that
+    cancels; numerically gaps are clustered within hist_tol.
     """
     pts = window.points
     if len(pts) < 2:
         raise PreconditionError("need at least 2 points for gaps")
     exact = pts[0].vec is not None
-    groups: dict = {}
-    order = []
+    groups: dict = {}           # key -> [gap float, count]
     tail_from = tail_fraction * float(window.bound)
-    max_tail = None
+    tail = []                   # exact: keys of the tail gaps; else gaps
     for a, b in zip(pts, pts[1:]):
+        gap = b.value - a.value
         if exact:
             key = tuple(y - x for x, y in zip(a.vec, b.vec))
         else:
-            key = round((b.value - a.value) / hist_tol)
+            key = round(gap / hist_tol)
         if key not in groups:
-            groups[key] = [b.value - a.value, 0]
-            order.append(key)
+            groups[key] = [gap, 0]
         groups[key][1] += 1
         if a.value >= tail_from:
-            gap = b.value - a.value
-            if max_tail is None or gap > max_tail:
-                max_tail = gap
-    hist = sorted((groups[k][0], groups[k][1]) for k in order)
-    min_gap = hist[0][0]
+            tail.append(key if exact else gap)
     min_vec = None
     if exact:
+        q = window.base
+        ctx = q.zq_context()
+        ctx.ensure_float_resolution()       # a no-op after make_kernel
+        for k, g in groups.items():
+            lo, hi = q.value_interval_of_vec(k)
+            g[0] = float((lo + hi) / 2)
+        tail = [groups[k][0] for k in tail]
         # certify the minimal group exactly among float near-ties
-        best = order[0]
-        ctx = window.base.zq_context()
-        for k in order:
-            if ctx.sign(tuple(x - y for x, y in zip(k, best))) < 0:
-                best = k
-        min_gap = groups[best][0]
-        min_vec = best
-    if max_tail is None:
-        max_tail = hist[-1][0]
+        min_vec = next(iter(groups))
+        for k in groups:
+            if ctx.sign(tuple(x - y for x, y in zip(k, min_vec))) < 0:
+                min_vec = k
+    hist = sorted((g, n) for g, n in groups.values())
+    min_gap = groups[min_vec][0] if exact else hist[0][0]
+    max_tail = max(tail) if tail else hist[-1][0]
     return GapReport(window.kind, float(window.bound), len(pts), min_gap,
                      max_tail, tail_fraction, tuple(hist), min_vec)
 

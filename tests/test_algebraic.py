@@ -482,6 +482,19 @@ def test_overflowing_double_rung_falls_back_to_mpmath(deadline):
         (Fraction(-10**100), 0), (Fraction(10**100), 0)]
 
 
+def test_bound_beyond_float_range_ends_the_double_rung(deadline):
+    # the Cauchy bound 1 + 10^400 itself overflows a float; the mpmath
+    # rungs take it in their own real type
+    p = IntPolynomial([-10**400, 0, 1])
+    assert _dk_iterate(p.coeffs, 53) is None
+    with deadline(60):
+        cs = conjugates(p)
+    assert cs.resolved and cs.precision_bits > 53
+    assert len(cs.disks) == 2
+    for d, root in zip(cs.disks, (-10**200, 10**200)):
+        assert abs(d.re - root) + abs(d.im) <= d.radius
+        assert d.location == "outside"
+
 def test_tight_radius_escalates_past_the_double_rung(deadline):
     with deadline(60):
         cs = conjugates(P1_POLY, radius=Fraction(1, 10**24))

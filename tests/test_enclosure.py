@@ -1,10 +1,11 @@
 """Carried float enclosures of the exact Z[q] search states.
 
 The engines give every state a float f and every level one radius R with
-|value - f| <= R, and decide signs and window tests from [f - R, f + R].
-These tests check that bound against exact values along random and
-near-cancelling digit strings, and check the engines against a reference
-search that makes every decision through the exact kernel.
+|value - f| <= R, and decide signs, window tests, the window clip and the
+window order from [f - R, f + R].  These tests check that bound against
+exact values along random and near-cancelling digit strings, and check the
+engines against references that make every decision through the exact
+kernel.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -23,8 +25,10 @@ from qspectra.spectrum import (
     BfsDepthRecord,
     BfsResult,
     _child_radius,
+    enumerate_A,
     enumerate_X,
     enumerate_Y,
+    gap_report,
     min_positive_bfs,
 )
 
@@ -259,6 +263,8 @@ WINDOWS = [  # (name, window of a base factory, point count, SHA-256)
      "607f87ecd3bb708c2752f270d01dbe5e9d935ee811173c5131c403ecdb030d05"),
     ("Y q8 m1 deg10 B2", lambda b: enumerate_Y(b("q8"), 1, 10, 2), 10037,
      "9ad0314fa55b6f7a7d381de393543c08ad3d06fbdbbf9681c16164578ef3e621"),
+    ("A q8 deg16 B3", lambda b: enumerate_A(b("q8"), 16, 3), 2320,
+     "2f4443cefb0fb49e0fb1e026a512cb193ec0822553744c94fe722073eb1473a1"),
 ]
 
 
@@ -273,3 +279,96 @@ def test_coarse_window_tests_keep_the_recorded_points(name, make, count, sha):
     def coarse(key):
         return _coarse_model(base(key), Fraction(1, 2**16))
     assert _digest(make(coarse)) == (count, sha)
+
+
+# -- windows: order, display floats and gaps against exact values -----------
+
+
+ORDER_CASES = [  # (name, window of a base factory, bound)
+    ("X quartic", lambda b: enumerate_X(b("quartic"), 1, 40), 40),
+    ("Y quartic", lambda b: enumerate_Y(b("quartic"), 1, 9, 3), 3),
+    ("A quartic", lambda b: enumerate_A(b("quartic"), 18, 3), 3),
+    ("X q8", lambda b: enumerate_X(b("q8"), 2, 8), 8),
+    ("Y q8", lambda b: enumerate_Y(b("q8"), 1, 9, 2), 2),
+    ("A q8", lambda b: enumerate_A(b("q8"), 14, 3), 3),
+    ("X phi", lambda b: enumerate_X(b("phi"), 1, 60), 60),
+    ("Y phi", lambda b: enumerate_Y(b("phi"), 1, 10, 4), 4),
+    ("A phi", lambda b: enumerate_A(b("phi"), 12, 100), 100),
+    ("X 2", lambda b: enumerate_X(b(2), 1, 100), 100),
+    ("Y 2", lambda b: enumerate_Y(b(2), 1, 8, 40), 40),
+    ("A 2", lambda b: enumerate_A(b(2), 8, 50), 50),
+]
+
+
+def _counting_compare(q: AlgebraicNumber) -> list[int]:
+    """Count the exact comparisons q's kernel makes from now on."""
+    ctx = q.zq_context()
+    calls = [0]
+    compare = ctx.compare
+
+    def counted(a, b):
+        calls[0] += 1
+        return compare(a, b)
+
+    ctx.compare = counted
+    return calls
+
+
+@pytest.mark.parametrize("coarse", [False, True])
+@pytest.mark.parametrize("name,make,bound", ORDER_CASES)
+def test_window_order_is_the_exact_order(deadline, name, make, bound,
+                                         coarse):
+    made = []
+
+    def factory(key):
+        q = base(key)
+        if coarse:
+            q = _coarse_model(q, Fraction(1, 2**16))
+        made.append((q, _counting_compare(q)))
+        return q
+
+    with deadline(60):
+        w = make(factory)
+    (q, compares), = made
+    vecs = [p.vec for p in w.points]
+    assert len(vecs) > 10 and len(set(vecs)) == len(vecs)
+    assert vecs == sorted(vecs, key=cmp_to_key(q.zq_context().compare))
+    if coarse and name != "X 2":
+        # the coarse floats leave many pairs to the exact comparison
+        assert compares[0] > 0
+
+
+@pytest.mark.parametrize("name,make,bound", ORDER_CASES)
+def test_window_display_floats_are_close_to_the_exact_values(name, make,
+                                                             bound):
+    holder = []
+
+    def factory(key):
+        holder.append(base(key))
+        return holder[-1]
+
+    w = make(factory)
+    q, = holder
+    q.refine_to_width(Fraction(1, 2**100))
+    tol = Fraction(1e-12) * max(1, bound)
+    for p in w.points:
+        lo, hi = q.value_interval_of_vec(p.vec)
+        assert lo - tol <= Fraction(p.value) <= hi + tol
+
+
+def test_exact_gap_floats_come_from_the_gap_vectors():
+    q = base("quartic")
+    rep = gap_report(enumerate_X(q, 1, 60))
+    ctx = q.zq_context()
+    q.refine_to_width(Fraction(1, 2**100))
+
+    def exact(vec):
+        lo, hi = q.value_interval_of_vec(vec)
+        return (lo + hi) / 2
+
+    assert abs(Fraction(rep.min_gap) - exact(rep.min_gap_vec)) \
+        <= Fraction(2.0 ** -52) * exact(rep.min_gap_vec)
+    # each histogram float is the correctly rounded value of some gap, and
+    # the minimal vector's gap is the smallest of them
+    assert rep.min_gap == rep.histogram[0][0]
+    assert ctx.sign(rep.min_gap_vec) > 0
