@@ -3,8 +3,9 @@
 Three layers live here:
 
 * ``AlgebraicNumber`` -- a real root of an integer polynomial pinned by a
-  rational isolating interval, with monotone on-demand refinement and an
-  exact sign oracle for integer-polynomial expressions in the root.
+  rational isolating interval [a/D, b/D], with monotone on-demand
+  refinement and an exact sign oracle for polynomial expressions in the
+  root, evaluated in integers over D^n.
 * ``conjugates`` / ``classify_base`` -- all complex roots with certified
   error disks (simultaneous Weierstrass iteration, in double precision
   first and in mpmath above it; a-posteriori disks checked exactly in
@@ -15,7 +16,8 @@ Three layers live here:
   ordering (``from_digits``, ``compare``, ``cmp_fraction``), and the
   floating-point model (``float_model``) under which the spectrum engines
   carry proven float enclosures of their search states.
-  ``FractionVecArith`` is its Q[q] counterpart for any base.
+  ``FractionVecArith`` is its Q[q] counterpart for any base (int entries
+  where they are whole, so integer tuples for a monic base).
 
 The Gaussian-rational helpers (``_gr_*``: (re, im) Fraction pairs) serve
 the witness construction.
@@ -135,6 +137,19 @@ def _float_enclosure(x) -> tuple[float, float]:
     return math.nextafter(f, -math.inf), f
 
 
+def _whole(c):
+    """The rational c as an int when it is whole, else as a Fraction."""
+    c = c if isinstance(c, int) else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _integer_numerators(vec) -> tuple[list[int], int]:
+    """(ints, L): L the lcm of the denominators of the int/Fraction entries
+    of vec, and ints = L * vec."""
+    scale = math.lcm(*(c.denominator for c in vec))
+    return [c.numerator * (scale // c.denominator) for c in vec], scale
+
+
 # ---------------------------------------------------------------------------
 # AlgebraicNumber
 
@@ -175,8 +190,8 @@ class AlgebraicNumber:
         self._lo = Fraction(lo)
         self._hi = Fraction(hi)
         self._lock = threading.Lock()
-        self._pow_cache: list[tuple[Fraction, Fraction]] = []
-        self._pow_cache_interval: tuple[Fraction, Fraction] | None = None
+        # (interval, D, numerators of the bounds of q^k over D^k)
+        self._pow_state: tuple = (None, 1, [])
         screen = irreducibility_screen(self.min_poly)
         self.irreducibility = screen
 
@@ -269,28 +284,31 @@ class AlgebraicNumber:
             return 0
         if self.exact_rational is not None:
             return g.sign_at(self.exact_rational)
+        if g.degree < self.min_poly.degree:
+            return self._sign_of_reduced(g.coeffs)
         _, rem = poly_divmod_exact(g, self.min_poly)
-        return self._sign_of_reduced(rem)
+        return self._sign_of_reduced(_integer_numerators(rem)[0])
 
     def sign_of_fraction_vec(self, vec) -> int:
         """Exact sign of sum vec[i] * q^i for Fraction/int coefficients."""
         if self.exact_rational is not None:
             x = self.exact_rational
-            acc = Fraction(0)
+            acc = 0
             for c in reversed(vec):
-                acc = acc * x + Fraction(c)
+                acc = acc * x + c
             return (acc > 0) - (acc < 0)
-        scale = math.lcm(*(Fraction(c).denominator for c in vec)) if vec else 1
-        ints = [int(Fraction(c) * scale) for c in vec]
-        return self.sign_of_int_poly(IntPolynomial(ints))
+        return self.sign_of_int_poly(IntPolynomial(_integer_numerators(vec)[0]))
 
-    def _sign_of_reduced(self, rem: list[Fraction]) -> int:
-        if not any(rem):
+    def _sign_of_reduced(self, coeffs) -> int:
+        """Sign of sum coeffs[i] q^i for integer coeffs below the degree of
+        q: the integer bounds over D^n of ``_int_interval`` decide it, and
+        the base is refined until they share a sign."""
+        if not any(coeffs):
             return 0
         budget = MAX_CERTIFY_BITS
         while True:
             lo, hi = self._lo, self._hi
-            vlo, vhi = self._eval_fraction_interval(rem, lo, hi)
+            vlo, vhi, _ = self._int_interval(coeffs)
             if vlo > 0:
                 return 1
             if vhi < 0:
@@ -300,35 +318,39 @@ class AlgebraicNumber:
                     "sign refinement stalled; input may be reducible")
             self.refine_to_width((hi - lo) / 4)
 
-    def _powers(self, upto: int) -> list[tuple[Fraction, Fraction]]:
+    def _int_interval(self, coeffs) -> tuple[int, int, int]:
+        """(vlo, vhi, D^n) with vlo/D^n <= sum coeffs[i] q^i <= vhi/D^n for
+        integer coeffs, n = len(coeffs) - 1, on the interval [a/D, b/D] of q
+        (D the endpoints' common denominator).  Each bound of q^k is the min
+        or max of four products, so any sign of interval is enclosed."""
+        n = len(coeffs) - 1
         with self._lock:
             key = (self._lo, self._hi)
-            if self._pow_cache_interval != key:
-                self._pow_cache = [(Fraction(1), Fraction(1)), key]
-                self._pow_cache_interval = key
-            pows = self._pow_cache
-            while len(pows) <= upto:
-                lo, hi = pows[-1]
-                pows.append(_ipow_mul(lo, hi, key[0], key[1]))
-            return list(pows)
-
-    def _eval_fraction_interval(self, coeffs, lo, hi):
-        pows = self._powers(len(coeffs) - 1)
-        vlo = Fraction(0)
-        vhi = Fraction(0)
-        for c, (plo, phi) in zip(coeffs, pows):
-            c = Fraction(c)
+            if self._pow_state[0] != key:
+                (a, b), den = _integer_numerators(key)
+                self._pow_state = (key, den, [(1, 1), (a, b)])
+            _, den, pows = self._pow_state
+            a, b = pows[1]
+            while len(pows) <= n:
+                plo, phi = pows[-1]
+                cands = (plo * a, plo * b, phi * a, phi * b)
+                pows.append((min(cands), max(cands)))
+        vlo = vhi = 0
+        for c, (plo, phi) in zip(coeffs, pows):   # sum c*p_k*D^(n-k)
+            vlo *= den
+            vhi *= den
             if c >= 0:
                 vlo += c * plo
                 vhi += c * phi
             else:
                 vlo += c * phi
                 vhi += c * plo
-        return vlo, vhi
+        return vlo, vhi, den**n
 
     def value_interval_of_vec(self, vec) -> tuple[Fraction, Fraction]:
-        lo, hi = self._lo, self._hi
-        return self._eval_fraction_interval(list(vec), lo, hi)
+        ints, scale = _integer_numerators(vec)
+        vlo, vhi, den = self._int_interval(ints)
+        return Fraction(vlo, scale * den), Fraction(vhi, scale * den)
 
     def compare_to_fraction(self, c) -> int:
         c = Fraction(c)
@@ -352,12 +374,6 @@ class AlgebraicNumber:
 
     def __repr__(self):
         return f"AlgebraicNumber({self.min_poly.to_text()}, ~{self.float_value():.6f})"
-
-
-def _ipow_mul(alo, ahi, blo, bhi):
-    """Interval product [alo,ahi] * [blo,bhi]."""
-    cands = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    return (min(cands), max(cands))
 
 
 # ---------------------------------------------------------------------------
@@ -511,31 +527,35 @@ class ZqContext:
 class FractionVecArith:
     """Exact arithmetic in Q[q] = Q[x]/(min_poly) for any algebraic base.
 
-    Elements are Fraction coefficient tuples in the basis 1, q, ..., q^(d-1);
-    works for non-monic minimal polynomials too (reduction divides by the
-    leading coefficient).  Signs are exact via the base's sign oracle.
+    Elements are tuples in the basis 1, q, ..., q^(d-1), whole entries as
+    ``int`` and others as ``Fraction``: a monic base keeps integer inputs in
+    integer tuples, a non-monic one brings Fractions in through q^d.  Signs
+    are exact via the base's sign oracle, in integers over D^n.
     """
 
     def __init__(self, q: AlgebraicNumber):
         self.q = q
         self.d = q.min_poly.degree
-        lead = Fraction(q.min_poly.coeffs[-1])
-        self.qd_vec = tuple(Fraction(-c, 1) / lead
-                            for c in q.min_poly.coeffs[:-1])
+        lead = q.min_poly.coeffs[-1]
+        # q^d = sum qd * q^i over the nonzero terms only
+        self.qd_terms = tuple((i, _whole(Fraction(-c, lead)))
+                              for i, c in enumerate(q.min_poly.coeffs[:-1])
+                              if c)
 
     @property
     def zero(self):
-        return (Fraction(0),) * self.d
+        return (0,) * self.d
 
     def from_fraction(self, c) -> tuple:
-        return (Fraction(c),) + (Fraction(0),) * (self.d - 1)
+        return (_whole(c),) + (0,) * (self.d - 1)
 
     def mul_q(self, v):
+        out = [0, *v[:-1]]
         top = v[-1]
-        shifted = (Fraction(0),) + v[:-1]
-        if top == 0:
-            return shifted
-        return tuple(a + top * b for a, b in zip(shifted, self.qd_vec))
+        if top:
+            for i, c in self.qd_terms:
+                out[i] += top * c
+        return tuple(out)
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -544,11 +564,11 @@ class FractionVecArith:
         return tuple(x - y for x, y in zip(a, b))
 
     def scale(self, a, c):
-        c = Fraction(c)
+        c = _whole(c)
         return tuple(c * x for x in a)
 
     def add_fraction(self, a, c):
-        return (a[0] + Fraction(c),) + a[1:]
+        return (a[0] + _whole(c),) + a[1:]
 
     def step(self, v, s):
         """q*v + s."""

@@ -293,7 +293,6 @@ class _Corridor:
             self.up[k] = up_acc
             self.dn[k] = dn_acc
         self.qm1 = qm1
-        self.q_qm1 = ar.mul_q(qm1)
         self.u = one          # u_0 = 1
         self.k = 0
         # the Eq-style capacity m sum_{i in P} q^{-i}, scaled by W[0], with
@@ -335,7 +334,8 @@ class _Corridor:
             up = self.up[k]
             dn = self.dn[k]
         else:
-            a = ar.mul(self.u, self.q_qm1)
+            # u*q*(q-1) in O(d): the same canonical vector as a product
+            a = ar.mul_q(ar.sub(ar.mul_q(self.u), self.u))
             wk = self.qm1
             up_tail = self.pattern.eventual == "in"
             up = ar.from_fraction(self.m if up_tail else 0)

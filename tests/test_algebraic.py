@@ -502,6 +502,124 @@ def test_tight_radius_escalates_past_the_double_rung(deadline):
     assert all(d.radius <= Fraction(1, 10**24) for d in cs.disks)
 
 
+# -- the integer sign evaluator against a Fraction reference ---------------
+
+
+def _reference_interval(coeffs, lo, hi):
+    """The Fraction evaluator that the integer one replaced: bounds of q^k
+    as the min and max of four products, then sum c * bound, one Fraction
+    operation at a time."""
+    pows = [(Fraction(1), Fraction(1))]
+    while len(pows) < len(coeffs):
+        plo, phi_ = pows[-1]
+        cands = (plo * lo, plo * hi, phi_ * lo, phi_ * hi)
+        pows.append((min(cands), max(cands)))
+    vlo = vhi = Fraction(0)
+    for c, (plo, phi_) in zip(coeffs, pows):
+        c = Fraction(c)
+        if c >= 0:
+            vlo += c * plo
+            vhi += c * phi_
+        else:
+            vlo += c * phi_
+            vhi += c * plo
+    return vlo, vhi
+
+
+def _reference_sign(q, vec):
+    """Sign of sum vec[i] q^i by the reference evaluator, refining q by
+    quarters until it decides, as the Fraction sign loop did."""
+    if not any(vec):
+        return 0
+    while True:
+        lo, hi = q.interval()
+        vlo, vhi = _reference_interval(vec, lo, hi)
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        q.refine_to_width((hi - lo) / 4)
+
+
+CUBIC_POLY = IntPolynomial([1, -3, 0, 1])   # x^3 - 3x + 1: -1.88, 0.35, 1.53
+
+#: (name, polynomial, isolating interval or None for the root > 1): the
+#: intervals are positive dyadic, negative, zero-straddling and non-dyadic
+EVALUATOR_BASES = [
+    ("q8", SQRT_P2_POLY, None),
+    ("q3", P1_POLY, None),
+    ("phi", PHI_POLY, None),
+    ("cubic_negative", CUBIC_POLY, (Fraction(-2), Fraction(-3, 2))),
+    ("cubic_straddle", CUBIC_POLY, (Fraction(-1, 4), Fraction(1))),
+    ("cubic_non_dyadic", CUBIC_POLY, (Fraction(4, 3), Fraction(8, 5))),
+]
+
+
+def _evaluator_base(poly, interval):
+    if interval is None:
+        return AlgebraicNumber.base_from_poly(poly, root_index=0)
+    return AlgebraicNumber(poly, *interval)
+
+
+def _random_vectors(rng, d):
+    """Seeded int and Fraction vectors of length d, the zero vector, and
+    vectors whose constant term nearly cancels the rest (signs that need
+    refinement)."""
+    out = [(0,) * d]
+    for _ in range(12):
+        ints = [rng.randint(-10**6, 10**6) for _ in range(d)]
+        out.append(tuple(ints))
+        out.append(tuple(Fraction(c, rng.randint(1, 97)) for c in ints))
+    return out
+
+
+def _near_zero(vec, x):
+    """vec with its constant term moved so that its value at x lies within
+    about one of zero."""
+    rest = sum(float(c) * x**i for i, c in enumerate(vec) if i)
+    return (-round(rest),) + tuple(vec[1:])
+
+
+@pytest.mark.parametrize("name,poly,interval", EVALUATOR_BASES,
+                         ids=[b[0] for b in EVALUATOR_BASES])
+def test_integer_evaluator_equals_the_fraction_reference(name, poly,
+                                                         interval):
+    rng = random.Random(f"evaluator:{name}")
+    d = poly.degree
+    x = _evaluator_base(poly, interval).float_value()
+    for width in (None, Fraction(1, 2**10), Fraction(1, 2**40),
+                  Fraction(1, 2**101)):
+        q = _evaluator_base(poly, interval)
+        if width is not None:
+            q.refine_to_width(width)
+        lo, hi = q.interval()
+        vecs = _random_vectors(rng, d)
+        vecs += [_near_zero(v, x) for v in vecs[1:5]]
+        for vec in vecs:
+            assert q.value_interval_of_vec(vec) == \
+                _reference_interval(vec, lo, hi), (width, vec)
+        for vec in vecs:
+            got = _evaluator_base(poly, interval)
+            want = _evaluator_base(poly, interval)
+            if width is not None:
+                got.refine_to_width(width)
+                want.refine_to_width(width)
+            assert got.sign_of_fraction_vec(vec) == \
+                _reference_sign(want, vec), (width, vec)
+            # the same decisions refine the base along the same trajectory
+            assert got.interval() == want.interval(), (width, vec)
+
+
+def test_rational_base_sign_of_mixed_vectors():
+    q = AlgebraicNumber.from_rational(Fraction(9, 5))
+    assert q.sign_of_fraction_vec((-9, 5)) == 0
+    assert q.sign_of_fraction_vec((Fraction(-9, 5), 1)) == 0
+    assert q.sign_of_fraction_vec((Fraction(-17, 10), 1)) == 1
+    assert q.sign_of_fraction_vec((2, Fraction(-10, 9))) == 0
+    assert q.value_interval_of_vec((1, Fraction(1, 3))) == \
+        (Fraction(8, 5), Fraction(8, 5))
+
+
 def test_importing_the_package_leaves_mpmath_unloaded():
     code = ("import sys, qspectra, qspectra.cli; "
             "print('mpmath' in sys.modules)")

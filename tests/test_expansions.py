@@ -7,6 +7,7 @@ numerically at high precision.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -323,3 +324,85 @@ def test_greedy_remainder_bound_random():
         for k, c in enumerate(seq.preperiod, start=1):
             r -= c * q**-k
             assert -1e-12 <= r <= q**-k * m / (q - 1) + 1e-12
+
+
+# -- pinned refinement trajectory and a non-monic base -----------------------
+
+Q8_POLY = IntPolynomial([-1, 0, 0, 0, 0, 0, -1, 0, 1])      # x^8 - x^6 - 1
+
+
+def _digest(digits) -> str:
+    return hashlib.sha256(str(tuple(digits)).encode()).hexdigest()
+
+
+def test_q8_refinement_trajectory_is_pinned():
+    # The exact signs refine the base only as far as they need, and the
+    # certificates' residual floats are midpoints of enclosures that cancel,
+    # so they depend on that trajectory (x^8 - x^6 - 1 ends at width 2^-101).
+    # Values recorded before the sign evaluator moved from Fractions to
+    # integers; any change to which signs refine, or how far, moves them.
+    q8 = AlgebraicNumber.base_from_poly(Q8_POLY, root_index=0)
+    lazy = lazy_constrained(q8, 1, SignPattern.all_indices(), 400)
+    lazy_cert = verify_expansion(lazy, q8, 0, 400)
+    greedy = greedy_expansion(1, q8, 1, 400)
+    greedy_cert = verify_expansion(greedy, q8, 1, 400)
+    assert q8.interval() == (
+        Fraction(1489302030288105576532659745811, 2**100),
+        Fraction(2978604060576211153065319491623, 2**101))
+    assert _digest(lazy.preperiod) == (
+        "cc3b315338f7c6af7b0e6df18f8b47826b94499d2cc1a1490738df6c73a45150")
+    assert _digest(greedy.preperiod) == (
+        "f6b44c5c76fb6377fb8322ac027862d70d06ac60e8894a9650f795e8cd164047")
+    assert lazy_cert.to_dict() == {
+        "residual": 5.390159581822795e-28, "tail_bound": 5.808218757832447e-28,
+        "passed": True, "exact_zero": False}
+    assert greedy_cert.to_dict() == {
+        "residual": 1.5692427530115349e-29,
+        "tail_bound": 5.808218757832447e-28,
+        "passed": True, "exact_zero": False}
+
+
+def _non_monic_base():
+    # root > 1 of 2x^2 - 2x - 1, q = (1 + sqrt 3)/2 ~ 1.3660: q^2 = q + 1/2,
+    # so Q[q] elements carry Fraction entries beside int ones
+    return AlgebraicNumber.base_from_poly(IntPolynomial([-1, -2, 2]),
+                                          root_index=0)
+
+
+def test_greedy_on_a_non_monic_base_is_pinned():
+    q = _non_monic_base()
+    seq = greedy_expansion(1, q, 1, 40)
+    assert seq.preperiod == (1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0,
+                             0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+                             0, 1, 0, 0, 0, 0, 0, 1, 0, 0)
+    assert not seq.exact_zero_tail
+    assert verify_expansion(seq, q, 1, 40).passed
+    third = greedy_expansion(Fraction(1, 3), q, 1, 40)
+    assert third.preperiod == (0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0,
+                               0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1,
+                               0, 0, 0, 0, 1, 0, 0, 0, 0, 0)
+    assert not third.exact_zero_tail
+    # 2 = 2/q + 1/q^2 exactly
+    two = greedy_expansion(2, q, 2, 20)
+    assert two.preperiod == (2, 1) + (0,) * 18
+    assert two.exact_zero_tail and two.meta["zero_from"] == 2
+    cert = verify_expansion(two, q, 2, 20)
+    assert cert.exact_zero and cert.passed and cert.residual == 0
+
+
+def test_lazy_on_a_non_monic_base_is_pinned():
+    q = _non_monic_base()
+    seq = lazy_constrained(q, 1, SignPattern.all_indices(), 40)
+    assert seq.preperiod == (-1, 0, 0, 0, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1,
+                             0, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1,
+                             1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1)
+    assert not seq.exact_zero_tail
+    assert verify_expansion(seq, q, 0, 40).passed
+    out = lazy_constrained(q, 1, SignPattern.from_text(
+        "explicit:1,3;eventual:out;threshold:5"), 40)
+    assert out.preperiod == (-1, 1, 0, 1, 0, 0, 0, 0, 0, 0, -1, 0, -1, -1,
+                             -1, -1, 0, -1, -1, -1, -1, 0, -1, -1, -1, -1,
+                             -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+                             0, -1, -1)
+    assert not out.exact_zero_tail
+    assert verify_expansion(out, q, 0, 40).passed
