@@ -46,12 +46,12 @@ from .intpoly import (
     irreducibility_screen,
     is_squarefree,
     isolate_roots_exact,
-    poly_divmod_exact,
     poly_gcd,
     rational_roots,
     refine_root_interval,
     squarefree_part,
-    sturm_chain,
+    _prem,
+    _sturm_chain_of,
 )
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ class AlgebraicNumber:
                  _validated: bool = False):
         if min_poly.degree < 1:
             raise PreconditionError("minimal polynomial must have degree >= 1")
-        if not is_squarefree(min_poly):
+        if not _validated and not is_squarefree(min_poly):
             raise PreconditionError("minimal polynomial must be squarefree")
         self.min_poly = min_poly.primitive()
         self.exact_rational: Fraction | None = None
@@ -286,8 +286,8 @@ class AlgebraicNumber:
             return g.sign_at(self.exact_rational)
         if g.degree < self.min_poly.degree:
             return self._sign_of_reduced(g.coeffs)
-        _, rem = poly_divmod_exact(g, self.min_poly)
-        return self._sign_of_reduced(_integer_numerators(rem)[0])
+        # a positive multiple of g mod min_poly: same sign, same refinement
+        return self._sign_of_reduced(_prem(g.coeffs, self.min_poly.coeffs))
 
     def sign_of_fraction_vec(self, vec) -> int:
         """Exact sign of sum vec[i] * q^i for Fraction/int coefficients."""
@@ -995,7 +995,7 @@ def power_base(q: AlgebraicNumber, k: int) -> AlgebraicNumber:
     if defining.degree == 1:
         return AlgebraicNumber.from_rational(
             Fraction(-defining.coeffs[0], defining.coeffs[1]))
-    chain = sturm_chain(defining)
+    chain = _sturm_chain_of(defining)
     while True:
         lo, hi = q.interval()
         plo, phi = lo**k, hi**k

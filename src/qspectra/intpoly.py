@@ -2,8 +2,11 @@
 
 Coefficients are stored in ascending order (constant term first), matching
 the digit-indexing convention used throughout the package and the CLI text
-format "c0,c1,...,cd".  All arithmetic is exact (int / Fraction); nothing in
-this module touches floating point.
+format "c0,c1,...,cd".  All polynomial algebra is over the integers: gcds,
+squarefree parts and Sturm chains come from primitive pseudo-remainder
+sequences, and known factors are divided out exactly.  Only the evaluation
+points (interval endpoints, bisection midpoints, rational roots) are
+Fractions; nothing in this module touches floating point.
 """
 
 from __future__ import annotations
@@ -150,49 +153,56 @@ class IntPolynomial:
         return IntPolynomial(sign * c // g for c in self.coeffs)
 
 
-# -- rational-coefficient helpers (internal) ------------------------------
+# -- integer division helpers (internal) ---------------------------------
 
 
-def _frac_divmod(num: list[Fraction], den: list[Fraction]):
-    """Quotient/remainder of Fraction coefficient lists (ascending)."""
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dd, 0)
-    while len(num) - 1 >= dd and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) - 1 < dd:
-            break
-        shift = len(num) - 1 - dd
-        factor = num[-1] / lead
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] -= factor * c
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
+def _prem(a, b) -> list[int]:
+    """|lc(b)|^(deg a - deg b + 1) * (a mod b) for integer coefficient
+    sequences, b nonzero: a positive multiple of the remainder over Q,
+    stripped of leading zeros (a itself when deg a < deg b)."""
+    a = list(a)
+    db = len(b) - 1
+    lead = abs(b[-1])
+    for top in range(len(a) - 1, db - 1, -1):
+        f = a.pop() if b[-1] > 0 else -a.pop()
+        if lead != 1:
+            a = [lead * c for c in a]
+        if f:
+            shift = top - db
+            for i in range(db):
+                a[shift + i] -= f * b[i]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
-def poly_divmod_exact(a: IntPolynomial, b: IntPolynomial):
-    """(q, r) with a = q*b + r over Q, returned as Fraction lists."""
-    if b.is_zero:
-        raise PreconditionError("division by the zero polynomial")
-    return _frac_divmod([Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs])
+def _exact_quo(a, b) -> list[int]:
+    """a / b over Z for a divisor b of a whose quotient is integral (by
+    Gauss's lemma, whenever b is primitive); b need not be monic."""
+    a = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    quot = [0] * max(len(a) - db, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        f = quot[shift] = a[shift + db] // lead
+        for i in range(db):
+            a[shift + i] -= f * b[i]
+    return quot
+
+
+def _prim(cs: list[int]) -> list[int]:
+    """cs divided by its content, its sign kept."""
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
 
 
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Primitive integer gcd (positive leading coefficient) over Q."""
-    fa = [Fraction(c) for c in a.coeffs]
-    fb = [Fraction(c) for c in b.coeffs]
-    while any(fb):
-        _, r = _frac_divmod(fa, fb)
-        fa, fb = fb, r
-    if not any(fa):
-        return IntPolynomial(())
-    den = math.lcm(*(f.denominator for f in fa))
-    return IntPolynomial(int(f * den) for f in fa).primitive()
+    """Primitive integer gcd (positive leading coefficient) over Q, by a
+    primitive pseudo-remainder sequence."""
+    a, b = _prim(list(a.coeffs)), _prim(list(b.coeffs))
+    while b:
+        a, b = b, _prim(_prem(a, b))
+    return IntPolynomial(a).primitive()
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
@@ -200,12 +210,7 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     if p.degree < 1:
         return p.primitive()
     g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p.primitive()
-    quot, rem = _frac_divmod([Fraction(c) for c in p.coeffs], [Fraction(c) for c in g.coeffs])
-    assert not any(rem)
-    den = math.lcm(*(f.denominator for f in quot))
-    return IntPolynomial(int(f * den) for f in quot).primitive()
+    return IntPolynomial(_exact_quo(p.coeffs, g.coeffs)).primitive()
 
 
 def is_squarefree(p: IntPolynomial) -> bool:
@@ -215,14 +220,14 @@ def is_squarefree(p: IntPolynomial) -> bool:
 
 
 def deflate_root(p: IntPolynomial, root: Fraction) -> IntPolynomial:
-    """Exact division of p by (x - root) for a known rational root."""
-    quot, rem = _frac_divmod(
-        [Fraction(c) for c in p.coeffs], [-Fraction(root), Fraction(1)]
-    )
-    if any(rem):
+    """Exact division of p by (x - root) for a known rational root n/d:
+    d * (p / (d*x - n)), the quotient over Q, which has integer
+    coefficients."""
+    root = Fraction(root)
+    if p.sign_at(root):
         raise PreconditionError(f"{root} is not a root")
-    den = math.lcm(*(f.denominator for f in quot))
-    return IntPolynomial(int(f * den) for f in quot)
+    n, d = root.numerator, root.denominator
+    return IntPolynomial(_exact_quo(p.coeffs, (-n, d))).scale(d)
 
 
 def rational_roots(p: IntPolynomial) -> list[Fraction]:
@@ -290,23 +295,18 @@ def cauchy_root_bound(p: IntPolynomial) -> Fraction:
 
 def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     """Sturm chain of the squarefree part of p."""
-    f = squarefree_part(p)
+    return _sturm_chain_of(squarefree_part(p))
+
+
+def _sturm_chain_of(f: IntPolynomial) -> list[IntPolynomial]:
+    """Sturm chain of a squarefree f: f made primitive, f', then the
+    primitive part of -prem of the last two, with its sign kept."""
+    f = f.primitive()
     chain = [f, f.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree >= 0:
-        _, rem = _frac_divmod(
-            [Fraction(c) for c in chain[-2].coeffs],
-            [Fraction(c) for c in chain[-1].coeffs],
-        )
-        if not any(rem):
-            break
-        den = math.lcm(*(f.denominator for f in rem))
-        nxt = IntPolynomial(int(-f * den) for f in rem)
-        # normalize magnitude to keep coefficients small; sign pattern is
-        # what matters, and dividing by a positive content preserves it
-        chain.append(nxt.scale(1) if nxt.is_zero else IntPolynomial(
-            c // nxt.content() for c in nxt.coeffs))
-        if chain[-1].degree == 0:
-            break
+    a, b = f.coeffs, chain[-1].coeffs
+    while len(b) > 1 and (r := _prem(a, b)):
+        a, b = b, _prim([-c for c in r])
+        chain.append(IntPolynomial(b))
     return chain
 
 
@@ -353,7 +353,7 @@ def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     # rational bisection points are never roots of g
     g_intervals: list[tuple[Fraction, Fraction]] = []
     if g.degree >= 1:
-        chain = sturm_chain(g)
+        chain = _sturm_chain_of(g)
         bound = cauchy_root_bound(g)
         stack = [(-bound, bound)]
         while stack:
@@ -376,7 +376,7 @@ def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
             g_intervals[i] = (lo, hi)
 
     intervals = list(g_intervals)
-    chain_sf = sturm_chain(sf) if rat else None
+    chain_sf = _sturm_chain_of(sf) if rat else None
     for r in rat:
         eps = Fraction(1, 2)
         while (sf.sign_at(r - eps) == 0 or sf.sign_at(r + eps) == 0

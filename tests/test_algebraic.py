@@ -610,6 +610,48 @@ def test_integer_evaluator_equals_the_fraction_reference(name, poly,
             assert got.interval() == want.interval(), (width, vec)
 
 
+def _reference_remainder(g, m):
+    """g mod m over Q, one Fraction operation at a time."""
+    rem = [Fraction(c) for c in g]
+    while len(rem) >= len(m):
+        f = rem[-1] / m[-1]
+        shift = len(rem) - len(m)
+        for i, c in enumerate(m):
+            rem[shift + i] -= f * c
+        rem.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+#: q8 and the non-monic root (1 + sqrt 3) / 2 of 2x^2 - 2x - 1
+REDUCTION_BASES = [("q8", SQRT_P2_POLY), ("nonmonic", IntPolynomial([-1, -2, 2]))]
+
+
+@pytest.mark.parametrize("name,poly", REDUCTION_BASES,
+                         ids=[b[0] for b in REDUCTION_BASES])
+def test_sign_of_high_degree_poly_equals_the_fraction_reference(name, poly):
+    """For deg g >= deg q the sign oracle reduces g by a pseudo-remainder;
+    its sign and the refinement it makes equal those of the remainder over
+    Q, including multiples of the minimal polynomial (sign 0)."""
+    rng = random.Random(f"reduction:{name}")
+    d = poly.degree
+    x = AlgebraicNumber.base_from_poly(poly, root_index=0).float_value()
+    for _ in range(40):
+        g = [rng.randint(-10**4, 10**4) for _ in range(rng.randint(d + 1, 3 * d + 1))]
+        if rng.random() < 0.3:
+            # g = poly * h + (a remainder whose value nearly cancels)
+            h = IntPolynomial(g[:rng.randint(1, 2 * d)])
+            rest = _near_zero(tuple(rng.randint(-10**3, 10**3) for _ in range(d)), x)
+            g = list((poly * h + IntPolynomial(rest if rng.random() < 0.7 else ())).coeffs)
+        g = IntPolynomial(g)
+        got = AlgebraicNumber.base_from_poly(poly, root_index=0)
+        want = AlgebraicNumber.base_from_poly(poly, root_index=0)
+        rem = _reference_remainder(g.coeffs, poly.coeffs)
+        assert got.sign_of_int_poly(g) == _reference_sign(want, rem), g
+        assert got.interval() == want.interval(), g
+
+
 def test_rational_base_sign_of_mixed_vectors():
     q = AlgebraicNumber.from_rational(Fraction(9, 5))
     assert q.sign_of_fraction_vec((-9, 5)) == 0

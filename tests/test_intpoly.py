@@ -8,6 +8,7 @@ they exercise.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ import pytest
 from qspectra.errors import PreconditionError
 from qspectra.intpoly import (
     IntPolynomial,
+    _prem,
     cauchy_root_bound,
     count_roots_in,
     deflate_root,
@@ -26,6 +28,7 @@ from qspectra.intpoly import (
     rational_roots,
     refine_root_interval,
     squarefree_part,
+    sturm_chain,
 )
 
 
@@ -208,3 +211,142 @@ def test_reciprocal():
     p = IntPolynomial([-1, -1, 0, 1])
     assert p.reciprocal().coeffs == (1, 0, -1, -1)
     assert IntPolynomial([1, 0, 1]).reciprocal() == IntPolynomial([1, 0, 1])
+
+
+# -- the integer PRS layer against the Fraction division it replaced -------
+
+
+def _frac_divmod(num, den):
+    """Quotient and remainder of ascending Fraction coefficient lists."""
+    num = list(num)
+    dd = len(den) - 1
+    lead = den[-1]
+    quot = [Fraction(0)] * max(len(num) - dd, 0)
+    while len(num) - 1 >= dd and any(num):
+        while num and num[-1] == 0:
+            num.pop()
+        if len(num) - 1 < dd:
+            break
+        shift = len(num) - 1 - dd
+        factor = num[-1] / lead
+        quot[shift] = factor
+        for i, c in enumerate(den):
+            num[shift + i] -= factor * c
+        num.pop()
+    while num and num[-1] == 0:
+        num.pop()
+    return quot, num
+
+
+def _fracs(p):
+    return [Fraction(c) for c in p.coeffs]
+
+
+def _cleared(fracs):
+    den = math.lcm(*(f.denominator for f in fracs))
+    return IntPolynomial(int(f * den) for f in fracs)
+
+
+def _reference_gcd(a, b):
+    fa, fb = _fracs(a), _fracs(b)
+    while any(fb):
+        _, r = _frac_divmod(fa, fb)
+        fa, fb = fb, r
+    if not any(fa):
+        return IntPolynomial(())
+    return _cleared(fa).primitive()
+
+
+def _reference_squarefree_part(p):
+    if p.degree < 1:
+        return p.primitive()
+    g = _reference_gcd(p, p.derivative())
+    if g.degree == 0:
+        return p.primitive()
+    quot, rem = _frac_divmod(_fracs(p), _fracs(g))
+    assert not any(rem)
+    return _cleared(quot).primitive()
+
+
+def _reference_sturm_chain(p):
+    f = _reference_squarefree_part(p)
+    chain = [f, f.derivative()]
+    while not chain[-1].is_zero:
+        _, rem = _frac_divmod(_fracs(chain[-2]), _fracs(chain[-1]))
+        if not any(rem):
+            break
+        nxt = _cleared([-r for r in rem])
+        chain.append(IntPolynomial(c // nxt.content() for c in nxt.coeffs))
+        if chain[-1].degree == 0:
+            break
+    return chain
+
+
+def _reference_deflate_root(p, root):
+    quot, rem = _frac_divmod(_fracs(p), [-Fraction(root), Fraction(1)])
+    assert not any(rem)
+    return _cleared(quot)
+
+
+def _prs_corpus():
+    """Every monic height-1 polynomial of degree 2 to 6, 300 seeded
+    non-monic ones of degree 3 to 12 and height up to 3, and hand-picked
+    non-primitive and negative-leading inputs."""
+    out = [IntPolynomial([*tail, 1]) for d in range(2, 7)
+           for tail in itertools.product((-1, 0, 1), repeat=d)]
+    rng = random.Random("prs")
+    for _ in range(300):
+        h = rng.randint(1, 3)
+        lead = rng.choice([c for c in range(-h, h + 1) if c])
+        out.append(IntPolynomial(
+            [rng.randint(-h, h) for _ in range(rng.randint(3, 12))] + [lead]))
+    x_minus_1 = IntPolynomial([-1, 1])
+    out += [
+        IntPolynomial([-6, -6, 6]),                        # 6(x^2 - x - 1)
+        IntPolynomial([4, 0, -8]) * x_minus_1 * x_minus_1,   # content 4
+        IntPolynomial([1, 1, 0, -1]),                      # -(x^3 - x - 1)
+        IntPolynomial([3, -2, 1, 0, -5]) * IntPolynomial([1, 2, -3]),
+    ]
+    return out
+
+
+PRS_CORPUS = _prs_corpus()
+
+
+def test_prs_gcd_squarefree_and_sturm_equal_the_fraction_reference():
+    for p in PRS_CORPUS:
+        for other in (p.reciprocal(), p.derivative()):
+            assert poly_gcd(p, other) == _reference_gcd(p, other), p
+        assert squarefree_part(p) == _reference_squarefree_part(p), p
+        assert sturm_chain(p) == _reference_sturm_chain(p), p
+
+
+def test_deflation_equals_the_fraction_reference():
+    p = IntPolynomial([1, -3, 2])                          # 2x^2 - 3x + 1
+    assert deflate_root(p, Fraction(1, 2)) == IntPolynomial([-2, 2])
+    assert deflate_root(p, Fraction(1)) == IntPolynomial([-1, 2])
+    with pytest.raises(PreconditionError):
+        deflate_root(p, Fraction(3, 7))
+    for f in PRS_CORPUS:
+        for r in rational_roots(f):
+            assert deflate_root(f, r) == _reference_deflate_root(f, r), (f, r)
+
+
+def test_gcd_of_zero_and_constant_inputs():
+    zero, p = IntPolynomial(()), IntPolynomial([2, -4, 6])
+    assert poly_gcd(zero, zero) == zero
+    assert poly_gcd(p, zero) == poly_gcd(zero, p) == IntPolynomial([1, -2, 3])
+    assert poly_gcd(p, IntPolynomial([-5])) == IntPolynomial([1])
+
+
+def test_pseudo_remainder_is_a_positive_multiple_of_the_remainder():
+    rng = random.Random("prem")
+    for _ in range(200):
+        a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 9))]
+        b = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
+        b[-1] = b[-1] or rng.choice((-3, -1, 2))
+        a, b = IntPolynomial(a), IntPolynomial(b)
+        e = max(a.degree - b.degree + 1, 0)
+        _, rem = _frac_divmod(_fracs(a), _fracs(b))
+        assert _prem(a.coeffs, b.coeffs) == \
+            [abs(b.leading) ** e * r for r in rem], (a, b)
