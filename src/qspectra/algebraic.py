@@ -11,13 +11,13 @@ Three layers live here:
   first and in mpmath above it; a-posteriori disks checked exactly in
   scaled Gaussian integers), unit-circle membership decided exactly
   through the reciprocal-factor gcd, and the Pisot predicate on top.
-* ``ZqContext`` -- the exact value kernel for Z[q] when the minimal
-  polynomial is monic: canonical integer vectors with exact equality and
-  ordering (``from_digits``, ``compare``, ``cmp_fraction``), and the
-  floating-point model (``float_model``) under which the spectrum engines
-  carry proven float enclosures of their search states.
-  ``FractionVecArith`` is its Q[q] counterpart for any base (int entries
-  where they are whole, so integer tuples for a monic base).
+* ``ZqContext`` -- the one exact value kernel, Q[q] for any base: vectors
+  in the basis 1, q, ..., q^(d-1) with int entries where they are whole (so
+  canonical integer vectors in Z[q] for a monic base), ring operations,
+  exact signs and ordering (``sign``, ``compare``, ``cmp_fraction``) from
+  the base's sign oracle, display floats read off exact enclosures, and
+  the floating-point model (``float_model``) under which the spectrum
+  engines carry proven float enclosures of their search states.
 
 The Gaussian-rational helpers (``_gr_*``: (re, im) Fraction pairs) serve
 the witness construction.
@@ -35,6 +35,7 @@ import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .config import MAX_CERTIFY_BITS
 from .errors import PreconditionError, ReducibleInputError
@@ -47,7 +48,6 @@ from .intpoly import (
     is_squarefree,
     isolate_roots_exact,
     poly_gcd,
-    rational_roots,
     refine_root_interval,
     squarefree_part,
     _prem,
@@ -192,8 +192,6 @@ class AlgebraicNumber:
         self._lock = threading.Lock()
         # (interval, D, numerators of the bounds of q^k over D^k)
         self._pow_state: tuple = (None, 1, [])
-        screen = irreducibility_screen(self.min_poly)
-        self.irreducibility = screen
 
     # -- constructors -----------------------------------------------------
 
@@ -209,19 +207,19 @@ class AlgebraicNumber:
         if p.is_zero:
             raise PreconditionError("zero polynomial rejected")
         sf = squarefree_part(p)
-        rats = rational_roots(sf)
+        cells = isolate_roots_exact(sf)
+        # a rational root's cell is centred on it, and no other cell's
+        # midpoint is a root of sf
+        mids = [(lo + hi) / 2 for lo, hi in cells]
+        rats = [m for m in mids if sf.sign_at(m) == 0]
         # the irrational roots are roots of sf with its linear factors
         # divided out; an isolating interval of sf isolates them in it too
         irr = sf
         for r in rats:
             irr = deflate_root(irr, r)
-        roots = []
-        for lo, hi in isolate_roots_exact(sf):
-            rat = [r for r in rats if lo < r < hi]
-            if rat:
-                roots.append(cls.from_rational(rat[0]))
-            else:
-                roots.append(cls(irr, lo, hi, _validated=True))
+        roots = [cls.from_rational(m) if m in rats
+                 else cls(irr, lo, hi, _validated=True)
+                 for (lo, hi), m in zip(cells, mids)]
         if radius is not None:
             for r in roots:
                 r.refine_to_radius(radius)
@@ -360,6 +358,11 @@ class AlgebraicNumber:
     def greater_than(self, c) -> bool:
         return self.compare_to_fraction(c) > 0
 
+    @cached_property
+    def irreducibility(self) -> str:
+        """The cheap irreducibility screen of the minimal polynomial."""
+        return irreducibility_screen(self.min_poly)
+
     def zq_context(self) -> "ZqContext":
         if not self.min_poly.is_monic:
             raise PreconditionError(
@@ -381,11 +384,18 @@ class AlgebraicNumber:
 
 
 class ZqContext:
-    """Exact arithmetic in Z[q] = Z[x]/(min_poly) for monic min_poly.
+    """Exact arithmetic in Q[q] = Q[x]/(min_poly) for any algebraic base.
 
-    Elements are integer coefficient tuples of length d in the basis
-    1, q, ..., q^(d-1).  A zero tuple represents the real number zero
-    because the minimal polynomial is irreducible (input contract).
+    Elements are tuples in the basis 1, q, ..., q^(d-1), whole entries as
+    ``int`` and others as ``Fraction``: a monic base keeps integer inputs in
+    integer tuples (Z[q]), a non-monic one brings Fractions in through q^d.
+    A zero tuple represents the real number zero because the minimal
+    polynomial is irreducible (input contract).  Every ``sign``, and so
+    every ``compare`` and ``cmp_fraction``, is exact: the base's sign oracle
+    decides it in integers over D^n, refining q only when the value's
+    enclosure on the current interval contains zero.  ``float_value`` is
+    the midpoint of that exact enclosure on the base refined to
+    ``FLOAT_WIDTH``, rounded once.
 
     Carried enclosures.  The search engines keep, beside each exact vector
     v, a float f and one radius R per level with |value(v) - f| <= R, so
@@ -403,134 +413,7 @@ class ZqContext:
     than the rounding of its own few operations) and a tiny absolute term
     covers underflow.  Refining q later only shrinks the interval, so the
     model stays valid for a whole search, and the window points display
-    their carried floats.  ``float_bounds`` (a heuristic-slop enclosure,
-    exact fallback on a straddle) still filters every ``sign``, so every
-    ``compare`` and ``cmp_fraction``: the straddles of the searches and
-    windows, the exact window sort's overlapping pairs and the minimal-gap
-    certification.  Through ``float_value`` it also gives the searches'
-    display floats and the Y-window keep test of a straddling child.
-    """
-
-    def __init__(self, q: AlgebraicNumber):
-        if not q.min_poly.is_monic:
-            raise PreconditionError("monic minimal polynomial required")
-        self.q = q
-        self.d = q.min_poly.degree
-        # q^d = -(c_0 + c_1 q + ... + c_{d-1} q^{d-1}), nonzero terms only
-        self.qd_terms = tuple((i, -c) for i, c in
-                              enumerate(q.min_poly.coeffs[:-1]) if c)
-        self._float_cache_key = None
-        self._float_pows: list[tuple[float, float]] = []
-
-    @property
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.d
-
-    def mul_q(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        return self.step(v, 0)
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def add_int(self, a, s: int):
-        return (a[0] + s,) + a[1:]
-
-    def step(self, v, s: int):
-        """q*v + s: one digit-append step."""
-        out = [s, *v[:-1]]
-        top = v[-1]
-        if top:
-            for i, c in self.qd_terms:
-                out[i] += top * c
-        return tuple(out)
-
-    def from_digits(self, digits) -> tuple[int, ...]:
-        """Canonical vector of sum digits[i] * q^i (ascending digits)."""
-        acc = self.zero
-        for s in reversed(list(digits)):
-            acc = self.step(acc, int(s))
-        return acc
-
-    def sign(self, v) -> int:
-        if not any(v):
-            return 0
-        try:
-            flo, fhi = self.float_bounds(v)
-        except OverflowError:       # a coefficient beyond float range
-            return self.q.sign_of_fraction_vec(v)
-        if flo > 0:
-            return 1
-        if fhi < 0:
-            return -1
-        return self.q.sign_of_fraction_vec(v)
-
-    def compare(self, a, b) -> int:
-        return self.sign(self.sub(a, b))
-
-    def cmp_fraction(self, v, c: Fraction) -> int:
-        """Sign of value(v) - c for a rational c."""
-        scaled = [c.denominator * x for x in v]
-        scaled[0] -= c.numerator
-        return self.sign(tuple(scaled))
-
-    def float_bounds(self, v) -> tuple[float, float]:
-        """Fast conservative float enclosure of the value of v."""
-        pows = self._float_powers(len(v) - 1)
-        lo = hi = 0.0
-        for c, (plo, phi) in zip(v, pows):
-            if c >= 0:
-                lo += c * plo
-                hi += c * phi
-            else:
-                lo += c * phi
-                hi += c * plo
-        slop = 1e-12 * (abs(lo) + abs(hi) + 1.0) * len(v)
-        return (lo - slop, hi + slop)
-
-    def float_value(self, v) -> float:
-        lo, hi = self.float_bounds(v)
-        return 0.5 * (lo + hi)
-
-    def float_model(self) -> tuple[float, float, float]:
-        """(qf, dq, qabs): floats with |q - qf| <= dq over the current base
-        interval and qabs >= qf + dq, rounded outward exactly."""
-        lo, hi = self.q.interval()
-        qf = float((lo + hi) / 2)
-        x = Fraction(qf)
-        dq = _float_enclosure(max(hi - x, x - lo))[1]
-        return qf, dq, _float_enclosure(x + Fraction(dq))[1]
-
-    def _float_powers(self, upto: int):
-        key = self.q.interval()
-        if self._float_cache_key != key or len(self._float_pows) <= upto:
-            if self._float_cache_key != key:
-                self._float_pows = []
-                self._float_cache_key = key
-            lo, hi = key
-            pows = self._float_pows or [(1.0, 1.0)]
-            flo, fhi = float(lo), float(hi)
-            while len(pows) <= upto + 1:
-                plo, phi = pows[-1]
-                pows.append((plo * flo * (1 - 1e-15), phi * fhi * (1 + 1e-15)))
-            self._float_pows = pows
-        return self._float_pows
-
-    def ensure_float_resolution(self, bits: int = 80):
-        """Refine the base interval so float enclosures are tight."""
-        self.q.refine_to_width(Fraction(1, 2**bits))
-        self._float_powers(self.d)
-
-
-class FractionVecArith:
-    """Exact arithmetic in Q[q] = Q[x]/(min_poly) for any algebraic base.
-
-    Elements are tuples in the basis 1, q, ..., q^(d-1), whole entries as
-    ``int`` and others as ``Fraction``: a monic base keeps integer inputs in
-    integer tuples, a non-monic one brings Fractions in through q^d.  Signs
-    are exact via the base's sign oracle, in integers over D^n.
+    their carried floats.
     """
 
     def __init__(self, q: AlgebraicNumber):
@@ -543,25 +426,23 @@ class FractionVecArith:
                               if c)
 
     @property
-    def zero(self):
+    def zero(self) -> tuple[int, ...]:
         return (0,) * self.d
 
     def from_fraction(self, c) -> tuple:
         return (_whole(c),) + (0,) * (self.d - 1)
 
     def mul_q(self, v):
-        out = [0, *v[:-1]]
-        top = v[-1]
-        if top:
-            for i, c in self.qd_terms:
-                out[i] += top * c
-        return tuple(out)
+        return self.step(v, 0)
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
     def sub(self, a, b):
         return tuple(x - y for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x for x in a)
 
     def scale(self, a, c):
         c = _whole(c)
@@ -570,9 +451,14 @@ class FractionVecArith:
     def add_fraction(self, a, c):
         return (a[0] + _whole(c),) + a[1:]
 
-    def step(self, v, s):
-        """q*v + s."""
-        return self.add_fraction(self.mul_q(v), s)
+    def step(self, v, s: int):
+        """q*v + s for an int digit s: one digit-append step."""
+        out = [s, *v[:-1]]
+        top = v[-1]
+        if top:
+            for i, c in self.qd_terms:
+                out[i] += top * c
+        return tuple(out)
 
     def mul(self, a, b):
         """Ring product of two elements."""
@@ -584,15 +470,47 @@ class FractionVecArith:
             power = self.mul_q(power)
         return acc
 
+    def from_digits(self, digits) -> tuple[int, ...]:
+        """Canonical vector of sum digits[i] * q^i (ascending digits)."""
+        acc = self.zero
+        for s in reversed(list(digits)):
+            acc = self.step(acc, int(s))
+        return acc
+
     def sign(self, v) -> int:
         return self.q.sign_of_fraction_vec(v)
 
+    def compare(self, a, b) -> int:
+        return self.sign(self.sub(a, b))
+
+    def cmp_fraction(self, v, c: Fraction) -> int:
+        """Sign of value(v) - c for a rational c."""
+        scaled = [c.denominator * x for x in v]
+        scaled[0] -= c.numerator
+        return self.sign(tuple(scaled))
+
     def float_value(self, v) -> float:
-        """Display float of v, read on the base refined to FLOAT_WIDTH: a
-        coarser interval's midpoint can be off in the leading digits."""
+        """Display float of v: the midpoint of its exact enclosure on the
+        base refined to FLOAT_WIDTH, correctly rounded by one int division
+        (a coarser interval's midpoint can be off in the leading digits)."""
         self.q.refine_to_width(FLOAT_WIDTH)
-        lo, hi = self.q.value_interval_of_vec(v)
-        return float((lo + hi) / 2)
+        ints, scale = _integer_numerators(v)
+        vlo, vhi, den = self.q._int_interval(ints)
+        return (vlo + vhi) / (2 * scale * den)
+
+    def float_model(self) -> tuple[float, float, float]:
+        """(qf, dq, qabs): floats with |q - qf| <= dq over the current base
+        interval and qabs >= qf + dq, rounded outward exactly."""
+        lo, hi = self.q.interval()
+        qf = float((lo + hi) / 2)
+        x = Fraction(qf)
+        dq = _float_enclosure(max(hi - x, x - lo))[1]
+        return qf, dq, _float_enclosure(x + Fraction(dq))[1]
+
+    def ensure_float_resolution(self):
+        """Refine the base interval to 2^-80, so that the float model's dq
+        is tiny against the carried floats."""
+        self.q.refine_to_width(Fraction(1, 2**80))
 
 
 # ---------------------------------------------------------------------------

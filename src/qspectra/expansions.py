@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebraic import AlgebraicNumber, FractionVecArith
+from .algebraic import AlgebraicNumber, ZqContext
 from .errors import PreconditionError, QSpectraError
 
 
@@ -160,7 +160,7 @@ def greedy_expansion(x, q: AlgebraicNumber, m: int, N: int) -> DigitSequence:
     if not q.greater_than(1):
         raise PreconditionError("base must satisfy q > 1")
     x = Fraction(x)
-    ar = FractionVecArith(q)
+    ar = ZqContext(q)
     # range check: 0 <= x <= m/(q-1)  <=>  x*(q-1) - m <= 0
     if x < 0:
         raise PreconditionError("x must be >= 0")
@@ -191,8 +191,7 @@ def greedy_expansion(x, q: AlgebraicNumber, m: int, N: int) -> DigitSequence:
         meta={"zero_from": zero_from})
 
 
-def _residual_scaled(seq: DigitSequence, ar: FractionVecArith, target,
-                     N: int):
+def _residual_scaled(seq: DigitSequence, ar: ZqContext, target, N: int):
     """q^N * (sum_{i<=N} s_i q^{-i} - target) as an exact element."""
 
     def digit(i: int) -> int:
@@ -223,7 +222,7 @@ def verify_expansion(seq: DigitSequence, q: AlgebraicNumber, target,
     The comparison is exact (scaled through q^N); the reported magnitudes
     are floats for display.
     """
-    ar = FractionVecArith(q)
+    ar = ZqContext(q)
     scaled = _residual_scaled(seq, ar, Fraction(target), N)
     sgn = ar.sign(scaled)
     abs_scaled = scaled if sgn >= 0 else ar.scale(scaled, -1)
@@ -259,7 +258,7 @@ class _Corridor:
             raise PreconditionError(
                 "pattern threshold too far beyond the horizon for the "
                 "scaled corridor")
-        self.ar = FractionVecArith(q)
+        self.ar = ZqContext(q)
         self.m = m
         self.pattern = pattern
         self.horizon = horizon
@@ -411,7 +410,7 @@ def periodic_completion(digits, q: AlgebraicNumber, m: int) -> DigitSequence:
         raise PreconditionError("empty digit string")
     if any(abs(s) > m for s in digits):
         raise PreconditionError("digit exceeds height bound")
-    ar = FractionVecArith(q)
+    ar = ZqContext(q)
     acc = ar.zero
     for s in digits:
         acc = ar.step(acc, s)

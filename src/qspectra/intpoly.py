@@ -336,8 +336,8 @@ def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     one real root of p; their union covers all real roots.
 
     Rational roots are detected exactly; their intervals are centered on the
-    root.  Every returned interval contains exactly one root of the
-    squarefree part of p.
+    root, and no other interval's midpoint is a root.  Every returned
+    interval contains exactly one root of the squarefree part of p.
     """
     if p.is_zero:
         raise PreconditionError("zero polynomial")

@@ -327,7 +327,7 @@ def case_oracle_equivalence() -> dict:
             if ctx.sign(vec) <= 0:
                 continue
             w = ctx.sub(ctx.mul_q(vec), vec)
-            if ctx.sign(ctx.add_int(w, -m)) > 0:
+            if ctx.sign(ctx.add_fraction(w, -m)) > 0:
                 continue
             if best is None or ctx.compare(vec, best) < 0:
                 best = vec

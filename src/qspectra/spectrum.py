@@ -5,10 +5,11 @@ Two value kernels back every engine:
 
 * exact mode (monic minimal polynomial, including integer bases): the
   base's ``ZqContext``; values are canonical integer vectors in Z[q], so
-  deduplication and ordering are exact.  Each state of a search level also
-  carries a float, kept in an ``array('d')`` beside the level, and the
-  level has one proven radius R with |value - float| <= R (the bound is in
-  ``ZqContext``'s docstring).  A child's sign, its window test and its
+  deduplication and ordering are exact, and every sign the kernel decides
+  comes from the base's exact sign oracle.  Each state of a search level
+  also carries a float, kept in an ``array('d')`` beside the level, and
+  the level has one proven radius R with |value - float| <= R (the bound
+  is in ``ZqContext``'s docstring).  A child's sign, its window test and its
   comparison with the current best are read off [f - R, f + R]; the exact
   ``ZqContext.sign``/``compare``/``cmp_fraction`` run only when that
   enclosure straddles the threshold, and the child's vector is built only
@@ -27,8 +28,9 @@ levels' carried floats: the Y/A clip to [-B, B] and the sort read
 [f - R, f + R] and run exact comparisons only where enclosures overlap,
 and a window point displays its carried float, within R of its value (in
 numeric mode the carried float is the value itself).  The searches'
-display floats and their closed-state order still come from the kernel's
-``float_value``.
+display floats, their closed-state order and the gap floats come from the
+kernel's ``float_value``: in exact mode the midpoint of the value's exact
+enclosure on the base refined to 2^-72, correctly rounded.
 
 Results are deterministic: levels are expanded in sorted order and every
 window is canonically sorted before emission.
@@ -125,8 +127,8 @@ class _FloatSeen(dict):
 
 def make_kernel(q: AlgebraicNumber, tol: float | None = None,
                 scale: float = 1.0):
-    """The base's ZqContext, with float enclosures refined, when the minimal
-    polynomial is monic; else numeric with absolute tolerance
+    """The base's ZqContext, with the base refined for the float model, when
+    the minimal polynomial is monic; else numeric with absolute tolerance
     tol * (1 + scale)."""
     if q.min_poly.is_monic:
         ctx = q.zq_context()
@@ -500,10 +502,8 @@ def gap_report(window: SpectrumWindow, tail_fraction: float = 0.5,
     if exact:
         q = window.base
         ctx = q.zq_context()
-        ctx.ensure_float_resolution()       # a no-op after make_kernel
         for k, g in groups.items():
-            lo, hi = q.value_interval_of_vec(k)
-            g[0] = float((lo + hi) / 2)
+            g[0] = ctx.float_value(k)
         tail = [groups[k][0] for k in tail]
         # certify the minimal group exactly among float near-ties
         min_vec = next(iter(groups))
@@ -593,7 +593,7 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
         # v <= c  <=>  v*(q-1) - m <= 0; exact mode scales through min_poly
         if exact:
             w = kernel.sub(kernel.mul_q(v), v)
-            return kernel.sign(kernel.add_int(w, -m)) <= 0
+            return kernel.sign(kernel.add_fraction(w, -m)) <= 0
         c = m / (kernel.qf - 1.0)
         return v <= c + kernel.tol
 
@@ -675,9 +675,9 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
 
     closed_states = None
     if closed:
-        closed_states = tuple(
-            (kernel.float_value(v), _vec(kernel, v))
-            for v in sorted(seen, key=kernel.float_value))
+        closed_states = tuple(sorted(
+            ((kernel.float_value(v), _vec(kernel, v)) for v in seen),
+            key=lambda state: state[0]))
     return BfsResult(
         base=q, m=m, trace=tuple(trace), closed=closed,
         budget_exhausted=budget_exhausted, closed_states=closed_states,

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .algebraic import (
     GR,
     AlgebraicNumber,
-    FractionVecArith,
+    ZqContext,
     _gr,
     _gr_abs2,
     _gr_add,
@@ -289,7 +289,7 @@ def build_P_and_k(q: AlgebraicNumber, m: int, p, w0: GR, horizon: int
         if re <= 0:
             members.append(i)
     member_set = set(members)
-    ar = FractionVecArith(q)
+    ar = ZqContext(q)
 
     period = _membership_period(p)
     if period is not None:
@@ -312,7 +312,7 @@ def _membership_period(p: GR) -> int | None:
     return order
 
 
-def _least_k_periodic(ar: FractionVecArith, q: AlgebraicNumber, m: int,
+def _least_k_periodic(ar: ZqContext, q: AlgebraicNumber, m: int,
                       member_set: set[int], period: int, horizon: int) -> int:
     """Least k with sum_{i<=k} m q^-i + sum_{i>k, i in P'} m q^-i >= 1,
     decided exactly through the geometric closed form of the periodic
@@ -342,7 +342,7 @@ def _least_k_periodic(ar: FractionVecArith, q: AlgebraicNumber, m: int,
         "capacity never reached 1 within the horizon; extend it")
 
 
-def _least_k_truncated(ar: FractionVecArith, m: int, member_set: set[int],
+def _least_k_truncated(ar: ZqContext, m: int, member_set: set[int],
                        horizon: int) -> int:
     """Truncation/tail-bound decision of the least k for aperiodic
     membership; exact-equality capacities surface as an extension signal."""

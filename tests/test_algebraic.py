@@ -19,18 +19,22 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from qspectra import intpoly
 from qspectra.algebraic import (
+    FLOAT_WIDTH,
     AlgebraicNumber,
     NumberClass,
+    ZqContext,
     _certified_disks,
     _dk_iterate,
+    _whole,
     classify_base,
     conjugates,
     mpf_to_fraction,
     power_base,
     unit_circle_root_count,
 )
-from qspectra.errors import PreconditionError
+from qspectra.errors import PreconditionError, ReducibleInputError
 from qspectra.intpoly import IntPolynomial, is_squarefree
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -660,6 +664,219 @@ def test_rational_base_sign_of_mixed_vectors():
     assert q.sign_of_fraction_vec((2, Fraction(-10, 9))) == 0
     assert q.value_interval_of_vec((1, Fraction(1, 3))) == \
         (Fraction(8, 5), Fraction(8, 5))
+
+
+# -- the one Q[q] kernel against the kernels it replaced --------------------
+
+
+class _ReferenceVecArith:
+    """The separate Q[q] kernel that ZqContext absorbed, as it was: whole
+    entries as int, others as Fraction."""
+
+    def __init__(self, q):
+        self.q = q
+        self.d = q.min_poly.degree
+        lead = q.min_poly.coeffs[-1]
+        self.qd_terms = tuple((i, _whole(Fraction(-c, lead)))
+                              for i, c in enumerate(q.min_poly.coeffs[:-1])
+                              if c)
+
+    def mul_q(self, v):
+        out = [0, *v[:-1]]
+        top = v[-1]
+        if top:
+            for i, c in self.qd_terms:
+                out[i] += top * c
+        return tuple(out)
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def scale(self, a, c):
+        c = _whole(c)
+        return tuple(c * x for x in a)
+
+    def add_fraction(self, a, c):
+        return (a[0] + _whole(c),) + a[1:]
+
+    def step(self, v, s):
+        return self.add_fraction(self.mul_q(v), s)
+
+    def mul(self, a, b):
+        acc = (0,) * self.d
+        power = a
+        for coeff in b:
+            if coeff:
+                acc = self.add(acc, self.scale(power, coeff))
+            power = self.mul_q(power)
+        return acc
+
+
+def _reference_filtered_sign(q, v):
+    """The Z[q] sign as it was: a float enclosure with heuristic slop
+    (1e-12 of the bounds, 1 -+ 1e-15 per power of q) decides when it
+    excludes zero, and the exact oracle decides the rest."""
+    if not any(v):
+        return 0
+    lo_q, hi_q = q.interval()
+    try:
+        flo, fhi = float(lo_q), float(hi_q)
+        pows = [(1.0, 1.0)]
+        while len(pows) < len(v):
+            plo, phi_ = pows[-1]
+            pows.append((plo * flo * (1 - 1e-15), phi_ * fhi * (1 + 1e-15)))
+        lo = hi = 0.0
+        for c, (plo, phi_) in zip(v, pows):
+            if c >= 0:
+                lo += c * plo
+                hi += c * phi_
+            else:
+                lo += c * phi_
+                hi += c * plo
+    except OverflowError:
+        return q.sign_of_fraction_vec(v)
+    slop = 1e-12 * (abs(lo) + abs(hi) + 1.0) * len(v)
+    if lo - slop > 0:
+        return 1
+    if hi + slop < 0:
+        return -1
+    return q.sign_of_fraction_vec(v)
+
+
+def _same_entries(a, b):
+    return a == b and [type(x) for x in a] == [type(y) for y in b]
+
+
+#: q8, phi, the non-monic root (1 + sqrt 3) / 2 of 2x^2 - 2x - 1, and the
+#: rational base 9/5
+KERNEL_BASES = [
+    ("q8", lambda: AlgebraicNumber.base_from_poly(SQRT_P2_POLY, root_index=0)),
+    ("phi", phi),
+    ("nonmonic", lambda: AlgebraicNumber.base_from_poly(
+        IntPolynomial([-1, -2, 2]), root_index=0)),
+    ("rational", lambda: AlgebraicNumber.from_rational(Fraction(9, 5))),
+]
+
+
+def _kernel_vectors(rng, make_base):
+    """Seeded int and Fraction vectors, vectors whose constant term nearly
+    cancels the rest, and vectors built by digit steps and products (which
+    carry Fraction entries on a non-monic base)."""
+    q = make_base()
+    ref = _ReferenceVecArith(q)
+    x = q.float_value()
+    vecs = _random_vectors(rng, q.degree)
+    vecs += [_near_zero(v, x) for v in vecs[1:9]]
+    for _ in range(6):
+        acc = (0,) * q.degree
+        for _ in range(rng.randint(1, 12)):
+            acc = ref.step(acc, rng.randint(-3, 3))
+        vecs.append(acc)
+        vecs.append(ref.mul(acc, vecs[rng.randrange(1, 9)]))
+    return vecs
+
+
+@pytest.mark.parametrize("name,make_base", KERNEL_BASES,
+                         ids=[b[0] for b in KERNEL_BASES])
+def test_zq_ring_operations_equal_the_fraction_kernel(name, make_base):
+    rng = random.Random(f"kernel-ops:{name}")
+    q = make_base()
+    ctx, ref = ZqContext(q), _ReferenceVecArith(q)
+    vecs = _kernel_vectors(rng, make_base)
+    for v in vecs:
+        for s in range(-3, 4):
+            assert _same_entries(ctx.step(v, s), ref.step(v, s)), (v, s)
+        assert _same_entries(ctx.mul_q(v), ref.mul_q(v)), v
+        for c in (0, -1, 7, Fraction(3, 7), Fraction(-10, 5)):
+            assert _same_entries(ctx.scale(v, c), ref.scale(v, c)), (v, c)
+            assert _same_entries(ctx.add_fraction(v, c),
+                                 ref.add_fraction(v, c)), (v, c)
+        w = vecs[rng.randrange(len(vecs))]
+        assert _same_entries(ctx.mul(v, w), ref.mul(v, w)), (v, w)
+
+
+@pytest.mark.parametrize("name,make_base", KERNEL_BASES,
+                         ids=[b[0] for b in KERNEL_BASES])
+def test_zq_sign_and_float_equal_the_filtered_kernel(name, make_base):
+    """The exact sign decides what the float filter decided, with no
+    refinement, and the rest exactly as its fallback did; the display float
+    is the correctly rounded midpoint of the exact enclosure."""
+    rng = random.Random(f"kernel-sign:{name}")
+    vecs = _kernel_vectors(rng, make_base)
+    for width in (None, Fraction(1, 2**20), Fraction(1, 2**80)):
+        for v in vecs:
+            got, want = make_base(), make_base()
+            if width is not None:
+                got.refine_to_width(width)
+                want.refine_to_width(width)
+            ctx = ZqContext(got)
+            assert ctx.sign(v) == _reference_filtered_sign(want, v), (width, v)
+            assert got.interval() == want.interval(), (width, v)
+            value = ctx.float_value(v)
+            want.refine_to_width(FLOAT_WIDTH)
+            lo, hi = want.value_interval_of_vec(v)
+            assert value.hex() == float((lo + hi) / 2).hex(), (width, v)
+
+
+def test_zq_display_float_of_a_cancelling_vector_is_accurate():
+    """470832*sqrt2 - 665857 and 2744210*sqrt2 - 3880899 cancel to about
+    -7.5e-7 and -1.3e-7.  Their display floats lie within half the width
+    of their exact enclosures (plus half an ulp) of the value read on the
+    base refined to 2^-200, so within 2^-30 relative (the midpoint of a
+    float enclosure of the terms is off by 1.2e-4 and 4.2e-3)."""
+    fine = sqrt2()
+    fine.refine_to_width(Fraction(1, 2**200))
+    for refine in (False, True):
+        q = sqrt2()
+        ctx = ZqContext(q)
+        if refine:
+            ctx.ensure_float_resolution()
+        for v in ((-665857, 470832), (-3880899, 2744210)):
+            value = ctx.float_value(v)
+            lo, hi = q.value_interval_of_vec(v)
+            flo, fhi = fine.value_interval_of_vec(v)
+            exact = (flo + fhi) / 2
+            error = abs(Fraction(value) - exact)
+            assert error <= (hi - lo) / 2 + Fraction(math.ulp(value)) / 2, v
+            assert error <= abs(exact) / 2**30, v
+
+
+def test_base_from_poly_runs_the_rational_root_search_once(monkeypatch):
+    """Real roots read the rational roots off their isolating cells, and
+    the irreducibility screen runs only when classification asks for it."""
+    calls = []
+    search = intpoly.rational_roots
+
+    def counted(p):
+        calls.append(p)
+        return search(p)
+
+    monkeypatch.setattr(intpoly, "rational_roots", counted)
+    # (x - 2)(x^2 - 2) and 2(x - 3/2)(x - 2)(x^2 - x - 1) keep rational roots
+    reducible = IntPolynomial([4, -2, -2, 1])
+    mixed = (IntPolynomial([-3, 2]) * IntPolynomial([-2, 1])
+             * PHI_POLY)
+    for poly, want in ((PHI_POLY, []), (SQRT_P2_POLY, []),
+                       (reducible, [2]), (mixed, [Fraction(3, 2), 2])):
+        calls.clear()
+        roots = AlgebraicNumber.real_roots(poly)
+        assert len(calls) == 1, poly
+        assert [r.exact_rational for r in roots
+                if r.exact_rational is not None] == want, poly
+        calls.clear()
+        AlgebraicNumber.base_from_poly(poly, root_index=0)
+        assert len(calls) == 1, poly
+
+
+def test_classify_rejects_a_base_whose_polynomial_has_a_rational_root():
+    # sqrt 2 selected by interval on (x - 3)(x^2 - 2): the screen, run when
+    # classification reads it, finds the root 3
+    poly = IntPolynomial([-3, 1]) * SQRT2_POLY
+    q = AlgebraicNumber.base_from_poly(
+        poly, root_interval=(Fraction(7, 5), Fraction(3, 2)))
+    assert q.irreducibility == "reducible"
+    with pytest.raises(ReducibleInputError):
+        classify_base(q)
 
 
 def test_importing_the_package_leaves_mpmath_unloaded():

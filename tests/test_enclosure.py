@@ -157,7 +157,7 @@ def reference_bfs(q: AlgebraicNumber, m: int, max_depth: int) -> BfsResult:
     ctx.ensure_float_resolution()
 
     def in_upper(v):
-        return ctx.sign(ctx.add_int(ctx.sub(ctx.mul_q(v), v), -m)) <= 0
+        return ctx.sign(ctx.add_fraction(ctx.sub(ctx.mul_q(v), v), -m)) <= 0
 
     seen, level, best, trace = {}, [], None, []
 

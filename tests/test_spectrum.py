@@ -233,8 +233,8 @@ def test_A_matches_brute_force_oracle(make_q):
     oracle = set()
     for digits in itertools.product((-1, 1), repeat=n + 1):
         vec = ctx.from_digits(digits)
-        if (ctx.sign(ctx.add_int(vec, -B)) <= 0
-                and ctx.sign(ctx.add_int(vec, B)) >= 0):
+        if (ctx.sign(ctx.add_fraction(vec, -B)) <= 0
+                and ctx.sign(ctx.add_fraction(vec, B)) >= 0):
             oracle.add(vec)
     assert len(w.points) == len(oracle)
     assert {p.vec for p in w.points} == oracle
@@ -354,7 +354,7 @@ def test_bfs_matches_brute_force_minimum():
         if ctx.sign(vec) <= 0:
             continue
         w = ctx.sub(ctx.mul_q(vec), vec)
-        if ctx.sign(ctx.add_int(w, -m)) > 0:
+        if ctx.sign(ctx.add_fraction(w, -m)) > 0:
             continue
         if best is None or ctx.compare(vec, best) < 0:
             best = vec
@@ -453,6 +453,6 @@ def test_closed_state_set_reproduces_itself():
             if sign < 0:
                 child = ctx.neg(child)
             w = ctx.sub(ctx.mul_q(child), child)
-            if ctx.sign(ctx.add_int(w, -m)) > 0:
+            if ctx.sign(ctx.add_fraction(w, -m)) > 0:
                 continue
             assert child in closed
