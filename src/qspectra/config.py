@@ -30,7 +30,8 @@ DEFAULT_PRECISION_BITS = _env_precision()
 #: far below this; hitting it signals a reducible/degenerate input.
 MAX_CERTIFY_BITS = 8192
 
-#: Default state budget for breadth-first spectrum searches.
+#: Default state budget for breadth-first spectrum searches.  A search state
+#: peaks at about 155 B (tracemalloc, x^8-x^6-1 to depth 16), so ~1.6 GB.
 DEFAULT_STATE_BUDGET = 10_000_000
 
 #: Default relative deduplication tolerance for numeric-mode windows.

@@ -6,25 +6,28 @@ Two value kernels back every engine:
 * exact mode (monic minimal polynomial, including integer bases): the
   base's ``ZqContext``; values are canonical integer vectors in Z[q], so
   deduplication and ordering are exact, and every sign the kernel decides
-  comes from the base's exact sign oracle.  Each state of a search level
-  also carries a float, kept in an ``array('d')`` beside the level, and
-  the level has one proven radius R with |value - float| <= R (the bound
-  is in ``ZqContext``'s docstring).  A child's sign, its window test and its
-  comparison with the current best are read off [f - R, f + R]; the exact
-  ``ZqContext.sign``/``compare``/``cmp_fraction`` run only when that
-  enclosure straddles the threshold, and the child's vector is built only
-  when a test needs it or it survives to deduplication.  A level whose
+  comes from the base's exact sign oracle.  Each state also carries a
+  float, and its level has one proven radius R with |value - float| <= R
+  (the bound is in ``ZqContext``'s docstring).  A child's sign, its window
+  test and its comparison with the current best are read off
+  [f - R, f + R]; the exact ``ZqContext.sign``/``compare``/``cmp_fraction``
+  run only when that enclosure straddles the threshold, and the child's
+  vector is built only when a test needs it or it survives to
+  deduplication.  A level whose
   floats or radius overflow is decided exactly throughout.
 * numeric mode (everything else): ``_FloatKernel``; values are floats
   deduplicated within a declared tolerance.  It carries no proven
   enclosure (R is infinite), so every decision falls through to its
   tolerance tests.
 
-Either way, the values seen so far live in a dict from value to witness
-path, so ``value in seen`` is the one deduplication test.  The X, Y and A
-windows all grow through ``_expand_level``: each state y spawns q*y + s
-for every digit s of the window's alphabet.  A window is built from the
-levels' carried floats: the Y/A clip to [-B, B] and the sort read
+Either way, a level is stored as columns: its values, an ``array('d')`` of
+carried floats, and ``array('i')`` columns of parent position and digit (a
+sign flip in the search stores parent p as ~p).  ``seen`` is an
+insertion-ordered dict of Nones, the one deduplication test.  No state keeps
+a witness: digits are rebuilt from the parents only where they are output.
+The X, Y and A windows all grow through ``_expand_level``: each state y
+spawns q*y + s for every digit s of the window's alphabet.  A window is
+built from the levels' carried floats: the Y/A clip to [-B, B] and the sort read
 [f - R, f + R] and run exact comparisons only where enclosures overlap,
 and a window point displays its carried float, within R of its value (in
 numeric mode the carried float is the value itself).  The searches'
@@ -46,15 +49,6 @@ from fractions import Fraction
 from .algebraic import AlgebraicNumber, ZqContext, _float_enclosure
 from .config import DEFAULT_NUMERIC_TOL, DEFAULT_STATE_BUDGET
 from .errors import PreconditionError
-
-
-def _canonical_digits(top_first: tuple[int, ...]) -> tuple[int, ...]:
-    """Convert a top-first construction path to ascending digits with the
-    top zeros trimmed; the zero value keeps a single 0 digit."""
-    digits = top_first[::-1]
-    while len(digits) > 1 and digits[-1] == 0:
-        digits = digits[:-1]
-    return digits or (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +98,7 @@ class _FloatKernel:
 
 
 class _FloatSeen(dict):
-    """Value -> witness dict for float values: a value within the tolerance
+    """Float values as keys of a dict of Nones: a value within the tolerance
     of a stored one counts as present, so the first representative wins."""
 
     def __init__(self, tol_abs: float):
@@ -120,9 +114,9 @@ class _FloatSeen(dict):
                     return True
         return False
 
-    def __setitem__(self, v, witness):
+    def __setitem__(self, v, none):
         self._buckets.setdefault(round(v / self.tol), []).append(v)
-        dict.__setitem__(self, v, witness)
+        dict.__setitem__(self, v, none)
 
 
 def make_kernel(q: AlgebraicNumber, tol: float | None = None,
@@ -219,26 +213,48 @@ class SpectrumWindow:
         return d
 
 
+def _digits_at(links, k: int, i: int) -> tuple[int, ...]:
+    """Ascending digits of state i of the level whose (parents, digits)
+    columns are ``links[k]`` (``links[0]`` is the level above the root).
+
+    State i is q*p + digits[i] for the state p at position parents[i] of
+    the level below, or q*(-p) + digits[i] when that position is stored as
+    ~p, a sign flip that negates every digit above it.  Top zeros are
+    trimmed; zero keeps a single 0 digit.
+    """
+    out, sign = [], 1
+    for par, dig in reversed(links[:k + 1]):
+        out.append(sign * dig[i])
+        i = par[i]
+        if i < 0:
+            i, sign = ~i, -sign
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 def _expand_level(kernel, model, level, alphabet, band, keep, seen: dict,
                   budget: int):
     """Children q*v + s (s in alphabet) of the states of one level.
 
-    ``level`` is (states, floats, radius): (value, top-first path) pairs,
-    their carried floats and the proven radius of those floats.
-    ``band(r)`` gives float thresholds (in_lo, in_hi, out_lo, out_hi) for
-    children of radius r: a child whose float lies in [in_lo, in_hi] is
-    kept, one below out_lo or above out_hi is dropped, and ``keep(child)``
-    decides the rest.  A kept child not in ``seen`` is recorded there with
-    its path.  Returns (next level, within budget): expansion stops after
-    the first parent whose children push ``seen`` past the budget.
+    ``level`` is (values, floats, radius): the level's values, their carried
+    floats and the proven radius of those floats.  ``band(r)`` gives float
+    thresholds (in_lo, in_hi, out_lo, out_hi) for children of radius r: a
+    child whose float lies in [in_lo, in_hi] is kept, one below out_lo or
+    above out_hi is dropped, and ``keep(child)`` decides the rest.  A kept
+    child not in ``seen`` is recorded there.  Returns (next level, links,
+    within budget), where links are the next level's (parents, digits)
+    columns: child j is q*values[parents[j]] + digits[j].  Expansion stops
+    after the first parent whose children push ``seen`` past the budget.
     """
-    states, floats, radius = level
+    values, floats, radius = level
     qf = model[0]
     r = _child_radius(model, radius, floats, max(map(abs, alphabet)))
     in_lo, in_hi, out_lo, out_hi = band(r)
     step = kernel.step
     nxt, nfl = [], array("d")
-    for (v, path), f in zip(states, floats):
+    links = par, dig = array("i"), array("i")
+    for i, (v, f) in enumerate(zip(values, floats)):
         for s in alphabet:
             cf = qf * f + s
             if cf < out_lo or cf > out_hi:
@@ -246,23 +262,24 @@ def _expand_level(kernel, model, level, alphabet, band, keep, seen: dict,
             child = step(v, s)
             if not (in_lo <= cf <= in_hi or keep(child)) or child in seen:
                 continue
-            cpath = path + (s,)
-            seen[child] = cpath
-            nxt.append((child, cpath))
+            seen[child] = None
+            nxt.append(child)
             nfl.append(cf)
+            par.append(i)
+            dig.append(s)
         if len(seen) > budget:
-            return (nxt, nfl, r), False
-    return (nxt, nfl, r), True
+            return (nxt, nfl, r), links, False
+    return (nxt, nfl, r), links, True
 
 
 def _root_level(kernel):
-    """The one-state level of the empty digit string."""
-    return [(kernel.zero, ())], array("d", [0.0]), 0.0
+    """The one-state level of the empty digit string; it has no links."""
+    return [kernel.zero], array("d", [0.0]), 0.0
 
 
 def _sorted_points(kernel, items) -> list[SpectrumPoint]:
-    """Points of (value, top-first path, carried float, radius) items in
-    increasing order; each point displays its carried float."""
+    """Points of (value, digits, carried float, radius) items in increasing
+    order; each point displays its carried float."""
     pts = sorted(items, key=lambda t: t[2])
     if isinstance(kernel, ZqContext):
         # floats order almost everything: a pair whose enclosures are
@@ -277,8 +294,7 @@ def _sorted_points(kernel, items) -> list[SpectrumPoint]:
             else:
                 pts[i], pts[i + 1] = b, a
                 i = max(i - 1, 0)
-    return [SpectrumPoint(f, _vec(kernel, v), _canonical_digits(w))
-            for v, w, f, _ in pts]
+    return [SpectrumPoint(f, _vec(kernel, v), d) for v, d, f, _ in pts]
 
 
 def _check_base(q: AlgebraicNumber):
@@ -306,18 +322,21 @@ def enumerate_X(q: AlgebraicNumber, m: int, B, *, tol: float | None = None,
     model = kernel.float_model()
     b_lo, b_hi = _float_enclosure(B)
     seen = _new_seen(kernel)
-    seen[kernel.zero] = ()
+    seen[kernel.zero] = None
     # every value in seen lives in exactly one level, the root in the first
-    levels = [_root_level(kernel)]
+    level = _root_level(kernel)
+    items = [(kernel.zero, (0,), 0.0, 0.0)]
+    digits = [()]
     complete = True
-    while levels[-1][0] and complete:
-        level, complete = _expand_level(
-            kernel, model, levels[-1], range(m + 1),
+    while level[0] and complete:
+        level, (par, dig), complete = _expand_level(
+            kernel, model, level, range(m + 1),
             lambda r: (-math.inf, _down(b_lo - r), -math.inf, _up(b_hi + r)),
             lambda c: kernel.cmp_fraction(c, B) <= 0, seen, budget)
-        levels.append(level)
-    items = [(v, path, f, r) for states, floats, r in levels
-             for (v, path), f in zip(states, floats)]
+        # the root's digit-0 child is zero, already seen: no top digit is 0
+        digits = [(s,) + digits[p] for p, s in zip(par, dig)]
+        values, floats, r = level
+        items += [(v, d, f, r) for v, d, f in zip(values, digits, floats)]
     return SpectrumWindow(q, m, "X", None, B, complete,
                           tuple(_sorted_points(kernel, items)),
                           truncated=not complete)
@@ -343,6 +362,7 @@ def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
     model = kernel.float_model()
     qf = q.float_value()
     level = _root_level(kernel)
+    links = []
     complete = True
 
     def band(r):
@@ -351,25 +371,26 @@ def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
 
     for t in range(degree, -1, -1):
         cap = float(B) * 1.0000001 + _tail_max(qf, m, t) + 1e-9
-        level, complete = _expand_level(
+        level, lk, complete = _expand_level(
             kernel, model, level, alphabet, band,
             lambda c: abs(kernel.float_value(c)) <= cap,
             _new_seen(kernel), budget)
+        links.append(lk)
         if not complete:
             break
     # clip to [-B, B]: floats up to keep are proven inside, those above
     # drop proven outside, and the exact tests decide the band between
-    states, floats, r = level
+    values, floats, r = level
     b_lo, b_hi = _float_enclosure(B)
     keep, drop = _down(b_lo - r), _up(b_hi + r)
     inside = []
-    for (v, path), f in zip(states, floats):
+    for i, (v, f) in enumerate(zip(values, floats)):
         a = abs(f)
         if a > drop:
             continue
         if a <= keep or (kernel.cmp_fraction(v, B) <= 0 and
                          kernel.cmp_fraction(kernel.neg(v), B) <= 0):
-            inside.append((v, path, f, r))
+            inside.append((v, _digits_at(links, len(links) - 1, i), f, r))
     return _sorted_points(kernel, inside), complete
 
 
@@ -609,29 +630,35 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
 
     seen = _new_seen(kernel)
     level, floats = [], array("d")
-    best = None  # (value_repr, witness, carried float, its radius)
+    par, dig = array("i"), array("i")
+    links = [(par, dig)]    # per depth: (parents, digits), see _digits_at
+    best = None  # (value_repr, (depth - 1, position), carried float, radius)
     trace = []
     for s in range(1, m + 1):
         v = kernel.step(kernel.zero, s)
         if kernel.sign(v) > 0 and in_upper(v) and v not in seen:
-            seen[v] = (s,)
-            level.append((v, (s,)))
-            floats.append(s)
+            seen[v] = None
             if best is None or kernel.compare(v, best[0]) < 0:
-                best = (v, (s,), float(s), 0.0)
+                best = (v, (0, len(level)), float(s), 0.0)
+            level.append(v)
+            floats.append(s)
+            par.append(0)
+            dig.append(s)
     radius = 0.0
     depth = 1
     closed = False
     budget_exhausted = False
     digits = range(-m, m + 1)
-    trace.append(_depth_record(kernel, depth, best, seen, level))
+    trace.append(_depth_record(kernel, depth, best, seen, level, links))
     while depth < max_depth:
         r = _child_radius(model, radius, floats, m)
         # floats up to up_in are proven <= c, those above up_out > c
         up_in, up_out = _down(c_lo - r), _up(c_hi + r)
         lt, gt = best_band(r) if best else (-math.inf, math.inf)
         nxt, nfl = [], array("d")
-        for (v, path), f in zip(level, floats):
+        par, dig = array("i"), array("i")
+        links.append((par, dig))
+        for i, (v, f) in enumerate(zip(level, floats)):
             for s in digits:
                 cf = qf * f + s
                 if -r <= cf <= r:            # enclosure straddles 0
@@ -652,22 +679,23 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
                     child = kernel.neg(child)
                 if (cf > up_in and not in_upper(child)) or child in seen:
                     continue
-                cpath = (path + (s,) if sign > 0
-                         else tuple(-x for x in path) + (-s,))
-                seen[child] = cpath
-                nxt.append((child, cpath))
-                nfl.append(cf)
+                seen[child] = None
                 if (best is None or cf < lt or
                         (cf <= gt and kernel.compare(child, best[0]) < 0)):
-                    best = (child, cpath, cf, r)
+                    best = (child, (depth, len(nxt)), cf, r)
                     lt, gt = best_band(r)
+                nxt.append(child)
+                nfl.append(cf)
+                # a flipped child -(q*v + s) is q*(-v) + (-s)
+                par.append(i if sign > 0 else ~i)
+                dig.append(s * sign)
             if len(seen) > state_budget:
                 budget_exhausted = True
                 break
         if budget_exhausted:
             break
         depth += 1
-        trace.append(_depth_record(kernel, depth, best, seen, nxt))
+        trace.append(_depth_record(kernel, depth, best, seen, nxt, links))
         if not nxt:
             closed = True
             break
@@ -683,17 +711,17 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
         budget_exhausted=budget_exhausted, closed_states=closed_states,
         min_positive=kernel.float_value(best[0]) if best else None,
         min_positive_vec=_vec(kernel, best[0]) if best else None,
-        min_witness=_canonical_digits(best[1]) if best else None,
+        min_witness=_digits_at(links, *best[1]) if best else None,
     )
 
 
-def _depth_record(kernel, depth, best, seen, new_level):
+def _depth_record(kernel, depth, best, seen, new_level, links):
     if best is None:
         return BfsDepthRecord(depth, math.inf, None, (), len(seen),
                               len(new_level))
     return BfsDepthRecord(depth, kernel.float_value(best[0]),
                           _vec(kernel, best[0]),
-                          _canonical_digits(best[1]), len(seen),
+                          _digits_at(links, *best[1]), len(seen),
                           len(new_level))
 
 

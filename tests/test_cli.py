@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import jsonschema
@@ -203,6 +204,24 @@ def test_manifest_reproducibility(capsys):
         canonical_json(strip_wall_time(doc2))
     assert doc1["manifest"]["input_hashes"]["params_sha256"] == \
         doc2["manifest"]["input_hashes"]["params_sha256"]
+
+
+@pytest.mark.parametrize("argv,sha256", [
+    (["minpos", "--poly", "-1,0,0,-1,1", "--m", "3", "--max-depth", "7"],
+     "13c425bf474b7247277a811e2222345495c4e3fddb82278d4ebe84e19bc2e34b"),
+    # closes at depth 40 with 745 closed states
+    (["minpos", "--poly", "-1,-1,0,1", "--m", "2", "--max-depth", "60"],
+     "3724ef3c04a8fd578f32606871875ab79f09d6121324b666ff5402b175d8aa9f"),
+    (["spectrum", "--kind", "Y", "--poly", "-1,0,0,0,0,0,-1,0,1", "--m", "1",
+      "--degree", "8", "--bound", "2"],
+     "4773cce08471040cd4b1c8030336b503bb4669ada507700c973403de60d2b97b"),
+])
+def test_cli_output_is_byte_identical_to_its_pin(capsys, argv, sha256):
+    # pins the witnesses, the closed-state order and every float
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    text = canonical_json(strip_wall_time(doc))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_manifest_embedded_in_every_result(capsys):

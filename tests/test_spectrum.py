@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,34 @@ def test_A_matches_brute_force_oracle(make_q):
         assert ctx.from_digits(p.digits) == p.vec
 
 
+@pytest.mark.parametrize("make_window", [
+    lambda: enumerate_X(AlgebraicNumber.base_from_poly(
+        IntPolynomial([-1, -1, 0, 0, 1]), root_index=0), 1, 20),
+    lambda: enumerate_Y(AlgebraicNumber.base_from_poly(
+        IntPolynomial([-1, 0, 0, 0, 0, 0, -1, 0, 1]), root_index=0),
+        1, 6, 2),
+    lambda: enumerate_A(AlgebraicNumber.base_from_poly(
+        IntPolynomial([-1, -1, 0, 1]), root_index=0), 10, 2),
+], ids=["X", "Y", "A"])
+def test_window_digits_evaluate_to_each_point(make_window):
+    w = make_window()
+    ctx = w.base.zq_context()
+    assert len(w.points) > 5
+    for p in w.points:
+        assert ctx.from_digits(p.digits) == p.vec
+        # canonical: no top zero, except the lone digit of zero
+        assert p.digits[-1] != 0 or p.digits == (0,)
+        assert max(map(abs, p.digits)) <= w.m
+        if w.degree is not None:
+            assert len(p.digits) <= w.degree + 1
+    if w.kind == "X":
+        rep = gap_report(w)
+        assert rep.point_count == len(w.points)
+        diffs = {ctx.sub(ctx.from_digits(b.digits), ctx.from_digits(a.digits))
+                 for a, b in zip(w.points, w.points[1:])}
+        assert rep.min_gap_vec in diffs
+
+
 def test_Y_and_A_budget_flags_truncated():
     q = sqrt2()
     for w in (enumerate_Y(q, 1, 8, 3, budget=5),
@@ -332,15 +361,24 @@ def test_bfs_sqrt2_pell_trace():
 
 
 def test_bfs_soundness_every_state_is_a_digit_string_value():
-    q = sqrt2()
-    ctx = q.zq_context()
-    res = min_positive_bfs(q, 1, max_depth=8)
-    for rec in res.trace:
-        if rec.min_vec is None:
-            continue
-        # witness digits evaluate to the reported state
-        vec = ctx.from_digits(rec.witness)
-        assert vec in (rec.min_vec, ctx.neg(rec.min_vec))
+    # these bases flip the sign of many states, so most witnesses carry
+    # digits negated above a flip
+    for coeffs, m, depth in [([-2, 0, 1], 1, 8), ([-2, 0, 1], 2, 24),
+                             ([-1, 0, 0, -1, 1], 3, 10),  # x^4 - x^3 - 1
+                             ([-1, 0, 0, 0, 0, 0, -1, 0, 1], 1, 12)]:
+        q = AlgebraicNumber.base_from_poly(IntPolynomial(coeffs),
+                                           root_index=0)
+        ctx = q.zq_context()
+        res = min_positive_bfs(q, m, max_depth=depth)
+        assert len(res.trace) == depth
+        for rec in res.trace:
+            assert rec.min_vec is not None
+            # witness digits evaluate to the reported state, not its
+            # negation
+            assert ctx.from_digits(rec.witness) == rec.min_vec
+            assert max(map(abs, rec.witness)) <= m
+            assert rec.witness[-1] != 0
+        assert ctx.from_digits(res.min_witness) == res.min_positive_vec
 
 
 def test_bfs_matches_brute_force_minimum():
@@ -365,6 +403,23 @@ def test_bfs_budget_exhaustion_returns_partial():
     res = min_positive_bfs(sqrt2(), 1, max_depth=30, state_budget=20)
     assert res.budget_exhausted and not res.closed
     assert len(res.trace) >= 1
+
+
+def test_bfs_peak_memory_per_state():
+    # a state holds its vector, its carried float and its parent links, not
+    # a witness path; x^8 - x^6 - 1 holds 23,313 states at depth 12
+    q = AlgebraicNumber.base_from_poly(
+        IntPolynomial([-1, 0, 0, 0, 0, 0, -1, 0, 1]), root_index=0)
+    min_positive_bfs(q, 1, max_depth=2)     # refine the base untraced
+    tracemalloc.start()
+    try:
+        res = min_positive_bfs(q, 1, max_depth=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    states = res.trace[-1].states
+    assert states == 23313
+    assert peak / states <= 220
 
 
 def test_bfs_empty_region_closes():
