@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 precondition violation, 3 budget exhaustion,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from fractions import Fraction
 
@@ -28,13 +29,14 @@ from .expansions import SignPattern, greedy_expansion, lazy_constrained
 from .intpoly import IntPolynomial
 from .reproduce import case_ids, run_cases
 from .serialize import (
+    JsonArray,
     RunManifest,
-    canonical_json,
     envelope,
     gaps_csv,
     key_value_csv,
     minpos_csv,
     window_csv,
+    write_json,
 )
 from .spectrum import enumerate_A, enumerate_X, enumerate_Y, gap_report, l_estimate
 from .witness import accumulation_verdict, build_witness
@@ -85,6 +87,14 @@ def resolve_base(args) -> AlgebraicNumber:
     return AlgebraicNumber.base_from_poly(poly, root_index=index)
 
 
+def _window_result(w) -> dict:
+    """``w.to_dict()`` with the points left as texts for ``write_json`` to
+    stream, so no point dict is built."""
+    d = w.to_dict(with_points=False)
+    d["points"] = JsonArray(p.to_json() for p in w.points)
+    return d
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: return (result, csv_renderer, exit_code)
 
@@ -116,7 +126,7 @@ def cmd_spectrum(args):
         w = enumerate_Y(q, args.m, args.degree, B, tol=args.tolerance,
                         budget=args.budget_states)
     code = EXIT_BUDGET if w.truncated else EXIT_OK
-    return w.to_dict(), window_csv, code
+    return _window_result(w), lambda _result: window_csv(w), code
 
 
 def cmd_gaps(args):
@@ -183,11 +193,18 @@ def cmd_aq(args):
         "bound": float(B),
         "degrees": degrees,
         "covering_radii": radii,
-        "strictly_decreasing": all(a > b for a, b in zip(radii, radii[1:])),
-        "windows": [w.to_dict() for w in windows],
+        # a window with no point in [-B, B] has no radius: not decreasing
+        "strictly_decreasing": None not in radii and all(
+            a > b for a, b in zip(radii, radii[1:])),
     }
+
+    def render_csv(_result):
+        return key_value_csv({**result,
+                              "windows": [w.to_dict() for w in windows]})
+
+    result["windows"] = [_window_result(w) for w in windows]
     code = EXIT_BUDGET if truncated else EXIT_OK
-    return result, key_value_csv, code
+    return result, render_csv, code
 
 
 def cmd_verdict(args):
@@ -362,15 +379,14 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
 
     doc = envelope(manifest, result)
-    if args.format == "csv":
-        text = csv_fn(result)
-    else:
-        text = canonical_json(doc)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    out = open(args.out, "w") if args.out else contextlib.nullcontext(
+        sys.stdout)
+    with out as fh:
+        if args.format == "csv":
+            fh.write(csv_fn(result))
+        else:
+            write_json(fh, doc)
+            fh.write("\n")
     return code
 
 

@@ -2,7 +2,12 @@
 published JSON schemas for machine consumers.
 
 Canonical JSON is sorted-key with compact separators; identical manifests
-(wall time aside) must reproduce byte-identical output.
+(wall time aside) must reproduce byte-identical output.  ``write_json``
+writes an envelope to a file object: the manifest and the small result
+fields go through ``canonical_json``, while a window's points, held in the
+envelope as a ``JsonArray`` of their texts, are written one at a time.  The
+bytes are those of ``canonical_json`` on the envelope with every point as a
+dict; neither the point dicts nor the whole text is ever held in memory.
 """
 
 from __future__ import annotations
@@ -11,14 +16,53 @@ import hashlib
 import io
 import json
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import __version__
 
 
+_CANONICAL = {"sort_keys": True, "separators": (",", ":"), "allow_nan": True}
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=True)
+    return json.dumps(obj, **_CANONICAL)
+
+
+@dataclass
+class JsonArray:
+    """A JSON array given as an iterable of its items' canonical JSON texts;
+    ``write_json`` writes the items one by one and consumes the iterable."""
+    texts: Iterable[str]
+
+
+# stands in for each JsonArray in the encoded envelope; json escapes the NULs
+_ARRAY_MARK = "\0JsonArray\0"
+_ARRAY_MARK_JSON = json.dumps(_ARRAY_MARK)
+
+
+def write_json(fh, obj) -> None:
+    """Write ``canonical_json(obj)`` to the text file ``fh``, where each
+    ``JsonArray`` inside ``obj`` is encoded as the array of its texts."""
+    arrays = []
+
+    def mark(o):
+        if not isinstance(o, JsonArray):
+            raise TypeError(f"{type(o).__name__} is not JSON serializable")
+        arrays.append(o)
+        return _ARRAY_MARK
+
+    parts = json.dumps(obj, default=mark,
+                       **_CANONICAL).split(_ARRAY_MARK_JSON)
+    if len(parts) != len(arrays) + 1:
+        raise ValueError("a string in the document equals the array marker")
+    fh.write(parts[0])
+    for array, tail in zip(arrays, parts[1:]):
+        texts = iter(array.texts)
+        fh.write("[" + next(texts, ""))
+        for text in texts:
+            fh.write("," + text)
+        fh.write("]" + tail)
 
 
 def params_hash(params: dict) -> str:
@@ -69,16 +113,15 @@ def strip_wall_time(doc: dict) -> dict:
 # CSV emission
 
 
-def window_csv(window_dict: dict) -> str:
-    """(index, value, gap) rows for plotting."""
+def window_csv(window) -> str:
+    """(index, value, gap) rows of a SpectrumWindow's points, for plotting."""
     buf = io.StringIO()
     buf.write("index,value,gap\n")
-    points = window_dict["points"]
     prev = None
-    for i, p in enumerate(points):
-        gap = "" if prev is None else repr(p["approx"] - prev)
-        buf.write(f"{i},{p['approx']!r},{gap}\n")
-        prev = p["approx"]
+    for i, p in enumerate(window.points):
+        gap = "" if prev is None else repr(p.value - prev)
+        buf.write(f"{i},{p.value!r},{gap}\n")
+        prev = p.value
     return buf.getvalue()
 
 

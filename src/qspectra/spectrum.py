@@ -181,6 +181,16 @@ class SpectrumPoint:
             d["vec"] = list(self.vec)
         return d
 
+    def to_json(self) -> str:
+        """``canonical_json(self.to_dict())`` built without the dict: keys
+        in sorted order, ``float.__repr__`` for the value (points are
+        clipped to [-B, B], so it is finite) and ``str`` for the ints."""
+        digits = ",".join(map(str, self.digits))
+        if self.vec is None:
+            return f'{{"approx":{self.value!r},"digits":[{digits}]}}'
+        vec = ",".join(map(str, self.vec))
+        return f'{{"approx":{self.value!r},"digits":[{digits}],"vec":[{vec}]}}'
+
 
 @dataclass(frozen=True)
 class SpectrumWindow:
@@ -197,7 +207,10 @@ class SpectrumWindow:
     def values(self) -> list[float]:
         return [p.value for p in self.points]
 
-    def to_dict(self) -> dict:
+    def to_dict(self, with_points: bool = True) -> dict:
+        """The window as a JSON-ready dict.  ``with_points=False`` leaves
+        out the "points" key, for writers that stream the points one by one
+        (``SpectrumPoint.to_json``)."""
         d = {
             "base": self.base.describe(),
             "m": self.m,
@@ -206,8 +219,9 @@ class SpectrumWindow:
             "bound": float(self.bound),
             "complete": self.complete,
             "truncated": self.truncated,
-            "points": [p.to_dict() for p in self.points],
         }
+        if with_points:
+            d["points"] = [p.to_dict() for p in self.points]
         if self.covering_radius is not None:
             d["covering_radius"] = self.covering_radius
         return d

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -138,6 +140,19 @@ def test_cli_aq(capsys):
         jsonschema.validate(w, WINDOW_SCHEMA)
 
 
+def test_cli_aq_window_without_points(capsys):
+    # the degree-1 window of the golden ratio has no point in [-1/10, 1/10],
+    # so it has no covering radius
+    code, doc = run_json(capsys, "aq", "--poly", "-1,-1,1", "--root-index",
+                         "0", "--degrees", "1,2", "--bound", "1/10")
+    assert code == 0
+    jsonschema.validate(doc, ENVELOPE_SCHEMA)
+    r = doc["result"]
+    assert r["windows"][0]["points"] == []
+    assert r["covering_radii"][0] is None
+    assert r["strictly_decreasing"] is False
+
+
 def test_cli_verdict(capsys):
     code, doc = run_json(capsys, "verdict", "--poly", "-2,0,1",
                          "--root-index", "0", "--m", "1")
@@ -156,6 +171,23 @@ def test_cli_csv_window(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "index,value,gap"
     assert len(lines) == 4
+
+
+def test_cli_csv_window_is_pinned(capsys):
+    code, out = run_cli(capsys, "spectrum", "--poly", "-1,-1,0,0,1", "--m",
+                        "1", "--bound", "3", "--format", "csv")
+    assert code == 0
+    assert out == (
+        "index,value,gap\n"
+        "0,0.0,\n"
+        "1,1.0,1.0\n"
+        "2,1.2207440846057596,0.22074408460575956\n"
+        "3,1.490216120099954,0.2694720354941944\n"
+        "4,1.819172513396165,0.32895639329621096\n"
+        "5,2.2207440846057596,0.40157157120959464\n"
+        "6,2.490216120099954,0.26947203549419463\n"
+        "7,2.7109602047057133,0.22074408460575912\n"
+        "8,2.8191725133961647,0.1082123086904514\n")
 
 
 def test_cli_csv_gaps(capsys):
@@ -270,3 +302,77 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["result"]["kind"] == "X"
+
+
+def _raw_output(argv, path) -> bytes:
+    """The bytes ``cli.main`` writes to ``path``, wall time set to 0."""
+    cli.main(argv + ["--out", str(path)])
+    return re.sub(rb'"wall_time_s":[^,}]*', b'"wall_time_s":0',
+                  path.read_bytes())
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--poly", "-1,-1,0,0,1", "--m", "1", "--bound", "20"],
+    ["spectrum", "--kind", "Y", "--poly", "-1,0,0,0,0,0,-1,0,1", "--m", "1",
+     "--degree", "8", "--bound", "2"],
+    ["spectrum", "--base", "1.35", "--tolerance", "1e-9", "--m", "1",
+     "--bound", "20"],
+    ["aq", "--base", "1.35", "--tolerance", "1e-9", "--degrees", "7,10",
+     "--bound", "2"],
+    ["aq", "--poly", "-1,-1,1", "--root-index", "0", "--degrees", "1,2",
+     "--bound", "1/10"],
+])
+def test_streamed_output_is_canonical_json_of_the_point_dicts(
+        tmp_path, monkeypatch, argv):
+    streamed = _raw_output(argv, tmp_path / "streamed.json")
+    with monkeypatch.context() as mp:
+        # the envelope built whole from SpectrumWindow.to_dict()
+        mp.setattr(cli, "_window_result", lambda w: w.to_dict())
+        mp.setattr(cli, "write_json",
+                   lambda fh, doc: fh.write(canonical_json(doc)))
+        whole = _raw_output(argv, tmp_path / "whole.json")
+    assert streamed == whole
+    assert streamed.endswith(b"}\n")
+    if "--base" in argv:
+        assert b'"vec"' not in streamed
+    if argv[0] == "aq":
+        assert streamed.count(b'"points":[') == 2
+    if "1/10" in argv:
+        assert b'"points":[]' in streamed
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_stdout_and_out_file_get_the_same_bytes(tmp_path, capsys, fmt):
+    argv = ["spectrum", "--poly", "-1,-1,1", "--m", "1", "--bound", "4",
+            "--format", fmt]
+    _, printed = run_cli(capsys, *argv)
+    written = _raw_output(argv, tmp_path / "out")
+    assert re.sub(rb'"wall_time_s":[^,}]*', b'"wall_time_s":0',
+                  printed.encode()) == written
+    assert written.endswith(b"\n") and not written.endswith(b"\n\n")
+
+
+def test_window_output_peaks_below_the_enumeration(tmp_path, monkeypatch):
+    # the 60,504-point X window of x^4-x-1 at B=300: once the window is
+    # enumerated, writing it must not need as much memory again as the
+    # enumeration did (point dicts or the whole JSON text would)
+    enumerate_X = cli.enumerate_X
+    enum_peaks = []
+
+    def measured(*args, **kwargs):
+        w = enumerate_X(*args, **kwargs)
+        enum_peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return w
+
+    monkeypatch.setattr(cli, "enumerate_X", measured)
+    tracemalloc.start()
+    try:
+        code = cli.main(["spectrum", "--poly", "-1,-1,0,0,1", "--m", "1",
+                         "--bound", "300", "--out", str(tmp_path / "w.json")])
+        output_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    (enum_peak,) = enum_peaks
+    assert output_peak < enum_peak
