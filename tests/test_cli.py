@@ -63,6 +63,29 @@ def test_cli_root_interval_selection(capsys):
     assert doc["result"]["class"] == "Pisot"
 
 
+@pytest.mark.parametrize("base,sha256", [
+    (["--poly", "-1,-1,0,1"],                      # x^3-x-1, Pisot
+     "d3d19e0507ee60797273e980b3b2de9eefea728833966f24265acc19606cece9"),
+    (["--poly", "1,-1,-1,-1,1"],                   # Salem quartic
+     "08e94861a86e47b4e34b98c7177de94b1f32affe987a702f43abdd0826eb63b5"),
+    (["--poly", "-2,0,1"],                         # sqrt 2
+     "03dbc534b2576dd9054e09ca82b54810a778da2e6f915e05430ae9aff6d247eb"),
+    (["--poly", "-1,0,0,0,0,0,-1,0,1"],            # x^8-x^6-1
+     "aa777de44d888bf1b42bb72eb9caef538742e1d5881293afbcee038cbabd2c0d"),
+    (["--poly", "-1,-2,2"],                        # 2x^2-2x-1, not monic
+     "36b45d141d19919daa1072436b06265cd79211a4d0e647e3ae0b528c8247dedd"),
+    (["--base", "2", "--tolerance", "1e-9"],
+     "3d5dd20b5478a0fe549bcff5fae0cac9851241224e3d6d1e3e8d7390f798c44d"),
+])
+def test_cli_classify_is_byte_identical_to_its_pin(capsys, base, sha256):
+    # pins the label, the detail, every disk of the evidence and the exit
+    # code
+    code, out = run_cli(capsys, "classify", *base)
+    assert code == 0
+    text = re.sub(r'"wall_time_s":[^,}]*', '"wall_time_s":0', out)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
 # -- windows / schemas ----------------------------------------------------------
 
 
