@@ -6,11 +6,14 @@ Three layers live here:
   rational isolating interval [a/D, b/D], with monotone on-demand
   refinement and an exact sign oracle for polynomial expressions in the
   root, evaluated in integers over D^n.
-* ``conjugates`` / ``classify_base`` -- all complex roots with certified
-  error disks (simultaneous Weierstrass iteration, in double precision
-  first and in mpmath above it; a-posteriori disks checked exactly in
-  scaled Gaussian integers), unit-circle membership decided exactly
-  through the reciprocal-factor gcd, and the Pisot predicate on top.
+* ``classify_base`` -- the Pisot label, from exact integer counts of the
+  roots of the minimal polynomial on and inside the unit circle (the
+  reciprocal-factor gcd, and Routh-Hurwitz after the Cayley map; see
+  ``intpoly``).  ``conjugates`` -- all complex roots with certified error
+  disks (simultaneous Weierstrass iteration, in double precision first and
+  in mpmath above it; a-posteriori disks checked exactly in scaled
+  Gaussian integers) -- is the label's evidence, computed only when a
+  ``NumberClass``'s ``conjugate_set`` is read.
 * ``ZqContext`` -- the one exact value kernel, Q[q] for any base: vectors
   in the basis 1, q, ..., q^(d-1) with int entries where they are whole (so
   canonical integer vectors in Z[q] for a monic base), ring operations,
@@ -44,6 +47,7 @@ from .intpoly import (
     cauchy_root_bound,
     count_roots_in,
     deflate_root,
+    inside_unit_circle_count,
     irreducibility_screen,
     is_squarefree,
     isolate_roots_exact,
@@ -791,18 +795,35 @@ PISOT_INTEGER = "PisotInteger"
 PISOT = "Pisot"
 NOT_PISOT = "NotPisot-AlgebraicInteger"
 NOT_ALGEBRAIC_INTEGER = "NotAlgebraicInteger"
-INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
 class NumberClass:
+    """The class of a base q > 1, with the exact numbers of conjugates of q
+    (q itself among them) inside, on and outside the unit circle.
+
+    ``conjugate_set`` holds the certified disks of ``evidence_poly`` (the
+    minimal polynomial of a monic irrational base, else None).  They are
+    evidence, not the label: ``conjugates`` runs at ``budget_bits`` when
+    the set is first read."""
+
     tag: str
-    conjugate_set: ConjugateSet | None = None
-    detail: str = ""
+    detail: str
+    n_in: int
+    n_on: int
+    n_out: int
+    evidence_poly: IntPolynomial | None = None
+    budget_bits: int = 4096
 
     @property
     def is_pisot(self) -> bool:
         return self.tag in (PISOT, PISOT_INTEGER)
+
+    @cached_property
+    def conjugate_set(self) -> ConjugateSet | None:
+        if self.evidence_poly is None:
+            return None
+        return conjugates(self.evidence_poly, budget_bits=self.budget_bits)
 
     def evidence(self) -> list[dict]:
         if self.conjugate_set is None:
@@ -819,9 +840,14 @@ class NumberClass:
 def classify_base(q: AlgebraicNumber, budget_bits: int = 4096) -> NumberClass:
     """Theorem-grade Pisot classification of a base q > 1.
 
-    Pisot iff the minimal polynomial is monic and every conjugate other
-    than q has certified modulus < 1.  Irreducibility of the minimal
-    polynomial is an input contract (cheap screen applied at construction).
+    Pisot iff the minimal polynomial P is monic and every conjugate other
+    than q lies strictly inside the unit circle.  The label comes from exact
+    integer root counts of P (``unit_circle_root_count`` on the circle,
+    ``inside_unit_circle_count`` inside), so it needs no precision and is
+    never inconclusive.  The certified disks are evidence only, computed at
+    ``budget_bits`` when ``conjugate_set`` is first read; a budget too small
+    for them leaves disks tagged 'unresolved' but the label exact.
+    Irreducibility of P is an input contract (cheap screen applied here).
     """
     if not q.greater_than(1):
         raise PreconditionError("base must satisfy q > 1")
@@ -832,25 +858,22 @@ def classify_base(q: AlgebraicNumber, budget_bits: int = 4096) -> NumberClass:
     if q.exact_rational is not None:
         r = q.exact_rational
         if r.denominator == 1:
-            return NumberClass(PISOT_INTEGER, None, f"rational integer {r}")
-        return NumberClass(NOT_ALGEBRAIC_INTEGER, None,
-                           f"rational non-integer {r}")
-    if not q.min_poly.is_monic:
-        return NumberClass(NOT_ALGEBRAIC_INTEGER, None,
-                           "minimal polynomial is not monic")
-    cs = conjugates(q.min_poly, budget_bits=budget_bits)
-    if not cs.resolved:
-        return NumberClass(INCONCLUSIVE, cs, "precision budget exhausted")
-    n_out = cs.count("outside")
-    n_on = cs.count("on")
-    n_in = cs.count("inside")
+            return NumberClass(PISOT_INTEGER, f"rational integer {r}", 0, 0, 1)
+        return NumberClass(NOT_ALGEBRAIC_INTEGER,
+                           f"rational non-integer {r}", 0, 0, 1)
+    p = q.min_poly
+    n_on = unit_circle_root_count(p)
+    n_in = inside_unit_circle_count(p, n_on)
+    n_out = p.degree - n_in - n_on
+    if not p.is_monic:
+        return NumberClass(NOT_ALGEBRAIC_INTEGER,
+                           "minimal polynomial is not monic", n_in, n_on, n_out)
     if n_on > 0 or n_out >= 2:
-        return NumberClass(NOT_PISOT, cs,
-                           f"{n_out} conjugates outside, {n_on} on the "
-                           f"unit circle")
-    if n_out == 1 and n_in == q.degree - 1:
-        return NumberClass(PISOT, cs, "all other conjugates inside")
-    return NumberClass(INCONCLUSIVE, cs, "unexpected disk configuration")
+        tag, detail = NOT_PISOT, (f"{n_out} conjugates outside, {n_on} on "
+                                  f"the unit circle")
+    else:
+        tag, detail = PISOT, "all other conjugates inside"
+    return NumberClass(tag, detail, n_in, n_on, n_out, p, budget_bits)
 
 
 # ---------------------------------------------------------------------------

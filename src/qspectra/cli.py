@@ -5,8 +5,8 @@ reproduce.  Every run emits a manifest-carrying envelope (JSON, or CSV for
 tabular results); re-running the same manifest reproduces the output byte
 for byte apart from the wall time.
 
-Exit codes: 0 ok, 2 precondition violation, 3 budget exhaustion,
-4 inconclusive classification / precision exhaustion.
+Exit codes: 0 ok, 1 a reproduction case failed, 2 precondition violation,
+3 budget exhaustion, 4 precision exhaustion / a withheld result.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .spectrum import enumerate_A, enumerate_X, enumerate_Y, gap_report, l_estim
 from .witness import accumulation_verdict, build_witness
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
 EXIT_INCONCLUSIVE = 4
@@ -110,8 +111,7 @@ def cmd_classify(args):
         "detail": cls.detail,
         "conjugates": cls.evidence(),
     }
-    code = EXIT_INCONCLUSIVE if cls.tag == "Inconclusive" else EXIT_OK
-    return result, key_value_csv, code
+    return result, key_value_csv, EXIT_OK
 
 
 def cmd_spectrum(args):
@@ -220,9 +220,9 @@ def cmd_reproduce(args):
         mark = "PASS" if r["passed"] else "FAIL"
         print(f"{mark} {r['case']:30s} {r['runtime_s']:8.2f}s",
               file=sys.stderr)
-    result = {"cases": results,
-              "all_passed": all(r["passed"] for r in results)}
-    return result, key_value_csv, EXIT_OK
+    passed = all(r["passed"] for r in results)
+    result = {"cases": results, "all_passed": passed}
+    return result, key_value_csv, EXIT_OK if passed else EXIT_FAILED
 
 
 COMMANDS = {

@@ -298,12 +298,18 @@ def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     return _sturm_chain_of(squarefree_part(p))
 
 
-def _sturm_chain_of(f: IntPolynomial) -> list[IntPolynomial]:
-    """Sturm chain of a squarefree f: f made primitive, f', then the
-    primitive part of -prem of the last two, with its sign kept."""
-    f = f.primitive()
-    chain = [f, f.derivative()]
-    a, b = f.coeffs, chain[-1].coeffs
+def _sturm_chain_of(f: IntPolynomial, g: IntPolynomial | None = None
+                    ) -> list[IntPolynomial]:
+    """Generalized Sturm sequence: f, g, then the primitive part of -prem of
+    the last two, with its sign kept, until a remainder vanishes.  Its sign
+    variations V(lo) - V(hi) are the Cauchy index of g/f on (lo, hi).
+    Without g it is the Sturm chain of a squarefree f: f made primitive,
+    then f'."""
+    if g is None:
+        f = f.primitive()
+        g = f.derivative()
+    chain = [f, g]
+    a, b = f.coeffs, g.coeffs
     while len(b) > 1 and (r := _prem(a, b)):
         a, b = b, _prim([-c for c in r])
         chain.append(IntPolynomial(b))
@@ -329,6 +335,58 @@ def count_roots_in(p: IntPolynomial, lo: Fraction, hi: Fraction,
     va = _sign_variations([f.sign_at(lo) for f in chain])
     vb = _sign_variations([f.sign_at(hi) for f in chain])
     return va - vb
+
+
+def _taylor_shift(cs, a: int) -> list[int]:
+    """Coefficients of f(x + a) from those of f."""
+    cs = list(cs)
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += a * cs[j + 1]
+    return cs
+
+
+def _variations_at_infinity(chain, sign: int) -> int:
+    """Sign variations of the chain at +infinity (sign 1) or -infinity."""
+    return _sign_variations([f.leading * sign ** f.degree
+                             for f in chain if not f.is_zero])
+
+
+def inside_unit_circle_count(p: IntPolynomial, n_on: int) -> int:
+    """Exact number of roots of squarefree p strictly inside the unit
+    circle, given the number ``n_on`` of its roots on the circle
+    (``algebraic.unit_circle_root_count``).
+
+    The Cayley map z = (w+1)/(w-1) sends |z| < 1 to Re w < 0 and the circle
+    to the imaginary axis, z = 1 to infinity.  So the roots inside are the
+    roots of g(w) = (w-1)^d p((w+1)/(w-1)) = sum c_k (w+1)^k (w-1)^(d-k) in
+    the left half-plane, built here as two Taylor shifts: p(1 + 2/u) u^d,
+    then u = w - 1.  Write g(iy) = A(y) + i*B(y).  By Routh-Hurwitz
+    (Gantmacher, *The Theory of Matrices*, vol. 2, ch. XV), the Cauchy index
+    I taken on the Sturm sequence that starts with the one of A, B of higher
+    degree, negated when that one is B, is the number of roots of g right
+    of the axis minus those left of it.  A common factor of A and B drops
+    out of I; it holds the roots on the axis and any pairs w, -w (roots z,
+    1/z of p), one on each side.  So n_in = (deg g - n_axis - I) / 2, where
+    n_axis is n_on less the root z = 1, if any.
+    """
+    if p.degree < 1:
+        return 0
+    d = p.degree
+    r = _taylor_shift(p.coeffs, 1)                    # p(1 + t)
+    g = _strip(_taylor_shift([r[d - j] << (d - j) for j in range(d + 1)],
+                             -1))
+    if len(g) <= d:         # p(1) = 0: z = 1 went to infinity
+        n_on -= 1
+    a = IntPolynomial(c if j % 4 == 0 else -c if j % 4 == 2 else 0
+                      for j, c in enumerate(g))
+    b = IntPolynomial(c if j % 4 == 1 else -c if j % 4 == 3 else 0
+                      for j, c in enumerate(g))
+    sign = 1 if a.degree > b.degree else -1
+    chain = _sturm_chain_of(a, b) if sign > 0 else _sturm_chain_of(b, a)
+    index = sign * (_variations_at_infinity(chain, -1)
+                    - _variations_at_infinity(chain, 1))
+    return (len(g) - 1 - n_on - index) // 2
 
 
 def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:

@@ -34,7 +34,6 @@ from .algebraic import (
     classify_base,
 )
 from .errors import (
-    InconclusiveError,
     PreconditionError,
     PrecisionExhaustedError,
     QSpectraError,
@@ -720,17 +719,14 @@ def accumulation_verdict(q: AlgebraicNumber, m: int, *,
         raise PreconditionError("m >= 1 required")
     if not q.greater_than(1):
         raise PreconditionError("base must satisfy q > 1")
+    cls = classify_base(q, budget_bits=budget_bits)
     if q.compare_to_fraction(m + 1) >= 0:
         cross: dict = {"devries": _devries_certificate(q, m)}
         est = l_estimate(q, m, 8, state_budget=state_budget, tol=tol)
         cross["bfs"] = {"verdict": est.verdict,
                         "min_positive": est.result.min_positive,
                         "closed": est.result.closed}
-        cls = classify_base(q, budget_bits=budget_bits)
         return AccumulationVerdict("Discrete", "q>=m+1", cls.tag, q, m, cross)
-    cls = classify_base(q, budget_bits=budget_bits)
-    if cls.tag == "Inconclusive":
-        raise InconclusiveError("classification inconclusive; verdict withheld")
     if cls.is_pisot:
         est = l_estimate(q, m, bfs_depth, state_budget=state_budget, tol=tol)
         cross = {"bfs": {"verdict": est.verdict,

@@ -506,6 +506,122 @@ def test_tight_radius_escalates_past_the_double_rung(deadline):
     assert all(d.radius <= Fraction(1, 10**24) for d in cs.disks)
 
 
+# -- exact root counts against the certified disks -------------------------
+
+
+def _has_monic_factor_below(p: IntPolynomial) -> bool:
+    """Whether p (monic, height 1, degree <= 5) has a monic factor of degree
+    1 or 2 over Z.  Its roots have modulus < 2, so such a factor is
+    x -+ 1 or x^2 + a x + b with |a| <= 3 and b = +-1 (b divides p(0))."""
+    factors = [(-1, 1), (1, 1)] + [(b, a, 1) for a in range(-3, 4)
+                                   for b in (-1, 1)]
+    return any(not intpoly._prem(p.coeffs, f) for f in factors)
+
+
+def _irreducible_height_one_corpus():
+    """Every irreducible monic height-1 polynomial of degree 3 to 5, then
+    Lehmer's polynomial and x^20 - x - 1."""
+    out = []
+    for d in range(3, 6):
+        for c0 in (-1, 1):
+            for mid in itertools.product((-1, 0, 1), repeat=d - 1):
+                p = IntPolynomial([c0, *mid, 1])
+                if not _has_monic_factor_below(p):
+                    out.append(p)
+    return out + [LEHMER_POLY, X20_POLY]
+
+
+def test_root_counts_equal_the_certified_disks(deadline):
+    corpus = _irreducible_height_one_corpus()
+    assert len(corpus) > 100
+    with deadline(120):
+        for p in corpus:
+            n_on = unit_circle_root_count(p)
+            n_in = intpoly.inside_unit_circle_count(p, n_on)
+            # the roots outside are the reciprocal's roots inside
+            n_out = intpoly.inside_unit_circle_count(p.reciprocal(), n_on)
+            assert n_in + n_on + n_out == p.degree, p.coeffs
+            cs = conjugates(p)
+            assert cs.resolved, p.coeffs
+            assert (n_in, n_on, n_out) == (cs.count("inside"), cs.count("on"),
+                                           cs.count("outside")), p.coeffs
+            if p.sign_at(1) < 0:      # a real root above 1: classify it
+                cls = classify_base(AlgebraicNumber.base_from_poly(
+                    p, root_index=0))
+                assert (cls.n_in, cls.n_on, cls.n_out) == (n_in, n_on, n_out)
+
+
+def test_root_counts_of_a_polynomial_beyond_float_range():
+    p = IntPolynomial([-10**400, 0, 1])           # roots +-10^200
+    n_on = unit_circle_root_count(p)
+    n_in = intpoly.inside_unit_circle_count(p, n_on)
+    n_out = intpoly.inside_unit_circle_count(p.reciprocal(), n_on)
+    assert (n_in, n_on, n_out) == (0, 0, 2)
+
+
+def test_root_counts_with_roots_at_one_and_zero():
+    # (x - 1)(x + 1)(x - 2) x (2x - 1): z = 1 is the Cayley map's pole
+    p = (IntPolynomial([-1, 1]) * IntPolynomial([1, 1])
+         * IntPolynomial([-2, 1]) * IntPolynomial([0, 1])
+         * IntPolynomial([-1, 2]))
+    assert unit_circle_root_count(p) == 2
+    assert intpoly.inside_unit_circle_count(p, 2) == 2
+
+
+def test_labels_never_run_the_disks(monkeypatch):
+    from qspectra import algebraic
+    from qspectra.reproduce import run_cases
+    from qspectra.witness import accumulation_verdict
+
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("conjugates() ran")
+
+    monkeypatch.setattr(algebraic, "conjugates", refuse)
+    for poly, tag in ((P1_POLY, "Pisot"), (SQRT_P2_POLY, "NotPisot-"
+                                           "AlgebraicInteger"),
+                      (LEHMER_POLY, "NotPisot-AlgebraicInteger")):
+        q = AlgebraicNumber.base_from_poly(poly, root_index=0)
+        assert classify_base(q).tag == tag
+    for poly in (PHI_POLY, SQRT2_POLY):
+        accumulation_verdict(AlgebraicNumber.base_from_poly(poly,
+                                                            root_index=0),
+                             1, bfs_depth=8)
+    assert all(r["passed"] for r in run_cases())
+    assert calls == []
+
+
+def test_labelling_leaves_mpmath_unloaded_until_the_evidence_is_read():
+    # x^2 - 10^400 x - 1: a Pisot number whose disks need the mpmath rungs
+    # (its Cauchy bound is beyond float range)
+    code = (
+        "import sys\n"
+        "from qspectra import AlgebraicNumber, IntPolynomial, classify_base\n"
+        "from qspectra.intpoly import inside_unit_circle_count\n"
+        "q = AlgebraicNumber.base_from_poly(\n"
+        "    IntPolynomial([-1, -10**400, 1]), root_index=0)\n"
+        "cls = classify_base(q)\n"
+        "n = inside_unit_circle_count(IntPolynomial([-10**400, 0, 1]), 0)\n"
+        "print(cls.tag, cls.n_in, cls.n_on, cls.n_out, n,\n"
+        "      'mpmath' in sys.modules)\n"
+        "cs = cls.conjugate_set\n"
+        "print(cs.resolved, cs.count('inside'), 'mpmath' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.splitlines() == ["Pisot 1 0 1 0 False", "True 1 True"]
+
+
+def test_unresolved_disks_leave_the_label_exact():
+    q = AlgebraicNumber.base_from_poly(P1_POLY, root_index=0)
+    cls = classify_base(q, budget_bits=32)        # no rung fits 32 bits
+    assert cls.tag == "Pisot" and (cls.n_in, cls.n_on, cls.n_out) == (2, 0, 1)
+    assert not cls.conjugate_set.resolved and cls.evidence() == []
+    assert cls.conjugate_set is cls.conjugate_set            # computed once
+
+
 # -- the integer sign evaluator against a Fraction reference ---------------
 
 

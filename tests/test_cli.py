@@ -239,6 +239,28 @@ def test_cli_inconclusive_exit4(capsys, monkeypatch):
     assert code == 4
 
 
+def test_cli_classify_with_unresolved_disks_keeps_its_label(capsys,
+                                                           monkeypatch):
+    # no disk is decided inside or outside: the label, from exact counts,
+    # stands, and the evidence says what the disks could not decide
+    from qspectra import algebraic
+
+    monkeypatch.setattr(algebraic, "_locate_disk", lambda *a: "straddle")
+    code, doc = run_json(capsys, "classify", "--poly", "-1,-1,0,1")
+    assert code == 0
+    assert doc["result"]["class"] == "Pisot"
+    assert [c["location"] for c in doc["result"]["conjugates"]] == \
+        ["unresolved"] * 3
+
+
+def test_cli_reproduce_exits_nonzero_when_a_case_fails(capsys, monkeypatch):
+    failing = {"case": "golden-closure", "passed": False, "runtime_s": 0.0}
+    monkeypatch.setattr(cli, "run_cases", lambda *a, **k: [failing])
+    code, doc = run_json(capsys, "reproduce", "golden-closure")
+    assert code == 1
+    assert doc["result"]["all_passed"] is False
+
+
 def test_cli_classify_without_root_above_one_exit2(capsys, deadline):
     # x^4-x^2-x+1 has real roots 0.7549 and 1 only; isolating them used
     # to hang
