@@ -275,7 +275,10 @@ class AlgebraicNumber:
 
     def float_value(self) -> float:
         lo, hi = self.refine_to_width(FLOAT_WIDTH)
-        return float((lo + hi) / 2)
+        try:
+            return float((lo + hi) / 2)
+        except OverflowError:
+            raise PreconditionError("base is beyond the float range") from None
 
     # -- exact decisions ----------------------------------------------------
 

@@ -36,6 +36,8 @@ from .serialize import (
     key_value_csv,
     minpos_csv,
     window_csv,
+    window_point_texts,
+    windows_csv,
     write_json,
 )
 from .spectrum import enumerate_A, enumerate_X, enumerate_Y, gap_report, l_estimate
@@ -89,10 +91,10 @@ def resolve_base(args) -> AlgebraicNumber:
 
 
 def _window_result(w) -> dict:
-    """``w.to_dict()`` with the points left as texts for ``write_json`` to
-    stream, so no point dict is built."""
+    """``w.to_dict()`` with the points left as texts, encoded from the
+    window's columns, for ``write_json`` to stream, so no point is built."""
     d = w.to_dict(with_points=False)
-    d["points"] = JsonArray(p.to_json() for p in w.points)
+    d["points"] = JsonArray(window_point_texts(w))
     return d
 
 
@@ -197,14 +199,9 @@ def cmd_aq(args):
         "strictly_decreasing": None not in radii and all(
             a > b for a, b in zip(radii, radii[1:])),
     }
-
-    def render_csv(_result):
-        return key_value_csv({**result,
-                              "windows": [w.to_dict() for w in windows]})
-
     result["windows"] = [_window_result(w) for w in windows]
     code = EXIT_BUDGET if truncated else EXIT_OK
-    return result, render_csv, code
+    return result, lambda _result: windows_csv(windows), code
 
 
 def cmd_verdict(args):

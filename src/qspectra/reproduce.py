@@ -302,7 +302,7 @@ def case_oracle_equivalence() -> dict:
         win = enumerate_X(q, m, B)
         # every value up to B has degree <= log_q B <= the brute-force cap
         # for these bases, so the sets must agree exactly
-        got = {p.vec for p in win.points}
+        got = set(win.vecs)
         checks.append(got == brute)
 
         # Y: degree-truncated window vs brute force
@@ -318,7 +318,7 @@ def case_oracle_equivalence() -> dict:
             if ctx.sign(tuple(hi)) <= 0 and ctx.sign(tuple(lo)) >= 0:
                 brute_y.add(vec)
         wy = enumerate_Y(q, m, n, By)
-        checks.append({p.vec for p in wy.points} == brute_y)
+        checks.append(set(wy.vecs) == brute_y)
 
         # minimal positive at depth 5 vs brute force over strings deg <= 4
         res = min_positive_bfs(q, m, max_depth=5)

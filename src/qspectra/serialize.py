@@ -16,7 +16,7 @@ import hashlib
 import io
 import json
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -63,6 +63,17 @@ def write_json(fh, obj) -> None:
         for text in texts:
             fh.write("," + text)
         fh.write("]" + tail)
+
+
+def window_point_texts(window) -> Iterator[str]:
+    """The canonical JSON text of each point of a SpectrumWindow, in order,
+    encoded from its columns: keys in sorted order, ``float.__repr__`` for
+    the value (points are clipped to [-B, B], so it is finite), the digit
+    text as is, and no "vec" in numeric mode."""
+    floats, texts, vecs = window.floats, window.texts, window.vecs
+    for i in window.order:
+        vec = "" if vecs is None else f',"vec":[{",".join(map(str, vecs[i]))}]'
+        yield '{"approx":%r,"digits":[%s]%s}' % (floats[i], texts[i], vec)
 
 
 def params_hash(params: dict) -> str:
@@ -115,13 +126,21 @@ def strip_wall_time(doc: dict) -> dict:
 
 def window_csv(window) -> str:
     """(index, value, gap) rows of a SpectrumWindow's points, for plotting."""
-    buf = io.StringIO()
-    buf.write("index,value,gap\n")
-    prev = None
-    for i, p in enumerate(window.points):
-        gap = "" if prev is None else repr(p.value - prev)
-        buf.write(f"{i},{p.value!r},{gap}\n")
-        prev = p.value
+    return "index,value,gap\n" + _window_rows(window)
+
+
+def windows_csv(windows) -> str:
+    """(degree, index, value, gap) rows of the points of several windows."""
+    return "degree,index,value,gap\n" + "".join(
+        _window_rows(w, f"{w.degree},") for w in windows)
+
+
+def _window_rows(window, prefix: str = "") -> str:
+    buf, prev = io.StringIO(), None
+    for i, f in enumerate(window.values()):
+        gap = "" if prev is None else repr(f - prev)
+        buf.write(f"{prefix}{i},{f!r},{gap}\n")
+        prev = f
     return buf.getvalue()
 
 

@@ -23,17 +23,19 @@ Two value kernels back every engine:
 Either way, a level is stored as columns: its values, an ``array('d')`` of
 carried floats, and ``array('i')`` columns of parent position and digit (a
 sign flip in the search stores parent p as ~p).  ``seen`` is an
-insertion-ordered dict of Nones, the one deduplication test.  No state keeps
-a witness: digits are rebuilt from the parents only where they are output.
-The X, Y and A windows all grow through ``_expand_level``: each state y
-spawns q*y + s for every digit s of the window's alphabet.  A window is
-built from the levels' carried floats: the Y/A clip to [-B, B] and the sort read
-[f - R, f + R] and run exact comparisons only where enclosures overlap,
-and a window point displays its carried float, within R of its value (in
-numeric mode the carried float is the value itself).  The searches'
-display floats, their closed-state order and the gap floats come from the
-kernel's ``float_value``: in exact mode the midpoint of the value's exact
-enclosure on the base refined to 2^-72, correctly rounded.
+insertion-ordered dict of Nones, the one deduplication test.  A search
+rebuilds a witness's digits from the parents only where it is output.  The
+X, Y and A windows all grow through ``_expand_level``: each state y spawns
+q*y + s for every digit s of the window's alphabet, and each level's digit
+texts are built once from the texts of the level below.  A window is kept
+as columns with an order, a permutation sorted by the carried floats: the
+Y/A clip to [-B, B] and the sort read [f - R, f + R] and run exact
+comparisons only where enclosures overlap.  A window point displays its
+carried float, within R of its value (in numeric mode the carried float is
+the value itself).  The searches' display floats, their closed-state order
+and the gap floats come from the kernel's ``float_value``: in exact mode the
+midpoint of the value's exact enclosure on the base refined to 2^-72,
+correctly rounded.
 
 Results are deterministic: levels are expanded in sorted order and every
 window is canonically sorted before emission.
@@ -43,7 +45,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 
 from .algebraic import AlgebraicNumber, ZqContext, _float_enclosure
@@ -136,8 +139,8 @@ def _new_seen(kernel) -> dict:
     return _FloatSeen(kernel.tol) if isinstance(kernel, _FloatKernel) else {}
 
 
-def _vec(kernel, v) -> tuple[int, ...] | None:
-    """The Z[q] vector of an exact value; None in numeric mode."""
+def _vec(kernel, v):
+    """Exact values (Z[q] vectors, or a column of them); None if numeric."""
     return v if isinstance(kernel, ZqContext) else None
 
 
@@ -181,36 +184,42 @@ class SpectrumPoint:
             d["vec"] = list(self.vec)
         return d
 
-    def to_json(self) -> str:
-        """``canonical_json(self.to_dict())`` built without the dict: keys
-        in sorted order, ``float.__repr__`` for the value (points are
-        clipped to [-B, B], so it is finite) and ``str`` for the ints."""
-        digits = ",".join(map(str, self.digits))
-        if self.vec is None:
-            return f'{{"approx":{self.value!r},"digits":[{digits}]}}'
-        vec = ",".join(map(str, self.vec))
-        return f'{{"approx":{self.value!r},"digits":[{digits}],"vec":[{vec}]}}'
-
 
 @dataclass(frozen=True)
 class SpectrumWindow:
+    """A window as columns, one entry per point: Z[q] vectors (None in
+    numeric mode), carried floats, their proven radii and digit texts
+    (ascending digits joined by commas, "0" for zero).  ``order`` lists the
+    positions in increasing value.  Writers encode straight from the
+    columns; ``points`` is built from them on first read."""
     base: AlgebraicNumber
     m: int
     kind: str                       # "X" | "Y" | "A"
     degree: int | None              # digit-string degree cap (None for X)
     bound: Fraction
     complete: bool
-    points: tuple[SpectrumPoint, ...]
+    vecs: list | None
+    floats: array
+    radii: array
+    texts: list[str]
+    order: list[int]
     covering_radius: float | None = None
     truncated: bool = False
 
+    @cached_property
+    def points(self) -> tuple[SpectrumPoint, ...]:
+        vecs, floats, texts = self.vecs, self.floats, self.texts
+        return tuple(
+            SpectrumPoint(floats[i], None if vecs is None else vecs[i],
+                          tuple(map(int, texts[i].split(","))))
+            for i in self.order)
+
     def values(self) -> list[float]:
-        return [p.value for p in self.points]
+        return [self.floats[i] for i in self.order]
 
     def to_dict(self, with_points: bool = True) -> dict:
         """The window as a JSON-ready dict.  ``with_points=False`` leaves
-        out the "points" key, for writers that stream the points one by one
-        (``SpectrumPoint.to_json``)."""
+        out the "points" key, for writers that stream the points."""
         d = {
             "base": self.base.describe(),
             "m": self.m,
@@ -291,24 +300,30 @@ def _root_level(kernel):
     return [kernel.zero], array("d", [0.0]), 0.0
 
 
-def _sorted_points(kernel, items) -> list[SpectrumPoint]:
-    """Points of (value, digits, carried float, radius) items in increasing
-    order; each point displays its carried float."""
-    pts = sorted(items, key=lambda t: t[2])
+def _level_texts(texts, par, dig) -> list[str]:
+    """Digit texts of a level: state j is q*p + dig[j] for p at par[j], so
+    its text is dig[j] then p's text, or dig[j] alone when p's is "0"."""
+    return [str(s) if t == "0" else f"{s},{t}"
+            for t, s in zip(map(texts.__getitem__, par), dig)]
+
+
+def _sort_order(kernel, values, floats, radii) -> list[int]:
+    """Positions of the values in increasing order."""
+    order = sorted(range(len(floats)), key=floats.__getitem__)
     if isinstance(kernel, ZqContext):
         # floats order almost everything: a pair whose enclosures are
         # disjoint is certified, any other is compared exactly and a
         # near-tie bubbles into its true position
         i = 0
-        while i < len(pts) - 1:
-            a, b = pts[i], pts[i + 1]
-            if (_up(a[2] + a[3]) < _down(b[2] - b[3])
-                    or kernel.compare(a[0], b[0]) < 0):
+        while i < len(order) - 1:
+            a, b = order[i], order[i + 1]
+            if (_up(floats[a] + radii[a]) < _down(floats[b] - radii[b])
+                    or kernel.compare(values[a], values[b]) < 0):
                 i += 1
             else:
-                pts[i], pts[i + 1] = b, a
+                order[i], order[i + 1] = b, a
                 i = max(i - 1, 0)
-    return [SpectrumPoint(f, _vec(kernel, v), d) for v, d, f, _ in pts]
+    return order
 
 
 def _check_base(q: AlgebraicNumber):
@@ -339,20 +354,22 @@ def enumerate_X(q: AlgebraicNumber, m: int, B, *, tol: float | None = None,
     seen[kernel.zero] = None
     # every value in seen lives in exactly one level, the root in the first
     level = _root_level(kernel)
-    items = [(kernel.zero, (0,), 0.0, 0.0)]
-    digits = [()]
+    values, floats, radii = [kernel.zero], array("d", [0.0]), array("d", [0.0])
+    texts, level_texts = ["0"], ["0"]
     complete = True
     while level[0] and complete:
         level, (par, dig), complete = _expand_level(
             kernel, model, level, range(m + 1),
             lambda r: (-math.inf, _down(b_lo - r), -math.inf, _up(b_hi + r)),
             lambda c: kernel.cmp_fraction(c, B) <= 0, seen, budget)
-        # the root's digit-0 child is zero, already seen: no top digit is 0
-        digits = [(s,) + digits[p] for p, s in zip(par, dig)]
-        values, floats, r = level
-        items += [(v, d, f, r) for v, d, f in zip(values, digits, floats)]
-    return SpectrumWindow(q, m, "X", None, B, complete,
-                          tuple(_sorted_points(kernel, items)),
+        level_texts = _level_texts(level_texts, par, dig)
+        values += level[0]
+        floats += level[1]
+        radii += array("d", [level[2]]) * len(level[0])
+        texts += level_texts
+    return SpectrumWindow(q, m, "X", None, B, complete, _vec(kernel, values),
+                          floats, radii, texts,
+                          _sort_order(kernel, values, floats, radii),
                           truncated=not complete)
 
 
@@ -365,7 +382,7 @@ def _tail_max(qf: float, m: int, r: int) -> float:
 
 def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
                    alphabet, tol: float | None, budget: int):
-    """(points, complete) for the values of the digit strings over
+    """(columns, complete) for the values of the digit strings over
     ``alphabet`` (|s| <= m) with degree+1 digits that lie in [-B, B].
 
     Level t keeps only values that the r = degree - t digits still to come
@@ -376,7 +393,7 @@ def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
     model = kernel.float_model()
     qf = q.float_value()
     level = _root_level(kernel)
-    links = []
+    texts = ["0"]
     complete = True
 
     def band(r):
@@ -385,11 +402,11 @@ def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
 
     for t in range(degree, -1, -1):
         cap = float(B) * 1.0000001 + _tail_max(qf, m, t) + 1e-9
-        level, lk, complete = _expand_level(
+        level, (par, dig), complete = _expand_level(
             kernel, model, level, alphabet, band,
             lambda c: abs(kernel.float_value(c)) <= cap,
             _new_seen(kernel), budget)
-        links.append(lk)
+        texts = _level_texts(texts, par, dig)
         if not complete:
             break
     # clip to [-B, B]: floats up to keep are proven inside, those above
@@ -400,12 +417,14 @@ def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
     inside = []
     for i, (v, f) in enumerate(zip(values, floats)):
         a = abs(f)
-        if a > drop:
-            continue
-        if a <= keep or (kernel.cmp_fraction(v, B) <= 0 and
-                         kernel.cmp_fraction(kernel.neg(v), B) <= 0):
-            inside.append((v, _digits_at(links, len(links) - 1, i), f, r))
-    return _sorted_points(kernel, inside), complete
+        if a <= keep or (a <= drop and kernel.cmp_fraction(v, B) <= 0
+                         and kernel.cmp_fraction(kernel.neg(v), B) <= 0):
+            inside.append(i)
+    values = [values[i] for i in inside]
+    floats = array("d", [floats[i] for i in inside])
+    radii = array("d", [r]) * len(inside)
+    return (_vec(kernel, values), floats, radii, [texts[i] for i in inside],
+            _sort_order(kernel, values, floats, radii)), complete
 
 
 def enumerate_Y(q: AlgebraicNumber, m: int, degree: int, B, *,
@@ -423,10 +442,10 @@ def enumerate_Y(q: AlgebraicNumber, m: int, degree: int, B, *,
     B = Fraction(B)
     if B <= 0:
         raise PreconditionError("B > 0 required")
-    points, complete = _signed_window(q, m, degree, B, range(-m, m + 1),
-                                      tol, budget)
+    columns, complete = _signed_window(q, m, degree, B, range(-m, m + 1),
+                                       tol, budget)
     certified = complete and _devries_complete(q, m, degree, B)
-    return SpectrumWindow(q, m, "Y", degree, B, certified, tuple(points),
+    return SpectrumWindow(q, m, "Y", degree, B, certified, *columns,
                           truncated=not complete)
 
 
@@ -460,10 +479,10 @@ def enumerate_A(q: AlgebraicNumber, degree: int, B, *,
     if degree < 0:
         raise PreconditionError("degree >= 0 required")
     B = Fraction(B)
-    points, complete = _signed_window(q, 1, degree, B, (-1, 1), tol, budget)
-    radius = _covering_radius([p.value for p in points], float(B))
-    return SpectrumWindow(q, 1, "A", degree, B, complete, tuple(points),
-                          covering_radius=radius, truncated=not complete)
+    columns, complete = _signed_window(q, 1, degree, B, (-1, 1), tol, budget)
+    w = SpectrumWindow(q, 1, "A", degree, B, complete, *columns,
+                       truncated=not complete)
+    return replace(w, covering_radius=_covering_radius(w.values(), float(B)))
 
 
 def _covering_radius(values: list[float], B: float) -> float | None:
@@ -515,23 +534,23 @@ def gap_report(window: SpectrumWindow, tail_fraction: float = 0.5,
     the refined base rather than from a difference of display floats that
     cancels; numerically gaps are clustered within hist_tol.
     """
-    pts = window.points
-    if len(pts) < 2:
+    order, floats, vecs = window.order, window.floats, window.vecs
+    if len(order) < 2:
         raise PreconditionError("need at least 2 points for gaps")
-    exact = pts[0].vec is not None
+    exact = vecs is not None
     groups: dict = {}           # key -> [gap float, count]
     tail_from = tail_fraction * float(window.bound)
     tail = []                   # exact: keys of the tail gaps; else gaps
-    for a, b in zip(pts, pts[1:]):
-        gap = b.value - a.value
+    for i, j in zip(order, order[1:]):
+        gap = floats[j] - floats[i]
         if exact:
-            key = tuple(y - x for x, y in zip(a.vec, b.vec))
+            key = tuple(y - x for x, y in zip(vecs[i], vecs[j]))
         else:
             key = round(gap / hist_tol)
         if key not in groups:
             groups[key] = [gap, 0]
         groups[key][1] += 1
-        if a.value >= tail_from:
+        if floats[i] >= tail_from:
             tail.append(key if exact else gap)
     min_vec = None
     if exact:
@@ -548,7 +567,7 @@ def gap_report(window: SpectrumWindow, tail_fraction: float = 0.5,
     hist = sorted((g, n) for g, n in groups.values())
     min_gap = groups[min_vec][0] if exact else hist[0][0]
     max_tail = max(tail) if tail else hist[-1][0]
-    return GapReport(window.kind, float(window.bound), len(pts), min_gap,
+    return GapReport(window.kind, float(window.bound), len(order), min_gap,
                      max_tail, tail_fraction, tuple(hist), min_vec)
 
 

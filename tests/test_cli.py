@@ -213,6 +213,37 @@ def test_cli_csv_window_is_pinned(capsys):
         "8,2.8191725133961647,0.1082123086904514\n")
 
 
+def test_cli_csv_aq_rows_are_pinned(capsys):
+    argv = ["aq", "--poly", "-1,-1,0,1", "--degrees", "4,6", "--bound", "2"]
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out == (
+        "degree,index,value,gap\n"
+        "4,0,-1.3247179572447467,\n"
+        "4,1,-0.6752820427552539,0.6494359144894928\n"
+        "4,2,-0.1850373752486394,0.49024466750661455\n"
+        "4,3,0.1850373752486394,0.3700747504972788\n"
+        "4,4,0.6752820427552539,0.49024466750661455\n"
+        "4,5,1.3247179572447458,0.6494359144894919\n"
+        "6,0,-2.0000000000000018,\n"
+        "6,1,-1.509755332493386,0.4902446675066159\n"
+        "6,2,-1.1396805819961067,0.3700747504972792\n"
+        "6,3,-0.8603194180038934,0.2793611639922132\n"
+        "6,4,-0.6494359144894919,0.21088350351440155\n"
+        "6,5,-1.5543122344752192e-15,0.6494359144894903\n"
+        "6,6,0.6494359144894919,0.6494359144894934\n"
+        "6,7,0.8603194180038934,0.21088350351440155\n"
+        "6,8,1.1396805819961067,0.2793611639922132\n"
+        "6,9,1.5097553324933854,0.3700747504972788\n"
+        "6,10,2.0,0.49024466750661455\n")
+    # the rows hold the JSON output's points, window by window
+    _, doc = run_json(capsys, *argv)
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(int(d), float(v)) for d, _, v, _ in rows] == [
+        (w["degree"], p["approx"]) for w in doc["result"]["windows"]
+        for p in w["points"]]
+
+
 def test_cli_csv_gaps(capsys):
     code, out = run_cli(capsys, "gaps", "--poly", "-2,1", "--m", "1",
                         "--bound", "7", "--format", "csv")
@@ -259,6 +290,18 @@ def test_cli_reproduce_exits_nonzero_when_a_case_fails(capsys, monkeypatch):
     code, doc = run_json(capsys, "reproduce", "golden-closure")
     assert code == 1
     assert doc["result"]["all_passed"] is False
+
+
+def test_cli_classify_base_beyond_float_range_exit2(capsys, deadline):
+    # x^2 - 10^600 x - 1 is Pisot, with q ~ 10^600: its label is exact,
+    # but the display float of q overflows
+    poly = "-1,-1" + "0" * 600 + ",1"
+    with deadline(30):
+        code = cli.main(["classify", "--poly", poly])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: base is beyond the float range\n"
 
 
 def test_cli_classify_without_root_above_one_exit2(capsys, deadline):

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import random
+from array import array
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -21,10 +22,14 @@ import pytest
 
 from qspectra.algebraic import AlgebraicNumber, _float_enclosure
 from qspectra.intpoly import IntPolynomial
+from qspectra.reproduce import case_oracle_equivalence
+from qspectra.serialize import canonical_json, window_point_texts
 from qspectra.spectrum import (
     BfsDepthRecord,
     BfsResult,
+    SpectrumWindow,
     _child_radius,
+    _sort_order,
     enumerate_A,
     enumerate_X,
     enumerate_Y,
@@ -286,10 +291,12 @@ def test_coarse_window_tests_keep_the_recorded_points(name, make, count, sha):
 
 ORDER_CASES = [  # (name, window of a base factory, bound)
     ("X quartic", lambda b: enumerate_X(b("quartic"), 1, 40), 40),
+    ("X quartic B20", lambda b: enumerate_X(b("quartic"), 1, 20), 20),
     ("Y quartic", lambda b: enumerate_Y(b("quartic"), 1, 9, 3), 3),
     ("A quartic", lambda b: enumerate_A(b("quartic"), 18, 3), 3),
     ("X q8", lambda b: enumerate_X(b("q8"), 2, 8), 8),
     ("Y q8", lambda b: enumerate_Y(b("q8"), 1, 9, 2), 2),
+    ("Y q8 deg6", lambda b: enumerate_Y(b("q8"), 1, 6, 2), 2),
     ("A q8", lambda b: enumerate_A(b("q8"), 14, 3), 3),
     ("X phi", lambda b: enumerate_X(b("phi"), 1, 60), 60),
     ("Y phi", lambda b: enumerate_Y(b("phi"), 1, 10, 4), 4),
@@ -330,7 +337,9 @@ def test_window_order_is_the_exact_order(deadline, name, make, bound,
     with deadline(60):
         w = make(factory)
     (q, compares), = made
-    vecs = [p.vec for p in w.points]
+    # the order is a permutation of the columns
+    assert sorted(w.order) == list(range(len(w.vecs)))
+    vecs = [w.vecs[i] for i in w.order]
     assert len(vecs) > 10 and len(set(vecs)) == len(vecs)
     assert vecs == sorted(vecs, key=cmp_to_key(q.zq_context().compare))
     if coarse and name != "X 2":
@@ -372,3 +381,44 @@ def test_exact_gap_floats_come_from_the_gap_vectors():
     # the minimal vector's gap is the smallest of them
     assert rep.min_gap == rep.histogram[0][0]
     assert ctx.sign(rep.min_gap_vec) > 0
+
+
+# -- columnar windows: the permutation sort and the lazy points -------------
+
+
+def test_overlapping_enclosures_are_ordered_by_the_exact_compare():
+    # q^2 > q > 1 for the quartic's q ~ 1.2207, but the carried floats order
+    # them the other way, each within its radius 0.5 of its value: the
+    # exact compares must bubble each value back past the others
+    ctx = base("quartic").zq_context()
+    values = [(0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
+    floats, radii = array("d", [1.1, 1.15, 1.2]), array("d", [0.5] * 3)
+    order = _sort_order(ctx, values, floats, radii)
+    assert order == [2, 1, 0]
+    assert [values[i] for i in order] == \
+        sorted(values, key=cmp_to_key(ctx.compare))
+
+
+def test_lazy_points_match_the_streamed_texts(monkeypatch):
+    windows = [enumerate_X(base("quartic"), 1, 30),
+               enumerate_Y(base("q8"), 1, 8, 2),
+               enumerate_A(base("q8"), 12, 3)]
+    for w in windows:
+        texts = list(window_point_texts(w))
+        assert "points" not in vars(w)      # the writer built no point
+        assert len(texts) == len(w.points) > 10
+        ctx = w.base.zq_context()
+        for p, text in zip(w.points, texts):
+            d = json.loads(text)
+            assert (d["approx"], d["digits"], d["vec"]) == \
+                (p.value, list(p.digits), list(p.vec))
+            assert text == canonical_json(p.to_dict())
+            assert ctx.from_digits(p.digits) == p.vec
+            assert len(p.digits) == 1 or p.digits[-1] != 0
+    # the library's oracle comparison reads the vector columns only
+
+    def unbuilt(window):
+        raise AssertionError("points built")
+
+    monkeypatch.setattr(SpectrumWindow, "points", property(unbuilt))
+    assert case_oracle_equivalence()["passed"]
