@@ -6,13 +6,14 @@ Three layers live here:
   rational isolating interval [a/D, b/D], with monotone on-demand
   refinement and an exact sign oracle for polynomial expressions in the
   root, evaluated in integers over D^n.
-* ``classify_base`` -- the Pisot label, from exact integer counts of the
-  roots of the minimal polynomial on and inside the unit circle (the
-  reciprocal-factor gcd, and Routh-Hurwitz after the Cayley map; see
-  ``intpoly``).  ``conjugates`` -- all complex roots with certified error
-  disks (simultaneous Weierstrass iteration, in double precision first and
-  in mpmath above it; a-posteriori disks checked exactly in scaled
-  Gaussian integers) -- is the label's evidence, computed only when a
+* ``classify_base`` -- the Pisot label, from the exact integer counts of
+  the roots of the minimal polynomial inside, on and outside the unit
+  circle (``intpoly.unit_circle_counts``: Routh-Hurwitz after the Cayley
+  map, the circle's roots read off the gcd that ends its Sturm sequence).
+  ``conjugates`` -- all complex roots with certified error disks
+  (simultaneous Weierstrass iteration, in double precision first and in
+  mpmath above it; a-posteriori disks checked exactly in scaled Gaussian
+  integers) -- is the label's evidence, computed only when a
   ``NumberClass``'s ``conjugate_set`` is read.
 * ``ZqContext`` -- the one exact value kernel, Q[q] for any base: vectors
   in the basis 1, q, ..., q^(d-1) with int entries where they are whole (so
@@ -47,13 +48,12 @@ from .intpoly import (
     cauchy_root_bound,
     count_roots_in,
     deflate_root,
-    inside_unit_circle_count,
     irreducibility_screen,
     is_squarefree,
     isolate_roots_exact,
-    poly_gcd,
     refine_root_interval,
     squarefree_part,
+    unit_circle_counts,
     _prem,
     _sturm_chain_of,
 )
@@ -509,10 +509,13 @@ class ZqContext:
         """(qf, dq, qabs): floats with |q - qf| <= dq over the current base
         interval and qabs >= qf + dq, rounded outward exactly."""
         lo, hi = self.q.interval()
-        qf = float((lo + hi) / 2)
-        x = Fraction(qf)
-        dq = _float_enclosure(max(hi - x, x - lo))[1]
-        return qf, dq, _float_enclosure(x + Fraction(dq))[1]
+        try:
+            qf = float((lo + hi) / 2)
+            x = Fraction(qf)
+            dq = _float_enclosure(max(hi - x, x - lo))[1]
+            return qf, dq, _float_enclosure(x + Fraction(dq))[1]
+        except OverflowError:
+            raise PreconditionError("base is beyond the float range") from None
 
     def ensure_float_resolution(self):
         """Refine the base interval to 2^-80, so that the float model's dq
@@ -553,40 +556,6 @@ class ConjugateSet:
 
     def count(self, location: str) -> int:
         return sum(1 for d in self.disks if d.location == location)
-
-
-def unit_circle_root_count(p: IntPolynomial) -> int:
-    """Exact number of roots of squarefree p on the unit circle.
-
-    Roots on the circle are common roots of p and its reciprocal; the
-    self-reciprocal gcd factor is converted to its trace polynomial in
-    y = z + 1/z, whose real roots in (-2, 2) correspond to conjugate pairs
-    on the circle.
-    """
-    g = poly_gcd(p, p.reciprocal())
-    if g.degree <= 0:
-        return 0
-    count = 0
-    for r in (Fraction(1), Fraction(-1)):
-        if g.sign_at(r) == 0:
-            count += 1
-            g = deflate_root(g, r).primitive()
-    if g.degree <= 0:
-        return count
-    if g != g.reciprocal().primitive():
-        raise AssertionError("reciprocal gcd factor not self-reciprocal")
-    if g.degree % 2:
-        raise AssertionError("self-reciprocal factor of odd degree")
-    e = g.degree // 2
-    # trace polynomial: g(x)/x^e = h(x + 1/x)
-    v_prev = IntPolynomial([2])
-    v_cur = IntPolynomial([0, 1])
-    h = IntPolynomial([g.coeffs[e]])
-    for j in range(1, e + 1):
-        h = h + v_cur.scale(g.coeffs[e + j])
-        v_prev, v_cur = v_cur, IntPolynomial([0, 1]) * v_cur - v_prev
-    count += 2 * count_roots_in(squarefree_part(h), Fraction(-2), Fraction(2))
-    return count
 
 
 def _dk_iterate(coeffs: tuple[int, ...], prec_bits: int, start=None):
@@ -755,7 +724,7 @@ def conjugates(p: IntPolynomial, radius=Fraction(1, 10**12),
         return ConjugateSet(p, tuple(sorted_disks(disks)), True, 0,
                             sum(1 for x in disks if x.location == "on"))
 
-    on_count = unit_circle_root_count(work)
+    on_count = unit_circle_counts(work)[1]
     prec, ran = 53, 0
     start = None
     best: list | None = None
@@ -844,10 +813,10 @@ def classify_base(q: AlgebraicNumber, budget_bits: int = 4096) -> NumberClass:
     """Theorem-grade Pisot classification of a base q > 1.
 
     Pisot iff the minimal polynomial P is monic and every conjugate other
-    than q lies strictly inside the unit circle.  The label comes from exact
-    integer root counts of P (``unit_circle_root_count`` on the circle,
-    ``inside_unit_circle_count`` inside), so it needs no precision and is
-    never inconclusive.  The certified disks are evidence only, computed at
+    than q lies strictly inside the unit circle.  The label comes from the
+    exact integer counts of the roots of P inside, on and outside the unit
+    circle (``unit_circle_counts``), so it needs no precision and is never
+    inconclusive.  The certified disks are evidence only, computed at
     ``budget_bits`` when ``conjugate_set`` is first read; a budget too small
     for them leaves disks tagged 'unresolved' but the label exact.
     Irreducibility of P is an input contract (cheap screen applied here).
@@ -865,9 +834,7 @@ def classify_base(q: AlgebraicNumber, budget_bits: int = 4096) -> NumberClass:
         return NumberClass(NOT_ALGEBRAIC_INTEGER,
                            f"rational non-integer {r}", 0, 0, 1)
     p = q.min_poly
-    n_on = unit_circle_root_count(p)
-    n_in = inside_unit_circle_count(p, n_on)
-    n_out = p.degree - n_in - n_on
+    n_in, n_on, n_out = unit_circle_counts(p)
     if not p.is_monic:
         return NumberClass(NOT_ALGEBRAIC_INTEGER,
                            "minimal polynomial is not monic", n_in, n_on, n_out)
@@ -881,17 +848,6 @@ def classify_base(q: AlgebraicNumber, budget_bits: int = 4096) -> NumberClass:
 
 # ---------------------------------------------------------------------------
 # powers
-
-
-def _companion_matrix(p: IntPolynomial) -> list[list[Fraction]]:
-    d = p.degree
-    lead = Fraction(p.coeffs[-1])
-    mat = [[Fraction(0)] * d for _ in range(d)]
-    for j in range(d - 1):
-        mat[j + 1][j] = Fraction(1)
-    for i in range(d):
-        mat[i][d - 1] = Fraction(-p.coeffs[i], 1) / lead
-    return mat
 
 
 def _mat_mul(a, b):
@@ -919,8 +875,10 @@ def power_base(q: AlgebraicNumber, k: int) -> AlgebraicNumber:
     """q^k as a certified algebraic number.
 
     The defining polynomial is the squarefree part of the characteristic
-    polynomial of the multiplication-by-q^k matrix; it provably vanishes at
-    q^k but is only irreducible by the usual input contract.
+    polynomial of the multiplication-by-q^k matrix, whose column j is the
+    ``ZqContext`` vector of q^(k+j); it provably vanishes at q^k but is only
+    irreducible by the usual input contract.  ``_charpoly`` starts from a
+    Fraction identity, so it divides exactly on int entries too.
     """
     if k < 1:
         raise PreconditionError("exponent must be >= 1")
@@ -928,11 +886,12 @@ def power_base(q: AlgebraicNumber, k: int) -> AlgebraicNumber:
         return q
     if q.exact_rational is not None:
         return AlgebraicNumber.from_rational(q.exact_rational ** k)
-    mat = _companion_matrix(q.min_poly)
-    mk = mat
-    for _ in range(k - 1):
-        mk = _mat_mul(mk, mat)
-    frac_coeffs = _charpoly(mk)
+    ctx = ZqContext(q)
+    powers = [ctx.from_fraction(1)]
+    for _ in range(k + ctx.d - 1):
+        powers.append(ctx.mul_q(powers[-1]))
+    # rows q^k, ..., q^(k+d-1): the transpose, same characteristic polynomial
+    frac_coeffs = _charpoly(powers[k:])
     den = math.lcm(*(c.denominator for c in frac_coeffs))
     char_int = IntPolynomial(int(c * den) for c in frac_coeffs)
     defining = squarefree_part(char_int)

@@ -19,7 +19,6 @@ from fractions import Fraction
 from .algebraic import AlgebraicNumber, classify_base
 from .config import DEFAULT_PRECISION_BITS, DEFAULT_STATE_BUDGET
 from .errors import (
-    InconclusiveError,
     PreconditionError,
     PrecisionExhaustedError,
     QSpectraError,
@@ -239,8 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("global options")
     g.add_argument("--precision", type=int, default=argparse.SUPPRESS,
-                   help="working precision in bits (default from "
-                        "SPECTRA_DEFAULT_PRECISION)")
+                   help=f"bits (default {DEFAULT_PRECISION_BITS}); classify "
+                        f"certifies its conjugate disks at up to "
+                        f"max(1024, 4x) bits")
     g.add_argument("--format", choices=["json", "csv"],
                    default=argparse.SUPPRESS)
     g.add_argument("--threads", type=int, default=argparse.SUPPRESS,
@@ -368,7 +368,7 @@ def main(argv=None) -> int:
     except (PreconditionError, ReducibleInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (InconclusiveError, PrecisionExhaustedError) as exc:
+    except PrecisionExhaustedError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except QSpectraError as exc:

@@ -1,29 +1,13 @@
 """Package-wide numeric defaults.
 
 All tolerances and budgets are artifact choices; none are dictated by the
-underlying mathematics.  The environment variable SPECTRA_DEFAULT_PRECISION
-(bits) overrides the working precision default; command-line flags win over
-the environment.
+underlying mathematics.  Command-line flags override them per run.
 """
 
 from __future__ import annotations
 
-import os
-
-
-def _env_precision(default: int = 192) -> int:
-    raw = os.environ.get("SPECTRA_DEFAULT_PRECISION")
-    if raw is None:
-        return default
-    try:
-        bits = int(raw)
-    except ValueError:
-        return default
-    return bits if bits >= 16 else default
-
-
-#: Working precision (bits) for floating traces and approximations.
-DEFAULT_PRECISION_BITS = _env_precision()
+#: Working precision (bits) of the CLI's ``--precision``.
+DEFAULT_PRECISION_BITS = 192
 
 #: Hard ceiling (bits) for certified refinement loops (classification,
 #: exact sign determination).  Generous: legitimate degree<=8 inputs decide

@@ -19,10 +19,6 @@ class PrecisionExhaustedError(QSpectraError):
     """A certified decision could not be made within the precision budget."""
 
 
-class InconclusiveError(QSpectraError):
-    """A classification or verdict had to be withheld."""
-
-
 class ReducibleInputError(QSpectraError):
     """Exact arithmetic detected behaviour impossible for an irreducible
     minimal polynomial; the input polynomial may be reducible."""

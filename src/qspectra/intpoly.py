@@ -352,10 +352,9 @@ def _variations_at_infinity(chain, sign: int) -> int:
                              for f in chain if not f.is_zero])
 
 
-def inside_unit_circle_count(p: IntPolynomial, n_on: int) -> int:
-    """Exact number of roots of squarefree p strictly inside the unit
-    circle, given the number ``n_on`` of its roots on the circle
-    (``algebraic.unit_circle_root_count``).
+def unit_circle_counts(p: IntPolynomial) -> tuple[int, int, int]:
+    """Exact numbers (n_in, n_on, n_out) of roots of squarefree p strictly
+    inside, on and strictly outside the unit circle.
 
     The Cayley map z = (w+1)/(w-1) sends |z| < 1 to Re w < 0 and the circle
     to the imaginary axis, z = 1 to infinity.  So the roots inside are the
@@ -365,19 +364,18 @@ def inside_unit_circle_count(p: IntPolynomial, n_on: int) -> int:
     (Gantmacher, *The Theory of Matrices*, vol. 2, ch. XV), the Cauchy index
     I taken on the Sturm sequence that starts with the one of A, B of higher
     degree, negated when that one is B, is the number of roots of g right
-    of the axis minus those left of it.  A common factor of A and B drops
-    out of I; it holds the roots on the axis and any pairs w, -w (roots z,
-    1/z of p), one on each side.  So n_in = (deg g - n_axis - I) / 2, where
-    n_axis is n_on less the root z = 1, if any.
+    of the axis minus those left of it.  The sequence ends in h = gcd(A, B),
+    which drops out of I: its real roots are the n_axis roots of g on the
+    axis, and its other roots are pairs w, -w (roots z, 1/z of p), one on
+    each side.  So n_in = (deg g - n_axis - I) / 2, and n_on is n_axis plus
+    the root z = 1, if any.
     """
-    if p.degree < 1:
-        return 0
     d = p.degree
+    if d < 1:
+        return (0, 0, 0)
     r = _taylor_shift(p.coeffs, 1)                    # p(1 + t)
     g = _strip(_taylor_shift([r[d - j] << (d - j) for j in range(d + 1)],
                              -1))
-    if len(g) <= d:         # p(1) = 0: z = 1 went to infinity
-        n_on -= 1
     a = IntPolynomial(c if j % 4 == 0 else -c if j % 4 == 2 else 0
                       for j, c in enumerate(g))
     b = IntPolynomial(c if j % 4 == 1 else -c if j % 4 == 3 else 0
@@ -386,7 +384,13 @@ def inside_unit_circle_count(p: IntPolynomial, n_on: int) -> int:
     chain = _sturm_chain_of(a, b) if sign > 0 else _sturm_chain_of(b, a)
     index = sign * (_variations_at_infinity(chain, -1)
                     - _variations_at_infinity(chain, 1))
-    return (len(g) - 1 - n_on - index) // 2
+    h = chain[-1] if not chain[-1].is_zero else chain[-2]        # gcd(A, B)
+    h_chain = _sturm_chain_of(h)
+    n_axis = (_variations_at_infinity(h_chain, -1)
+              - _variations_at_infinity(h_chain, 1))
+    n_in = (len(g) - 1 - n_axis - index) // 2
+    n_on = n_axis + (len(g) <= d)     # p(1) = 0: z = 1 went to infinity
+    return n_in, n_on, d - n_in - n_on
 
 
 def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:

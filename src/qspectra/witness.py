@@ -708,7 +708,6 @@ class AccumulationVerdict:
 def accumulation_verdict(q: AlgebraicNumber, m: int, *,
                          bfs_depth: int = 16,
                          state_budget: int = 200_000,
-                         budget_bits: int = 4096,
                          tol: float | None = None) -> AccumulationVerdict:
     """Decision rule for accumulation points of the m-spectrum: none exist
     exactly when q is Pisot or q >= m+1.  Attaches the matching finite
@@ -719,7 +718,7 @@ def accumulation_verdict(q: AlgebraicNumber, m: int, *,
         raise PreconditionError("m >= 1 required")
     if not q.greater_than(1):
         raise PreconditionError("base must satisfy q > 1")
-    cls = classify_base(q, budget_bits=budget_bits)
+    cls = classify_base(q)
     if q.compare_to_fraction(m + 1) >= 0:
         cross: dict = {"devries": _devries_certificate(q, m)}
         est = l_estimate(q, m, 8, state_budget=state_budget, tol=tol)

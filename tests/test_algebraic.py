@@ -19,7 +19,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from qspectra import intpoly
+from qspectra import algebraic, intpoly
 from qspectra.algebraic import (
     FLOAT_WIDTH,
     AlgebraicNumber,
@@ -32,7 +32,6 @@ from qspectra.algebraic import (
     conjugates,
     mpf_to_fraction,
     power_base,
-    unit_circle_root_count,
 )
 from qspectra.errors import PreconditionError, ReducibleInputError
 from qspectra.intpoly import IntPolynomial, is_squarefree
@@ -160,7 +159,7 @@ def test_root_count_matches_degree_corpus():
 
 def test_salem_type_polynomial_has_on_circle_conjugates():
     p = IntPolynomial([1, -1, -1, -1, 1])
-    assert unit_circle_root_count(p) == 2
+    assert intpoly.unit_circle_counts(p) == (1, 2, 1)
     cs = conjugates(p)
     assert cs.count("on") == 2
     assert cs.count("outside") == 1
@@ -240,6 +239,49 @@ def test_proposition_pipeline_sqrt_p2_powers():
     assert classify_base(q).tag == "NotPisot-AlgebraicInteger"
     assert classify_base(power_base(q, 2)).tag == "Pisot"
     assert classify_base(power_base(q, 3)).tag == "NotPisot-AlgebraicInteger"
+
+
+def _reference_power_base(q, k):
+    """The route that power_base replaced: the k-th power of the companion
+    matrix by repeated matrix products, then the same characteristic
+    polynomial and interval search."""
+    p, d = q.min_poly, q.degree
+    mat = [[Fraction(0)] * d for _ in range(d)]
+    for j in range(d - 1):
+        mat[j + 1][j] = Fraction(1)
+    for i in range(d):
+        mat[i][d - 1] = Fraction(-p.coeffs[i], p.coeffs[-1])
+    mk = mat
+    for _ in range(k - 1):
+        mk = algebraic._mat_mul(mk, mat)
+    frac_coeffs = algebraic._charpoly(mk)
+    den = math.lcm(*(c.denominator for c in frac_coeffs))
+    defining = intpoly.squarefree_part(
+        IntPolynomial(int(c * den) for c in frac_coeffs))
+    if defining.degree == 1:
+        return defining, None
+    while True:
+        lo, hi = q.interval()
+        plo, phi_ = lo**k, hi**k
+        if (defining.sign_at(plo) != 0 and defining.sign_at(phi_) != 0
+                and intpoly.count_roots_in(defining, plo, phi_) == 1):
+            return defining, (plo, phi_)
+        q.refine_to_width((hi - lo) / 4)
+
+
+def test_power_base_equals_the_companion_matrix_route(deadline):
+    polys = [SQRT_P2_POLY, PHI_POLY, SQRT2_POLY, IntPolynomial([-1, -2, 2]),
+             P1_POLY, IntPolynomial([-1, -1, 0, 0, 1]),
+             IntPolynomial([-3, 0, 0, 1])]
+    with deadline(30):
+        for poly, k in itertools.product(polys, range(2, 7)):
+            ref = _reference_power_base(
+                AlgebraicNumber.base_from_poly(poly, root_index=0), k)
+            got = power_base(AlgebraicNumber.base_from_poly(poly,
+                                                            root_index=0), k)
+            interval = None if got.exact_rational is not None \
+                else got.interval()
+            assert (got.min_poly, interval) == ref, (poly.coeffs, k)
 
 
 def test_power_gcd_property_concrete():
@@ -531,16 +573,62 @@ def _irreducible_height_one_corpus():
     return out + [LEHMER_POLY, X20_POLY]
 
 
+def _reference_on_circle_count(p: IntPolynomial) -> int:
+    """The count of roots on the unit circle that ``unit_circle_counts``
+    replaced.  Those roots are common roots of squarefree p and its
+    reciprocal; after +-1 are deflated, the self-reciprocal gcd factor g is
+    turned into its trace polynomial h, g(x)/x^e = h(x + 1/x), whose real
+    roots in (-2, 2) are the conjugate pairs on the circle."""
+    g = intpoly.poly_gcd(p, p.reciprocal())
+    count = 0
+    for r in (Fraction(1), Fraction(-1)):
+        if g.degree > 0 and g.sign_at(r) == 0:
+            count += 1
+            g = intpoly.deflate_root(g, r).primitive()
+    if g.degree <= 0:
+        return count
+    assert g == g.reciprocal().primitive() and g.degree % 2 == 0
+    e = g.degree // 2
+    v_prev, v_cur = IntPolynomial([2]), IntPolynomial([0, 1])
+    h = IntPolynomial([g.coeffs[e]])
+    for j in range(1, e + 1):
+        h = h + v_cur.scale(g.coeffs[e + j])
+        v_prev, v_cur = v_cur, IntPolynomial([0, 1]) * v_cur - v_prev
+    return count + 2 * intpoly.count_roots_in(
+        intpoly.squarefree_part(h), Fraction(-2), Fraction(2))
+
+
+def test_unit_circle_counts_equal_the_reference_on_height_one(deadline):
+    # every squarefree monic height-1 polynomial of degree 1 to 7, zero
+    # constant terms included
+    seen = 0
+    with deadline(10):
+        for d in range(1, 8):
+            for low in itertools.product((-1, 0, 1), repeat=d):
+                p = IntPolynomial([*low, 1])
+                if not is_squarefree(p):
+                    continue
+                seen += 1
+                n_in, n_on, n_out = intpoly.unit_circle_counts(p)
+                assert n_on == _reference_on_circle_count(p), p.coeffs
+                assert min(n_in, n_on, n_out) >= 0, p.coeffs
+                assert n_in + n_on + n_out == d, p.coeffs
+                # the reciprocal's roots are the inverses of p's nonzero
+                # roots
+                assert intpoly.unit_circle_counts(p.reciprocal()) == (
+                    n_out, n_on, n_in - (low[0] == 0)), p.coeffs
+    assert seen > 2000
+
+
 def test_root_counts_equal_the_certified_disks(deadline):
     corpus = _irreducible_height_one_corpus()
     assert len(corpus) > 100
     with deadline(120):
         for p in corpus:
-            n_on = unit_circle_root_count(p)
-            n_in = intpoly.inside_unit_circle_count(p, n_on)
+            n_in, n_on, n_out = intpoly.unit_circle_counts(p)
+            assert n_on == _reference_on_circle_count(p), p.coeffs
             # the roots outside are the reciprocal's roots inside
-            n_out = intpoly.inside_unit_circle_count(p.reciprocal(), n_on)
-            assert n_in + n_on + n_out == p.degree, p.coeffs
+            assert intpoly.unit_circle_counts(p.reciprocal())[0] == n_out
             cs = conjugates(p)
             assert cs.resolved, p.coeffs
             assert (n_in, n_on, n_out) == (cs.count("inside"), cs.count("on"),
@@ -553,10 +641,8 @@ def test_root_counts_equal_the_certified_disks(deadline):
 
 def test_root_counts_of_a_polynomial_beyond_float_range():
     p = IntPolynomial([-10**400, 0, 1])           # roots +-10^200
-    n_on = unit_circle_root_count(p)
-    n_in = intpoly.inside_unit_circle_count(p, n_on)
-    n_out = intpoly.inside_unit_circle_count(p.reciprocal(), n_on)
-    assert (n_in, n_on, n_out) == (0, 0, 2)
+    assert intpoly.unit_circle_counts(p) == (0, 0, 2)
+    assert intpoly.unit_circle_counts(p.reciprocal()) == (2, 0, 0)
 
 
 def test_root_counts_with_roots_at_one_and_zero():
@@ -564,12 +650,13 @@ def test_root_counts_with_roots_at_one_and_zero():
     p = (IntPolynomial([-1, 1]) * IntPolynomial([1, 1])
          * IntPolynomial([-2, 1]) * IntPolynomial([0, 1])
          * IntPolynomial([-1, 2]))
-    assert unit_circle_root_count(p) == 2
-    assert intpoly.inside_unit_circle_count(p, 2) == 2
+    assert _reference_on_circle_count(p) == 2
+    assert intpoly.unit_circle_counts(p) == (2, 2, 1)
+    # and z = -1 alone, the Cayley map's w = 0
+    assert intpoly.unit_circle_counts(IntPolynomial([1, 1])) == (0, 1, 0)
 
 
 def test_labels_never_run_the_disks(monkeypatch):
-    from qspectra import algebraic
     from qspectra.reproduce import run_cases
     from qspectra.witness import accumulation_verdict
 
@@ -599,11 +686,11 @@ def test_labelling_leaves_mpmath_unloaded_until_the_evidence_is_read():
     code = (
         "import sys\n"
         "from qspectra import AlgebraicNumber, IntPolynomial, classify_base\n"
-        "from qspectra.intpoly import inside_unit_circle_count\n"
+        "from qspectra.intpoly import unit_circle_counts\n"
         "q = AlgebraicNumber.base_from_poly(\n"
         "    IntPolynomial([-1, -10**400, 1]), root_index=0)\n"
         "cls = classify_base(q)\n"
-        "n = inside_unit_circle_count(IntPolynomial([-10**400, 0, 1]), 0)\n"
+        "n = unit_circle_counts(IntPolynomial([-10**400, 0, 1]))[0]\n"
         "print(cls.tag, cls.n_in, cls.n_on, cls.n_out, n,\n"
         "      'mpmath' in sys.modules)\n"
         "cs = cls.conjugate_set\n"

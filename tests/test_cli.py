@@ -260,10 +260,10 @@ def test_cli_parse_error_exit2(capsys):
 
 
 def test_cli_inconclusive_exit4(capsys, monkeypatch):
-    from qspectra.errors import InconclusiveError
+    from qspectra.errors import PrecisionExhaustedError
 
     def boom(args):
-        raise InconclusiveError("withheld")
+        raise PrecisionExhaustedError("withheld")
 
     monkeypatch.setitem(cli.COMMANDS, "classify", boom)
     code, _ = run_cli(capsys, "classify", "--poly", "-2,1")
@@ -302,6 +302,21 @@ def test_cli_classify_base_beyond_float_range_exit2(capsys, deadline):
     assert code == 2
     assert out == ""
     assert err == "error: base is beyond the float range\n"
+
+
+def test_cli_engines_on_a_base_beyond_float_range_exit2(capsys, deadline):
+    # the same base: the engines' float model of q overflows before any
+    # level is built
+    poly = "-1,-1" + "0" * 600 + ",1"
+    for argv in (["spectrum", "--m", "1", "--bound", "2"],
+                 ["minpos", "--m", "1", "--max-depth", "4"],
+                 ["verdict", "--m", "1"]):
+        with deadline(30):
+            code = cli.main([*argv, "--poly", poly])
+        out, err = capsys.readouterr()
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: base is beyond the float range\n", argv
 
 
 def test_cli_classify_without_root_above_one_exit2(capsys, deadline):
