@@ -617,7 +617,7 @@ def test_unit_circle_counts_equal_the_reference_on_height_one(deadline):
                 # roots
                 assert intpoly.unit_circle_counts(p.reciprocal()) == (
                     n_out, n_on, n_in - (low[0] == 0)), p.coeffs
-    assert seen > 2000
+    assert seen == 2849
 
 
 def test_root_counts_equal_the_certified_disks(deadline):
