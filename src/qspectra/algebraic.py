@@ -17,7 +17,8 @@ Three layers live here:
   ``NumberClass``'s ``conjugate_set`` is read.
 * ``ZqContext`` -- the one exact value kernel, Q[q] for any base: vectors
   in the basis 1, q, ..., q^(d-1) with int entries where they are whole (so
-  canonical integer vectors in Z[q] for a monic base), ring operations,
+  canonical integer vectors in Z[q] for a monic base, which the search
+  packs into one int each with ``_PackedZq``), ring operations,
   exact signs and ordering (``sign``, ``compare``, ``cmp_fraction``) from
   the base's sign oracle, display floats read off exact enclosures, and
   the floating-point model (``float_model``) under which the spectrum
@@ -421,6 +422,25 @@ class ZqContext:
     covers underflow.  Refining q later only shrinks the interval, so the
     model stays valid for a whole search, and the window points display
     their carried floats.
+
+    Packed vectors.  The smallest-positive search keeps the vector
+    (a_0, ..., a_{d-1}) of a monic base as one int V = sum a_i 2^(W i)
+    (signed Kronecker substitution: Schoenhage, 1982; Harvey, *J. Symbolic
+    Comput.* 44, 2009), built by ``_PackedZq``.  Packing is additive and,
+    while every |a_i| < 2^(W-1), one-to-one, so equal vectors are equal
+    ints and a sign flip is -V.  With q^d = sum c_i q^i, the top entry is
+    t = (V + 2^(W(d-1)-1)) >> W(d-1) and
+
+        q*v = (V << W) - t*R,    R = 2^(W d) - sum c_i 2^(W i),
+
+    once per parent; a child q*v + s then adds s.  Width bound: if a
+    level's entries are at most E, its children's are at most
+    E' = E*(1 + max|c_i|) + m.  The search carries E per level and keeps
+    E' below 2^(W-2), so a state, its negation and the difference of two
+    states (a comparison) all have entries below 2^(W-1) and decode
+    exactly.  When E' would reach 2^(W-2), the level, the best state and
+    the seen set are re-packed at a doubled W, and E restarts from the
+    level's true maximum.
     """
 
     def __init__(self, q: AlgebraicNumber):
@@ -521,6 +541,74 @@ class ZqContext:
         """Refine the base interval to 2^-80, so that the float model's dq
         is tiny against the carried floats."""
         self.q.refine_to_width(Fraction(1, 2**80))
+
+
+class _PackedZq:
+    """The Z[q] vectors of a monic base packed into one int each (see
+    "Packed vectors" in ``ZqContext``); the exact methods decode to tuples
+    and ask the wrapped context."""
+
+    zero = 0
+
+    def __init__(self, ctx: ZqContext, m: int):
+        self.ctx, self.d, self.m = ctx, ctx.d, m
+        self.growth = 1 + max((abs(c) for _, c in ctx.qd_terms), default=0)
+        self.bound = m          # entries of the current level are <= bound
+        W = 32
+        while m >= 1 << (W - 2):
+            W *= 2
+        self._set_width(W)
+
+    def _set_width(self, W: int):
+        """Bind ``pack``, ``unpack`` and ``mul_q`` to width W."""
+        d = self.d
+        shift = W * (d - 1)
+        half, sign_bit, mask = (1 << shift) >> 1, 1 << (W - 1), (1 << W) - 1
+        # q^d = sum c_i q^i, so q*V = (V << W) - t*R for the top entry t
+        R = (1 << W * d) - sum(c << W * i for i, c in self.ctx.qd_terms)
+
+        def mul_q(V):
+            return (V << W) - ((V + half) >> shift) * R
+
+        def pack(v):
+            return sum(a << W * i for i, a in enumerate(v))
+
+        def unpack(V):
+            out = []
+            for _ in range(d):
+                out.append(((V + sign_bit) & mask) - sign_bit)
+                V = (V + sign_bit) >> W
+            return tuple(out)
+
+        self.W, self.limit = W, 1 << (W - 2)
+        self.mul_q, self.pack, self.unpack = mul_q, pack, unpack
+
+    def fit_step(self, level):
+        """Make room for the children q*v + s (|s| <= m) of ``level``.
+
+        Returns None when they fit at the current width; otherwise the
+        width doubles until they fit, and the returned map re-packs a value
+        stored at the old width."""
+        bound = self.bound * self.growth + self.m
+        if bound < self.limit:
+            self.bound = bound
+            return None
+        old = self.unpack
+        top = max((abs(a) for V in level for a in old(V)), default=0)
+        bound = top * self.growth + self.m
+        W = 2 * self.W
+        while bound >= 1 << (W - 2):
+            W *= 2
+        self._set_width(W)
+        self.bound = bound
+        pack = self.pack
+        return lambda V: pack(old(V))
+
+    def sign(self, V) -> int:
+        return self.ctx.sign(self.unpack(V))
+
+    def float_value(self, V) -> float:
+        return self.ctx.float_value(self.unpack(V))
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,15 @@ Two value kernels back every engine:
 * exact mode (monic minimal polynomial, including integer bases): the
   base's ``ZqContext``; values are canonical integer vectors in Z[q], so
   deduplication and ordering are exact, and every sign the kernel decides
-  comes from the base's exact sign oracle.  Each state also carries a
-  float, and its level has one proven radius R with |value - float| <= R
-  (the bound is in ``ZqContext``'s docstring).  A child's sign, its window
-  test and its comparison with the current best are read off
-  [f - R, f + R]; the exact ``ZqContext.sign``/``compare``/``cmp_fraction``
-  run only when that enclosure straddles the threshold, and the child's
-  vector is built only when a test needs it or it survives to
-  deduplication.  A level whose
-  floats or radius overflow is decided exactly throughout.
+  comes from the base's exact sign oracle.  The windows keep the vectors
+  as tuples; the search packs each into one int (``_PackedZq``, see
+  below).  Each state also carries a float, and its level has one proven
+  radius R with |value - float| <= R (the bound is in ``ZqContext``'s
+  docstring).  A child's sign, its window test and its comparison with
+  the current best are read off [f - R, f + R]; the exact
+  ``ZqContext.sign``/``compare``/``cmp_fraction`` run only when that
+  enclosure straddles the threshold.  A level whose floats or radius
+  overflow is decided exactly throughout.
 * numeric mode (everything else): ``_FloatKernel``; values are floats
   deduplicated within a declared tolerance.  It carries no proven
   enclosure (R is infinite), so every decision falls through to its
@@ -23,16 +23,22 @@ Two value kernels back every engine:
 Either way, a level is stored as columns: its values, an ``array('d')`` of
 carried floats, and ``array('i')`` columns of parent position and digit (a
 sign flip in the search stores parent p as ~p).  ``seen`` is an
-insertion-ordered dict of Nones, the one deduplication test.  A search
-rebuilds a witness's digits from the parents only where it is output.  The
-X, Y and A windows all grow through ``_expand_level``: each state y spawns
-q*y + s for every digit s of the window's alphabet, and each level's digit
-texts are built once from the texts of the level below.  A window is kept
-as columns with an order, a permutation sorted by the carried floats: the
-Y/A clip to [-B, B] and the sort read [f - R, f + R] and run exact
-comparisons only where enclosures overlap.  A window point displays its
-carried float, within R of its value (in numeric mode the carried float is
-the value itself).  The searches' display floats, their closed-state order
+insertion-ordered dict of Nones, the one deduplication test.  In the exact
+search, the level column, ``seen`` and the best state hold packed ints
+V = sum a_i 2^(W i), decoded only for exact tests and output: a parent is
+multiplied by q once, a child adds its digit, and a sign flip is -V.
+Before a level whose children's entries could reach 2^(W-2), the search
+re-packs the level, the best state and ``seen`` (in insertion order) at a
+doubled W (the bound is in ``ZqContext``'s docstring).  Numeric mode runs
+the same loop on floats.  A search rebuilds a witness's digits from the
+parents only where it is output.  The X, Y and A windows all grow through ``_expand_level``: each
+state y spawns q*y + s for every digit s of the window's alphabet, and
+each level's digit texts are built once from the texts of the level
+below.  A window is kept as columns with an order, a permutation sorted
+by the carried floats: the Y/A clip to [-B, B] and the sort read
+[f - R, f + R] and run exact comparisons only where enclosures overlap.
+A window point displays its carried float, within R of its value (in
+numeric mode the carried float is the value itself).  The searches' display floats, their closed-state order
 and the gap floats come from the kernel's ``float_value``: in exact mode the
 midpoint of the value's exact enclosure on the base refined to 2^-72,
 correctly rounded.
@@ -49,7 +55,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 
-from .algebraic import AlgebraicNumber, ZqContext, _float_enclosure
+from .algebraic import (AlgebraicNumber, ZqContext, _float_enclosure,
+                        _PackedZq)
 from .config import DEFAULT_NUMERIC_TOL, DEFAULT_STATE_BUDGET
 from .errors import PreconditionError
 
@@ -60,7 +67,8 @@ from .errors import PreconditionError
 
 class _FloatKernel:
     """Values are floats; equality within an absolute tolerance.  Mirrors
-    the part of the ``ZqContext`` interface the engines use."""
+    the part of the ``ZqContext`` interface the windows use, and the part
+    of the packed interface (``_PackedZq``) the search uses."""
 
     zero = 0.0
 
@@ -71,6 +79,14 @@ class _FloatKernel:
 
     def step(self, v, s: int):
         return self.qf * v + s
+
+    def mul_q(self, v):
+        # (q*v) + s rounds as step(v, s) does
+        return self.qf * v
+
+    def fit_step(self, level):
+        """Floats need no room: nothing is ever re-keyed."""
+        return None
 
     def sign(self, v) -> int:
         if v > self.tol:
@@ -90,9 +106,6 @@ class _FloatKernel:
 
     def float_value(self, v) -> float:
         return v
-
-    def compare(self, a, b) -> int:
-        return self.sign(a - b)
 
     def float_model(self) -> tuple[float, float, float]:
         """No proven model: the infinite error makes every carried radius
@@ -638,16 +651,25 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
     _check_base(q)
     if m < 1:
         raise PreconditionError("m >= 1 required")
+    if max_depth < 1:
+        raise PreconditionError("max_depth >= 1 required")
     kernel = make_kernel(q, tol, 1.0)
     model = kernel.float_model()
     qf = model[0]
     exact = isinstance(kernel, ZqContext)
+    if exact:
+        ctx, kernel = kernel, _PackedZq(kernel, m)
+
+    def vec(v):
+        # the output vector of a stored value; None in numeric mode
+        return kernel.unpack(v) if exact else None
 
     def in_upper(v) -> bool:
         # v <= c  <=>  v*(q-1) - m <= 0; exact mode scales through min_poly
         if exact:
-            w = kernel.sub(kernel.mul_q(v), v)
-            return kernel.sign(kernel.add_fraction(w, -m)) <= 0
+            v = kernel.unpack(v)
+            w = ctx.sub(ctx.mul_q(v), v)
+            return ctx.sign(ctx.add_fraction(w, -m)) <= 0
         c = m / (kernel.qf - 1.0)
         return v <= c + kernel.tol
 
@@ -668,10 +690,10 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
     best = None  # (value_repr, (depth - 1, position), carried float, radius)
     trace = []
     for s in range(1, m + 1):
-        v = kernel.step(kernel.zero, s)
+        v = kernel.mul_q(kernel.zero) + s
         if kernel.sign(v) > 0 and in_upper(v) and v not in seen:
             seen[v] = None
-            if best is None or kernel.compare(v, best[0]) < 0:
+            if best is None or kernel.sign(v - best[0]) < 0:
                 best = (v, (0, len(level)), float(s), 0.0)
             level.append(v)
             floats.append(s)
@@ -682,8 +704,16 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
     closed = False
     budget_exhausted = False
     digits = range(-m, m + 1)
-    trace.append(_depth_record(kernel, depth, best, seen, level, links))
+    trace.append(_depth_record(kernel, vec, depth, best, seen, level, links))
     while depth < max_depth:
+        remap = kernel.fit_step(level)
+        if remap is not None:
+            # the packing width grew: re-key every stored value, seen in
+            # its insertion order
+            level = list(map(remap, level))
+            seen = dict.fromkeys(map(remap, seen))
+            if best is not None:
+                best = (remap(best[0]), *best[1:])
         r = _child_radius(model, radius, floats, m)
         # floats up to up_in are proven <= c, those above up_out > c
         up_in, up_out = _down(c_lo - r), _up(c_hi + r)
@@ -691,30 +721,26 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
         nxt, nfl = [], array("d")
         par, dig = array("i"), array("i")
         links.append((par, dig))
-        for i, (v, f) in enumerate(zip(level, floats)):
+        # one multiplication by q per parent; each child adds its digit
+        for i, (f, qv) in enumerate(zip(floats, map(kernel.mul_q, level))):
             for s in digits:
                 cf = qf * f + s
                 if -r <= cf <= r:            # enclosure straddles 0
-                    child = kernel.step(v, s)
-                    sign = kernel.sign(child)
+                    sign = kernel.sign(qv + s)
                     if sign == 0:
                         continue
                 else:
-                    child = None
                     sign = 1 if cf > 0 else -1
                 if sign < 0:
                     cf = -cf
                 if cf > up_out:
                     continue
-                if child is None:
-                    child = kernel.step(v, s)
-                if sign < 0:
-                    child = kernel.neg(child)
+                child = qv + s if sign > 0 else -(qv + s)
                 if (cf > up_in and not in_upper(child)) or child in seen:
                     continue
                 seen[child] = None
                 if (best is None or cf < lt or
-                        (cf <= gt and kernel.compare(child, best[0]) < 0)):
+                        (cf <= gt and kernel.sign(child - best[0]) < 0)):
                     best = (child, (depth, len(nxt)), cf, r)
                     lt, gt = best_band(r)
                 nxt.append(child)
@@ -728,7 +754,8 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
         if budget_exhausted:
             break
         depth += 1
-        trace.append(_depth_record(kernel, depth, best, seen, nxt, links))
+        trace.append(_depth_record(kernel, vec, depth, best, seen, nxt,
+                                   links))
         if not nxt:
             closed = True
             break
@@ -737,23 +764,22 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
     closed_states = None
     if closed:
         closed_states = tuple(sorted(
-            ((kernel.float_value(v), _vec(kernel, v)) for v in seen),
+            ((kernel.float_value(v), vec(v)) for v in seen),
             key=lambda state: state[0]))
     return BfsResult(
         base=q, m=m, trace=tuple(trace), closed=closed,
         budget_exhausted=budget_exhausted, closed_states=closed_states,
         min_positive=kernel.float_value(best[0]) if best else None,
-        min_positive_vec=_vec(kernel, best[0]) if best else None,
+        min_positive_vec=vec(best[0]) if best else None,
         min_witness=_digits_at(links, *best[1]) if best else None,
     )
 
 
-def _depth_record(kernel, depth, best, seen, new_level, links):
+def _depth_record(kernel, vec, depth, best, seen, new_level, links):
     if best is None:
         return BfsDepthRecord(depth, math.inf, None, (), len(seen),
                               len(new_level))
-    return BfsDepthRecord(depth, kernel.float_value(best[0]),
-                          _vec(kernel, best[0]),
+    return BfsDepthRecord(depth, kernel.float_value(best[0]), vec(best[0]),
                           _digits_at(links, *best[1]), len(seen),
                           len(new_level))
 

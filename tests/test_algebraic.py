@@ -25,6 +25,7 @@ from qspectra.algebraic import (
     AlgebraicNumber,
     NumberClass,
     ZqContext,
+    _PackedZq,
     _certified_disks,
     _dk_iterate,
     _whole,
@@ -350,6 +351,44 @@ def test_zq_round_trip_1000_random_strings():
                 direct += s * qf**i
             lo, hi = q.value_interval_of_vec(vec)
             assert float(lo) - 1e-6 <= direct <= float(hi) + 1e-6
+
+
+@pytest.mark.parametrize("poly", [IntPolynomial([-3, 1]), SQRT2_POLY,
+                                  P1_POLY, SQRT_P2_POLY])
+def test_packed_vectors_round_trip_at_the_width_bound(poly):
+    """Packing is one-to-one for entries up to 2^(W-2) - 1 at each width
+    the search uses, a sign flip is the negated int, and the per-parent
+    multiply plus a digit is the packed ``ZqContext.step``, exactly as
+    integers."""
+    rng = random.Random(f"packed:{poly.coeffs}")
+    ctx = AlgebraicNumber.base_from_poly(poly, root_index=0).zq_context()
+    packed = _PackedZq(ctx, 1)
+    assert packed.pack(ctx.zero) == packed.zero == 0
+    for W in (32, 64, 128):
+        packed._set_width(W)
+        e = (1 << (W - 2)) - 1
+        vecs = [ctx.zero, (e,) * ctx.d, (-e,) * ctx.d,
+                tuple(e if i % 2 else -e for i in range(ctx.d))]
+        vecs += [tuple(rng.randint(-e, e) for _ in range(ctx.d))
+                 for _ in range(20)]
+        for v in vecs:
+            V = packed.pack(v)
+            assert packed.unpack(V) == v
+            assert packed.unpack(-V) == ctx.neg(v)
+            for s in (-2, 0, 1):
+                assert packed.mul_q(V) + s == packed.pack(ctx.step(v, s))
+
+
+def test_packed_width_grows_and_repacks_the_stored_values():
+    ctx = AlgebraicNumber.base_from_poly(P1_POLY, root_index=0).zq_context()
+    packed = _PackedZq(ctx, 2)
+    vecs = [(3, -1, 2), (-2, 0, 1), ctx.zero]
+    level = [packed.pack(v) for v in vecs]
+    assert packed.fit_step(level) is None and packed.bound == 2 * 2 + 2
+    packed.bound = packed.limit           # the next children may not fit
+    remap = packed.fit_step(level)
+    assert packed.W == 64 and packed.bound == 3 * 2 + 2
+    assert [packed.unpack(remap(V)) for V in level] == vecs
 
 
 def test_zq_equal_vectors_have_overlapping_intervals():

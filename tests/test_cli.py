@@ -319,6 +319,17 @@ def test_cli_engines_on_a_base_beyond_float_range_exit2(capsys, deadline):
         assert err == "error: base is beyond the float range\n", argv
 
 
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_cli_minpos_rejects_a_depth_below_one_exit2(capsys, depth):
+    # a search of no depth used to exit 0 with one "stalled" record
+    code = cli.main(["minpos", "--poly", "-1,-1,0,1", "--m", "1",
+                     "--max-depth", depth])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_depth >= 1 required\n"
+
+
 def test_cli_classify_without_root_above_one_exit2(capsys, deadline):
     # x^4-x^2-x+1 has real roots 0.7549 and 1 only; isolating them used
     # to hang

@@ -20,7 +20,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from qspectra.algebraic import AlgebraicNumber, _float_enclosure
+from qspectra.algebraic import AlgebraicNumber, _PackedZq, _float_enclosure
 from qspectra.intpoly import IntPolynomial
 from qspectra.reproduce import case_oracle_equivalence
 from qspectra.serialize import canonical_json, window_point_texts
@@ -43,6 +43,10 @@ POLYS = {
     "phi": [-1, -1, 1],
     "sqrt2": [-2, 0, 1],
     "quartic": [-1, -1, 0, 0, 1],           # x^4 - x - 1,   q ~ 1.2207
+    "q4": [-1, 0, 0, -1, 1],                # x^4 - x^3 - 1, q ~ 1.3803
+    # (x - 1)(x - 2^40) + 1, q ~ 1 + 2^-40
+    "near1": [2**40 + 1, -(2**40 + 1), 1],
+    "far": [-1, -2**40, 1],                 # q ~ 2^40
 }
 
 
@@ -217,8 +221,11 @@ def reference_bfs(q: AlgebraicNumber, m: int, max_depth: int) -> BfsResult:
                      _canonical(best[1]) if best else None)
 
 
+# the bases of the witness soundness test in test_spectrum.py, an integer
+# base, and two searches whose packed states are re-packed at a wider width
+# (("sqrt2", 2, 24) and the closing ("q3", 2, 60))
 BFS_CASES = [("phi", 1, 24), ("sqrt2", 1, 12), (3, 2, 10), ("q3", 2, 60),
-             ("q8", 1, 10)]
+             ("q8", 1, 10), ("sqrt2", 2, 24), ("q4", 3, 10), ("q8", 1, 12)]
 
 
 @pytest.mark.parametrize("key,m,depth", BFS_CASES)
@@ -227,6 +234,32 @@ def test_min_positive_bfs_matches_the_exact_reference(deadline, key, m,
     with deadline(60):
         want = reference_bfs(base(key), m, depth).to_dict()
         got = min_positive_bfs(base(key), m, depth).to_dict()
+    assert got == want
+
+
+@pytest.mark.parametrize("key,m,depth,widths", [
+    ("q3", 2, 60, [32, 64]), ("sqrt2", 2, 24, [32, 64]),
+    ("near1", 1, 5, [32, 64, 128]), ("far", 1, 4, [32, 64])])
+def test_packed_search_repacks_at_a_wider_width(monkeypatch, deadline, key,
+                                                m, depth, widths):
+    """The entry bound E' = E*(1 + max|c_i|) + m passes 2^(W-2) mid-search
+    (x^3 - x - 1 closes after it), or at once for coefficients of 2^40, so
+    the level, the best state and seen are re-packed at a wider W; the
+    trace, the witnesses and the closed states stay those of the tuple
+    reference.  "far" has no state at all: its empty first level is
+    re-packed too."""
+    seen_widths = []
+    set_width = _PackedZq._set_width
+
+    def spy(self, W):
+        seen_widths.append(W)
+        set_width(self, W)
+
+    monkeypatch.setattr(_PackedZq, "_set_width", spy)
+    with deadline(60):
+        got = min_positive_bfs(base(key), m, depth).to_dict()
+        want = reference_bfs(base(key), m, depth).to_dict()
+    assert seen_widths == widths
     assert got == want
 
 

@@ -406,8 +406,9 @@ def test_bfs_budget_exhaustion_returns_partial():
 
 
 def test_bfs_peak_memory_per_state():
-    # a state holds its vector, its carried float and its parent links, not
-    # a witness path; x^8 - x^6 - 1 holds 23,313 states at depth 12
+    # a state holds its packed vector (one int), its carried float and its
+    # parent links, not a witness path; x^8 - x^6 - 1 holds 23,313 states
+    # at depth 12
     q = AlgebraicNumber.base_from_poly(
         IntPolynomial([-1, 0, 0, 0, 0, 0, -1, 0, 1]), root_index=0)
     min_positive_bfs(q, 1, max_depth=2)     # refine the base untraced
@@ -419,7 +420,7 @@ def test_bfs_peak_memory_per_state():
         tracemalloc.stop()
     states = res.trace[-1].states
     assert states == 23313
-    assert peak / states <= 220
+    assert peak / states <= 175
 
 
 def test_bfs_empty_region_closes():
