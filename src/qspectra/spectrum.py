@@ -31,17 +31,17 @@ Before a level whose children's entries could reach 2^(W-2), the search
 re-packs the level, the best state and ``seen`` (in insertion order) at a
 doubled W (the bound is in ``ZqContext``'s docstring).  Numeric mode runs
 the same loop on floats.  A search rebuilds a witness's digits from the
-parents only where it is output.  The X, Y and A windows all grow through ``_expand_level``: each
-state y spawns q*y + s for every digit s of the window's alphabet, and
-each level's digit texts are built once from the texts of the level
-below.  A window is kept as columns with an order, a permutation sorted
-by the carried floats: the Y/A clip to [-B, B] and the sort read
-[f - R, f + R] and run exact comparisons only where enclosures overlap.
-A window point displays its carried float, within R of its value (in
-numeric mode the carried float is the value itself).  The searches' display floats, their closed-state order
-and the gap floats come from the kernel's ``float_value``: in exact mode the
-midpoint of the value's exact enclosure on the base refined to 2^-72,
-correctly rounded.
+parents only where it is output.  The X, Y and A windows all grow through
+``_expand_level``: each state y spawns q*y + s for every digit s of the
+window's alphabet, and each level's digit texts are built once from the
+texts of the level below.  A window is kept as columns with an order, a
+permutation sorted by the carried floats: the Y/A clip to [-B, B] and the
+sort read [f - R, f + R] and run exact comparisons only where enclosures
+overlap.  A window point displays its carried float, within R of its value
+(in numeric mode the carried float is the value itself).  The searches'
+display floats, their closed-state order and the gap floats come from the
+kernel's ``float_value``: in exact mode the midpoint of the value's exact
+enclosure on the base refined to 2^-72, correctly rounded.
 
 Results are deterministic: levels are expanded in sorted order and every
 window is canonically sorted before emission.
