@@ -27,9 +27,13 @@ Three layers live here:
 The Gaussian-rational helpers (``_gr_*``: (re, im) Fraction pairs) serve
 the witness construction.
 
-Minimal polynomials are trusted to be irreducible (input contract).  A cheap
-screen rejects obvious violations; deeper violations surface as
-``ReducibleInputError`` when a sign refinement fails to terminate.
+Minimal polynomials are free of rational roots: ``AlgebraicNumber`` divides
+the rational roots of its polynomial out (``real_roots`` reads them off its
+one isolation pass, the checked constructor isolates once), so a base whose
+interval holds a rational root is that rational.  Irreducibility beyond
+that is an input contract: an irrational factor other than the minimal
+polynomial is not found, and surfaces as ``ReducibleInputError`` when a sign
+refinement fails to terminate.
 """
 
 from __future__ import annotations
@@ -49,9 +53,9 @@ from .intpoly import (
     cauchy_root_bound,
     count_roots_in,
     deflate_root,
-    irreducibility_screen,
     is_squarefree,
     isolate_roots_exact,
+    rational_roots,
     refine_root_interval,
     squarefree_part,
     unit_circle_counts,
@@ -165,6 +169,12 @@ FLOAT_WIDTH = Fraction(1, 2**72)
 class AlgebraicNumber:
     """A real root of an integer polynomial, known exactly.
 
+    The checked constructor (``_validated`` false) requires a squarefree
+    polynomial whose interval (lo, hi) isolates one root, then divides the
+    polynomial's rational roots out of ``min_poly``: if the root in the
+    interval is rational, the number is that rational (``exact_rational``).
+    ``real_roots`` passes polynomials already free of rational roots.
+
     The isolating interval is refinable; refinement is monotone (the stored
     interval only ever shrinks) and idempotent, so concurrent refiners can
     race harmlessly.  All exact decisions route through
@@ -177,21 +187,28 @@ class AlgebraicNumber:
             raise PreconditionError("minimal polynomial must have degree >= 1")
         if not _validated and not is_squarefree(min_poly):
             raise PreconditionError("minimal polynomial must be squarefree")
-        self.min_poly = min_poly.primitive()
-        self.exact_rational: Fraction | None = None
-        if self.min_poly.degree == 1:
-            c0, c1 = self.min_poly.coeffs
-            self.exact_rational = Fraction(-c0, c1)
-            lo = hi = self.exact_rational
-        elif not _validated:
+        min_poly = min_poly.primitive()
+        if min_poly.degree > 1 and not _validated:
             lo, hi = Fraction(lo), Fraction(hi)
-            if self.min_poly.sign_at(lo) == 0 or self.min_poly.sign_at(hi) == 0:
+            if min_poly.sign_at(lo) == 0 or min_poly.sign_at(hi) == 0:
                 raise PreconditionError(
                     "interval endpoint is a root; use from_rational for "
                     "rational values")
-            if count_roots_in(self.min_poly, lo, hi) != 1:
+            if count_roots_in(min_poly, lo, hi) != 1:
                 raise PreconditionError(
                     f"interval ({lo}, {hi}) does not isolate exactly one root")
+            # divide the rational roots out; the one in (lo, hi) is q
+            for r in rational_roots(min_poly):
+                if lo < r < hi:
+                    min_poly = IntPolynomial([-r.numerator, r.denominator])
+                    break
+                min_poly = deflate_root(min_poly, r).primitive()
+        self.min_poly = min_poly
+        self.exact_rational: Fraction | None = None
+        if min_poly.degree == 1:
+            c0, c1 = min_poly.coeffs
+            self.exact_rational = Fraction(-c0, c1)
+            lo = hi = self.exact_rational
         self._lo = Fraction(lo)
         self._hi = Fraction(hi)
         self._lock = threading.Lock()
@@ -365,11 +382,6 @@ class AlgebraicNumber:
 
     def greater_than(self, c) -> bool:
         return self.compare_to_fraction(c) > 0
-
-    @cached_property
-    def irreducibility(self) -> str:
-        """The cheap irreducibility screen of the minimal polynomial."""
-        return irreducibility_screen(self.min_poly)
 
     def zq_context(self) -> "ZqContext":
         if not self.min_poly.is_monic:
@@ -586,21 +598,22 @@ class _PackedZq:
     def fit_step(self, level):
         """Make room for the children q*v + s (|s| <= m) of ``level``.
 
-        Returns None when they fit at the current width; otherwise the
-        width doubles until they fit, and the returned map re-packs a value
-        stored at the old width."""
+        Returns None when they fit at the current width.  When the carried
+        bound does not, it restarts from the level's true maximum; only if
+        that does not fit either does the width double until it does, and
+        the returned map re-packs a value stored at the old width."""
         bound = self.bound * self.growth + self.m
+        if bound >= self.limit:
+            old = self.unpack
+            top = max((abs(a) for V in level for a in old(V)), default=0)
+            bound = top * self.growth + self.m
+        self.bound = bound
         if bound < self.limit:
-            self.bound = bound
             return None
-        old = self.unpack
-        top = max((abs(a) for V in level for a in old(V)), default=0)
-        bound = top * self.growth + self.m
         W = 2 * self.W
         while bound >= 1 << (W - 2):
             W *= 2
         self._set_width(W)
-        self.bound = bound
         pack = self.pack
         return lambda V: pack(old(V))
 
@@ -907,14 +920,11 @@ def classify_base(q: AlgebraicNumber, budget_bits: int = 4096) -> NumberClass:
     inconclusive.  The certified disks are evidence only, computed at
     ``budget_bits`` when ``conjugate_set`` is first read; a budget too small
     for them leaves disks tagged 'unresolved' but the label exact.
-    Irreducibility of P is an input contract (cheap screen applied here).
+    P has no rational root (``AlgebraicNumber`` divides them out); that it
+    has no other factor either is an input contract.
     """
     if not q.greater_than(1):
         raise PreconditionError("base must satisfy q > 1")
-    if q.irreducibility == "reducible":
-        raise ReducibleInputError(
-            "input may be reducible; classification requires a minimal "
-            "polynomial")
     if q.exact_rational is not None:
         r = q.exact_rational
         if r.denominator == 1:
@@ -964,8 +974,9 @@ def power_base(q: AlgebraicNumber, k: int) -> AlgebraicNumber:
 
     The defining polynomial is the squarefree part of the characteristic
     polynomial of the multiplication-by-q^k matrix, whose column j is the
-    ``ZqContext`` vector of q^(k+j); it provably vanishes at q^k but is only
-    irreducible by the usual input contract.  ``_charpoly`` starts from a
+    ``ZqContext`` vector of q^(k+j); it provably vanishes at q^k, and is the
+    minimal polynomial of q^k when q's is irreducible.  The checked
+    constructor divides its rational roots out.  ``_charpoly`` starts from a
     Fraction identity, so it divides exactly on int entries too.
     """
     if k < 1:
@@ -983,14 +994,11 @@ def power_base(q: AlgebraicNumber, k: int) -> AlgebraicNumber:
     den = math.lcm(*(c.denominator for c in frac_coeffs))
     char_int = IntPolynomial(int(c * den) for c in frac_coeffs)
     defining = squarefree_part(char_int)
-    if defining.degree == 1:
-        return AlgebraicNumber.from_rational(
-            Fraction(-defining.coeffs[0], defining.coeffs[1]))
     chain = _sturm_chain_of(defining)
     while True:
         lo, hi = q.interval()
         plo, phi = lo**k, hi**k
         if (defining.sign_at(plo) != 0 and defining.sign_at(phi) != 0
                 and count_roots_in(defining, plo, phi, chain) == 1):
-            return AlgebraicNumber(defining, plo, phi, _validated=True)
+            return AlgebraicNumber(defining, plo, phi)
         q.refine_to_width((hi - lo) / 4)

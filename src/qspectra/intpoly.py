@@ -231,55 +231,10 @@ def deflate_root(p: IntPolynomial, root: Fraction) -> IntPolynomial:
 
 
 def rational_roots(p: IntPolynomial) -> list[Fraction]:
-    """All rational roots, ascending, via the rational root theorem."""
-    if p.is_zero:
-        raise PreconditionError("zero polynomial")
-    roots = []
-    coeffs = list(p.coeffs)
-    shift = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        shift += 1
-    if shift:
-        roots.append(Fraction(0))
-    q = IntPolynomial(coeffs)
-    if q.degree >= 1:
-        c0, cd = abs(q.coeffs[0]), abs(q.coeffs[-1])
-        for num in _divisors(c0):
-            for den in _divisors(cd):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if q.sign_at(cand) == 0 and cand not in roots:
-                        roots.append(cand)
-    return sorted(roots)
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
-
-
-def irreducibility_screen(p: IntPolynomial) -> str:
-    """Cheap screen only: 'reducible', 'irreducible' (certain for degree<=3
-    primitive polynomials with no rational root), or 'unknown'."""
-    if p.degree <= 0:
-        return "reducible"
-    if p.degree == 1:
-        return "irreducible"
-    prim = p.primitive()
-    if prim.content() != 1:
-        return "unknown"
-    if rational_roots(prim):
-        return "reducible"
-    if p.degree <= 3:
-        return "irreducible"
-    return "unknown"
+    """All rational roots, ascending: the midpoints of the isolating cells
+    of ``isolate_roots_exact`` that are roots."""
+    return [m for lo, hi in isolate_roots_exact(p)
+            if p.sign_at(m := (lo + hi) / 2) == 0]
 
 
 # -- root bounds, Sturm chains, isolation ---------------------------------
@@ -397,66 +352,53 @@ def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open rational intervals, ascending, each containing exactly
     one real root of p; their union covers all real roots.
 
-    Rational roots are detected exactly; their intervals are centered on the
-    root, and no other interval's midpoint is a root.  Every returned
-    interval contains exactly one root of the squarefree part of p.
+    One bisection of the squarefree part sf, on its Sturm chain from
+    +-``cauchy_root_bound(sf)``, also decides which roots are rational.  A
+    split point that is a root is bracketed there.  Every other root is
+    alone in its cell, and a rational root r of the primitive sf has a
+    denominator dividing L = lc(sf) (rational root theorem), so L*r is an
+    integer: a copy of the cell refined to width <= 1/L holds at most one
+    multiple of 1/L, and r is rational iff that multiple is a root.  A
+    rational root's interval is centred on it; an irrational root keeps its
+    bisection cell.  So the midpoint of an interval is a root exactly when
+    the interval's root is rational.
     """
     if p.is_zero:
         raise PreconditionError("zero polynomial")
     if p.degree < 1:
         return []
     sf = squarefree_part(p)
-    rat = rational_roots(sf)
-    g = sf
-    for r in rat:
-        g = deflate_root(g, r)
-
-    # bisection cells for the irrational roots; g has no rational roots, so
-    # rational bisection points are never roots of g
-    g_intervals: list[tuple[Fraction, Fraction]] = []
-    if g.degree >= 1:
-        chain = _sturm_chain_of(g)
-        bound = cauchy_root_bound(g)
-        stack = [(-bound, bound)]
-        while stack:
-            lo, hi = stack.pop()
-            n = count_roots_in(g, lo, hi, chain)
-            if n == 0:
-                continue
-            if n == 1:
-                g_intervals.append((lo, hi))
-                continue
-            mid = (lo + hi) / 2
+    chain = _sturm_chain_of(sf)
+    lead = sf.leading
+    bound = cauchy_root_bound(sf)
+    cells: list[tuple[Fraction, Fraction]] = []
+    stack = [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        n = count_roots_in(sf, lo, hi, chain)
+        if n == 0:
+            continue
+        if n == 1:
+            a, b = refine_root_interval(sf, lo, hi, Fraction(1, lead))
+            r = Fraction(math.floor(a * lead) + 1, lead)
+            if r < b and sf.sign_at(r) == 0:
+                eps = min(r - lo, hi - r)
+                lo, hi = r - eps, r + eps
+            cells.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        if sf.sign_at(mid) == 0:
+            eps = (hi - lo) / 4
+            while (sf.sign_at(mid - eps) == 0 or sf.sign_at(mid + eps) == 0
+                   or count_roots_in(sf, mid - eps, mid + eps, chain) != 1):
+                eps /= 2
+            cells.append((mid - eps, mid + eps))
+            stack.append((lo, mid - eps))
+            stack.append((mid + eps, hi))
+        else:
             stack.append((lo, mid))
             stack.append((mid, hi))
-        # push each cell away from any rational root of sf it still contains,
-        # an endpoint included: a root on a cell edge would leave no room
-        # for its own bracket below
-        for i, (lo, hi) in enumerate(g_intervals):
-            while any(lo <= r <= hi for r in rat):
-                lo, hi = refine_root_interval(g, lo, hi, (hi - lo) / 2)
-            g_intervals[i] = (lo, hi)
-
-    intervals = list(g_intervals)
-    chain_sf = _sturm_chain_of(sf) if rat else None
-    for r in rat:
-        eps = Fraction(1, 2)
-        while (sf.sign_at(r - eps) == 0 or sf.sign_at(r + eps) == 0
-               or count_roots_in(sf, r - eps, r + eps, chain_sf) != 1
-               or any(lo < r - eps < hi or lo < r + eps < hi
-                      for lo, hi in g_intervals)):
-            eps /= 2
-        intervals.append((r - eps, r + eps))
-    intervals.sort()
-    # disjoint g-cells + shrunken rational brackets: overlaps only possible
-    # between adjacent pairs sharing a g-cell edge; resolve by halving
-    for i in range(len(intervals) - 1):
-        while intervals[i][1] > intervals[i + 1][0]:
-            lo, hi = intervals[i]
-            intervals[i] = refine_root_interval(sf, lo, hi, (hi - lo) / 2)
-            lo, hi = intervals[i + 1]
-            intervals[i + 1] = refine_root_interval(sf, lo, hi, (hi - lo) / 2)
-    return intervals
+    return sorted(cells)
 
 
 def refine_root_interval(p: IntPolynomial, lo: Fraction, hi: Fraction,

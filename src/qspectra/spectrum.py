@@ -145,6 +145,9 @@ def make_kernel(q: AlgebraicNumber, tol: float | None = None,
         ctx.ensure_float_resolution()
         return ctx
     tol = DEFAULT_NUMERIC_TOL if tol is None else tol
+    if not (tol > 0 and math.isfinite(tol)):
+        raise PreconditionError(f"tolerance must be positive and finite, "
+                                f"not {tol}")
     return _FloatKernel(q, tol * (1.0 + scale))
 
 
@@ -547,6 +550,9 @@ def gap_report(window: SpectrumWindow, tail_fraction: float = 0.5,
     the refined base rather than from a difference of display floats that
     cancels; numerically gaps are clustered within hist_tol.
     """
+    if not 0 <= tail_fraction <= 1:
+        raise PreconditionError(
+            f"tail fraction must lie in [0, 1], not {tail_fraction}")
     order, floats, vecs = window.order, window.floats, window.vecs
     if len(order) < 2:
         raise PreconditionError("need at least 2 points for gaps")

@@ -34,7 +34,7 @@ from qspectra.algebraic import (
     mpf_to_fraction,
     power_base,
 )
-from qspectra.errors import PreconditionError, ReducibleInputError
+from qspectra.errors import PreconditionError
 from qspectra.intpoly import IntPolynomial, is_squarefree
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -385,9 +385,17 @@ def test_packed_width_grows_and_repacks_the_stored_values():
     vecs = [(3, -1, 2), (-2, 0, 1), ctx.zero]
     level = [packed.pack(v) for v in vecs]
     assert packed.fit_step(level) is None and packed.bound == 2 * 2 + 2
-    packed.bound = packed.limit           # the next children may not fit
+    # the carried bound trips, but the level's true maximum fits: the bound
+    # restarts from it and nothing is re-packed
+    packed.bound = packed.limit
+    assert packed.fit_step(level) is None
+    assert packed.W == 32 and packed.bound == 3 * 2 + 2
+    # an entry of 2^29 has children up to 2^30 + 2, past 2^(32-2)
+    vecs[0] = (1 << 29, -1, 2)
+    level = [packed.pack(v) for v in vecs]
+    packed.bound = packed.limit
     remap = packed.fit_step(level)
-    assert packed.W == 64 and packed.bound == 3 * 2 + 2
+    assert packed.W == 64 and packed.bound == (1 << 29) * 2 + 2
     assert [packed.unpack(remap(V)) for V in level] == vecs
 
 
@@ -1083,17 +1091,19 @@ def test_zq_display_float_of_a_cancelling_vector_is_accurate():
             assert error <= abs(exact) / 2**30, v
 
 
-def test_base_from_poly_runs_the_rational_root_search_once(monkeypatch):
-    """Real roots read the rational roots off their isolating cells, and
-    the irreducibility screen runs only when classification asks for it."""
+def test_base_from_poly_runs_one_isolation_pass(monkeypatch):
+    """Real roots read the rational roots off the cells of one isolation
+    pass; selecting a root by index isolates nothing more, and selecting
+    it by interval isolates once, to divide the rational roots out."""
     calls = []
-    search = intpoly.rational_roots
+    isolate = intpoly.isolate_roots_exact
 
     def counted(p):
         calls.append(p)
-        return search(p)
+        return isolate(p)
 
-    monkeypatch.setattr(intpoly, "rational_roots", counted)
+    monkeypatch.setattr(intpoly, "isolate_roots_exact", counted)
+    monkeypatch.setattr(algebraic, "isolate_roots_exact", counted)
     # (x - 2)(x^2 - 2) and 2(x - 3/2)(x - 2)(x^2 - x - 1) keep rational roots
     reducible = IntPolynomial([4, -2, -2, 1])
     mixed = (IntPolynomial([-3, 2]) * IntPolynomial([-2, 1])
@@ -1106,19 +1116,48 @@ def test_base_from_poly_runs_the_rational_root_search_once(monkeypatch):
         assert [r.exact_rational for r in roots
                 if r.exact_rational is not None] == want, poly
         calls.clear()
-        AlgebraicNumber.base_from_poly(poly, root_index=0)
+        q = AlgebraicNumber.base_from_poly(poly, root_index=0)
         assert len(calls) == 1, poly
+        calls.clear()
+        classify_base(q)
+        assert calls == [], poly
+        if q.exact_rational is None:
+            calls.clear()
+            AlgebraicNumber(poly, *q.interval())
+            assert len(calls) == 1, poly
 
 
-def test_classify_rejects_a_base_whose_polynomial_has_a_rational_root():
-    # sqrt 2 selected by interval on (x - 3)(x^2 - 2): the screen, run when
-    # classification reads it, finds the root 3
+def test_a_base_pinned_on_a_polynomial_with_a_rational_root_drops_it():
+    # (x - 3)(x^2 - 2): the interval around sqrt 2 gets the minimal
+    # polynomial x^2 - 2 and its label; the interval around 3 is the
+    # rational 3
     poly = IntPolynomial([-3, 1]) * SQRT2_POLY
     q = AlgebraicNumber.base_from_poly(
         poly, root_interval=(Fraction(7, 5), Fraction(3, 2)))
-    assert q.irreducibility == "reducible"
-    with pytest.raises(ReducibleInputError):
-        classify_base(q)
+    assert q.min_poly == SQRT2_POLY and q.exact_rational is None
+    assert classify_base(q).tag == "NotPisot-AlgebraicInteger"
+    three = AlgebraicNumber.base_from_poly(
+        poly, root_interval=(Fraction(5, 2), Fraction(7, 2)))
+    assert three.exact_rational == 3
+    assert three.min_poly == IntPolynomial([-3, 1])
+    assert classify_base(three).tag == "PisotInteger"
+
+
+def test_huge_constant_terms_isolate_without_trial_division(deadline):
+    # trial division by the divisors of 10^20 + 1 up to 10^10 never
+    # finished; one isolation pass decides that the roots are irrational,
+    # or that they are the rationals +-10^10 and +-10^200
+    with deadline(1):
+        q = AlgebraicNumber.base_from_poly(IntPolynomial([-(10**20 + 1), 0, 1]),
+                                           root_index=0)
+        assert q.exact_rational is None and q.degree == 2
+        assert classify_base(q).tag == "NotPisot-AlgebraicInteger"
+        roots = AlgebraicNumber.real_roots(IntPolynomial([-10**20, 0, 1]))
+        assert [r.exact_rational for r in roots] == [-10**10, 10**10]
+        q = AlgebraicNumber.base_from_poly(IntPolynomial([-10**400, 0, 1]),
+                                           root_index=0)
+        assert q.exact_rational == 10**200
+        assert classify_base(q).tag == "PisotInteger"
 
 
 def test_importing_the_package_leaves_mpmath_unloaded():

@@ -330,6 +330,39 @@ def test_cli_minpos_rejects_a_depth_below_one_exit2(capsys, depth):
     assert err == "error: max_depth >= 1 required\n"
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_cli_rejects_a_tolerance_that_is_not_positive_and_finite(capsys,
+                                                                 tol):
+    # 0 and nan once ended in a traceback; -1 and inf ran with meaningless
+    # dedup
+    code = cli.main(["spectrum", "--base", "1.35", "--m", "1", "--bound",
+                     "5", "--tolerance", tol])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tolerance must be positive and finite")
+
+
+@pytest.mark.parametrize("fraction", ["2", "-1", "nan"])
+def test_cli_gaps_rejects_a_tail_fraction_outside_0_1(capsys, fraction):
+    # the tail statistics once fell back to the whole window
+    code = cli.main(["gaps", "--poly", "-1,-1,1", "--m", "1", "--bound", "5",
+                     "--tail-fraction", fraction])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tail fraction must lie in [0, 1]")
+
+
+def test_cli_classify_a_huge_constant_term(capsys, deadline):
+    # x^2 - (10^20 + 1): its rational root search once ran for hours
+    with deadline(1):
+        code, doc = run_json(capsys, "classify", "--poly",
+                             f"{-(10**20 + 1)},0,1")
+    assert code == 0
+    assert doc["result"]["class"] == "NotPisot-AlgebraicInteger"
+
+
 def test_cli_classify_without_root_above_one_exit2(capsys, deadline):
     # x^4-x^2-x+1 has real roots 0.7549 and 1 only; isolating them used
     # to hang

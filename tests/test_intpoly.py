@@ -21,7 +21,6 @@ from qspectra.intpoly import (
     cauchy_root_bound,
     count_roots_in,
     deflate_root,
-    irreducibility_screen,
     is_squarefree,
     isolate_roots_exact,
     poly_gcd,
@@ -173,8 +172,12 @@ def test_isolation_terminates_when_a_rational_root_meets_a_cell_edge(
 
 
 def test_random_products_isolation_matches_oracle():
+    # x puts a rational root on the first split point (0); 3/2 and 1/3 are
+    # rational roots that no split point meets; the quadratic factors keep
+    # irrational roots beside them
     rng = random.Random(2024)
-    for _ in range(25):
+    extra = [(), ((0, 1),), ((-3, 2), (-1, 3)), ((0, 1), (-3, 2), (-1, 3))]
+    for i in range(25):
         # build squarefree-ish products of small distinct linear/quadratic factors
         p = IntPolynomial([1])
         used = set()
@@ -185,11 +188,23 @@ def test_random_products_isolation_matches_oracle():
             used.add(a)
             p = p * IntPolynomial([-a, 1])
         p = p * IntPolynomial([rng.randint(1, 4), 0, 1])  # irreducible quadratic
+        p = p * IntPolynomial([-rng.randint(2, 3), 0, 1])   # x^2 - 2, x^2 - 3
+        for factor in extra[i % 4]:
+            p = p * IntPolynomial(factor)
         if not is_squarefree(p):
             continue
         intervals = isolate_roots_exact(p)
         oracle = bisection_oracle(p.coeffs)
         assert len(intervals) == len(oracle)
+        for (lo, hi), r in zip(intervals, oracle):
+            assert lo < hi and float(lo) - 1e-9 <= r <= float(hi) + 1e-9
+            assert p.sign_at(lo) != 0 and p.sign_at(hi) != 0
+        assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
+        want = sorted({Fraction(a) for a in used}
+                      | {Fraction(-c0, c1) for c0, c1 in extra[i % 4]})
+        assert rational_roots(p) == want
+        assert [(lo + hi) / 2 for lo, hi in intervals
+                if p.sign_at((lo + hi) / 2) == 0] == want
 
 
 def test_count_roots_in_open_interval():
@@ -197,14 +212,6 @@ def test_count_roots_in_open_interval():
     assert count_roots_in(p, Fraction(0), Fraction(2)) == 1
     assert count_roots_in(p, Fraction(-2), Fraction(2)) == 2
     assert count_roots_in(p, Fraction(3), Fraction(4)) == 0
-
-
-def test_irreducibility_screen():
-    assert irreducibility_screen(IntPolynomial([-2, 1])) == "irreducible"
-    assert irreducibility_screen(IntPolynomial([-1, -1, 1])) == "irreducible"
-    assert irreducibility_screen(IntPolynomial([-1, -1, 0, 1])) == "irreducible"
-    assert irreducibility_screen(IntPolynomial([2, -3, 1])) == "reducible"  # (x-1)(x-2)
-    assert irreducibility_screen(IntPolynomial([-1, 0, 0, -1, 1])) == "unknown"
 
 
 def test_reciprocal():
