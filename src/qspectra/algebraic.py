@@ -15,14 +15,16 @@ Three layers live here:
   mpmath above it; a-posteriori disks checked exactly in scaled Gaussian
   integers) -- is the label's evidence, computed only when a
   ``NumberClass``'s ``conjugate_set`` is read.
-* ``ZqContext`` -- the one exact value kernel, Q[q] for any base: vectors
-  in the basis 1, q, ..., q^(d-1) with int entries where they are whole (so
-  canonical integer vectors in Z[q] for a monic base, which the search
-  packs into one int each with ``_PackedZq``), ring operations,
-  exact signs and ordering (``sign``, ``compare``, ``cmp_fraction``) from
-  the base's sign oracle, display floats read off exact enclosures, and
-  the floating-point model (``float_model``) under which the spectrum
-  engines carry proven float enclosures of their search states.
+* ``ZqContext`` -- the one exact value kernel, Q[q] for any base, run in
+  integers: on a monic base, tuples in the basis 1, q, ..., q^(d-1)
+  (canonical integer vectors in Z[q], which the search packs into one int
+  each with ``_PackedZq``); on any other base, an int vector over the
+  algebraic integer theta = a*q (a the leading coefficient) with an int
+  denominator.  Ring operations, exact signs and ordering (``sign``,
+  ``compare``, ``cmp_fraction``) from the base's sign oracle, display
+  floats read off exact enclosures, and the floating-point model
+  (``float_model``) under which the spectrum engines carry proven float
+  enclosures of their search states.
 
 The Gaussian-rational helpers (``_gr_*``: (re, im) Fraction pairs) serve
 the witness construction.
@@ -169,10 +171,11 @@ FLOAT_WIDTH = Fraction(1, 2**72)
 class AlgebraicNumber:
     """A real root of an integer polynomial, known exactly.
 
-    The checked constructor (``_validated`` false) requires a squarefree
-    polynomial whose interval (lo, hi) isolates one root, then divides the
-    polynomial's rational roots out of ``min_poly``: if the root in the
-    interval is rational, the number is that rational (``exact_rational``).
+    The checked constructor (``_validated`` false) takes the squarefree part
+    of the polynomial, as ``real_roots`` does, requires an interval (lo, hi)
+    isolating one of its roots, then divides its rational roots out of
+    ``min_poly``: if the root in the interval is rational, the number is
+    that rational (``exact_rational``).
     ``real_roots`` passes polynomials already free of rational roots.
 
     The isolating interval is refinable; refinement is monotone (the stored
@@ -185,10 +188,9 @@ class AlgebraicNumber:
                  _validated: bool = False):
         if min_poly.degree < 1:
             raise PreconditionError("minimal polynomial must have degree >= 1")
-        if not _validated and not is_squarefree(min_poly):
-            raise PreconditionError("minimal polynomial must be squarefree")
         min_poly = min_poly.primitive()
         if min_poly.degree > 1 and not _validated:
+            min_poly = squarefree_part(min_poly)    # as real_roots does
             lo, hi = Fraction(lo), Fraction(hi)
             if min_poly.sign_at(lo) == 0 or min_poly.sign_at(hi) == 0:
                 raise PreconditionError(
@@ -314,12 +316,6 @@ class AlgebraicNumber:
 
     def sign_of_fraction_vec(self, vec) -> int:
         """Exact sign of sum vec[i] * q^i for Fraction/int coefficients."""
-        if self.exact_rational is not None:
-            x = self.exact_rational
-            acc = 0
-            for c in reversed(vec):
-                acc = acc * x + c
-            return (acc > 0) - (acc < 0)
         return self.sign_of_int_poly(IntPolynomial(_integer_numerators(vec)[0]))
 
     def _sign_of_reduced(self, coeffs) -> int:
@@ -406,16 +402,25 @@ class AlgebraicNumber:
 class ZqContext:
     """Exact arithmetic in Q[q] = Q[x]/(min_poly) for any algebraic base.
 
-    Elements are tuples in the basis 1, q, ..., q^(d-1), whole entries as
-    ``int`` and others as ``Fraction``: a monic base keeps integer inputs in
-    integer tuples (Z[q]), a non-monic one brings Fractions in through q^d.
-    A zero tuple represents the real number zero because the minimal
-    polynomial is irreducible (input contract).  Every ``sign``, and so
-    every ``compare`` and ``cmp_fraction``, is exact: the base's sign oracle
-    decides it in integers over D^n, refining q only when the value's
-    enclosure on the current interval contains zero.  ``float_value`` is
-    the midpoint of that exact enclosure on the base refined to
-    ``FLOAT_WIDTH``, rounded once.
+    Let a be the leading coefficient of the minimal polynomial f (degree d):
+    theta = a*q is an algebraic integer, a root of the monic a^(d-1) f(y/a),
+    and ``qd_terms`` holds theta^d = sum c_i theta^i (theta = q if a = 1).
+    On a monic base an element is a tuple in the basis 1, q, ..., q^(d-1),
+    integer for integer inputs (Z[q]); a rational input such as a greedy
+    target 1/3 brings Fraction entries in.  On any other base it is a pair
+    (V, D) of an int tuple and an int D > 0 with value sum V_i theta^i / D:
+    a digit step is (theta*V + s*a*D, a*D), add and sub put two pairs over
+    one D, and no Fraction arises.  ``coefficients`` reads either kind back
+    in the basis 1, q, ..., q^(d-1).  A zero vector represents the real
+    number zero because the minimal polynomial is irreducible (input
+    contract).  Every ``sign``, and so every ``compare`` and
+    ``cmp_fraction``, is exact: the base's sign oracle decides the int
+    polynomial sum V_i a^i q^i (a tuple's entries times the lcm of their
+    denominators), a positive multiple of the value, refining q only when
+    its enclosure on the current interval contains zero; on a rational base
+    (d = 1) the sign is that of V_0.  ``float_value`` is the midpoint of
+    that exact enclosure on the base refined to ``FLOAT_WIDTH``, rounded
+    once.
 
     Carried enclosures.  The search engines keep, beside each exact vector
     v, a float f and one radius R per level with |value(v) - f| <= R, so
@@ -457,73 +462,130 @@ class ZqContext:
 
     def __init__(self, q: AlgebraicNumber):
         self.q = q
-        self.d = q.min_poly.degree
-        lead = q.min_poly.coeffs[-1]
-        # q^d = sum qd * q^i over the nonzero terms only
-        self.qd_terms = tuple((i, _whole(Fraction(-c, lead)))
-                              for i, c in enumerate(q.min_poly.coeffs[:-1])
-                              if c)
+        *low, a = q.min_poly.coeffs
+        self.d, self.lead = len(low), a
+        self.qd_terms = tuple((i, -c * a ** (self.d - 1 - i))
+                              for i, c in enumerate(low) if c)
+        self._apow = tuple(a**i for i in range(self.d))    # q^i = theta^i/a^i
 
     @property
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.d
+    def zero(self):
+        z = (0,) * self.d
+        return z if self.lead == 1 else (z, 1)
 
-    def from_fraction(self, c) -> tuple:
-        return (_whole(c),) + (0,) * (self.d - 1)
+    def from_fraction(self, c):
+        """The element of the rational c (an int or a Fraction)."""
+        if self.lead == 1:
+            return (_whole(c),) + (0,) * (self.d - 1)
+        return (c.numerator,) + (0,) * (self.d - 1), c.denominator
+
+    def coefficients(self, v) -> tuple:
+        """The coefficients of v in the basis 1, q, ..., q^(d-1)."""
+        if self.lead == 1:
+            return v
+        ints, scale = self._q_coeffs(v)
+        return tuple(Fraction(x, scale) for x in ints)
+
+    def _q_coeffs(self, v) -> tuple[list[int], int]:
+        """(P, D): ints with value(v) = sum P_i q^i / D and D > 0."""
+        if self.lead == 1:
+            return _integer_numerators(v)
+        V, D = v
+        return [x * p for x, p in zip(V, self._apow)], D
+
+    @staticmethod
+    def _common(a, b):
+        """(A, B, D): the int tuples of the pairs a and b over one D."""
+        (A, Da), (B, Db) = a, b
+        if Da == Db:
+            return A, B, Da
+        g = math.gcd(Da, Db)
+        fa, fb = Db // g, Da // g
+        return [x * fa for x in A], [x * fb for x in B], Da * fa
 
     def mul_q(self, v):
         return self.step(v, 0)
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        if self.lead == 1:
+            return tuple(x + y for x, y in zip(a, b))
+        A, B, D = self._common(a, b)
+        return tuple(x + y for x, y in zip(A, B)), D
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        if self.lead == 1:
+            return tuple(x - y for x, y in zip(a, b))
+        A, B, D = self._common(a, b)
+        return tuple(x - y for x, y in zip(A, B)), D
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        if self.lead == 1:
+            return tuple(-x for x in a)
+        return tuple(-x for x in a[0]), a[1]
 
     def scale(self, a, c):
-        c = _whole(c)
-        return tuple(c * x for x in a)
+        if self.lead == 1:
+            c = _whole(c)
+            return tuple(c * x for x in a)
+        n = c.numerator
+        return tuple(n * x for x in a[0]), a[1] * c.denominator
 
     def add_fraction(self, a, c):
-        return (a[0] + _whole(c),) + a[1:]
+        if self.lead == 1:
+            return (a[0] + _whole(c),) + a[1:]
+        (x0, *rest), D = a
+        r = c.denominator
+        return (x0 * r + c.numerator * D, *(x * r for x in rest)), D * r
+
+    def _times_theta(self, V, c=0) -> tuple:
+        """theta*V + c for a tuple V."""
+        out = [c, *V[:-1]]
+        top = V[-1]
+        if top:
+            for i, t in self.qd_terms:
+                out[i] += top * t
+        return tuple(out)
 
     def step(self, v, s: int):
         """q*v + s for an int digit s: one digit-append step."""
-        out = [s, *v[:-1]]
-        top = v[-1]
-        if top:
-            for i, c in self.qd_terms:
-                out[i] += top * c
-        return tuple(out)
+        if self.lead == 1:
+            return self._times_theta(v, s)
+        D = v[1] * self.lead
+        return self._times_theta(v[0], s * D), D
 
     def mul(self, a, b):
-        """Ring product of two elements."""
-        acc = self.zero
-        power = a
-        for coeff in b:
+        """Ring product: sum_j b_j theta^j a, over Da * Db for pairs."""
+        monic = self.lead == 1
+        (A, Da), (B, Db) = ((a, 1), (b, 1)) if monic else (a, b)
+        acc = (0,) * self.d
+        for coeff in B:
             if coeff:
-                acc = self.add(acc, self.scale(power, coeff))
-            power = self.mul_q(power)
-        return acc
+                coeff = _whole(coeff)
+                acc = tuple(x + coeff * y for x, y in zip(acc, A))
+            A = self._times_theta(A)
+        return acc if monic else (acc, Da * Db)
 
-    def from_digits(self, digits) -> tuple[int, ...]:
-        """Canonical vector of sum digits[i] * q^i (ascending digits)."""
+    def from_digits(self, digits):
+        """Element of sum digits[i] * q^i (ascending digits)."""
         acc = self.zero
         for s in reversed(list(digits)):
             acc = self.step(acc, int(s))
         return acc
 
     def sign(self, v) -> int:
-        return self.q.sign_of_fraction_vec(v)
+        if self.lead == 1:
+            return self.q.sign_of_fraction_vec(v)
+        if self.d == 1:                 # a rational base: the sign of V_0
+            return (v[0][0] > 0) - (v[0][0] < 0)
+        return self.q.sign_of_int_poly(IntPolynomial(self._q_coeffs(v)[0]))
 
     def compare(self, a, b) -> int:
         return self.sign(self.sub(a, b))
 
     def cmp_fraction(self, v, c: Fraction) -> int:
         """Sign of value(v) - c for a rational c."""
+        if self.lead != 1:
+            return self.sign(self.add_fraction(v, -c))
         scaled = [c.denominator * x for x in v]
         scaled[0] -= c.numerator
         return self.sign(tuple(scaled))
@@ -533,7 +595,7 @@ class ZqContext:
         base refined to FLOAT_WIDTH, correctly rounded by one int division
         (a coarser interval's midpoint can be off in the leading digits)."""
         self.q.refine_to_width(FLOAT_WIDTH)
-        ints, scale = _integer_numerators(v)
+        ints, scale = self._q_coeffs(v)
         vlo, vhi, den = self.q._int_interval(ints)
         return (vlo + vhi) / (2 * scale * den)
 
@@ -990,7 +1052,7 @@ def power_base(q: AlgebraicNumber, k: int) -> AlgebraicNumber:
     for _ in range(k + ctx.d - 1):
         powers.append(ctx.mul_q(powers[-1]))
     # rows q^k, ..., q^(k+d-1): the transpose, same characteristic polynomial
-    frac_coeffs = _charpoly(powers[k:])
+    frac_coeffs = _charpoly([ctx.coefficients(p) for p in powers[k:]])
     den = math.lcm(*(c.denominator for c in frac_coeffs))
     char_int = IntPolynomial(int(c * den) for c in frac_coeffs)
     defining = squarefree_part(char_int)

@@ -39,7 +39,8 @@ from .serialize import (
     windows_csv,
     write_json,
 )
-from .spectrum import enumerate_A, enumerate_X, enumerate_Y, gap_report, l_estimate
+from .spectrum import (check_tail_fraction, enumerate_A, enumerate_X,
+                       enumerate_Y, gap_report, l_estimate)
 from .witness import accumulation_verdict, build_witness
 
 EXIT_OK = 0
@@ -131,6 +132,7 @@ def cmd_spectrum(args):
 
 
 def cmd_gaps(args):
+    check_tail_fraction(args.tail_fraction)     # before the enumeration
     q = resolve_base(args)
     B = _parse_fraction(args.bound)
     w = enumerate_X(q, args.m, B, tol=args.tolerance,

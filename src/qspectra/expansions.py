@@ -6,6 +6,9 @@ All digit decisions are exact: remainders and corridor capacities are
 tracked as elements of Q[q] and compared through the base's certified sign
 oracle, so boundary ties (remainder exactly zero, capacity exactly one)
 are decided correctly instead of dithering at floating precision.
+``ZqContext`` holds them in integers on every base (an int vector over
+theta = a*q and one int denominator on a non-monic or rational base), so a
+digit step, a corridor test or a sign does no Fraction arithmetic.
 """
 
 from __future__ import annotations

@@ -541,6 +541,12 @@ class GapReport:
         }
 
 
+def check_tail_fraction(tail_fraction: float) -> None:
+    if not 0 <= tail_fraction <= 1:
+        raise PreconditionError(
+            f"tail fraction must lie in [0, 1], not {tail_fraction}")
+
+
 def gap_report(window: SpectrumWindow, tail_fraction: float = 0.5,
                hist_tol: float = 1e-9) -> GapReport:
     """Consecutive-gap statistics of a window.
@@ -550,9 +556,7 @@ def gap_report(window: SpectrumWindow, tail_fraction: float = 0.5,
     the refined base rather than from a difference of display floats that
     cancels; numerically gaps are clustered within hist_tol.
     """
-    if not 0 <= tail_fraction <= 1:
-        raise PreconditionError(
-            f"tail fraction must lie in [0, 1], not {tail_fraction}")
+    check_tail_fraction(tail_fraction)
     order, floats, vecs = window.order, window.floats, window.vecs
     if len(order) < 2:
         raise PreconditionError("need at least 2 points for gaps")

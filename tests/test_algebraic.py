@@ -19,7 +19,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from qspectra import algebraic, intpoly
+from qspectra import algebraic, expansions, intpoly
 from qspectra.algebraic import (
     FLOAT_WIDTH,
     AlgebraicNumber,
@@ -920,8 +920,12 @@ def test_rational_base_sign_of_mixed_vectors():
 
 
 class _ReferenceVecArith:
-    """The separate Q[q] kernel that ZqContext absorbed, as it was: whole
-    entries as int, others as Fraction."""
+    """The Fraction-entry Q[q] kernel that ZqContext ran on every base
+    before non-monic and rational bases moved to integers: vectors in the
+    basis 1, q, ..., q^(d-1), whole entries as int, others as Fraction, and
+    signs and display floats read off those vectors.  It has the
+    ZqContext interface that the expansions use, so it can stand in for
+    the kernel there."""
 
     def __init__(self, q):
         self.q = q
@@ -930,6 +934,13 @@ class _ReferenceVecArith:
         self.qd_terms = tuple((i, _whole(Fraction(-c, lead)))
                               for i, c in enumerate(q.min_poly.coeffs[:-1])
                               if c)
+
+    @property
+    def zero(self):
+        return (0,) * self.d
+
+    def from_fraction(self, c):
+        return (_whole(c),) + (0,) * (self.d - 1)
 
     def mul_q(self, v):
         out = [0, *v[:-1]]
@@ -941,6 +952,9 @@ class _ReferenceVecArith:
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
 
     def scale(self, a, c):
         c = _whole(c)
@@ -960,6 +974,14 @@ class _ReferenceVecArith:
                 acc = self.add(acc, self.scale(power, coeff))
             power = self.mul_q(power)
         return acc
+
+    def sign(self, v):
+        return self.q.sign_of_fraction_vec(v)
+
+    def float_value(self, v):
+        self.q.refine_to_width(FLOAT_WIDTH)
+        lo, hi = self.q.value_interval_of_vec(v)
+        return float((lo + hi) / 2)
 
 
 def _reference_filtered_sign(q, v):
@@ -997,6 +1019,30 @@ def _same_entries(a, b):
     return a == b and [type(x) for x in a] == [type(y) for y in b]
 
 
+def _encode(ctx, vec):
+    """The kernel element of the vector vec in the basis 1, q, ...,
+    q^(d-1): vec itself on a monic base, else built by the kernel (Horner's
+    rule in mul_q and add_fraction)."""
+    if ctx.lead == 1:
+        return vec
+    acc = ctx.zero
+    for c in reversed(vec):
+        acc = ctx.add_fraction(ctx.mul_q(acc), c)
+    return acc
+
+
+def _holds(ctx, got, want):
+    """The kernel element got has the value of the vector want: on a monic
+    base entry by entry, whole entries int as in the reference; on any
+    other base as a pair of an int tuple and an int D > 0 that decodes to
+    want."""
+    if ctx.lead == 1:
+        return _same_entries(got, want)
+    V, D = got
+    return (all(type(x) is int for x in (*V, D)) and D > 0
+            and ctx.coefficients(got) == tuple(want))
+
+
 #: q8, phi, the non-monic root (1 + sqrt 3) / 2 of 2x^2 - 2x - 1, and the
 #: rational base 9/5
 KERNEL_BASES = [
@@ -1011,7 +1057,8 @@ KERNEL_BASES = [
 def _kernel_vectors(rng, make_base):
     """Seeded int and Fraction vectors, vectors whose constant term nearly
     cancels the rest, and vectors built by digit steps and products (which
-    carry Fraction entries on a non-monic base)."""
+    carry Fraction entries on a non-monic base), in the basis 1, q, ...,
+    q^(d-1)."""
     q = make_base()
     ref = _ReferenceVecArith(q)
     x = q.float_value()
@@ -1034,15 +1081,21 @@ def test_zq_ring_operations_equal_the_fraction_kernel(name, make_base):
     ctx, ref = ZqContext(q), _ReferenceVecArith(q)
     vecs = _kernel_vectors(rng, make_base)
     for v in vecs:
+        e = _encode(ctx, v)
+        assert _holds(ctx, e, v), v
         for s in range(-3, 4):
-            assert _same_entries(ctx.step(v, s), ref.step(v, s)), (v, s)
-        assert _same_entries(ctx.mul_q(v), ref.mul_q(v)), v
+            assert _holds(ctx, ctx.step(e, s), ref.step(v, s)), (v, s)
+        assert _holds(ctx, ctx.mul_q(e), ref.mul_q(v)), v
         for c in (0, -1, 7, Fraction(3, 7), Fraction(-10, 5)):
-            assert _same_entries(ctx.scale(v, c), ref.scale(v, c)), (v, c)
-            assert _same_entries(ctx.add_fraction(v, c),
-                                 ref.add_fraction(v, c)), (v, c)
+            assert _holds(ctx, ctx.scale(e, c), ref.scale(v, c)), (v, c)
+            assert _holds(ctx, ctx.add_fraction(e, c),
+                          ref.add_fraction(v, c)), (v, c)
         w = vecs[rng.randrange(len(vecs))]
-        assert _same_entries(ctx.mul(v, w), ref.mul(v, w)), (v, w)
+        # a step first, so that the two operands' scales differ
+        f = ctx.step(_encode(ctx, w), 2)
+        assert _holds(ctx, ctx.add(e, f), ref.add(v, ref.step(w, 2))), (v, w)
+        assert _holds(ctx, ctx.sub(e, f), ref.sub(v, ref.step(w, 2))), (v, w)
+        assert _holds(ctx, ctx.mul(e, _encode(ctx, w)), ref.mul(v, w)), (v, w)
 
 
 @pytest.mark.parametrize("name,make_base", KERNEL_BASES,
@@ -1060,12 +1113,120 @@ def test_zq_sign_and_float_equal_the_filtered_kernel(name, make_base):
                 got.refine_to_width(width)
                 want.refine_to_width(width)
             ctx = ZqContext(got)
-            assert ctx.sign(v) == _reference_filtered_sign(want, v), (width, v)
+            e = _encode(ctx, v)
+            assert ctx.sign(e) == _reference_filtered_sign(want, v), (width, v)
             assert got.interval() == want.interval(), (width, v)
-            value = ctx.float_value(v)
+            value = ctx.float_value(e)
             want.refine_to_width(FLOAT_WIDTH)
             lo, hi = want.value_interval_of_vec(v)
             assert value.hex() == float((lo + hi) / 2).hex(), (width, v)
+
+
+def _nonmonic_quadratic():
+    return AlgebraicNumber.base_from_poly(IntPolynomial([-1, -2, 2]),
+                                          root_index=0)
+
+
+#: the two bases whose elements are (int tuple, scale) pairs
+SCALED_BASES = [
+    ("nonmonic", _nonmonic_quadratic),
+    ("rational", lambda: AlgebraicNumber.from_rational(Fraction(9, 5))),
+]
+
+
+def _float_bits(obj):
+    """obj with every float replaced by its hex text, so that == compares
+    floats bit by bit."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: _float_bits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_float_bits(v) for v in obj]
+    return obj
+
+
+def _expansion_runs(make_base):
+    """Greedy expansions of 1/3 with their certificates against 1/3 and
+    2/7, and lazy expansions with their certificates (or the rejection of
+    a capacity below one), each on a fresh base; with the base's final
+    interval (the refinement trajectory)."""
+    out = []
+    for m in (1, 2):
+        q = make_base()
+        seq = expansions.greedy_expansion(Fraction(1, 3), q, m, 60)
+        certs = [expansions.verify_expansion(seq, q, t, 60).to_dict()
+                 for t in (Fraction(1, 3), Fraction(2, 7))]
+        out.append((seq.preperiod, seq.to_dict(), seq.meta, certs,
+                    q.interval()))
+    for text in ("explicit:;eventual:in;threshold:1",
+                 "explicit:2,4;eventual:in;threshold:6"):
+        q = make_base()
+        try:
+            seq = expansions.lazy_constrained(
+                q, 1, expansions.SignPattern.from_text(text), 70)
+        except PreconditionError as exc:    # capacity below one
+            out.append((str(exc), q.interval()))
+            continue
+        cert = expansions.verify_expansion(seq, q, 0, 70).to_dict()
+        out.append((seq.preperiod, seq.to_dict(), seq.meta, cert,
+                    q.interval()))
+    return _float_bits(out)
+
+
+@pytest.mark.parametrize("make_base", [
+    lambda: AlgebraicNumber.from_rational(Fraction(9, 5)),
+    _nonmonic_quadratic,
+    lambda: AlgebraicNumber.from_rational(Fraction(27, 20)),
+], ids=["9/5", "nonmonic", "27/20"])
+def test_expansions_equal_the_fraction_kernel(monkeypatch, make_base):
+    """Greedy, verify and lazy runs on the integer kernel give the digits,
+    the to_dict(), the meta and certificate floats (bit for bit) and the
+    base refinement of the same runs on the Fraction reference."""
+    got = _expansion_runs(make_base)
+    monkeypatch.setattr(expansions, "ZqContext", _ReferenceVecArith)
+    assert got == _expansion_runs(make_base)
+
+
+@pytest.mark.parametrize("name,make_base", SCALED_BASES,
+                         ids=[b[0] for b in SCALED_BASES])
+def test_scaled_elements_stay_ints_and_create_no_fraction(monkeypatch, name,
+                                                          make_base):
+    """On a non-monic or rational base every entry of an element, and its
+    scale, stays an int through digit steps, products, sums and rational
+    scalars; and once the base decides their signs, step, add, sub, scale,
+    mul and sign create no Fraction."""
+    q = make_base()
+    ctx = ZqContext(q)
+    rng = random.Random(f"scaled:{name}")
+    elements = []
+    for _ in range(8):
+        acc = ctx.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        for _ in range(rng.randint(1, 30)):
+            acc = ctx.step(acc, rng.randint(-2, 2))
+        elements.append(acc)
+    elements += [ctx.mul(a, b) for a, b in zip(elements, elements[1:])]
+    elements += [ctx.sub(ctx.scale(a, Fraction(-5, 3)), b)
+                 for a, b in zip(elements, elements[2:])]
+    for V, D in elements:
+        assert all(type(x) is int for x in (*V, D)) and D > 0
+    signs = [ctx.sign(e) for e in elements]          # refines the base
+
+    created = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        created.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for a, b in zip(elements, elements[1:]):
+        c = ctx.add(ctx.step(a, -1), ctx.scale(b, 3))
+        ctx.sub(ctx.mul(a, c), ctx.neg(b))
+        ctx.add_fraction(c, 2)
+    assert [ctx.sign(e) for e in elements] == signs
+    monkeypatch.undo()
+    assert created == []
 
 
 def test_zq_display_float_of_a_cancelling_vector_is_accurate():

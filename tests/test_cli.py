@@ -354,6 +354,33 @@ def test_cli_gaps_rejects_a_tail_fraction_outside_0_1(capsys, fraction):
     assert err.startswith("error: tail fraction must lie in [0, 1]")
 
 
+def test_cli_gaps_checks_the_tail_fraction_before_the_window(capsys,
+                                                           monkeypatch):
+    def enumerate_X(*args, **kwargs):
+        raise AssertionError("the window was enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_X", enumerate_X)
+    code = cli.main(["gaps", "--poly", "-1,-1,0,0,1", "--m", "1", "--bound",
+                     "300", "--tail-fraction", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tail fraction must lie in [0, 1]")
+
+
+def test_cli_root_selectors_agree_on_a_non_squarefree_polynomial(capsys):
+    # (x - 1)^2 (x^2 - x - 1): the interval selector once rejected it as
+    # not squarefree while the index selector took its squarefree part
+    docs = [run_json(capsys, "classify", "--poly", "-1,1,2,-3,1", *selector)
+            for selector in (["--root-index", "0"],
+                             ["--root-interval", "1.5..1.7"])]
+    assert [code for code, _ in docs] == [0, 0]
+    first, second = (doc["result"] for _, doc in docs)
+    assert first == second
+    assert first["class"] == "Pisot"
+    assert first["base"]["poly"] == "-1,-1,1"
+
+
 def test_cli_classify_a_huge_constant_term(capsys, deadline):
     # x^2 - (10^20 + 1): its rational root search once ran for hours
     with deadline(1):
