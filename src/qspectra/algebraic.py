@@ -12,9 +12,10 @@ Three layers live here:
   map, the circle's roots read off the gcd that ends its Sturm sequence).
   ``conjugates`` -- all complex roots with certified error disks
   (simultaneous Weierstrass iteration, in double precision first and in
-  mpmath above it; a-posteriori disks checked exactly in scaled Gaussian
-  integers) -- is the label's evidence, computed only when a
-  ``NumberClass``'s ``conjugate_set`` is read.
+  fixed-point Gaussian integers above it; a-posteriori disks checked
+  exactly in the same scaled Gaussian integers) -- is the label's
+  evidence, computed only when a ``NumberClass``'s ``conjugate_set`` is
+  read.
 * ``ZqContext`` -- the one exact value kernel, Q[q] for any base, run in
   integers: on a monic base, tuples in the basis 1, q, ..., q^(d-1)
   (canonical integer vectors in Z[q], which the search packs into one int
@@ -43,7 +44,6 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -67,22 +67,6 @@ from .intpoly import (
 
 # ---------------------------------------------------------------------------
 # small exact helpers
-
-
-def mpf_to_fraction(x) -> Fraction:
-    """Exact value of an mpmath or builtin float (binary floats are
-    rationals).
-
-    Reads the mantissa/exponent pair directly: converting through mpf()
-    would re-round to the ambient working precision.
-    """
-    if isinstance(x, (int, float)):
-        return Fraction(x)
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    val = Fraction(int(man)) * (Fraction(2) ** int(exp))
-    return -val if sign else val
 
 
 # Gaussian rationals: (re, im) Fraction pairs.
@@ -723,73 +707,99 @@ class ConjugateSet:
 
 def _dk_iterate(coeffs: tuple[int, ...], prec_bits: int, start=None):
     """Simultaneous Weierstrass/Durand-Kerner iteration at the given
-    precision.  Returns approximations only; certification is separate.
+    precision.  Returns approximations only, as (Z, S): Gaussian integers
+    Z_j = (X_j, Y_j) over a power of two S; certification is separate.
 
-    At 53 bits the iteration runs in builtin ``complex`` and returns None
-    when an iterate is not finite (say Horner overflows past 1e308); above
-    53 bits it runs in mpmath ``mpc`` under ``workprec``, whose exponent
-    range is unbounded.  ``start`` is a previous rung's approximations.
+    At 53 bits the iteration runs in builtin ``complex`` from the seed
+    points, and its binary-float centres are scaled exactly to Gaussian
+    integers; it returns None when an iterate is not finite (say Horner
+    overflows past 1e308).  Above 53 bits it runs in fixed point over
+    S = 2^prec_bits: Horner and the Weierstrass product shift once per
+    multiply, and each correction is num*conj(den) floor-divided by
+    |den|^2.  The seed points scale the Cauchy bound in ints, so nothing
+    overflows; ``start`` is a previous rung's (Z, S), rescaled to S.
     """
-    d = len(coeffs) - 1
-    lead = coeffs[-1]
+    d, lead = len(coeffs) - 1, coeffs[-1]
     bound = cauchy_root_bound(IntPolynomial(coeffs))
-    if prec_bits <= 53:     # the complex and real types of this rung
-        C, R, context = complex, float, nullcontext()
-    else:
-        from mpmath import mpc as C, mpf as R, workprec
-        context = workprec(prec_bits)
-    with context:
+    steps = 60 + 12 * prec_bits // 16
+    if prec_bits <= 53:
         try:
-            # in the rung's real type, so that a bound beyond float range
-            # ends the 53-bit rung like any other overflow
-            bound = (float(bound) if R is float
-                     else R(bound.numerator) / bound.denominator)
-            if start is None:
-                seed = C(R("0.4"), R("0.9"))
-                z = []
-                cur = C(1)
-                for _ in range(d):
-                    cur = cur * seed
-                    z.append(cur * bound / abs(cur) * R("0.7"))
-            else:
-                z = [C(s) for s in start]
-            tol = R(2) ** (-(prec_bits * 3) // 4) * max(1.0, bound)
-            for _ in range(60 + 12 * prec_bits // 16):
-                max_corr = R(0)
+            bound = float(bound)
+            seed, cur, z = complex(0.4, 0.9), complex(1), []
+            for _ in range(d):
+                cur = cur * seed
+                z.append(cur * bound / abs(cur) * 0.7)
+            tol = 2.0 ** (-(prec_bits * 3) // 4) * max(1.0, bound)
+            for _ in range(steps):
+                max_corr = 0.0
                 for j in range(d):
-                    num = C(0)
+                    num = 0j
                     for c in reversed(coeffs):
                         num = num * z[j] + c
-                    den = C(lead)
+                    den = complex(lead)
                     for i in range(d):
                         if i != j:
                             den *= z[j] - z[i]
                     if den == 0:
-                        z[j] = z[j] + R(2) ** (-prec_bits // 2)
-                        max_corr = R(1)
+                        z[j] = z[j] + 2.0 ** (-prec_bits // 2)
+                        max_corr = 1.0
                         continue
                     w = num / den
                     z[j] = z[j] - w
-                    if abs(w) > max_corr:
-                        max_corr = abs(w)
+                    max_corr = max(max_corr, abs(w))
                 if max_corr < tol:
                     break
-        except OverflowError:       # float range only: mpf does not overflow
+        except OverflowError:
             return None
-    if prec_bits <= 53 and not all(map(cmath.isfinite, z)):
-        return None
-    return z
+        if not all(map(cmath.isfinite, z)):
+            return None
+        S = max(x.as_integer_ratio()[1] for w in z for x in (w.real, w.imag))
+        return [(int(Fraction(w.real) * S), int(Fraction(w.imag) * S))
+                for w in z], S
+    p, S = prec_bits, 1 << prec_bits
+    B = (bound.numerator << p) // bound.denominator
+    if start is None:       # the 53-bit rung's seed directions, at 0.7*bound
+        t = math.atan2(0.9, 0.4)
+        start = [(int(0.7 * 2**53 * math.cos(k * t)) * B,
+                  int(0.7 * 2**53 * math.sin(k * t)) * B)
+                 for k in range(1, d + 1)], 1 << p + 53
+    z = [((x << p) // start[1], (y << p) // start[1]) for x, y in start[0]]
+    tol = max(S, B) >> (3 * p // 4)
+    cs = [c << p for c in coeffs]
+    for _ in range(steps):
+        max_corr = 0
+        for j, (x, y) in enumerate(z):
+            nr, ni = cs[-1], 0
+            for c in reversed(cs[:-1]):
+                nr, ni = ((nr * x - ni * y) >> p) + c, (nr * y + ni * x) >> p
+            dr, di = cs[-1], 0
+            for i, (u, v) in enumerate(z):
+                if i != j:
+                    u, v = x - u, y - v
+                    dr, di = (dr * u - di * v) >> p, (dr * v + di * u) >> p
+            n2 = dr * dr + di * di
+            if n2:
+                wr = ((nr * dr + ni * di) << p) // n2
+                wi = ((ni * dr - nr * di) << p) // n2
+            else:           # z_j meets another point: move it by 2^(-p/2)
+                wr, wi = -(1 << p // 2), 0
+            z[j] = (x - wr, y - wi)
+            max_corr = max(max_corr, abs(wr), abs(wi))
+        if max_corr < tol:
+            break
+    return z, S
 
 
-def _certified_disks(coeffs: tuple[int, ...], z) -> list | None:
-    """Exact Weierstrass a-posteriori disks, or None when they overlap.
+def _certified_disks(coeffs: tuple[int, ...], Z, S: int) -> list | None:
+    """Exact Weierstrass a-posteriori disks about the centres Z_j / S, or
+    None when they overlap.
 
     For distinct approximations z_j the disks centered z_j with radius
     d*(|Re W_j| + |Im W_j|) (W_j the Weierstrass correction) jointly contain
     all roots, and pairwise disjoint disks contain exactly one root each.
 
-    The centers are dyadic (floats or mpf), so one power of two S scales
-    them all to Gaussian integers Z_j = S z_j.  Then p(z_j) = N_j / S^d with
+    The centres are Gaussian integers Z_j over a power of two S, as every
+    rung of ``_dk_iterate`` returns them.  Then p(z_j) = N_j / S^d with
     N_j = sum_k c_k Z_j^k S^(d-k), the Weierstrass denominator is
     D_j / S^(d-1) with D_j = lead * prod_{i!=j} (Z_j - Z_i), and
     W_j = N_j conj(D_j) / (S |D_j|^2).  Everything up to the one Fraction
@@ -797,12 +807,7 @@ def _certified_disks(coeffs: tuple[int, ...], z) -> list | None:
     the result is a certificate, not an estimate.  Returns
     [(re, im, radius)] as Fractions.
     """
-    d = len(coeffs) - 1
-    lead = coeffs[-1]
-    zf = [(mpf_to_fraction(w.real), mpf_to_fraction(w.imag)) for w in z]
-    S = max(x.denominator for c in zf for x in c)      # all powers of two
-    Z = [(c[0].numerator * (S // c[0].denominator),
-          c[1].numerator * (S // c[1].denominator)) for c in zf]
+    d, lead = len(coeffs) - 1, coeffs[-1]
     scaled = [c * S ** (d - k) for k, c in enumerate(coeffs)]
     radii = []
     for j, (zr, zi) in enumerate(Z):
@@ -829,19 +834,15 @@ def _certified_disks(coeffs: tuple[int, ...], z) -> list | None:
             if ((er * er + ei * ei) * (b * b2) ** 2
                     <= (S * (a * b2 + a2 * b)) ** 2):
                 return None
-    return [(re, im, rad) for (re, im), rad in zip(zf, radii)]
+    return [(Fraction(x, S), Fraction(y, S), rad)
+            for (x, y), rad in zip(Z, radii)]
 
 
 def _locate_disk(re: Fraction, im: Fraction, radius: Fraction) -> str:
     s2 = re * re + im * im
-    if radius < 1:
-        inside_lim = (1 - radius) ** 2
-        if s2 < inside_lim:
-            return "inside"
-    outside_lim = (1 + radius) ** 2
-    if s2 > outside_lim:
-        return "outside"
-    return "straddle"
+    if radius < 1 and s2 < (1 - radius) ** 2:
+        return "inside"
+    return "outside" if s2 > (1 + radius) ** 2 else "straddle"
 
 
 def conjugates(p: IntPolynomial, radius=Fraction(1, 10**12),
@@ -850,13 +851,14 @@ def conjugates(p: IntPolynomial, radius=Fraction(1, 10**12),
     unit-circle location tags.
 
     The precision ladder is 53, 64, 128, ... bits up to ``budget_bits``.
-    The 53-bit rung iterates in builtin ``complex``; each later rung
-    iterates in mpmath from the previous rung's approximations, or from
-    the seed points when the 53-bit iterates overflowed.  Each rung's
-    approximations are certified by ``_certified_disks`` (exact, in scaled
-    Gaussian integers); the first rung whose disks are disjoint, within
-    ``radius``, and straddle the unit circle exactly ``on_circle_count``
-    times wins, and ``precision_bits`` names it.
+    The 53-bit rung iterates in builtin ``complex``; each later rung of
+    ``prec`` bits iterates in Gaussian integers over 2^prec from the
+    previous rung's approximations, or from the seed points when the 53-bit
+    iterates overflowed.  Each rung's approximations are certified by
+    ``_certified_disks`` (exact, in the same scaled Gaussian integers); the
+    first rung whose disks are disjoint, within ``radius``, and straddle the
+    unit circle exactly ``on_circle_count`` times wins, and
+    ``precision_bits`` names it.
 
     Raises PreconditionError for non-squarefree input.  If the precision
     budget runs out before every off-circle root is certified inside or
@@ -888,34 +890,21 @@ def conjugates(p: IntPolynomial, radius=Fraction(1, 10**12),
                             sum(1 for x in disks if x.location == "on"))
 
     on_count = unit_circle_counts(work)[1]
-    prec, ran = 53, 0
-    start = None
-    best: list | None = None
-    while prec <= budget_bits:
+    prec, ran, start, best, resolved = 53, 0, None, (), False
+    while prec <= budget_bits and not resolved:
         z = _dk_iterate(coeffs, prec, start)
         ran, start = prec, z
-        disks = None if z is None else _certified_disks(coeffs, z)
+        disks = None if z is None else _certified_disks(coeffs, *z)
         if disks is not None:
-            located = [(_locate_disk(re, im, rad), re, im, rad)
-                       for re, im, rad in disks]
-            n_straddle = sum(1 for loc, *_ in located if loc == "straddle")
-            radius_ok = all(rad <= radius for _, _, _, rad in located)
-            best = located
-            if n_straddle == on_count and radius_ok:
-                out = zero_disks + [
-                    ConjugateDisk(re, im, rad,
-                                  "on" if loc == "straddle" else loc)
-                    for loc, re, im, rad in located]
-                return ConjugateSet(p, tuple(sorted_disks(out)), True, prec,
-                                    on_count)
+            best = [(_locate_disk(*disk), *disk) for disk in disks]
+            resolved = (sum(loc == "straddle" for loc, *_ in best) == on_count
+                        and all(rad <= radius for *_, rad in best))
         prec = 64 if prec == 53 else 2 * prec
-
-    out = list(zero_disks)
-    if best is not None:
-        out += [ConjugateDisk(re, im, rad,
-                              "unresolved" if loc == "straddle" else loc)
-                for loc, re, im, rad in best]
-    return ConjugateSet(p, tuple(sorted_disks(out)), False, ran, on_count)
+    straddle = "on" if resolved else "unresolved"
+    out = zero_disks + [ConjugateDisk(re, im, rad,
+                                      straddle if loc == "straddle" else loc)
+                        for loc, re, im, rad in best]
+    return ConjugateSet(p, tuple(sorted_disks(out)), resolved, ran, on_count)
 
 
 def sorted_disks(disks):

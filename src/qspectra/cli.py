@@ -181,7 +181,13 @@ def cmd_witness(args):
 
 def cmd_aq(args):
     q = resolve_base(args)
-    degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
+    try:
+        degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
+    except ValueError:
+        degrees = []
+    if not degrees:
+        raise PreconditionError(
+            f"--degrees must list integers, not {args.degrees!r}")
     B = _parse_fraction(args.bound)
     windows = []
     truncated = False

@@ -50,6 +50,7 @@ window is canonically sorted before emission.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -347,6 +348,14 @@ def _check_base(q: AlgebraicNumber):
         raise PreconditionError("base must satisfy q > 1")
 
 
+def _check_bound(B) -> Fraction:
+    """B as a Fraction: a window's bound is positive and a finite float."""
+    B = Fraction(B)
+    if not 0 < B <= sys.float_info.max:
+        raise PreconditionError("bound must be positive and a finite float")
+    return B
+
+
 def enumerate_X(q: AlgebraicNumber, m: int, B, *, tol: float | None = None,
                 budget: int = DEFAULT_STATE_BUDGET) -> SpectrumWindow:
     """Complete window X^m(q) in [0, B]: every value of a digit string over
@@ -360,9 +369,7 @@ def enumerate_X(q: AlgebraicNumber, m: int, B, *, tol: float | None = None,
     _check_base(q)
     if m < 1:
         raise PreconditionError("m >= 1 required")
-    B = Fraction(B)
-    if B <= 0:
-        raise PreconditionError("B > 0 required")
+    B = _check_bound(B)
     kernel = make_kernel(q, tol, float(B))
     model = kernel.float_model()
     b_lo, b_hi = _float_enclosure(B)
@@ -455,9 +462,7 @@ def enumerate_Y(q: AlgebraicNumber, m: int, degree: int, B, *,
     _check_base(q)
     if m < 1 or degree < 0:
         raise PreconditionError("need m >= 1 and degree >= 0")
-    B = Fraction(B)
-    if B <= 0:
-        raise PreconditionError("B > 0 required")
+    B = _check_bound(B)
     columns, complete = _signed_window(q, m, degree, B, range(-m, m + 1),
                                        tol, budget)
     certified = complete and _devries_complete(q, m, degree, B)
@@ -494,7 +499,7 @@ def enumerate_A(q: AlgebraicNumber, degree: int, B, *,
         raise PreconditionError("A(q) windows require 1 < q <= 2")
     if degree < 0:
         raise PreconditionError("degree >= 0 required")
-    B = Fraction(B)
+    B = _check_bound(B)
     columns, complete = _signed_window(q, 1, degree, B, (-1, 1), tol, budget)
     w = SpectrumWindow(q, 1, "A", degree, B, complete, *columns,
                        truncated=not complete)

@@ -31,7 +31,6 @@ from qspectra.algebraic import (
     _whole,
     classify_base,
     conjugates,
-    mpf_to_fraction,
     power_base,
 )
 from qspectra.errors import PreconditionError
@@ -440,9 +439,9 @@ def test_classification_stability_at_two_radii():
 
 
 def test_conjugates_unresolved_on_tiny_budget():
-    # complex pair at modulus sqrt(1 + 1e-15): undecidable at 64 bits,
+    # complex pair at modulus sqrt(1 + 1e-20): undecidable at 64 bits,
     # certified outside with a realistic budget
-    n = 10**15
+    n = 10**20
     p = IntPolynomial([n + 1, -2 * n, n])
     cs = conjugates(p, budget_bits=64)
     assert not cs.resolved
@@ -460,7 +459,7 @@ def test_conjugates_precision_bits_is_the_last_rung_run():
         cs = conjugates(P1_POLY, budget_bits=budget)
         assert cs.resolved and cs.precision_bits == 53
     # the near-circle pair of the test above stays unresolved on every rung
-    n = 10**15
+    n = 10**20
     p = IntPolynomial([n + 1, -2 * n, n])
     for budget, ran in ((53, 53), (60, 53), (64, 64), (100, 64)):
         cs = conjugates(p, budget_bits=budget)
@@ -486,15 +485,16 @@ def _height_one_corpus():
     return out + [X20_POLY, LEHMER_POLY]
 
 
-def _reference_disks(coeffs, z):
-    """The Weierstrass disks evaluated in Gaussian rationals, one Fraction
-    operation at a time: radius d*(|Re W_j| + |Im W_j|), W_j = p(z_j) /
-    (lead * prod (z_j - z_i)); None unless pairwise disjoint."""
+def _reference_disks(coeffs, Z, S):
+    """The Weierstrass disks about the centres z_j = Z_j / S evaluated in
+    Gaussian rationals, one Fraction operation at a time: radius
+    d*(|Re W_j| + |Im W_j|), W_j = p(z_j) / (lead * prod (z_j - z_i)); None
+    unless pairwise disjoint."""
     def mul(a, b):
         return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
     d = len(coeffs) - 1
-    zf = [(mpf_to_fraction(w.real), mpf_to_fraction(w.imag)) for w in z]
+    zf = [(Fraction(x, S), Fraction(y, S)) for x, y in Z]
     disks = []
     for j in range(d):
         den = (Fraction(coeffs[-1]), Fraction(0))
@@ -530,8 +530,8 @@ def test_integer_disks_equal_the_fraction_reference(deadline):
                 z = _dk_iterate(p.coeffs, prec, start)
                 start = z
                 assert z is not None
-                want = _reference_disks(p.coeffs, z)
-                assert _certified_disks(p.coeffs, z) == want, (p.coeffs, prec)
+                want = _reference_disks(p.coeffs, *z)
+                assert _certified_disks(p.coeffs, *z) == want, (p.coeffs, prec)
                 checked += want is not None
     assert checked > 0
 
@@ -540,10 +540,10 @@ def test_integer_disks_reject_overlap_and_coincidence():
     # x^2 - 2 from two equal centers, and from centers whose disks overlap:
     # radii ~6e-4 and ~2.83 around 181/128 and 0, so the scale S = 128
     # must enter the test
-    assert _certified_disks((-2, 0, 1), [1.5 + 0j, 1.5 + 0j]) is None
-    for z in ([1.0 + 0j, 1.25 + 0j], [1.4140625 + 0j, 0j]):
-        assert _reference_disks((-2, 0, 1), z) is None
-        assert _certified_disks((-2, 0, 1), z) is None
+    assert _certified_disks((-2, 0, 1), [(3, 0), (3, 0)], 2) is None
+    for Z, S in (([(4, 0), (5, 0)], 4), ([(181, 0), (0, 0)], 128)):
+        assert _reference_disks((-2, 0, 1), Z, S) is None
+        assert _certified_disks((-2, 0, 1), Z, S) is None
 
 
 def test_double_rung_certifies_the_corpus(deadline):
@@ -564,20 +564,24 @@ def test_double_rung_certifies_the_corpus(deadline):
     assert conjugates(LEHMER_POLY).on_circle_count == 8
 
 
-def test_overflowing_double_rung_falls_back_to_mpmath(deadline):
-    # Horner at the seed points (modulus ~0.7e200) overflows double range
+def test_overflowing_double_rung_falls_back_to_the_integer_rungs(deadline):
+    # Horner at the seed points (modulus ~0.7e200) overflows double range.
+    # The disks are pinned by what they certify, not by their centres: a
+    # centre is wherever the iteration stopped, and need not be the root
     p = IntPolynomial([-10**200, 0, 1])
     assert _dk_iterate(p.coeffs, 53) is None
     with deadline(60):
         cs = conjugates(p)
     assert cs.resolved and cs.precision_bits > 53
-    assert [(d.re, d.im) for d in cs.disks] == [
-        (Fraction(-10**100), 0), (Fraction(10**100), 0)]
+    assert len(cs.disks) == 2
+    for d, root in zip(cs.disks, (-10**100, 10**100)):
+        assert (d.re - root) ** 2 + d.im ** 2 <= d.radius ** 2
+        assert d.radius <= Fraction(1, 10**12)
 
 
 def test_bound_beyond_float_range_ends_the_double_rung(deadline):
-    # the Cauchy bound 1 + 10^400 itself overflows a float; the mpmath
-    # rungs take it in their own real type
+    # the Cauchy bound 1 + 10^400 itself overflows a float; the integer
+    # rungs take it as an int
     p = IntPolynomial([-10**400, 0, 1])
     assert _dk_iterate(p.coeffs, 53) is None
     with deadline(60):
@@ -727,25 +731,29 @@ def test_labels_never_run_the_disks(monkeypatch):
     assert calls == []
 
 
-def test_labelling_leaves_mpmath_unloaded_until_the_evidence_is_read():
-    # x^2 - 10^400 x - 1: a Pisot number whose disks need the mpmath rungs
-    # (its Cauchy bound is beyond float range)
+def test_labels_and_upper_rung_evidence_load_only_the_standard_library():
+    # x^2 - 10^400 x - 1: a Pisot number whose disks need the rungs above
+    # 53 bits (its Cauchy bound is beyond float range).  Modules loaded at
+    # start-up (site's .pth hooks) are not the package's imports
     code = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "from qspectra import AlgebraicNumber, IntPolynomial, classify_base\n"
-        "from qspectra.intpoly import unit_circle_counts\n"
+        "import qspectra.cli\n"
         "q = AlgebraicNumber.base_from_poly(\n"
         "    IntPolynomial([-1, -10**400, 1]), root_index=0)\n"
         "cls = classify_base(q)\n"
-        "n = unit_circle_counts(IntPolynomial([-10**400, 0, 1]))[0]\n"
-        "print(cls.tag, cls.n_in, cls.n_on, cls.n_out, n,\n"
-        "      'mpmath' in sys.modules)\n"
         "cs = cls.conjugate_set\n"
-        "print(cs.resolved, cs.count('inside'), 'mpmath' in sys.modules)\n")
+        "print(cls.tag, cs.resolved, cs.precision_bits, cs.count('inside'))\n"
+        "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names)))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": SRC})
-    assert out.stdout.splitlines() == ["Pisot 1 0 1 0 False", "True 1 True"]
+    tag, resolved, bits, inside = out.stdout.splitlines()[0].split()
+    assert (tag, resolved, inside) == ("Pisot", "True", "1")
+    assert 53 < int(bits) <= 1024
+    assert out.stdout.splitlines()[1] == "['qspectra']"
 
 
 def test_unresolved_disks_leave_the_label_exact():
@@ -1319,15 +1327,6 @@ def test_huge_constant_terms_isolate_without_trial_division(deadline):
                                            root_index=0)
         assert q.exact_rational == 10**200
         assert classify_base(q).tag == "PisotInteger"
-
-
-def test_importing_the_package_leaves_mpmath_unloaded():
-    code = ("import sys, qspectra, qspectra.cli; "
-            "print('mpmath' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": SRC})
-    assert out.stdout.strip() == "False"
 
 
 def test_concurrent_refinement_stays_valid():

@@ -368,6 +368,36 @@ def test_cli_gaps_checks_the_tail_fraction_before_the_window(capsys,
     assert err.startswith("error: tail fraction must lie in [0, 1]")
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--m", "1"],
+    ["spectrum", "--kind", "Y", "--degree", "4", "--m", "1"],
+    ["gaps", "--m", "1"],
+    ["aq", "--degrees", "4,6"],
+])
+@pytest.mark.parametrize("bound", ["1e400", "-1", "0"])
+def test_cli_windows_reject_a_bound_that_is_not_a_positive_float(capsys,
+                                                                argv, bound):
+    # 1e400 once ended in an OverflowError traceback from float(B); aq took
+    # -1 and 0 and marked its windows over the empty [1, -1] complete
+    code = cli.main([*argv, "--poly", "-1,-1,0,1", "--bound", bound])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: bound must be positive and a finite float\n"
+
+
+@pytest.mark.parametrize("degrees", ["4,x", ","])
+def test_cli_aq_rejects_a_degree_list_without_integers(capsys, degrees):
+    # '4,x' once ended in a ValueError traceback; ',' exited 0 over no
+    # windows, reporting strictly decreasing covering radii
+    code = cli.main(["aq", "--poly", "-1,-1,0,1", "--degrees", degrees,
+                     "--bound", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --degrees must list integers, not {degrees!r}\n"
+
+
 def test_cli_root_selectors_agree_on_a_non_squarefree_polynomial(capsys):
     # (x - 1)^2 (x^2 - x - 1): the interval selector once rejected it as
     # not squarefree while the index selector took its squarefree part
