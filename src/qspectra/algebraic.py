@@ -27,9 +27,6 @@ Three layers live here:
   (``float_model``) under which the spectrum engines carry proven float
   enclosures of their search states.
 
-The Gaussian-rational helpers (``_gr_*``: (re, im) Fraction pairs) serve
-the witness construction.
-
 Minimal polynomials are free of rational roots: ``AlgebraicNumber`` divides
 the rational roots of its polynomial out (``real_roots`` reads them off its
 one isolation pass, the checked constructor isolates once), so a base whose
@@ -67,56 +64,6 @@ from .intpoly import (
 
 # ---------------------------------------------------------------------------
 # small exact helpers
-
-
-# Gaussian rationals: (re, im) Fraction pairs.
-GR = tuple[Fraction, Fraction]
-
-
-def _gr(re, im=0) -> GR:
-    return (Fraction(re), Fraction(im))
-
-
-def _gr_add(a: GR, b: GR) -> GR:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _gr_sub(a: GR, b: GR) -> GR:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _gr_mul(a: GR, b: GR) -> GR:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gr_scale(a: GR, c) -> GR:
-    c = Fraction(c)
-    return (c * a[0], c * a[1])
-
-
-def _gr_abs2(a: GR) -> Fraction:
-    return a[0] * a[0] + a[1] * a[1]
-
-
-def _gr_inv(a: GR) -> GR:
-    n = _gr_abs2(a)
-    if n == 0:
-        raise ZeroDivisionError("inverse of zero")
-    return (a[0] / n, -a[1] / n)
-
-
-def _gr_pow(a: GR, n: int) -> GR:
-    out = _gr(1)
-    while n:
-        if n & 1:
-            out = _gr_mul(out, a)
-        a = _gr_mul(a, a)
-        n >>= 1
-    return out
-
-
-def _gr_float(a: GR) -> complex:
-    return complex(float(a[0]), float(a[1]))
 
 
 def _float_enclosure(x) -> tuple[float, float]:
@@ -952,13 +899,17 @@ class NumberClass:
     def evidence(self) -> list[dict]:
         if self.conjugate_set is None:
             return []
-        return [
-            {"center": [float(d.re), float(d.im)],
-             "radius": float(d.radius),
-             "modulus_bounds": list(d.modulus_bounds()),
-             "location": d.location}
-            for d in self.conjugate_set.disks
-        ]
+        try:
+            return [
+                {"center": [float(d.re), float(d.im)],
+                 "radius": float(d.radius),
+                 "modulus_bounds": list(d.modulus_bounds()),
+                 "location": d.location}
+                for d in self.conjugate_set.disks
+            ]
+        except OverflowError:
+            raise PreconditionError(
+                "conjugate beyond the float range") from None
 
 
 def classify_base(q: AlgebraicNumber, budget_bits: int = 4096) -> NumberClass:

@@ -7,9 +7,13 @@ or run through many distinct moduli, depending on where p sits relative to
 the unit circle.
 
 The companion point enters as an exact Gaussian rational (decimal input is
-rational), and every sign decision in the construction is invariant under
-positive real scaling of the direction vector w, so the whole construction
-runs in exact rational complex arithmetic; floating output is display only.
+rational), so p^-1 = G/M for a Gaussian integer G and an int M > 0, and
+p^-i = G^i / M^i: one ``_Powers`` stream per witness yields the Gaussian
+integers G^i, one product each.  Every sign decision in the construction is
+invariant under positive real scaling of the direction w, so w is scaled
+once to a Gaussian integer W over an int e.  A sign is then the sign of an
+int, a partial sum an int over e M^i, and a display float one correctly
+rounded int / int, the same float as that of the exact rational.
 """
 
 from __future__ import annotations
@@ -18,21 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebraic import (
-    GR,
-    AlgebraicNumber,
-    ZqContext,
-    _gr,
-    _gr_abs2,
-    _gr_add,
-    _gr_float,
-    _gr_inv,
-    _gr_mul,
-    _gr_pow,
-    _gr_scale,
-    _gr_sub,
-    classify_base,
-)
+from .algebraic import AlgebraicNumber, ZqContext, classify_base
 from .errors import (
     PreconditionError,
     PrecisionExhaustedError,
@@ -48,22 +38,72 @@ from .expansions import (
 )
 from .spectrum import _devries_margin, l_estimate
 
+# Gaussian rationals at the public boundary: (re, im) Fraction pairs.
+GR = tuple[Fraction, Fraction]
 
-def _sqrt_upper(x: Fraction, steps: int = 40) -> Fraction:
-    """Rational upper bound on sqrt(x); Newton from above with rounding-up
-    to keep denominators bounded."""
-    if x < 0:
-        raise PreconditionError("negative radicand")
-    if x == 0:
-        return Fraction(0)
-    u = x if x >= 1 else Fraction(1)
-    grid = 1 << 80
-    for _ in range(steps):
-        u = (u + x / u) / 2
-        u = Fraction(math.ceil(u * grid), grid)
-        if u * u <= x:  # rounding dipped below: bump back up
-            u += Fraction(2, grid)
-    return u
+
+def _complex(z: GR) -> complex:
+    return complex(float(z[0]), float(z[1]))
+
+
+def _over_int(z: GR) -> tuple[tuple[int, int], int]:
+    """(W, e) with z = W / e: a Gaussian integer over an int e > 0."""
+    e = math.lcm(z[0].denominator, z[1].denominator)
+    return (z[0].numerator * (e // z[0].denominator),
+            z[1].numerator * (e // z[1].denominator)), e
+
+
+def _gmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _gpow(a, n: int):
+    out = (1, 0)
+    while n:
+        if n & 1:
+            out = _gmul(out, a)
+        a = _gmul(a, a)
+        n >>= 1
+    return out
+
+
+class _Powers:
+    """The Gaussian integers X_i = G^i with p^-i = X_i / M^i, for a nonzero
+    Gaussian rational p (p^-1 = G/M, M the least common denominator).
+    X_0..X_keep are tabled; past them ``at`` goes on from the index it
+    returned last, so an increasing walk costs one product per index (a
+    jump, one power) and stores nothing."""
+
+    def __init__(self, p: GR, keep: int):
+        n = p[0] * p[0] + p[1] * p[1]
+        self.G, self.M = _over_int((p[0] / n, -p[1] / n))
+        self._table = [(1, 0)]
+        for _ in range(keep):
+            self._table.append(_gmul(self._table[-1], self.G))
+        self._last = (keep, self._table[-1])
+
+    def at(self, i: int) -> tuple[int, int]:
+        if i < len(self._table):
+            return self._table[i]
+        j, x = self._last
+        if j > i:
+            j, x = len(self._table) - 1, self._table[-1]
+        if i > j:
+            x = _gmul(x, self.G if i == j + 1 else _gpow(self.G, i - j))
+            self._last = (i, x)
+        return x
+
+
+def _re_sums(pw: _Powers, W, stop: int, start: int = 1):
+    """(i, X_i, R, M^i) for i = start..stop, where sum_{j=start}^{i}
+    Re(W p^-j) = R / M^i."""
+    (wr, wi), M = W, pw.M
+    R, Mi = 0, M ** start
+    for i in range(start, stop + 1):
+        x = pw.at(i)
+        R += wr * x[0] - wi * x[1]
+        yield i, x, R, Mi
+        R, Mi = R * M, Mi * M
 
 
 def parse_complex(text: str) -> GR:
@@ -71,22 +111,30 @@ def parse_complex(text: str) -> GR:
     parts = [t.strip() for t in text.split(",")]
     try:
         if len(parts) == 1:
-            return _gr(Fraction(parts[0]))
+            return Fraction(parts[0]), Fraction(0)
         if len(parts) == 2:
-            return _gr(Fraction(parts[0]), Fraction(parts[1]))
+            return Fraction(parts[0]), Fraction(parts[1])
     except (ValueError, ZeroDivisionError) as exc:
         raise PreconditionError(f"cannot parse complex point {text!r}: {exc}")
     raise PreconditionError(f"cannot parse complex point {text!r}")
 
 
 def as_gaussian(p) -> GR:
-    if isinstance(p, tuple):
-        return _gr(Fraction(p[0]), Fraction(p[1]))
-    if isinstance(p, complex):
-        return _gr(Fraction(p.real), Fraction(p.imag))
-    if isinstance(p, str):
-        return parse_complex(p)
-    return _gr(Fraction(p))
+    """Exact companion point from a pair, a complex, text or a real; one
+    beyond the float range is rejected, as its display floats overflow."""
+    try:
+        if isinstance(p, str):
+            z = parse_complex(p)
+        elif isinstance(p, complex):
+            z = Fraction(p.real), Fraction(p.imag)
+        else:
+            z = (Fraction(p[0]), Fraction(p[1])) if isinstance(p, tuple) \
+                else (Fraction(p), Fraction(0))
+        _complex(z)
+    except (OverflowError, ValueError):
+        raise PreconditionError(f"companion point {p!r} is not a finite "
+                                "point within the float range") from None
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +153,7 @@ class Direction:
     perturb_log2: int | None = None
 
     def w_unit(self) -> complex:
-        z = _gr_float(self.w0)
+        z = _complex(self.w0)
         return z / abs(z)
 
     def to_dict(self) -> dict:
@@ -123,7 +171,8 @@ def _root_of_unity_order(p: GR) -> int | None:
     return table.get(p)
 
 
-def choose_w(p, m: int, horizon: int = 200) -> Direction:
+def choose_w(p, m: int, horizon: int = 200,
+             powers: _Powers | None = None) -> Direction:
     """Direction vector with Re w > 0 whose partial sums sum_{i=1}^k
     Re(w p^-i) stay nonpositive (case a) or strictly below Re w / m
     (case b), exactly as the geometric-series construction prescribes.
@@ -132,134 +181,94 @@ def choose_w(p, m: int, horizon: int = 200) -> Direction:
     companions are handled by the greedy/periodic steps of build_witness.
     """
     p = as_gaussian(p)
-    a2 = _gr_abs2(p)
+    a2 = p[0] * p[0] + p[1] * p[1]
     if a2 < 1:
         raise PreconditionError("need |p| >= 1")
     if p[1] == 0 and p[0] > 0:
         raise PreconditionError("positive real p handled by the expansion "
                                 "steps, not the direction construction")
-    pinv = _gr_inv(p)
+    pw = powers or _Powers(p, horizon)
+    w0 = (1 - p[0], -p[1])
 
     if a2 == 1:
         order = _root_of_unity_order(p)
         if order is not None:
-            return _choose_w_rational_angle(p, pinv, m, order)
-        w0 = _gr_sub(_gr(1), p)
-        _assert_case_b_inequalities(w0, pinv, m, horizon)
+            return _choose_w_rational_angle(w0, pw, m, order)
+        W, _ = _over_int(w0)
+        for _, _, R, Mk in _re_sums(pw, W, horizon):
+            if m * R >= W[0] * Mk:
+                raise QSpectraError("case (b) strict inequality failed")
         return Direction(w0, "b-irrational")
 
-    if p[0] < 1:
-        w0 = _gr_sub(_gr(1), p)   # 1 - p; Re w0 = 1 - Re p > 0
-        _assert_case_a_identity(w0, p, pinv, horizon)
+    if p[0] < 1:              # w0 = 1 - p; Re w0 = 1 - Re p > 0
+        _assert_case_a_identity(*_over_int(w0), pw, horizon)
         return Direction(w0, "a")
 
-    # |p| > 1, Re p >= 1, nonreal: shift construction
-    if p[1] == 0:
-        raise PreconditionError("real p >= 1 has no direction vector")
-    z = _gr_mul(_gr_sub(_gr(1), pinv), _gr(0, 1))
-    if z[0] <= 0:
-        z = _gr_scale(z, -1)
-    if z[0] <= 0:
-        raise QSpectraError("degenerate direction seed")
-    n = _first_maximal_partial_sum(z, p, pinv)
-    w0 = z
-    for _ in range(n):
-        w0 = _gr_mul(w0, pinv)
-    if w0[0] <= 0:
+    # |p| > 1, Re p >= 1, nonreal: shift construction from the seed
+    # z = (1 - p^-1) i = (G_im + (M - G_re) i) / M, turned to Re z > 0
+    G, M = pw.G, pw.M
+    Z = (G[1], M - G[0]) if G[1] > 0 else (-G[1], G[0] - M)
+    n = _first_maximal_partial_sum(Z, pw)
+    W = _gmul(Z, pw.at(n))                  # w0 = z p^-n = W / M^(n+1)
+    if W[0] <= 0:
         raise QSpectraError("shifted direction lost positivity")
-    _assert_nonpositive_partials(w0, pinv, 4 * n + 64)
-    return Direction(w0, "a-shift", shift_n=n)
+    for _, _, R, _ in _re_sums(pw, W, 4 * n + 64):
+        if R > 0:
+            raise QSpectraError("shifted partial sums went positive")
+    e = M ** (n + 1)
+    return Direction((Fraction(W[0], e), Fraction(W[1], e)), "a-shift",
+                     shift_n=n)
 
 
-def _assert_case_a_identity(w0: GR, p: GR, pinv: GR, horizon: int):
+def _assert_case_a_identity(W, e: int, pw: _Powers, horizon: int):
     # sum_{i=1}^k Re((1-p) p^-i) telescopes to Re(p^-k) - 1 <= 0
-    acc = _gr(0)
-    power = _gr(1)
-    for k in range(1, min(horizon, 64) + 1):
-        power = _gr_mul(power, pinv)
-        acc = _gr_add(acc, _gr_mul(w0, power))
-        if acc[0] != power[0] - 1:
+    for _, x, R, Mk in _re_sums(pw, W, min(horizon, 64)):
+        if R != e * (x[0] - Mk):
             raise QSpectraError("geometric telescope identity failed")
-        if acc[0] > 0:
+        if R > 0:
             raise QSpectraError("case (a) partial sum went positive")
 
 
-def _assert_nonpositive_partials(w0: GR, pinv: GR, upto: int):
-    acc = Fraction(0)
-    power = _gr(1)
-    for _ in range(upto):
-        power = _gr_mul(power, pinv)
-        acc += _gr_mul(w0, power)[0]
-        if acc > 0:
-            raise QSpectraError("shifted partial sums went positive")
-
-
-def _assert_case_b_inequalities(w0: GR, pinv: GR, m: int, horizon: int):
-    acc = Fraction(0)
-    power = _gr(1)
-    for _ in range(horizon):
-        power = _gr_mul(power, pinv)
-        acc += _gr_mul(w0, power)[0]
-        if m * acc >= w0[0]:
-            raise QSpectraError("case (b) strict inequality failed")
-
-
-def _choose_w_rational_angle(p: GR, pinv: GR, m: int, order: int) -> Direction:
+def _choose_w_rational_angle(base: GR, pw: _Powers, m: int,
+                             order: int) -> Direction:
     """p a root of unity (order 2 or 4): perturb w = 1-p on the power-of-two
     schedule until Re(w p^-i) != 0 through a full period and the strict
     period inequalities hold; everything exact, so the first working scale
     is certified."""
-    base = _gr_sub(_gr(1), p)
     for j in (None, *range(1, 64)):
-        w0 = base if j is None else _gr_mul(base, _gr(1, Fraction(1, 2**j)))
+        t = Fraction(1, 2**j) if j else 0          # w0 = base (1 + t i)
+        w0 = (base[0] - base[1] * t, base[1] + base[0] * t)
         if w0[0] <= 0:
             continue
-        powers = []
-        power = _gr(1)
-        ok = True
-        for _ in range(order):
-            if _gr_mul(w0, power)[0] == 0:
-                ok = False
-                break
-            powers.append(power)
-            power = _gr_mul(power, pinv)
-        if not ok:
+        W, _ = _over_int(w0)
+        wr, wi = W
+        if any(wr * x[0] == wi * x[1] for x in map(pw.at, range(order))):
             continue
-        acc = Fraction(0)
-        power = _gr(1)
-        for _ in range(1, order + 1):
-            power = _gr_mul(power, pinv)
-            acc += _gr_mul(w0, power)[0]
-            if m * acc >= w0[0]:
-                ok = False
-                break
-        if ok:
+        if all(m * R < wr * Mk for _, _, R, Mk in _re_sums(pw, W, order)):
             return Direction(w0, "b-rational", period=order,
                              perturb_log2=None if j is None else -j)
     raise PrecisionExhaustedError("no perturbation scale worked")
 
 
-def _first_maximal_partial_sum(z: GR, p: GR, pinv: GR,
-                               cap: int = 100_000) -> int:
-    """Index of the first maximal partial sum of sum Re(z p^-i); exists
-    because the total is zero and the first term is positive."""
-    pinv_abs_up = _sqrt_upper(_gr_abs2(pinv))
-    z_abs_up = _sqrt_upper(_gr_abs2(z))
-    if pinv_abs_up >= 1:
+def _first_maximal_partial_sum(Z, pw: _Powers, cap: int = 100_000) -> int:
+    """Index of the first maximal partial sum of sum_{i>=0} Re(z p^-i), z a
+    positive multiple of Z; exists because the total is zero and the first
+    term is positive.  Past index n the sums stay within |z| r^(n+1)/(1-r)
+    <= 2 |z| r^(n+1)/(1-r^2) of the n-th (r = |p^-1| < 1); the squared test
+    is exact in integers."""
+    G, M = pw.G, pw.M
+    gap = M * M - G[0] * G[0] - G[1] * G[1]           # M^2 (1 - r^2)
+    if gap <= 0:
         raise PreconditionError("need |p| > 1 for the shift construction")
-    sums = [z[0]]
-    power = _gr(1)
-    best = 0
-    n0 = 0
-    while n0 < cap:
-        for _ in range(32):
-            power = _gr_mul(power, pinv)
-            sums.append(sums[-1] + _gr_mul(z, power)[0])
-            n0 += 1
-        best = max(range(len(sums)), key=lambda i: (sums[i], -i))
-        tail = z_abs_up * pinv_abs_up ** (n0 + 1) / (1 - pinv_abs_up)
-        if sums[n0] + tail <= sums[best]:
+    scale = 4 * (Z[0] * Z[0] + Z[1] * Z[1]) * (M * M - gap) * M * M
+    best, top = 0, Z[0]                  # top = R_best M^(i - best)
+    for i, x, R, _ in _re_sums(pw, Z, cap, start=0):
+        if R > top:
+            best, top = i, R
+        if i and i % 32 == 0 and \
+                ((top - R) * gap) ** 2 >= scale * (x[0] * x[0] + x[1] * x[1]):
             return best
+        top *= M
     raise PrecisionExhaustedError("first maximal partial sum not located")
 
 
@@ -267,7 +276,8 @@ def _first_maximal_partial_sum(z: GR, p: GR, pinv: GR,
 # pattern and forced prefix
 
 
-def build_P_and_k(q: AlgebraicNumber, m: int, p, w0: GR, horizon: int
+def build_P_and_k(q: AlgebraicNumber, m: int, p, w0: GR, horizon: int,
+                  powers: _Powers | None = None
                   ) -> tuple[SignPattern, int, list[int]]:
     """Membership set P' = {i : Re(w p^-i) <= 0} materialized to the
     horizon, and the least k making the forced-prefix capacity at least one:
@@ -277,19 +287,14 @@ def build_P_and_k(q: AlgebraicNumber, m: int, p, w0: GR, horizon: int
     p = as_gaussian(p)
     if not (q.compare_to_fraction(m) > 0 and q.compare_to_fraction(m + 1) < 0):
         raise PreconditionError("need m < q < m+1")
-    pinv = _gr_inv(p)
-    members = []
-    re_signs = []
-    power = _gr(1)
-    for i in range(1, horizon + 1):
-        power = _gr_mul(power, pinv)
-        re = _gr_mul(w0, power)[0]
-        re_signs.append(re)
-        if re <= 0:
-            members.append(i)
+    pw = powers or _Powers(p, horizon)
+    (wr, wi), _ = _over_int(w0)
+    # re_signs[i-1] has the sign of Re(w p^-i)
+    re_signs = [wr * x[0] - wi * x[1]
+                for x in map(pw.at, range(1, horizon + 1))]
+    members = [i for i, re in enumerate(re_signs, 1) if re <= 0]
     member_set = set(members)
     ar = ZqContext(q)
-
     period = _membership_period(p)
     if period is not None:
         k = _least_k_periodic(ar, q, m, member_set, period, horizon)
@@ -439,26 +444,36 @@ def _q_residual_trace(seq: DigitSequence, q: AlgebraicNumber, N: int
     return out
 
 
-def _p_traces(seq: DigitSequence, w0: GR, p: GR, N: int):
-    """Partial sums S_N = sum_{i<=N} s_i w p^-i, scaled by |w0|: exact real
-    parts (signs certified) and squared moduli; floats normalized for
-    display."""
-    pinv = _gr_inv(p)
-    scale = 1.0 / abs(_gr_float(w0))
-    acc = _gr(0)
-    power = _gr(1)
-    res, abss, re_exact, abs2_exact = [], [], [], []
-    for i in range(0, N + 1):
+def _p_traces(seq: DigitSequence, w, pw: _Powers, N: int,
+              moduli: bool = False):
+    """Partial sums S_i = sum_{j<=i} s_j w p^-j (w = W / e) for i <= N: the
+    floats of Re S_i and |S_i| divided by |w|, the signs of Re S_i, the last
+    sum as ints (Re, denominator), and with ``moduli`` the set of distinct
+    |S_i|^2 as reduced int pairs.  S is (t_re + t_im i) / D with D = e M^L,
+    L the last nonzero digit; the powers between two are only streamed."""
+    (wr, wi), e = w
+    M, scale = pw.M, 1.0 / abs(complex(wr / e, wi / e))
+    tr = ti = L = 0
+    D = e
+    res, abss, signs, seen = [], [], [], set()
+    for i in range(N + 1):
         s = seq.digit(i) if i >= seq.first_index else 0
-        if s:
-            acc = _gr_add(acc, _gr_scale(_gr_mul(w0, power), s))
-        res.append(float(acc[0]) * scale)
-        a2 = _gr_abs2(acc)
-        abss.append(math.sqrt(float(a2)) * scale)
-        re_exact.append(acc[0])
-        abs2_exact.append(a2)
-        power = _gr_mul(power, pinv)
-    return res, abss, re_exact, abs2_exact
+        if s or not i:
+            xr, xi = pw.at(i)
+            lift = M ** (i - L)
+            tr = tr * lift + s * (wr * xr - wi * xi)
+            ti = ti * lift + s * (wr * xi + wi * xr)
+            D, L = D * lift, i
+            a2, d2 = tr * tr + ti * ti, D * D
+            re, ab, sign = tr / D * scale, math.sqrt(a2 / d2) * scale, \
+                (tr > 0) - (tr < 0)
+            if moduli:
+                g = math.gcd(a2, d2)
+                seen.add((a2 // g, d2 // g))
+        res.append(re)
+        abss.append(ab)
+        signs.append(sign)
+    return res, abss, signs, (tr, D), seen
 
 
 def build_witness(q: AlgebraicNumber, m: int, p, horizon: int = 120
@@ -482,7 +497,7 @@ def build_witness(q: AlgebraicNumber, m: int, p, horizon: int = 120
         if p[0] > 1:
             return _witness_step1(q, m, p, horizon)
         raise PreconditionError("need |p| >= 1")
-    if _gr_abs2(p) < 1:
+    if p[0] * p[0] + p[1] * p[1] < 1:
         raise PreconditionError("need |p| >= 1")
     return _witness_steps34(q, m, p, horizon)
 
@@ -499,15 +514,12 @@ def _witness_step1(q: AlgebraicNumber, m: int, p: GR,
                    horizon: int) -> WitnessReport:
     seq = _step1_sequence(q, m, horizon)
     cert = verify_expansion(seq, q, 0, horizon)
-    pf = Fraction(p[0])
-    partial = Fraction(-1)
-    power = Fraction(1)
-    for i in range(1, horizon + 1):
-        power /= pf
-        partial += seq.digit(i) * power
-    tail = m * power / (pf - 1)
-    certified_nonzero = abs(partial) > tail
-    res, abss, _, _ = _p_traces(seq, _gr(1), p, horizon)
+    pw = _Powers(p, horizon)
+    g, M = pw.G[0], pw.M                     # p^-1 = g / M, 0 < g < M
+    # -1 + sum_{i<=h} s_i p^-i = t / D; the tail m p^-h / (p-1) is
+    # m g^(h+1) / (M^h (M - g))
+    res, abss, _, (t, D), _ = _p_traces(seq, ((1, 0), 1), pw, horizon)
+    tail_num, tail_den = m * g ** (horizon + 1), M ** horizon * (M - g)
     return WitnessReport(
         step=1, verdict="nonvanishing-by-monotonicity", base=q, m=m, p=p,
         horizon=horizon, sequence=seq, direction=None, k=None, members=None,
@@ -515,9 +527,9 @@ def _witness_step1(q: AlgebraicNumber, m: int, p: GR,
         q_certificate=cert.to_dict(),
         p_re_trace=res, p_abs_trace=abss, distinct_moduli=None,
         certified={
-            "p_sum_minus_target": float(partial),
-            "p_tail_bound": float(tail),
-            "nonzero": bool(certified_nonzero),
+            "p_sum_minus_target": t / D,
+            "p_tail_bound": tail_num / tail_den,
+            "nonzero": abs(t) * tail_den > tail_num * D,
             "monotone_evaluation": True,
         })
 
@@ -537,7 +549,8 @@ def _witness_step2(q: AlgebraicNumber, m: int, horizon: int) -> WitnessReport:
         sums.append(float(acc))
     cert = verify_expansion(seq, q, 0, horizon)
     return WitnessReport(
-        step=2, verdict="divergent-real-part", base=q, m=m, p=_gr(1),
+        step=2, verdict="divergent-real-part", base=q, m=m,
+        p=(Fraction(1), Fraction(0)),
         horizon=horizon, sequence=seq, direction=None, k=None, members=None,
         q_residual=_q_residual_trace(seq, q, horizon),
         q_certificate=cert.to_dict(),
@@ -552,25 +565,26 @@ def _witness_step2(q: AlgebraicNumber, m: int, horizon: int) -> WitnessReport:
 
 def _witness_steps34(q: AlgebraicNumber, m: int, p: GR,
                      horizon: int) -> WitnessReport:
-    on_circle = _gr_abs2(p) == 1
-    direction = choose_w(p, m, horizon)
+    on_circle = p[0] * p[0] + p[1] * p[1] == 1
+    pw = _Powers(p, horizon)
+    direction = choose_w(p, m, horizon, pw)
     w0 = direction.w0
-    pattern, k, members = build_P_and_k(q, m, p, w0, horizon)
+    pattern, k, members = build_P_and_k(q, m, p, w0, horizon, pw)
     seq = lazy_constrained(q, m, pattern, horizon)
     _assert_witness_structure(seq, pattern, k, m)
     cert = verify_expansion(seq, q, 0, horizon)
 
+    w = _over_int(w0)
     if on_circle and seq.is_finitely_supported:
-        return _witness_step4_finite(q, m, p, direction, seq, k, members,
-                                     horizon, cert)
+        return _witness_step4_finite(q, m, p, pw, w, direction, seq, k,
+                                     members, horizon, cert)
 
-    res, abss, re_exact, abs2_exact = _p_traces(seq, w0, p, horizon)
-    neg_from_k = all(x < 0 for x in re_exact[k:])
-    chain = _chain_bound(w0, p, m, k)
+    res, abss, signs, _, moduli = _p_traces(seq, w, pw, horizon, on_circle)
+    chain, chain_negative = _chain_bound(w, pw, m, k)
     certified = {
-        "re_negative_from_k": bool(neg_from_k),
-        "chain_bound": float(chain) / abs(_gr_float(w0)),
-        "chain_bound_negative": chain < 0,
+        "re_negative_from_k": all(s < 0 for s in signs[k:]),
+        "chain_bound": chain / abs(_complex(w0)),
+        "chain_bound_negative": chain_negative,
     }
     if not on_circle:
         return WitnessReport(
@@ -580,7 +594,6 @@ def _witness_steps34(q: AlgebraicNumber, m: int, p: GR,
             q_residual=_q_residual_trace(seq, q, horizon),
             q_certificate=cert.to_dict(), p_re_trace=res, p_abs_trace=abss,
             distinct_moduli=None, certified=certified)
-    distinct = len(set(abs2_exact))
     certified["moduli_exact"] = True
     return WitnessReport(
         step=4, verdict="distinct-moduli", base=q, m=m, p=p,
@@ -588,19 +601,17 @@ def _witness_steps34(q: AlgebraicNumber, m: int, p: GR,
         members=tuple(members),
         q_residual=_q_residual_trace(seq, q, horizon),
         q_certificate=cert.to_dict(), p_re_trace=res, p_abs_trace=abss,
-        distinct_moduli=distinct, certified=certified)
+        distinct_moduli=len(moduli), certified=certified)
 
 
-def _chain_bound(w0: GR, p: GR, m: int, k: int) -> Fraction:
-    """-Re w + m sum_{i=1}^k Re(w p^-i): the certified upper bound for every
-    Re(w S_N) with N >= k."""
-    pinv = _gr_inv(p)
-    acc = -w0[0]
-    power = _gr(1)
-    for _ in range(k):
-        power = _gr_mul(power, pinv)
-        acc += m * _gr_mul(w0, power)[0]
-    return acc
+def _chain_bound(w, pw: _Powers, m: int, k: int) -> tuple[float, bool]:
+    """-Re w + m sum_{i=1}^k Re(w p^-i), the certified upper bound for
+    every Re(w S_N) with N >= k: its float, and whether it is negative."""
+    (W, e), R, Mk = w, 0, 1
+    for _, _, R, Mk in _re_sums(pw, W, k):
+        pass
+    num = m * R - W[0] * Mk
+    return num / (e * Mk), num < 0
 
 
 def _assert_witness_structure(seq: DigitSequence, pattern: SignPattern,
@@ -619,37 +630,50 @@ def _assert_witness_structure(seq: DigitSequence, pattern: SignPattern,
         raise QSpectraError("digit at k outside [1, m]")
 
 
-def _witness_step4_finite(q, m, p, direction, seq, k, members, horizon,
-                          cert) -> WitnessReport:
+def _witness_step4_finite(q, m, p, pw, w, direction, seq, k, members,
+                          horizon, cert) -> WitnessReport:
     """Finitely supported digits at a unit-circle p: replicate the block at
     shifts r_j with p^{-r_j} close enough to 1 that each copy contributes at
     most half the (negative) block sum; real parts then diverge to -inf."""
-    w0 = direction.w0
-    pinv = _gr_inv(p)
+    (wr, wi), e = w
+    M = pw.M
     digits = seq.digits_through(horizon)
     n = max(i for i, s in enumerate(digits) if s != 0)
     block = digits[: n + 1]
-    c = Fraction(0)
-    power = _gr(1)
-    for s in block:
-        c += s * _gr_mul(w0, power)[0]
-        power = _gr_mul(power, pinv)
-    if c >= 0:
+    # B = sum_j s_j X_j M^(n-j): a copy at shift r sums to
+    # Re(w B p^-r) / M^n, the block sum c = cn / (e M^n) at r = 0
+    br = bi = 0
+    for s, (xr, xi) in zip(block, map(pw.at, range(n + 1))):
+        br, bi = br * M + s * xr, bi * M + s * xi
+    cn = wr * br - wi * bi
+    if cn >= 0:
         raise QSpectraError("block sum not negative")
-    # shift schedule: eps_j halves, r_{j+1} - r_j > n, |p^-r - 1| < eps_j
+    # shift schedule: eps_j halves, r_{j+1} - r_j > n, |p^-r - 1| < eps_j,
+    # eps_0 = -c / (2 (n+1) m); eps_j^2 = u / v, and as |p| = 1,
+    # |p^-r - 1|^2 = 2 - 2 Re p^-r < u / v  <=>  (2v - u) M^r < 2v Re X_r.
+    # A float z_r ~ p^-r, |z_r - p^-r| <= r 2^-50, skips the exact test
+    # where |z_r - 1| clears eps_j by more than its error.
+    u, v = cn * cn, (2 * (n + 1) * m * e * M ** n) ** 2
+    z1, z, eps = complex(pw.G[0] / M, pw.G[1] / M), 1 + 0j, math.sqrt(u / v)
     shifts = [0]
-    eps = -c / (2 * (n + 1) * m)
     blocks_wanted = max(3, horizon // max(n + 1, 1))
-    r = 0
-    eps_j = eps
-    while len(shifts) < blocks_wanted and r < 100_000:
-        r += 1
-        if r - shifts[-1] <= n:
+    block_sums_ok = True
+    for r in range(1, 100_001):
+        if len(shifts) >= blocks_wanted:
+            break
+        z *= z1
+        if r - shifts[-1] <= n or \
+                abs(z - 1) > eps * (1 + 2**-40) + (r + 1) * 2**-48:
             continue
-        pr = _gr_pow(pinv, r)
-        if _gr_abs2(_gr_sub(pr, _gr(1))) < eps_j * eps_j:
+        xr, xi = pw.at(r)
+        Mr = M ** r
+        if (2 * v - u) * Mr < 2 * v * xr:
             shifts.append(r)
-            eps_j /= 2
+            v *= 4
+            eps = math.sqrt(u / v)
+            # the copy at r sums to at most half the block sum c
+            br_r, bi_r = _gmul((br, bi), (xr, xi))
+            block_sums_ok &= 2 * (wr * br_r - wi * bi_r) <= cn * Mr
     rep_digits = {}
     for r in shifts:
         for i, s in enumerate(block):
@@ -659,17 +683,7 @@ def _witness_step4_finite(q, m, p, direction, seq, k, members, horizon,
         preperiod=tuple(rep_digits.get(i, 0) for i in range(out_h + 1)),
         height=m, first_index=0, exact_zero_tail=True,
         meta={"shifts": shifts, "block_length": n + 1})
-    res, abss, re_exact, _ = _p_traces(rep, w0, p, out_h)
-    block_sums_ok = True
-    for r in shifts[1:]:
-        pr = _gr_pow(pinv, r)
-        bs = Fraction(0)
-        power = pr
-        for s in block:
-            bs += s * _gr_mul(w0, power)[0]
-            power = _gr_mul(power, pinv)
-        if bs > c / 2:
-            block_sums_ok = False
+    res, abss, _, _, _ = _p_traces(rep, w, pw, out_h)
     cert_rep = verify_expansion(rep, q, 0, out_h)
     return WitnessReport(
         step=4, verdict="divergent-real-part", base=q, m=m, p=p,
@@ -678,7 +692,7 @@ def _witness_step4_finite(q, m, p, direction, seq, k, members, horizon,
         q_certificate=cert_rep.to_dict(), p_re_trace=res, p_abs_trace=abss,
         distinct_moduli=None,
         certified={
-            "block_sum": float(c) / abs(_gr_float(w0)),
+            "block_sum": cn / (e * M ** n) / abs(_complex(direction.w0)),
             "shifts": shifts,
             "block_sums_below_half": block_sums_ok,
             "re_trace_final": res[-1],

@@ -319,6 +319,29 @@ def test_cli_engines_on_a_base_beyond_float_range_exit2(capsys, deadline):
         assert err == "error: base is beyond the float range\n", argv
 
 
+def test_cli_classify_conjugate_beyond_float_range_exit2(capsys, deadline):
+    # x^3 - 10^400 x^2 - 3x + 3*10^400 + 1: the base is near sqrt(3), and
+    # the certified disk of the conjugate near 10^400 has no float centre
+    poly = f"{3 * 10**400 + 1},-3,{-10**400},1"
+    with deadline(30):
+        code = cli.main(["classify", "--precision", "1024", "--poly", poly])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: conjugate beyond the float range\n"
+
+
+@pytest.mark.parametrize("p", ["1e400", "0,1e400"])
+def test_cli_witness_point_beyond_float_range_exit2(capsys, p):
+    # the report's display floats of p would overflow
+    code = cli.main(["witness", "--poly", "-1,-1,0,1", "--m", "1", "--p", p])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: companion point {p!r} is not a finite point "
+                   "within the float range\n")
+
+
 @pytest.mark.parametrize("depth", ["0", "-3"])
 def test_cli_minpos_rejects_a_depth_below_one_exit2(capsys, depth):
     # a search of no depth used to exit 0 with one "stalled" record

@@ -7,8 +7,10 @@ digit constraints.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,14 @@ import pytest
 from qspectra.algebraic import AlgebraicNumber
 from qspectra.errors import PreconditionError
 from qspectra.intpoly import IntPolynomial
+from qspectra.serialize import canonical_json
 from qspectra.witness import (
+    _chain_bound,
+    _first_maximal_partial_sum,
+    _over_int,
+    _p_traces,
+    _Powers,
+    _re_sums,
     accumulation_verdict,
     as_gaussian,
     build_P_and_k,
@@ -27,14 +36,23 @@ from qspectra.witness import (
 
 PHI_POLY = IntPolynomial([-1, -1, 1])
 SQRT2_POLY = IntPolynomial([-2, 0, 1])
+PLASTIC_POLY = IntPolynomial([-1, -1, 0, 1])
 
 
 def phi():
     return AlgebraicNumber.base_from_poly(PHI_POLY, root_index=0)
 
 
+def plastic():
+    return AlgebraicNumber.base_from_poly(PLASTIC_POLY, root_index=0)
+
+
 def q18():
     return AlgebraicNumber.from_rational(Fraction("1.8"))
+
+
+def digest(doc) -> str:
+    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
 
 # -- parsing / direction -----------------------------------------------------
@@ -259,6 +277,134 @@ def test_witness_rejects_bad_p():
         build_witness(q18(), 1, "1.8", horizon=40)   # p == q
     with pytest.raises(PreconditionError):
         build_witness(AlgebraicNumber.from_rational(3), 1, "-2", horizon=40)
+
+
+# -- pinned reports ---------------------------------------------------------
+
+BASES = {"phi": phi, "plastic": plastic, "q18": q18}
+
+# sha256 of canonical_json(build_witness(q, 1, p, horizon).to_dict()): every
+# step, real p > 1 (-1.2 is step 3), p = 1, |p| > 1 with Re p < 1, the
+# shift case (1.5,0.5 and 1,1), the roots of unity and the irrational
+# unit-circle point (3+4i)/5, floats included
+WITNESS_DIGESTS = [
+    ("phi", "-1.2", 60, "1c2ce0bbcc416b3a383e9214db7bc1981461fd47956a40401c530f717f4edbc2"),
+    ("phi", "3", 60, "f1ddc536e5705dfe82b0bae6856afbe96235ae50dd429aa18ed5cdab3f538928"),
+    ("phi", "1", 60, "6563daf6751f1d99703c640d9354fed213d0c59390559baac02ee330e5ca7af0"),
+    ("phi", "0,2", 60, "765babbabc72574a627b1d2fd44bf5e419ce71a4286de2abbc06d0a0674fdcb9"),
+    ("phi", "0,1", 60, "17bc061f9ab6f2bcd4cb7e3bf5a469107ebd25c1e71b334f304623d5732da988"),
+    ("phi", "0,-1", 60, "53c06cad07d719a0cf3fdc92dab476b379b8024fbf963c619a03a9529a3b9de7"),
+    ("phi", "-1", 60, "2d8bfee40b469d968527b309cb56a0163d4b6b1e100755fdc9ebddbaf80fa14b"),
+    ("phi", "1.5,0.5", 60, "78e99873fceb41954d29f7e1b4f62420555b1e260a6a3edda3b300efbcdeb447"),
+    ("phi", "1,1", 60, "145f631fd6de4aafff0a4094e415fff11b8dabe4281441f694ee59da66bcb74a"),
+    ("phi", "0.6,0.8", 20, "1dd5e2966c450e2f1e42bbe51b9e41d9ece93724e6c56155f8d216199be924a3"),
+    ("plastic", "-1.2", 60, "627316013969a7ad6348b0b6e38bffae03f68603a0139980958da1e4321f6930"),
+    ("plastic", "3", 60, "7c9d2c162eb9a0f5b1f0651cbd07f7d278e31138ee186396c58ed6af7c513fb2"),
+    ("plastic", "1", 60, "60cc59ea29a46463de7861a8e1ffa56538830a9625d0c6b823f19b3df4c180e3"),
+    ("plastic", "0,2", 60, "4b2f8857252f95d6a3578ac15c423644505ffd835d23ee4bb17bef6ca6bd07f9"),
+    ("plastic", "0,1", 60, "fdc4821ae0e349662187dcb8e4e021cccbff5506d2c80ab081a507ff34035c17"),
+    ("plastic", "0,-1", 60, "cd81a80bfc6dd1bf8e2dfe8ef0ae971aeefa8e6fad4c8a7e5b3e54a1280b6f71"),
+    ("plastic", "-1", 60, "d64902c0ae1da312dc3433eb022227a3b911f7b5fdd64f78ca8f4c94ddee8574"),
+    ("plastic", "1.5,0.5", 60, "3e0e45d83a5b7b7218a886809f91110181f3148f1a422d8532ca274b29262b8c"),
+    ("plastic", "1,1", 60, "5f5ca35a118ffe3e2dfd53d15a4b7316f1770862f31449621398499cf42a783d"),
+    ("plastic", "0.6,0.8", 20, "dd395af7569d520c0551255336e2635d27056d34207567da4d3dea3190974e03"),
+    ("q18", "-1.2", 60, "12020666abb721290374a22ab8d5f1936bac1c62758d9a6a386c3fcf8cc6840d"),
+    ("q18", "3", 60, "95b19c9a30322dd69659bdfc2016a20304d7e22a52f844a7e145e0ab6d883506"),
+    ("q18", "1", 60, "47d1701ddb44434e5845b38d67e295dcae0f7143f77296fccbbf501a0c08d621"),
+    ("q18", "0,2", 60, "7cb3017e04828f33bb918879abb56989955ba9bb722cc904d9126b404d1936ab"),
+    ("q18", "0,1", 60, "61ace4fe7995948d474aefe6ed7566f849b9f108a97e76f009d0c9646c101733"),
+    ("q18", "0,-1", 60, "30abe2a07cdc0ce0586308507136d52240a5ab7e8dae4a5403c9d7d686155a9e"),
+    ("q18", "-1", 60, "47017f7d7332a9b25b8209ec8696b082cdaca10319e10c0bdbcfabb9b2fe02cc"),
+    ("q18", "1.5,0.5", 60, "61d7b0eabc2e3b0fbd570d015e7d0ca98b15a239c8eeb7953eb9e65127cfa484"),
+    ("q18", "1,1", 60, "6bc998c39605668777995c16ca5e2fca58dbb39d6004f0319d1264352d57e9df"),
+    ("q18", "0.6,0.8", 20, "394de834c81517a42724ae4dbec9dc73afc5942b26644b4bb2564d76cebe508f"),
+]
+
+
+@pytest.mark.parametrize("base, p, horizon, want", WITNESS_DIGESTS)
+def test_witness_report_is_pinned(base, p, horizon, want):
+    assert digest(build_witness(BASES[base](), 1, p, horizon).to_dict()) == want
+
+
+def test_witness_at_an_irrational_unit_circle_point(deadline):
+    # p = (3+4i)/5 is on the unit circle but no root of unity, and the
+    # plastic number's digits terminate: the block is replicated at shifts
+    # r with p^-r ever closer to 1, found among 5,380 indices
+    with deadline(3):
+        rep = build_witness(plastic(), 1, "0.6,0.8", 40)
+    assert rep.certified["shifts"] == [0, 7, 27, 61, 332, 393, 786, 2297,
+                                       2690, 5380]
+    assert rep.horizon == 5383
+    assert rep.certified["block_sums_below_half"]
+    assert digest(rep.to_dict()) == (
+        "9e3d082215a1dfc5a754f6a8f5ceef346ab060ca01a919e9a7800034fff5b22f")
+
+
+def _count_fractions(monkeypatch, call):
+    """Fractions created while call() runs, each as the (file, function,
+    line) of its nearest caller outside the fractions module."""
+    created = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename.endswith("fractions.py"):
+            frame = frame.f_back
+        code = frame.f_code
+        created.append((code.co_filename.rpartition("/")[2], code.co_name,
+                        frame.f_lineno))
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    try:
+        call()
+    finally:
+        monkeypatch.undo()
+    return created
+
+
+def test_per_index_witness_loops_create_no_fraction(monkeypatch):
+    """The loops over indices run on Gaussian integers: partial sums, the
+    first maximal partial sum, the chain bound, the traces with their
+    moduli, and the powers streamed and jumped past the table."""
+    circle = build_witness(plastic(), 1, "0.6,0.8", 40)
+    cases = []
+    for p, rep in (("0.6,0.8", circle),
+                   ("-1.2", build_witness(q18(), 1, "-1.2", 60)),
+                   ("0,1", build_witness(q18(), 1, "0,1", 60))):
+        cases.append((_Powers(as_gaussian(p), 60),
+                      _over_int(rep.direction.w0), rep))
+    pw_shift = _Powers(as_gaussian("1.5,0.5"), 60)
+    (gr, gi), M = pw_shift.G, pw_shift.M
+    seed = (-gi, gr - M)       # -(1 - p^-1) i, as choose_w seeds it
+    assert seed[0] > 0
+    shift_n = choose_w("1.5,0.5", 1).shift_n
+
+    def loops():
+        for pw, w, rep in cases:
+            list(_re_sums(pw, w[0], 300))
+            _chain_bound(w, pw, 1, 50)
+            _p_traces(rep.sequence, w, pw, rep.horizon, moduli=True)
+            pw.at(10_000)
+        assert _first_maximal_partial_sum(seed, pw_shift) == shift_n
+
+    assert _count_fractions(monkeypatch, loops) == []
+
+
+@pytest.mark.parametrize("base, p", [("q18", "-1.2"), ("phi", "0,2"),
+                                     ("plastic", "1.5,0.5"),
+                                     ("q18", "0,1"), ("plastic", "0,-1"),
+                                     ("plastic", "0.6,0.8")])
+def test_witness_fractions_do_not_grow_with_the_horizon(monkeypatch, base, p):
+    # the Fractions built in witness.py are set-up (the boundary pairs of p
+    # and w0), the same at any horizon
+    def made_here(horizon):
+        q = BASES[base]()
+        made = _count_fractions(
+            monkeypatch, lambda: build_witness(q, 1, p, horizon))
+        return sorted(c for c in made if c[0] == "witness.py")
+
+    assert made_here(24) == made_here(48) != []
 
 
 # -- verdicts -----------------------------------------------------------------
