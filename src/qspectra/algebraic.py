@@ -3,9 +3,9 @@
 Three layers live here:
 
 * ``AlgebraicNumber`` -- a real root of an integer polynomial pinned by a
-  rational isolating interval [a/D, b/D], with monotone on-demand
-  refinement and an exact sign oracle for polynomial expressions in the
-  root, evaluated in integers over D^n.
+  rational isolating interval [a/D, b/D], kept as the ints a, b and D, with
+  monotone on-demand refinement and an exact sign oracle for polynomial
+  expressions in the root, evaluated in integers over D^n.
 * ``classify_base`` -- the Pisot label, from the exact integer counts of
   the roots of the minimal polynomial inside, on and outside the unit
   circle (``intpoly.unit_circle_counts``: Routh-Hurwitz after the Cayley
@@ -142,11 +142,11 @@ class AlgebraicNumber:
             c0, c1 = min_poly.coeffs
             self.exact_rational = Fraction(-c0, c1)
             lo = hi = self.exact_rational
-        self._lo = Fraction(lo)
-        self._hi = Fraction(hi)
+        (a, b), den = _integer_numerators((Fraction(lo), Fraction(hi)))
+        self._iv = (a, b, den)                # the interval [a/den, b/den]
         self._lock = threading.Lock()
-        # (interval, D, numerators of the bounds of q^k over D^k)
-        self._pow_state: tuple = (None, 1, [])
+        # (interval, numerators of the bounds of q^k over den^k)
+        self._pow_state: tuple = (None, [])
 
     # -- constructors -----------------------------------------------------
 
@@ -204,22 +204,26 @@ class AlgebraicNumber:
     # -- refinement --------------------------------------------------------
 
     def interval(self) -> tuple[Fraction, Fraction]:
-        return (self._lo, self._hi)
+        a, b, den = self._iv
+        return (Fraction(a, den), Fraction(b, den))
 
     @property
     def degree(self) -> int:
         return self.min_poly.degree
 
     def refine_to_width(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        lo, hi = self._lo, self._hi
-        if hi - lo <= width or self.exact_rational is not None:
-            return (lo, hi)
-        nlo, nhi = refine_root_interval(self.min_poly, lo, hi, width)
-        with self._lock:
-            # keep the narrower of racing refinements
-            if nhi - nlo < self._hi - self._lo:
-                self._lo, self._hi = nlo, nhi
-        return (self._lo, self._hi)
+        a, b, den = self._iv
+        width = Fraction(width)
+        if (self.exact_rational is None
+                and (b - a) * width.denominator > width.numerator * den):
+            (na, nb), nden = _integer_numerators(refine_root_interval(
+                self.min_poly, *self.interval(), width))
+            with self._lock:
+                # keep the narrower of racing refinements
+                a, b, den = self._iv
+                if (nb - na) * den < (b - a) * nden:
+                    self._iv = (na, nb, nden)
+        return self.interval()
 
     def refine_to_radius(self, radius) -> tuple[Fraction, Fraction]:
         return self.refine_to_width(2 * Fraction(radius))
@@ -255,18 +259,17 @@ class AlgebraicNumber:
         the base is refined until they share a sign."""
         if not any(coeffs):
             return 0
-        budget = MAX_CERTIFY_BITS
         while True:
-            lo, hi = self._lo, self._hi
+            a, b, den = self._iv
             vlo, vhi, _ = self._int_interval(coeffs)
             if vlo > 0:
                 return 1
             if vhi < 0:
                 return -1
-            if hi - lo <= Fraction(1, 2**budget):
+            if (b - a) << MAX_CERTIFY_BITS <= den:
                 raise ReducibleInputError(
                     "sign refinement stalled; input may be reducible")
-            self.refine_to_width((hi - lo) / 4)
+            self.refine_to_width(Fraction(b - a, 4 * den))
 
     def _int_interval(self, coeffs) -> tuple[int, int, int]:
         """(vlo, vhi, D^n) with vlo/D^n <= sum coeffs[i] q^i <= vhi/D^n for
@@ -275,12 +278,10 @@ class AlgebraicNumber:
         or max of four products, so any sign of interval is enclosed."""
         n = len(coeffs) - 1
         with self._lock:
-            key = (self._lo, self._hi)
-            if self._pow_state[0] != key:
-                (a, b), den = _integer_numerators(key)
-                self._pow_state = (key, den, [(1, 1), (a, b)])
-            _, den, pows = self._pow_state
-            a, b = pows[1]
+            a, b, den = iv = self._iv
+            if self._pow_state[0] != iv:
+                self._pow_state = (iv, [(1, 1), (a, b)])
+            pows = self._pow_state[1]
             while len(pows) <= n:
                 plo, phi = pows[-1]
                 cands = (plo * a, plo * b, phi * a, phi * b)

@@ -4,9 +4,9 @@ Coefficients are stored in ascending order (constant term first), matching
 the digit-indexing convention used throughout the package and the CLI text
 format "c0,c1,...,cd".  All polynomial algebra is over the integers: gcds,
 squarefree parts and Sturm chains come from primitive pseudo-remainder
-sequences, and known factors are divided out exactly.  Only the evaluation
-points (interval endpoints, bisection midpoints, rational roots) are
-Fractions; nothing in this module touches floating point.
+sequences, and known factors are divided out exactly.  Signs, Sturm counts,
+isolation and bisection run on int numerators over one denominator;
+Fractions appear only at their API boundary.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from fractions import Fraction
 from .errors import PreconditionError
 
 
-def _strip(coeffs) -> tuple[int, ...]:
-    cs = list(coeffs)
+def _strip(cs: list[int]) -> tuple[int, ...]:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -33,7 +32,7 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", _strip(int(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", _strip([int(c) for c in coeffs]))
 
     # -- construction / formatting -------------------------------------
 
@@ -90,18 +89,7 @@ class IntPolynomial:
 
     def sign_at(self, x: Fraction) -> int:
         """Exact sign of p(x) at a rational point, via integer arithmetic."""
-        x = Fraction(x)
-        num, den = x.numerator, x.denominator
-        # sum c_i num^i den^(d-i); shares the sign of p(x) since den > 0
-        acc = 0
-        power = 1
-        dpow = den ** max(self.degree, 0)
-        for c in self.coeffs:
-            acc += c * power * dpow
-            power *= num
-            if dpow:
-                dpow //= den
-        return (acc > 0) - (acc < 0)
+        return _sign(self.coeffs, *_ratio(x))
 
     # -- ring operations ---------------------------------------------------
 
@@ -153,7 +141,23 @@ class IntPolynomial:
         return IntPolynomial(sign * c // g for c in self.coeffs)
 
 
-# -- integer division helpers (internal) ---------------------------------
+# -- integer evaluation and division helpers (internal) ------------------
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator > 0) of a rational x."""
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _sign(cs, num: int, den: int) -> int:
+    """Sign of the polynomial with coefficients cs at num/den, den > 0: the
+    sign of sum c_i num^i den^(d-i), by homogeneous Horner in integers."""
+    acc, dpow = cs[-1] if cs else 0, 1
+    for c in cs[-2::-1]:
+        dpow *= den
+        acc = acc * num + c * dpow
+    return (acc > 0) - (acc < 0)
 
 
 def _prem(a, b) -> list[int]:
@@ -206,17 +210,20 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """p / gcd(p, p'), primitive with positive leading coefficient."""
+    """p / gcd(p, p'), primitive with positive leading coefficient, marked
+    so that the squarefree part of the result is the result itself."""
+    if p.__dict__.get("_squarefree"):
+        return p
     if p.degree < 1:
         return p.primitive()
     g = poly_gcd(p, p.derivative())
-    return IntPolynomial(_exact_quo(p.coeffs, g.coeffs)).primitive()
+    sf = IntPolynomial(_exact_quo(p.coeffs, g.coeffs)).primitive()
+    sf.__dict__["_squarefree"] = True
+    return sf
 
 
 def is_squarefree(p: IntPolynomial) -> bool:
-    if p.degree < 1:
-        return not p.is_zero
-    return poly_gcd(p, p.derivative()).degree == 0
+    return not p.is_zero and squarefree_part(p).degree == p.degree
 
 
 def deflate_root(p: IntPolynomial, root: Fraction) -> IntPolynomial:
@@ -244,8 +251,8 @@ def cauchy_root_bound(p: IntPolynomial) -> Fraction:
     """All complex roots have modulus < this bound."""
     if p.degree < 1:
         raise PreconditionError("need degree >= 1")
-    lead = abs(p.coeffs[-1])
-    return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1]) if p.degree else Fraction(1)
+    lead = abs(p.leading)
+    return Fraction(lead + max(map(abs, p.coeffs[:-1])), lead)
 
 
 def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
@@ -282,14 +289,15 @@ def count_roots_in(p: IntPolynomial, lo: Fraction, hi: Fraction,
 
     Endpoints must not be roots of the squarefree part.
     """
-    if lo >= hi:
+    (ln, ld), (hn, hd) = _ratio(lo), _ratio(hi)
+    if ln * hd >= hn * ld:
         return 0
     chain = chain or sturm_chain(p)
-    if chain[0].sign_at(lo) == 0 or chain[0].sign_at(hi) == 0:
+    va = [_sign(f.coeffs, ln, ld) for f in chain]
+    vb = [_sign(f.coeffs, hn, hd) for f in chain]
+    if va[0] == 0 or vb[0] == 0:
         raise PreconditionError("interval endpoint is a root")
-    va = _sign_variations([f.sign_at(lo) for f in chain])
-    vb = _sign_variations([f.sign_at(hi) for f in chain])
-    return va - vb
+    return _sign_variations(va) - _sign_variations(vb)
 
 
 def _taylor_shift(cs, a: int) -> list[int]:
@@ -369,58 +377,64 @@ def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
         return []
     sf = squarefree_part(p)
     chain = _sturm_chain_of(sf)
-    lead = sf.leading
+    cs, lead = sf.coeffs, sf.leading
     bound = cauchy_root_bound(sf)
     cells: list[tuple[Fraction, Fraction]] = []
-    stack = [(-bound, bound)]
+    stack = [(-bound.numerator, bound.numerator, bound.denominator)]
     while stack:
-        lo, hi = stack.pop()
+        a, b, den = stack.pop()                   # the cell (a/den, b/den)
+        lo, hi = Fraction(a, den), Fraction(b, den)
         n = count_roots_in(sf, lo, hi, chain)
-        if n == 0:
-            continue
+        m, e = a + b, b - a                       # the midpoint m/(2 den)
         if n == 1:
-            a, b = refine_root_interval(sf, lo, hi, Fraction(1, lead))
-            r = Fraction(math.floor(a * lead) + 1, lead)
-            if r < b and sf.sign_at(r) == 0:
-                eps = min(r - lo, hi - r)
-                lo, hi = r - eps, r + eps
+            ra, rb = refine_root_interval(sf, lo, hi, Fraction(1, lead))
+            k = ra.numerator * lead // ra.denominator + 1       # r = k/lead
+            if (k * rb.denominator < rb.numerator * lead
+                    and _sign(cs, k, lead) == 0):
+                e = min(k * den - a * lead, b * lead - k * den)
+                lo = Fraction(k * den - e, den * lead)
+                hi = Fraction(k * den + e, den * lead)
             cells.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if sf.sign_at(mid) == 0:
-            eps = (hi - lo) / 4
-            while (sf.sign_at(mid - eps) == 0 or sf.sign_at(mid + eps) == 0
-                   or count_roots_in(sf, mid - eps, mid + eps, chain) != 1):
-                eps /= 2
-            cells.append((mid - eps, mid + eps))
-            stack.append((lo, mid - eps))
-            stack.append((mid + eps, hi))
-        else:
-            stack.append((lo, mid))
-            stack.append((mid, hi))
+        elif n and _sign(cs, m, 2 * den) == 0:
+            # bracket the root by m/den +- e/den, halving until it isolates
+            a, b, m, den = 4 * a, 4 * b, 2 * m, 4 * den
+            while (_sign(cs, m - e, den) == 0 or _sign(cs, m + e, den) == 0
+                   or count_roots_in(sf, Fraction(m - e, den),
+                                     Fraction(m + e, den), chain) != 1):
+                a, b, m, den = 2 * a, 2 * b, 2 * m, 2 * den
+            cells.append((Fraction(m - e, den), Fraction(m + e, den)))
+            stack += [(a, m - e, den), (m + e, b, den)]
+        elif n:
+            stack += [(2 * a, m, 2 * den), (m, 2 * b, 2 * den)]
     return sorted(cells)
 
 
 def refine_root_interval(p: IntPolynomial, lo: Fraction, hi: Fraction,
                          width: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect an isolating interval of a squarefree p down to the given
-    width.  Requires p(lo), p(hi) != 0 and exactly one root inside; then
-    the endpoint signs differ, and plain bisection applies."""
-    slo = p.sign_at(lo)
-    shi = p.sign_at(hi)
+    """Bisect an isolating interval of a squarefree p down to a positive
+    width.  Requires p(lo), p(hi) != 0 and exactly one root inside; then the
+    endpoint signs differ, and plain bisection applies, to (a, a + gap)/den."""
+    wn, wd = _ratio(width)
+    if wn <= 0:
+        raise PreconditionError(f"width {width} is not positive")
+    (a, da), (b, db) = _ratio(lo), _ratio(hi)
+    den = math.lcm(da, db)
+    a, gap = a * (den // da), b * (den // db) - a * (den // da)
+    cs = p.coeffs
+    slo, shi = _sign(cs, a, den), _sign(cs, a + gap, den)
     if slo == 0 or shi == 0:
         raise PreconditionError("endpoint is a root")
     if slo == shi:
         raise PreconditionError("interval does not bracket a sign change")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        sm = p.sign_at(mid)
+    gap_wd, wn_den = gap * wd, wn * den    # hi - lo > width: gap_wd > wn_den
+    while gap_wd > wn_den:
+        a, den, wn_den = 2 * a, 2 * den, 2 * wn_den
+        sm = _sign(cs, a + gap, den)
         if sm == 0:
             # rational root hit exactly; return a tight bracket around it
-            w = min(width, hi - lo) / 4
+            mid = Fraction(a + gap, den)
+            w = min(Fraction(wn, wd), Fraction(2 * gap, den)) / 4
             return (mid - w, mid + w)
         if sm == slo:
-            lo = mid
-        else:
-            hi = mid
-    return (lo, hi)
+            a += gap
+    return (Fraction(a, den), Fraction(a + gap, den))

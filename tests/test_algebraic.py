@@ -107,6 +107,75 @@ def test_refinement_is_monotone():
     assert all(a >= b for a, b in zip(widths, widths[1:]))
 
 
+def test_non_positive_widths_are_rejected(deadline):
+    # each call used to bisect forever on an irrational base
+    q = phi()
+    lo, hi = q.interval()
+    with deadline(10):
+        with pytest.raises(PreconditionError):
+            q.refine_to_width(0)
+        with pytest.raises(PreconditionError):
+            q.refine_to_radius(-1)
+        with pytest.raises(PreconditionError):
+            intpoly.refine_root_interval(PHI_POLY, lo, hi, 0)
+    assert q.interval() == (lo, hi)
+
+
+F = Fraction
+
+#: The refinement trajectory the recorded floats depend on: base intervals
+#: from ``base_from_poly`` and after ``refine_to_width(2^-80)``, isolation
+#: cells, and the Sturm counts and refinements of one ``base_from_poly``.
+PINNED_BASES = [
+    (SQRT_P2_POLY, (F(9, 8), F(5, 4)),
+     (F(88769318478590582402507, 75557863725914323419136),
+      F(1420309095657449318440113, 1208925819614629174706176)), 3, 4),
+    (P2_POLY, (F(11, 8), F(3, 2)),
+     (F(417163297879255274724055, 302231454903657293676544),
+      F(1668653191517021098896221, 1208925819614629174706176)), 3, 4),
+    (P1_POLY, (F(5, 4), F(3, 2)),
+     (F(200185717777540234707697, 151115727451828646838272),
+      F(1601485742220321877661577, 1208925819614629174706176)), 1, 3),
+]
+
+
+@pytest.mark.parametrize("poly,interval,refined,sturm,refines", PINNED_BASES)
+def test_base_refinement_trajectory_is_pinned(monkeypatch, poly, interval,
+                                              refined, sturm, refines):
+    calls = {"count_roots_in": 0, "refine_root_interval": 0}
+
+    def counted(name):
+        fn = getattr(intpoly, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        monkeypatch.setattr(intpoly, name, wrapper)
+        monkeypatch.setattr(algebraic, name, wrapper)
+    q = AlgebraicNumber.base_from_poly(poly, root_index=0)
+    assert calls == {"count_roots_in": sturm, "refine_root_interval": refines}
+    assert q.interval() == interval
+    assert q.refine_to_width(F(1, 2**80)) == refined
+
+
+def test_isolation_cells_are_pinned():
+    x_minus_1 = IntPolynomial([-1, 1])
+    assert intpoly.isolate_roots_exact(x_minus_1 * PHI_POLY) == [
+        (F(-3), F(0)), (F(1, 2), F(3, 2)), (F(3, 2), F(3))]
+    big = 10**20 + 2
+    assert intpoly.isolate_roots_exact(IntPolynomial([1 - big, 0, 1])) == [
+        (F(-big), F(0)), (F(0), F(big))]
+    # x (2x^2 - 1)(x + 1): the first midpoint, 0, is a root
+    p = IntPolynomial([0, 1]) * IntPolynomial([-1, 0, 2]) * IntPolynomial([1, 1])
+    assert intpoly.isolate_roots_exact(p) == [
+        (F(-9, 8), F(-7, 8)), (F(-7, 8), F(-1, 2)), (F(-1, 2), F(1, 2)),
+        (F(1, 2), F(2))]
+
+
 # -- conjugates ------------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from qspectra import intpoly
 from qspectra.errors import PreconditionError
 from qspectra.intpoly import (
     IntPolynomial,
@@ -84,6 +85,26 @@ def test_sign_at_matches_fraction_eval():
         x = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
         v = p.eval_fraction(x)
         assert p.sign_at(x) == (v > 0) - (v < 0)
+    # the zero polynomial and degrees 0-12, at 0, negative, integer and huge
+    # rational points (numerators and denominators above 2^200), roots too
+    rng = random.Random("sign-at")
+    big = 2**200 + 12345
+    points = [0, -3, 7, Fraction(0), Fraction(-5), Fraction(-7, 2),
+              Fraction(big), Fraction(-big), Fraction(1, big),
+              Fraction(-big - 2, big + 7), Fraction(big * 3 + 1, big - 1)]
+    points += [Fraction(rng.randint(-big, big), rng.randint(1, big))
+               for _ in range(6)]
+    polys = [IntPolynomial(())]
+    for d in range(13):
+        for h in (1, 9, big):
+            cs = [rng.randint(-h, h) for _ in range(d)]
+            polys.append(IntPolynomial(cs + [rng.choice((-h, -1, 1, h))]))
+    for x in points[3:9]:                         # a factor with root x
+        polys.append(polys[-1] * IntPolynomial([-x.numerator, x.denominator]))
+    for p in polys:
+        for x in points:
+            v = p.eval_fraction(Fraction(x))
+            assert p.sign_at(x) == (v > 0) - (v < 0), (p, x)
 
 
 def test_gcd_and_squarefree():
@@ -357,3 +378,55 @@ def test_pseudo_remainder_is_a_positive_multiple_of_the_remainder():
         _, rem = _frac_divmod(_fracs(a), _fracs(b))
         assert _prem(a.coeffs, b.coeffs) == \
             [abs(b.leading) ** e * r for r in rem], (a, b)
+
+
+# -- the integer root layer against plain Fraction arithmetic -------------
+
+
+def _fraction_bisection(p, lo, hi, width):
+    """Plain Fraction bisection, as refine_root_interval specifies it."""
+    slo = p.sign_at(lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v = p.eval_fraction(mid)
+        if v == 0:
+            w = min(width, hi - lo) / 4
+            return (mid - w, mid + w)
+        if (v > 0) - (v < 0) == slo:
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi)
+
+
+def test_refine_root_interval_equals_a_fraction_bisection():
+    rng = random.Random("refine")
+    widths = [Fraction(1), Fraction(3, 4), Fraction(1, 2**40),
+              Fraction(3, 1000), Fraction(1, 3**50), 2]
+    cases = [(IntPolynomial([-2, 0, 1]), Fraction(1, 3), Fraction(10, 7)),
+             (IntPolynomial([-1, 0, 4]), Fraction(0), Fraction(1)),   # hits 1/2
+             (IntPolynomial([-1, 0, 4]), Fraction(0), Fraction(3, 4)),
+             (IntPolynomial([-10**20 - 1, 0, 1]), Fraction(0),
+              Fraction(10**20 + 2))]
+    for _ in range(40):
+        p = squarefree_part(IntPolynomial(
+            [rng.randint(-9, 9) for _ in range(rng.randint(2, 9))] + [1]))
+        cases += [(p, lo, hi) for lo, hi in isolate_roots_exact(p)
+                  if p.sign_at((lo + hi) / 2) != 0]
+    for p, lo, hi in cases:
+        for width in widths:
+            assert refine_root_interval(p, lo, hi, width) == \
+                _fraction_bisection(p, lo, hi, width), (p, lo, hi, width)
+
+
+def test_squarefree_part_is_computed_once(monkeypatch):
+    p = IntPolynomial([-1, 1]) * IntPolynomial([-1, 1]) * IntPolynomial([1, 1])
+    sf = squarefree_part(p)
+    assert sf == IntPolynomial([-1, 0, 1])
+    cells = isolate_roots_exact(p)
+    gcd_calls = []
+    monkeypatch.setattr(intpoly, "poly_gcd",
+                        lambda *a: gcd_calls.append(a) or poly_gcd(*a))
+    assert squarefree_part(sf) is sf
+    assert isolate_roots_exact(sf) == cells
+    assert gcd_calls == []
