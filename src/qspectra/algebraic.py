@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import threading
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -372,8 +374,8 @@ class ZqContext:
     model stays valid for a whole search, and the window points display
     their carried floats.
 
-    Packed vectors.  The smallest-positive search keeps the vector
-    (a_0, ..., a_{d-1}) of a monic base as one int V = sum a_i 2^(W i)
+    Packed vectors.  The smallest-positive search and the windows keep the
+    vector (a_0, ..., a_{d-1}) of a monic base as one int V = sum a_i 2^(W i)
     (signed Kronecker substitution: Schoenhage, 1982; Harvey, *J. Symbolic
     Comput.* 44, 2009), built by ``_PackedZq``.  Packing is additive and,
     while every |a_i| < 2^(W-1), one-to-one, so equal vectors are equal
@@ -384,12 +386,15 @@ class ZqContext:
 
     once per parent; a child q*v + s then adds s.  Width bound: if a
     level's entries are at most E, its children's are at most
-    E' = E*(1 + max|c_i|) + m.  The search carries E per level and keeps
+    E' = E*(1 + max|c_i|) + m.  The engines carry E per level and keep
     E' below 2^(W-2), so a state, its negation and the difference of two
     states (a comparison) all have entries below 2^(W-1) and decode
-    exactly.  When E' would reach 2^(W-2), the level, the best state and
-    the seen set are re-packed at a doubled W, and E restarts from the
-    level's true maximum.
+    exactly.  When E' would reach 2^(W-2), E restarts from the level's
+    true maximum; if that does not fit either, every stored value of every
+    level is re-packed at a doubled W.  Each value was below 2^(W-2) when
+    it was made and W never shrinks, so the values of all levels stay below
+    it (E may restart below an earlier level's entries), and differences
+    across levels (a window's sort and gap keys) decode exactly too.
     """
 
     def __init__(self, q: AlgebraicNumber):
@@ -555,9 +560,11 @@ class _PackedZq:
     and ask the wrapped context."""
 
     zero = 0
+    exact = True
 
     def __init__(self, ctx: ZqContext, m: int):
         self.ctx, self.d, self.m = ctx, ctx.d, m
+        self.float_model = ctx.float_model
         self.growth = 1 + max((abs(c) for _, c in ctx.qd_terms), default=0)
         self.bound = m          # entries of the current level are <= bound
         W = 32
@@ -611,8 +618,25 @@ class _PackedZq:
         pack = self.pack
         return lambda V: pack(old(V))
 
+    def unpack_all(self, column):
+        """The entries of the values of ``column``, d per value, flat.  Up to
+        W = 64, (V + O) ^ O with O = sum 2^(W-1+W i) is V's entries as W-bit
+        two's-complement words, read into an array a chunk at a time."""
+        d, W = self.d, self.W
+        if W > 64:
+            return [a for V in column for a in self.unpack(V)]
+        O, n = sum(1 << (W - 1 + W * i) for i in range(d)), W * d // 8
+        out = array("i" if W == 32 else "q")
+        for k in range(0, len(column), 4096):
+            out.frombytes(b"".join(((V + O) ^ O).to_bytes(n, sys.byteorder)
+                                   for V in column[k:k + 4096]))
+        return out
+
     def sign(self, V) -> int:
         return self.ctx.sign(self.unpack(V))
+
+    def cmp_fraction(self, V, c: Fraction) -> int:
+        return self.ctx.cmp_fraction(self.unpack(V), c)
 
     def float_value(self, V) -> float:
         return self.ctx.float_value(self.unpack(V))

@@ -18,6 +18,16 @@ from fractions import Fraction
 from .errors import PreconditionError
 
 
+def _integer(c) -> int:
+    """c as an int; int(c) alone would truncate a Fraction or a float."""
+    try:
+        if int(c) == c:
+            return int(c)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise PreconditionError(f"coefficient {c!r} is not an integer")
+
+
 def _strip(cs: list[int]) -> tuple[int, ...]:
     while cs and cs[-1] == 0:
         cs.pop()
@@ -32,7 +42,8 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", _strip([int(c) for c in coeffs]))
+        object.__setattr__(self, "coeffs", _strip(
+            [c if type(c) is int else _integer(c) for c in coeffs]))
 
     # -- construction / formatting -------------------------------------
 

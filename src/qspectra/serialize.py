@@ -70,9 +70,12 @@ def window_point_texts(window) -> Iterator[str]:
     encoded from its columns: keys in sorted order, ``float.__repr__`` for
     the value (points are clipped to [-B, B], so it is finite), the digit
     text as is, and no "vec" in numeric mode."""
-    floats, texts, vecs = window.floats, window.texts, window.vecs
-    for i in window.order:
-        vec = "" if vecs is None else f',"vec":[{",".join(map(str, vecs[i]))}]'
+    floats, texts, kernel = window.floats, window.texts, window.kernel
+    order, vecs = window.order, [""] * len(window.order)
+    if kernel.exact:    # decoded in one pass, in output order
+        flat = map(str, kernel.unpack_all([window.keys[i] for i in order]))
+        vecs = (f',"vec":[{",".join(v)}]' for v in zip(*[flat] * kernel.d))
+    for i, vec in zip(order, vecs):
         yield '{"approx":%r,"digits":[%s]%s}' % (floats[i], texts[i], vec)
 
 

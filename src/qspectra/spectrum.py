@@ -4,17 +4,16 @@ branch-and-bound engine for the smallest positive element.
 Two value kernels back every engine:
 
 * exact mode (monic minimal polynomial, including integer bases): the
-  base's ``ZqContext``; values are canonical integer vectors in Z[q], so
-  deduplication and ordering are exact, and every sign the kernel decides
-  comes from the base's exact sign oracle.  The windows keep the vectors
-  as tuples; the search packs each into one int (``_PackedZq``, see
-  below).  Each state also carries a float, and its level has one proven
-  radius R with |value - float| <= R (the bound is in ``ZqContext``'s
-  docstring).  A child's sign, its window test and its comparison with
-  the current best are read off [f - R, f + R]; the exact
-  ``ZqContext.sign``/``compare``/``cmp_fraction`` run only when that
-  enclosure straddles the threshold.  A level whose floats or radius
-  overflow is decided exactly throughout.
+  base's ``ZqContext``, each canonical integer vector in Z[q] packed into
+  one int (``_PackedZq``, see below), so deduplication and ordering are
+  exact, and every sign the kernel decides comes from the base's exact
+  sign oracle.  Each state also carries a float, and its level has one
+  proven radius R with |value - float| <= R (the bound is in
+  ``ZqContext``'s docstring).  A child's sign, its window test and its
+  comparison with the current best are read off [f - R, f + R]; the exact
+  ``sign``/``cmp_fraction`` run only when that enclosure straddles the
+  threshold.  A level whose floats or radius overflow is decided exactly
+  throughout.
 * numeric mode (everything else): ``_FloatKernel``; values are floats
   deduplicated within a declared tolerance.  It carries no proven
   enclosure (R is infinite), so every decision falls through to its
@@ -23,12 +22,12 @@ Two value kernels back every engine:
 Either way, a level is stored as columns: its values, an ``array('d')`` of
 carried floats, and ``array('i')`` columns of parent position and digit (a
 sign flip in the search stores parent p as ~p).  ``seen`` is an
-insertion-ordered dict of Nones, the one deduplication test.  In the exact
-search, the level column, ``seen`` and the best state hold packed ints
+insertion-ordered dict of Nones, the one deduplication test.  In exact
+mode the columns, ``seen`` and the best state hold packed ints
 V = sum a_i 2^(W i), decoded only for exact tests and output: a parent is
 multiplied by q once, a child adds its digit, and a sign flip is -V.
-Before a level whose children's entries could reach 2^(W-2), the search
-re-packs the level, the best state and ``seen`` (in insertion order) at a
+Before a level whose children's entries could reach 2^(W-2), every stored
+value (an X window's ``seen`` holds all its levels) is re-packed at a
 doubled W (the bound is in ``ZqContext``'s docstring).  Numeric mode runs
 the same loop on floats.  A search rebuilds a witness's digits from the
 parents only where it is output.  The X, Y and A windows all grow through
@@ -37,10 +36,11 @@ window's alphabet, and each level's digit texts are built once from the
 texts of the level below.  A window is kept as columns with an order, a
 permutation sorted by the carried floats: the Y/A clip to [-B, B] and the
 sort read [f - R, f + R] and run exact comparisons only where enclosures
-overlap.  A window point displays its carried float, within R of its value
-(in numeric mode the carried float is the value itself).  The searches'
-display floats, their closed-state order and the gap floats come from the
-kernel's ``float_value``: in exact mode the midpoint of the value's exact
+overlap, and the gaps group by packed difference.  A window point displays
+its carried float, within R of its value (in numeric mode the carried
+float is the value itself).  The searches' display floats, their
+closed-state order and the gap floats come from the kernel's
+``float_value``: in exact mode the midpoint of the value's exact
 enclosure on the base refined to 2^-72, correctly rounded.
 
 Results are deterministic: levels are expanded in sorted order and every
@@ -56,8 +56,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 
-from .algebraic import (AlgebraicNumber, ZqContext, _float_enclosure,
-                        _PackedZq)
+from .algebraic import AlgebraicNumber, _float_enclosure, _PackedZq
 from .config import DEFAULT_NUMERIC_TOL, DEFAULT_STATE_BUDGET
 from .errors import PreconditionError
 
@@ -68,21 +67,17 @@ from .errors import PreconditionError
 
 class _FloatKernel:
     """Values are floats; equality within an absolute tolerance.  Mirrors
-    the part of the ``ZqContext`` interface the windows use, and the part
-    of the packed interface (``_PackedZq``) the search uses."""
+    the part of the packed interface (``_PackedZq``) the engines use."""
 
     zero = 0.0
+    exact = False
 
     def __init__(self, q: AlgebraicNumber, tol_abs: float):
         self.qf = q.float_value()
         self.tol = tol_abs
         self._bound = self._bound_f = None   # last cmp_fraction bound
 
-    def step(self, v, s: int):
-        return self.qf * v + s
-
     def mul_q(self, v):
-        # (q*v) + s rounds as step(v, s) does
         return self.qf * v
 
     def fit_step(self, level):
@@ -95,9 +90,6 @@ class _FloatKernel:
         if v < -self.tol:
             return -1
         return 0
-
-    def neg(self, v):
-        return -v
 
     def cmp_fraction(self, v, c: Fraction) -> int:
         # a window passes one bound for every child: convert it once
@@ -136,15 +128,15 @@ class _FloatSeen(dict):
         dict.__setitem__(self, v, none)
 
 
-def make_kernel(q: AlgebraicNumber, tol: float | None = None,
+def make_kernel(q: AlgebraicNumber, m: int, tol: float | None = None,
                 scale: float = 1.0):
-    """The base's ZqContext, with the base refined for the float model, when
-    the minimal polynomial is monic; else numeric with absolute tolerance
-    tol * (1 + scale)."""
+    """The base's packed ZqContext for digits |s| <= m, with the base
+    refined for the float model, when the minimal polynomial is monic; else
+    numeric with absolute tolerance tol * (1 + scale)."""
     if q.min_poly.is_monic:
         ctx = q.zq_context()
         ctx.ensure_float_resolution()
-        return ctx
+        return _PackedZq(ctx, m)
     tol = DEFAULT_NUMERIC_TOL if tol is None else tol
     if not (tol > 0 and math.isfinite(tol)):
         raise PreconditionError(f"tolerance must be positive and finite, "
@@ -153,12 +145,7 @@ def make_kernel(q: AlgebraicNumber, tol: float | None = None,
 
 
 def _new_seen(kernel) -> dict:
-    return _FloatSeen(kernel.tol) if isinstance(kernel, _FloatKernel) else {}
-
-
-def _vec(kernel, v):
-    """Exact values (Z[q] vectors, or a column of them); None if numeric."""
-    return v if isinstance(kernel, ZqContext) else None
+    return {} if kernel.exact else _FloatSeen(kernel.tol)
 
 
 _U = 2.0 ** -53
@@ -204,24 +191,32 @@ class SpectrumPoint:
 
 @dataclass(frozen=True)
 class SpectrumWindow:
-    """A window as columns, one entry per point: Z[q] vectors (None in
-    numeric mode), carried floats, their proven radii and digit texts
-    (ascending digits joined by commas, "0" for zero).  ``order`` lists the
-    positions in increasing value.  Writers encode straight from the
-    columns; ``points`` is built from them on first read."""
+    """A window as columns, one entry per point: the kernel's values (packed
+    Z[q] ints, or floats in numeric mode), carried floats, their proven
+    radii and digit texts (ascending digits joined by commas, "0" for zero).
+    ``order`` lists the positions in increasing value.  Writers encode
+    straight from the columns; ``vecs`` and ``points`` decode when read."""
     base: AlgebraicNumber
     m: int
     kind: str                       # "X" | "Y" | "A"
     degree: int | None              # digit-string degree cap (None for X)
     bound: Fraction
     complete: bool
-    vecs: list | None
+    kernel: object                  # _PackedZq, or _FloatKernel
+    keys: list
     floats: array
     radii: array
     texts: list[str]
     order: list[int]
     covering_radius: float | None = None
     truncated: bool = False
+
+    @cached_property
+    def vecs(self) -> list | None:
+        """The Z[q] vectors as tuples, by position; None in numeric mode."""
+        k = self.kernel
+        return (list(zip(*[iter(k.unpack_all(self.keys))] * k.d))
+                if k.exact else None)
 
     @cached_property
     def points(self) -> tuple[SpectrumPoint, ...]:
@@ -286,20 +281,25 @@ def _expand_level(kernel, model, level, alphabet, band, keep, seen: dict,
     within budget), where links are the next level's (parents, digits)
     columns: child j is q*values[parents[j]] + digits[j].  Expansion stops
     after the first parent whose children push ``seen`` past the budget.
+    A re-pack (``fit_step``) first re-keys the level and, in place, ``seen``.
     """
     values, floats, radius = level
+    if (remap := kernel.fit_step(values)) is not None:
+        values, rekeyed = list(map(remap, values)), list(map(remap, seen))
+        seen.clear()
+        seen.update(dict.fromkeys(rekeyed))
     qf = model[0]
     r = _child_radius(model, radius, floats, max(map(abs, alphabet)))
     in_lo, in_hi, out_lo, out_hi = band(r)
-    step = kernel.step
     nxt, nfl = [], array("d")
     links = par, dig = array("i"), array("i")
-    for i, (v, f) in enumerate(zip(values, floats)):
+    # one multiplication by q per parent; each child adds its digit
+    for i, (f, qv) in enumerate(zip(floats, map(kernel.mul_q, values))):
         for s in alphabet:
             cf = qf * f + s
             if cf < out_lo or cf > out_hi:
                 continue
-            child = step(v, s)
+            child = qv + s
             if not (in_lo <= cf <= in_hi or keep(child)) or child in seen:
                 continue
             seen[child] = None
@@ -325,21 +325,26 @@ def _level_texts(texts, par, dig) -> list[str]:
 
 
 def _sort_order(kernel, values, floats, radii) -> list[int]:
-    """Positions of the values in increasing order."""
+    """Positions of the values in increasing order: the float order, which
+    numeric values are, and which exact ones take when every adjacent float
+    gap exceeds twice the largest radius (with margin for its rounding)."""
     order = sorted(range(len(floats)), key=floats.__getitem__)
-    if isinstance(kernel, ZqContext):
-        # floats order almost everything: a pair whose enclosures are
-        # disjoint is certified, any other is compared exactly and a
-        # near-tie bubbles into its true position
-        i = 0
-        while i < len(order) - 1:
-            a, b = order[i], order[i + 1]
-            if (_up(floats[a] + radii[a]) < _down(floats[b] - radii[b])
-                    or kernel.compare(values[a], values[b]) < 0):
-                i += 1
-            else:
-                order[i], order[i + 1] = b, a
-                i = max(i - 1, 0)
+    fs = list(map(floats.__getitem__, order))
+    sep = 2 * max(radii, default=0.0) * (1 + 2.0 ** -40) + _TINY
+    if (not kernel.exact
+            or min(map(float.__sub__, fs[1:], fs), default=math.inf) > sep):
+        return order
+    # else a pair whose enclosures are disjoint is certified, any other is
+    # compared exactly and a near-tie bubbles into its true position
+    i = 0
+    while i < len(order) - 1:
+        a, b = order[i], order[i + 1]
+        if (_up(floats[a] + radii[a]) < _down(floats[b] - radii[b])
+                or kernel.sign(values[a] - values[b]) < 0):
+            i += 1
+        else:
+            order[i], order[i + 1] = b, a
+            i = max(i - 1, 0)
     return order
 
 
@@ -370,14 +375,14 @@ def enumerate_X(q: AlgebraicNumber, m: int, B, *, tol: float | None = None,
     if m < 1:
         raise PreconditionError("m >= 1 required")
     B = _check_bound(B)
-    kernel = make_kernel(q, tol, float(B))
+    kernel = make_kernel(q, m, tol, float(B))
     model = kernel.float_model()
     b_lo, b_hi = _float_enclosure(B)
     seen = _new_seen(kernel)
     seen[kernel.zero] = None
-    # every value in seen lives in exactly one level, the root in the first
+    # seen holds the window's values by position, level after level
     level = _root_level(kernel)
-    values, floats, radii = [kernel.zero], array("d", [0.0]), array("d", [0.0])
+    floats, radii = array("d", [0.0]), array("d", [0.0])
     texts, level_texts = ["0"], ["0"]
     complete = True
     while level[0] and complete:
@@ -386,11 +391,11 @@ def enumerate_X(q: AlgebraicNumber, m: int, B, *, tol: float | None = None,
             lambda r: (-math.inf, _down(b_lo - r), -math.inf, _up(b_hi + r)),
             lambda c: kernel.cmp_fraction(c, B) <= 0, seen, budget)
         level_texts = _level_texts(level_texts, par, dig)
-        values += level[0]
         floats += level[1]
         radii += array("d", [level[2]]) * len(level[0])
         texts += level_texts
-    return SpectrumWindow(q, m, "X", None, B, complete, _vec(kernel, values),
+    values = list(seen)
+    return SpectrumWindow(q, m, "X", None, B, complete, kernel, values,
                           floats, radii, texts,
                           _sort_order(kernel, values, floats, radii),
                           truncated=not complete)
@@ -412,7 +417,7 @@ def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
     can bring back into [-B, B].  The budget caps each level's states; on
     overflow the partial level is clipped and returned as incomplete.
     """
-    kernel = make_kernel(q, tol, float(B))
+    kernel = make_kernel(q, m, tol, float(B))
     model = kernel.float_model()
     qf = q.float_value()
     level = _root_level(kernel)
@@ -441,12 +446,12 @@ def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
     for i, (v, f) in enumerate(zip(values, floats)):
         a = abs(f)
         if a <= keep or (a <= drop and kernel.cmp_fraction(v, B) <= 0
-                         and kernel.cmp_fraction(kernel.neg(v), B) <= 0):
+                         and kernel.cmp_fraction(-v, B) <= 0):
             inside.append(i)
     values = [values[i] for i in inside]
     floats = array("d", [floats[i] for i in inside])
     radii = array("d", [r]) * len(inside)
-    return (_vec(kernel, values), floats, radii, [texts[i] for i in inside],
+    return (kernel, values, floats, radii, [texts[i] for i in inside],
             _sort_order(kernel, values, floats, radii)), complete
 
 
@@ -556,47 +561,45 @@ def gap_report(window: SpectrumWindow, tail_fraction: float = 0.5,
                hist_tol: float = 1e-9) -> GapReport:
     """Consecutive-gap statistics of a window.
 
-    In exact mode gaps are grouped by canonical vector, so the histogram and
-    the minimum are exact, and each group's float is read off its vector on
-    the refined base rather than from a difference of display floats that
-    cancels; numerically gaps are clustered within hist_tol.
+    In exact mode gaps are grouped by packed difference, one per Z[q]
+    vector, so the histogram and minimum are exact, and each group's float
+    is read off its vector on the refined base, not a difference of display
+    floats that cancels; numerically gaps are clustered within hist_tol.
     """
     check_tail_fraction(tail_fraction)
-    order, floats, vecs = window.order, window.floats, window.vecs
+    order, floats, keys = window.order, window.floats, window.keys
     if len(order) < 2:
         raise PreconditionError("need at least 2 points for gaps")
-    exact = vecs is not None
+    exact = window.kernel.exact
     groups: dict = {}           # key -> [gap float, count]
     tail_from = tail_fraction * float(window.bound)
     tail = []                   # exact: keys of the tail gaps; else gaps
     for i, j in zip(order, order[1:]):
         gap = floats[j] - floats[i]
-        if exact:
-            key = tuple(y - x for x, y in zip(vecs[i], vecs[j]))
-        else:
-            key = round(gap / hist_tol)
+        key = keys[j] - keys[i] if exact else round(gap / hist_tol)
         if key not in groups:
             groups[key] = [gap, 0]
         groups[key][1] += 1
         if floats[i] >= tail_from:
             tail.append(key if exact else gap)
-    min_vec = None
+    min_key = None
     if exact:
-        q = window.base
-        ctx = q.zq_context()
+        ctx, unpack = window.kernel.ctx, window.kernel.unpack
+        vecs = {k: unpack(k) for k in groups}
         for k, g in groups.items():
-            g[0] = ctx.float_value(k)
+            g[0] = ctx.float_value(vecs[k])
         tail = [groups[k][0] for k in tail]
         # certify the minimal group exactly among float near-ties
-        min_vec = next(iter(groups))
+        min_key = next(iter(groups))
         for k in groups:
-            if ctx.sign(tuple(x - y for x, y in zip(k, min_vec))) < 0:
-                min_vec = k
+            if ctx.compare(vecs[k], vecs[min_key]) < 0:
+                min_key = k
     hist = sorted((g, n) for g, n in groups.values())
-    min_gap = groups[min_vec][0] if exact else hist[0][0]
+    min_gap = groups[min_key][0] if exact else hist[0][0]
     max_tail = max(tail) if tail else hist[-1][0]
     return GapReport(window.kind, float(window.bound), len(order), min_gap,
-                     max_tail, tail_fraction, tuple(hist), min_vec)
+                     max_tail, tail_fraction, tuple(hist),
+                     vecs[min_key] if exact else None)
 
 
 # ---------------------------------------------------------------------------
@@ -668,12 +671,10 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
         raise PreconditionError("m >= 1 required")
     if max_depth < 1:
         raise PreconditionError("max_depth >= 1 required")
-    kernel = make_kernel(q, tol, 1.0)
+    kernel = make_kernel(q, m, tol, 1.0)
     model = kernel.float_model()
     qf = model[0]
-    exact = isinstance(kernel, ZqContext)
-    if exact:
-        ctx, kernel = kernel, _PackedZq(kernel, m)
+    exact = kernel.exact
 
     def vec(v):
         # the output vector of a stored value; None in numeric mode
@@ -682,7 +683,7 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
     def in_upper(v) -> bool:
         # v <= c  <=>  v*(q-1) - m <= 0; exact mode scales through min_poly
         if exact:
-            v = kernel.unpack(v)
+            ctx, v = kernel.ctx, kernel.unpack(v)
             w = ctx.sub(ctx.mul_q(v), v)
             return ctx.sign(ctx.add_fraction(w, -m)) <= 0
         c = m / (kernel.qf - 1.0)

@@ -426,12 +426,13 @@ def test_overlapping_enclosures_are_ordered_by_the_exact_compare():
     # them the other way, each within its radius 0.5 of its value: the
     # exact compares must bubble each value back past the others
     ctx = base("quartic").zq_context()
-    values = [(0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
+    kernel = _PackedZq(ctx, 1)
+    vecs = [(0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
     floats, radii = array("d", [1.1, 1.15, 1.2]), array("d", [0.5] * 3)
-    order = _sort_order(ctx, values, floats, radii)
+    order = _sort_order(kernel, list(map(kernel.pack, vecs)), floats, radii)
     assert order == [2, 1, 0]
-    assert [values[i] for i in order] == \
-        sorted(values, key=cmp_to_key(ctx.compare))
+    assert [vecs[i] for i in order] == \
+        sorted(vecs, key=cmp_to_key(ctx.compare))
 
 
 def test_lazy_points_match_the_streamed_texts(monkeypatch):

@@ -78,6 +78,21 @@ def test_parse_rejects_garbage():
         IntPolynomial.from_text("1,phi,3")
 
 
+@pytest.mark.parametrize("coeffs", [
+    [Fraction(1, 2), 1], [1.5, -1.9, 1], [1, float("nan")], [float("inf")],
+    ["3", 1], [None]])
+def test_non_integer_coefficients_are_rejected(coeffs):
+    # int() would truncate 1/2 to 0 and 1.5 to 1 without a word
+    with pytest.raises(PreconditionError, match="not an integer"):
+        IntPolynomial(coeffs)
+
+
+def test_integral_coefficients_of_any_type_are_accepted():
+    p = IntPolynomial([Fraction(-4, 2), 0.0, 3.0, True])
+    assert p.coeffs == (-2, 0, 3, 1)
+    assert all(type(c) is int for c in p.coeffs)
+
+
 def test_sign_at_matches_fraction_eval():
     rng = random.Random(7)
     for _ in range(200):

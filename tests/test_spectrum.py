@@ -7,19 +7,25 @@ equality of canonical vectors in exact mode).
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
 import tracemalloc
+from array import array
+from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
 from qspectra.algebraic import AlgebraicNumber
 from qspectra.errors import PreconditionError
 from qspectra.intpoly import IntPolynomial
+from qspectra.serialize import canonical_json, window_point_texts
 from qspectra.spectrum import (
     L_estimate,
+    _sort_order,
     enumerate_A,
     enumerate_X,
     enumerate_Y,
@@ -328,6 +334,145 @@ def test_gaps_single_point_rejected():
     w = enumerate_X(phi(), 1, Fraction(1, 2))
     with pytest.raises(PreconditionError):
         gap_report(w)
+
+
+# -- packed windows against a tuple brute force -------------------------------
+
+WINDOW_POLYS = {
+    "phi": [-1, -1, 1],
+    "cubic": [-1, -1, 0, 1],
+    "quartic": [-1, -1, 0, 0, 1],
+    # q ~ 2^40: the vectors' entries grow by 2^40 a level, so the packing
+    # widens from 32 to 64 to 128 bits in the middle of a window
+    "wide": [-1, -2**40, 1],
+}
+
+# (base, kind, m, degree, bound) and the SHA-256 of the window's point texts
+# and of its gap report, both recorded before the windows were packed
+PACKED_WINDOW_CASES = [
+    ("phi", "X", 2, None, 30,
+     "abcfed6fc9901b77c890669121a76bf1569c468ec03416930a711480b8895e0a",
+     "856be0d526c0cc93cf9b212d9cf77801df8d927e6ae9b9433219a359fb3a04f1"),
+    ("cubic", "X", 1, None, 30,
+     "a0a8255b15f23c62e17ffed02bee6b526af9baf81e1785a15a332b77e3a15954",
+     "0ec3272928de1f5c2e08259b0544fcd856303f00c71d20f73ac47b72fd38911e"),
+    ("quartic", "X", 1, None, 20,
+     "c0d5c1b6414cb582455f56463471aa9c8446a588ba17a66b9d3e1fe4269847f7",
+     "bf2336bce867dd4a4254438cd4a2282b6a06172d70471c7cfbd5f96aed15744e"),
+    ("wide", "X", 1, None, 2**162,
+     "68e137daab4a769a280c98c93da23a3b8588fe6cfed748660ad0bd2c9e877342",
+     "a0d4d1872be44c48808e932781e65650f973656fa8479a4dabc952e8bfc098d4"),
+    ("phi", "Y", 2, 6, 3,
+     "939ad7e44a47615dad50e790ef429189c97ba4e926ee34ecd8d3fa8921070274",
+     "adfae3b0d32a2ae551e3666646862248787c882c38170e55e6c7da07ff60b7c1"),
+    ("cubic", "Y", 1, 7, 2,
+     "e48dd93a9590cc220db07a49aaf05a62b7216b619d14c6735e3276fe87afcb2e",
+     "53965cf695fba09030fb8c1e43abf5150cf308f273edab636c8d1697aa2f3af2"),
+    ("quartic", "Y", 1, 7, 2,
+     "c8de24b73900f432b8c527d4d1ae61c37c728e9ba3f5b4cf3727a4eb42563e51",
+     "4552c9f88ab4dfcdd9bb09928453c57564a59d77bdbae2f1a2e833c268a634af"),
+    ("wide", "Y", 1, 4, 2**162,
+     "7ff762ba89ae9491b841c54607a101a8130a87b79342a79bb76651d05dd12963",
+     "1b5895b103997149fecf6cb700dcc2f2cb83371e948028ea8a95f4d2a7c87016"),
+    ("phi", "A", 1, 10, 3,
+     "7857cb2ea64871d2ec819c095b4013513b3faf8cd1caacc6286e00a95ab1aaf3",
+     "4dc31d6fff8eef62424cc59f4ae83e3b9e7556eb04e1e0b0d2aca5e09328e932"),
+    ("cubic", "A", 1, 9, 2,
+     "f59f3f7e080f80cca1125d0c90f75c9e7d451f8d9f96dca07c6aabe7dbacf53f",
+     "63619eae9fe1d262318d4553e9cec0993c74eebc0a55b8c0cb724cb524a3cc3b"),
+    ("quartic", "A", 1, 10, 2,
+     "76eea366652f5aa7deb17214e4c329d3d2b24233cf003ffac7f9064449e1a304",
+     "5ec838c02fed4fb53a2e4ae610f457683911cb54b7d5866b9bdcfe0186c49453"),
+]
+
+PACKED_WINDOW_IDS = [f"{case[0]}-{case[1]}" for case in PACKED_WINDOW_CASES]
+
+
+def _window_of(name, kind, m, degree, B):
+    q = AlgebraicNumber.base_from_poly(IntPolynomial(WINDOW_POLYS[name]),
+                                       root_index=0)
+    if kind == "X":
+        return enumerate_X(q, m, B)
+    if kind == "Y":
+        return enumerate_Y(q, m, degree, B)
+    return enumerate_A(q, degree, B)
+
+
+def _tuple_step(c, v, s):
+    """q*v + s for a vector v over 1, q, ..., q^(d-1), where the monic
+    minimal polynomial has coefficients c, so q^d = -sum c_i q^i."""
+    top = v[-1]
+    return tuple([s - top * c[0]]
+                 + [a - top * ci for a, ci in zip(v, c[1:-1])])
+
+
+def brute_force_window(q, c, kind, m, degree, B):
+    """The window's vectors in exact increasing order, in plain tuples.
+
+    Y and A: every distinct value of the digit strings with degree+1 digits,
+    clipped exactly to [-B, B].  X: level after level over digits 0..m; a
+    value above B only has larger extensions, so a float test with a wide
+    margin drops it (every entry is >= 0 for these bases, so the float sum
+    does not cancel), and the exact test filters at the end."""
+    ctx = q.zq_context()
+    qf, B = q.float_value(), Fraction(B)
+    alphabet = {"X": range(m + 1), "Y": range(-m, m + 1), "A": (-1, 1)}[kind]
+    level = found = {(0,) * (len(c) - 1)}
+    if kind == "X":
+        while level:
+            level = {_tuple_step(c, v, s) for v in level for s in alphabet}
+            level = {v for v in level - found
+                     if sum(a * qf**i for i, a in enumerate(v)) <= 2 * B + 1}
+            found = found | level
+        vecs = [v for v in found if ctx.cmp_fraction(v, B) <= 0]
+    else:
+        for _ in range(degree + 1):
+            level = {_tuple_step(c, v, s) for v in level for s in alphabet}
+        vecs = [v for v in level if ctx.cmp_fraction(v, B) <= 0
+                and ctx.cmp_fraction(ctx.neg(v), B) <= 0]
+    return sorted(vecs, key=cmp_to_key(ctx.compare))
+
+
+@pytest.mark.parametrize("name,kind,m,degree,B,points_sha,gaps_sha",
+                         PACKED_WINDOW_CASES, ids=PACKED_WINDOW_IDS)
+def test_packed_windows_match_a_tuple_brute_force(name, kind, m, degree, B,
+                                                  points_sha, gaps_sha):
+    w = _window_of(name, kind, m, degree, B)
+    q, ctx = w.base, w.base.zq_context()
+    want = brute_force_window(q, WINDOW_POLYS[name], kind, m, degree, B)
+    # the vector set and its exact order
+    assert [w.vecs[i] for i in w.order] == want
+    # the gap histogram, grouped by difference vector, and its minimum
+    diffs = Counter(tuple(y - x for x, y in zip(a, b))
+                    for a, b in zip(want, want[1:]))
+    rep = gap_report(w)
+    assert rep.histogram == tuple(sorted(
+        (ctx.float_value(k), n) for k, n in diffs.items()))
+    assert rep.min_gap_vec == min(diffs, key=cmp_to_key(ctx.compare))
+    if name == "wide":
+        assert w.kernel.W >= 128
+    text = "\n".join(window_point_texts(w))
+    assert hashlib.sha256(text.encode()).hexdigest() == points_sha
+    text = canonical_json([rep.to_dict(), list(rep.min_gap_vec)])
+    assert hashlib.sha256(text.encode()).hexdigest() == gaps_sha
+
+
+@pytest.mark.parametrize("name,kind,m,degree,B",
+                         [case[:5] for case in PACKED_WINDOW_CASES],
+                         ids=PACKED_WINDOW_IDS)
+def test_exact_sort_gives_the_certified_permutation(name, kind, m, degree, B):
+    """With the float-gap test defeated, the exact bubble loop must give
+    the window's order: first with every radius widened past the window
+    (each adjacent pair is compared exactly), then with every float tied
+    at 0 (the loop sorts from position order by exact compares alone).
+    Both are valid enclosures of the same values."""
+    w = _window_of(name, kind, m, degree, B)
+    n, R = len(w.floats), 2.0 * float(B)
+    wide = array("d", [R]) * n
+    assert _sort_order(w.kernel, w.keys, w.floats, wide) == w.order
+    if n <= 64:
+        tied = array("d", [0.0]) * n
+        assert _sort_order(w.kernel, w.keys, tied, wide) == w.order
 
 
 # -- min positive BFS ---------------------------------------------------------
