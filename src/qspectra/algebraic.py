@@ -18,12 +18,12 @@ Three layers live here:
   read.
 * ``ZqContext`` -- the one exact value kernel, Q[q] for any base, run in
   integers: on a monic base, tuples in the basis 1, q, ..., q^(d-1)
-  (canonical integer vectors in Z[q], which the search packs into one int
-  each with ``_PackedZq``); on any other base, an int vector over the
-  algebraic integer theta = a*q (a the leading coefficient) with an int
-  denominator.  Ring operations, exact signs and ordering (``sign``,
-  ``compare``, ``cmp_fraction``) from the base's sign oracle, display
-  floats read off exact enclosures, and the floating-point model
+  (canonical integer vectors in Z[q]); on any other base, an int vector
+  over the algebraic integer theta = a*q (a the leading coefficient) with
+  an int denominator.  The search and the windows pack these vectors into
+  one int each (``_PackedZq``).  Ring operations, exact signs and ordering
+  (``sign``, ``compare``, ``cmp_fraction``) from the base's sign oracle,
+  display floats read off exact enclosures, and the floating-point model
   (``float_model``) under which the spectrum engines carry proven float
   enclosures of their search states.
 
@@ -314,9 +314,6 @@ class AlgebraicNumber:
         return self.compare_to_fraction(c) > 0
 
     def zq_context(self) -> "ZqContext":
-        if not self.min_poly.is_monic:
-            raise PreconditionError(
-                "exact Z[q] mode requires a monic minimal polynomial")
         if getattr(self, "_zq_ctx", None) is None:
             self._zq_ctx = ZqContext(self)
         return self._zq_ctx
@@ -374,27 +371,35 @@ class ZqContext:
     model stays valid for a whole search, and the window points display
     their carried floats.
 
-    Packed vectors.  The smallest-positive search and the windows keep the
-    vector (a_0, ..., a_{d-1}) of a monic base as one int V = sum a_i 2^(W i)
+    Packed vectors.  The smallest-positive search and the windows keep an
+    int vector (a_0, ..., a_{d-1}) over theta as one int V = sum a_i 2^(W i)
     (signed Kronecker substitution: Schoenhage, 1982; Harvey, *J. Symbolic
     Comput.* 44, 2009), built by ``_PackedZq``.  Packing is additive and,
     while every |a_i| < 2^(W-1), one-to-one, so equal vectors are equal
-    ints and a sign flip is -V.  With q^d = sum c_i q^i, the top entry is
+    ints and a sign flip is -V.  A value v is stored as the vector of
+    a^D * v: D = 0 on a monic base, where theta = q, and on any other base
+    the window's depth bound, the number of steps any of its values takes.
+    A value with digits up to degree n < D is a^(D-n) times an int vector
+    (a^n q^i = a^(n-i) theta^i), so it is an int vector too.  With
+    theta^d = sum c_i theta^i, the top entry is
     t = (V + 2^(W(d-1)-1)) >> W(d-1) and
 
-        q*v = (V << W) - t*R,    R = 2^(W d) - sum c_i 2^(W i),
+        theta*v = (V << W) - t*R,    R = 2^(W d) - sum c_i 2^(W i),
 
-    once per parent; a child q*v + s then adds s.  Width bound: if a
-    level's entries are at most E, its children's are at most
-    E' = E*(1 + max|c_i|) + m.  The engines carry E per level and keep
-    E' below 2^(W-2), so a state, its negation and the difference of two
-    states (a comparison) all have entries below 2^(W-1) and decode
-    exactly.  When E' would reach 2^(W-2), E restarts from the level's
-    true maximum; if that does not fit either, every stored value of every
-    level is re-packed at a doubled W.  Each value was below 2^(W-2) when
-    it was made and W never shrinks, so the values of all levels stay below
-    it (E may restart below an earlier level's entries), and differences
-    across levels (a window's sort and gap keys) decode exactly too.
+    once per parent; q*v is then one exact division of that int by a (each
+    entry is divisible by a while n < D, and packing is linear), and a
+    child q*v + s adds s*a^D.  Width bound: if a level's entries are at
+    most E, its children's are at most E' = E*(1 + max|c_i|)/a + m*a^D.
+    The engines carry E per level and keep E' below 2^(W-2), so a state,
+    its negation and the difference of two states (a comparison) all have
+    entries below 2^(W-1) and decode exactly.  When E' would reach
+    2^(W-2), E restarts from the level's true maximum; if that does not fit
+    either, every stored value of every level is re-packed at a doubled W.
+    Each value was below 2^(W-2) when it was made and W never shrinks, so
+    the values of all levels stay below it (E may restart below an earlier
+    level's entries), and differences across levels (a window's sort and
+    gap keys) decode exactly too.  The exact methods read a packed V as
+    the element (V, a^D) of a non-monic base.
     """
 
     def __init__(self, q: AlgebraicNumber):
@@ -555,36 +560,39 @@ class ZqContext:
 
 
 class _PackedZq:
-    """The Z[q] vectors of a monic base packed into one int each (see
-    "Packed vectors" in ``ZqContext``); the exact methods decode to tuples
-    and ask the wrapped context."""
+    """The Z[theta] vectors of a base packed into one int each (see "Packed
+    vectors" in ``ZqContext``), each value x stored as the vector of
+    ``one * x``, one = a^depth; the exact methods decode to elements of the
+    wrapped context."""
 
     zero = 0
     exact = True
 
-    def __init__(self, ctx: ZqContext, m: int):
-        self.ctx, self.d, self.m = ctx, ctx.d, m
+    def __init__(self, ctx: ZqContext, m: int, depth: int = 0):
+        self.ctx, self.d, self.m, self.lead = ctx, ctx.d, m, ctx.lead
+        self.one = ctx.lead ** depth
         self.float_model = ctx.float_model
         self.growth = 1 + max((abs(c) for _, c in ctx.qd_terms), default=0)
-        self.bound = m          # entries of the current level are <= bound
+        self.bound = m * self.one   # entries of the current level are <= it
         W = 32
-        while m >= 1 << (W - 2):
+        while self.bound >= 1 << (W - 2):
             W *= 2
         self._set_width(W)
 
     def _set_width(self, W: int):
-        """Bind ``pack``, ``unpack`` and ``mul_q`` to width W."""
-        d = self.d
+        """Bind ``pack``, ``unpack``, ``elem`` and ``mul_q`` to width W."""
+        d, a, one = self.d, self.lead, self.one
         shift = W * (d - 1)
         half, sign_bit, mask = (1 << shift) >> 1, 1 << (W - 1), (1 << W) - 1
-        # q^d = sum c_i q^i, so q*V = (V << W) - t*R for the top entry t
+        # theta^d = sum c_i theta^i, so theta*V = (V << W) - t*R for the
+        # top entry t, and q*V = theta*V / a
         R = (1 << W * d) - sum(c << W * i for i, c in self.ctx.qd_terms)
 
         def mul_q(V):
             return (V << W) - ((V + half) >> shift) * R
 
         def pack(v):
-            return sum(a << W * i for i, a in enumerate(v))
+            return sum(x << W * i for i, x in enumerate(v))
 
         def unpack(V):
             out = []
@@ -594,7 +602,9 @@ class _PackedZq:
             return tuple(out)
 
         self.W, self.limit = W, 1 << (W - 2)
-        self.mul_q, self.pack, self.unpack = mul_q, pack, unpack
+        self.pack, self.unpack = pack, unpack
+        self.mul_q = mul_q if a == 1 else lambda V: mul_q(V) // a
+        self.elem = unpack if a == 1 else lambda V: (unpack(V), one)
 
     def fit_step(self, level):
         """Make room for the children q*v + s (|s| <= m) of ``level``.
@@ -603,11 +613,11 @@ class _PackedZq:
         bound does not, it restarts from the level's true maximum; only if
         that does not fit either does the width double until it does, and
         the returned map re-packs a value stored at the old width."""
-        bound = self.bound * self.growth + self.m
+        bound = self.bound * self.growth // self.lead + self.m * self.one
         if bound >= self.limit:
             old = self.unpack
-            top = max((abs(a) for V in level for a in old(V)), default=0)
-            bound = top * self.growth + self.m
+            top = max((abs(x) for V in level for x in old(V)), default=0)
+            bound = top * self.growth // self.lead + self.m * self.one
         self.bound = bound
         if bound < self.limit:
             return None
@@ -633,13 +643,13 @@ class _PackedZq:
         return out
 
     def sign(self, V) -> int:
-        return self.ctx.sign(self.unpack(V))
+        return self.ctx.sign(self.elem(V))
 
     def cmp_fraction(self, V, c: Fraction) -> int:
-        return self.ctx.cmp_fraction(self.unpack(V), c)
+        return self.ctx.cmp_fraction(self.elem(V), c)
 
     def float_value(self, V) -> float:
-        return self.ctx.float_value(self.unpack(V))
+        return self.ctx.float_value(self.elem(V))
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ from .serialize import (
     windows_csv,
     write_json,
 )
-from .spectrum import (check_tail_fraction, enumerate_A, enumerate_X,
-                       enumerate_Y, gap_report, l_estimate)
+from .spectrum import (check_tail_fraction, check_tolerance, enumerate_A,
+                       enumerate_X, enumerate_Y, gap_report, l_estimate)
 from .witness import accumulation_verdict, build_witness
 
 EXIT_OK = 0
@@ -58,7 +58,8 @@ def _add_base_args(sub):
     sub.add_argument("--root-interval", default=None,
                      help="rational isolating interval 'lo..hi'")
     sub.add_argument("--base", default=None,
-                     help="decimal base (numeric mode; requires --tolerance)")
+                     help="rational base such as 1.35, taken exactly "
+                          "(requires --tolerance)")
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -74,6 +75,7 @@ def resolve_base(args) -> AlgebraicNumber:
     if args.base is not None:
         if args.tolerance is None:
             raise PreconditionError("numeric bases require --tolerance")
+        check_tolerance(args.tolerance)
         q = AlgebraicNumber.from_rational(_parse_fraction(args.base))
         if not q.greater_than(1):
             raise PreconditionError("base must satisfy q > 1")
@@ -120,12 +122,11 @@ def cmd_spectrum(args):
     q = resolve_base(args)
     B = _parse_fraction(args.bound)
     if args.kind == "X":
-        w = enumerate_X(q, args.m, B, tol=args.tolerance,
-                        budget=args.budget_states)
+        w = enumerate_X(q, args.m, B, budget=args.budget_states)
     else:
         if args.degree is None:
             raise PreconditionError("Y windows need --degree")
-        w = enumerate_Y(q, args.m, args.degree, B, tol=args.tolerance,
+        w = enumerate_Y(q, args.m, args.degree, B,
                         budget=args.budget_states)
     code = EXIT_BUDGET if w.truncated else EXIT_OK
     return _window_result(w), lambda _result: window_csv(w), code
@@ -135,8 +136,7 @@ def cmd_gaps(args):
     check_tail_fraction(args.tail_fraction)     # before the enumeration
     q = resolve_base(args)
     B = _parse_fraction(args.bound)
-    w = enumerate_X(q, args.m, B, tol=args.tolerance,
-                    budget=args.budget_states)
+    w = enumerate_X(q, args.m, B, budget=args.budget_states)
     rep = gap_report(w, tail_fraction=args.tail_fraction)
     result = rep.to_dict()
     result["window_truncated"] = w.truncated
@@ -192,8 +192,7 @@ def cmd_aq(args):
     windows = []
     truncated = False
     for n in degrees:
-        w = enumerate_A(q, n, B, tol=args.tolerance,
-                        budget=args.budget_states)
+        w = enumerate_A(q, n, B, budget=args.budget_states)
         truncated |= w.truncated
         windows.append(w)
     radii = [w.covering_radius for w in windows]
@@ -256,8 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "for any value")
     g.add_argument("--budget-states", type=int, default=argparse.SUPPRESS)
     g.add_argument("--tolerance", type=float, default=argparse.SUPPRESS,
-                   help="numeric-mode dedup tolerance (required with "
-                        "--base)")
+                   help="dedup tolerance of the float search that minpos "
+                        "and verdict run on a non-monic base (required "
+                        "with --base); windows are exact and ignore it")
     g.add_argument("--out", default=argparse.SUPPRESS,
                    help="write output to this file")
 

@@ -18,5 +18,8 @@ MAX_CERTIFY_BITS = 8192
 #: peaks at about 107 B (tracemalloc, x^8-x^6-1 to depth 16), so ~1.1 GB.
 DEFAULT_STATE_BUDGET = 10_000_000
 
-#: Default relative deduplication tolerance for numeric-mode windows.
+#: Default relative deduplication tolerance of a non-monic base's search.
 DEFAULT_NUMERIC_TOL = 1e-9
+
+#: Cap (bits) on the scale a^D of an exact window of a non-monic base.
+MAX_SCALE_BITS = 1024

@@ -69,10 +69,10 @@ def window_point_texts(window) -> Iterator[str]:
     """The canonical JSON text of each point of a SpectrumWindow, in order,
     encoded from its columns: keys in sorted order, ``float.__repr__`` for
     the value (points are clipped to [-B, B], so it is finite), the digit
-    text as is, and no "vec" in numeric mode."""
+    text as is, and no "vec" on a non-monic base."""
     floats, texts, kernel = window.floats, window.texts, window.kernel
     order, vecs = window.order, [""] * len(window.order)
-    if kernel.exact:    # decoded in one pass, in output order
+    if kernel.lead == 1:    # decoded in one pass, in output order
         flat = map(str, kernel.unpack_all([window.keys[i] for i in order]))
         vecs = (f',"vec":[{",".join(v)}]' for v in zip(*[flat] * kernel.d))
     for i, vec in zip(order, vecs):

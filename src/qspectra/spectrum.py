@@ -1,35 +1,35 @@
 """Spectra of a base q > 1: window enumeration, gap statistics, and the
 branch-and-bound engine for the smallest positive element.
 
-Two value kernels back every engine:
+Every window, and the search on a monic base, runs on the base's exact
+``ZqContext``: each value's integer vector over theta = a*q (a the leading
+coefficient of the minimal polynomial) packed into one int (``_PackedZq``,
+see below), so deduplication and ordering are exact, and every sign the
+kernel decides comes from the base's exact sign oracle.  On a non-monic
+base, a rational one included, a window stores a^D times each value, D its
+depth bound (see "Packed vectors" in ``ZqContext``).  Each state also
+carries a float, and its level has one proven radius R with
+|value - float| <= R (the bound is in ``ZqContext``'s docstring).  A
+child's sign, its window test and its comparison with the current best are
+read off [f - R, f + R]; the exact ``sign``/``cmp_fraction`` run only when
+that enclosure straddles the threshold.  A level whose floats or radius
+overflow is decided exactly throughout.  The search on a non-monic base has
+no depth bound, so it runs ``_FloatKernel``: values are floats deduplicated
+within a declared tolerance, with no proven enclosure (R is infinite), so
+every decision falls through to its tolerance tests.
 
-* exact mode (monic minimal polynomial, including integer bases): the
-  base's ``ZqContext``, each canonical integer vector in Z[q] packed into
-  one int (``_PackedZq``, see below), so deduplication and ordering are
-  exact, and every sign the kernel decides comes from the base's exact
-  sign oracle.  Each state also carries a float, and its level has one
-  proven radius R with |value - float| <= R (the bound is in
-  ``ZqContext``'s docstring).  A child's sign, its window test and its
-  comparison with the current best are read off [f - R, f + R]; the exact
-  ``sign``/``cmp_fraction`` run only when that enclosure straddles the
-  threshold.  A level whose floats or radius overflow is decided exactly
-  throughout.
-* numeric mode (everything else): ``_FloatKernel``; values are floats
-  deduplicated within a declared tolerance.  It carries no proven
-  enclosure (R is infinite), so every decision falls through to its
-  tolerance tests.
-
-Either way, a level is stored as columns: its values, an ``array('d')`` of
-carried floats, and ``array('i')`` columns of parent position and digit (a
-sign flip in the search stores parent p as ~p).  ``seen`` is an
-insertion-ordered dict of Nones, the one deduplication test.  In exact
-mode the columns, ``seen`` and the best state hold packed ints
-V = sum a_i 2^(W i), decoded only for exact tests and output: a parent is
-multiplied by q once, a child adds its digit, and a sign flip is -V.
-Before a level whose children's entries could reach 2^(W-2), every stored
-value (an X window's ``seen`` holds all its levels) is re-packed at a
-doubled W (the bound is in ``ZqContext``'s docstring).  Numeric mode runs
-the same loop on floats.  A search rebuilds a witness's digits from the
+A level is stored as columns: its values, an ``array('d')`` of carried
+floats, and ``array('i')`` columns of parent position and digit (a sign
+flip in the search stores parent p as ~p).  ``seen`` is an
+insertion-ordered dict of Nones, the one deduplication test.  The columns,
+``seen`` and the best state hold packed ints V = sum a_i 2^(W i), decoded
+only for exact tests and output: a parent is multiplied by q once, a child
+adds its digit, and a sign flip is -V.  Before a level whose children's
+entries could reach 2^(W-2), every stored value (an X window's ``seen``
+holds all its levels) is re-packed at a doubled W (the bound is in
+``ZqContext``'s docstring); a window level whose smallest child is proven
+out of the window makes no room and no child.  The float search runs the
+same loop on floats.  A search rebuilds a witness's digits from the
 parents only where it is output.  The X, Y and A windows all grow through
 ``_expand_level``: each state y spawns q*y + s for every digit s of the
 window's alphabet, and each level's digit texts are built once from the
@@ -37,11 +37,11 @@ texts of the level below.  A window is kept as columns with an order, a
 permutation sorted by the carried floats: the Y/A clip to [-B, B] and the
 sort read [f - R, f + R] and run exact comparisons only where enclosures
 overlap, and the gaps group by packed difference.  A window point displays
-its carried float, within R of its value (in numeric mode the carried
-float is the value itself).  The searches' display floats, their
-closed-state order and the gap floats come from the kernel's
-``float_value``: in exact mode the midpoint of the value's exact
-enclosure on the base refined to 2^-72, correctly rounded.
+its carried float, within R of its value.  The searches' display floats,
+their closed-state order and the gap floats come from the kernel's
+``float_value``: the midpoint of the value's exact enclosure on the base
+refined to 2^-72, correctly rounded (in the float search, the float
+itself).
 
 Results are deterministic: levels are expanded in sorted order and every
 window is canonically sorted before emission.
@@ -57,7 +57,8 @@ from functools import cached_property
 from fractions import Fraction
 
 from .algebraic import AlgebraicNumber, _float_enclosure, _PackedZq
-from .config import DEFAULT_NUMERIC_TOL, DEFAULT_STATE_BUDGET
+from .config import (DEFAULT_NUMERIC_TOL, DEFAULT_STATE_BUDGET,
+                     MAX_SCALE_BITS)
 from .errors import PreconditionError
 
 
@@ -128,24 +129,29 @@ class _FloatSeen(dict):
         dict.__setitem__(self, v, none)
 
 
-def make_kernel(q: AlgebraicNumber, m: int, tol: float | None = None,
-                scale: float = 1.0):
+def make_kernel(q: AlgebraicNumber, m: int, depth: int | None = None,
+                tol: float | None = None, scale: float = 1.0):
     """The base's packed ZqContext for digits |s| <= m, with the base
-    refined for the float model, when the minimal polynomial is monic; else
-    numeric with absolute tolerance tol * (1 + scale)."""
-    if q.min_poly.is_monic:
+    refined for the float model, for a monic base or a window of at most
+    ``depth`` steps; else (a non-monic search) numeric with absolute
+    tolerance tol * (1 + scale)."""
+    if depth is not None or q.min_poly.is_monic:
         ctx = q.zq_context()
+        if depth and depth * (ctx.lead.bit_length() - 1) > MAX_SCALE_BITS:
+            raise PreconditionError(
+                f"an exact window of {depth} or more levels needs values of "
+                f"more than {MAX_SCALE_BITS} bits at this base")
         ctx.ensure_float_resolution()
-        return _PackedZq(ctx, m)
+        return _PackedZq(ctx, m, depth or 0)
     tol = DEFAULT_NUMERIC_TOL if tol is None else tol
-    if not (tol > 0 and math.isfinite(tol)):
-        raise PreconditionError(f"tolerance must be positive and finite, "
-                                f"not {tol}")
+    check_tolerance(tol)
     return _FloatKernel(q, tol * (1.0 + scale))
 
 
-def _new_seen(kernel) -> dict:
-    return {} if kernel.exact else _FloatSeen(kernel.tol)
+def check_tolerance(tol: float) -> None:
+    if not (tol > 0 and math.isfinite(tol)):
+        raise PreconditionError(f"tolerance must be positive and finite, "
+                                f"not {tol}")
 
 
 _U = 2.0 ** -53
@@ -192,8 +198,8 @@ class SpectrumPoint:
 @dataclass(frozen=True)
 class SpectrumWindow:
     """A window as columns, one entry per point: the kernel's values (packed
-    Z[q] ints, or floats in numeric mode), carried floats, their proven
-    radii and digit texts (ascending digits joined by commas, "0" for zero).
+    ints), carried floats, their proven radii and digit texts (ascending
+    digits joined by commas, "0" for zero).
     ``order`` lists the positions in increasing value.  Writers encode
     straight from the columns; ``vecs`` and ``points`` decode when read."""
     base: AlgebraicNumber
@@ -202,7 +208,7 @@ class SpectrumWindow:
     degree: int | None              # digit-string degree cap (None for X)
     bound: Fraction
     complete: bool
-    kernel: object                  # _PackedZq, or _FloatKernel
+    kernel: _PackedZq
     keys: list
     floats: array
     radii: array
@@ -213,10 +219,11 @@ class SpectrumWindow:
 
     @cached_property
     def vecs(self) -> list | None:
-        """The Z[q] vectors as tuples, by position; None in numeric mode."""
+        """The Z[q] vectors as tuples, by position; None on a non-monic
+        base, whose packed values are scaled vectors over theta."""
         k = self.kernel
         return (list(zip(*[iter(k.unpack_all(self.keys))] * k.d))
-                if k.exact else None)
+                if k.lead == 1 else None)
 
     @cached_property
     def points(self) -> tuple[SpectrumPoint, ...]:
@@ -281,25 +288,31 @@ def _expand_level(kernel, model, level, alphabet, band, keep, seen: dict,
     within budget), where links are the next level's (parents, digits)
     columns: child j is q*values[parents[j]] + digits[j].  Expansion stops
     after the first parent whose children push ``seen`` past the budget.
-    A re-pack (``fit_step``) first re-keys the level and, in place, ``seen``.
+    A re-pack (``fit_step``) first re-keys the level and, in place, ``seen``;
+    a level whose smallest child float lies above out_hi has no child, and
+    neither re-packs nor steps.
     """
     values, floats, radius = level
-    if (remap := kernel.fit_step(values)) is not None:
-        values, rekeyed = list(map(remap, values)), list(map(remap, seen))
-        seen.clear()
-        seen.update(dict.fromkeys(rekeyed))
     qf = model[0]
     r = _child_radius(model, radius, floats, max(map(abs, alphabet)))
     in_lo, in_hi, out_lo, out_hi = band(r)
     nxt, nfl = [], array("d")
     links = par, dig = array("i"), array("i")
-    # one multiplication by q per parent; each child adds its digit
+    if qf * min(floats, default=math.inf) + min(alphabet) > out_hi:
+        return (nxt, nfl, r), links, True
+    if (remap := kernel.fit_step(values)) is not None:
+        values, rekeyed = list(map(remap, values)), list(map(remap, seen))
+        seen.clear()
+        seen.update(dict.fromkeys(rekeyed))
+    # one multiplication by q per parent; each child adds its digit, scaled
+    # as the kernel stores values
+    steps = [(s, s * kernel.one) for s in alphabet]
     for i, (f, qv) in enumerate(zip(floats, map(kernel.mul_q, values))):
-        for s in alphabet:
+        for s, u in steps:
             cf = qf * f + s
             if cf < out_lo or cf > out_hi:
                 continue
-            child = qv + s
+            child = qv + u
             if not (in_lo <= cf <= in_hi or keep(child)) or child in seen:
                 continue
             seen[child] = None
@@ -326,13 +339,12 @@ def _level_texts(texts, par, dig) -> list[str]:
 
 def _sort_order(kernel, values, floats, radii) -> list[int]:
     """Positions of the values in increasing order: the float order, which
-    numeric values are, and which exact ones take when every adjacent float
-    gap exceeds twice the largest radius (with margin for its rounding)."""
+    they take when every adjacent float gap exceeds twice the largest radius
+    (with margin for its rounding)."""
     order = sorted(range(len(floats)), key=floats.__getitem__)
     fs = list(map(floats.__getitem__, order))
     sep = 2 * max(radii, default=0.0) * (1 + 2.0 ** -40) + _TINY
-    if (not kernel.exact
-            or min(map(float.__sub__, fs[1:], fs), default=math.inf) > sep):
+    if min(map(float.__sub__, fs[1:], fs), default=math.inf) > sep:
         return order
     # else a pair whose enclosures are disjoint is certified, any other is
     # compared exactly and a near-tie bubbles into its true position
@@ -361,7 +373,18 @@ def _check_bound(B) -> Fraction:
     return B
 
 
-def enumerate_X(q: AlgebraicNumber, m: int, B, *, tol: float | None = None,
+def _x_depth(q: AlgebraicNumber, B: Fraction) -> int:
+    """One more than the least n with lo^n > B, lo a rational lower bound of
+    q (past MAX_SCALE_BITS, any larger count): an X window's values with a
+    digit at degree n are at least q^n > B, so each steps at most n times."""
+    lo = q.refine_to_width(Fraction(1, 2**80))[0]    # the float model's width
+    n, num, den = 0, 1, 1
+    while num * B.denominator <= B.numerator * den and n <= MAX_SCALE_BITS:
+        n, num, den = n + 1, num * lo.numerator, den * lo.denominator
+    return n + 1
+
+
+def enumerate_X(q: AlgebraicNumber, m: int, B, *,
                 budget: int = DEFAULT_STATE_BUDGET) -> SpectrumWindow:
     """Complete window X^m(q) in [0, B]: every value of a digit string over
     {0..m} up to B, exactly once.
@@ -375,11 +398,10 @@ def enumerate_X(q: AlgebraicNumber, m: int, B, *, tol: float | None = None,
     if m < 1:
         raise PreconditionError("m >= 1 required")
     B = _check_bound(B)
-    kernel = make_kernel(q, m, tol, float(B))
+    kernel = make_kernel(q, m, _x_depth(q, B))
     model = kernel.float_model()
     b_lo, b_hi = _float_enclosure(B)
-    seen = _new_seen(kernel)
-    seen[kernel.zero] = None
+    seen = {kernel.zero: None}
     # seen holds the window's values by position, level after level
     level = _root_level(kernel)
     floats, radii = array("d", [0.0]), array("d", [0.0])
@@ -409,7 +431,7 @@ def _tail_max(qf: float, m: int, r: int) -> float:
 
 
 def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
-                   alphabet, tol: float | None, budget: int):
+                   alphabet, budget: int):
     """(columns, complete) for the values of the digit strings over
     ``alphabet`` (|s| <= m) with degree+1 digits that lie in [-B, B].
 
@@ -417,7 +439,7 @@ def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
     can bring back into [-B, B].  The budget caps each level's states; on
     overflow the partial level is clipped and returned as incomplete.
     """
-    kernel = make_kernel(q, m, tol, float(B))
+    kernel = make_kernel(q, m, degree + 1)
     model = kernel.float_model()
     qf = q.float_value()
     level = _root_level(kernel)
@@ -432,8 +454,7 @@ def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
         cap = float(B) * 1.0000001 + _tail_max(qf, m, t) + 1e-9
         level, (par, dig), complete = _expand_level(
             kernel, model, level, alphabet, band,
-            lambda c: abs(kernel.float_value(c)) <= cap,
-            _new_seen(kernel), budget)
+            lambda c: abs(kernel.float_value(c)) <= cap, {}, budget)
         texts = _level_texts(texts, par, dig)
         if not complete:
             break
@@ -456,7 +477,6 @@ def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
 
 
 def enumerate_Y(q: AlgebraicNumber, m: int, degree: int, B, *,
-                tol: float | None = None,
                 budget: int = DEFAULT_STATE_BUDGET) -> SpectrumWindow:
     """Degree-truncated window of the spectrum Y^m(q): all values
     sum_{i<=degree} s_i q^i with |s_i| <= m lying in [-B, B].
@@ -469,7 +489,7 @@ def enumerate_Y(q: AlgebraicNumber, m: int, degree: int, B, *,
         raise PreconditionError("need m >= 1 and degree >= 0")
     B = _check_bound(B)
     columns, complete = _signed_window(q, m, degree, B, range(-m, m + 1),
-                                       tol, budget)
+                                       budget)
     certified = complete and _devries_complete(q, m, degree, B)
     return SpectrumWindow(q, m, "Y", degree, B, certified, *columns,
                           truncated=not complete)
@@ -495,7 +515,6 @@ def _devries_complete(q: AlgebraicNumber, m: int, degree: int, B: Fraction
 
 
 def enumerate_A(q: AlgebraicNumber, degree: int, B, *,
-                tol: float | None = None,
                 budget: int = DEFAULT_STATE_BUDGET) -> SpectrumWindow:
     """Window of A(q) = {sum a_i q^i, a_i in {-1, 1}} for strings of degree
     exactly ``degree``, clipped to [-B, B], with its covering radius."""
@@ -505,7 +524,7 @@ def enumerate_A(q: AlgebraicNumber, degree: int, B, *,
     if degree < 0:
         raise PreconditionError("degree >= 0 required")
     B = _check_bound(B)
-    columns, complete = _signed_window(q, 1, degree, B, (-1, 1), tol, budget)
+    columns, complete = _signed_window(q, 1, degree, B, (-1, 1), budget)
     w = SpectrumWindow(q, 1, "A", degree, B, complete, *columns,
                        truncated=not complete)
     return replace(w, covering_radius=_covering_radius(w.values(), float(B)))
@@ -557,49 +576,43 @@ def check_tail_fraction(tail_fraction: float) -> None:
             f"tail fraction must lie in [0, 1], not {tail_fraction}")
 
 
-def gap_report(window: SpectrumWindow, tail_fraction: float = 0.5,
-               hist_tol: float = 1e-9) -> GapReport:
+def gap_report(window: SpectrumWindow,
+               tail_fraction: float = 0.5) -> GapReport:
     """Consecutive-gap statistics of a window.
 
-    In exact mode gaps are grouped by packed difference, one per Z[q]
-    vector, so the histogram and minimum are exact, and each group's float
-    is read off its vector on the refined base, not a difference of display
-    floats that cancels; numerically gaps are clustered within hist_tol.
+    Gaps are grouped by packed difference, one per exact value, so the
+    histogram and minimum are exact, and each group's float is read off its
+    value on the refined base, not a difference of display floats that
+    cancels.  ``min_gap_vec`` is the minimal gap as a ``ZqContext``
+    element.
     """
     check_tail_fraction(tail_fraction)
     order, floats, keys = window.order, window.floats, window.keys
     if len(order) < 2:
         raise PreconditionError("need at least 2 points for gaps")
-    exact = window.kernel.exact
-    groups: dict = {}           # key -> [gap float, count]
+    groups: dict = {}           # packed gap -> [gap float, count]
     tail_from = tail_fraction * float(window.bound)
-    tail = []                   # exact: keys of the tail gaps; else gaps
+    tail = []                   # the packed tail gaps
     for i, j in zip(order, order[1:]):
-        gap = floats[j] - floats[i]
-        key = keys[j] - keys[i] if exact else round(gap / hist_tol)
-        if key not in groups:
-            groups[key] = [gap, 0]
-        groups[key][1] += 1
+        key = keys[j] - keys[i]
+        groups.setdefault(key, [0.0, 0])[1] += 1
         if floats[i] >= tail_from:
-            tail.append(key if exact else gap)
-    min_key = None
-    if exact:
-        ctx, unpack = window.kernel.ctx, window.kernel.unpack
-        vecs = {k: unpack(k) for k in groups}
-        for k, g in groups.items():
-            g[0] = ctx.float_value(vecs[k])
-        tail = [groups[k][0] for k in tail]
-        # certify the minimal group exactly among float near-ties
-        min_key = next(iter(groups))
-        for k in groups:
-            if ctx.compare(vecs[k], vecs[min_key]) < 0:
-                min_key = k
+            tail.append(key)
+    ctx, elem = window.kernel.ctx, window.kernel.elem
+    vecs = {k: elem(k) for k in groups}
+    for k, g in groups.items():
+        g[0] = ctx.float_value(vecs[k])
+    tail = [groups[k][0] for k in tail]
+    # certify the minimal group exactly among float near-ties
+    min_key = next(iter(groups))
+    for k in groups:
+        if ctx.compare(vecs[k], vecs[min_key]) < 0:
+            min_key = k
     hist = sorted((g, n) for g, n in groups.values())
-    min_gap = groups[min_key][0] if exact else hist[0][0]
     max_tail = max(tail) if tail else hist[-1][0]
-    return GapReport(window.kind, float(window.bound), len(order), min_gap,
-                     max_tail, tail_fraction, tuple(hist),
-                     vecs[min_key] if exact else None)
+    return GapReport(window.kind, float(window.bound), len(order),
+                     groups[min_key][0], max_tail, tail_fraction, tuple(hist),
+                     vecs[min_key])
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +684,7 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
         raise PreconditionError("m >= 1 required")
     if max_depth < 1:
         raise PreconditionError("max_depth >= 1 required")
-    kernel = make_kernel(q, m, tol, 1.0)
+    kernel = make_kernel(q, m, tol=tol)
     model = kernel.float_model()
     qf = model[0]
     exact = kernel.exact
@@ -699,7 +712,7 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
         _, _, bf, br = best
         return _down(_down(bf - br) - r), _up(_up(bf + br) + r)
 
-    seen = _new_seen(kernel)
+    seen = {} if exact else _FloatSeen(kernel.tol)
     level, floats = [], array("d")
     par, dig = array("i"), array("i")
     links = [(par, dig)]    # per depth: (parents, digits), see _digits_at
@@ -848,7 +861,7 @@ class TailGapTable:
 
 
 def L_estimate(q: AlgebraicNumber, m: int, bounds, *,
-               tail_fraction: float = 0.5, tol: float | None = None,
+               tail_fraction: float = 0.5,
                budget: int = DEFAULT_STATE_BUDGET) -> TailGapTable:
     """Largest consecutive gap over the top of X^m windows for an increasing
     schedule of bounds; the limsup shadow."""
@@ -857,7 +870,7 @@ def L_estimate(q: AlgebraicNumber, m: int, bounds, *,
         raise PreconditionError("bounds schedule must be increasing")
     rows = []
     for B in bounds:
-        w = enumerate_X(q, m, B, tol=tol, budget=budget)
+        w = enumerate_X(q, m, B, budget=budget)
         rep = gap_report(w, tail_fraction=tail_fraction)
         rows.append((float(B), rep.max_gap_tail))
     gaps = [g for _, g in rows]

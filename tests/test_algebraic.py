@@ -399,10 +399,16 @@ def test_zq_sign_of_coefficients_beyond_float_range():
     assert ctx.cmp_fraction(big, Fraction(10**399)) == 1
 
 
-def test_zq_requires_monic():
+def test_zq_context_serves_a_non_monic_base():
+    # the windows of a non-monic base run on its context, so it no longer
+    # refuses one: here q = sqrt(3/2), a root of 2x^2 - 3
     q = AlgebraicNumber.base_from_poly(IntPolynomial([-3, 0, 2]), root_index=0)
-    with pytest.raises(PreconditionError):
-        q.zq_context()
+    ctx = q.zq_context()
+    assert ctx is q.zq_context() and ctx.lead == 2
+    q2 = ctx.from_digits([0, 0, 1])
+    assert ctx.coefficients(q2) == (Fraction(3, 2), 0)
+    assert ctx.cmp_fraction(q2, Fraction(3, 2)) == 0
+    assert ctx.cmp_fraction(ctx.from_digits([0, 1]), Fraction(6, 5)) == 1
 
 
 def test_zq_round_trip_1000_random_strings():

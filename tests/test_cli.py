@@ -357,13 +357,15 @@ def test_cli_minpos_rejects_a_depth_below_one_exit2(capsys, depth):
 def test_cli_rejects_a_tolerance_that_is_not_positive_and_finite(capsys,
                                                                  tol):
     # 0 and nan once ended in a traceback; -1 and inf ran with meaningless
-    # dedup
-    code = cli.main(["spectrum", "--base", "1.35", "--m", "1", "--bound",
-                     "5", "--tolerance", tol])
-    out, err = capsys.readouterr()
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: tolerance must be positive and finite")
+    # dedup.  Every --base command checks it at intake, also those that
+    # never read it (the windows are exact)
+    for argv in (["spectrum", "--m", "1", "--bound", "5"], ["classify"],
+                 ["expand", "--m", "1", "--target", "1"]):
+        code = cli.main(argv + ["--base", "1.35", "--tolerance", tol])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance must be positive and finite")
 
 
 @pytest.mark.parametrize("fraction", ["2", "-1", "nan"])
@@ -474,6 +476,15 @@ def test_manifest_reproducibility(capsys):
     (["spectrum", "--kind", "Y", "--poly", "-1,0,0,0,0,0,-1,0,1", "--m", "1",
       "--degree", "8", "--bound", "2"],
      "4773cce08471040cd4b1c8030336b503bb4669ada507700c973403de60d2b97b"),
+    # recorded when the 1.35 windows ran on the float kernel: the exact
+    # kernel carries the same floats qf*f + s and keeps the same points in
+    # the same order
+    (["spectrum", "--base", "1.35", "--tolerance", "1e-9", "--m", "1",
+      "--bound", "20"],
+     "2ec096c8bfee26b0bd20e87d52ce043432030c9fbbe4ef98a51e0cbe4347e3b9"),
+    (["aq", "--base", "1.35", "--tolerance", "1e-9", "--degrees", "7,10",
+      "--bound", "2"],
+     "b0dac127da768c8b94995c01e3a7f1de4a64de56d75ca61665209278b696691a"),
 ])
 def test_cli_output_is_byte_identical_to_its_pin(capsys, argv, sha256):
     # pins the witnesses, the closed-state order and every float

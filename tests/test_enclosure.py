@@ -47,13 +47,15 @@ POLYS = {
     # (x - 1)(x - 2^40) + 1, q ~ 1 + 2^-40
     "near1": [2**40 + 1, -(2**40 + 1), 1],
     "far": [-1, -2**40, 1],                 # q ~ 2^40
+    "nonmonic": [-1, -2, 2],                # 2x^2 - 2x - 1, q ~ 1.366
 }
 
 
 def base(key) -> AlgebraicNumber:
-    """A fresh base, so no test sees another's refinement."""
-    if isinstance(key, int):
-        return AlgebraicNumber.from_rational(key)
+    """A fresh base, so no test sees another's refinement: a rational for
+    an int or a text such as "27/20"."""
+    if key not in POLYS:
+        return AlgebraicNumber.from_rational(Fraction(key))
     return AlgebraicNumber.base_from_poly(IntPolynomial(POLYS[key]),
                                           root_index=0)
 
@@ -90,7 +92,8 @@ def digit_strings(q, m, witness_depth, seed):
 
 
 @pytest.mark.parametrize("key,m,witness_depth", [
-    ("q8", 1, 12), ("q3", 2, 60), ("phi", 1, 24), (3, 2, 10)])
+    ("q8", 1, 12), ("q3", 2, 60), ("phi", 1, 24), (3, 2, 10),
+    ("27/20", 1, 14), ("nonmonic", 1, 14)])
 def test_enclosure_contains_exact_value_and_decides_signs(
         deadline, key, m, witness_depth):
     with deadline(60):
@@ -105,12 +108,14 @@ def test_enclosure_contains_exact_value_and_decides_signs(
         decided = 0
         for digits in strings:
             for vec, f, r in walk(q, model, m, digits):
-                lo, hi = q.value_interval_of_vec(vec)
+                coeffs = ctx.coefficients(vec)
+                lo, hi = q.value_interval_of_vec(coeffs)
                 assert Fraction(f) - Fraction(r) <= lo
                 assert hi <= Fraction(f) + Fraction(r)
                 if f > r or f < -r:
                     decided += 1
-                    assert q.sign_of_fraction_vec(vec) == (1 if f > 0 else -1)
+                    assert q.sign_of_fraction_vec(coeffs) == (1 if f > 0
+                                                              else -1)
         assert decided > 500
 
 
@@ -140,7 +145,7 @@ def test_nonfinite_radius_leaves_every_decision_exact():
 
 
 def test_float_model_encloses_the_base():
-    for key in ("q8", "q3", "phi", 3):
+    for key in ("q8", "q3", "phi", 3, "27/20", "nonmonic"):
         q = base(key)
         qf, dq, qabs = q.zq_context().float_model()
         lo, hi = q.interval()
@@ -339,7 +344,20 @@ ORDER_CASES = [  # (name, window of a base factory, bound)
     ("X 2", lambda b: enumerate_X(b(2), 1, 100), 100),
     ("Y 2", lambda b: enumerate_Y(b(2), 1, 8, 40), 40),
     ("A 2", lambda b: enumerate_A(b(2), 8, 50), 50),
+    # a rational and a non-monic base: packed values scaled by a^D
+    ("X 27/20", lambda b: enumerate_X(b("27/20"), 1, 40), 40),
+    ("Y 27/20", lambda b: enumerate_Y(b("27/20"), 1, 8, 2), 2),
+    ("A 27/20", lambda b: enumerate_A(b("27/20"), 12, 2), 2),
+    ("X nonmonic", lambda b: enumerate_X(b("nonmonic"), 1, 40), 40),
+    ("Y nonmonic", lambda b: enumerate_Y(b("nonmonic"), 1, 8, 2), 2),
+    ("A nonmonic", lambda b: enumerate_A(b("nonmonic"), 12, 2), 2),
 ]
+
+
+def _elements(w) -> list:
+    """The window's values by position, as elements of the base's
+    ``ZqContext``: tuples on a monic base, else pairs (V, a^D)."""
+    return list(map(w.kernel.elem, w.keys))
 
 
 def _counting_compare(q: AlgebraicNumber) -> list[int]:
@@ -373,8 +391,9 @@ def test_window_order_is_the_exact_order(deadline, name, make, bound,
         w = make(factory)
     (q, compares), = made
     # the order is a permutation of the columns
-    assert sorted(w.order) == list(range(len(w.vecs)))
-    vecs = [w.vecs[i] for i in w.order]
+    elems = _elements(w)
+    assert sorted(w.order) == list(range(len(elems)))
+    vecs = [elems[i] for i in w.order]
     assert len(vecs) > 10 and len(set(vecs)) == len(vecs)
     assert vecs == sorted(vecs, key=cmp_to_key(q.zq_context().compare))
     if coarse and name != "X 2":
@@ -393,29 +412,28 @@ def test_window_display_floats_are_close_to_the_exact_values(name, make,
 
     w = make(factory)
     q, = holder
+    ctx = q.zq_context()
     q.refine_to_width(Fraction(1, 2**100))
     tol = Fraction(1e-12) * max(1, bound)
-    for p in w.points:
-        lo, hi = q.value_interval_of_vec(p.vec)
+    for p, elem in zip(w.points, map(_elements(w).__getitem__, w.order)):
+        lo, hi = q.value_interval_of_vec(ctx.coefficients(elem))
         assert lo - tol <= Fraction(p.value) <= hi + tol
 
 
 def test_exact_gap_floats_come_from_the_gap_vectors():
-    q = base("quartic")
-    rep = gap_report(enumerate_X(q, 1, 60))
-    ctx = q.zq_context()
-    q.refine_to_width(Fraction(1, 2**100))
-
-    def exact(vec):
-        lo, hi = q.value_interval_of_vec(vec)
-        return (lo + hi) / 2
-
-    assert abs(Fraction(rep.min_gap) - exact(rep.min_gap_vec)) \
-        <= Fraction(2.0 ** -52) * exact(rep.min_gap_vec)
-    # each histogram float is the correctly rounded value of some gap, and
-    # the minimal vector's gap is the smallest of them
-    assert rep.min_gap == rep.histogram[0][0]
-    assert ctx.sign(rep.min_gap_vec) > 0
+    for key in ("quartic", "27/20", "nonmonic"):
+        q = base(key)
+        rep = gap_report(enumerate_X(q, 1, 60))
+        ctx = q.zq_context()
+        q.refine_to_width(Fraction(1, 2**100))
+        lo, hi = q.value_interval_of_vec(ctx.coefficients(rep.min_gap_vec))
+        exact = (lo + hi) / 2
+        assert (abs(Fraction(rep.min_gap) - exact)
+                <= Fraction(2.0 ** -52) * exact)
+        # each histogram float is the correctly rounded value of some gap,
+        # and the minimal vector's gap is the smallest of them
+        assert rep.min_gap == rep.histogram[0][0]
+        assert ctx.sign(rep.min_gap_vec) > 0
 
 
 # -- columnar windows: the permutation sort and the lazy points -------------

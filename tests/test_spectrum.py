@@ -19,7 +19,8 @@ from functools import cmp_to_key
 
 import pytest
 
-from qspectra.algebraic import AlgebraicNumber
+from qspectra import spectrum
+from qspectra.algebraic import AlgebraicNumber, _PackedZq
 from qspectra.errors import PreconditionError
 from qspectra.intpoly import IntPolynomial
 from qspectra.serialize import canonical_json, window_point_texts
@@ -475,6 +476,199 @@ def test_exact_sort_gives_the_certified_permutation(name, kind, m, degree, B):
         assert _sort_order(w.kernel, w.keys, tied, wide) == w.order
 
 
+# -- exact windows on rational and non-monic bases ---------------------------
+
+NON_MONIC = {   # ascending coefficients of the minimal polynomial
+    "27/20": [-27, 20],
+    "9/5": [-9, 5],
+    "2x^2-2x-1": [-1, -2, 2],   # q = (1 + sqrt 3)/2 ~ 1.366
+}
+
+
+def _non_monic(name) -> AlgebraicNumber:
+    c = NON_MONIC[name]
+    if len(c) == 2:
+        return AlgebraicNumber.from_rational(Fraction(-c[0], c[1]))
+    return AlgebraicNumber.base_from_poly(IntPolynomial(c), root_index=0)
+
+
+def _exact_values(w) -> list[tuple]:
+    """The window's values by position, as Fraction coefficients in the
+    basis 1, q, ..., q^(d-1)."""
+    k = w.kernel
+    return [k.ctx.coefficients(k.elem(V)) for V in w.keys]
+
+
+def _fraction_step(c, v, s):
+    """q*v + s over 1, q, ..., q^(d-1) in Fractions, with
+    q^d = -sum_{i<d} c_i q^i / c_d."""
+    top = v[-1]
+    return tuple(x - top * Fraction(ci, c[-1])
+                 for x, ci in zip((s,) + v[:-1], c))
+
+
+def _fraction_sign(c, v) -> int:
+    """Exact sign of a value, without the library's sign oracle: a Fraction
+    on a rational base; on 2x^2-2x-1, v0 + v1*(1 + sqrt 3)/2 is u + w*sqrt 3
+    with u = v0 + v1/2 and w = v1/2."""
+    if len(v) == 1:
+        return (v[0] > 0) - (v[0] < 0)
+    assert c == [-1, -2, 2]
+    u, w = v[0] + v[1] / 2, v[1] / 2
+    su, sw = (u > 0) - (u < 0), (w > 0) - (w < 0)
+    if su == sw or sw == 0:
+        return su
+    if su == 0:
+        return sw
+    return su if u * u > 3 * w * w else sw
+
+
+def fraction_window(name, kind, m, degree, B):
+    """(values, digit texts) of a window in exact increasing order, by a
+    brute force in Fractions that expands levels as the engine does:
+    parents in level order, digits ascending, the first representative of a
+    value kept.  X: one seen set over all levels, children above B dropped.
+    Y and A: one seen set per level, no pruning, the last level clipped."""
+    c = NON_MONIC[name]
+    d, B = len(c) - 1, Fraction(B)
+    alphabet = {"X": range(m + 1), "Y": range(-m, m + 1), "A": (-1, 1)}[kind]
+    zero = (Fraction(0),) * d
+
+    def above(v, bound):
+        return _fraction_sign(c, (v[0] - bound,) + v[1:]) > 0
+
+    level, found = [(zero, "0")], {zero: "0"}
+    for _ in range(degree + 1 if kind != "X" else 10**6):
+        seen = found if kind == "X" else {}
+        nxt = []
+        for v, text in level:
+            for s in alphabet:
+                child = _fraction_step(c, v, s)
+                if child in seen or (kind == "X" and above(child, B)):
+                    continue
+                seen[child] = str(s) if text == "0" else f"{s},{text}"
+                nxt.append((child, seen[child]))
+        level = nxt
+        if not level:
+            break
+    if kind != "X":
+        found = {v: t for v, t in level if not above(v, B)
+                 and not above(tuple(-x for x in v), B)}
+    order = sorted(found, key=cmp_to_key(
+        lambda a, b: _fraction_sign(c, tuple(x - y for x, y in zip(a, b)))))
+    return order, [found[v] for v in order]
+
+
+NON_MONIC_WINDOWS = [   # (base, kind, m, degree, bound)
+    ("27/20", "X", 1, None, 12), ("27/20", "Y", 1, 6, 2),
+    ("27/20", "A", 1, 10, 2),
+    ("9/5", "X", 2, None, 30), ("9/5", "Y", 2, 4, 3), ("9/5", "A", 1, 9, 8),
+    ("2x^2-2x-1", "X", 1, None, 15), ("2x^2-2x-1", "Y", 1, 6, 2),
+    ("2x^2-2x-1", "A", 1, 9, 2),
+]
+
+
+def _non_monic_window(name, kind, m, degree, B):
+    q = _non_monic(name)
+    if kind == "X":
+        return enumerate_X(q, m, B)
+    if kind == "Y":
+        return enumerate_Y(q, m, degree, B)
+    return enumerate_A(q, degree, B)
+
+
+@pytest.mark.parametrize("name,kind,m,degree,B", NON_MONIC_WINDOWS,
+                         ids=[f"{c[0]}-{c[1]}" for c in NON_MONIC_WINDOWS])
+def test_non_monic_windows_match_a_fraction_brute_force(name, kind, m,
+                                                        degree, B):
+    w = _non_monic_window(name, kind, m, degree, B)
+    want_values, want_texts = fraction_window(name, kind, m, degree, B)
+    values = _exact_values(w)
+    # the value set, its exact order and the first digit text of each
+    assert [values[i] for i in w.order] == want_values
+    assert [w.texts[i] for i in w.order] == want_texts
+    assert len(want_values) > 20
+    assert w.vecs is None and all(p.vec is None for p in w.points)
+
+
+@pytest.mark.parametrize("name,kind,m,degree,B", [
+    ("27/20", "X", 1, None, 200), ("2x^2-2x-1", "Y", 1, 9, 3)])
+def test_every_scaled_step_divides_exactly(monkeypatch, name, kind, m,
+                                           degree, B):
+    """Each q*V of a non-monic window is theta*V divided by a: every entry
+    of theta*V (in tuple arithmetic) is divisible by a, and the packed
+    quotient decodes to the entries divided by a."""
+    steps = []
+    set_width = _PackedZq._set_width
+
+    def spy(self, W):
+        set_width(self, W)
+        a, mul_q, unpack, ctx = self.lead, self.mul_q, self.unpack, self.ctx
+
+        def checked(V):
+            theta_v = ctx._times_theta(unpack(V))
+            assert all(x % a == 0 for x in theta_v)
+            out = mul_q(V)
+            assert unpack(out) == tuple(x // a for x in theta_v)
+            steps.append(V)
+            return out
+
+        self.mul_q = checked
+
+    monkeypatch.setattr(_PackedZq, "_set_width", spy)
+    w = _non_monic_window(name, kind, m, degree, B)
+    assert w.kernel.lead > 1 and len(steps) > 1000
+
+
+def test_no_window_builds_the_float_kernel(monkeypatch):
+    built = []
+    float_kernel = spectrum._FloatKernel
+
+    def spy(*args):
+        built.append(args)
+        return float_kernel(*args)
+
+    monkeypatch.setattr(spectrum, "_FloatKernel", spy)
+    for name in NON_MONIC:
+        q = _non_monic(name)
+        w = enumerate_X(q, 1, 20)
+        gap_report(w)
+        enumerate_Y(q, 1, 5, 2)
+        enumerate_A(q, 8, 2)
+        L_estimate(q, 1, [5, 10])
+    assert built == []
+    # only the search of a non-monic base runs on floats
+    min_positive_bfs(_non_monic("27/20"), 1, 6)
+    assert len(built) == 1
+
+
+def test_a_window_too_deep_for_its_scale_is_refused():
+    # 1.000001 = 1000001/10^6: the X window to B = 2 would take about
+    # 700,000 levels of 20 bits each, so it exits at once with a typed error
+    q = AlgebraicNumber.from_rational(Fraction("1.000001"))
+    with pytest.raises(PreconditionError, match="levels"):
+        enumerate_X(q, 1, 2)
+    with pytest.raises(PreconditionError, match="levels"):
+        enumerate_Y(q, 1, 10**9, 2)
+
+
+def test_x_window_skips_the_repack_of_a_level_with_no_child(monkeypatch):
+    """On x^2 - 2^40 x - 1 with B = 2^162 the last level's children all lie
+    above B: the window widens 32 -> 64 -> 128 for the levels it keeps, and
+    not to 256 for the one it drops."""
+    widths = []
+    set_width = _PackedZq._set_width
+
+    def spy(self, W):
+        widths.append(W)
+        set_width(self, W)
+
+    monkeypatch.setattr(_PackedZq, "_set_width", spy)
+    w = _window_of("wide", "X", 1, None, 2**162)
+    assert widths == [32, 64, 128] and w.kernel.W == 128
+    assert len(w.order) > 10
+
+
 # -- min positive BFS ---------------------------------------------------------
 
 
@@ -618,11 +812,15 @@ def test_windows_deterministic_across_runs():
 
 
 def test_numeric_mode_dedup():
+    # a rational base dedups exactly: 9/5 stores 5^D times each value, and
+    # the window's values are distinct and in exact increasing order
     q = AlgebraicNumber.from_rational(Fraction(9, 5))
-    w = enumerate_X(q, 1, 8, tol=1e-9)
-    vals = w.values()
-    assert all(b - a > 1e-10 for a, b in zip(vals, vals[1:]))
-    assert vals[0] == 0.0 and abs(vals[1] - 1.0) < 1e-12
+    w = enumerate_X(q, 1, 8)
+    assert isinstance(w.kernel, _PackedZq) and w.kernel.one == 5 ** 5
+    exact = [_exact_values(w)[i] for i in w.order]
+    assert all(a < b for a, b in zip(exact, exact[1:]))
+    assert exact[:2] == [(0,), (1,)] and w.values()[:2] == [0.0, 1.0]
+    assert len(exact) == 11 and w.vecs is None
 
 
 def test_gap_bound_shadow_below_digit_range():
