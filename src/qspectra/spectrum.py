@@ -130,22 +130,24 @@ class _FloatSeen(dict):
 
 
 def make_kernel(q: AlgebraicNumber, m: int, depth: int | None = None,
-                tol: float | None = None, scale: float = 1.0):
+                tol: float | None = None):
     """The base's packed ZqContext for digits |s| <= m, with the base
     refined for the float model, for a monic base or a window of at most
-    ``depth`` steps; else (a non-monic search) numeric with absolute
-    tolerance tol * (1 + scale)."""
+    ``depth`` steps whose scale a^depth has at most MAX_SCALE_BITS bits;
+    else (a non-monic search) numeric with absolute tolerance 2 * tol."""
     if depth is not None or q.min_poly.is_monic:
         ctx = q.zq_context()
-        if depth and depth * (ctx.lead.bit_length() - 1) > MAX_SCALE_BITS:
+        # a >= 2 passes the cap by a^(MAX_SCALE_BITS + 1), so stop there
+        scale = ctx.lead ** min(depth or 0, MAX_SCALE_BITS + 1)
+        if scale.bit_length() > MAX_SCALE_BITS:
             raise PreconditionError(
-                f"an exact window of {depth} or more levels needs values of "
-                f"more than {MAX_SCALE_BITS} bits at this base")
+                f"an exact window of {depth} or more levels scales its values"
+                f" by at least {ctx.lead}^{depth}, over {MAX_SCALE_BITS} bits")
         ctx.ensure_float_resolution()
         return _PackedZq(ctx, m, depth or 0)
     tol = DEFAULT_NUMERIC_TOL if tol is None else tol
     check_tolerance(tol)
-    return _FloatKernel(q, tol * (1.0 + scale))
+    return _FloatKernel(q, 2.0 * tol)
 
 
 def check_tolerance(tol: float) -> None:
@@ -374,9 +376,11 @@ def _check_bound(B) -> Fraction:
 
 
 def _x_depth(q: AlgebraicNumber, B: Fraction) -> int:
-    """One more than the least n with lo^n > B, lo a rational lower bound of
-    q (past MAX_SCALE_BITS, any larger count): an X window's values with a
-    digit at degree n are at least q^n > B, so each steps at most n times."""
+    """0 on a monic base (1^D = 1), else one more than the least n with
+    lo^n > B, lo a rational lower bound of q (past MAX_SCALE_BITS, any larger
+    count): a value with a digit at degree n is over B, so steps <= n times."""
+    if q.min_poly.is_monic:
+        return 0
     lo = q.refine_to_width(Fraction(1, 2**80))[0]    # the float model's width
     n, num, den = 0, 1, 1
     while num * B.denominator <= B.numerator * den and n <= MAX_SCALE_BITS:
@@ -553,7 +557,7 @@ class GapReport:
     max_gap_tail: float
     tail_fraction: float
     histogram: tuple[tuple[float, int], ...]
-    min_gap_vec: tuple[int, ...] | None = None
+    min_gap_vec: tuple[int, ...] | tuple[tuple[int, ...], int]  # ZqContext
 
     def count_equal(self, value: float, tol: float = 1e-9) -> int:
         return sum(n for g, n in self.histogram if abs(g - value) <= tol)

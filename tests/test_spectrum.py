@@ -32,6 +32,7 @@ from qspectra.spectrum import (
     enumerate_Y,
     gap_report,
     l_estimate,
+    make_kernel,
     min_positive_bfs,
 )
 
@@ -650,6 +651,20 @@ def test_a_window_too_deep_for_its_scale_is_refused():
         enumerate_X(q, 1, 2)
     with pytest.raises(PreconditionError, match="levels"):
         enumerate_Y(q, 1, 10**9, 2)
+
+
+def test_the_scale_cap_counts_the_bits_of_a_to_the_depth():
+    # 3^646 has 1,024 bits and 3^647 has 1,026: the cap reads the real
+    # scale, not one bit per level of floor(log2 3) = 1
+    q = AlgebraicNumber.from_rational(Fraction(4, 3))
+    assert make_kernel(q, 1, 646).one.bit_length() == 1024
+    with pytest.raises(PreconditionError, match="3\\^647"):
+        make_kernel(q, 1, 647)
+    with pytest.raises(PreconditionError, match="over 1024 bits"):
+        enumerate_Y(q, 1, 646, 2)
+    # a monic base scales by 1 at any depth, so an X window counts none
+    two = AlgebraicNumber.from_rational(2)
+    assert spectrum._x_depth(two, Fraction(10**9)) == 0
 
 
 def test_x_window_skips_the_repack_of_a_level_with_no_child(monkeypatch):
