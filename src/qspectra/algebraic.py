@@ -378,7 +378,7 @@ class ZqContext:
     while every |a_i| < 2^(W-1), one-to-one, so equal vectors are equal
     ints and a sign flip is -V.  A value v is stored as the vector of
     a^D * v: D = 0 on a monic base, where theta = q, and on any other base
-    the window's depth bound, the number of steps any of its values takes.
+    the window's depth bound, the highest degree of any child it computes.
     A value with digits up to degree n < D is a^(D-n) times an int vector
     (a^n q^i = a^(n-i) theta^i), so it is an int vector too.  With
     theta^d = sum c_i theta^i, the top entry is

@@ -123,9 +123,9 @@ def cmd_spectrum(args):
     B = _parse_fraction(args.bound)
     if args.kind == "X":
         w = enumerate_X(q, args.m, B, budget=args.budget_states)
+    elif args.degree is None:
+        raise PreconditionError("Y windows need --degree")
     else:
-        if args.degree is None:
-            raise PreconditionError("Y windows need --degree")
         w = enumerate_Y(q, args.m, args.degree, B,
                         budget=args.budget_states)
     code = EXIT_BUDGET if w.truncated else EXIT_OK
@@ -189,12 +189,9 @@ def cmd_aq(args):
         raise PreconditionError(
             f"--degrees must list integers, not {args.degrees!r}")
     B = _parse_fraction(args.bound)
-    windows = []
-    truncated = False
-    for n in degrees:
-        w = enumerate_A(q, n, B, budget=args.budget_states)
-        truncated |= w.truncated
-        windows.append(w)
+    windows = [enumerate_A(q, n, B, budget=args.budget_states)
+               for n in degrees]
+    truncated = any(w.truncated for w in windows)
     radii = [w.covering_radius for w in windows]
     result = {
         "base": q.describe(),

@@ -5,9 +5,9 @@ Canonical JSON is sorted-key with compact separators; identical manifests
 (wall time aside) must reproduce byte-identical output.  ``write_json``
 writes an envelope to a file object: the manifest and the small result
 fields go through ``canonical_json``, while a window's points, held in the
-envelope as a ``JsonArray`` of their texts, are written one at a time.  The
-bytes are those of ``canonical_json`` on the envelope with every point as a
-dict; neither the point dicts nor the whole text is ever held in memory.
+envelope as a ``JsonArray`` of their texts, are written 1,024 at a time.
+The bytes are those of ``canonical_json`` on the envelope with each point a
+dict; no point dict, nor the whole text, is ever held in memory.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ def canonical_json(obj) -> str:
 
 @dataclass
 class JsonArray:
-    """A JSON array given as an iterable of its items' canonical JSON texts;
-    ``write_json`` writes the items one by one and consumes the iterable."""
+    """A JSON array given as an iterable of canonical JSON texts, each one
+    item or comma-joined items; ``write_json`` consumes it text by text."""
     texts: Iterable[str]
 
 
@@ -66,17 +66,20 @@ def write_json(fh, obj) -> None:
 
 
 def window_point_texts(window) -> Iterator[str]:
-    """The canonical JSON text of each point of a SpectrumWindow, in order,
-    encoded from its columns: keys in sorted order, ``float.__repr__`` for
-    the value (points are clipped to [-B, B], so it is finite), the digit
-    text as is, and no "vec" on a non-monic base."""
-    floats, texts, kernel = window.floats, window.texts, window.kernel
-    order, vecs = window.order, [""] * len(window.order)
-    if kernel.lead == 1:    # decoded in one pass, in output order
-        flat = map(str, kernel.unpack_all([window.keys[i] for i in order]))
-        vecs = (f',"vec":[{",".join(v)}]' for v in zip(*[flat] * kernel.d))
-    for i, vec in zip(order, vecs):
-        yield '{"approx":%r,"digits":[%s]%s}' % (floats[i], texts[i], vec)
+    """The canonical JSON texts of a SpectrumWindow's points, in order, 1,024
+    to a comma-joined text, each one ``%`` format of its columns: keys
+    sorted, the value's ``float.__repr__`` (clipped to [-B, B], so finite),
+    the digit text, and the vector decoded a run at a time (if monic)."""
+    kernel, order = window.kernel, window.order
+    n = kernel.d if kernel.lead == 1 else 0     # vector entries per point
+    point = ('{"approx":%r,"digits":[%s]'
+             + (',"vec":[%s]' % ",".join(["%d"] * n) if n else "") + "}")
+    for k in range(0, len(order), 1024):
+        at = order[k:k + 1024]
+        vecs = kernel.unpack_all([window.keys[i] for i in at]) if n else ()
+        yield ",".join(map(point.__mod__, zip(
+            map(window.floats.__getitem__, at),
+            map(window.texts.__getitem__, at), *[iter(vecs)] * n)))
 
 
 def params_hash(params: dict) -> str:

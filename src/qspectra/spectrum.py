@@ -6,9 +6,9 @@ Every window, and the search on a monic base, runs on the base's exact
 coefficient of the minimal polynomial) packed into one int (``_PackedZq``,
 see below), so deduplication and ordering are exact, and every sign the
 kernel decides comes from the base's exact sign oracle.  On a non-monic
-base, a rational one included, a window stores a^D times each value, D its
-depth bound (see "Packed vectors" in ``ZqContext``).  Each state also
-carries a float, and its level has one proven radius R with
+base, a rational one included, a window stores a^D times each value, D the
+highest degree it steps to (see "Packed vectors" in ``ZqContext``).  Each
+state also carries a float, and its level has one proven radius R with
 |value - float| <= R (the bound is in ``ZqContext``'s docstring).  A
 child's sign, its window test and its comparison with the current best are
 read off [f - R, f + R]; the exact ``sign``/``cmp_fraction`` run only when
@@ -32,16 +32,16 @@ out of the window makes no room and no child.  The float search runs the
 same loop on floats.  A search rebuilds a witness's digits from the
 parents only where it is output.  The X, Y and A windows all grow through
 ``_expand_level``: each state y spawns q*y + s for every digit s of the
-window's alphabet, and each level's digit texts are built once from the
-texts of the level below.  A window is kept as columns with an order, a
-permutation sorted by the carried floats: the Y/A clip to [-B, B] and the
-sort read [f - R, f + R] and run exact comparisons only where enclosures
-overlap, and the gaps group by packed difference.  A window point displays
-its carried float, within R of its value.  The searches' display floats,
-their closed-state order and the gap floats come from the kernel's
-``float_value``: the midpoint of the value's exact enclosure on the base
-refined to 2^-72, correctly rounded (in the float search, the float
-itself).
+window's alphabet.  A window keeps each level's parent and digit columns,
+as the search does, builds its digit texts only when they are read, and
+has an order, a permutation sorted by the carried floats: the Y/A clip to
+[-B, B] and the sort read [f - R, f + R] and run exact comparisons only
+where enclosures overlap, and the gaps group by packed difference.  A
+window point displays its carried float, within R of its value.  The
+searches' display floats, their closed-state order and the gap floats come
+from the kernel's ``float_value``: the midpoint of the value's exact
+enclosure on the base refined to 2^-72, correctly rounded (in the float
+search, the float itself).
 
 Results are deterministic: levels are expanded in sorted order and every
 window is canonically sorted before emission.
@@ -52,9 +52,11 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate, compress
 
 from .algebraic import AlgebraicNumber, _float_enclosure, _PackedZq
 from .config import (DEFAULT_NUMERIC_TOL, DEFAULT_STATE_BUDGET,
@@ -68,7 +70,7 @@ from .errors import PreconditionError
 
 class _FloatKernel:
     """Values are floats; equality within an absolute tolerance.  Mirrors
-    the part of the packed interface (``_PackedZq``) the engines use."""
+    the part of the packed interface (``_PackedZq``) the search uses."""
 
     zero = 0.0
     exact = False
@@ -76,7 +78,6 @@ class _FloatKernel:
     def __init__(self, q: AlgebraicNumber, tol_abs: float):
         self.qf = q.float_value()
         self.tol = tol_abs
-        self._bound = self._bound_f = None   # last cmp_fraction bound
 
     def mul_q(self, v):
         return self.qf * v
@@ -91,12 +92,6 @@ class _FloatKernel:
         if v < -self.tol:
             return -1
         return 0
-
-    def cmp_fraction(self, v, c: Fraction) -> int:
-        # a window passes one bound for every child: convert it once
-        if c is not self._bound:
-            self._bound, self._bound_f = c, float(c)
-        return self.sign(v - self._bound_f)
 
     def float_value(self, v) -> float:
         return v
@@ -197,13 +192,34 @@ class SpectrumPoint:
         return d
 
 
+class _Texts:
+    """Texts by position in one string, each ended by a newline (as given
+    to ``extend``): text i is text[ends[i]:ends[i + 1] - 1]."""
+
+    def __init__(self):
+        self.text, self.ends = "", array("q", [0])
+
+    def extend(self, texts: list[str]) -> None:
+        text, self.text = self.text, ""     # grown in place: one reference
+        text += "".join(texts)
+        self.text = text
+        self.ends.extend(accumulate(map(len, texts), initial=self.ends.pop()))
+
+    def take(self, a: int, b: int) -> list[str]:   # texts a to b - 1
+        return self.text[self.ends[a]:self.ends[b] - 1].split("\n")
+
+    def __getitem__(self, i: int) -> str:
+        return self.text[self.ends[i]:self.ends[i + 1] - 1]
+
+
 @dataclass(frozen=True)
 class SpectrumWindow:
     """A window as columns, one entry per point: the kernel's values (packed
-    ints), carried floats, their proven radii and digit texts (ascending
-    digits joined by commas, "0" for zero).
-    ``order`` lists the positions in increasing value.  Writers encode
-    straight from the columns; ``vecs`` and ``points`` decode when read."""
+    ints), carried floats and their proven radii; ``links`` holds each
+    level's (parents, digits) columns: an X window's points are its levels,
+    a Y or A window's its clipped last.  ``order`` lists the positions in
+    increasing value.  Writers encode straight from the columns; ``texts``,
+    ``vecs`` and ``points`` are built when read."""
     base: AlgebraicNumber
     m: int
     kind: str                       # "X" | "Y" | "A"
@@ -214,10 +230,31 @@ class SpectrumWindow:
     keys: list
     floats: array
     radii: array
-    texts: list[str]
-    order: list[int]
+    links: list
+    order: array
     covering_radius: float | None = None
     truncated: bool = False
+
+    @cached_property
+    def texts(self) -> _Texts:
+        """Digit texts by position: ascending digits joined by commas, "0"
+        for zero.  A child q*p + s has text s, then p's unless it is "0";
+        children are built 1,024 at a time from their parents' texts."""
+        texts, start = _Texts(), 0      # the level below is from start on
+        texts.extend(["0\n"])
+        for par, dig in self.links:
+            below, base = texts, start
+            if self.kind == "X":        # an X window holds every level
+                start = len(texts.ends) - 1
+            else:
+                texts = _Texts()
+            for k in range(0, len(par), 1024):
+                run, lo = par[k:k + 1024], par[k]
+                got = below.take(base + lo, base + run[-1] + 1)
+                tops = map(got.__getitem__, map(lo.__rsub__, run))
+                texts.extend([f"{s}\n" if t == "0" else f"{s},{t}\n"
+                              for t, s in zip(tops, dig[k:k + 1024])])
+        return texts
 
     @cached_property
     def vecs(self) -> list | None:
@@ -327,24 +364,12 @@ def _expand_level(kernel, model, level, alphabet, band, keep, seen: dict,
     return (nxt, nfl, r), links, True
 
 
-def _root_level(kernel):
-    """The one-state level of the empty digit string; it has no links."""
-    return [kernel.zero], array("d", [0.0]), 0.0
-
-
-def _level_texts(texts, par, dig) -> list[str]:
-    """Digit texts of a level: state j is q*p + dig[j] for p at par[j], so
-    its text is dig[j] then p's text, or dig[j] alone when p's is "0"."""
-    return [str(s) if t == "0" else f"{s},{t}"
-            for t, s in zip(map(texts.__getitem__, par), dig)]
-
-
-def _sort_order(kernel, values, floats, radii) -> list[int]:
+def _sort_order(kernel, values, floats, radii) -> array:
     """Positions of the values in increasing order: the float order, which
     they take when every adjacent float gap exceeds twice the largest radius
     (with margin for its rounding)."""
-    order = sorted(range(len(floats)), key=floats.__getitem__)
-    fs = list(map(floats.__getitem__, order))
+    order = array("i", sorted(range(len(floats)), key=floats.__getitem__))
+    fs = array("d", map(floats.__getitem__, order))
     sep = 2 * max(radii, default=0.0) * (1 + 2.0 ** -40) + _TINY
     if min(map(float.__sub__, fs[1:], fs), default=math.inf) > sep:
         return order
@@ -376,16 +401,16 @@ def _check_bound(B) -> Fraction:
 
 
 def _x_depth(q: AlgebraicNumber, B: Fraction) -> int:
-    """0 on a monic base (1^D = 1), else one more than the least n with
-    lo^n > B, lo a rational lower bound of q (past MAX_SCALE_BITS, any larger
-    count): a value with a digit at degree n is over B, so steps <= n times."""
+    """0 on a monic base (1^D = 1), else the least n with lo^n > B, lo a
+    rational lower bound of q (past MAX_SCALE_BITS, any larger count): a
+    value with a digit at degree n is over B, so no child steps past n."""
     if q.min_poly.is_monic:
         return 0
     lo = q.refine_to_width(Fraction(1, 2**80))[0]    # the float model's width
     n, num, den = 0, 1, 1
     while num * B.denominator <= B.numerator * den and n <= MAX_SCALE_BITS:
         n, num, den = n + 1, num * lo.numerator, den * lo.denominator
-    return n + 1
+    return n
 
 
 def enumerate_X(q: AlgebraicNumber, m: int, B, *,
@@ -407,31 +432,24 @@ def enumerate_X(q: AlgebraicNumber, m: int, B, *,
     b_lo, b_hi = _float_enclosure(B)
     seen = {kernel.zero: None}
     # seen holds the window's values by position, level after level
-    level = _root_level(kernel)
+    level = [kernel.zero], array("d", [0.0]), 0.0     # the empty string
     floats, radii = array("d", [0.0]), array("d", [0.0])
-    texts, level_texts = ["0"], ["0"]
+    links = []
     complete = True
     while level[0] and complete:
-        level, (par, dig), complete = _expand_level(
+        level, link, complete = _expand_level(
             kernel, model, level, range(m + 1),
             lambda r: (-math.inf, _down(b_lo - r), -math.inf, _up(b_hi + r)),
             lambda c: kernel.cmp_fraction(c, B) <= 0, seen, budget)
-        level_texts = _level_texts(level_texts, par, dig)
+        links.append(link)
         floats += level[1]
         radii += array("d", [level[2]]) * len(level[0])
-        texts += level_texts
     values = list(seen)
+    del seen, level     # the sort's peak holds only the columns
     return SpectrumWindow(q, m, "X", None, B, complete, kernel, values,
-                          floats, radii, texts,
+                          floats, radii, links,
                           _sort_order(kernel, values, floats, radii),
                           truncated=not complete)
-
-
-def _tail_max(qf: float, m: int, r: int) -> float:
-    """max |sum_{i<r} s_i q^i| over |s_i| <= m, float upper estimate."""
-    if r <= 0:
-        return 0.0
-    return m * (qf**r - 1.0) / (qf - 1.0)
 
 
 def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
@@ -439,27 +457,31 @@ def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
     """(columns, complete) for the values of the digit strings over
     ``alphabet`` (|s| <= m) with degree+1 digits that lie in [-B, B].
 
-    Level t keeps only values that the r = degree - t digits still to come
-    can bring back into [-B, B].  The budget caps each level's states; on
-    overflow the partial level is clipped and returned as incomplete.
+    With t digits to come, a state y ends as q^t*y + tail with
+    |tail| <= m*(q^t - 1)/(q - 1), so a level keeps only the y with
+    |y| <= cap_t = (B + m*(q^t - 1)/(q - 1))/q^t: cap_0 = B and
+    cap_t = (cap_(t-1) + m)/q, rounded up with a lower bound of q.  The
+    budget caps each level's states; on overflow the partial level is
+    clipped and returned as incomplete.
     """
-    kernel = make_kernel(q, m, degree + 1)
+    kernel = make_kernel(q, m, degree)
     model = kernel.float_model()
-    qf = q.float_value()
-    level = _root_level(kernel)
-    texts = ["0"]
+    q_lo = _down(float(q.interval()[0]))    # refined by make_kernel
+    caps = list(accumulate(range(degree), lambda c, _: _up(_up(c + m) / q_lo),
+                           initial=float(B) * 1.0000001 + 1e-9))
+    level = [kernel.zero], array("d", [0.0]), 0.0     # the empty string
+    links = []
     complete = True
 
     def band(r):
         lo, hi = _down(cap - r), _up(cap + r)
         return -lo, lo, -hi, hi
 
-    for t in range(degree, -1, -1):
-        cap = float(B) * 1.0000001 + _tail_max(qf, m, t) + 1e-9
-        level, (par, dig), complete = _expand_level(
+    for cap in reversed(caps):      # cap_t, t = degree, ..., 0
+        level, link, complete = _expand_level(
             kernel, model, level, alphabet, band,
             lambda c: abs(kernel.float_value(c)) <= cap, {}, budget)
-        texts = _level_texts(texts, par, dig)
+        links.append(link)
         if not complete:
             break
     # clip to [-B, B]: floats up to keep are proven inside, those above
@@ -467,16 +489,18 @@ def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
     values, floats, r = level
     b_lo, b_hi = _float_enclosure(B)
     keep, drop = _down(b_lo - r), _up(b_hi + r)
-    inside = []
+    inside = array("i")
     for i, (v, f) in enumerate(zip(values, floats)):
         a = abs(f)
         if a <= keep or (a <= drop and kernel.cmp_fraction(v, B) <= 0
                          and kernel.cmp_fraction(-v, B) <= 0):
             inside.append(i)
     values = [values[i] for i in inside]
-    floats = array("d", [floats[i] for i in inside])
+    floats = array("d", map(floats.__getitem__, inside))
+    links[-1] = tuple(array("i", map(column.__getitem__, inside))
+                      for column in links[-1])
     radii = array("d", [r]) * len(inside)
-    return (kernel, values, floats, radii, [texts[i] for i in inside],
+    return (kernel, values, floats, radii, links,
             _sort_order(kernel, values, floats, radii)), complete
 
 
@@ -591,32 +615,28 @@ def gap_report(window: SpectrumWindow,
     element.
     """
     check_tail_fraction(tail_fraction)
-    order, floats, keys = window.order, window.floats, window.keys
+    order = window.order
     if len(order) < 2:
         raise PreconditionError("need at least 2 points for gaps")
-    groups: dict = {}           # packed gap -> [gap float, count]
+    keys = list(map(window.keys.__getitem__, order))
+    groups = Counter(map(int.__sub__, keys[1:], keys))  # in first-seen order
+    # the packed gaps whose lower point lies at or above the tail's start
     tail_from = tail_fraction * float(window.bound)
-    tail = []                   # the packed tail gaps
-    for i, j in zip(order, order[1:]):
-        key = keys[j] - keys[i]
-        groups.setdefault(key, [0.0, 0])[1] += 1
-        if floats[i] >= tail_from:
-            tail.append(key)
+    tail = set(compress(map(int.__sub__, keys[1:], keys), map(
+        tail_from.__le__, map(window.floats.__getitem__, order))))
     ctx, elem = window.kernel.ctx, window.kernel.elem
     vecs = {k: elem(k) for k in groups}
-    for k, g in groups.items():
-        g[0] = ctx.float_value(vecs[k])
-    tail = [groups[k][0] for k in tail]
+    gap_floats = {k: ctx.float_value(v) for k, v in vecs.items()}
     # certify the minimal group exactly among float near-ties
     min_key = next(iter(groups))
     for k in groups:
         if ctx.compare(vecs[k], vecs[min_key]) < 0:
             min_key = k
-    hist = sorted((g, n) for g, n in groups.values())
-    max_tail = max(tail) if tail else hist[-1][0]
+    hist = sorted((gap_floats[k], n) for k, n in groups.items())
+    max_tail = max(map(gap_floats.__getitem__, tail), default=hist[-1][0])
     return GapReport(window.kind, float(window.bound), len(order),
-                     groups[min_key][0], max_tail, tail_fraction, tuple(hist),
-                     vecs[min_key])
+                     gap_floats[min_key], max_tail, tail_fraction,
+                     tuple(hist), vecs[min_key])
 
 
 # ---------------------------------------------------------------------------

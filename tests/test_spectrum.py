@@ -7,9 +7,11 @@ equality of canonical vectors in exact mode).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
+import os
 import random
 import tracemalloc
 from array import array
@@ -19,11 +21,12 @@ from functools import cmp_to_key
 
 import pytest
 
-from qspectra import spectrum
+from qspectra import cli, spectrum
 from qspectra.algebraic import AlgebraicNumber, _PackedZq
 from qspectra.errors import PreconditionError
 from qspectra.intpoly import IntPolynomial
-from qspectra.serialize import canonical_json, window_point_texts
+from qspectra.serialize import (JsonArray, canonical_json,
+                                window_point_texts, write_json)
 from qspectra.spectrum import (
     L_estimate,
     _sort_order,
@@ -453,7 +456,8 @@ def test_packed_windows_match_a_tuple_brute_force(name, kind, m, degree, B,
     assert rep.min_gap_vec == min(diffs, key=cmp_to_key(ctx.compare))
     if name == "wide":
         assert w.kernel.W >= 128
-    text = "\n".join(window_point_texts(w))
+    # one point a line: the writer's runs are flat JSON objects, comma-joined
+    text = ",".join(window_point_texts(w)).replace("},{", "}\n{")
     assert hashlib.sha256(text.encode()).hexdigest() == points_sha
     text = canonical_json([rep.to_dict(), list(rep.min_gap_vec)])
     assert hashlib.sha256(text.encode()).hexdigest() == gaps_sha
@@ -593,12 +597,18 @@ def test_non_monic_windows_match_a_fraction_brute_force(name, kind, m,
 
 
 @pytest.mark.parametrize("name,kind,m,degree,B", [
-    ("27/20", "X", 1, None, 200), ("2x^2-2x-1", "Y", 1, 9, 3)])
+    ("27/20", "X", 1, None, 200), ("2x^2-2x-1", "Y", 1, 9, 3),
+    # B just below q^18: the children of the last level all lie above B,
+    # but their floats do not prove it, so they are stepped, at degree 18
+    ("27/20", "X", 1, None, Fraction(27, 20) ** 18 - Fraction(1, 2**60)),
+    ("27/20", "Y", 1, 9, 3), ("27/20", "A", 1, 16, 2)])
 def test_every_scaled_step_divides_exactly(monkeypatch, name, kind, m,
                                            degree, B):
     """Each q*V of a non-monic window is theta*V divided by a: every entry
     of theta*V (in tuple arithmetic) is divisible by a, and the packed
-    quotient decodes to the entries divided by a."""
+    quotient decodes to the entries divided by a.  On 27/20, whose
+    denominators grow by a at every level, a depth bound one level short
+    (D = n - 1 for X, degree - 1 for Y and A) fails this."""
     steps = []
     set_width = _PackedZq._set_width
 
@@ -619,6 +629,72 @@ def test_every_scaled_step_divides_exactly(monkeypatch, name, kind, m,
     monkeypatch.setattr(_PackedZq, "_set_width", spy)
     w = _non_monic_window(name, kind, m, degree, B)
     assert w.kernel.lead > 1 and len(steps) > 1000
+
+
+# -- the Y/A reach cap against every digit string ----------------------------
+
+
+def _every_string(c, alphabet, degree) -> dict:
+    """Value -> digits (top first) of every digit string over the alphabet
+    with degree+1 digits, over 1, q, ..., q^(d-1) in Fractions.  Each value
+    keeps its lexicographically least string, the representative that a
+    level-order expansion, parents in order and digits ascending, keeps."""
+    first = {}
+    for digits in itertools.product(alphabet, repeat=degree + 1):
+        v = (Fraction(0),) * (len(c) - 1)
+        for s in digits:
+            v = _fraction_step(c, v, s)
+        first.setdefault(v, digits)
+    return first
+
+
+@pytest.mark.parametrize("kind", ["Y", "A"])
+@pytest.mark.parametrize("name", ["phi", "cubic", "27/20", "2x^2-2x-1"])
+def test_the_reach_cap_keeps_every_string_that_comes_back(name, kind):
+    """Y (m = 1, degree 6) and A (degree 9) windows equal every digit
+    string's value in [-B, B], with its least string as digits, for B at a
+    point (where the point is rational), within a float of one and 2^-40
+    either side: the cap prunes only states that cannot come back."""
+    if name in NON_MONIC:
+        q, c = _non_monic(name), NON_MONIC[name]
+        sign = functools.partial(_fraction_sign, c)
+    else:
+        c = WINDOW_POLYS[name]
+        q = AlgebraicNumber.base_from_poly(IntPolynomial(c), root_index=0)
+        ctx = q.zq_context()
+
+        def sign(v):     # of a vector of Fractions, scaled to integers
+            den = math.lcm(*(x.denominator for x in v))
+            return ctx.sign(tuple(int(x * den) for x in v))
+
+    degree, alphabet = (6, (-1, 0, 1)) if kind == "Y" else (9, (-1, 1))
+    first = _every_string(c, alphabet, degree)
+    qf = q.float_value()
+    # the point nearest 2 and, on 27/20, the rational point nearest 1.5
+    near = min(first, key=lambda v: abs(sum(
+        float(x) * qf**i for i, x in enumerate(v)) - 2))
+    f = Fraction(sum(float(x) * qf**i for i, x in enumerate(near)))
+    bounds = [f, f - Fraction(1, 2**40), f + Fraction(1, 2**40)]
+    if len(c) == 2:
+        bounds.append(min((v[0] for v in first if v[0] > 0),
+                          key=lambda x: abs(x - Fraction(3, 2))))
+    for B in bounds:
+        want = [v for v in first if sign((v[0] - B,) + v[1:]) <= 0
+                and sign((-v[0] - B,) + tuple(-x for x in v[1:])) <= 0]
+        want.sort(key=cmp_to_key(
+            lambda a, b: sign(tuple(x - y for x, y in zip(a, b)))))
+        texts = []
+        for v in want:
+            up = list(reversed(first[v]))
+            while len(up) > 1 and up[-1] == 0:
+                up.pop()
+            texts.append(",".join(map(str, up)))
+        w = (enumerate_Y(q, 1, degree, B) if kind == "Y"
+             else enumerate_A(q, degree, B))
+        values = _exact_values(w)
+        assert [values[i] for i in w.order] == want
+        assert [w.texts[i] for i in w.order] == texts
+        assert len(want) >= 2
 
 
 def test_no_window_builds_the_float_kernel(monkeypatch):
@@ -661,7 +737,7 @@ def test_the_scale_cap_counts_the_bits_of_a_to_the_depth():
     with pytest.raises(PreconditionError, match="3\\^647"):
         make_kernel(q, 1, 647)
     with pytest.raises(PreconditionError, match="over 1024 bits"):
-        enumerate_Y(q, 1, 646, 2)
+        enumerate_Y(q, 1, 647, 2)
     # a monic base scales by 1 at any depth, so an X window counts none
     two = AlgebraicNumber.from_rational(2)
     assert spectrum._x_depth(two, Fraction(10**9)) == 0
@@ -682,6 +758,65 @@ def test_x_window_skips_the_repack_of_a_level_with_no_child(monkeypatch):
     w = _window_of("wide", "X", 1, None, 2**162)
     assert widths == [32, 64, 128] and w.kernel.W == 128
     assert len(w.order) > 10
+
+
+# -- windows keep links; digit texts are built when read ---------------------
+
+
+@pytest.mark.parametrize("name", ["quartic", "27/20", "2x^2-2x-1"])
+def test_lazy_texts_equal_the_texts_walked_from_the_links(name):
+    """Each window text, built a level at a time, is the digit string that
+    walking the parent links from its state gives (``_digits_at``, as the
+    search rebuilds a witness): X positions run level after level, and a Y
+    or A window's positions are its clipped last level."""
+    q = (_non_monic(name) if name in NON_MONIC else
+         AlgebraicNumber.base_from_poly(IntPolynomial(WINDOW_POLYS[name]),
+                                        root_index=0))
+    for w in (enumerate_X(q, 1, 12), enumerate_Y(q, 1, 7, 2),
+              enumerate_A(q, 10, 2)):
+        assert "texts" not in vars(w)
+        if w.kind == "X":
+            where = [(-1, 0)] + [(k, i) for k, (par, _) in enumerate(w.links)
+                                 for i in range(len(par))]
+        else:
+            where = [(len(w.links) - 1, i) for i in range(len(w.links[-1][0]))]
+        walked = ["0" if k < 0 else ",".join(map(str, spectrum._digits_at(
+            w.links, k, i))) for k, i in where]
+        assert len(where) == len(w.keys) == len(w.texts.ends) - 1 > 20
+        assert [w.texts[i] for i in range(len(walked))] == walked
+
+
+def test_gaps_never_build_the_digit_texts(monkeypatch, tmp_path):
+    def unbuilt(window):
+        raise AssertionError("digit texts built")
+
+    monkeypatch.setattr(spectrum.SpectrumWindow, "texts",
+                        property(unbuilt))
+    code = cli.main(["gaps", "--poly", "-1,-1,0,0,1", "--m", "1", "--bound",
+                     "60", "--out", str(tmp_path / "gaps.json")])
+    assert code == 0
+    assert L_estimate(phi(), 1, [10, 20]).verdict == "constant"
+    with pytest.raises(AssertionError, match="texts built"):
+        enumerate_X(phi(), 1, 10).points
+
+
+def test_x_window_build_and_write_bytes_per_point():
+    """tracemalloc peak of enumerating the 60,504-point X window of x^4-x-1
+    at B = 300 and writing it: 153 B a point (it was 290 when every state
+    kept its digit text and the sort ran beside the seen dict)."""
+    q = AlgebraicNumber.base_from_poly(IntPolynomial([-1, -1, 0, 0, 1]),
+                                       root_index=0)
+    enumerate_X(q, 1, 10)       # refine the base untraced
+    tracemalloc.start()
+    try:
+        w = enumerate_X(q, 1, 300)
+        with open(os.devnull, "w") as fh:
+            write_json(fh, {"points": JsonArray(window_point_texts(w))})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w.order) == 60504
+    assert peak / len(w.order) <= 170
 
 
 # -- min positive BFS ---------------------------------------------------------
@@ -831,7 +966,7 @@ def test_numeric_mode_dedup():
     # the window's values are distinct and in exact increasing order
     q = AlgebraicNumber.from_rational(Fraction(9, 5))
     w = enumerate_X(q, 1, 8)
-    assert isinstance(w.kernel, _PackedZq) and w.kernel.one == 5 ** 5
+    assert isinstance(w.kernel, _PackedZq) and w.kernel.one == 5 ** 4
     exact = [_exact_values(w)[i] for i in w.order]
     assert all(a < b for a, b in zip(exact, exact[1:]))
     assert exact[:2] == [(0,), (1,)] and w.values()[:2] == [0.0, 1.0]
