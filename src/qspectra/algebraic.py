@@ -507,6 +507,26 @@ class ZqContext:
             A = self._times_theta(A)
         return acc if monic else (acc, Da * Db)
 
+    def at_scale(self, D: int):
+        """(one, mul_q, sign, elem) for values held at one fixed scale: v is
+        the int tuple over theta of a^D * v, with no denominator while v has
+        integer digits up to degree D, so sums are tuple sums.  ``mul_q`` is
+        theta*V and one exact division by a; ``sign`` hands sum V_i a^i q^i
+        (a positive multiple of v) to the base's sign oracle, or reads V_0
+        on a rational base; ``elem`` is the element (V, a^D), V if monic."""
+        a, q, apow = self.lead, self.q, self._apow
+        one = (a**D,) + (0,) * (self.d - 1)
+        if self.d == 1:
+            def sign(V):
+                return (V[0] > 0) - (V[0] < 0)
+        else:
+            def sign(V):
+                return q._sign_of_reduced([x * p for x, p in zip(V, apow)])
+        if a == 1:
+            return one, self._times_theta, sign, lambda V: V
+        return (one, lambda V: tuple(x // a for x in self._times_theta(V)),
+                sign, lambda V: (V, one[0]))
+
     def from_digits(self, digits):
         """Element of sum digits[i] * q^i (ascending digits)."""
         acc = self.zero

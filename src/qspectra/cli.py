@@ -176,7 +176,8 @@ def cmd_expand(args):
 def cmd_witness(args):
     q = resolve_base(args)
     rep = build_witness(q, args.m, args.p, horizon=args.horizon)
-    return rep.to_dict(), key_value_csv, EXIT_OK
+    code = EXIT_BUDGET if "schedule_truncated" in rep.certified else EXIT_OK
+    return rep.to_dict(), key_value_csv, code
 
 
 def cmd_aq(args):

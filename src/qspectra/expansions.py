@@ -6,9 +6,10 @@ All digit decisions are exact: remainders and corridor capacities are
 tracked as elements of Q[q] and compared through the base's certified sign
 oracle, so boundary ties (remainder exactly zero, capacity exactly one)
 are decided correctly instead of dithering at floating precision.
-``ZqContext`` holds them in integers on every base (an int vector over
-theta = a*q and one int denominator on a non-monic or rational base), so a
-digit step, a corridor test or a sign does no Fraction arithmetic.
+``ZqContext`` holds them in integers on every base, so no step, test or
+sign does Fraction arithmetic; the lazy corridor holds its values at one
+scale a^D fixed at construction and carries z_k = u_k w_k, so a digit
+aligns no denominator and forms no ring product (``_Corridor``).
 """
 
 from __future__ import annotations
@@ -243,16 +244,34 @@ def verify_expansion(seq: DigitSequence, q: AlgebraicNumber, target,
 # lazy constrained expansion
 
 
+def _axpy(x, c, y):
+    """x + c*y, entry by entry."""
+    return tuple(a + c * b for a, b in zip(x, y))
+
+
 class _Corridor:
     """Exact feasibility tests for the constrained expansion.
 
     Scaled state u_k = q^k (1 - sum_{i<=k} s_i q^{-i}); the invariant is
     L_k <= u_k q^{-k} <= U_k with U_k (resp. L_k) the largest (most
-    negative) value the remaining tail can contribute.  All comparisons are
-    multiplied through by q^{T-k}(q-1) > 0, turning them into polynomial
-    sign tests.  Patterns with unknown eventual behaviour get the outer
-    corridor: optimistic upper tail, pessimistic lower tail, which yields
-    exactly the advertised residual bound at the horizon.
+    negative) value the remaining tail can contribute.  Each test is
+    multiplied through by w_k = q^{T-k} (q-1) > 0 (w_k = q-1 from T on),
+    which makes it the sign of z - up_k or z + dn_k for the carried
+    z_k = u_k w_k: below T, w_{k-1} = q w_k, so z_k = z_{k-1} - s_k w_k;
+    above T, z_k = q z_{k-1} - s_k (q-1).  Patterns with unknown eventual
+    behaviour get the outer corridor: optimistic upper tail, pessimistic
+    lower tail, which yields exactly the advertised residual bound at the
+    horizon.
+
+    Every value here (w, up, dn, u, z) has integer digits up to degree
+    D = max(horizon, T) + 1, so all sit at the one scale a^D fixed at
+    construction (``ZqContext.at_scale``): int tuples over theta = a*q,
+    plain tuples over q on a monic base.  A digit then costs tuple sums,
+    the q-steps of u and (above T) of z, and two signs: no denominator is
+    aligned and no ring product is formed.  Each sign is taken of a
+    positive multiple of the polynomial an unscaled test would give the
+    base's sign oracle, so the digits, the refinement of the base and
+    every display float are those of any other scale.
     """
 
     def __init__(self, q: AlgebraicNumber, m: int, pattern: SignPattern,
@@ -261,62 +280,46 @@ class _Corridor:
             raise PreconditionError(
                 "pattern threshold too far beyond the horizon for the "
                 "scaled corridor")
-        self.ar = ZqContext(q)
-        self.m = m
-        self.pattern = pattern
-        self.horizon = horizon
-        self.T = pattern.threshold
-        ar = self.ar
-        up_tail = pattern.eventual in ("in", "unknown")
-        dn_tail = pattern.eventual in ("out", "unknown")
-        one = ar.from_fraction(1)
-        qvec = ar.mul_q(one)
-        qm1 = ar.sub(qvec, one)
-        # W[j] = q^{T-j} (q-1) for 0 <= j <= T-1
-        self.w: dict[int, tuple] = {}
-        cur = qm1
-        for j in range(self.T - 1, -1, -1):
-            cur = ar.mul_q(cur)
-            self.w[j] = cur
-        # RHS sums for k < T
-        self.up: dict[int, tuple] = {}
-        self.dn: dict[int, tuple] = {}
-        up_acc = ar.scale(qvec, m) if up_tail else ar.zero
-        dn_acc = ar.scale(qvec, m) if dn_tail else ar.zero
-        self.up[self.T - 1] = up_acc
-        self.dn[self.T - 1] = dn_acc
-        for k in range(self.T - 2, -1, -1):
-            i = k + 1
-            term = ar.scale(self.w[i], m)
-            if i in pattern.explicit:
-                up_acc = ar.add(up_acc, term)
-            else:
-                dn_acc = ar.add(dn_acc, term)
-            self.up[k] = up_acc
-            self.dn[k] = dn_acc
-        self.qm1 = qm1
-        self.u = one          # u_0 = 1
+        self.ar, self.m, self.pattern = ZqContext(q), m, pattern
+        self.T = T = pattern.threshold
+        one, self.mul_q, self.sign, self.elem = self.ar.at_scale(
+            max(horizon, T) + 1)
+        zero, qvec = _axpy(one, -1, one), self.mul_q(one)
+        # rows[k] = (w_k, up_k, dn_k): w_k = q^{T-k} (q-1) and the RHS sums
+        # for k < T; from T on, w = q-1 and the tails are m or 0
+        w, tail = _axpy(qvec, -1, one), m * (pattern.eventual == "in")
+        self.rows = [(w, _axpy(zero, tail, one), _axpy(zero, m - tail, one))]
+        up = _axpy(zero, m * (pattern.eventual in ("in", "unknown")), qvec)
+        dn = _axpy(zero, m * (pattern.eventual in ("out", "unknown")), qvec)
+        for k in range(T - 1, -1, -1):
+            if k + 1 in pattern.explicit:
+                up = _axpy(up, m, w)
+            elif k + 1 < T:
+                dn = _axpy(dn, m, w)
+            w = self.mul_q(w)
+            self.rows.append((w, up, dn))
+        self.rows.reverse()
+        self.one = self.u = one         # u_0 = 1
+        self.z = w                      # z_0 = u_0 w_0
         self.k = 0
-        # the Eq-style capacity m sum_{i in P} q^{-i}, scaled by W[0], with
+        # the Eq-style capacity m sum_{i in P} q^{-i}, scaled by w_0, with
         # the pessimistic/optimistic tails of an unknown pattern
-        self.cap_upper = self.up[0]
-        self.cap_lower = (ar.sub(self.cap_upper, ar.scale(qvec, m))
-                          if pattern.eventual == "unknown" else self.cap_upper)
+        self.cap_upper = up
+        self.cap_lower = (_axpy(up, -m, qvec)
+                          if pattern.eventual == "unknown" else up)
 
     def capacity_bounds(self) -> tuple[bool, bool]:
         """(certified_ge_1, certified_lt_1) for the capacity."""
-        ar = self.ar
-        w0 = self.w[0]
-        ge1 = ar.sign(ar.sub(self.cap_lower, w0)) >= 0
-        lt1 = ar.sign(ar.sub(self.cap_upper, w0)) < 0
-        return (ge1, lt1)
+        w0 = self.rows[0][0]
+        return (self.sign(_axpy(self.cap_lower, -1, w0)) >= 0,
+                self.sign(_axpy(self.cap_upper, -1, w0)) < 0)
 
     def capacity_floats(self) -> tuple[float, float]:
         """Display bounds (lower, upper) of the capacity."""
-        ar = self.ar
-        w0 = ar.float_value(self.w[0])
-        return (ar.float_value(self.cap_lower) / w0,
-                ar.float_value(self.cap_upper) / w0)
+        ar, elem = self.ar, self.elem
+        w0 = ar.float_value(elem(self.rows[0][0]))
+        return (ar.float_value(elem(self.cap_lower)) / w0,
+                ar.float_value(elem(self.cap_upper)) / w0)
 
     def feasible_digits(self, k: int):
         """Candidate digits at index k in minimal-|s| order."""
@@ -324,39 +327,29 @@ class _Corridor:
                 else self.pattern.eventual == "in")
         if k >= self.T and self.pattern.eventual == "unknown":
             raise PreconditionError("horizon exceeds materialized pattern")
-        return ([s for s in range(0, self.m + 1)] if in_p
-                else [-s for s in range(0, self.m + 1)])
+        return range(0, self.m + 1) if in_p else range(0, -self.m - 1, -1)
 
     def choose(self, k: int) -> int:
         """Pick the minimal-|s| digit keeping the corridor invariant."""
-        ar = self.ar
-        if k <= self.T - 1:
-            a = ar.mul(self.u, self.w[k - 1])
-            wk = self.w[k]
-            up = self.up[k]
-            dn = self.dn[k]
-        else:
-            # u*q*(q-1) in O(d): the same canonical vector as a product
-            a = ar.mul_q(ar.sub(ar.mul_q(self.u), self.u))
-            wk = self.qm1
-            up_tail = self.pattern.eventual == "in"
-            up = ar.from_fraction(self.m if up_tail else 0)
-            dn = ar.from_fraction(0 if up_tail else self.m)
+        wk, up, dn = self.rows[min(k, self.T)]
+        z = self.mul_q(self.z) if k > self.T else self.z
         for s in self.feasible_digits(k):
-            v = ar.sub(a, ar.scale(wk, s))
-            if ar.sign(ar.sub(v, up)) <= 0 and ar.sign(ar.add(v, dn)) >= 0:
-                self.u = ar.step(self.u, -s)
+            v = _axpy(z, -s, wk)
+            if (self.sign(_axpy(v, -1, up)) <= 0
+                    and self.sign(_axpy(v, 1, dn)) >= 0):
+                self.z = v
+                self.u = _axpy(self.mul_q(self.u), -s, self.one)
                 self.k = k
                 return s
         raise QSpectraError(
             f"no feasible digit at index {k}: corridor invariant violated")
 
     def residual_is_zero(self) -> bool:
-        return self.ar.sign(self.u) == 0
+        return self.sign(self.u) == 0
 
     def residual_float(self) -> float:
         qf = self.ar.q.float_value()
-        return self.ar.float_value(self.u) * qf ** (-self.k)
+        return self.ar.float_value(self.elem(self.u)) * qf ** (-self.k)
 
 
 def lazy_constrained(q: AlgebraicNumber, m: int, pattern: SignPattern,

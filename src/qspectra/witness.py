@@ -674,6 +674,10 @@ def _witness_step4_finite(q, m, p, pw, w, direction, seq, k, members,
             # the copy at r sums to at most half the block sum c
             br_r, bi_r = _gmul((br, bi), (xr, xi))
             block_sums_ok &= 2 * (wr * br_r - wi * bi_r) <= cn * Mr
+    # the search stops at r = 100,000; a report short of its shifts says so
+    reached = {"shifts": len(shifts), "wanted": blocks_wanted}
+    truncated = ({"schedule_truncated": reached}
+                 if len(shifts) < blocks_wanted else {})
     rep_digits = {}
     for r in shifts:
         for i, s in enumerate(block):
@@ -696,6 +700,7 @@ def _witness_step4_finite(q, m, p, pw, w, direction, seq, k, members,
             "shifts": shifts,
             "block_sums_below_half": block_sums_ok,
             "re_trace_final": res[-1],
+            **truncated,
         })
 
 

@@ -1058,6 +1058,10 @@ class _ReferenceVecArith:
             power = self.mul_q(power)
         return acc
 
+    def at_scale(self, D):
+        """The values themselves, at scale 1, with the operations above."""
+        return self.from_fraction(1), self.mul_q, self.sign, lambda v: v
+
     def sign(self, v):
         return self.q.sign_of_fraction_vec(v)
 
@@ -1229,11 +1233,24 @@ def _float_bits(obj):
     return obj
 
 
+#: lazy runs (pattern, m, horizon): T = 1, 6 and 14, eventual in and out,
+#: and a materialized unknown pattern as the witness builds; all but the
+#: last cross their threshold
+LAZY_RUNS = [
+    ("explicit:;eventual:in;threshold:1", 1, 70),
+    ("explicit:2,4;eventual:in;threshold:6", 1, 70),
+    ("explicit:1,3,4;eventual:in;threshold:6", 2, 120),
+    ("explicit:1,2,5,7,9,10,13;eventual:out;threshold:14", 3, 120),
+    (expansions.SignPattern.from_membership(
+        [i for i in range(1, 121) if i % 3], 120).to_text(), 2, 120),
+]
+
+
 def _expansion_runs(make_base):
     """Greedy expansions of 1/3 with their certificates against 1/3 and
-    2/7, and lazy expansions with their certificates (or the rejection of
-    a capacity below one), each on a fresh base; with the base's final
-    interval (the refinement trajectory)."""
+    2/7, and the lazy expansions of ``LAZY_RUNS`` with their certificates
+    (or the rejection of a capacity below one), each on a fresh base; with
+    the base's final interval (the refinement trajectory)."""
     out = []
     for m in (1, 2):
         q = make_base()
@@ -1242,16 +1259,15 @@ def _expansion_runs(make_base):
                  for t in (Fraction(1, 3), Fraction(2, 7))]
         out.append((seq.preperiod, seq.to_dict(), seq.meta, certs,
                     q.interval()))
-    for text in ("explicit:;eventual:in;threshold:1",
-                 "explicit:2,4;eventual:in;threshold:6"):
+    for text, m, horizon in LAZY_RUNS:
         q = make_base()
         try:
             seq = expansions.lazy_constrained(
-                q, 1, expansions.SignPattern.from_text(text), 70)
+                q, m, expansions.SignPattern.from_text(text), horizon)
         except PreconditionError as exc:    # capacity below one
             out.append((str(exc), q.interval()))
             continue
-        cert = expansions.verify_expansion(seq, q, 0, 70).to_dict()
+        cert = expansions.verify_expansion(seq, q, 0, horizon).to_dict()
         out.append((seq.preperiod, seq.to_dict(), seq.meta, cert,
                     q.interval()))
     return _float_bits(out)
@@ -1261,11 +1277,13 @@ def _expansion_runs(make_base):
     lambda: AlgebraicNumber.from_rational(Fraction(9, 5)),
     _nonmonic_quadratic,
     lambda: AlgebraicNumber.from_rational(Fraction(27, 20)),
-], ids=["9/5", "nonmonic", "27/20"])
+    lambda: AlgebraicNumber.base_from_poly(P1_POLY, root_index=0),
+], ids=["9/5", "nonmonic", "27/20", "x3-x-1"])
 def test_expansions_equal_the_fraction_kernel(monkeypatch, make_base):
-    """Greedy, verify and lazy runs on the integer kernel give the digits,
-    the to_dict(), the meta and certificate floats (bit for bit) and the
-    base refinement of the same runs on the Fraction reference."""
+    """Greedy, verify and lazy runs on the integer kernel (the lazy corridor
+    at its fixed scale) give the digits, the to_dict(), the meta and
+    certificate floats (bit for bit) and the base refinement of the same
+    runs on the Fraction reference."""
     got = _expansion_runs(make_base)
     monkeypatch.setattr(expansions, "ZqContext", _ReferenceVecArith)
     assert got == _expansion_runs(make_base)

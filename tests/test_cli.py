@@ -590,16 +590,18 @@ def test_stdout_and_out_file_get_the_same_bytes(tmp_path, capsys, fmt):
     assert written.endswith(b"\n") and not written.endswith(b"\n\n")
 
 
-def test_window_output_peaks_below_the_enumeration(tmp_path, monkeypatch):
-    # the 60,504-point X window of x^4-x-1 at B=300: once the window is
-    # enumerated, writing it must not need as much memory again as the
-    # enumeration did (point dicts or the whole JSON text would)
+def test_window_writer_peak_per_point(tmp_path, monkeypatch):
+    # the 60,504-point X window of x^4-x-1 at B=300: from the moment
+    # enumerate_X returns the window, writing it may add at most 80 B a
+    # point to the traced memory (57.5 measured with texts packed in one
+    # string; 104.9 with one str per text, and point dicts or the whole
+    # JSON text would take far more)
     enumerate_X = cli.enumerate_X
-    enum_peaks = []
+    held = []
 
     def measured(*args, **kwargs):
         w = enumerate_X(*args, **kwargs)
-        enum_peaks.append(tracemalloc.get_traced_memory()[1])
+        held.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
         return w
 
@@ -612,5 +614,5 @@ def test_window_output_peaks_below_the_enumeration(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 0
-    (enum_peak,) = enum_peaks
-    assert output_peak < enum_peak
+    (window,) = held
+    assert (output_peak - window) / 60504 <= 80

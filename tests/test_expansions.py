@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from qspectra.algebraic import AlgebraicNumber
+from qspectra import expansions
+from qspectra.algebraic import AlgebraicNumber, ZqContext
 from qspectra.errors import PreconditionError
 from qspectra.intpoly import IntPolynomial
 from qspectra.expansions import (
@@ -406,3 +407,55 @@ def test_lazy_on_a_non_monic_base_is_pinned():
                              0, -1, -1)
     assert not out.exact_zero_tail
     assert verify_expansion(out, q, 0, 40).passed
+
+
+@pytest.mark.parametrize("make_base", [
+    lambda: rational(Fraction(27, 20)),
+    lambda: _non_monic_base(),
+], ids=["27/20", "nonmonic"])
+@pytest.mark.parametrize("pattern", [
+    SignPattern.from_text("explicit:1,3,4;eventual:in;threshold:6"),
+    SignPattern.from_membership(range(1, 121, 2), 120),
+], ids=["crossing", "materialized"])
+def test_the_corridor_holds_one_scale(monkeypatch, make_base, pattern):
+    """Once the corridor is built, choosing its digits calls neither
+    math.gcd nor ZqContext._common and creates no Fraction: every value
+    sits at the one scale a^D fixed at construction.  Each q-step of a
+    value there, theta*V / a, divides exactly: a^D covers the highest
+    degree of any value, w_0 = q^T (q-1) and the last z_N = u_N (q-1)
+    included (a scale one level short rounds them by less than a float
+    can show).  A first run refines the base, so that no sign of the
+    counted run refines it."""
+    q = make_base()
+    want = lazy_constrained(q, 2, pattern, 120).preperiod
+    ctx = ZqContext(q)
+    x = ctx.from_fraction(Fraction(1, 3))
+    calls, stepped = [], []
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    def times_theta(self, V, c=0, real=ZqContext._times_theta):
+        stepped.append(real(self, V, c))
+        return stepped[-1]
+
+    monkeypatch.setattr(ZqContext, "_times_theta", times_theta)
+    corridor = expansions._Corridor(q, 2, pattern, 120)
+    monkeypatch.setattr(math, "gcd", spy("gcd", math.gcd))
+    monkeypatch.setattr(ZqContext, "_common",
+                        staticmethod(spy("_common", ZqContext._common)))
+    monkeypatch.setattr(Fraction, "__new__",
+                        spy("Fraction", Fraction.__new__))
+    # the spies see an aligning sum of two scales
+    ctx.sub(ctx.step(x, 0), x)
+    seen, calls[:], stepped[:] = sorted(set(calls)), [], stepped[:-1]
+    digits = [corridor.choose(k) for k in range(1, 121)]
+    monkeypatch.undo()
+    assert seen == ["_common", "gcd"]
+    assert calls == []
+    assert (-1, *digits) == want
+    assert len(stepped) > 120
+    assert all(e % ctx.lead == 0 for V in stepped for e in V)

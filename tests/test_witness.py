@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from qspectra import cli
 from qspectra.algebraic import AlgebraicNumber
 from qspectra.errors import PreconditionError
 from qspectra.intpoly import IntPolynomial
@@ -338,6 +339,24 @@ def test_witness_at_an_irrational_unit_circle_point(deadline):
     assert rep.certified["block_sums_below_half"]
     assert digest(rep.to_dict()) == (
         "9e3d082215a1dfc5a754f6a8f5ceef346ab060ca01a919e9a7800034fff5b22f")
+
+
+def test_a_shift_search_that_stops_short_says_so(tmp_path):
+    # the search for shifts stops at r = 100,000: at H = 60 the block of 4
+    # digits wants 15 shifts and gets 14, so the report says so and the
+    # CLI exits 3; at H = 40 it gets all 10 it wants, and the report
+    # carries no flag (its digest is pinned above)
+    rep = build_witness(plastic(), 1, "0.6,0.8", 60)
+    assert len(rep.certified["shifts"]) == 14
+    assert rep.certified["schedule_truncated"] == {"shifts": 14,
+                                                   "wanted": 15}
+    full = build_witness(plastic(), 1, "0.6,0.8", 40)
+    assert len(full.certified["shifts"]) == 10
+    assert "schedule_truncated" not in full.certified
+    args = ["witness", "--poly", "-1,-1,0,1", "--m", "1", "--p", "0.6,0.8",
+            "--out", str(tmp_path / "w.json"), "--horizon"]
+    assert cli.main(args + ["60"]) == 3
+    assert cli.main(args + ["40"]) == 0
 
 
 def _count_fractions(monkeypatch, call):
