@@ -17,15 +17,14 @@ Three layers live here:
   evidence, computed only when a ``NumberClass``'s ``conjugate_set`` is
   read.
 * ``ZqContext`` -- the one exact value kernel, Q[q] for any base, run in
-  integers: on a monic base, tuples in the basis 1, q, ..., q^(d-1)
-  (canonical integer vectors in Z[q]); on any other base, an int vector
-  over the algebraic integer theta = a*q (a the leading coefficient) with
-  an int denominator.  The search and the windows pack these vectors into
-  one int each (``_PackedZq``).  Ring operations, exact signs and ordering
-  (``sign``, ``compare``, ``cmp_fraction``) from the base's sign oracle,
-  display floats read off exact enclosures, and the floating-point model
-  (``float_model``) under which the spectrum engines carry proven float
-  enclosures of their search states.
+  integers: every value is a pair (V, D) of an int vector V over the
+  algebraic integer theta = a*q (a the leading coefficient; theta = q on a
+  monic base) and an int denominator D > 0.  The search and the windows
+  pack these vectors into one int each (``_PackedZq``).  Ring operations,
+  exact signs and ordering (``sign``, ``compare``, ``cmp_fraction``) from
+  the base's sign oracle, display floats read off exact enclosures, and
+  the floating-point model (``float_model``) under which the spectrum
+  engines carry proven float enclosures of their search states.
 
 Minimal polynomials are free of rational roots: ``AlgebraicNumber`` divides
 the rational roots of its polynomial out (``real_roots`` reads them off its
@@ -81,12 +80,6 @@ def _float_enclosure(x) -> tuple[float, float]:
     return math.nextafter(f, -math.inf), f
 
 
-def _whole(c):
-    """The rational c as an int when it is whole, else as a Fraction."""
-    c = c if isinstance(c, int) else Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def _integer_numerators(vec) -> tuple[list[int], int]:
     """(ints, L): L the lcm of the denominators of the int/Fraction entries
     of vec, and ints = L * vec."""
@@ -113,8 +106,10 @@ class AlgebraicNumber:
 
     The isolating interval is refinable; refinement is monotone (the stored
     interval only ever shrinks) and idempotent, so concurrent refiners can
-    race harmlessly.  All exact decisions route through
-    :meth:`sign_of_int_poly`.
+    race harmlessly.  Every exact decision ends in :meth:`_sign_of_reduced`:
+    through :meth:`sign_of_int_poly` (``compare_to_fraction``,
+    ``greater_than``), or through ``ZqContext``'s element signs (``sign``,
+    ``compare``, ``cmp_fraction``, the packed kernels, the lazy corridor).
     """
 
     def __init__(self, min_poly: IntPolynomial, lo: Fraction, hi: Fraction,
@@ -251,10 +246,6 @@ class AlgebraicNumber:
         # a positive multiple of g mod min_poly: same sign, same refinement
         return self._sign_of_reduced(_prem(g.coeffs, self.min_poly.coeffs))
 
-    def sign_of_fraction_vec(self, vec) -> int:
-        """Exact sign of sum vec[i] * q^i for Fraction/int coefficients."""
-        return self.sign_of_int_poly(IntPolynomial(_integer_numerators(vec)[0]))
-
     def _sign_of_reduced(self, coeffs) -> int:
         """Sign of sum coeffs[i] q^i for integer coeffs below the degree of
         q: the integer bounds over D^n of ``_int_interval`` decide it, and
@@ -300,11 +291,6 @@ class AlgebraicNumber:
                 vhi += c * plo
         return vlo, vhi, den**n
 
-    def value_interval_of_vec(self, vec) -> tuple[Fraction, Fraction]:
-        ints, scale = _integer_numerators(vec)
-        vlo, vhi, den = self._int_interval(ints)
-        return Fraction(vlo, scale * den), Fraction(vhi, scale * den)
-
     def compare_to_fraction(self, c) -> int:
         c = Fraction(c)
         return self.sign_of_int_poly(
@@ -336,22 +322,22 @@ class ZqContext:
     Let a be the leading coefficient of the minimal polynomial f (degree d):
     theta = a*q is an algebraic integer, a root of the monic a^(d-1) f(y/a),
     and ``qd_terms`` holds theta^d = sum c_i theta^i (theta = q if a = 1).
-    On a monic base an element is a tuple in the basis 1, q, ..., q^(d-1),
-    integer for integer inputs (Z[q]); a rational input such as a greedy
-    target 1/3 brings Fraction entries in.  On any other base it is a pair
-    (V, D) of an int tuple and an int D > 0 with value sum V_i theta^i / D:
-    a digit step is (theta*V + s*a*D, a*D), add and sub put two pairs over
-    one D, and no Fraction arises.  ``coefficients`` reads either kind back
-    in the basis 1, q, ..., q^(d-1).  A zero vector represents the real
-    number zero because the minimal polynomial is irreducible (input
-    contract).  Every ``sign``, and so every ``compare`` and
-    ``cmp_fraction``, is exact: the base's sign oracle decides the int
-    polynomial sum V_i a^i q^i (a tuple's entries times the lcm of their
-    denominators), a positive multiple of the value, refining q only when
-    its enclosure on the current interval contains zero; on a rational base
-    (d = 1) the sign is that of V_0.  ``float_value`` is the midpoint of
-    that exact enclosure on the base refined to ``FLOAT_WIDTH``, rounded
-    once.
+    An element is a pair (V, D), an int tuple V and an int D > 0 with value
+    sum V_i theta^i / D, on every base; a monic base is a = 1, where an
+    integer value has D = 1.  A digit step is (theta*V + s*a*D, a*D), add
+    and sub put two pairs over one D, a rational scalar (int or Fraction)
+    enters by its numerator and denominator, and no Fraction arises.
+    ``coefficients`` reads an element back in the basis 1, q, ...,
+    q^(d-1).  A zero vector represents the real number zero because the
+    minimal polynomial is irreducible (input contract).  Every ``sign``,
+    and so every ``compare`` and ``cmp_fraction``, is exact: the base's
+    sign oracle (``_sign_of_reduced``) decides the int polynomial
+    sum V_i a^i q^i, refining q only when its enclosure on the current
+    interval contains zero; on a rational base (d = 1) the sign is that of
+    V_0.  ``interval`` is that exact enclosure, and ``float_value`` its
+    midpoint on the base refined to ``FLOAT_WIDTH``, rounded once.  The
+    polynomial is a positive multiple of the value for any D, so no sign,
+    refinement of the base or display float depends on the scale.
 
     Carried enclosures.  The search engines keep, beside each exact vector
     v, a float f and one radius R per level with |value(v) - f| <= R, so
@@ -399,7 +385,7 @@ class ZqContext:
     the values of all levels stay below it (E may restart below an earlier
     level's entries), and differences across levels (a window's sort and
     gap keys) decode exactly too.  The exact methods read a packed V as
-    the element (V, a^D) of a non-monic base.
+    the element (V, a^D).
     """
 
     def __init__(self, q: AlgebraicNumber):
@@ -412,28 +398,16 @@ class ZqContext:
 
     @property
     def zero(self):
-        z = (0,) * self.d
-        return z if self.lead == 1 else (z, 1)
+        return (0,) * self.d, 1
 
     def from_fraction(self, c):
         """The element of the rational c (an int or a Fraction)."""
-        if self.lead == 1:
-            return (_whole(c),) + (0,) * (self.d - 1)
         return (c.numerator,) + (0,) * (self.d - 1), c.denominator
 
     def coefficients(self, v) -> tuple:
         """The coefficients of v in the basis 1, q, ..., q^(d-1)."""
-        if self.lead == 1:
-            return v
-        ints, scale = self._q_coeffs(v)
-        return tuple(Fraction(x, scale) for x in ints)
-
-    def _q_coeffs(self, v) -> tuple[list[int], int]:
-        """(P, D): ints with value(v) = sum P_i q^i / D and D > 0."""
-        if self.lead == 1:
-            return _integer_numerators(v)
         V, D = v
-        return [x * p for x, p in zip(V, self._apow)], D
+        return tuple(Fraction(x * p, D) for x, p in zip(V, self._apow))
 
     @staticmethod
     def _common(a, b):
@@ -449,32 +423,23 @@ class ZqContext:
         return self.step(v, 0)
 
     def add(self, a, b):
-        if self.lead == 1:
-            return tuple(x + y for x, y in zip(a, b))
         A, B, D = self._common(a, b)
         return tuple(x + y for x, y in zip(A, B)), D
 
     def sub(self, a, b):
-        if self.lead == 1:
-            return tuple(x - y for x, y in zip(a, b))
         A, B, D = self._common(a, b)
         return tuple(x - y for x, y in zip(A, B)), D
 
     def neg(self, a):
-        if self.lead == 1:
-            return tuple(-x for x in a)
         return tuple(-x for x in a[0]), a[1]
 
     def scale(self, a, c):
-        if self.lead == 1:
-            c = _whole(c)
-            return tuple(c * x for x in a)
+        """c*a for a rational c (an int or a Fraction)."""
         n = c.numerator
         return tuple(n * x for x in a[0]), a[1] * c.denominator
 
     def add_fraction(self, a, c):
-        if self.lead == 1:
-            return (a[0] + _whole(c),) + a[1:]
+        """a + c for a rational c (an int or a Fraction)."""
         (x0, *rest), D = a
         r = c.denominator
         return (x0 * r + c.numerator * D, *(x * r for x in rest)), D * r
@@ -490,42 +455,38 @@ class ZqContext:
 
     def step(self, v, s: int):
         """q*v + s for an int digit s: one digit-append step."""
-        if self.lead == 1:
-            return self._times_theta(v, s)
         D = v[1] * self.lead
         return self._times_theta(v[0], s * D), D
 
     def mul(self, a, b):
-        """Ring product: sum_j b_j theta^j a, over Da * Db for pairs."""
-        monic = self.lead == 1
-        (A, Da), (B, Db) = ((a, 1), (b, 1)) if monic else (a, b)
+        """Ring product: sum_j B_j theta^j A, over Da * Db."""
+        (A, Da), (B, Db) = a, b
         acc = (0,) * self.d
         for coeff in B:
             if coeff:
-                coeff = _whole(coeff)
                 acc = tuple(x + coeff * y for x, y in zip(acc, A))
             A = self._times_theta(A)
-        return acc if monic else (acc, Da * Db)
+        return acc, Da * Db
+
+    def _sign_of_vector(self, V) -> int:
+        """Sign of sum V_i theta^i: that of V_0 on a rational base (d = 1),
+        else the base's sign oracle on sum V_i a^i q^i."""
+        if self.d == 1:
+            return (V[0] > 0) - (V[0] < 0)
+        return self.q._sign_of_reduced([x * p for x, p in zip(V, self._apow)])
 
     def at_scale(self, D: int):
         """(one, mul_q, sign, elem) for values held at one fixed scale: v is
-        the int tuple over theta of a^D * v, with no denominator while v has
-        integer digits up to degree D, so sums are tuple sums.  ``mul_q`` is
-        theta*V and one exact division by a; ``sign`` hands sum V_i a^i q^i
-        (a positive multiple of v) to the base's sign oracle, or reads V_0
-        on a rational base; ``elem`` is the element (V, a^D), V if monic."""
-        a, q, apow = self.lead, self.q, self._apow
+        the int tuple V over theta of a^D * v, with no denominator while v
+        has integer digits up to degree D, so sums are tuple sums.
+        ``mul_q`` is theta*V and one exact division by a (none when a = 1);
+        ``sign`` is the sign of every element; ``elem`` is the element
+        (V, a^D)."""
+        a = self.lead
         one = (a**D,) + (0,) * (self.d - 1)
-        if self.d == 1:
-            def sign(V):
-                return (V[0] > 0) - (V[0] < 0)
-        else:
-            def sign(V):
-                return q._sign_of_reduced([x * p for x, p in zip(V, apow)])
-        if a == 1:
-            return one, self._times_theta, sign, lambda V: V
-        return (one, lambda V: tuple(x // a for x in self._times_theta(V)),
-                sign, lambda V: (V, one[0]))
+        mul_q = (self._times_theta if a == 1
+                 else lambda V: tuple(x // a for x in self._times_theta(V)))
+        return one, mul_q, self._sign_of_vector, lambda V: (V, one[0])
 
     def from_digits(self, digits):
         """Element of sum digits[i] * q^i (ascending digits)."""
@@ -535,31 +496,35 @@ class ZqContext:
         return acc
 
     def sign(self, v) -> int:
-        if self.lead == 1:
-            return self.q.sign_of_fraction_vec(v)
-        if self.d == 1:                 # a rational base: the sign of V_0
-            return (v[0][0] > 0) - (v[0][0] < 0)
-        return self.q.sign_of_int_poly(IntPolynomial(self._q_coeffs(v)[0]))
+        return self._sign_of_vector(v[0])
 
     def compare(self, a, b) -> int:
         return self.sign(self.sub(a, b))
 
     def cmp_fraction(self, v, c: Fraction) -> int:
         """Sign of value(v) - c for a rational c."""
-        if self.lead != 1:
-            return self.sign(self.add_fraction(v, -c))
-        scaled = [c.denominator * x for x in v]
-        scaled[0] -= c.numerator
-        return self.sign(tuple(scaled))
+        return self.sign(self.add_fraction(v, -c))
+
+    def _bounds(self, v) -> tuple[int, int, int]:
+        """(vlo, vhi, den): value(v) lies in [vlo/den, vhi/den] on the
+        current base interval."""
+        V, D = v
+        vlo, vhi, den = self.q._int_interval(
+            [x * p for x, p in zip(V, self._apow)])
+        return vlo, vhi, D * den
+
+    def interval(self, v) -> tuple[Fraction, Fraction]:
+        """Exact rational bounds of value(v) on the current base interval."""
+        vlo, vhi, den = self._bounds(v)
+        return Fraction(vlo, den), Fraction(vhi, den)
 
     def float_value(self, v) -> float:
         """Display float of v: the midpoint of its exact enclosure on the
         base refined to FLOAT_WIDTH, correctly rounded by one int division
         (a coarser interval's midpoint can be off in the leading digits)."""
         self.q.refine_to_width(FLOAT_WIDTH)
-        ints, scale = self._q_coeffs(v)
-        vlo, vhi, den = self.q._int_interval(ints)
-        return (vlo + vhi) / (2 * scale * den)
+        vlo, vhi, den = self._bounds(v)
+        return (vlo + vhi) / (2 * den)
 
     def float_model(self) -> tuple[float, float, float]:
         """(qf, dq, qabs): floats with |q - qf| <= dq over the current base
@@ -624,7 +589,7 @@ class _PackedZq:
         self.W, self.limit = W, 1 << (W - 2)
         self.pack, self.unpack = pack, unpack
         self.mul_q = mul_q if a == 1 else lambda V: mul_q(V) // a
-        self.elem = unpack if a == 1 else lambda V: (unpack(V), one)
+        self.elem = lambda V: (unpack(V), one)
 
     def fit_step(self, level):
         """Make room for the children q*v + s (|s| <= m) of ``level``.

@@ -382,14 +382,20 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
 
     doc = envelope(manifest, result)
-    out = open(args.out, "w") if args.out else contextlib.nullcontext(
-        sys.stdout)
-    with out as fh:
-        if args.format == "csv":
-            fh.write(csv_fn(result))
-        else:
-            write_json(fh, doc)
-            fh.write("\n")
+    try:
+        with (open(args.out, "w") if args.out
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            if args.format == "csv":
+                fh.write(csv_fn(result))
+            else:
+                write_json(fh, doc)
+                fh.write("\n")
+    except OSError as exc:
+        if not args.out:
+            raise
+        print(f"error: cannot write {args.out!r}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_PRECONDITION
     return code
 
 

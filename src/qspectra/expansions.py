@@ -81,14 +81,20 @@ class SignPattern:
                 continue
             key, _, val = part.partition(":")
             key = key.strip().lower()
-            if key == "explicit":
-                explicit = frozenset(int(v) for v in val.split(",") if v.strip())
-            elif key == "eventual":
-                eventual = val.strip().lower()
-            elif key == "threshold":
-                threshold = int(val)
-            else:
+            if key not in ("explicit", "eventual", "threshold"):
                 raise PreconditionError(f"unknown pattern field {key!r}")
+            try:
+                if key == "explicit":
+                    explicit = frozenset(int(v) for v in val.split(",")
+                                         if v.strip())
+                elif key == "eventual":
+                    eventual = val.strip().lower()
+                else:
+                    threshold = int(val)
+            except ValueError:
+                raise PreconditionError(
+                    f"pattern field {key!r} needs integers, not "
+                    f"{val.strip()!r}") from None
         if threshold is None:
             threshold = max(explicit, default=0) + 1
         return cls(explicit, threshold, eventual)
@@ -265,8 +271,8 @@ class _Corridor:
 
     Every value here (w, up, dn, u, z) has integer digits up to degree
     D = max(horizon, T) + 1, so all sit at the one scale a^D fixed at
-    construction (``ZqContext.at_scale``): int tuples over theta = a*q,
-    plain tuples over q on a monic base.  A digit then costs tuple sums,
+    construction (``ZqContext.at_scale``): int tuples over theta = a*q
+    (theta = q on a monic base).  A digit then costs tuple sums,
     the q-steps of u and (above T) of z, and two signs: no denominator is
     aligned and no ring product is formed.  Each sign is taken of a
     positive multiple of the polynomial an unscaled test would give the

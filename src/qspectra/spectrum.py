@@ -387,9 +387,11 @@ def _sort_order(kernel, values, floats, radii) -> array:
     return order
 
 
-def _check_base(q: AlgebraicNumber):
+def _check_inputs(q: AlgebraicNumber, budget: int):
     if not q.greater_than(1):
         raise PreconditionError("base must satisfy q > 1")
+    if budget < 1:
+        raise PreconditionError("state budget must be >= 1")
 
 
 def _check_bound(B) -> Fraction:
@@ -423,7 +425,7 @@ def enumerate_X(q: AlgebraicNumber, m: int, B, *,
     exhaustive; and a value with top digit at degree n is at least q^n, so
     the recursion stops after ~log_q B levels.
     """
-    _check_base(q)
+    _check_inputs(q, budget)
     if m < 1:
         raise PreconditionError("m >= 1 required")
     B = _check_bound(B)
@@ -512,7 +514,7 @@ def enumerate_Y(q: AlgebraicNumber, m: int, degree: int, B, *,
     The window is certified complete for Y^m(q) cap [-B, B] only when the
     growth bound applies: q > m+1 and q^(degree+1) (1 - m/(q-1)) >= B.
     """
-    _check_base(q)
+    _check_inputs(q, budget)
     if m < 1 or degree < 0:
         raise PreconditionError("need m >= 1 and degree >= 0")
     B = _check_bound(B)
@@ -546,7 +548,7 @@ def enumerate_A(q: AlgebraicNumber, degree: int, B, *,
                 budget: int = DEFAULT_STATE_BUDGET) -> SpectrumWindow:
     """Window of A(q) = {sum a_i q^i, a_i in {-1, 1}} for strings of degree
     exactly ``degree``, clipped to [-B, B], with its covering radius."""
-    _check_base(q)
+    _check_inputs(q, budget)
     if q.compare_to_fraction(2) > 0:
         raise PreconditionError("A(q) windows require 1 < q <= 2")
     if degree < 0:
@@ -581,7 +583,7 @@ class GapReport:
     max_gap_tail: float
     tail_fraction: float
     histogram: tuple[tuple[float, int], ...]
-    min_gap_vec: tuple[int, ...] | tuple[tuple[int, ...], int]  # ZqContext
+    min_gap_vec: tuple[tuple[int, ...], int]    # a ZqContext element
 
     def count_equal(self, value: float, tol: float = 1e-9) -> int:
         return sum(n for g, n in self.histogram if abs(g - value) <= tol)
@@ -703,7 +705,7 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
     state the reachable set is closed and min over it equals the true
     infimum of positive spectrum values in (0, c].
     """
-    _check_base(q)
+    _check_inputs(q, state_budget)
     if m < 1:
         raise PreconditionError("m >= 1 required")
     if max_depth < 1:
@@ -720,7 +722,7 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
     def in_upper(v) -> bool:
         # v <= c  <=>  v*(q-1) - m <= 0; exact mode scales through min_poly
         if exact:
-            ctx, v = kernel.ctx, kernel.unpack(v)
+            ctx, v = kernel.ctx, kernel.elem(v)
             w = ctx.sub(ctx.mul_q(v), v)
             return ctx.sign(ctx.add_fraction(w, -m)) <= 0
         c = m / (kernel.qf - 1.0)

@@ -28,7 +28,6 @@ from qspectra.algebraic import (
     _PackedZq,
     _certified_disks,
     _dk_iterate,
-    _whole,
     classify_base,
     conjugates,
     power_base,
@@ -366,12 +365,12 @@ def test_power_gcd_property_concrete():
 
 
 def test_zq_zero_digits():
-    assert sqrt2().zq_context().from_digits([0]) == (0, 0)
+    assert sqrt2().zq_context().from_digits([0]) == ((0, 0), 1)
 
 
 def test_zq_example_values():
-    assert sqrt2().zq_context().from_digits([1, 0, 1]) == (3, 0)
-    assert phi().zq_context().from_digits([1, 1]) == (1, 1)
+    assert sqrt2().zq_context().from_digits([1, 0, 1]) == ((3, 0), 1)
+    assert phi().zq_context().from_digits([1, 1]) == ((1, 1), 1)
 
 
 def test_zq_compare_examples():
@@ -379,23 +378,23 @@ def test_zq_compare_examples():
     one = ctx.from_digits([1])
     assert ctx.compare(one, ctx.from_digits([1])) == 0
     # 3 - 2*sqrt2 vs 0
-    assert ctx.compare((3, -2), (0, 0)) == 1
-    assert phi().zq_context().compare((-1, 1), (1, 0)) == -1   # phi-1 < 1
+    assert ctx.compare(((3, -2), 1), ((0, 0), 1)) == 1
+    assert phi().zq_context().compare(((-1, 1), 1), ((1, 0), 1)) == -1
 
 
 def test_zq_cmp_fraction():
     ctx = sqrt2().zq_context()
-    assert ctx.cmp_fraction((0, 1), Fraction(141, 100)) == 1
-    assert ctx.cmp_fraction((0, 1), Fraction(142, 100)) == -1
-    assert ctx.cmp_fraction((1, 1), Fraction(5, 2)) == -1     # 1+sqrt2 < 2.5
-    assert ctx.cmp_fraction((3, 0), Fraction(3)) == 0
+    assert ctx.cmp_fraction(((0, 1), 1), Fraction(141, 100)) == 1
+    assert ctx.cmp_fraction(((0, 1), 1), Fraction(142, 100)) == -1
+    assert ctx.cmp_fraction(((1, 1), 1), Fraction(5, 2)) == -1  # 1+sqrt2 < 2.5
+    assert ctx.cmp_fraction(((3, 0), 1), Fraction(3)) == 0
 
 
 def test_zq_sign_of_coefficients_beyond_float_range():
     ctx = AlgebraicNumber.base_from_poly(P1_POLY, root_index=0).zq_context()
-    big = (10**400, -1, 0)
+    big = ((10**400, -1, 0), 1)
     assert ctx.sign(big) == 1
-    assert ctx.compare((0, 0, 0), big) == -1
+    assert ctx.compare(ctx.zero, big) == -1
     assert ctx.cmp_fraction(big, Fraction(10**399)) == 1
 
 
@@ -423,7 +422,7 @@ def test_zq_round_trip_1000_random_strings():
             direct = 0.0
             for i, s in enumerate(digits):
                 direct += s * qf**i
-            lo, hi = q.value_interval_of_vec(vec)
+            lo, hi = q.zq_context().interval(vec)
             assert float(lo) - 1e-6 <= direct <= float(hi) + 1e-6
 
 
@@ -437,26 +436,27 @@ def test_packed_vectors_round_trip_at_the_width_bound(poly):
     rng = random.Random(f"packed:{poly.coeffs}")
     ctx = AlgebraicNumber.base_from_poly(poly, root_index=0).zq_context()
     packed = _PackedZq(ctx, 1)
-    assert packed.pack(ctx.zero) == packed.zero == 0
+    assert packed.pack(ctx.zero[0]) == packed.zero == 0
     for W in (32, 64, 128):
         packed._set_width(W)
         e = (1 << (W - 2)) - 1
-        vecs = [ctx.zero, (e,) * ctx.d, (-e,) * ctx.d,
+        vecs = [ctx.zero[0], (e,) * ctx.d, (-e,) * ctx.d,
                 tuple(e if i % 2 else -e for i in range(ctx.d))]
         vecs += [tuple(rng.randint(-e, e) for _ in range(ctx.d))
                  for _ in range(20)]
         for v in vecs:
             V = packed.pack(v)
-            assert packed.unpack(V) == v
-            assert packed.unpack(-V) == ctx.neg(v)
+            assert packed.unpack(V) == v and packed.elem(V) == (v, 1)
+            assert packed.elem(-V) == ctx.neg((v, 1))
             for s in (-2, 0, 1):
-                assert packed.mul_q(V) + s == packed.pack(ctx.step(v, s))
+                assert (packed.mul_q(V) + s
+                        == packed.pack(ctx.step((v, 1), s)[0]))
 
 
 def test_packed_width_grows_and_repacks_the_stored_values():
     ctx = AlgebraicNumber.base_from_poly(P1_POLY, root_index=0).zq_context()
     packed = _PackedZq(ctx, 2)
-    vecs = [(3, -1, 2), (-2, 0, 1), ctx.zero]
+    vecs = [(3, -1, 2), (-2, 0, 1), ctx.zero[0]]
     level = [packed.pack(v) for v in vecs]
     assert packed.fit_step(level) is None and packed.bound == 2 * 2 + 2
     # the carried bound trips, but the level's true maximum fits: the bound
@@ -484,9 +484,9 @@ def test_zq_equal_vectors_have_overlapping_intervals():
         vec = ctx.from_digits(digits)
         if vec in seen and seen[vec] != digits:
             hits += 1
-            lo1, hi1 = q.value_interval_of_vec(vec)
+            lo1, hi1 = ctx.interval(vec)
             other = ctx.from_digits(seen[vec])
-            lo2, hi2 = q.value_interval_of_vec(other)
+            lo2, hi2 = ctx.interval(other)
             assert not (hi1 < lo2 or hi2 < lo1)
         seen.setdefault(vec, digits)
     assert hits > 10  # collisions do occur for phi
@@ -497,9 +497,9 @@ def test_sign_determination_exact():
     ctx = q.zq_context()
     # phi^2 - phi - 1 = 0 exactly
     assert ctx.sign(ctx.from_digits([-1, -1, 1])) == 0
-    assert ctx.sign((-1, 1)) == 1   # phi - 1 > 0
-    assert ctx.sign((2, -1)) == 1   # 2 - phi > 0
-    assert ctx.sign((1, -1)) == -1  # 1 - phi < 0
+    assert ctx.sign(((-1, 1), 1)) == 1   # phi - 1 > 0
+    assert ctx.sign(((2, -1), 1)) == 1   # 2 - phi > 0
+    assert ctx.sign(((1, -1), 1)) == -1  # 1 - phi < 0
 
 
 def test_classification_stability_at_two_radii():
@@ -932,8 +932,9 @@ def test_integer_evaluator_equals_the_fraction_reference(name, poly,
         lo, hi = q.interval()
         vecs = _random_vectors(rng, d)
         vecs += [_near_zero(v, x) for v in vecs[1:5]]
+        ctx = ZqContext(q)
         for vec in vecs:
-            assert q.value_interval_of_vec(vec) == \
+            assert ctx.interval(_encode(ctx, vec)) == \
                 _reference_interval(vec, lo, hi), (width, vec)
         for vec in vecs:
             got = _evaluator_base(poly, interval)
@@ -941,7 +942,8 @@ def test_integer_evaluator_equals_the_fraction_reference(name, poly,
             if width is not None:
                 got.refine_to_width(width)
                 want.refine_to_width(width)
-            assert got.sign_of_fraction_vec(vec) == \
+            ctx = ZqContext(got)
+            assert ctx.sign(_encode(ctx, vec)) == \
                 _reference_sign(want, vec), (width, vec)
             # the same decisions refine the base along the same trajectory
             assert got.interval() == want.interval(), (width, vec)
@@ -990,16 +992,29 @@ def test_sign_of_high_degree_poly_equals_the_fraction_reference(name, poly):
 
 
 def test_rational_base_sign_of_mixed_vectors():
-    q = AlgebraicNumber.from_rational(Fraction(9, 5))
-    assert q.sign_of_fraction_vec((-9, 5)) == 0
-    assert q.sign_of_fraction_vec((Fraction(-9, 5), 1)) == 0
-    assert q.sign_of_fraction_vec((Fraction(-17, 10), 1)) == 1
-    assert q.sign_of_fraction_vec((2, Fraction(-10, 9))) == 0
-    assert q.value_interval_of_vec((1, Fraction(1, 3))) == \
+    ctx = ZqContext(AlgebraicNumber.from_rational(Fraction(9, 5)))
+    assert ctx.sign(_encode(ctx, (-9, 5))) == 0
+    assert ctx.sign(_encode(ctx, (Fraction(-9, 5), 1))) == 0
+    assert ctx.sign(_encode(ctx, (Fraction(-17, 10), 1))) == 1
+    assert ctx.sign(_encode(ctx, (2, Fraction(-10, 9)))) == 0
+    assert ctx.interval(_encode(ctx, (1, Fraction(1, 3)))) == \
         (Fraction(8, 5), Fraction(8, 5))
 
 
 # -- the one Q[q] kernel against the kernels it replaced --------------------
+
+
+def _whole(c):
+    """The rational c as an int when it is whole, else as a Fraction."""
+    c = c if isinstance(c, int) else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _fraction_vec_sign(q, vec):
+    """Exact sign of sum vec[i] * q^i for int and Fraction entries: the
+    entries times the lcm of their denominators, then the base's oracle."""
+    scale = math.lcm(*(Fraction(c).denominator for c in vec))
+    return q.sign_of_int_poly(IntPolynomial(int(c * scale) for c in vec))
 
 
 class _ReferenceVecArith:
@@ -1063,11 +1078,11 @@ class _ReferenceVecArith:
         return self.from_fraction(1), self.mul_q, self.sign, lambda v: v
 
     def sign(self, v):
-        return self.q.sign_of_fraction_vec(v)
+        return _fraction_vec_sign(self.q, v)
 
     def float_value(self, v):
         self.q.refine_to_width(FLOAT_WIDTH)
-        lo, hi = self.q.value_interval_of_vec(v)
+        lo, hi = _reference_interval(v, *self.q.interval())
         return float((lo + hi) / 2)
 
 
@@ -1093,25 +1108,18 @@ def _reference_filtered_sign(q, v):
                 lo += c * phi_
                 hi += c * plo
     except OverflowError:
-        return q.sign_of_fraction_vec(v)
+        return _fraction_vec_sign(q, v)
     slop = 1e-12 * (abs(lo) + abs(hi) + 1.0) * len(v)
     if lo - slop > 0:
         return 1
     if hi + slop < 0:
         return -1
-    return q.sign_of_fraction_vec(v)
-
-
-def _same_entries(a, b):
-    return a == b and [type(x) for x in a] == [type(y) for y in b]
+    return _fraction_vec_sign(q, v)
 
 
 def _encode(ctx, vec):
     """The kernel element of the vector vec in the basis 1, q, ...,
-    q^(d-1): vec itself on a monic base, else built by the kernel (Horner's
-    rule in mul_q and add_fraction)."""
-    if ctx.lead == 1:
-        return vec
+    q^(d-1), built by the kernel (Horner's rule in mul_q and add_fraction)."""
     acc = ctx.zero
     for c in reversed(vec):
         acc = ctx.add_fraction(ctx.mul_q(acc), c)
@@ -1119,12 +1127,8 @@ def _encode(ctx, vec):
 
 
 def _holds(ctx, got, want):
-    """The kernel element got has the value of the vector want: on a monic
-    base entry by entry, whole entries int as in the reference; on any
-    other base as a pair of an int tuple and an int D > 0 that decodes to
-    want."""
-    if ctx.lead == 1:
-        return _same_entries(got, want)
+    """The kernel element got has the value of the vector want: a pair of
+    an int tuple and an int D > 0 that decodes to want."""
     V, D = got
     return (all(type(x) is int for x in (*V, D)) and D > 0
             and ctx.coefficients(got) == tuple(want))
@@ -1205,7 +1209,7 @@ def test_zq_sign_and_float_equal_the_filtered_kernel(name, make_base):
             assert got.interval() == want.interval(), (width, v)
             value = ctx.float_value(e)
             want.refine_to_width(FLOAT_WIDTH)
-            lo, hi = want.value_interval_of_vec(v)
+            lo, hi = _reference_interval(v, *want.interval())
             assert value.hex() == float((lo + hi) / 2).hex(), (width, v)
 
 
@@ -1214,10 +1218,11 @@ def _nonmonic_quadratic():
                                           root_index=0)
 
 
-#: the two bases whose elements are (int tuple, scale) pairs
+#: a non-monic, a rational and a monic base
 SCALED_BASES = [
     ("nonmonic", _nonmonic_quadratic),
     ("rational", lambda: AlgebraicNumber.from_rational(Fraction(9, 5))),
+    ("monic", lambda: AlgebraicNumber.base_from_poly(P1_POLY, root_index=0)),
 ]
 
 
@@ -1293,10 +1298,10 @@ def test_expansions_equal_the_fraction_kernel(monkeypatch, make_base):
                          ids=[b[0] for b in SCALED_BASES])
 def test_scaled_elements_stay_ints_and_create_no_fraction(monkeypatch, name,
                                                           make_base):
-    """On a non-monic or rational base every entry of an element, and its
-    scale, stays an int through digit steps, products, sums and rational
-    scalars; and once the base decides their signs, step, add, sub, scale,
-    mul and sign create no Fraction."""
+    """On a non-monic, a rational and a monic base every entry of an
+    element, and its scale, stays an int through digit steps, products,
+    sums and rational scalars; and once the base decides their signs, step,
+    add, sub, scale, mul and sign create no Fraction."""
     q = make_base()
     ctx = ZqContext(q)
     rng = random.Random(f"scaled:{name}")
@@ -1343,10 +1348,10 @@ def test_zq_display_float_of_a_cancelling_vector_is_accurate():
         ctx = ZqContext(q)
         if refine:
             ctx.ensure_float_resolution()
-        for v in ((-665857, 470832), (-3880899, 2744210)):
+        for v in (((-665857, 470832), 1), ((-3880899, 2744210), 1)):
             value = ctx.float_value(v)
-            lo, hi = q.value_interval_of_vec(v)
-            flo, fhi = fine.value_interval_of_vec(v)
+            lo, hi = ctx.interval(v)
+            flo, fhi = ZqContext(fine).interval(v)
             exact = (flo + fhi) / 2
             error = abs(Fraction(value) - exact)
             assert error <= (hi - lo) / 2 + Fraction(math.ulp(value)) / 2, v

@@ -423,6 +423,49 @@ def test_cli_aq_rejects_a_degree_list_without_integers(capsys, degrees):
     assert err == f"error: --degrees must list integers, not {degrees!r}\n"
 
 
+@pytest.mark.parametrize("pattern,field,value", [
+    ("explicit:x", "explicit", "x"), ("threshold:x", "threshold", "x"),
+    ("threshold:1.5", "threshold", "1.5")])
+def test_cli_expand_rejects_a_pattern_field_that_is_not_an_integer(
+        capsys, pattern, field, value):
+    # each once ended in a ValueError traceback
+    code = cli.main(["expand", "--poly", "-1,-1,0,1", "--m", "1",
+                     "--pattern", pattern])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: pattern field {field!r} needs integers, not "
+                   f"{value!r}\n")
+
+
+def test_cli_unwritable_out_file_exit2(tmp_path, capsys):
+    # the command once ran, then ended in a FileNotFoundError traceback
+    target = tmp_path / "missing" / "x.json"
+    code = cli.main(["spectrum", "--poly", "-1,-1,0,1", "--m", "1",
+                     "--bound", "2", "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: cannot write {str(target)!r}: "
+                   "No such file or directory\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["minpos", "--m", "1"], ["spectrum", "--m", "1", "--bound", "2"]])
+def test_cli_state_budget_below_one_exit2(capsys, argv):
+    # -5 and 0 once exited 3, reporting an exhausted budget
+    for budget in ("-5", "0"):
+        code = cli.main([*argv, "--poly", "-1,-1,0,1",
+                         "--budget-states", budget])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: state budget must be >= 1\n"
+    code = cli.main([*argv, "--poly", "-1,-1,0,1", "--budget-states", "1"])
+    capsys.readouterr()
+    assert code == 3
+
+
 def test_cli_root_selectors_agree_on_a_non_squarefree_polynomial(capsys):
     # (x - 1)^2 (x^2 - x - 1): the interval selector once rejected it as
     # not squarefree while the index selector took its squarefree part

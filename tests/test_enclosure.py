@@ -108,14 +108,12 @@ def test_enclosure_contains_exact_value_and_decides_signs(
         decided = 0
         for digits in strings:
             for vec, f, r in walk(q, model, m, digits):
-                coeffs = ctx.coefficients(vec)
-                lo, hi = q.value_interval_of_vec(coeffs)
+                lo, hi = ctx.interval(vec)
                 assert Fraction(f) - Fraction(r) <= lo
                 assert hi <= Fraction(f) + Fraction(r)
                 if f > r or f < -r:
                     decided += 1
-                    assert q.sign_of_fraction_vec(coeffs) == (1 if f > 0
-                                                              else -1)
+                    assert ctx.sign(vec) == (1 if f > 0 else -1)
         assert decided > 500
 
 
@@ -129,7 +127,7 @@ def test_zero_children_are_left_to_the_exact_sign(key, m, digits):
     ctx.ensure_float_resolution()
     zeros = 0
     for vec, f, r in walk(q, ctx.float_model(), m, digits):
-        if not any(vec):
+        if not any(vec[0]):
             zeros += 1
             assert -r <= f <= r       # the enclosure cannot decide it
             assert ctx.sign(vec) == 0
@@ -179,7 +177,7 @@ def reference_bfs(q: AlgebraicNumber, m: int, max_depth: int) -> BfsResult:
         if best is None:
             return BfsDepthRecord(depth, math.inf, None, (), len(seen),
                                   len(new_level))
-        return BfsDepthRecord(depth, ctx.float_value(best[0]), best[0],
+        return BfsDepthRecord(depth, ctx.float_value(best[0]), best[0][0],
                               _canonical(best[1]), len(seen), len(new_level))
 
     for s in range(1, m + 1):
@@ -218,11 +216,11 @@ def reference_bfs(q: AlgebraicNumber, m: int, max_depth: int) -> BfsResult:
         level = nxt
     closed_states = None
     if closed:
-        closed_states = tuple((ctx.float_value(v), v)
+        closed_states = tuple((ctx.float_value(v), v[0])
                               for v in sorted(seen, key=ctx.float_value))
     return BfsResult(q, m, tuple(trace), closed, False, closed_states,
                      ctx.float_value(best[0]) if best else None,
-                     best[0] if best else None,
+                     best[0][0] if best else None,
                      _canonical(best[1]) if best else None)
 
 
@@ -355,8 +353,8 @@ ORDER_CASES = [  # (name, window of a base factory, bound)
 
 
 def _elements(w) -> list:
-    """The window's values by position, as elements of the base's
-    ``ZqContext``: tuples on a monic base, else pairs (V, a^D)."""
+    """The window's values by position, as elements (V, a^D) of the base's
+    ``ZqContext``."""
     return list(map(w.kernel.elem, w.keys))
 
 
@@ -416,7 +414,7 @@ def test_window_display_floats_are_close_to_the_exact_values(name, make,
     q.refine_to_width(Fraction(1, 2**100))
     tol = Fraction(1e-12) * max(1, bound)
     for p, elem in zip(w.points, map(_elements(w).__getitem__, w.order)):
-        lo, hi = q.value_interval_of_vec(ctx.coefficients(elem))
+        lo, hi = ctx.interval(elem)
         assert lo - tol <= Fraction(p.value) <= hi + tol
 
 
@@ -426,7 +424,7 @@ def test_exact_gap_floats_come_from_the_gap_vectors():
         rep = gap_report(enumerate_X(q, 1, 60))
         ctx = q.zq_context()
         q.refine_to_width(Fraction(1, 2**100))
-        lo, hi = q.value_interval_of_vec(ctx.coefficients(rep.min_gap_vec))
+        lo, hi = ctx.interval(rep.min_gap_vec)
         exact = (lo + hi) / 2
         assert (abs(Fraction(rep.min_gap) - exact)
                 <= Fraction(2.0 ** -52) * exact)
@@ -449,8 +447,9 @@ def test_overlapping_enclosures_are_ordered_by_the_exact_compare():
     floats, radii = array("d", [1.1, 1.15, 1.2]), array("d", [0.5] * 3)
     order = _sort_order(kernel, list(map(kernel.pack, vecs)), floats, radii)
     assert list(order) == [2, 1, 0]
-    assert [vecs[i] for i in order] == \
-        sorted(vecs, key=cmp_to_key(ctx.compare))
+    elems = [(v, 1) for v in vecs]
+    assert [elems[i] for i in order] == \
+        sorted(elems, key=cmp_to_key(ctx.compare))
 
 
 def test_lazy_points_match_the_streamed_texts(monkeypatch):
@@ -470,7 +469,7 @@ def test_lazy_points_match_the_streamed_texts(monkeypatch):
             assert (d["approx"], d["digits"], d["vec"]) == \
                 (p.value, list(p.digits), list(p.vec))
             assert text == canonical_json(p.to_dict())
-            assert ctx.from_digits(p.digits) == p.vec
+            assert ctx.from_digits(p.digits) == (p.vec, 1)
             assert len(p.digits) == 1 or p.digits[-1] != 0
     # the library's oracle comparison reads the vector columns only
 

@@ -52,8 +52,8 @@ def sqrt2():
 
 
 def brute_force_values(q: AlgebraicNumber, alphabet, max_degree: int):
-    """All canonical vectors of digit strings over the alphabet with degree
-    <= max_degree (exact mode), via direct canonicalization."""
+    """The ``ZqContext`` elements of every digit string over the alphabet
+    with degree <= max_degree: pairs (V, 1) on a monic base."""
     ctx = q.zq_context()
     out = set()
     for n in range(max_degree + 1):
@@ -108,10 +108,8 @@ def test_X_matches_brute_force_oracle():
     # oracle: degree <= log_phi 6 < 4; enumerate all strings of degree <= 5
     oracle = set()
     for vec in brute_force_values(q, (0, 1), 5):
-        scaled = [x for x in vec]
-        scaled[0] -= 6
-        if ctx.sign(tuple(scaled)) <= 0 and ctx.sign(vec) >= 0:
-            oracle.add(vec)
+        if ctx.cmp_fraction(vec, B) <= 0 and ctx.sign(vec) >= 0:
+            oracle.add(vec[0])
     assert {p.vec for p in w.points} == oracle
 
 
@@ -164,15 +162,12 @@ def test_Y_matches_brute_force_oracle():
     oracle = set()
     for digits in itertools.product((-1, 0, 1), repeat=n + 1):
         vec = ctx.from_digits(digits)
-        lo, hi = q.value_interval_of_vec(vec)
+        lo, hi = ctx.interval(vec)
         if -B <= lo <= B or -B <= hi <= B or (lo < -B and hi > B):
             # exact in-range test
-            scaled_hi = [x for x in vec]
-            scaled_hi[0] -= 3
-            scaled_lo = [x for x in vec]
-            scaled_lo[0] += 3
-            if ctx.sign(tuple(scaled_hi)) <= 0 and ctx.sign(tuple(scaled_lo)) >= 0:
-                oracle.add(vec)
+            if (ctx.cmp_fraction(vec, B) <= 0
+                    and ctx.cmp_fraction(vec, -B) >= 0):
+                oracle.add(vec[0])
     assert {p.vec for p in w.points} == oracle
 
 
@@ -192,14 +187,11 @@ def test_Y_shift_closure_property():
     bigger = {p.vec for p in wn1.points}
     for p in wn.points:
         for s in range(-m, m + 1):
-            child = ctx.step(p.vec, s)
+            child = ctx.step((p.vec, 1), s)
             # clipped to the bound: only check when |child| <= B
-            scaled_hi = [x for x in child]
-            scaled_hi[0] -= B
-            scaled_lo = [x for x in child]
-            scaled_lo[0] += B
-            if ctx.sign(tuple(scaled_hi)) <= 0 and ctx.sign(tuple(scaled_lo)) >= 0:
-                assert child in bigger
+            if (ctx.cmp_fraction(child, B) <= 0
+                    and ctx.cmp_fraction(child, -B) >= 0):
+                assert child[0] in bigger
 
 
 def test_Y_incomplete_without_devries():
@@ -247,13 +239,13 @@ def test_A_matches_brute_force_oracle(make_q):
         vec = ctx.from_digits(digits)
         if (ctx.sign(ctx.add_fraction(vec, -B)) <= 0
                 and ctx.sign(ctx.add_fraction(vec, B)) >= 0):
-            oracle.add(vec)
+            oracle.add(vec[0])
     assert len(w.points) == len(oracle)
     assert {p.vec for p in w.points} == oracle
     for p in w.points:
         assert len(p.digits) == n + 1
         assert all(s in (-1, 1) for s in p.digits)
-        assert ctx.from_digits(p.digits) == p.vec
+        assert ctx.from_digits(p.digits) == (p.vec, 1)
 
 
 @pytest.mark.parametrize("make_window", [
@@ -270,7 +262,7 @@ def test_window_digits_evaluate_to_each_point(make_window):
     ctx = w.base.zq_context()
     assert len(w.points) > 5
     for p in w.points:
-        assert ctx.from_digits(p.digits) == p.vec
+        assert ctx.from_digits(p.digits) == (p.vec, 1)
         # canonical: no top zero, except the lone digit of zero
         assert p.digits[-1] != 0 or p.digits == (0,)
         assert max(map(abs, p.digits)) <= w.m
@@ -326,7 +318,7 @@ def test_gaps_phi_two_gap_values():
     assert abs(gap_values[0] - (1.6180339887498949 - 1)) < 1e-9
     assert abs(gap_values[1] - 1.0) < 1e-9
     assert abs(rep.min_gap - 0.6180339887498949) < 1e-9
-    assert rep.min_gap_vec == (-1, 1)
+    assert rep.min_gap_vec == ((-1, 1), 1)
 
 
 def test_gaps_histogram_mass():
@@ -429,13 +421,14 @@ def brute_force_window(q, c, kind, m, degree, B):
             level = {v for v in level - found
                      if sum(a * qf**i for i, a in enumerate(v)) <= 2 * B + 1}
             found = found | level
-        vecs = [v for v in found if ctx.cmp_fraction(v, B) <= 0]
+        vecs = [v for v in found if ctx.cmp_fraction((v, 1), B) <= 0]
     else:
         for _ in range(degree + 1):
             level = {_tuple_step(c, v, s) for v in level for s in alphabet}
-        vecs = [v for v in level if ctx.cmp_fraction(v, B) <= 0
-                and ctx.cmp_fraction(ctx.neg(v), B) <= 0]
-    return sorted(vecs, key=cmp_to_key(ctx.compare))
+        vecs = [v for v in level if ctx.cmp_fraction((v, 1), B) <= 0
+                and ctx.cmp_fraction(ctx.neg((v, 1)), B) <= 0]
+    return sorted(vecs, key=cmp_to_key(
+        lambda a, b: ctx.compare((a, 1), (b, 1))))
 
 
 @pytest.mark.parametrize("name,kind,m,degree,B,points_sha,gaps_sha",
@@ -452,14 +445,15 @@ def test_packed_windows_match_a_tuple_brute_force(name, kind, m, degree, B,
                     for a, b in zip(want, want[1:]))
     rep = gap_report(w)
     assert rep.histogram == tuple(sorted(
-        (ctx.float_value(k), n) for k, n in diffs.items()))
-    assert rep.min_gap_vec == min(diffs, key=cmp_to_key(ctx.compare))
+        (ctx.float_value((k, 1)), n) for k, n in diffs.items()))
+    assert rep.min_gap_vec == (min(diffs, key=cmp_to_key(
+        lambda a, b: ctx.compare((a, 1), (b, 1)))), 1)
     if name == "wide":
         assert w.kernel.W >= 128
     # one point a line: the writer's runs are flat JSON objects, comma-joined
     text = ",".join(window_point_texts(w)).replace("},{", "}\n{")
     assert hashlib.sha256(text.encode()).hexdigest() == points_sha
-    text = canonical_json([rep.to_dict(), list(rep.min_gap_vec)])
+    text = canonical_json([rep.to_dict(), list(rep.min_gap_vec[0])])
     assert hashlib.sha256(text.encode()).hexdigest() == gaps_sha
 
 
@@ -665,7 +659,7 @@ def test_the_reach_cap_keeps_every_string_that_comes_back(name, kind):
 
         def sign(v):     # of a vector of Fractions, scaled to integers
             den = math.lcm(*(x.denominator for x in v))
-            return ctx.sign(tuple(int(x * den) for x in v))
+            return ctx.sign((tuple(int(x * den) for x in v), den))
 
     degree, alphabet = (6, (-1, 0, 1)) if kind == "Y" else (9, (-1, 1))
     first = _every_string(c, alphabet, degree)
@@ -864,10 +858,10 @@ def test_bfs_soundness_every_state_is_a_digit_string_value():
             assert rec.min_vec is not None
             # witness digits evaluate to the reported state, not its
             # negation
-            assert ctx.from_digits(rec.witness) == rec.min_vec
+            assert ctx.from_digits(rec.witness) == (rec.min_vec, 1)
             assert max(map(abs, rec.witness)) <= m
             assert rec.witness[-1] != 0
-        assert ctx.from_digits(res.min_witness) == res.min_positive_vec
+        assert ctx.from_digits(res.min_witness) == (res.min_positive_vec, 1)
 
 
 def test_bfs_matches_brute_force_minimum():
@@ -885,7 +879,7 @@ def test_bfs_matches_brute_force_minimum():
             continue
         if best is None or ctx.compare(vec, best) < 0:
             best = vec
-    assert best == res.trace[depth - 1].min_vec
+    assert best[0] == res.trace[depth - 1].min_vec
 
 
 def test_bfs_budget_exhaustion_returns_partial():
@@ -991,7 +985,7 @@ def test_closed_state_set_reproduces_itself():
     ctx = q.zq_context()
     res = min_positive_bfs(q, 1)
     assert res.closed
-    closed = {vec for _, vec in res.closed_states}
+    closed = {(vec, 1) for _, vec in res.closed_states}
     m, c_test = 1, None
     for vec in closed:
         for s in (-1, 0, 1):
