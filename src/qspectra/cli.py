@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
+import os
 import sys
 from fractions import Fraction
 
@@ -119,6 +121,8 @@ def cmd_classify(args):
 
 
 def cmd_spectrum(args):
+    if args.kind == "X" and args.degree is not None:
+        raise PreconditionError("--degree applies to Y windows only")
     q = resolve_base(args)
     B = _parse_fraction(args.bound)
     if args.kind == "X":
@@ -358,6 +362,18 @@ def _preprocess_argv(argv):
     return out
 
 
+def _out_error(path: str) -> str | None:
+    """Why ``path`` cannot be written, or None; found without creating or
+    truncating it, so a failed command leaves an existing file as it was."""
+    folder = os.path.dirname(path) or "."
+    code = (errno.ENOENT if not os.path.exists(folder)
+            else errno.ENOTDIR if not os.path.isdir(folder)
+            else errno.EISDIR if os.path.isdir(path)
+            else errno.EACCES if not os.access(
+                path if os.path.exists(path) else folder, os.W_OK) else 0)
+    return os.strerror(code) if code else None
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -369,6 +385,9 @@ def main(argv=None) -> int:
         precision_bits=args.precision,
         budgets={"states": args.budget_states, "threads": args.threads},
     )
+    if args.out and (why := _out_error(args.out)):     # before the run
+        print(f"error: cannot write {args.out!r}: {why}", file=sys.stderr)
+        return EXIT_PRECONDITION
     try:
         result, csv_fn, code = COMMANDS[args.command](args)
     except (PreconditionError, ReducibleInputError) as exc:

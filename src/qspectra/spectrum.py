@@ -3,45 +3,41 @@ branch-and-bound engine for the smallest positive element.
 
 Every window, and the search on a monic base, runs on the base's exact
 ``ZqContext``: each value's integer vector over theta = a*q (a the leading
-coefficient of the minimal polynomial) packed into one int (``_PackedZq``,
-see below), so deduplication and ordering are exact, and every sign the
-kernel decides comes from the base's exact sign oracle.  On a non-monic
-base, a rational one included, a window stores a^D times each value, D the
-highest degree it steps to (see "Packed vectors" in ``ZqContext``).  Each
-state also carries a float, and its level has one proven radius R with
-|value - float| <= R (the bound is in ``ZqContext``'s docstring).  A
-child's sign, its window test and its comparison with the current best are
-read off [f - R, f + R]; the exact ``sign``/``cmp_fraction`` run only when
-that enclosure straddles the threshold.  A level whose floats or radius
-overflow is decided exactly throughout.  The search on a non-monic base has
-no depth bound, so it runs ``_FloatKernel``: values are floats deduplicated
-within a declared tolerance, with no proven enclosure (R is infinite), so
-every decision falls through to its tolerance tests.
+coefficient of the minimal polynomial) packed into one int (``_PackedZq``),
+so deduplication and ordering are exact, and every sign the kernel decides
+comes from the base's exact sign oracle.  On a non-monic base, a rational
+one included, a window stores a^D times each value, D the highest degree it
+steps to (see "Packed vectors" in ``ZqContext``).  The search on a
+non-monic base has no depth bound, so it runs ``_FloatKernel``: floats
+deduplicated within a declared tolerance, whose radius (below) is infinite,
+so every decision falls through to its tolerance tests.
 
-A level is stored as columns: its values, an ``array('d')`` of carried
-floats, and ``array('i')`` columns of parent position and digit (a sign
-flip in the search stores parent p as ~p).  ``seen`` is an
-insertion-ordered dict of Nones, the one deduplication test.  The columns,
-``seen`` and the best state hold packed ints V = sum a_i 2^(W i), decoded
-only for exact tests and output: a parent is multiplied by q once, a child
-adds its digit, and a sign flip is -V.  Before a level whose children's
-entries could reach 2^(W-2), every stored value (an X window's ``seen``
-holds all its levels) is re-packed at a doubled W (the bound is in
-``ZqContext``'s docstring); a window level whose smallest child is proven
-out of the window makes no room and no child.  The float search runs the
-same loop on floats.  A search rebuilds a witness's digits from the
-parents only where it is output.  The X, Y and A windows all grow through
-``_expand_level``: each state y spawns q*y + s for every digit s of the
-window's alphabet.  A window keeps each level's parent and digit columns,
-as the search does, builds its digit texts only when they are read, and
-has an order, a permutation sorted by the carried floats: the Y/A clip to
-[-B, B] and the sort read [f - R, f + R] and run exact comparisons only
-where enclosures overlap, and the gaps group by packed difference.  A
-window point displays its carried float, within R of its value.  The
-searches' display floats, their closed-state order and the gap floats come
-from the kernel's ``float_value``: the midpoint of the value's exact
-enclosure on the base refined to 2^-72, correctly rounded (in the float
-search, the float itself).
+One routine, ``_expand_level``, grows every engine: each state y of a level
+spawns q*y + s for every digit s of the alphabet, in the X, Y and A windows
+and in the search, which folds each child to its absolute value.  The float
+search runs the same loop on floats.  A level is stored as columns: its
+values, an ``array('d')`` of carried floats with one proven radius R,
+|value - float| <= R (the bound is in ``ZqContext``'s docstring), and
+``array('i')`` columns of parent position and digit (a fold stores parent
+p as ~p).  A child's sign, its window test and the search's comparison with
+its best are read off [f - R, f + R]; the exact ``sign``/``cmp_fraction``
+run only when that enclosure straddles the threshold, and a level whose
+floats or radius overflow is decided exactly throughout.  ``seen`` is an
+insertion-ordered dict of Nones, the one deduplication test.  Packed values
+V = sum a_i 2^(W i) are decoded only for exact tests and output: a parent
+is multiplied by q once, a child adds its digit, and a fold is -V.  Before a
+level whose children's entries could reach 2^(W-2), the level and ``seen``
+(an X window's holds all its levels) are re-packed at a doubled W, and the
+search re-keys its best by the same map; a level whose smallest child is
+proven out of the band makes no room and no child.  Digit texts and
+witnesses are rebuilt from the parent columns only where they are read.  A
+window's order is a permutation sorted by the carried floats: the Y/A clip
+to [-B, B] and the sort run exact comparisons only where enclosures
+overlap, and the gaps group by packed difference.  A window point displays
+its carried float; the searches' display floats, their closed-state order
+and the gap floats come from the kernel's ``float_value``: the midpoint of
+the value's exact enclosure on the base refined to 2^-72, correctly rounded
+(in the float search, the float itself).
 
 Results are deterministic: levels are expanded in sorted order and every
 window is canonically sorted before emission.
@@ -72,7 +68,7 @@ class _FloatKernel:
     """Values are floats; equality within an absolute tolerance.  Mirrors
     the part of the packed interface (``_PackedZq``) the search uses."""
 
-    zero = 0.0
+    zero, one = 0.0, 1
     exact = False
 
     def __init__(self, q: AlgebraicNumber, tol_abs: float):
@@ -315,21 +311,25 @@ def _digits_at(links, k: int, i: int) -> tuple[int, ...]:
 
 
 def _expand_level(kernel, model, level, alphabet, band, keep, seen: dict,
-                  budget: int):
+                  budget: int, fold: bool = False):
     """Children q*v + s (s in alphabet) of the states of one level.
 
     ``level`` is (values, floats, radius): the level's values, their carried
     floats and the proven radius of those floats.  ``band(r)`` gives float
     thresholds (in_lo, in_hi, out_lo, out_hi) for children of radius r: a
     child whose float lies in [in_lo, in_hi] is kept, one below out_lo or
-    above out_hi is dropped, and ``keep(child)`` decides the rest.  A kept
-    child not in ``seen`` is recorded there.  Returns (next level, links,
-    within budget), where links are the next level's (parents, digits)
+    above out_hi is dropped, and ``keep(child)`` decides the rest.  With
+    ``fold`` (the search) these test |child|: a float straddling 0 is
+    decided exactly, a zero child dropped, and a negative one stored as
+    -(q*v + s) = q*(-v) + (-s), its parent p as ~p.  A kept child not in
+    ``seen`` is recorded there.  Returns (next level, links, within budget,
+    re-pack map), where links are the next level's (parents, digits)
     columns: child j is q*values[parents[j]] + digits[j].  Expansion stops
-    after the first parent whose children push ``seen`` past the budget.
-    A re-pack (``fit_step``) first re-keys the level and, in place, ``seen``;
-    a level whose smallest child float lies above out_hi has no child, and
-    neither re-packs nor steps.
+    after the first parent whose children push ``seen`` past the budget.  A
+    re-pack (``fit_step``) first re-keys the level and, in place, ``seen``;
+    its map (else None) re-keys what else the caller holds.  A level whose
+    smallest child float lies above out_hi has no child, and neither
+    re-packs nor steps.
     """
     values, floats, radius = level
     qf = model[0]
@@ -338,7 +338,7 @@ def _expand_level(kernel, model, level, alphabet, band, keep, seen: dict,
     nxt, nfl = [], array("d")
     links = par, dig = array("i"), array("i")
     if qf * min(floats, default=math.inf) + min(alphabet) > out_hi:
-        return (nxt, nfl, r), links, True
+        return (nxt, nfl, r), links, True, None
     if (remap := kernel.fit_step(values)) is not None:
         values, rekeyed = list(map(remap, values)), list(map(remap, seen))
         seen.clear()
@@ -348,20 +348,25 @@ def _expand_level(kernel, model, level, alphabet, band, keep, seen: dict,
     steps = [(s, s * kernel.one) for s in alphabet]
     for i, (f, qv) in enumerate(zip(floats, map(kernel.mul_q, values))):
         for s, u in steps:
-            cf = qf * f + s
-            if cf < out_lo or cf > out_hi:
-                continue
-            child = qv + u
-            if not (in_lo <= cf <= in_hi or keep(child)) or child in seen:
+            cf, child, p = qf * f + s, qv + u, i
+            if fold and cf <= r:
+                sign = kernel.sign(child) if cf >= -r else -1
+                if not sign:
+                    continue
+                if sign < 0:
+                    cf, child, p, s = -cf, -child, ~i, -s
+            if (cf < out_lo or cf > out_hi
+                    or not (in_lo <= cf <= in_hi or keep(child))
+                    or child in seen):
                 continue
             seen[child] = None
             nxt.append(child)
             nfl.append(cf)
-            par.append(i)
+            par.append(p)
             dig.append(s)
         if len(seen) > budget:
-            return (nxt, nfl, r), links, False
-    return (nxt, nfl, r), links, True
+            return (nxt, nfl, r), links, False, remap
+    return (nxt, nfl, r), links, True, remap
 
 
 def _sort_order(kernel, values, floats, radii) -> array:
@@ -439,7 +444,7 @@ def enumerate_X(q: AlgebraicNumber, m: int, B, *,
     links = []
     complete = True
     while level[0] and complete:
-        level, link, complete = _expand_level(
+        level, link, complete, _ = _expand_level(
             kernel, model, level, range(m + 1),
             lambda r: (-math.inf, _down(b_lo - r), -math.inf, _up(b_hi + r)),
             lambda c: kernel.cmp_fraction(c, B) <= 0, seen, budget)
@@ -480,7 +485,7 @@ def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
         return -lo, lo, -hi, hi
 
     for cap in reversed(caps):      # cap_t, t = degree, ..., 0
-        level, link, complete = _expand_level(
+        level, link, complete, _ = _expand_level(
             kernel, model, level, alphabet, band,
             lambda c: abs(kernel.float_value(c)) <= cap, {}, budget)
         links.append(link)
@@ -704,6 +709,12 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
     exhaustive on that interval.  If a full expansion round adds no new
     state the reachable set is closed and min over it equals the true
     infimum of positive spectrum values in (0, c].
+
+    Depth 1 is the digits 1..m that are <= c; each further depth is one
+    ``_expand_level`` call with ``fold`` (floats up to c_lo - r kept, above
+    c_hi + r dropped, v <= c tested exactly between), after which ``_least``
+    takes the best from the new level, a partial one cut by the budget
+    included, re-keyed first by the call's re-pack map.
     """
     _check_inputs(q, state_budget)
     if m < 1:
@@ -712,7 +723,6 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
         raise PreconditionError("max_depth >= 1 required")
     kernel = make_kernel(q, m, tol=tol)
     model = kernel.float_model()
-    qf = model[0]
     exact = kernel.exact
 
     def vec(v):
@@ -728,106 +738,76 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
         c = m / (kernel.qf - 1.0)
         return v <= c + kernel.tol
 
-    # float bounds of c = m/(q-1) over the base interval
+    # float bounds of c = m/(q-1) over the base interval: floats up to
+    # c_lo - r are proven <= c, those above c_hi + r are > c
     lo, hi = q.interval()
     c_lo = _float_enclosure(m / (hi - 1))[0]
     c_hi = _float_enclosure(m / (lo - 1))[1] if lo > 1 else math.inf
 
-    def best_band(r):
-        # floats below lt are proven smaller than the best, above gt larger
-        _, _, bf, br = best
-        return _down(_down(bf - br) - r), _up(_up(bf + br) + r)
-
+    # depth 1: the digits 1..m that are <= c, as the kernel stores values
     seen = {} if exact else _FloatSeen(kernel.tol)
-    level, floats = [], array("d")
-    par, dig = array("i"), array("i")
-    links = [(par, dig)]    # per depth: (parents, digits), see _digits_at
-    best = None  # (value_repr, (depth - 1, position), carried float, radius)
-    trace = []
+    ones = []
     for s in range(1, m + 1):
-        v = kernel.mul_q(kernel.zero) + s
+        v = kernel.zero + s * kernel.one
         if kernel.sign(v) > 0 and in_upper(v) and v not in seen:
             seen[v] = None
-            if best is None or kernel.sign(v - best[0]) < 0:
-                best = (v, (0, len(level)), float(s), 0.0)
-            level.append(v)
-            floats.append(s)
-            par.append(0)
-            dig.append(s)
-    radius = 0.0
-    depth = 1
-    closed = False
-    budget_exhausted = False
-    digits = range(-m, m + 1)
-    trace.append(_depth_record(kernel, vec, depth, best, seen, level, links))
-    while depth < max_depth:
-        remap = kernel.fit_step(level)
-        if remap is not None:
-            # the packing width grew: re-key every stored value, seen in
-            # its insertion order
-            level = list(map(remap, level))
-            seen = dict.fromkeys(map(remap, seen))
-            if best is not None:
-                best = (remap(best[0]), *best[1:])
-        r = _child_radius(model, radius, floats, m)
-        # floats up to up_in are proven <= c, those above up_out > c
-        up_in, up_out = _down(c_lo - r), _up(c_hi + r)
-        lt, gt = best_band(r) if best else (-math.inf, math.inf)
-        nxt, nfl = [], array("d")
-        par, dig = array("i"), array("i")
-        links.append((par, dig))
-        # one multiplication by q per parent; each child adds its digit
-        for i, (f, qv) in enumerate(zip(floats, map(kernel.mul_q, level))):
-            for s in digits:
-                cf = qf * f + s
-                if -r <= cf <= r:            # enclosure straddles 0
-                    sign = kernel.sign(qv + s)
-                    if sign == 0:
-                        continue
-                else:
-                    sign = 1 if cf > 0 else -1
-                if sign < 0:
-                    cf = -cf
-                if cf > up_out:
-                    continue
-                child = qv + s if sign > 0 else -(qv + s)
-                if (cf > up_in and not in_upper(child)) or child in seen:
-                    continue
-                seen[child] = None
-                if (best is None or cf < lt or
-                        (cf <= gt and kernel.sign(child - best[0]) < 0)):
-                    best = (child, (depth, len(nxt)), cf, r)
-                    lt, gt = best_band(r)
-                nxt.append(child)
-                nfl.append(cf)
-                # a flipped child -(q*v + s) is q*(-v) + (-s)
-                par.append(i if sign > 0 else ~i)
-                dig.append(s * sign)
-            if len(seen) > state_budget:
-                budget_exhausted = True
-                break
+            ones.append(s)
+    level = list(seen), array("d", ones), 0.0
+    links = [(array("i", [0]) * len(ones), array("i", ones))]  # _digits_at
+    best = _least(kernel, None, level, 0)
+    trace = [_depth_record(kernel, vec, 1, best, seen, level[0], links)]
+    depth, closed, budget_exhausted = 1, False, False
+    while depth < max_depth and not closed:
+        level, link, within, remap = _expand_level(
+            kernel, model, level, range(-m, m + 1),
+            lambda r: (-math.inf, _down(c_lo - r), -math.inf, _up(c_hi + r)),
+            in_upper, seen, state_budget, fold=True)
+        if remap and best:
+            best = (remap(best[0]), *best[1:])
+        links.append(link)
+        best = _least(kernel, best, level, depth)
+        budget_exhausted = not within
         if budget_exhausted:
             break
         depth += 1
-        trace.append(_depth_record(kernel, vec, depth, best, seen, nxt,
+        trace.append(_depth_record(kernel, vec, depth, best, seen, level[0],
                                    links))
-        if not nxt:
-            closed = True
-            break
-        level, floats, radius = nxt, nfl, r
+        closed = not level[0]
 
-    closed_states = None
-    if closed:
-        closed_states = tuple(sorted(
-            ((kernel.float_value(v), vec(v)) for v in seen),
-            key=lambda state: state[0]))
     return BfsResult(
         base=q, m=m, trace=tuple(trace), closed=closed,
-        budget_exhausted=budget_exhausted, closed_states=closed_states,
+        budget_exhausted=budget_exhausted,
+        closed_states=tuple(sorted(
+            ((kernel.float_value(v), vec(v)) for v in seen),
+            key=lambda state: state[0])) if closed else None,
         min_positive=kernel.float_value(best[0]) if best else None,
         min_positive_vec=vec(best[0]) if best else None,
         min_witness=_digits_at(links, *best[1]) if best else None,
     )
+
+
+def _beside(f: float, fr: float, r: float) -> tuple[float, float]:
+    """(lt, gt): a float of radius r below lt carries a value proven below
+    any value within fr of f, one above gt a value proven above."""
+    return _down(_down(f - fr) - r), _up(_up(f + fr) + r)
+
+
+def _least(kernel, best, level, k: int):
+    """The smaller of ``best`` and the least value of ``level`` (stored at
+    ``links[k]``) as (value, (k, position), float, radius).  Only floats
+    within 2r of the level's smallest can carry that value; they are tested
+    in order against the running best, by the float band, then the exact
+    sign.  Values are distinct, so the minimum and its position are unique."""
+    values, floats, r = level
+    lt, gt = _beside(*best[2:], r) if best else (0.0, 0.0)
+    hi = _beside(min(floats, default=0.0), r, r)[1]
+    for j in compress(range(len(floats)), map(hi.__ge__, floats)):
+        f = floats[j]
+        if (best is None or f < lt
+                or (f <= gt and kernel.sign(values[j] - best[0]) < 0)):
+            best = (values[j], (k, j), f, r)
+            lt, gt = _beside(f, r, r)
+    return best
 
 
 def _depth_record(kernel, vec, depth, best, seen, new_level, links):

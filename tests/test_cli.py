@@ -450,6 +450,47 @@ def test_cli_unwritable_out_file_exit2(tmp_path, capsys):
                    "No such file or directory\n")
 
 
+def test_cli_unwritable_out_file_fails_before_the_command(tmp_path, capsys,
+                                                         monkeypatch):
+    # the path is checked at intake: the 60,504-point window below was once
+    # enumerated and sorted before the exit
+    def spectrum(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli.COMMANDS, "spectrum", spectrum)
+    target = tmp_path / "missing" / "x.json"
+    code = cli.main(["spectrum", "--poly", "-1,-1,0,0,1", "--m", "1",
+                     "--bound", "300", "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: cannot write {str(target)!r}: "
+                   "No such file or directory\n")
+    assert not target.parent.exists()
+
+
+def test_cli_failing_command_leaves_the_out_file_as_it_was(tmp_path,
+                                                           capsys):
+    target = tmp_path / "x.json"
+    target.write_bytes(b"an earlier run\n")
+    code = cli.main(["spectrum", "--poly", "-1,-1,0,1", "--m", "1",
+                     "--bound", "-1", "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == "error: bound must be positive and a finite float\n"
+    assert target.read_bytes() == b"an earlier run\n"
+
+
+def test_cli_X_window_rejects_a_degree_exit2(capsys):
+    # the degree was once recorded in the manifest and ignored
+    code = cli.main(["spectrum", "--poly", "-1,-1,0,1", "--m", "1",
+                     "--bound", "2", "--degree", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: --degree applies to Y windows only\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["minpos", "--m", "1"], ["spectrum", "--m", "1", "--bound", "2"]])
 def test_cli_state_budget_below_one_exit2(capsys, argv):

@@ -20,7 +20,9 @@ from functools import cmp_to_key
 
 import pytest
 
+from qspectra import spectrum
 from qspectra.algebraic import AlgebraicNumber, _PackedZq, _float_enclosure
+from qspectra.config import DEFAULT_STATE_BUDGET
 from qspectra.intpoly import IntPolynomial
 from qspectra.reproduce import case_oracle_equivalence
 from qspectra.serialize import canonical_json, window_point_texts
@@ -162,9 +164,13 @@ def _canonical(top_first):
     return digits or (0,)
 
 
-def reference_bfs(q: AlgebraicNumber, m: int, max_depth: int) -> BfsResult:
+def reference_bfs(q: AlgebraicNumber, m: int, max_depth: int,
+                  budget: int = DEFAULT_STATE_BUDGET) -> BfsResult:
     """The smallest-positive search with every sign, window test and
-    comparison made by ``ZqContext.sign``/``compare``."""
+    comparison made by ``ZqContext.sign``/``compare``.  The budget rule is
+    the engine's: expansion stops after the first parent whose children
+    push ``seen`` past the budget, and that partial level still offers its
+    best."""
     ctx = q.zq_context()
     ctx.ensure_float_resolution()
 
@@ -187,7 +193,7 @@ def reference_bfs(q: AlgebraicNumber, m: int, max_depth: int) -> BfsResult:
             level.append((v, (s,)))
             if best is None or ctx.compare(v, best[0]) < 0:
                 best = (v, (s,))
-    depth, closed = 1, False
+    depth, closed, exhausted = 1, False, False
     trace.append(record(depth, level))
     while depth < max_depth:
         nxt = []
@@ -208,6 +214,11 @@ def reference_bfs(q: AlgebraicNumber, m: int, max_depth: int) -> BfsResult:
                 nxt.append((child, cpath))
                 if best is None or ctx.compare(child, best[0]) < 0:
                     best = (child, cpath)
+            if len(seen) > budget:
+                exhausted = True
+                break
+        if exhausted:
+            break
         depth += 1
         trace.append(record(depth, nxt))
         if not nxt:
@@ -218,27 +229,40 @@ def reference_bfs(q: AlgebraicNumber, m: int, max_depth: int) -> BfsResult:
     if closed:
         closed_states = tuple((ctx.float_value(v), v[0])
                               for v in sorted(seen, key=ctx.float_value))
-    return BfsResult(q, m, tuple(trace), closed, False, closed_states,
+    return BfsResult(q, m, tuple(trace), closed, exhausted, closed_states,
                      ctx.float_value(best[0]) if best else None,
                      best[0][0] if best else None,
                      _canonical(best[1]) if best else None)
 
 
+def _bfs_case(key, m, depth, budget=None):
+    name = f"{key}-{m}-{depth}" + (f"-budget{budget}" if budget else "")
+    return pytest.param(key, m, depth, budget or DEFAULT_STATE_BUDGET,
+                        id=name)
+
+
 # the bases of the witness soundness test in test_spectrum.py, an integer
-# base, and two searches whose carried entry bound passes the packing limit
+# base, two searches whose carried entry bound passes the packing limit
 # and restarts from the level's true maximum (("sqrt2", 2, 24) and the
-# closing ("q3", 2, 60))
-BFS_CASES = [("phi", 1, 24), ("sqrt2", 1, 12), (3, 2, 10), ("q3", 2, 60),
-             ("q8", 1, 10), ("sqrt2", 2, 24), ("q4", 3, 10), ("q8", 1, 12)]
+# closing ("q3", 2, 60)), and three whose budget trips: sqrt 2 after 2 and
+# 7 depths, and x^8 - x^6 - 1 after 6, a third of the way into depth 7,
+# whose partial level holds a smaller state than depth 6 but not the
+# smallest of the full level
+BFS_CASES = [_bfs_case(*case) for case in [
+    ("phi", 1, 24), ("sqrt2", 1, 12), (3, 2, 10), ("q3", 2, 60),
+    ("q8", 1, 10), ("sqrt2", 2, 24), ("q4", 3, 10), ("q8", 1, 12),
+    ("sqrt2", 1, 30, 5), ("sqrt2", 1, 30, 37), ("q8", 1, 12, 500)]]
 
 
-@pytest.mark.parametrize("key,m,depth", BFS_CASES)
+@pytest.mark.parametrize("key,m,depth,budget", BFS_CASES)
 def test_min_positive_bfs_matches_the_exact_reference(deadline, key, m,
-                                                      depth):
+                                                      depth, budget):
     with deadline(60):
-        want = reference_bfs(base(key), m, depth).to_dict()
-        got = min_positive_bfs(base(key), m, depth).to_dict()
+        want = reference_bfs(base(key), m, depth, budget).to_dict()
+        got = min_positive_bfs(base(key), m, depth,
+                               state_budget=budget).to_dict()
     assert got == want
+    assert got["budget_exhausted"] == (budget < DEFAULT_STATE_BUDGET)
 
 
 @pytest.mark.parametrize("key,m,depth,widths", [
@@ -283,13 +307,53 @@ def _coarse_model(q: AlgebraicNumber, shift: Fraction) -> AlgebraicNumber:
     return q
 
 
-@pytest.mark.parametrize("key,m,depth", BFS_CASES)
-def test_coarse_enclosures_reach_the_same_result(deadline, key, m, depth):
+@pytest.mark.parametrize("key,m,depth,budget", BFS_CASES)
+def test_coarse_enclosures_reach_the_same_result(deadline, key, m, depth,
+                                                 budget):
     with deadline(60):
-        want = reference_bfs(base(key), m, depth).to_dict()
+        want = reference_bfs(base(key), m, depth, budget).to_dict()
         q = _coarse_model(base(key), Fraction(1, 2**12))
-        got = min_positive_bfs(q, m, depth).to_dict()
+        got = min_positive_bfs(q, m, depth, state_budget=budget).to_dict()
     assert got == want
+
+
+@pytest.mark.parametrize("key,m,sha256", [
+    ("9/5", 1,
+     "6d57b3e5215d0a20190d4cf404ba6ce67cf1b3389f6088aef273883552cb9c3f"),
+    ("27/20", 1,
+     "0c307fbb4116752b9d49fc17722e2157ac21a3bb267d539ed2fe209d87f822d0"),
+    # c = 2/(5 - 1) = 1/2 lies below every digit, so depth 1 is empty and
+    # the search closes at depth 2
+    (5, 2,
+     "bd098e88effe59e1028aba66c04c78adad599688283b57490f79fdc78dc8534d")])
+def test_searches_keep_their_recorded_results(key, m, sha256):
+    """The float kernel's search on two rational bases, and a search whose
+    first level is empty, to depth 12: the SHA-256 of the sorted-key JSON
+    of the result."""
+    res = min_positive_bfs(base(key), m, 12).to_dict()
+    text = json.dumps(res, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("key,depth,exact", [("q8", 10, True),
+                                             ("9/5", 12, False)])
+def test_each_search_depth_is_one_level_expansion(monkeypatch, key, depth,
+                                                  exact):
+    """The search grows through the windows' level routine, one call per
+    depth after the first, on the packed and on the float kernel."""
+    folds = []
+    expand = spectrum._expand_level
+
+    def counting(*args, **kwargs):
+        folds.append(kwargs.get("fold"))
+        return expand(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "_expand_level", counting)
+    res = min_positive_bfs(base(key), 1, depth)
+    assert not res.closed and not res.budget_exhausted
+    assert len(res.trace) == depth
+    assert (res.min_positive_vec is not None) == exact
+    assert folds == [True] * (depth - 1)
 
 
 def _digest(window):
