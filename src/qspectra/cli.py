@@ -26,9 +26,7 @@ from .errors import (
     QSpectraError,
     ReducibleInputError,
 )
-from .expansions import SignPattern, greedy_expansion, lazy_constrained
 from .intpoly import IntPolynomial
-from .reproduce import case_ids, run_cases
 from .serialize import (
     JsonArray,
     RunManifest,
@@ -41,9 +39,6 @@ from .serialize import (
     windows_csv,
     write_json,
 )
-from .spectrum import (check_tail_fraction, check_tolerance, enumerate_A,
-                       enumerate_X, enumerate_Y, gap_report, l_estimate)
-from .witness import accumulation_verdict, build_witness
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -77,6 +72,7 @@ def resolve_base(args) -> AlgebraicNumber:
     if args.base is not None:
         if args.tolerance is None:
             raise PreconditionError("numeric bases require --tolerance")
+        from .spectrum import check_tolerance
         check_tolerance(args.tolerance)
         q = AlgebraicNumber.from_rational(_parse_fraction(args.base))
         if not q.greater_than(1):
@@ -121,6 +117,7 @@ def cmd_classify(args):
 
 
 def cmd_spectrum(args):
+    from .spectrum import enumerate_X, enumerate_Y
     if args.kind == "X" and args.degree is not None:
         raise PreconditionError("--degree applies to Y windows only")
     q = resolve_base(args)
@@ -137,6 +134,7 @@ def cmd_spectrum(args):
 
 
 def cmd_gaps(args):
+    from .spectrum import check_tail_fraction, enumerate_X, gap_report
     check_tail_fraction(args.tail_fraction)     # before the enumeration
     q = resolve_base(args)
     B = _parse_fraction(args.bound)
@@ -149,6 +147,7 @@ def cmd_gaps(args):
 
 
 def cmd_minpos(args):
+    from .spectrum import l_estimate
     q = resolve_base(args)
     est = l_estimate(q, args.m, args.max_depth,
                      state_budget=args.budget_states, tol=args.tolerance)
@@ -158,6 +157,7 @@ def cmd_minpos(args):
 
 
 def cmd_expand(args):
+    from .expansions import SignPattern, greedy_expansion, lazy_constrained
     q = resolve_base(args)
     if (args.target is None) == (args.pattern is None):
         raise PreconditionError("give exactly one of --target (greedy) / "
@@ -178,6 +178,7 @@ def cmd_expand(args):
 
 
 def cmd_witness(args):
+    from .witness import build_witness
     q = resolve_base(args)
     rep = build_witness(q, args.m, args.p, horizon=args.horizon)
     code = EXIT_BUDGET if "schedule_truncated" in rep.certified else EXIT_OK
@@ -185,6 +186,7 @@ def cmd_witness(args):
 
 
 def cmd_aq(args):
+    from .spectrum import enumerate_A
     q = resolve_base(args)
     try:
         degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
@@ -213,6 +215,7 @@ def cmd_aq(args):
 
 
 def cmd_verdict(args):
+    from .witness import accumulation_verdict
     q = resolve_base(args)
     v = accumulation_verdict(q, args.m, state_budget=args.budget_states,
                              tol=args.tolerance)
@@ -220,6 +223,7 @@ def cmd_verdict(args):
 
 
 def cmd_reproduce(args):
+    from .reproduce import run_cases
     results = run_cases(args.case, threads=args.threads)
     for r in results:
         mark = "PASS" if r["passed"] else "FAIL"
@@ -331,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reproduce", parents=[common],
                         help="run registered reproduction cases")
     sp.add_argument("case", nargs="?", default="all",
-                    help=f"case id or 'all'; known: {', '.join(case_ids())}")
+                    help="case id or 'all'")
     return ap
 
 
@@ -409,9 +413,17 @@ def main(argv=None) -> int:
             else:
                 write_json(fh, doc)
                 fh.write("\n")
+            fh.flush()
     except OSError as exc:
         if not args.out:
-            raise
+            if not isinstance(exc, BrokenPipeError):
+                raise
+            # the reader closed stdout: the exit flush of what is still
+            # buffered goes to devnull, so the run ends quietly
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return code
         print(f"error: cannot write {args.out!r}: {exc.strerror or exc}",
               file=sys.stderr)
         return EXIT_PRECONDITION

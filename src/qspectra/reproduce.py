@@ -11,7 +11,6 @@ import itertools
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -408,6 +407,7 @@ def run_cases(which: str = "all", threads: int = 1) -> list[dict]:
         raise PreconditionError(
             f"unknown case {which!r}; known: {', '.join(case_ids())}")
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_case, selected))
     else:

@@ -36,7 +36,6 @@ from .expansions import (
     periodic_completion,
     verify_expansion,
 )
-from .spectrum import _devries_margin, l_estimate
 
 # Gaussian rationals at the public boundary: (re, im) Fraction pairs.
 GR = tuple[Fraction, Fraction]
@@ -733,6 +732,7 @@ def accumulation_verdict(q: AlgebraicNumber, m: int, *,
     cross-check: a growth-bound certificate or BFS closure for the discrete
     verdicts, the decreasing minimal-positive trace for the accumulating
     one.  The cross-checks are evidence, never the proof."""
+    from .spectrum import l_estimate     # build_witness never loads it
     if m < 1:
         raise PreconditionError("m >= 1 required")
     if not q.greater_than(1):
@@ -764,6 +764,7 @@ def _devries_certificate(q: AlgebraicNumber, m: int,
     """Degree cap beyond which every spectrum value exceeds the sample
     bound, from |y| > q^n (1 - m/(q-1)); empty at q = m+1 exactly, where
     the unit gap bound takes over."""
+    from .spectrum import _devries_margin
     bound = _devries_margin(q, m)
     if bound is None:
         return {"applies": False}

@@ -831,6 +831,51 @@ def test_labels_and_upper_rung_evidence_load_only_the_standard_library():
     assert out.stdout.splitlines()[1] == "['qspectra']"
 
 
+@pytest.mark.parametrize("code, unloaded", [
+    ("import qspectra\n"
+     "q = qspectra.AlgebraicNumber.base_from_poly(\n"
+     "    qspectra.IntPolynomial([-1, -1, 0, 1]), root_index=0)\n"
+     "assert qspectra.classify_base(q).tag == 'Pisot'\n",
+     {"spectrum", "expansions", "witness", "reproduce", "cli"}),
+    ("from qspectra import cli\n"
+     "cli.main(['classify', '--poly', '-1,-1,0,1'])\n",
+     {"spectrum", "expansions", "witness", "reproduce"}),
+    ("from qspectra import cli\n"
+     "cli.main(['expand', '--poly', '-1,-1,0,1', '--m', '1', '--target',\n"
+     "          '1', '--horizon', '8'])\n",
+     {"spectrum"}),
+], ids=["library-classify", "cli-classify", "cli-expand"])
+def test_each_path_loads_only_the_modules_it_runs(code, unloaded):
+    # the census and every CLI process once loaded all eight modules
+    code += ("import sys\n"
+             "print(*[m for m in sys.modules if m.startswith('qspectra.')])\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    loaded = {m.partition(".")[2] for m in out.stdout.splitlines()[-1].split()}
+    assert {"algebraic", "intpoly"} <= loaded
+    assert not loaded & unloaded
+
+
+def test_lazy_package_names_bind_on_first_use():
+    code = (
+        "import sys, qspectra\n"
+        "assert 'qspectra.spectrum' not in sys.modules\n"
+        "from qspectra import *\n"
+        "assert all(name in globals() for name in qspectra.__all__)\n"
+        "assert set(qspectra.__all__) <= set(dir(qspectra))\n"
+        "assert qspectra.spectrum.min_positive_bfs is min_positive_bfs\n"
+        "try:\n"
+        "    qspectra.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout == ("module 'qspectra' has no attribute "
+                          "'no_such_name'\n")
+
+
 def test_unresolved_disks_leave_the_label_exact():
     q = AlgebraicNumber.base_from_poly(P1_POLY, root_index=0)
     cls = classify_base(q, budget_bits=32)        # no rung fits 32 bits

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from qspectra import cli
+from qspectra import cli, reproduce, spectrum
 from qspectra.serialize import (
     DIGITS_SCHEMA,
     ENVELOPE_SCHEMA,
@@ -19,6 +23,8 @@ from qspectra.serialize import (
     canonical_json,
     strip_wall_time,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, *argv):
@@ -286,7 +292,7 @@ def test_cli_classify_with_unresolved_disks_keeps_its_label(capsys,
 
 def test_cli_reproduce_exits_nonzero_when_a_case_fails(capsys, monkeypatch):
     failing = {"case": "golden-closure", "passed": False, "runtime_s": 0.0}
-    monkeypatch.setattr(cli, "run_cases", lambda *a, **k: [failing])
+    monkeypatch.setattr(reproduce, "run_cases", lambda *a, **k: [failing])
     code, doc = run_json(capsys, "reproduce", "golden-closure")
     assert code == 1
     assert doc["result"]["all_passed"] is False
@@ -384,7 +390,7 @@ def test_cli_gaps_checks_the_tail_fraction_before_the_window(capsys,
     def enumerate_X(*args, **kwargs):
         raise AssertionError("the window was enumerated")
 
-    monkeypatch.setattr(cli, "enumerate_X", enumerate_X)
+    monkeypatch.setattr(spectrum, "enumerate_X", enumerate_X)
     code = cli.main(["gaps", "--poly", "-1,-1,0,0,1", "--m", "1", "--bound",
                      "300", "--tail-fraction", "2"])
     out, err = capsys.readouterr()
@@ -479,6 +485,22 @@ def test_cli_failing_command_leaves_the_out_file_as_it_was(tmp_path,
     assert code == 2
     assert err == "error: bound must be positive and a finite float\n"
     assert target.read_bytes() == b"an earlier run\n"
+
+
+@pytest.mark.parametrize("argv, read", [
+    # 155 kB: more than the pipe holds, so the write itself meets the
+    # closed pipe; and 1 kB, which sits in stdout's buffer until it flushes
+    (["spectrum", "--poly", "-1,-1,0,1", "--m", "1", "--bound", "300"], 100),
+    (["classify", "--poly", "-1,-1,0,-1,1"], 0)], ids=["write", "exit-flush"])
+def test_cli_closed_stdout_ends_quietly_with_the_command_code(argv, read):
+    # stdout closed early once ended in a BrokenPipeError traceback, exit 1
+    proc = subprocess.Popen([sys.executable, "-m", "qspectra.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": SRC})
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_cli_X_window_rejects_a_degree_exit2(capsys):
@@ -680,7 +702,7 @@ def test_window_writer_peak_per_point(tmp_path, monkeypatch):
     # point to the traced memory (57.5 measured with texts packed in one
     # string; 104.9 with one str per text, and point dicts or the whole
     # JSON text would take far more)
-    enumerate_X = cli.enumerate_X
+    enumerate_X = spectrum.enumerate_X
     held = []
 
     def measured(*args, **kwargs):
@@ -689,7 +711,7 @@ def test_window_writer_peak_per_point(tmp_path, monkeypatch):
         tracemalloc.reset_peak()
         return w
 
-    monkeypatch.setattr(cli, "enumerate_X", measured)
+    monkeypatch.setattr(spectrum, "enumerate_X", measured)
     tracemalloc.start()
     try:
         code = cli.main(["spectrum", "--poly", "-1,-1,0,0,1", "--m", "1",
