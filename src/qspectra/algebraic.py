@@ -11,9 +11,9 @@ Three layers live here:
   circle (``intpoly.unit_circle_counts``: Routh-Hurwitz after the Cayley
   map, the circle's roots read off the gcd that ends its Sturm sequence).
   ``conjugates`` -- all complex roots with certified error disks
-  (simultaneous Weierstrass iteration, in double precision first and in
-  fixed-point Gaussian integers above it; a-posteriori disks checked
-  exactly in the same scaled Gaussian integers) -- is the label's
+  (simultaneous Weierstrass iteration, one fixed-point iteration in
+  Gaussian integers on every rung; a-posteriori disks checked exactly in
+  the same scaled Gaussian integers) -- is the label's
   evidence, computed only when a ``NumberClass``'s ``conjugate_set`` is
   read.
 * ``ZqContext`` -- the one exact value kernel, Q[q] for any base, run in
@@ -37,7 +37,6 @@ refinement fails to terminate.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 import threading
@@ -675,57 +674,20 @@ class ConjugateSet:
 def _dk_iterate(coeffs: tuple[int, ...], prec_bits: int, start=None):
     """Simultaneous Weierstrass/Durand-Kerner iteration at the given
     precision.  Returns approximations only, as (Z, S): Gaussian integers
-    Z_j = (X_j, Y_j) over a power of two S; certification is separate.
+    Z_j = (X_j, Y_j) over S = 2^prec_bits; certification is separate.
 
-    At 53 bits the iteration runs in builtin ``complex`` from the seed
-    points, and its binary-float centres are scaled exactly to Gaussian
-    integers; it returns None when an iterate is not finite (say Horner
-    overflows past 1e308).  Above 53 bits it runs in fixed point over
-    S = 2^prec_bits: Horner and the Weierstrass product shift once per
-    multiply, and each correction is num*conj(den) floor-divided by
-    |den|^2.  The seed points scale the Cauchy bound in ints, so nothing
-    overflows; ``start`` is a previous rung's (Z, S), rescaled to S.
+    One fixed-point iteration on every rung: Horner and the Weierstrass
+    product shift once per multiply, and each correction is num*conj(den)
+    floor-divided by |den|^2.  The seed points scale the Cauchy bound in
+    ints, so nothing overflows; ``start`` is a previous rung's (Z, S),
+    rescaled to S.
     """
-    d, lead = len(coeffs) - 1, coeffs[-1]
+    d = len(coeffs) - 1
     bound = cauchy_root_bound(IntPolynomial(coeffs))
     steps = 60 + 12 * prec_bits // 16
-    if prec_bits <= 53:
-        try:
-            bound = float(bound)
-            seed, cur, z = complex(0.4, 0.9), complex(1), []
-            for _ in range(d):
-                cur = cur * seed
-                z.append(cur * bound / abs(cur) * 0.7)
-            tol = 2.0 ** (-(prec_bits * 3) // 4) * max(1.0, bound)
-            for _ in range(steps):
-                max_corr = 0.0
-                for j in range(d):
-                    num = 0j
-                    for c in reversed(coeffs):
-                        num = num * z[j] + c
-                    den = complex(lead)
-                    for i in range(d):
-                        if i != j:
-                            den *= z[j] - z[i]
-                    if den == 0:
-                        z[j] = z[j] + 2.0 ** (-prec_bits // 2)
-                        max_corr = 1.0
-                        continue
-                    w = num / den
-                    z[j] = z[j] - w
-                    max_corr = max(max_corr, abs(w))
-                if max_corr < tol:
-                    break
-        except OverflowError:
-            return None
-        if not all(map(cmath.isfinite, z)):
-            return None
-        S = max(x.as_integer_ratio()[1] for w in z for x in (w.real, w.imag))
-        return [(int(Fraction(w.real) * S), int(Fraction(w.imag) * S))
-                for w in z], S
     p, S = prec_bits, 1 << prec_bits
     B = (bound.numerator << p) // bound.denominator
-    if start is None:       # the 53-bit rung's seed directions, at 0.7*bound
+    if start is None:       # seed directions (0.4+0.9i)^k, at 0.7*bound
         t = math.atan2(0.9, 0.4)
         start = [(int(0.7 * 2**53 * math.cos(k * t)) * B,
                   int(0.7 * 2**53 * math.sin(k * t)) * B)
@@ -765,10 +727,10 @@ def _certified_disks(coeffs: tuple[int, ...], Z, S: int) -> list | None:
     d*(|Re W_j| + |Im W_j|) (W_j the Weierstrass correction) jointly contain
     all roots, and pairwise disjoint disks contain exactly one root each.
 
-    The centres are Gaussian integers Z_j over a power of two S, as every
-    rung of ``_dk_iterate`` returns them.  Then p(z_j) = N_j / S^d with
-    N_j = sum_k c_k Z_j^k S^(d-k), the Weierstrass denominator is
-    D_j / S^(d-1) with D_j = lead * prod_{i!=j} (Z_j - Z_i), and
+    The centres are Gaussian integers Z_j over S = 2^p, as ``_dk_iterate``
+    returns them.  Then p(z_j) = N_j / S^d with N_j = sum_k c_k Z_j^k
+    S^(d-k), the Weierstrass denominator is D_j / S^(d-1) with
+    D_j = lead * prod_{i!=j} (Z_j - Z_i), and
     W_j = N_j conj(D_j) / (S |D_j|^2).  Everything up to the one Fraction
     radius per disk, and the disjointness test, is integer arithmetic, so
     the result is a certificate, not an estimate.  Returns
@@ -817,15 +779,15 @@ def conjugates(p: IntPolynomial, radius=Fraction(1, 10**12),
     """All complex roots of squarefree p with certified disks and exact
     unit-circle location tags.
 
-    The precision ladder is 53, 64, 128, ... bits up to ``budget_bits``.
-    The 53-bit rung iterates in builtin ``complex``; each later rung of
-    ``prec`` bits iterates in Gaussian integers over 2^prec from the
-    previous rung's approximations, or from the seed points when the 53-bit
-    iterates overflowed.  Each rung's approximations are certified by
-    ``_certified_disks`` (exact, in the same scaled Gaussian integers); the
-    first rung whose disks are disjoint, within ``radius``, and straddle the
-    unit circle exactly ``on_circle_count`` times wins, and
-    ``precision_bits`` names it.
+    The precision ladder is 53, 64, 128, ... bits up to ``budget_bits``,
+    with one fixed-point iteration on every rung: the rung of ``prec`` bits
+    iterates in Gaussian integers over 2^prec, the first from the seed
+    points and each later one from the previous rung's approximations.
+    Each rung's approximations are certified by ``_certified_disks``
+    (exact, in the same scaled Gaussian integers); the first rung whose
+    disks are disjoint, within ``radius``, and straddle the unit circle
+    exactly ``on_circle_count`` times wins, and ``precision_bits`` names
+    it.
 
     Raises PreconditionError for non-squarefree input.  If the precision
     budget runs out before every off-circle root is certified inside or
@@ -861,7 +823,7 @@ def conjugates(p: IntPolynomial, radius=Fraction(1, 10**12),
     while prec <= budget_bits and not resolved:
         z = _dk_iterate(coeffs, prec, start)
         ran, start = prec, z
-        disks = None if z is None else _certified_disks(coeffs, *z)
+        disks = _certified_disks(coeffs, *z)
         if disks is not None:
             best = [(_locate_disk(*disk), *disk) for disk in disks]
             resolved = (sum(loc == "straddle" for loc, *_ in best) == on_count

@@ -597,14 +597,17 @@ def _reference_disks(coeffs, Z, S):
 
 
 def test_integer_disks_equal_the_fraction_reference(deadline):
+    # the corpus, then x^2 - 10^200 and x^2 - 10^200 x - 1, whose iterates
+    # are beyond double range
+    beyond = [IntPolynomial([-10**200, 0, 1]),
+              IntPolynomial([-1, -10**200, 1])]
     checked = 0
     with deadline(120):
-        for p in _height_one_corpus():
+        for p in _height_one_corpus() + beyond:
             start = None
             for prec in (53, 64, 128):
                 z = _dk_iterate(p.coeffs, prec, start)
                 start = z
-                assert z is not None
                 want = _reference_disks(p.coeffs, *z)
                 assert _certified_disks(p.coeffs, *z) == want, (p.coeffs, prec)
                 checked += want is not None
@@ -621,7 +624,7 @@ def test_integer_disks_reject_overlap_and_coincidence():
         assert _certified_disks((-2, 0, 1), Z, S) is None
 
 
-def test_double_rung_certifies_the_corpus(deadline):
+def test_53_bit_rung_certifies_the_corpus(deadline):
     with deadline(120):
         for p in _height_one_corpus():
             cs = conjugates(p)
@@ -639,12 +642,22 @@ def test_double_rung_certifies_the_corpus(deadline):
     assert conjugates(LEHMER_POLY).on_circle_count == 8
 
 
-def test_overflowing_double_rung_falls_back_to_the_integer_rungs(deadline):
-    # Horner at the seed points (modulus ~0.7e200) overflows double range.
+def _assert_integer_centres(coeffs, prec):
+    """The rung of ``prec`` bits returns one Gaussian-integer centre per
+    root over S = 2^prec: ints, so finite whatever the coefficients."""
+    Z, S = _dk_iterate(coeffs, prec)
+    assert S == 1 << prec and len(Z) == len(coeffs) - 1
+    assert all(type(x) is int and type(y) is int for x, y in Z)
+
+
+def test_coefficients_beyond_float_range_run_the_53_bit_rung_in_integers(
+        deadline):
+    # Horner at the seed points (modulus ~0.7e200) is beyond double range;
+    # the 53-bit rung iterates in integers like every later rung.
     # The disks are pinned by what they certify, not by their centres: a
     # centre is wherever the iteration stopped, and need not be the root
     p = IntPolynomial([-10**200, 0, 1])
-    assert _dk_iterate(p.coeffs, 53) is None
+    _assert_integer_centres(p.coeffs, 53)
     with deadline(60):
         cs = conjugates(p)
     assert cs.resolved and cs.precision_bits > 53
@@ -654,11 +667,11 @@ def test_overflowing_double_rung_falls_back_to_the_integer_rungs(deadline):
         assert d.radius <= Fraction(1, 10**12)
 
 
-def test_bound_beyond_float_range_ends_the_double_rung(deadline):
-    # the Cauchy bound 1 + 10^400 itself overflows a float; the integer
-    # rungs take it as an int
+def test_bound_beyond_float_range_runs_the_53_bit_rung_in_integers(deadline):
+    # the Cauchy bound 1 + 10^400 itself is beyond double range; every
+    # rung takes it as an int
     p = IntPolynomial([-10**400, 0, 1])
-    assert _dk_iterate(p.coeffs, 53) is None
+    _assert_integer_centres(p.coeffs, 53)
     with deadline(60):
         cs = conjugates(p)
     assert cs.resolved and cs.precision_bits > 53
@@ -666,6 +679,7 @@ def test_bound_beyond_float_range_ends_the_double_rung(deadline):
     for d, root in zip(cs.disks, (-10**200, 10**200)):
         assert abs(d.re - root) + abs(d.im) <= d.radius
         assert d.location == "outside"
+
 
 def test_tight_radius_escalates_past_the_double_rung(deadline):
     with deadline(60):

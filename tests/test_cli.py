@@ -71,13 +71,13 @@ def test_cli_root_interval_selection(capsys):
 
 @pytest.mark.parametrize("base,sha256", [
     (["--poly", "-1,-1,0,1"],                      # x^3-x-1, Pisot
-     "d3d19e0507ee60797273e980b3b2de9eefea728833966f24265acc19606cece9"),
+     "854bd56ef7a0713cecd2c5c60a7a4d48466d0f85fc2dbdb1238a652ba0448e58"),
     (["--poly", "1,-1,-1,-1,1"],                   # Salem quartic
-     "08e94861a86e47b4e34b98c7177de94b1f32affe987a702f43abdd0826eb63b5"),
+     "82bb4ca6949b5163731084fc76e851ec8e144147a2ac5f38f3de38b39919245c"),
     (["--poly", "-2,0,1"],                         # sqrt 2
-     "03dbc534b2576dd9054e09ca82b54810a778da2e6f915e05430ae9aff6d247eb"),
+     "d803e79a8c3a6a0365c74379c1072a46f071ab89fa354953755357f19d41447e"),
     (["--poly", "-1,0,0,0,0,0,-1,0,1"],            # x^8-x^6-1
-     "aa777de44d888bf1b42bb72eb9caef538742e1d5881293afbcee038cbabd2c0d"),
+     "8a0540e7362e951d94abb679f9219ea102a12c2dd67b848b5eb69bf5e93537c9"),
     (["--poly", "-1,-2,2"],                        # 2x^2-2x-1, not monic
      "36b45d141d19919daa1072436b06265cd79211a4d0e647e3ae0b528c8247dedd"),
     (["--base", "2", "--tolerance", "1e-9"],
@@ -90,6 +90,58 @@ def test_cli_classify_is_byte_identical_to_its_pin(capsys, base, sha256):
     assert code == 0
     text = re.sub(r'"wall_time_s":[^,}]*', '"wall_time_s":0', out)
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+# classify on hard intake: huge coefficients, a base beyond float range, a
+# base near 1, a Salem number, non-monic and rational bases, and a
+# non-squarefree input under both selectors.  Each label is the one the
+# independent oracle (bench/oracle.py) gives for Lehmer's polynomial and
+# (x-1)^2(x^2-x-1); the oracle gives no answer on the huge coefficients or
+# on degree 31 and takes no non-monic or rational base, so those labels are
+# the closed-form ones (x^2 - (10^20+1) has both roots outside the unit
+# circle; x^2 - 10^200 x - 1 has its other root at -10^-200; x^31 - x - 1
+# has 21 roots outside).
+CLASSIFY_SWEEP = [
+    pytest.param(["--poly", f"{-(10**20 + 1)},0,1"], 0,
+                 "NotPisot-AlgebraicInteger", ["outside"] * 2,
+                 id="x2-1e20-1"),
+    pytest.param(["--poly", f"-1,{-10**200},1"], 0, "Pisot",
+                 ["inside", "outside"], id="x2-1e200x-1"),
+    pytest.param(["--poly", f"-1,{-10**400},1"], 2, None, None,
+                 id="x2-1e400x-1"),
+    pytest.param(["--poly", "-1,-1" + ",0" * 29 + ",1"], 0,
+                 "NotPisot-AlgebraicInteger",
+                 ["inside"] * 10 + ["outside"] * 21, id="x31-x-1"),
+    pytest.param(["--poly", "1,1,0,-1,-1,-1,-1,-1,0,1,1"], 0,
+                 "NotPisot-AlgebraicInteger",
+                 ["on"] * 8 + ["inside", "outside"], id="lehmer"),
+    pytest.param(["--poly", "-1,-2,2"], 0, "NotAlgebraicInteger", [],
+                 id="2x2-2x-1"),
+    pytest.param(["--base", "27/20", "--tolerance", "1e-9"], 0,
+                 "NotAlgebraicInteger", [], id="27/20"),
+    pytest.param(["--poly", "-1,1,2,-3,1", "--root-index", "0"], 0, "Pisot",
+                 ["inside", "outside"], id="non-squarefree-index"),
+    pytest.param(["--poly", "-1,1,2,-3,1", "--root-interval", "1.5..1.7"], 0,
+                 "Pisot", ["inside", "outside"], id="non-squarefree-interval"),
+]
+
+
+@pytest.mark.parametrize("argv,code,label,locations", CLASSIFY_SWEEP)
+def test_cli_classify_sweep(tmp_path, capsys, deadline, argv, code, label,
+                            locations):
+    out = tmp_path / "classify.json"
+    with deadline(3):
+        assert cli.main(["classify", *argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) <= 1 and all(line.startswith("error: ") for line in err)
+    if code:
+        assert err and not out.exists()
+        return
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, ENVELOPE_SCHEMA)
+    assert doc["result"]["class"] == label
+    assert [d["location"] for d in doc["result"].get("conjugates", [])] \
+        == locations
 
 
 # -- windows / schemas ----------------------------------------------------------
@@ -618,12 +670,16 @@ def test_reproduce_single_case_threads_invariant(capsys):
     capsys.readouterr()
     _, doc2 = run_json(capsys, "reproduce", "golden-closure",
                        "--threads", "3")
+    _, again = run_json(capsys, "reproduce", "golden-closure",
+                        "--threads", "1")
+    # the case times go to stderr, so a second run repeats byte for byte
+    for case in doc1["result"]["cases"]:
+        assert "runtime_s" not in case and "within_time" not in case
+    assert canonical_json(strip_wall_time(again)) == \
+        canonical_json(strip_wall_time(doc1))
     r1 = strip_wall_time(doc1)
     r2 = strip_wall_time(doc2)
     for r in (r1, r2):
-        for case in r["result"]["cases"]:
-            case.pop("runtime_s")
-            case.pop("within_time")
         # the thread cap is a legitimate manifest parameter; the result
         # payload must not depend on it
         r["manifest"]["params"].pop("threads")
