@@ -7,7 +7,10 @@ construction, with a reproduction suite and CLI on top.
 
 ``import qspectra`` loads the classification layer (``algebraic``,
 ``intpoly``) at once; the names of ``expansions``, ``spectrum`` and
-``witness`` load their module on first use (PEP 562).
+``witness`` load their module on first use (PEP 562).  Records are
+``collections.namedtuple`` subclasses, or plain classes on
+``records.Record`` where a tuple does not fit, so that no module loads
+``inspect`` or ``typing``, which are slow to import.
 """
 
 import importlib

@@ -41,7 +41,7 @@ import math
 import sys
 import threading
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -61,6 +61,7 @@ from .intpoly import (
     _prem,
     _sturm_chain_of,
 )
+from .records import FrozenRecord
 
 # ---------------------------------------------------------------------------
 # small exact helpers
@@ -640,16 +641,13 @@ class _PackedZq:
 # conjugates with certified disks
 
 
-@dataclass(frozen=True)
-class ConjugateDisk:
-    """One certified root disk: the true root lies within ``radius`` of
-    center, and ``location`` is its certified position w.r.t. the unit
-    circle ('inside' | 'outside' | 'on' | 'unresolved')."""
+class ConjugateDisk(namedtuple("ConjugateDisk", "re im radius location")):
+    """One certified root disk: the true root lies within the Fraction
+    ``radius`` of the Fraction center (re, im), and ``location`` is its
+    certified position w.r.t. the unit circle ('inside' | 'outside' |
+    'on' | 'unresolved')."""
 
-    re: Fraction
-    im: Fraction
-    radius: Fraction
-    location: str
+    __slots__ = ()
 
     def modulus_bounds(self) -> tuple[float, float]:
         if self.location == "on":
@@ -659,13 +657,10 @@ class ConjugateDisk:
         return (max(0.0, m - r), m + r)
 
 
-@dataclass(frozen=True)
-class ConjugateSet:
-    poly: IntPolynomial
-    disks: tuple[ConjugateDisk, ...]
-    resolved: bool
-    precision_bits: int
-    on_circle_count: int
+class ConjugateSet(namedtuple("ConjugateSet", "poly disks resolved "
+                              "precision_bits on_circle_count")):
+    """``disks`` holds a ``ConjugateDisk`` per root of ``poly``."""
+    __slots__ = ()
 
     def count(self, location: str) -> int:
         return sum(1 for d in self.disks if d.location == location)
@@ -850,23 +845,24 @@ NOT_PISOT = "NotPisot-AlgebraicInteger"
 NOT_ALGEBRAIC_INTEGER = "NotAlgebraicInteger"
 
 
-@dataclass(frozen=True)
-class NumberClass:
+class NumberClass(FrozenRecord):
     """The class of a base q > 1, with the exact numbers of conjugates of q
     (q itself among them) inside, on and outside the unit circle.
 
     ``conjugate_set`` holds the certified disks of ``evidence_poly`` (the
     minimal polynomial of a monic irrational base, else None).  They are
     evidence, not the label: ``conjugates`` runs at ``budget_bits`` when
-    the set is first read."""
+    the set is first read, and the result is kept in the instance's
+    ``__dict__``."""
 
-    tag: str
-    detail: str
-    n_in: int
-    n_on: int
-    n_out: int
-    evidence_poly: IntPolynomial | None = None
-    budget_bits: int = 4096
+    _fields = ("tag", "detail", "n_in", "n_on", "n_out", "evidence_poly",
+               "budget_bits")
+
+    def __init__(self, tag: str, detail: str, n_in: int, n_on: int,
+                 n_out: int, evidence_poly: IntPolynomial | None = None,
+                 budget_bits: int = 4096):
+        super().__init__(tag, detail, n_in, n_on, n_out, evidence_poly,
+                         budget_bits)
 
     @property
     def is_pisot(self) -> bool:

@@ -14,40 +14,42 @@ aligns no denominator and forms no ring product (``_Corridor``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebraic import AlgebraicNumber, ZqContext
 from .errors import PreconditionError, QSpectraError
+from .records import FrozenRecord
 
 
 # ---------------------------------------------------------------------------
 # sign patterns
 
 
-@dataclass(frozen=True)
-class SignPattern:
+class SignPattern(namedtuple("SignPattern", "explicit threshold eventual")):
     """Set P of positive indices in finite-plus-eventual form.
 
-    ``explicit`` lists the members below ``threshold``; beyond it membership
-    is uniform: "in", "out", or "unknown" (materialized-to-horizon patterns
-    produced by the witness construction).  Capacities over such a set are
-    finitely certifiable.
+    ``explicit``, a frozenset, lists the members below ``threshold``; beyond
+    it membership is uniform: ``eventual`` is "in", "out", or "unknown"
+    (materialized-to-horizon patterns produced by the witness
+    construction).  Capacities over such a set are finitely certifiable.
     """
 
-    explicit: frozenset[int]
-    threshold: int
-    eventual: str = "out"           # "in" | "out" | "unknown"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.eventual not in ("in", "out", "unknown"):
-            raise PreconditionError(f"bad eventual flag {self.eventual!r}")
-        if self.threshold < 1:
+    def __new__(cls, explicit: frozenset[int], threshold: int,
+                eventual: str = "out"):
+        if eventual not in ("in", "out", "unknown"):
+            raise PreconditionError(f"bad eventual flag {eventual!r}")
+        if threshold < 1:
             raise PreconditionError("threshold must be >= 1")
-        bad = [i for i in self.explicit if i < 1 or i >= self.threshold]
+        bad = [i for i in explicit if i < 1 or i >= threshold]
         if bad:
             raise PreconditionError(
                 f"explicit indices {bad} outside [1, threshold)")
+        return super().__new__(cls, explicit, threshold, eventual)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))   # _replace too
 
     @classmethod
     def all_indices(cls) -> "SignPattern":
@@ -108,21 +110,24 @@ class SignPattern:
 # digit sequences
 
 
-@dataclass(frozen=True)
-class DigitSequence:
+class DigitSequence(FrozenRecord):
     """Digit stream s_i (coefficient of q^{-i}), i starting at first_index.
 
     ``period`` repeats forever after the preperiod; ``exact_zero_tail``
     asserts the remaining digits are all zero with zero residual (certified
-    exactly).
+    exactly).  ``meta``, a dict of how the digits were found, stays out of
+    equality, hash and repr.
     """
 
-    preperiod: tuple[int, ...]
-    height: int
-    period: tuple[int, ...] | None = None
-    first_index: int = 0
-    exact_zero_tail: bool = False
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
+    _fields = ("preperiod", "height", "period", "first_index",
+               "exact_zero_tail")
+
+    def __init__(self, preperiod: tuple[int, ...], height: int,
+                 period: tuple[int, ...] | None = None, first_index: int = 0,
+                 exact_zero_tail: bool = False, meta: dict | None = None):
+        super().__init__(preperiod, height, period, first_index,
+                         exact_zero_tail)
+        object.__setattr__(self, "meta", {} if meta is None else meta)
 
     def digit(self, i: int) -> int:
         if i < self.first_index:
@@ -213,16 +218,12 @@ def _residual_scaled(seq: DigitSequence, ar: ZqContext, target, N: int):
     return acc
 
 
-@dataclass(frozen=True)
-class ResidualCertificate:
-    residual: float
-    tail_bound: float
-    passed: bool
-    exact_zero: bool
+class ResidualCertificate(namedtuple(
+        "ResidualCertificate", "residual tail_bound passed exact_zero")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {"residual": self.residual, "tail_bound": self.tail_bound,
-                "passed": self.passed, "exact_zero": self.exact_zero}
+        return self._asdict()
 
 
 def verify_expansion(seq: DigitSequence, q: AlgebraicNumber, target,

@@ -12,10 +12,10 @@ Fractions appear only at their API boundary.  No floating point is used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
+from .records import FrozenRecord
 
 
 def _integer(c) -> int:
@@ -34,15 +34,16 @@ def _strip(cs: list[int]) -> tuple[int, ...]:
     return tuple(cs)
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(FrozenRecord):
     """Integer polynomial c0 + c1*x + ... + cd*x^d with cd != 0 (or the
-    zero polynomial, stored as an empty coefficient tuple)."""
+    zero polynomial, stored as an empty coefficient tuple ``coeffs``).
+    Equal and hashed by ``coeffs``; its ``__dict__`` also holds the
+    squarefree mark of ``squarefree_part``."""
 
-    coeffs: tuple[int, ...]
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", _strip(
+        object.__setattr__(self, "coeffs", _strip(      # hot: no field loop
             [c if type(c) is int else _integer(c) for c in coeffs]))
 
     # -- construction / formatting -------------------------------------

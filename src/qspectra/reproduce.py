@@ -11,9 +11,8 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable
 
 from .algebraic import AlgebraicNumber, classify_base, power_base
 from .errors import PreconditionError
@@ -24,7 +23,6 @@ from .spectrum import (
     enumerate_A,
     enumerate_X,
     enumerate_Y,
-    gap_report,
     min_positive_bfs,
 )
 from .witness import accumulation_verdict, build_witness
@@ -346,12 +344,10 @@ def case_sqrt_p2_power_chain() -> dict:
                          "tail_gaps": [g for _, g in table.rows]}}
 
 
-@dataclass(frozen=True)
-class ReproduceCase:
-    case_id: str
-    description: str
-    runner: Callable[[], dict]
-    time_limit_s: float
+class ReproduceCase(namedtuple("ReproduceCase",
+                               "case_id description runner time_limit_s")):
+    """``runner()`` returns {"passed": ..., "measured": ...}."""
+    __slots__ = ()
 
 
 CASES: tuple[ReproduceCase, ...] = (

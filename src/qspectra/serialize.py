@@ -17,9 +17,9 @@ import io
 import json
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 
 from . import __version__
+from .records import Record
 
 
 _CANONICAL = {"sort_keys": True, "separators": (",", ":"), "allow_nan": True}
@@ -29,11 +29,15 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, **_CANONICAL)
 
 
-@dataclass
-class JsonArray:
+class JsonArray(Record):
     """A JSON array given as an iterable of canonical JSON texts, each one
-    item or comma-joined items; ``write_json`` consumes it text by text."""
-    texts: Iterable[str]
+    item or comma-joined items; ``write_json`` consumes it text by text.
+    Not a tuple, so that ``json`` hands it to ``write_json``'s marker."""
+
+    _fields = ("texts",)
+
+    def __init__(self, texts: Iterable[str]):
+        self.texts = texts
 
 
 # stands in for each JsonArray in the encoded envelope; json escapes the NULs
@@ -86,33 +90,27 @@ def params_hash(params: dict) -> str:
     return hashlib.sha256(canonical_json(params).encode()).hexdigest()
 
 
-@dataclass
-class RunManifest:
-    command: str
-    params: dict
-    precision_bits: int
-    budgets: dict
-    version: str = __version__
-    wall_time_s: float | None = None
-    input_hashes: dict = field(default_factory=dict)
-    _t0: float = field(default_factory=time.perf_counter, repr=False)
+class RunManifest(Record):
+    """A run's command, parameters and budgets, with its wall time once
+    ``finish`` is called (mutable: ``finish`` sets ``wall_time_s``)."""
 
-    def __post_init__(self):
-        self.input_hashes = {"params_sha256": params_hash(self.params)}
+    _fields = ("command", "params", "precision_bits", "budgets", "version",
+               "wall_time_s", "input_hashes", "_t0")
+
+    def __init__(self, command: str, params: dict, precision_bits: int,
+                 budgets: dict, version: str = __version__,
+                 wall_time_s: float | None = None):
+        self._t0 = time.perf_counter()
+        self.command, self.params = command, params
+        self.precision_bits, self.budgets = precision_bits, budgets
+        self.version, self.wall_time_s = version, wall_time_s
+        self.input_hashes = {"params_sha256": params_hash(params)}
 
     def finish(self):
         self.wall_time_s = round(time.perf_counter() - self._t0, 6)
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "precision_bits": self.precision_bits,
-            "budgets": self.budgets,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "input_hashes": self.input_hashes,
-        }
+        return dict(zip(self._fields[:-1], self._values()))   # without _t0
 
 
 def envelope(manifest: RunManifest, result) -> dict:

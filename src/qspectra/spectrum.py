@@ -48,8 +48,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, compress
@@ -58,6 +57,7 @@ from .algebraic import AlgebraicNumber, _float_enclosure, _PackedZq
 from .config import (DEFAULT_NUMERIC_TOL, DEFAULT_STATE_BUDGET,
                      MAX_SCALE_BITS)
 from .errors import PreconditionError
+from .records import FrozenRecord
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +175,9 @@ def _child_radius(model, radius: float, floats, m: int) -> float:
 # windows
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
-    value: float
-    vec: tuple[int, ...] | None
-    digits: tuple[int, ...]
+class SpectrumPoint(namedtuple("SpectrumPoint", "value vec digits")):
+    """A window point; ``vec`` is None on a non-monic base."""
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         d: dict = {"approx": self.value, "digits": list(self.digits)}
@@ -208,28 +206,29 @@ class _Texts:
         return self.text[self.ends[i]:self.ends[i + 1] - 1]
 
 
-@dataclass(frozen=True)
-class SpectrumWindow:
+class SpectrumWindow(FrozenRecord):
     """A window as columns, one entry per point: the kernel's values (packed
     ints), carried floats and their proven radii; ``links`` holds each
     level's (parents, digits) columns: an X window's points are its levels,
     a Y or A window's its clipped last.  ``order`` lists the positions in
     increasing value.  Writers encode straight from the columns; ``texts``,
-    ``vecs`` and ``points`` are built when read."""
-    base: AlgebraicNumber
-    m: int
-    kind: str                       # "X" | "Y" | "A"
-    degree: int | None              # digit-string degree cap (None for X)
-    bound: Fraction
-    complete: bool
-    kernel: _PackedZq
-    keys: list
-    floats: array
-    radii: array
-    links: list
-    order: array
-    covering_radius: float | None = None
-    truncated: bool = False
+    ``vecs`` and ``points`` are built when read, and kept in the instance's
+    ``__dict__``."""
+
+    _fields = ("base", "m", "kind", "degree", "bound", "complete", "kernel",
+               "keys", "floats", "radii", "links", "order", "covering_radius",
+               "truncated")
+
+    def __init__(self, base: AlgebraicNumber, m: int,
+                 kind: str,                 # "X" | "Y" | "A"
+                 degree: int | None,        # digit-string cap (None for X)
+                 bound: Fraction, complete: bool, kernel: _PackedZq,
+                 keys: list, floats: array, radii: array, links: list,
+                 order: array, covering_radius: float | None = None,
+                 truncated: bool = False):
+        super().__init__(base, m, kind, degree, bound, complete, kernel,
+                         keys, floats, radii, links, order, covering_radius,
+                         truncated)
 
     @cached_property
     def texts(self) -> _Texts:
@@ -560,9 +559,9 @@ def enumerate_A(q: AlgebraicNumber, degree: int, B, *,
         raise PreconditionError("degree >= 0 required")
     B = _check_bound(B)
     columns, complete = _signed_window(q, 1, degree, B, (-1, 1), budget)
-    w = SpectrumWindow(q, 1, "A", degree, B, complete, *columns,
-                       truncated=not complete)
-    return replace(w, covering_radius=_covering_radius(w.values(), float(B)))
+    fields = (q, 1, "A", degree, B, complete, *columns)
+    radius = _covering_radius(SpectrumWindow(*fields).values(), float(B))
+    return SpectrumWindow(*fields, radius, not complete)
 
 
 def _covering_radius(values: list[float], B: float) -> float | None:
@@ -579,16 +578,11 @@ def _covering_radius(values: list[float], B: float) -> float | None:
 # gaps
 
 
-@dataclass(frozen=True)
-class GapReport:
-    window_kind: str
-    bound: float
-    point_count: int
-    min_gap: float
-    max_gap_tail: float
-    tail_fraction: float
-    histogram: tuple[tuple[float, int], ...]
-    min_gap_vec: tuple[tuple[int, ...], int]    # a ZqContext element
+class GapReport(namedtuple(
+        "GapReport", "window_kind bound point_count min_gap max_gap_tail "
+        "tail_fraction histogram min_gap_vec")):
+    """``min_gap_vec`` is the minimal gap as a ``ZqContext`` element."""
+    __slots__ = ()
 
     def count_equal(self, value: float, tol: float = 1e-9) -> int:
         return sum(n for g, n in self.histogram if abs(g - value) <= tol)
@@ -650,47 +644,31 @@ def gap_report(window: SpectrumWindow,
 # minimal positive element engine
 
 
-@dataclass(frozen=True)
-class BfsDepthRecord:
-    depth: int
-    min_value: float
-    min_vec: tuple[int, ...] | None
-    witness: tuple[int, ...]
-    states: int
-    new_states: int
+class BfsDepthRecord(namedtuple(
+        "BfsDepthRecord", "depth min_value min_vec witness states new_states")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         finite = math.isfinite(self.min_value)
-        return {"depth": self.depth,
+        return {**self._asdict(),
                 "min_value": self.min_value if finite else None,
                 "min_vec": list(self.min_vec) if self.min_vec else None,
-                "witness": list(self.witness), "states": self.states,
-                "new_states": self.new_states}
+                "witness": list(self.witness)}
 
 
-@dataclass(frozen=True)
-class BfsResult:
-    base: AlgebraicNumber
-    m: int
-    trace: tuple[BfsDepthRecord, ...]
-    closed: bool
-    budget_exhausted: bool
-    closed_states: tuple[tuple[float, tuple[int, ...] | None], ...] | None
-    min_positive: float | None
-    min_positive_vec: tuple[int, ...] | None
-    min_witness: tuple[int, ...] | None
+class BfsResult(namedtuple(
+        "BfsResult", "base m trace closed budget_exhausted closed_states "
+        "min_positive min_positive_vec min_witness")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
+            **self._asdict(),
             "base": self.base.describe(),
-            "m": self.m,
             "trace": [r.to_dict() for r in self.trace],
-            "closed": self.closed,
-            "budget_exhausted": self.budget_exhausted,
             "closed_states": ([[v, list(vec) if vec else None]
                                for v, vec in self.closed_states]
                               if self.closed_states is not None else None),
-            "min_positive": self.min_positive,
             "min_positive_vec": (list(self.min_positive_vec)
                                  if self.min_positive_vec else None),
             "min_witness": (list(self.min_witness)
@@ -823,10 +801,10 @@ def _depth_record(kernel, vec, depth, best, seen, new_level, links):
 # liminf / limsup estimators
 
 
-@dataclass(frozen=True)
-class MinPositiveEstimate:
-    result: BfsResult
-    verdict: str        # "positive-certified" | "decreasing" | "stalled"
+class MinPositiveEstimate(namedtuple("MinPositiveEstimate",
+                                     "result verdict")):
+    """``verdict`` is "positive-certified" | "decreasing" | "stalled"."""
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         d = self.result.to_dict()
@@ -853,17 +831,15 @@ def l_estimate(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
     return MinPositiveEstimate(res, verdict)
 
 
-@dataclass(frozen=True)
-class TailGapTable:
-    base: AlgebraicNumber
-    m: int
-    rows: tuple[tuple[float, float], ...]   # (bound, max_gap_tail)
-    verdict: str                            # "decreasing" | "constant" | "mixed"
+class TailGapTable(namedtuple("TailGapTable", "base m rows verdict")):
+    """(bound, max_gap_tail) ``rows``; the verdict is "decreasing" |
+    "constant" | "mixed"."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {"base": self.base.describe(), "m": self.m,
-                "rows": [[b, g] for b, g in self.rows],
-                "verdict": self.verdict}
+        return {**self._asdict(), "base": self.base.describe(),
+                "rows": [[b, g] for b, g in self.rows]}
 
 
 def L_estimate(q: AlgebraicNumber, m: int, bounds, *,

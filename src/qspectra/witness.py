@@ -19,7 +19,7 @@ rounded int / int, the same float as that of the exact rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebraic import AlgebraicNumber, ZqContext, classify_base
@@ -140,16 +140,13 @@ def as_gaussian(p) -> GR:
 # direction vector
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(namedtuple("Direction", "w0 case shift_n period perturb_log2",
+                           defaults=(None, None, None))):
     """Scaled direction w0 (positive multiple of the unit w): Re w0 > 0 and
-    the case-specific partial-sum inequalities hold exactly."""
+    the case-specific partial-sum inequalities hold exactly.  ``case`` is
+    "a" | "a-shift" | "b-rational" | "b-irrational"."""
 
-    w0: GR
-    case: str                  # "a" | "a-shift" | "b-rational" | "b-irrational"
-    shift_n: int | None = None
-    period: int | None = None
-    perturb_log2: int | None = None
+    __slots__ = ()
 
     def w_unit(self) -> complex:
         z = _complex(self.w0)
@@ -387,24 +384,12 @@ def _least_k_truncated(ar: ZqContext, m: int, member_set: set[int],
 # witness reports
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    step: int                       # 1, 2, 3 or 4
-    verdict: str
-    base: AlgebraicNumber
-    m: int
-    p: GR
-    horizon: int
-    sequence: DigitSequence
-    direction: Direction | None
-    k: int | None
-    members: tuple[int, ...] | None
-    q_residual: list[float]
-    q_certificate: dict
-    p_re_trace: list[float]
-    p_abs_trace: list[float]
-    distinct_moduli: int | None
-    certified: dict = field(default_factory=dict)
+class WitnessReport(namedtuple(
+        "WitnessReport", "step verdict base m p horizon sequence direction k "
+        "members q_residual q_certificate p_re_trace p_abs_trace "
+        "distinct_moduli certified")):
+    """A witness at one companion point p; ``step`` is 1, 2, 3 or 4."""
+    __slots__ = ()
 
     def digits(self) -> list[int]:
         return self.sequence.digits_through(self.horizon)
@@ -707,20 +692,16 @@ def _witness_step4_finite(q, m, p, pw, w, direction, seq, k, members,
 # Discrete / Accumulates verdict
 
 
-@dataclass(frozen=True)
-class AccumulationVerdict:
-    verdict: str                    # "Discrete" | "Accumulates"
-    reason: str | None              # "Pisot" | "q>=m+1" | None
-    classification: str
-    base: AlgebraicNumber
-    m: int
-    cross_check: dict
+class AccumulationVerdict(namedtuple(
+        "AccumulationVerdict", "verdict reason classification base m "
+        "cross_check")):
+    """``verdict`` is "Discrete" | "Accumulates", ``reason`` "Pisot" |
+    "q>=m+1" | None."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {"verdict": self.verdict, "reason": self.reason,
-                "classification": self.classification,
-                "base": self.base.describe(), "m": self.m,
-                "cross_check": self.cross_check}
+        return {**self._asdict(), "base": self.base.describe()}
 
 
 def accumulation_verdict(q: AlgebraicNumber, m: int, *,

@@ -871,6 +871,40 @@ def test_each_path_loads_only_the_modules_it_runs(code, unloaded):
     assert not loaded & unloaded
 
 
+def test_no_package_module_loads_dataclasses_inspect_or_typing():
+    # -S: a site-packages .pth file may import typing at start-up, and the
+    # check must hold without it
+    code = ("import sys\n"
+            "import qspectra, qspectra.cli, qspectra.spectrum\n"
+            "import qspectra.expansions, qspectra.witness, qspectra.reproduce\n"
+            "print(*sorted({'dataclasses', 'inspect', 'typing'}\n"
+            "              & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout == "\n"
+
+
+def test_number_class_compares_hashes_and_prints_by_its_fields():
+    q = AlgebraicNumber.base_from_poly(P1_POLY, root_index=0)
+    cls = classify_base(q)
+    fields = ("Pisot", "all other conjugates inside", 2, 0, 1, P1_POLY, 4096)
+    assert cls == NumberClass(*fields) and hash(cls) == hash(fields)
+    assert cls != NumberClass(*fields[:6], 64) and cls != fields
+    assert repr(cls) == (
+        "NumberClass(tag='Pisot', detail='all other conjugates inside', "
+        "n_in=2, n_on=0, n_out=1, evidence_poly=IntPolynomial(coeffs=(-1, "
+        "-1, 0, 1)), budget_bits=4096)")
+    disk = cls.conjugate_set.disks[0]
+    assert repr(disk).startswith("ConjugateDisk(re=Fraction(")
+    assert disk == type(disk)(disk.re, disk.im, disk.radius, disk.location)
+    for record, name in ((cls, "tag"), (cls, "budget_bits"), (disk, "re"),
+                         (cls.conjugate_set, "resolved")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert cls.conjugate_set is cls.conjugate_set and cls.tag == "Pisot"
+
+
 def test_lazy_package_names_bind_on_first_use():
     code = (
         "import sys, qspectra\n"

@@ -70,6 +70,50 @@ def test_pattern_rejects_bad_explicit():
         SignPattern(frozenset({7}), 3, "in")
 
 
+@pytest.mark.parametrize("explicit, threshold, eventual", [
+    ({0}, 3, "out"), (set(), 0, "in"), (set(), 3, "maybe")])
+def test_pattern_rejects_other_bad_fields_at_construction(explicit, threshold,
+                                                          eventual):
+    with pytest.raises(PreconditionError):
+        SignPattern(frozenset(explicit), threshold, eventual)
+
+
+def test_pattern_replace_checks_the_new_fields():
+    p = SignPattern(frozenset({1}), 4)
+    assert p._replace(eventual="in") == SignPattern(frozenset({1}), 4, "in")
+    for bad in ({"explicit": frozenset({4})}, {"threshold": 0},
+                {"eventual": "maybe"}):
+        with pytest.raises(PreconditionError):
+            p._replace(**bad)
+
+
+def test_pattern_and_sequence_fields_are_read_only():
+    p = SignPattern(frozenset({2}), 3)
+    assert repr(p) == ("SignPattern(explicit=frozenset({2}), threshold=3, "
+                       "eventual='out')")
+    assert p == SignPattern(frozenset({2}), 3, "out") and hash(p) == hash(
+        (frozenset({2}), 3, "out"))
+    seq = DigitSequence((1, 0, 1), 1)
+    for record, name in ((p, "threshold"), (seq, "height"), (seq, "meta")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 2)
+    assert p.threshold == 3 and seq.height == 1 and seq.meta == {}
+
+
+def test_sequence_equality_hash_and_repr_leave_meta_out():
+    a = DigitSequence((1, 0, 1), 1, meta={"zero_from": 2})
+    b = DigitSequence(preperiod=(1, 0, 1), height=1)
+    assert a == b and hash(a) == hash(b) and {a: "x"}[b] == "x"
+    assert a.meta == {"zero_from": 2} and b.meta == {}
+    assert DigitSequence((0,), 1).meta is not DigitSequence((0,), 1).meta
+    assert repr(a) == repr(b) == (
+        "DigitSequence(preperiod=(1, 0, 1), height=1, period=None, "
+        "first_index=0, exact_zero_tail=False)")
+    assert hash(a) == hash(((1, 0, 1), 1, None, 0, False))
+    assert a != DigitSequence((1, 0, 1), 1, first_index=1)
+    assert a != DigitSequence((1, 0, 1), 1, period=(1,))
+
+
 # -- greedy ------------------------------------------------------------------
 
 

@@ -250,6 +250,18 @@ def test_count_roots_in_open_interval():
     assert count_roots_in(p, Fraction(3), Fraction(4)) == 0
 
 
+def test_polynomials_compare_and_hash_by_their_coefficients():
+    p = IntPolynomial([-1, -1, 0, 1, 0])         # the top zero is stripped
+    q = IntPolynomial((-1, -1, 0, 1))
+    assert p == q and p is not q and hash(p) == hash(q) == hash((q.coeffs,))
+    assert {p: "plastic"}[q] == "plastic"
+    assert p != IntPolynomial([-1, 1, 0, 1]) and p != (-1, -1, 0, 1)
+    assert repr(p) == "IntPolynomial(coeffs=(-1, -1, 0, 1))"
+    with pytest.raises(AttributeError):
+        p.coeffs = (1,)
+    assert p.coeffs == (-1, -1, 0, 1)
+
+
 def test_reciprocal():
     p = IntPolynomial([-1, -1, 0, 1])
     assert p.reciprocal().coeffs == (1, 0, -1, -1)
