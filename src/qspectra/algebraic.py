@@ -10,21 +10,20 @@ Three layers live here:
   the roots of the minimal polynomial inside, on and outside the unit
   circle (``intpoly.unit_circle_counts``: Routh-Hurwitz after the Cayley
   map, the circle's roots read off the gcd that ends its Sturm sequence).
-  ``conjugates`` -- all complex roots with certified error disks
-  (simultaneous Weierstrass iteration, one fixed-point iteration in
-  Gaussian integers on every rung; a-posteriori disks checked exactly in
-  the same scaled Gaussian integers) -- is the label's
-  evidence, computed only when a ``NumberClass``'s ``conjugate_set`` is
-  read.
+  ``conjugates`` -- all complex roots with certified error disks, on a
+  precision ladder whose engine lives in ``disks`` -- is the label's
+  evidence, computed (and ``disks`` loaded) only when a ``NumberClass``'s
+  ``conjugate_set`` is read.
 * ``ZqContext`` -- the one exact value kernel, Q[q] for any base, run in
   integers: every value is a pair (V, D) of an int vector V over the
   algebraic integer theta = a*q (a the leading coefficient; theta = q on a
   monic base) and an int denominator D > 0.  The search and the windows
-  pack these vectors into one int each (``_PackedZq``).  Ring operations,
-  exact signs and ordering (``sign``, ``compare``, ``cmp_fraction``) from
-  the base's sign oracle, display floats read off exact enclosures, and
-  the floating-point model (``float_model``) under which the spectrum
-  engines carry proven float enclosures of their search states.
+  pack these vectors into one int each (``spectrum._PackedZq``).  Ring
+  operations, exact signs and ordering (``sign``, ``compare``,
+  ``cmp_fraction``) from the base's sign oracle, display floats read off
+  exact enclosures, and the floating-point model (``float_model``) under
+  which the spectrum engines carry proven float enclosures of their search
+  states.
 
 Minimal polynomials are free of rational roots: ``AlgebraicNumber`` divides
 the rational roots of its polynomial out (``real_roots`` reads them off its
@@ -38,10 +37,7 @@ refinement fails to terminate.
 from __future__ import annotations
 
 import math
-import sys
 import threading
-from array import array
-from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -49,7 +45,6 @@ from .config import MAX_CERTIFY_BITS
 from .errors import PreconditionError, ReducibleInputError
 from .intpoly import (
     IntPolynomial,
-    cauchy_root_bound,
     count_roots_in,
     deflate_root,
     is_squarefree,
@@ -360,14 +355,14 @@ class ZqContext:
     Packed vectors.  The smallest-positive search and the windows keep an
     int vector (a_0, ..., a_{d-1}) over theta as one int V = sum a_i 2^(W i)
     (signed Kronecker substitution: Schoenhage, 1982; Harvey, *J. Symbolic
-    Comput.* 44, 2009), built by ``_PackedZq``.  Packing is additive and,
-    while every |a_i| < 2^(W-1), one-to-one, so equal vectors are equal
-    ints and a sign flip is -V.  A value v is stored as the vector of
-    a^D * v: D = 0 on a monic base, where theta = q, and on any other base
-    the window's depth bound, the highest degree of any child it computes.
-    A value with digits up to degree n < D is a^(D-n) times an int vector
-    (a^n q^i = a^(n-i) theta^i), so it is an int vector too.  With
-    theta^d = sum c_i theta^i, the top entry is
+    Comput.* 44, 2009), built by ``spectrum._PackedZq``.  Packing is
+    additive and, while every |a_i| < 2^(W-1), one-to-one, so equal
+    vectors are equal ints and a sign flip is -V.  A value v is stored as
+    the vector of a^D * v: D = 0 on a monic base, where theta = q, and on
+    any other base the window's depth bound, the highest degree of any
+    child it computes.  A value with digits up to degree n < D is a^(D-n)
+    times an int vector (a^n q^i = a^(n-i) theta^i), so it is an int vector
+    too.  With theta^d = sum c_i theta^i, the top entry is
     t = (V + 2^(W(d-1)-1)) >> W(d-1) and
 
         theta*v = (V << W) - t*R,    R = 2^(W d) - sum c_i 2^(W i),
@@ -544,229 +539,8 @@ class ZqContext:
         self.q.refine_to_width(Fraction(1, 2**80))
 
 
-class _PackedZq:
-    """The Z[theta] vectors of a base packed into one int each (see "Packed
-    vectors" in ``ZqContext``), each value x stored as the vector of
-    ``one * x``, one = a^depth; the exact methods decode to elements of the
-    wrapped context."""
-
-    zero = 0
-    exact = True
-
-    def __init__(self, ctx: ZqContext, m: int, depth: int = 0):
-        self.ctx, self.d, self.m, self.lead = ctx, ctx.d, m, ctx.lead
-        self.one = ctx.lead ** depth
-        self.float_model = ctx.float_model
-        self.growth = 1 + max((abs(c) for _, c in ctx.qd_terms), default=0)
-        self.bound = m * self.one   # entries of the current level are <= it
-        W = 32
-        while self.bound >= 1 << (W - 2):
-            W *= 2
-        self._set_width(W)
-
-    def _set_width(self, W: int):
-        """Bind ``pack``, ``unpack``, ``elem`` and ``mul_q`` to width W."""
-        d, a, one = self.d, self.lead, self.one
-        shift = W * (d - 1)
-        half, sign_bit, mask = (1 << shift) >> 1, 1 << (W - 1), (1 << W) - 1
-        # theta^d = sum c_i theta^i, so theta*V = (V << W) - t*R for the
-        # top entry t, and q*V = theta*V / a
-        R = (1 << W * d) - sum(c << W * i for i, c in self.ctx.qd_terms)
-
-        def mul_q(V):
-            return (V << W) - ((V + half) >> shift) * R
-
-        def pack(v):
-            return sum(x << W * i for i, x in enumerate(v))
-
-        def unpack(V):
-            out = []
-            for _ in range(d):
-                out.append(((V + sign_bit) & mask) - sign_bit)
-                V = (V + sign_bit) >> W
-            return tuple(out)
-
-        self.W, self.limit = W, 1 << (W - 2)
-        self.pack, self.unpack = pack, unpack
-        self.mul_q = mul_q if a == 1 else lambda V: mul_q(V) // a
-        self.elem = lambda V: (unpack(V), one)
-
-    def fit_step(self, level):
-        """Make room for the children q*v + s (|s| <= m) of ``level``.
-
-        Returns None when they fit at the current width.  When the carried
-        bound does not, it restarts from the level's true maximum; only if
-        that does not fit either does the width double until it does, and
-        the returned map re-packs a value stored at the old width."""
-        bound = self.bound * self.growth // self.lead + self.m * self.one
-        if bound >= self.limit:
-            old = self.unpack
-            top = max((abs(x) for V in level for x in old(V)), default=0)
-            bound = top * self.growth // self.lead + self.m * self.one
-        self.bound = bound
-        if bound < self.limit:
-            return None
-        W = 2 * self.W
-        while bound >= 1 << (W - 2):
-            W *= 2
-        self._set_width(W)
-        pack = self.pack
-        return lambda V: pack(old(V))
-
-    def unpack_all(self, column):
-        """The entries of the values of ``column``, d per value, flat.  Up to
-        W = 64, (V + O) ^ O with O = sum 2^(W-1+W i) is V's entries as W-bit
-        two's-complement words, read into an array a chunk at a time."""
-        d, W = self.d, self.W
-        if W > 64:
-            return [a for V in column for a in self.unpack(V)]
-        O, n = sum(1 << (W - 1 + W * i) for i in range(d)), W * d // 8
-        out = array("i" if W == 32 else "q")
-        for k in range(0, len(column), 4096):
-            out.frombytes(b"".join(((V + O) ^ O).to_bytes(n, sys.byteorder)
-                                   for V in column[k:k + 4096]))
-        return out
-
-    def sign(self, V) -> int:
-        return self.ctx.sign(self.elem(V))
-
-    def cmp_fraction(self, V, c: Fraction) -> int:
-        return self.ctx.cmp_fraction(self.elem(V), c)
-
-    def float_value(self, V) -> float:
-        return self.ctx.float_value(self.elem(V))
-
-
 # ---------------------------------------------------------------------------
 # conjugates with certified disks
-
-
-class ConjugateDisk(namedtuple("ConjugateDisk", "re im radius location")):
-    """One certified root disk: the true root lies within the Fraction
-    ``radius`` of the Fraction center (re, im), and ``location`` is its
-    certified position w.r.t. the unit circle ('inside' | 'outside' |
-    'on' | 'unresolved')."""
-
-    __slots__ = ()
-
-    def modulus_bounds(self) -> tuple[float, float]:
-        if self.location == "on":
-            return (1.0, 1.0)
-        m = math.hypot(float(self.re), float(self.im))
-        r = float(self.radius)
-        return (max(0.0, m - r), m + r)
-
-
-class ConjugateSet(namedtuple("ConjugateSet", "poly disks resolved "
-                              "precision_bits on_circle_count")):
-    """``disks`` holds a ``ConjugateDisk`` per root of ``poly``."""
-    __slots__ = ()
-
-    def count(self, location: str) -> int:
-        return sum(1 for d in self.disks if d.location == location)
-
-
-def _dk_iterate(coeffs: tuple[int, ...], prec_bits: int, start=None):
-    """Simultaneous Weierstrass/Durand-Kerner iteration at the given
-    precision.  Returns approximations only, as (Z, S): Gaussian integers
-    Z_j = (X_j, Y_j) over S = 2^prec_bits; certification is separate.
-
-    One fixed-point iteration on every rung: Horner and the Weierstrass
-    product shift once per multiply, and each correction is num*conj(den)
-    floor-divided by |den|^2.  The seed points scale the Cauchy bound in
-    ints, so nothing overflows; ``start`` is a previous rung's (Z, S),
-    rescaled to S.
-    """
-    d = len(coeffs) - 1
-    bound = cauchy_root_bound(IntPolynomial(coeffs))
-    steps = 60 + 12 * prec_bits // 16
-    p, S = prec_bits, 1 << prec_bits
-    B = (bound.numerator << p) // bound.denominator
-    if start is None:       # seed directions (0.4+0.9i)^k, at 0.7*bound
-        t = math.atan2(0.9, 0.4)
-        start = [(int(0.7 * 2**53 * math.cos(k * t)) * B,
-                  int(0.7 * 2**53 * math.sin(k * t)) * B)
-                 for k in range(1, d + 1)], 1 << p + 53
-    z = [((x << p) // start[1], (y << p) // start[1]) for x, y in start[0]]
-    tol = max(S, B) >> (3 * p // 4)
-    cs = [c << p for c in coeffs]
-    for _ in range(steps):
-        max_corr = 0
-        for j, (x, y) in enumerate(z):
-            nr, ni = cs[-1], 0
-            for c in reversed(cs[:-1]):
-                nr, ni = ((nr * x - ni * y) >> p) + c, (nr * y + ni * x) >> p
-            dr, di = cs[-1], 0
-            for i, (u, v) in enumerate(z):
-                if i != j:
-                    u, v = x - u, y - v
-                    dr, di = (dr * u - di * v) >> p, (dr * v + di * u) >> p
-            n2 = dr * dr + di * di
-            if n2:
-                wr = ((nr * dr + ni * di) << p) // n2
-                wi = ((ni * dr - nr * di) << p) // n2
-            else:           # z_j meets another point: move it by 2^(-p/2)
-                wr, wi = -(1 << p // 2), 0
-            z[j] = (x - wr, y - wi)
-            max_corr = max(max_corr, abs(wr), abs(wi))
-        if max_corr < tol:
-            break
-    return z, S
-
-
-def _certified_disks(coeffs: tuple[int, ...], Z, S: int) -> list | None:
-    """Exact Weierstrass a-posteriori disks about the centres Z_j / S, or
-    None when they overlap.
-
-    For distinct approximations z_j the disks centered z_j with radius
-    d*(|Re W_j| + |Im W_j|) (W_j the Weierstrass correction) jointly contain
-    all roots, and pairwise disjoint disks contain exactly one root each.
-
-    The centres are Gaussian integers Z_j over S = 2^p, as ``_dk_iterate``
-    returns them.  Then p(z_j) = N_j / S^d with N_j = sum_k c_k Z_j^k
-    S^(d-k), the Weierstrass denominator is D_j / S^(d-1) with
-    D_j = lead * prod_{i!=j} (Z_j - Z_i), and
-    W_j = N_j conj(D_j) / (S |D_j|^2).  Everything up to the one Fraction
-    radius per disk, and the disjointness test, is integer arithmetic, so
-    the result is a certificate, not an estimate.  Returns
-    [(re, im, radius)] as Fractions.
-    """
-    d, lead = len(coeffs) - 1, coeffs[-1]
-    scaled = [c * S ** (d - k) for k, c in enumerate(coeffs)]
-    radii = []
-    for j, (zr, zi) in enumerate(Z):
-        nr, ni = scaled[-1], 0
-        for c in reversed(scaled[:-1]):
-            nr, ni = nr * zr - ni * zi + c, nr * zi + ni * zr
-        dr, di = lead, 0
-        for i, (wr, wi) in enumerate(Z):
-            if i != j:
-                er, ei = zr - wr, zi - wi
-                if er == 0 and ei == 0:
-                    return None
-                dr, di = dr * er - di * ei, dr * ei + di * er
-        radii.append(Fraction(
-            d * (abs(nr * dr + ni * di) + abs(ni * dr - nr * di)),
-            S * (dr * dr + di * di)))
-    for i in range(d):
-        zr, zi = Z[i]
-        a, b = radii[i].numerator, radii[i].denominator
-        for j in range(i + 1, d):
-            er, ei = zr - Z[j][0], zi - Z[j][1]
-            a2, b2 = radii[j].numerator, radii[j].denominator
-            # |z_i - z_j| <= r_i + r_j, squared and times (S * b * b2)^2
-            if ((er * er + ei * ei) * (b * b2) ** 2
-                    <= (S * (a * b2 + a2 * b)) ** 2):
-                return None
-    return [(Fraction(x, S), Fraction(y, S), rad)
-            for (x, y), rad in zip(Z, radii)]
-
-
-def _locate_disk(re: Fraction, im: Fraction, radius: Fraction) -> str:
-    s2 = re * re + im * im
-    if radius < 1 and s2 < (1 - radius) ** 2:
-        return "inside"
-    return "outside" if s2 > (1 + radius) ** 2 else "straddle"
 
 
 def conjugates(p: IntPolynomial, radius=Fraction(1, 10**12),
@@ -789,6 +563,8 @@ def conjugates(p: IntPolynomial, radius=Fraction(1, 10**12),
     outside the unit circle, the set is returned with ``resolved=False``
     and ``precision_bits`` is the last rung run (0 if none fit the budget).
     """
+    from .disks import (ConjugateDisk, ConjugateSet, _certified_disks,
+                        _dk_iterate, _locate_disk, sorted_disks)
     if p.is_zero or p.degree < 1:
         raise PreconditionError("need a nonconstant polynomial")
     if not is_squarefree(p):
@@ -829,10 +605,6 @@ def conjugates(p: IntPolynomial, radius=Fraction(1, 10**12),
                                       straddle if loc == "straddle" else loc)
                         for loc, re, im, rad in best]
     return ConjugateSet(p, tuple(sorted_disks(out)), resolved, ran, on_count)
-
-
-def sorted_disks(disks):
-    return sorted(disks, key=lambda x: (x.re, x.im))
 
 
 # ---------------------------------------------------------------------------

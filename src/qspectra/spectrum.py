@@ -3,14 +3,14 @@ branch-and-bound engine for the smallest positive element.
 
 Every window, and the search on a monic base, runs on the base's exact
 ``ZqContext``: each value's integer vector over theta = a*q (a the leading
-coefficient of the minimal polynomial) packed into one int (``_PackedZq``),
-so deduplication and ordering are exact, and every sign the kernel decides
-comes from the base's exact sign oracle.  On a non-monic base, a rational
-one included, a window stores a^D times each value, D the highest degree it
-steps to (see "Packed vectors" in ``ZqContext``).  The search on a
-non-monic base has no depth bound, so it runs ``_FloatKernel``: floats
-deduplicated within a declared tolerance, whose radius (below) is infinite,
-so every decision falls through to its tolerance tests.
+coefficient of the minimal polynomial) packed into one int by this module's
+``_PackedZq``, so deduplication and ordering are exact, and every sign the
+kernel decides comes from the base's exact sign oracle.  On a non-monic
+base, a rational one included, a window stores a^D times each value, D the
+highest degree it steps to (see "Packed vectors" in ``ZqContext``).  The
+search on a non-monic base has no depth bound, so it runs ``_FloatKernel``:
+floats deduplicated within a declared tolerance, whose radius (below) is
+infinite, so every decision falls through to its tolerance tests.
 
 One routine, ``_expand_level``, grows every engine: each state y of a level
 spawns q*y + s for every digit s of the alphabet, in the X, Y and A windows
@@ -53,7 +53,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, compress
 
-from .algebraic import AlgebraicNumber, _float_enclosure, _PackedZq
+from .algebraic import AlgebraicNumber, ZqContext, _float_enclosure
 from .config import (DEFAULT_NUMERIC_TOL, DEFAULT_STATE_BUDGET,
                      MAX_SCALE_BITS)
 from .errors import PreconditionError
@@ -62,6 +62,103 @@ from .records import FrozenRecord
 
 # ---------------------------------------------------------------------------
 # value kernels
+
+
+class _PackedZq:
+    """The Z[theta] vectors of a base packed into one int each (see "Packed
+    vectors" in ``algebraic.ZqContext``), each value x stored as the vector of
+    ``one * x``, one = a^depth; the exact methods decode to elements of the
+    wrapped context."""
+
+    zero = 0
+    exact = True
+
+    def __init__(self, ctx: ZqContext, m: int, depth: int = 0):
+        self.ctx, self.d, self.m, self.lead = ctx, ctx.d, m, ctx.lead
+        self.one = ctx.lead ** depth
+        self.float_model = ctx.float_model
+        self.growth = 1 + max((abs(c) for _, c in ctx.qd_terms), default=0)
+        self.bound = m * self.one   # entries of the current level are <= it
+        W = 32
+        while self.bound >= 1 << (W - 2):
+            W *= 2
+        self._set_width(W)
+
+    def _set_width(self, W: int):
+        """Bind ``pack``, ``unpack``, ``elem`` and ``mul_q`` to width W."""
+        d, a, one = self.d, self.lead, self.one
+        shift = W * (d - 1)
+        half, sign_bit, mask = (1 << shift) >> 1, 1 << (W - 1), (1 << W) - 1
+        # theta^d = sum c_i theta^i, so theta*V = (V << W) - t*R for the
+        # top entry t, and q*V = theta*V / a
+        R = (1 << W * d) - sum(c << W * i for i, c in self.ctx.qd_terms)
+
+        if a == 1:
+            def mul_q(V):
+                return (V << W) - ((V + half) >> shift) * R
+        else:
+            def mul_q(V):
+                return ((V << W) - ((V + half) >> shift) * R) // a
+
+        def pack(v):
+            return sum(x << W * i for i, x in enumerate(v))
+
+        def unpack(V):
+            out = []
+            for _ in range(d):
+                out.append(((V + sign_bit) & mask) - sign_bit)
+                V = (V + sign_bit) >> W
+            return tuple(out)
+
+        self.W, self.limit = W, 1 << (W - 2)
+        self.pack, self.unpack = pack, unpack
+        self.mul_q = mul_q
+        self.elem = lambda V: (unpack(V), one)
+
+    def fit_step(self, level):
+        """Make room for the children q*v + s (|s| <= m) of ``level``.
+
+        Returns None when they fit at the current width.  When the carried
+        bound does not, it restarts from the level's true maximum; only if
+        that does not fit either does the width double until it does, and
+        the returned map re-packs a value stored at the old width."""
+        bound = self.bound * self.growth // self.lead + self.m * self.one
+        if bound >= self.limit:
+            old = self.unpack
+            top = max((abs(x) for V in level for x in old(V)), default=0)
+            bound = top * self.growth // self.lead + self.m * self.one
+        self.bound = bound
+        if bound < self.limit:
+            return None
+        W = 2 * self.W
+        while bound >= 1 << (W - 2):
+            W *= 2
+        self._set_width(W)
+        pack = self.pack
+        return lambda V: pack(old(V))
+
+    def unpack_all(self, column):
+        """The entries of the values of ``column``, d per value, flat.  Up to
+        W = 64, (V + O) ^ O with O = sum 2^(W-1+W i) is V's entries as W-bit
+        two's-complement words, read into an array a chunk at a time."""
+        d, W = self.d, self.W
+        if W > 64:
+            return [a for V in column for a in self.unpack(V)]
+        O, n = sum(1 << (W - 1 + W * i) for i in range(d)), W * d // 8
+        out = array("i" if W == 32 else "q")
+        for k in range(0, len(column), 4096):
+            out.frombytes(b"".join(((V + O) ^ O).to_bytes(n, sys.byteorder)
+                                   for V in column[k:k + 4096]))
+        return out
+
+    def sign(self, V) -> int:
+        return self.ctx.sign(self.elem(V))
+
+    def cmp_fraction(self, V, c: Fraction) -> int:
+        return self.ctx.cmp_fraction(self.elem(V), c)
+
+    def float_value(self, V) -> float:
+        return self.ctx.float_value(self.elem(V))
 
 
 class _FloatKernel:

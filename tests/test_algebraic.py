@@ -25,15 +25,14 @@ from qspectra.algebraic import (
     AlgebraicNumber,
     NumberClass,
     ZqContext,
-    _PackedZq,
-    _certified_disks,
-    _dk_iterate,
     classify_base,
     conjugates,
     power_base,
 )
+from qspectra.disks import _certified_disks, _dk_iterate
 from qspectra.errors import PreconditionError
 from qspectra.intpoly import IntPolynomial, is_squarefree
+from qspectra.spectrum import _PackedZq
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -832,15 +831,20 @@ def test_labels_and_upper_rung_evidence_load_only_the_standard_library():
         "q = AlgebraicNumber.base_from_poly(\n"
         "    IntPolynomial([-1, -10**400, 1]), root_index=0)\n"
         "cls = classify_base(q)\n"
+        "unread = 'qspectra.disks' in sys.modules\n"
         "cs = cls.conjugate_set\n"
-        "print(cls.tag, cs.resolved, cs.precision_bits, cs.count('inside'))\n"
+        "print(cls.tag, cs.resolved, cs.precision_bits, cs.count('inside'),\n"
+        "      unread, 'qspectra.disks' in sys.modules)\n"
         "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
         "print(sorted(loaded - set(sys.stdlib_module_names)))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": SRC})
-    tag, resolved, bits, inside = out.stdout.splitlines()[0].split()
+    tag, resolved, bits, inside, unread, read = \
+        out.stdout.splitlines()[0].split()
     assert (tag, resolved, inside) == ("Pisot", "True", "1")
+    # the disk engine loads when the evidence is read, not before
+    assert (unread, read) == ("False", "True")
     assert 53 < int(bits) <= 1024
     assert out.stdout.splitlines()[1] == "['qspectra']"
 
@@ -850,15 +854,19 @@ def test_labels_and_upper_rung_evidence_load_only_the_standard_library():
      "q = qspectra.AlgebraicNumber.base_from_poly(\n"
      "    qspectra.IntPolynomial([-1, -1, 0, 1]), root_index=0)\n"
      "assert qspectra.classify_base(q).tag == 'Pisot'\n",
-     {"spectrum", "expansions", "witness", "reproduce", "cli"}),
+     {"disks", "spectrum", "expansions", "witness", "reproduce", "cli"}),
     ("from qspectra import cli\n"
      "cli.main(['classify', '--poly', '-1,-1,0,1'])\n",
      {"spectrum", "expansions", "witness", "reproduce"}),
     ("from qspectra import cli\n"
      "cli.main(['expand', '--poly', '-1,-1,0,1', '--m', '1', '--target',\n"
      "          '1', '--horizon', '8'])\n",
-     {"spectrum"}),
-], ids=["library-classify", "cli-classify", "cli-expand"])
+     {"disks", "spectrum"}),
+    ("from qspectra import cli\n"
+     "cli.main(['spectrum', '--poly', '-1,-1,0,1', '--m', '1', '--bound',\n"
+     "          '3'])\n",
+     {"disks", "expansions", "witness"}),
+], ids=["library-classify", "cli-classify", "cli-expand", "cli-spectrum"])
 def test_each_path_loads_only_the_modules_it_runs(code, unloaded):
     # the census and every CLI process once loaded all eight modules
     code += ("import sys\n"

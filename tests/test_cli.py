@@ -335,9 +335,9 @@ def test_cli_classify_with_unresolved_disks_keeps_its_label(capsys,
                                                            monkeypatch):
     # no disk is decided inside or outside: the label, from exact counts,
     # stands, and the evidence says what the disks could not decide
-    from qspectra import algebraic
+    from qspectra import disks
 
-    monkeypatch.setattr(algebraic, "_locate_disk", lambda *a: "straddle")
+    monkeypatch.setattr(disks, "_locate_disk", lambda *a: "straddle")
     code, doc = run_json(capsys, "classify", "--poly", "-1,-1,0,1")
     assert code == 0
     assert doc["result"]["class"] == "Pisot"

@@ -21,7 +21,7 @@ from functools import cmp_to_key
 import pytest
 
 from qspectra import spectrum
-from qspectra.algebraic import AlgebraicNumber, _PackedZq, _float_enclosure
+from qspectra.algebraic import AlgebraicNumber, _float_enclosure
 from qspectra.config import DEFAULT_STATE_BUDGET
 from qspectra.intpoly import IntPolynomial
 from qspectra.reproduce import case_oracle_equivalence
@@ -30,6 +30,7 @@ from qspectra.spectrum import (
     BfsDepthRecord,
     BfsResult,
     SpectrumWindow,
+    _PackedZq,
     _child_radius,
     _sort_order,
     enumerate_A,

@@ -22,13 +22,14 @@ from functools import cmp_to_key
 import pytest
 
 from qspectra import cli, spectrum
-from qspectra.algebraic import AlgebraicNumber, _PackedZq
+from qspectra.algebraic import AlgebraicNumber
 from qspectra.errors import PreconditionError
 from qspectra.intpoly import IntPolynomial
 from qspectra.serialize import (JsonArray, canonical_json,
                                 window_point_texts, write_json)
 from qspectra.spectrum import (
     L_estimate,
+    _PackedZq,
     _sort_order,
     enumerate_A,
     enumerate_X,
