@@ -36,7 +36,7 @@ _LAZY = {
                    "verify_expansion"),
     "spectrum": ("BfsResult", "GapReport", "L_estimate", "SpectrumWindow",
                  "enumerate_A", "enumerate_X", "enumerate_Y", "gap_report",
-                 "l_estimate", "min_positive_bfs"),
+                 "min_positive_bfs"),
     "witness": ("AccumulationVerdict", "Direction", "WitnessReport",
                 "accumulation_verdict", "build_P_and_k", "build_witness",
                 "choose_w"),

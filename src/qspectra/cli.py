@@ -19,7 +19,8 @@ import sys
 from fractions import Fraction
 
 from .algebraic import AlgebraicNumber, classify_base
-from .config import DEFAULT_PRECISION_BITS, DEFAULT_STATE_BUDGET
+from .config import (DEFAULT_NUMERIC_TOL, DEFAULT_PRECISION_BITS,
+                     DEFAULT_STATE_BUDGET)
 from .errors import (
     PreconditionError,
     PrecisionExhaustedError,
@@ -55,8 +56,7 @@ def _add_base_args(sub):
     sub.add_argument("--root-interval", default=None,
                      help="rational isolating interval 'lo..hi'")
     sub.add_argument("--base", default=None,
-                     help="rational base such as 1.35, taken exactly "
-                          "(requires --tolerance)")
+                     help="rational base such as 1.35, taken exactly")
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -70,10 +70,9 @@ def resolve_base(args) -> AlgebraicNumber:
     if (args.poly is None) == (args.base is None):
         raise PreconditionError("give exactly one of --poly / --base")
     if args.base is not None:
-        if args.tolerance is None:
-            raise PreconditionError("numeric bases require --tolerance")
-        from .spectrum import check_tolerance
-        check_tolerance(args.tolerance)
+        if args.tolerance is not None:
+            from .spectrum import check_tolerance
+            check_tolerance(args.tolerance)
         q = AlgebraicNumber.from_rational(_parse_fraction(args.base))
         if not q.greater_than(1):
             raise PreconditionError("base must satisfy q > 1")
@@ -147,13 +146,12 @@ def cmd_gaps(args):
 
 
 def cmd_minpos(args):
-    from .spectrum import l_estimate
+    from .spectrum import min_positive_bfs
     q = resolve_base(args)
-    est = l_estimate(q, args.m, args.max_depth,
-                     state_budget=args.budget_states, tol=args.tolerance)
-    result = est.to_dict()
-    code = EXIT_BUDGET if est.result.budget_exhausted else EXIT_OK
-    return result, minpos_csv, code
+    res = min_positive_bfs(q, args.m, args.max_depth,
+                           state_budget=args.budget_states, tol=args.tolerance)
+    code = EXIT_BUDGET if res.budget_exhausted else EXIT_OK
+    return res.to_dict(), minpos_csv, code
 
 
 def cmd_expand(args):
@@ -265,8 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--budget-states", type=int, default=argparse.SUPPRESS)
     g.add_argument("--tolerance", type=float, default=argparse.SUPPRESS,
                    help="dedup tolerance of the float search that minpos "
-                        "and verdict run on a non-monic base (required "
-                        "with --base); windows are exact and ignore it")
+                        "and verdict run on a non-monic base (default "
+                        f"{DEFAULT_NUMERIC_TOL}); windows are exact and "
+                        "ignore it")
     g.add_argument("--out", default=argparse.SUPPRESS,
                    help="write output to this file")
 

@@ -246,7 +246,7 @@ def case_sidorov_solomyak_window() -> dict:
     approx_ok = abs(q.float_value() - 1.2207) < 1e-3
     table = L_estimate(q, 1, [10, 30, 90])
     gaps = [g for _, g in table.rows]
-    passed = approx_ok and table.verdict == "decreasing"
+    passed = approx_ok and all(a > b for a, b in zip(gaps, gaps[1:]))
     return {"passed": passed,
             "measured": {"root": q.float_value(), "tail_gaps": gaps}}
 
@@ -337,11 +337,11 @@ def case_sqrt_p2_power_chain() -> dict:
     c1 = classify_base(q).tag == "NotPisot-AlgebraicInteger"
     c2 = classify_base(power_base(q, 2)).tag == "Pisot"
     c3 = classify_base(power_base(q, 3)).tag == "NotPisot-AlgebraicInteger"
-    table = L_estimate(q, 1, [6, 12, 24])
-    return {"passed": c1 and c2 and c3 and table.verdict == "decreasing",
+    gaps = [g for _, g in L_estimate(q, 1, [6, 12, 24]).rows]
+    falling = all(a > b for a, b in zip(gaps, gaps[1:]))
+    return {"passed": c1 and c2 and c3 and falling,
             "measured": {"not_pisot": c1, "square_pisot": c2,
-                         "cube_not_pisot": c3,
-                         "tail_gaps": [g for _, g in table.rows]}}
+                         "cube_not_pisot": c3, "tail_gaps": gaps}}
 
 
 class ReproduceCase(namedtuple("ReproduceCase",

@@ -232,7 +232,6 @@ MINPOS_SCHEMA = {
         "closed": {"type": "boolean"},
         "budget_exhausted": {"type": "boolean"},
         "min_positive": {"type": ["number", "null"]},
-        "verdict": {"type": "string"},
     },
     "required": ["base", "m", "trace", "closed", "budget_exhausted"],
 }

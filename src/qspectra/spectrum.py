@@ -783,7 +783,9 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
     [-c, c] for any string whose value ends there, so the search is
     exhaustive on that interval.  If a full expansion round adds no new
     state the reachable set is closed and min over it equals the true
-    infimum of positive spectrum values in (0, c].
+    infimum of positive spectrum values in (0, c].  Only an exact kernel
+    reports closure: the float search's dedup within its tolerance can
+    empty a level without proving anything.
 
     Depth 1 is the digits 1..m that are <= c; each further depth is one
     ``_expand_level`` call with ``fold`` (floats up to c_lo - r kept, above
@@ -847,7 +849,7 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
         depth += 1
         trace.append(_depth_record(kernel, vec, depth, best, seen, level[0],
                                    links))
-        closed = not level[0]
+        closed = exact and not level[0]
 
     return BfsResult(
         base=q, m=m, trace=tuple(trace), closed=closed,
@@ -895,42 +897,11 @@ def _depth_record(kernel, vec, depth, best, seen, new_level, links):
 
 
 # ---------------------------------------------------------------------------
-# liminf / limsup estimators
+# tail-gap table
 
 
-class MinPositiveEstimate(namedtuple("MinPositiveEstimate",
-                                     "result verdict")):
-    """``verdict`` is "positive-certified" | "decreasing" | "stalled"."""
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        d = self.result.to_dict()
-        d["verdict"] = self.verdict
-        return d
-
-
-def l_estimate(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
-               state_budget: int = DEFAULT_STATE_BUDGET,
-               tol: float | None = None) -> MinPositiveEstimate:
-    """Per-depth trace of the smallest positive element with a verdict:
-    closure certifies a positive liminf proxy; otherwise the trace is
-    classified by whether it kept decreasing through the later depths."""
-    res = min_positive_bfs(q, m, max_depth, state_budget=state_budget,
-                           tol=tol)
-    if res.closed:
-        return MinPositiveEstimate(res, "positive-certified")
-    mins = [r.min_value for r in res.trace]
-    last_drop = 0
-    for i in range(1, len(mins)):
-        if mins[i] < mins[i - 1]:
-            last_drop = i
-    verdict = "decreasing" if last_drop >= len(mins) / 2 else "stalled"
-    return MinPositiveEstimate(res, verdict)
-
-
-class TailGapTable(namedtuple("TailGapTable", "base m rows verdict")):
-    """(bound, max_gap_tail) ``rows``; the verdict is "decreasing" |
-    "constant" | "mixed"."""
+class TailGapTable(namedtuple("TailGapTable", "base m rows")):
+    """(bound, max_gap_tail) ``rows``, one per bound of the schedule."""
 
     __slots__ = ()
 
@@ -952,11 +923,4 @@ def L_estimate(q: AlgebraicNumber, m: int, bounds, *,
         w = enumerate_X(q, m, B, budget=budget)
         rep = gap_report(w, tail_fraction=tail_fraction)
         rows.append((float(B), rep.max_gap_tail))
-    gaps = [g for _, g in rows]
-    if all(a > b for a, b in zip(gaps, gaps[1:])):
-        verdict = "decreasing"
-    elif all(abs(a - b) <= 1e-12 * (1 + abs(a)) for a, b in zip(gaps, gaps[1:])):
-        verdict = "constant"
-    else:
-        verdict = "mixed"
-    return TailGapTable(q, m, tuple(rows), verdict)
+    return TailGapTable(q, m, tuple(rows))

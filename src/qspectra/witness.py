@@ -709,34 +709,30 @@ def accumulation_verdict(q: AlgebraicNumber, m: int, *,
                          state_budget: int = 200_000,
                          tol: float | None = None) -> AccumulationVerdict:
     """Decision rule for accumulation points of the m-spectrum: none exist
-    exactly when q is Pisot or q >= m+1.  Attaches the matching finite
-    cross-check: a growth-bound certificate or BFS closure for the discrete
-    verdicts, the decreasing minimal-positive trace for the accumulating
-    one.  The cross-checks are evidence, never the proof."""
-    from .spectrum import l_estimate     # build_witness never loads it
+    exactly when q is Pisot or q >= m+1.  Attaches one minimal-positive
+    search, to depth 8 when q >= m+1 and to ``bfs_depth`` otherwise, as
+    ``cross_check["bfs"]``: whether it closed, its minimum, its state count
+    and its per-depth minima (None where no positive state was reached);
+    when q >= m+1 also the growth-bound certificate.  The cross-checks are
+    evidence, never the proof."""
+    from .spectrum import min_positive_bfs   # build_witness never loads it
     if m < 1:
         raise PreconditionError("m >= 1 required")
     if not q.greater_than(1):
         raise PreconditionError("base must satisfy q > 1")
     cls = classify_base(q)
-    if q.compare_to_fraction(m + 1) >= 0:
-        cross: dict = {"devries": _devries_certificate(q, m)}
-        est = l_estimate(q, m, 8, state_budget=state_budget, tol=tol)
-        cross["bfs"] = {"verdict": est.verdict,
-                        "min_positive": est.result.min_positive,
-                        "closed": est.result.closed}
+    large = q.compare_to_fraction(m + 1) >= 0
+    cross = {"devries": _devries_certificate(q, m)} if large else {}
+    res = min_positive_bfs(q, m, 8 if large else bfs_depth,
+                           state_budget=state_budget, tol=tol)
+    cross["bfs"] = {"closed": res.closed, "min_positive": res.min_positive,
+                    "states": res.trace[-1].states,
+                    "trace": [r.min_value if math.isfinite(r.min_value)
+                              else None for r in res.trace]}
+    if large:
         return AccumulationVerdict("Discrete", "q>=m+1", cls.tag, q, m, cross)
     if cls.is_pisot:
-        est = l_estimate(q, m, bfs_depth, state_budget=state_budget, tol=tol)
-        cross = {"bfs": {"verdict": est.verdict,
-                         "min_positive": est.result.min_positive,
-                         "closed": est.result.closed,
-                         "states": est.result.trace[-1].states}}
         return AccumulationVerdict("Discrete", "Pisot", cls.tag, q, m, cross)
-    est = l_estimate(q, m, bfs_depth, state_budget=state_budget, tol=tol)
-    cross = {"bfs": {"verdict": est.verdict,
-                     "closed": est.result.closed,
-                     "trace": [r.min_value for r in est.result.trace]}}
     return AccumulationVerdict("Accumulates", None, cls.tag, q, m, cross)
 
 

@@ -9,12 +9,15 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from qspectra import __version__, cli, reproduce, spectrum
+from qspectra.algebraic import AlgebraicNumber
+from qspectra.intpoly import IntPolynomial
 from qspectra.serialize import (
     DIGITS_SCHEMA,
     ENVELOPE_SCHEMA,
@@ -180,7 +183,7 @@ def test_cli_minpos_schema(capsys):
                          "--root-index", "0", "--m", "1")
     assert code == 0
     jsonschema.validate(doc["result"], MINPOS_SCHEMA)
-    assert doc["result"]["verdict"] == "positive-certified"
+    assert doc["result"]["closed"] is True
     assert abs(doc["result"]["min_positive"] - 0.6180339887498949) < 1e-12
 
 
@@ -200,9 +203,13 @@ def test_cli_expand_lazy_capacity_violation_exit2(capsys):
     assert code == 2
 
 
-def test_cli_numeric_base_requires_tolerance(capsys):
-    code, _ = run_cli(capsys, "minpos", "--base", "1.8", "--m", "1")
-    assert code == 2
+def test_cli_numeric_base_runs_without_tolerance(capsys):
+    # --base once required --tolerance, which the exact windows never read
+    argv = ["spectrum", "--base", "1.35", "--m", "1", "--bound", "20"]
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    _, with_tol = run_json(capsys, *argv, "--tolerance", "1e-9")
+    assert doc["result"] == with_tol["result"]
 
 
 def test_cli_witness_json(capsys):
@@ -242,6 +249,45 @@ def test_cli_verdict(capsys):
                          "--root-index", "0", "--m", "1")
     assert code == 0
     assert doc["result"]["verdict"] == "Accumulates"
+
+
+TREND_WORDS = ("decreasing", "stalled", "positive-certified", "constant",
+               "mixed")
+
+
+@pytest.mark.parametrize("base", [
+    ["--poly", "-1,-1,0,1"],                    # Pisot
+    ["--poly", "-2,0,1"],                       # sqrt 2, not Pisot
+    ["--base", "1.8"],                          # rational
+])
+def test_search_outputs_carry_no_trend_word(capsys, base):
+    # the evidence is the search itself: closed, its minimum, its trace
+    flag, text = base
+    q = (AlgebraicNumber.from_rational(Fraction(text)) if flag == "--base"
+         else AlgebraicNumber.base_from_poly(IntPolynomial.from_text(text),
+                                             root_index=0))
+    texts = [canonical_json(spectrum.L_estimate(q, 1, [5, 10]).to_dict())]
+    for argv in (["minpos", "--m", "1", "--max-depth", "10"],
+                 ["verdict", "--m", "1"]):
+        for fmt in ("json", "csv"):
+            code, out = run_cli(capsys, *argv, *base, "--format", fmt)
+            assert code == 0
+            texts.append(out)
+    for text in texts:
+        assert not [w for w in TREND_WORDS if w in text], text[:200]
+    bfs = json.loads(texts[-2])["result"]["cross_check"]["bfs"]
+    assert sorted(bfs) == ["closed", "min_positive", "states", "trace"]
+
+
+def test_cli_float_search_never_claims_closure(capsys):
+    # with tolerance 0.6 the float dedup empties the first level; the
+    # search once reported that as closed, with no minimum
+    code, doc = run_json(capsys, "minpos", "--base", "1.8", "--tolerance",
+                         "0.6", "--m", "1", "--max-depth", "8")
+    assert code == 0
+    r = doc["result"]
+    assert r["closed"] is False and r["closed_states"] is None
+    assert r["min_positive"] is None
 
 
 # -- csv -------------------------------------------------------------------------
@@ -630,10 +676,10 @@ def test_manifest_reproducibility(capsys):
 
 @pytest.mark.parametrize("argv,sha256", [
     (["minpos", "--poly", "-1,0,0,-1,1", "--m", "3", "--max-depth", "7"],
-     "13c425bf474b7247277a811e2222345495c4e3fddb82278d4ebe84e19bc2e34b"),
+     "3d4a48cc3d03e8dfe6898c75ed49ecb33b5ced6b2cb13b4d306fe308ca5eb05f"),
     # closes at depth 40 with 745 closed states
     (["minpos", "--poly", "-1,-1,0,1", "--m", "2", "--max-depth", "60"],
-     "3724ef3c04a8fd578f32606871875ab79f09d6121324b666ff5402b175d8aa9f"),
+     "939c5bb8a9273eb461c3cd773d46ce2d5e7bd0d700dd5adbc86dabdaac17c085"),
     (["spectrum", "--kind", "Y", "--poly", "-1,0,0,0,0,0,-1,0,1", "--m", "1",
       "--degree", "8", "--bound", "2"],
      "4773cce08471040cd4b1c8030336b503bb4669ada507700c973403de60d2b97b"),

@@ -35,7 +35,6 @@ from qspectra.spectrum import (
     enumerate_X,
     enumerate_Y,
     gap_report,
-    l_estimate,
     make_kernel,
     min_positive_bfs,
 )
@@ -790,7 +789,8 @@ def test_gaps_never_build_the_digit_texts(monkeypatch, tmp_path):
     code = cli.main(["gaps", "--poly", "-1,-1,0,0,1", "--m", "1", "--bound",
                      "60", "--out", str(tmp_path / "gaps.json")])
     assert code == 0
-    assert L_estimate(phi(), 1, [10, 20]).verdict == "constant"
+    rows = L_estimate(phi(), 1, [10, 20]).rows
+    assert rows[0][1] == rows[1][1]
     with pytest.raises(AssertionError, match="texts built"):
         enumerate_X(phi(), 1, 10).points
 
@@ -919,30 +919,37 @@ def test_bfs_empty_region_closes():
 
 
 def test_l_estimate_verdicts():
-    assert l_estimate(phi(), 1).verdict == "positive-certified"
-    assert l_estimate(AlgebraicNumber.from_rational(3), 2).verdict == \
-        "positive-certified"
-    est = l_estimate(sqrt2(), 1, max_depth=12)
-    assert est.verdict == "decreasing"
+    # the search result is the evidence: Pisot and integer bases close
+    assert min_positive_bfs(phi(), 1).closed
+    assert min_positive_bfs(AlgebraicNumber.from_rational(3), 2).closed
+    assert not min_positive_bfs(sqrt2(), 1, max_depth=12).closed
+
+
+def test_float_search_never_claims_closure():
+    # tolerance 0.6 (absolute 1.2) dedups the digit 1 away at depth 1: an
+    # emptied float level proves nothing, so the search stays open
+    q = AlgebraicNumber.from_rational(Fraction("1.8"))
+    res = min_positive_bfs(q, 1, 8, tol=0.6)
+    assert not res.closed and res.closed_states is None
+    assert res.min_positive is None and len(res.trace) == 8
 
 
 def test_L_estimate_phi_constant():
     # oracle: unit gaps persist through every golden-ratio window tail
     table = L_estimate(phi(), 1, [10, 20, 40])
-    assert table.verdict == "constant"
+    assert len({g for _, g in table.rows}) == 1
     assert all(abs(g - 1.0) < 1e-9 for _, g in table.rows)
 
 
 def test_L_estimate_cbrt2_decreasing():
     q = AlgebraicNumber.base_from_poly(IntPolynomial([-2, 0, 0, 1]),
                                        root_index=0)
-    table = L_estimate(q, 1, [10, 30])
-    assert table.verdict == "decreasing"
+    gaps = [g for _, g in L_estimate(q, 1, [10, 30]).rows]
+    assert gaps[0] > gaps[1]
 
 
 def test_L_estimate_base3_constant_one():
     table = L_estimate(AlgebraicNumber.from_rational(3), 2, [10, 20, 40])
-    assert table.verdict == "constant"
     assert all(g == 1 for _, g in table.rows)
 
 
