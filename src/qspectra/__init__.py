@@ -34,8 +34,8 @@ _LAZY = {
     "expansions": ("DigitSequence", "SignPattern", "greedy_expansion",
                    "lazy_constrained", "periodic_completion",
                    "verify_expansion"),
-    "spectrum": ("BfsResult", "GapReport", "L_estimate", "SpectrumWindow",
-                 "enumerate_A", "enumerate_X", "enumerate_Y", "gap_report",
+    "spectrum": ("BfsResult", "GapReport", "SpectrumWindow", "enumerate_A",
+                 "enumerate_X", "enumerate_Y", "gap_report",
                  "min_positive_bfs"),
     "witness": ("AccumulationVerdict", "Direction", "WitnessReport",
                 "accumulation_verdict", "build_P_and_k", "build_witness",

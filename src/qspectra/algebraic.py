@@ -54,6 +54,7 @@ from .intpoly import (
     squarefree_part,
     unit_circle_counts,
     _prem,
+    _rational,
     _sturm_chain_of,
 )
 from .records import FrozenRecord
@@ -114,7 +115,7 @@ class AlgebraicNumber:
         min_poly = min_poly.primitive()
         if min_poly.degree > 1 and not _validated:
             min_poly = squarefree_part(min_poly)    # as real_roots does
-            lo, hi = Fraction(lo), Fraction(hi)
+            lo, hi = _rational(lo), _rational(hi)
             if min_poly.sign_at(lo) == 0 or min_poly.sign_at(hi) == 0:
                 raise PreconditionError(
                     "interval endpoint is a root; use from_rational for "
@@ -144,7 +145,7 @@ class AlgebraicNumber:
 
     @classmethod
     def from_rational(cls, value) -> "AlgebraicNumber":
-        v = Fraction(value)
+        v = _rational(value)
         return cls(IntPolynomial([-v.numerator, v.denominator]), v, v)
 
     @classmethod
@@ -205,7 +206,7 @@ class AlgebraicNumber:
 
     def refine_to_width(self, width: Fraction) -> tuple[Fraction, Fraction]:
         a, b, den = self._iv
-        width = Fraction(width)
+        width = _rational(width)
         if (self.exact_rational is None
                 and (b - a) * width.denominator > width.numerator * den):
             (na, nb), nden = _integer_numerators(refine_root_interval(
@@ -218,7 +219,7 @@ class AlgebraicNumber:
         return self.interval()
 
     def refine_to_radius(self, radius) -> tuple[Fraction, Fraction]:
-        return self.refine_to_width(2 * Fraction(radius))
+        return self.refine_to_width(2 * _rational(radius))
 
     def float_value(self) -> float:
         lo, hi = self.refine_to_width(FLOAT_WIDTH)
@@ -287,7 +288,7 @@ class AlgebraicNumber:
         return vlo, vhi, den**n
 
     def compare_to_fraction(self, c) -> int:
-        c = Fraction(c)
+        c = _rational(c)
         return self.sign_of_int_poly(
             IntPolynomial([-c.numerator, c.denominator]))
 
@@ -569,7 +570,7 @@ def conjugates(p: IntPolynomial, radius=Fraction(1, 10**12),
         raise PreconditionError("need a nonconstant polynomial")
     if not is_squarefree(p):
         raise PreconditionError("polynomial is not squarefree")
-    radius = Fraction(radius)
+    radius = _rational(radius)
 
     coeffs = p.coeffs
     zero_disks = []

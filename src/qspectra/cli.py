@@ -222,7 +222,7 @@ def cmd_verdict(args):
 
 def cmd_reproduce(args):
     from .reproduce import run_cases
-    results = run_cases(args.case, threads=args.threads)
+    results = run_cases(args.case)
     for r in results:
         mark = "PASS" if r["passed"] else "FAIL"
         print(f"{mark} {r['case']:30s} {r['runtime_s']:8.2f}s",
@@ -257,15 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
                         f"max(1024, 4x) bits")
     g.add_argument("--format", choices=["json", "csv"],
                    default=argparse.SUPPRESS)
-    g.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                   help="worker cap for batch runs; output is identical "
-                        "for any value")
     g.add_argument("--budget-states", type=int, default=argparse.SUPPRESS)
     g.add_argument("--tolerance", type=float, default=argparse.SUPPRESS,
-                   help="dedup tolerance of the float search that minpos "
-                        "and verdict run on a non-monic base (default "
-                        f"{DEFAULT_NUMERIC_TOL}); windows are exact and "
-                        "ignore it")
+                   help="read only by minpos and verdict: the dedup "
+                        "tolerance of their float search on a non-monic "
+                        f"base (default {DEFAULT_NUMERIC_TOL})")
     g.add_argument("--out", default=argparse.SUPPRESS,
                    help="write output to this file")
 
@@ -274,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectra of real bases q > 1: enumeration, gaps, "
                     "classification, expansions, witnesses.",
         parents=[common])
+    # no flag sets threads: manifests keep it until the next bench re-record
     ap.set_defaults(precision=DEFAULT_PRECISION_BITS, format="json",
                     threads=1, budget_states=DEFAULT_STATE_BUDGET,
                     tolerance=None, out=None)

@@ -15,10 +15,10 @@ aligns no denominator and forms no ring product (``_Corridor``).
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .algebraic import AlgebraicNumber, ZqContext
 from .errors import PreconditionError, QSpectraError
+from .intpoly import _rational
 from .records import FrozenRecord
 
 
@@ -174,7 +174,7 @@ def greedy_expansion(x, q: AlgebraicNumber, m: int, N: int) -> DigitSequence:
         raise PreconditionError("need m >= 1 and N >= 1")
     if not q.greater_than(1):
         raise PreconditionError("base must satisfy q > 1")
-    x = Fraction(x)
+    x = _rational(x)
     ar = ZqContext(q)
     # range check: 0 <= x <= m/(q-1)  <=>  x*(q-1) - m <= 0
     if x < 0:
@@ -212,7 +212,7 @@ def _residual_scaled(seq: DigitSequence, ar: ZqContext, target, N: int):
     def digit(i: int) -> int:
         return seq.digit(i) if i >= seq.first_index else 0
 
-    acc = ar.add_fraction(ar.from_fraction(-Fraction(target)), digit(0))
+    acc = ar.add_fraction(ar.from_fraction(-target), digit(0))
     for i in range(1, N + 1):
         acc = ar.step(acc, digit(i))
     return acc
@@ -234,7 +234,7 @@ def verify_expansion(seq: DigitSequence, q: AlgebraicNumber, target,
     are floats for display.
     """
     ar = ZqContext(q)
-    scaled = _residual_scaled(seq, ar, Fraction(target), N)
+    scaled = _residual_scaled(seq, ar, _rational(target), N)
     sgn = ar.sign(scaled)
     abs_scaled = scaled if sgn >= 0 else ar.scale(scaled, -1)
     # |scaled| <= m/(q-1)  <=>  |scaled|*(q-1) - m <= 0

@@ -28,6 +28,17 @@ def _integer(c) -> int:
     raise PreconditionError(f"coefficient {c!r} is not an integer")
 
 
+def _rational(x) -> Fraction:
+    """x as a Fraction; an infinite or NaN float, or any other value with
+    no exact rational, raises PreconditionError."""
+    if isinstance(x, Fraction):
+        return x
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        raise PreconditionError(f"{x!r} is not a finite rational") from None
+
+
 def _strip(cs: list[int]) -> tuple[int, ...]:
     while cs and cs[-1] == 0:
         cs.pop()
@@ -158,7 +169,7 @@ class IntPolynomial(FrozenRecord):
 
 def _ratio(x) -> tuple[int, int]:
     """(numerator, denominator > 0) of a rational x."""
-    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    x = x if isinstance(x, (int, Fraction)) else _rational(x)
     return x.numerator, x.denominator
 
 

@@ -19,10 +19,10 @@ from .errors import PreconditionError
 from .expansions import SignPattern, lazy_constrained, verify_expansion
 from .intpoly import IntPolynomial
 from .spectrum import (
-    L_estimate,
     enumerate_A,
     enumerate_X,
     enumerate_Y,
+    gap_report,
     min_positive_bfs,
 )
 from .witness import accumulation_verdict, build_witness
@@ -244,8 +244,8 @@ def case_sidorov_solomyak_window() -> dict:
     nonnegative-digit window strictly decreases along bounds 10, 30, 90."""
     q = _base(QUARTIC_POLY)
     approx_ok = abs(q.float_value() - 1.2207) < 1e-3
-    table = L_estimate(q, 1, [10, 30, 90])
-    gaps = [g for _, g in table.rows]
+    gaps = [gap_report(enumerate_X(q, 1, B)).max_gap_tail
+            for B in (10, 30, 90)]
     passed = approx_ok and all(a > b for a, b in zip(gaps, gaps[1:]))
     return {"passed": passed,
             "measured": {"root": q.float_value(), "tail_gaps": gaps}}
@@ -337,7 +337,8 @@ def case_sqrt_p2_power_chain() -> dict:
     c1 = classify_base(q).tag == "NotPisot-AlgebraicInteger"
     c2 = classify_base(power_base(q, 2)).tag == "Pisot"
     c3 = classify_base(power_base(q, 3)).tag == "NotPisot-AlgebraicInteger"
-    gaps = [g for _, g in L_estimate(q, 1, [6, 12, 24]).rows]
+    gaps = [gap_report(enumerate_X(q, 1, B)).max_gap_tail
+            for B in (6, 12, 24)]
     falling = all(a > b for a, b in zip(gaps, gaps[1:]))
     return {"passed": c1 and c2 and c3 and falling,
             "measured": {"not_pisot": c1, "square_pisot": c2,
@@ -397,15 +398,9 @@ def run_case(case: ReproduceCase) -> dict:
             "within_time": dt <= case.time_limit_s}
 
 
-def run_cases(which: str = "all", threads: int = 1) -> list[dict]:
+def run_cases(which: str = "all") -> list[dict]:
     selected = [c for c in CASES if which in ("all", c.case_id)]
     if not selected:
         raise PreconditionError(
             f"unknown case {which!r}; known: {', '.join(case_ids())}")
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_case, selected))
-    else:
-        results = [run_case(c) for c in selected]
-    return sorted(results, key=lambda r: r["case"])
+    return sorted(map(run_case, selected), key=lambda r: r["case"])

@@ -57,6 +57,7 @@ from .algebraic import AlgebraicNumber, ZqContext, _float_enclosure
 from .config import (DEFAULT_NUMERIC_TOL, DEFAULT_STATE_BUDGET,
                      MAX_SCALE_BITS)
 from .errors import PreconditionError
+from .intpoly import _rational
 from .records import FrozenRecord
 
 
@@ -497,7 +498,7 @@ def _check_inputs(q: AlgebraicNumber, budget: int):
 
 def _check_bound(B) -> Fraction:
     """B as a Fraction: a window's bound is positive and a finite float."""
-    B = Fraction(B)
+    B = _rational(B)
     if not 0 < B <= sys.float_info.max:
         raise PreconditionError("bound must be positive and a finite float")
     return B
@@ -895,32 +896,3 @@ def _depth_record(kernel, vec, depth, best, seen, new_level, links):
                           _digits_at(links, *best[1]), len(seen),
                           len(new_level))
 
-
-# ---------------------------------------------------------------------------
-# tail-gap table
-
-
-class TailGapTable(namedtuple("TailGapTable", "base m rows")):
-    """(bound, max_gap_tail) ``rows``, one per bound of the schedule."""
-
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return {**self._asdict(), "base": self.base.describe(),
-                "rows": [[b, g] for b, g in self.rows]}
-
-
-def L_estimate(q: AlgebraicNumber, m: int, bounds, *,
-               tail_fraction: float = 0.5,
-               budget: int = DEFAULT_STATE_BUDGET) -> TailGapTable:
-    """Largest consecutive gap over the top of X^m windows for an increasing
-    schedule of bounds; the limsup shadow."""
-    bounds = [Fraction(b) for b in bounds]
-    if sorted(bounds) != bounds or len(bounds) < 1:
-        raise PreconditionError("bounds schedule must be increasing")
-    rows = []
-    for B in bounds:
-        w = enumerate_X(q, m, B, budget=budget)
-        rep = gap_report(w, tail_fraction=tail_fraction)
-        rows.append((float(B), rep.max_gap_tail))
-    return TailGapTable(q, m, tuple(rows))

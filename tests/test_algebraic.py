@@ -19,7 +19,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from qspectra import algebraic, expansions, intpoly
+from qspectra import algebraic, expansions, intpoly, spectrum
 from qspectra.algebraic import (
     FLOAT_WIDTH,
     AlgebraicNumber,
@@ -117,6 +117,32 @@ def test_non_positive_widths_are_rejected(deadline):
         with pytest.raises(PreconditionError):
             intpoly.refine_root_interval(PHI_POLY, lo, hi, 0)
     assert q.interval() == (lo, hi)
+
+
+#: public entry points that take a rational, each called with ``x``
+NONFINITE_ENTRY_POINTS = {
+    "enumerate_X": lambda x: spectrum.enumerate_X(phi(), 1, x),
+    "enumerate_Y": lambda x: spectrum.enumerate_Y(phi(), 1, 3, x),
+    "enumerate_A": lambda x: spectrum.enumerate_A(phi(), 3, x),
+    "greedy_expansion": lambda x: expansions.greedy_expansion(x, phi(), 1, 4),
+    "verify_expansion": lambda x: expansions.verify_expansion(
+        expansions.greedy_expansion(1, phi(), 1, 4), phi(), x, 4),
+    "from_rational": AlgebraicNumber.from_rational,
+    "greater_than": lambda x: phi().greater_than(x),
+    "refine_to_width": lambda x: phi().refine_to_width(x),
+    "base_from_poly": lambda x: AlgebraicNumber.base_from_poly(
+        PHI_POLY, root_interval=(x, 2)),
+}
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("entry", sorted(NONFINITE_ENTRY_POINTS))
+def test_a_nonfinite_float_is_a_typed_error(entry, x):
+    # Fraction(x) raises OverflowError or ValueError; each entry point
+    # must end in PreconditionError instead
+    with pytest.raises(PreconditionError, match="not a finite rational"):
+        NONFINITE_ENTRY_POINTS[entry](x)
 
 
 F = Fraction

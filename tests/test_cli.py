@@ -266,7 +266,8 @@ def test_search_outputs_carry_no_trend_word(capsys, base):
     q = (AlgebraicNumber.from_rational(Fraction(text)) if flag == "--base"
          else AlgebraicNumber.base_from_poly(IntPolynomial.from_text(text),
                                              root_index=0))
-    texts = [canonical_json(spectrum.L_estimate(q, 1, [5, 10]).to_dict())]
+    texts = [canonical_json(spectrum.gap_report(
+        spectrum.enumerate_X(q, 1, B)).to_dict()) for B in (5, 10)]
     for argv in (["minpos", "--m", "1", "--max-depth", "10"],
                  ["verdict", "--m", "1"]):
         for fmt in ("json", "csv"):
@@ -713,29 +714,22 @@ def test_manifest_embedded_in_every_result(capsys):
         assert doc["manifest"]["wall_time_s"] is not None
 
 
-def test_reproduce_single_case_threads_invariant(capsys):
-    _, doc1 = run_json(capsys, "reproduce", "golden-closure",
-                       "--threads", "1")
-    capsys.readouterr()
-    _, doc2 = run_json(capsys, "reproduce", "golden-closure",
-                       "--threads", "3")
-    _, again = run_json(capsys, "reproduce", "golden-closure",
-                        "--threads", "1")
+def test_reproduce_single_case_repeats_and_records_one_thread(capsys):
+    _, doc = run_json(capsys, "reproduce", "golden-closure")
+    _, again = run_json(capsys, "reproduce", "golden-closure")
     # the case times go to stderr, so a second run repeats byte for byte
-    for case in doc1["result"]["cases"]:
+    for case in doc["result"]["cases"]:
         assert "runtime_s" not in case and "within_time" not in case
     assert canonical_json(strip_wall_time(again)) == \
-        canonical_json(strip_wall_time(doc1))
-    r1 = strip_wall_time(doc1)
-    r2 = strip_wall_time(doc2)
-    for r in (r1, r2):
-        # the thread cap is a legitimate manifest parameter; the result
-        # payload must not depend on it
-        r["manifest"]["params"].pop("threads")
-        r["manifest"]["budgets"].pop("threads")
-        r["manifest"]["input_hashes"].pop("params_sha256")
-    assert canonical_json(r1) == canonical_json(r2)
-    assert doc1["result"]["all_passed"]
+        canonical_json(strip_wall_time(doc))
+    assert doc["result"]["all_passed"]
+    # no flag sets the thread count, but manifests record it until the
+    # benchmark's recorded digests are next re-recorded
+    manifest = doc["manifest"]
+    assert manifest["params"]["threads"] == manifest["budgets"]["threads"] == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reproduce", "golden-closure", "--threads", "3"])
+    assert exc.value.code == 2
 
 
 def test_reproduce_unknown_case_exit2(capsys):

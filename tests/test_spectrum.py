@@ -28,7 +28,6 @@ from qspectra.intpoly import IntPolynomial
 from qspectra.serialize import (JsonArray, canonical_json,
                                 window_point_texts, write_json)
 from qspectra.spectrum import (
-    L_estimate,
     _PackedZq,
     _sort_order,
     enumerate_A,
@@ -706,7 +705,7 @@ def test_no_window_builds_the_float_kernel(monkeypatch):
         gap_report(w)
         enumerate_Y(q, 1, 5, 2)
         enumerate_A(q, 8, 2)
-        L_estimate(q, 1, [5, 10])
+        _tail_gaps(q, 1, [5, 10])
     assert built == []
     # only the search of a non-monic base runs on floats
     min_positive_bfs(_non_monic("27/20"), 1, 6)
@@ -789,8 +788,8 @@ def test_gaps_never_build_the_digit_texts(monkeypatch, tmp_path):
     code = cli.main(["gaps", "--poly", "-1,-1,0,0,1", "--m", "1", "--bound",
                      "60", "--out", str(tmp_path / "gaps.json")])
     assert code == 0
-    rows = L_estimate(phi(), 1, [10, 20]).rows
-    assert rows[0][1] == rows[1][1]
+    gaps = _tail_gaps(phi(), 1, [10, 20])
+    assert gaps[0] == gaps[1]
     with pytest.raises(AssertionError, match="texts built"):
         enumerate_X(phi(), 1, 10).points
 
@@ -934,23 +933,38 @@ def test_float_search_never_claims_closure():
     assert res.min_positive is None and len(res.trace) == 8
 
 
+def _tail_gaps(q, m, bounds):
+    """The largest gap over the top half of each window X^m(q) in [0, B]:
+    a window estimate of L^m(q), the largest gap of X^m(q)."""
+    return [gap_report(enumerate_X(q, m, B)).max_gap_tail for B in bounds]
+
+
 def test_L_estimate_phi_constant():
     # oracle: unit gaps persist through every golden-ratio window tail
-    table = L_estimate(phi(), 1, [10, 20, 40])
-    assert len({g for _, g in table.rows}) == 1
-    assert all(abs(g - 1.0) < 1e-9 for _, g in table.rows)
+    gaps = _tail_gaps(phi(), 1, [10, 20, 40])
+    assert len(set(gaps)) == 1
+    assert all(abs(g - 1.0) < 1e-9 for g in gaps)
 
 
 def test_L_estimate_cbrt2_decreasing():
     q = AlgebraicNumber.base_from_poly(IntPolynomial([-2, 0, 0, 1]),
                                        root_index=0)
-    gaps = [g for _, g in L_estimate(q, 1, [10, 30]).rows]
+    gaps = _tail_gaps(q, 1, [10, 30])
     assert gaps[0] > gaps[1]
 
 
 def test_L_estimate_base3_constant_one():
-    table = L_estimate(AlgebraicNumber.from_rational(3), 2, [10, 20, 40])
-    assert all(g == 1 for _, g in table.rows)
+    gaps = _tail_gaps(AlgebraicNumber.from_rational(3), 2, [10, 20, 40])
+    assert all(g == 1 for g in gaps)
+
+
+def test_no_tail_gap_table_is_exported():
+    # the rows above come from gap_report; no table type wraps them
+    import qspectra
+    for module, name in ((qspectra, "L_estimate"), (spectrum, "L_estimate"),
+                         (spectrum, "TailGapTable")):
+        with pytest.raises(AttributeError):
+            getattr(module, name)
 
 
 # -- determinism -----------------------------------------------------------------
