@@ -55,7 +55,6 @@ from .intpoly import (
     unit_circle_counts,
     _prem,
     _rational,
-    _sturm_chain_of,
 )
 from .records import FrozenRecord
 
@@ -95,9 +94,9 @@ class AlgebraicNumber:
 
     The checked constructor (``_validated`` false) takes the squarefree part
     of the polynomial, as ``real_roots`` does, requires an interval (lo, hi)
-    isolating one of its roots, then divides its rational roots out of
-    ``min_poly``: if the root in the interval is rational, the number is
-    that rational (``exact_rational``).
+    isolating one of its roots (a linear one's too), then divides its
+    rational roots out of ``min_poly``: if the root in the interval is
+    rational, the number is that rational (``exact_rational``).
     ``real_roots`` passes polynomials already free of rational roots.
 
     The isolating interval is refinable; refinement is monotone (the stored
@@ -112,8 +111,9 @@ class AlgebraicNumber:
                  _validated: bool = False):
         if min_poly.degree < 1:
             raise PreconditionError("minimal polynomial must have degree >= 1")
-        min_poly = min_poly.primitive()
-        if min_poly.degree > 1 and not _validated:
+        if _validated:
+            min_poly = min_poly.primitive()
+        else:
             min_poly = squarefree_part(min_poly)    # as real_roots does
             lo, hi = _rational(lo), _rational(hi)
             if min_poly.sign_at(lo) == 0 or min_poly.sign_at(hi) == 0:
@@ -146,7 +146,8 @@ class AlgebraicNumber:
     @classmethod
     def from_rational(cls, value) -> "AlgebraicNumber":
         v = _rational(value)
-        return cls(IntPolynomial([-v.numerator, v.denominator]), v, v)
+        return cls(IntPolynomial([-v.numerator, v.denominator]), v, v,
+                   _validated=True)
 
     @classmethod
     def real_roots(cls, p: IntPolynomial,
@@ -747,11 +748,10 @@ def power_base(q: AlgebraicNumber, k: int) -> AlgebraicNumber:
     den = math.lcm(*(c.denominator for c in frac_coeffs))
     char_int = IntPolynomial(int(c * den) for c in frac_coeffs)
     defining = squarefree_part(char_int)
-    chain = _sturm_chain_of(defining)
     while True:
         lo, hi = q.interval()
         plo, phi = lo**k, hi**k
         if (defining.sign_at(plo) != 0 and defining.sign_at(phi) != 0
-                and count_roots_in(defining, plo, phi, chain) == 1):
+                and count_roots_in(defining, plo, phi) == 1):
             return AlgebraicNumber(defining, plo, phi)
         q.refine_to_width((hi - lo) / 4)

@@ -4,7 +4,8 @@ Coefficients are stored in ascending order (constant term first), matching
 the digit-indexing convention used throughout the package and the CLI text
 format "c0,c1,...,cd".  All polynomial algebra is over the integers: gcds,
 squarefree parts and Sturm chains come from primitive pseudo-remainder
-sequences, and known factors are divided out exactly.  Signs, Sturm counts,
+sequences (one per input for the squarefree part and its Sturm chain),
+and known factors are divided out exactly.  Signs, Sturm counts,
 isolation and bisection run on int numerators over one denominator;
 Fractions appear only at their API boundary.  No floating point is used.
 """
@@ -49,7 +50,7 @@ class IntPolynomial(FrozenRecord):
     """Integer polynomial c0 + c1*x + ... + cd*x^d with cd != 0 (or the
     zero polynomial, stored as an empty coefficient tuple ``coeffs``).
     Equal and hashed by ``coeffs``; its ``__dict__`` also holds the
-    squarefree mark of ``squarefree_part``."""
+    Sturm chain that ``squarefree_part`` keeps on a squarefree result."""
 
     _fields = ("coeffs",)
 
@@ -233,16 +234,21 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """p / gcd(p, p'), primitive with positive leading coefficient, marked
-    so that the squarefree part of the result is the result itself."""
-    if p.__dict__.get("_squarefree"):
+    """p / gcd(p, p'), primitive with positive leading coefficient.
+
+    The Sturm chain of p ends in gcd(p, p') up to a constant (Basu, Pollack
+    and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2).  If that is a
+    constant, p is squarefree and the chain is already the squarefree
+    part's; otherwise the quotient gets a chain of its own.  The result
+    keeps its chain (``sturm_chain``), which also marks it squarefree."""
+    if "_sturm" in p.__dict__:
         return p
-    if p.degree < 1:
-        return p.primitive()
-    g = poly_gcd(p, p.derivative())
-    sf = IntPolynomial(_exact_quo(p.coeffs, g.coeffs)).primitive()
-    sf.__dict__["_squarefree"] = True
-    return sf
+    chain = _sturm_chain_of(p)
+    if chain[-1].degree > 0:
+        chain = _sturm_chain_of(IntPolynomial(
+            _exact_quo(p.coeffs, chain[-1].primitive().coeffs)))
+    chain[0].__dict__["_sturm"] = chain
+    return chain[0]
 
 
 def is_squarefree(p: IntPolynomial) -> bool:
@@ -279,8 +285,9 @@ def cauchy_root_bound(p: IntPolynomial) -> Fraction:
 
 
 def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
-    """Sturm chain of the squarefree part of p."""
-    return _sturm_chain_of(squarefree_part(p))
+    """Sturm chain of the squarefree part of p: the one that
+    ``squarefree_part`` built and keeps on that part."""
+    return squarefree_part(p).__dict__["_sturm"]
 
 
 def _sturm_chain_of(f: IntPolynomial, g: IntPolynomial | None = None
@@ -288,8 +295,8 @@ def _sturm_chain_of(f: IntPolynomial, g: IntPolynomial | None = None
     """Generalized Sturm sequence: f, g, then the primitive part of -prem of
     the last two, with its sign kept, until a remainder vanishes.  Its sign
     variations V(lo) - V(hi) are the Cauchy index of g/f on (lo, hi).
-    Without g it is the Sturm chain of a squarefree f: f made primitive,
-    then f'."""
+    Without g it is the Sturm chain of f: f made primitive, then f'; it
+    ends in gcd(f, f') up to a constant."""
     if g is None:
         f = f.primitive()
         g = f.derivative()
@@ -306,8 +313,14 @@ def _sign_variations(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def count_roots_in(p: IntPolynomial, lo: Fraction, hi: Fraction,
-                   chain: list[IntPolynomial] | None = None) -> int:
+def _variations_at(chain, num: int, den: int) -> int | None:
+    """Sign variations of a Sturm chain at num/den, den > 0; None when
+    num/den is a root of its first member."""
+    signs = [_sign(f.coeffs, num, den) for f in chain]
+    return _sign_variations(signs) if signs[0] else None
+
+
+def count_roots_in(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of p in the open interval (lo, hi).
 
     Endpoints must not be roots of the squarefree part.
@@ -315,12 +328,11 @@ def count_roots_in(p: IntPolynomial, lo: Fraction, hi: Fraction,
     (ln, ld), (hn, hd) = _ratio(lo), _ratio(hi)
     if ln * hd >= hn * ld:
         return 0
-    chain = chain or sturm_chain(p)
-    va = [_sign(f.coeffs, ln, ld) for f in chain]
-    vb = [_sign(f.coeffs, hn, hd) for f in chain]
-    if va[0] == 0 or vb[0] == 0:
+    chain = sturm_chain(p)
+    va, vb = _variations_at(chain, ln, ld), _variations_at(chain, hn, hd)
+    if va is None or vb is None:
         raise PreconditionError("interval endpoint is a root")
-    return _sign_variations(va) - _sign_variations(vb)
+    return va - vb
 
 
 def _taylor_shift(cs, a: int) -> list[int]:
@@ -383,8 +395,10 @@ def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open rational intervals, ascending, each containing exactly
     one real root of p; their union covers all real roots.
 
-    One bisection of the squarefree part sf, on its Sturm chain from
-    +-``cauchy_root_bound(sf)``, also decides which roots are rational.  A
+    One bisection of the squarefree part sf, on its kept Sturm chain from
+    +-``cauchy_root_bound(sf)``, also decides which roots are rational.
+    Each cell carries the sign variations at its endpoints, so a split
+    evaluates the chain at its new midpoint only, and no point twice.  A
     split point that is a root is bracketed there.  Every other root is
     alone in its cell, and a rational root r of the primitive sf has a
     denominator dividing L = lc(sf) (rational root theorem), so L*r is an
@@ -399,17 +413,19 @@ def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     if p.degree < 1:
         return []
     sf = squarefree_part(p)
-    chain = _sturm_chain_of(sf)
+    chain = sturm_chain(sf)
     cs, lead = sf.coeffs, sf.leading
-    bound = cauchy_root_bound(sf)
+    bn, bd = _ratio(cauchy_root_bound(sf))
     cells: list[tuple[Fraction, Fraction]] = []
-    stack = [(-bound.numerator, bound.numerator, bound.denominator)]
+    stack = [(-bn, bn, bd, _variations_at(chain, -bn, bd),
+              _variations_at(chain, bn, bd))]
     while stack:
-        a, b, den = stack.pop()                   # the cell (a/den, b/den)
-        lo, hi = Fraction(a, den), Fraction(b, den)
-        n = count_roots_in(sf, lo, hi, chain)
+        # the cell (a/den, b/den), with the variations va, vb at its ends
+        a, b, den, va, vb = stack.pop()
+        n = va - vb
         m, e = a + b, b - a                       # the midpoint m/(2 den)
         if n == 1:
+            lo, hi = Fraction(a, den), Fraction(b, den)
             ra, rb = refine_root_interval(sf, lo, hi, Fraction(1, lead))
             k = ra.numerator * lead // ra.denominator + 1       # r = k/lead
             if (k * rb.denominator < rb.numerator * lead
@@ -418,17 +434,17 @@ def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
                 lo = Fraction(k * den - e, den * lead)
                 hi = Fraction(k * den + e, den * lead)
             cells.append((lo, hi))
-        elif n and _sign(cs, m, 2 * den) == 0:
+        elif n and (vm := _variations_at(chain, m, 2 * den)) is None:
             # bracket the root by m/den +- e/den, halving until it isolates
             a, b, m, den = 4 * a, 4 * b, 2 * m, 4 * den
-            while (_sign(cs, m - e, den) == 0 or _sign(cs, m + e, den) == 0
-                   or count_roots_in(sf, Fraction(m - e, den),
-                                     Fraction(m + e, den), chain) != 1):
+            while ((vl := _variations_at(chain, m - e, den)) is None
+                   or (vr := _variations_at(chain, m + e, den)) is None
+                   or vl - vr != 1):
                 a, b, m, den = 2 * a, 2 * b, 2 * m, 2 * den
             cells.append((Fraction(m - e, den), Fraction(m + e, den)))
-            stack += [(a, m - e, den), (m + e, b, den)]
+            stack += [(a, m - e, den, va, vl), (m + e, b, den, vr, vb)]
         elif n:
-            stack += [(2 * a, m, 2 * den), (m, 2 * b, 2 * den)]
+            stack += [(2 * a, m, 2 * den, va, vm), (m, 2 * b, 2 * den, vm, vb)]
     return sorted(cells)
 
 

@@ -149,7 +149,8 @@ F = Fraction
 
 #: The refinement trajectory the recorded floats depend on: base intervals
 #: from ``base_from_poly`` and after ``refine_to_width(2^-80)``, isolation
-#: cells, and the Sturm counts and refinements of one ``base_from_poly``.
+#: cells, and the Sturm chain evaluations and refinements of one
+#: ``base_from_poly``.
 PINNED_BASES = [
     (SQRT_P2_POLY, (F(9, 8), F(5, 4)),
      (F(88769318478590582402507, 75557863725914323419136),
@@ -159,31 +160,60 @@ PINNED_BASES = [
       F(1668653191517021098896221, 1208925819614629174706176)), 3, 4),
     (P1_POLY, (F(5, 4), F(3, 2)),
      (F(200185717777540234707697, 151115727451828646838272),
-      F(1601485742220321877661577, 1208925819614629174706176)), 1, 3),
+      F(1601485742220321877661577, 1208925819614629174706176)), 2, 3),
 ]
 
 
-@pytest.mark.parametrize("poly,interval,refined,sturm,refines", PINNED_BASES)
+def _count_calls(monkeypatch, module, name, calls):
+    """Count the calls of ``module.name`` in ``calls[name]``."""
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    monkeypatch.setattr(module, name, wrapper)
+    return wrapper
+
+
+@pytest.mark.parametrize("poly,interval,refined,evals,refines", PINNED_BASES)
 def test_base_refinement_trajectory_is_pinned(monkeypatch, poly, interval,
-                                              refined, sturm, refines):
-    calls = {"count_roots_in": 0, "refine_root_interval": 0}
-
-    def counted(name):
-        fn = getattr(intpoly, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    for name in calls:
-        wrapper = counted(name)
-        monkeypatch.setattr(intpoly, name, wrapper)
-        monkeypatch.setattr(algebraic, name, wrapper)
+                                              refined, evals, refines):
+    calls = {"_variations_at": 0, "refine_root_interval": 0}
+    _count_calls(monkeypatch, intpoly, "_variations_at", calls)
+    monkeypatch.setattr(algebraic, "refine_root_interval", _count_calls(
+        monkeypatch, intpoly, "refine_root_interval", calls))
     q = AlgebraicNumber.base_from_poly(poly, root_index=0)
-    assert calls == {"count_roots_in": sturm, "refine_root_interval": refines}
+    assert calls == {"_variations_at": evals, "refine_root_interval": refines}
     assert q.interval() == interval
     assert q.refine_to_width(F(1, 2**80)) == refined
+
+
+@pytest.mark.parametrize("poly,chains", [
+    (P1_POLY, 1),
+    (IntPolynomial([1, -2, 1]) * PHI_POLY, 2),       # (x-1)^2 (x^2-x-1)
+])
+def test_one_remainder_sequence_per_squarefree_input(monkeypatch, poly,
+                                                     chains):
+    # the Sturm chain of a squarefree input is its squarefree part's; a
+    # square factor costs one more chain, that of the quotient, and no
+    # separate gcd is taken
+    calls = {"_sturm_chain_of": 0, "poly_gcd": 0}
+    for name in calls:
+        _count_calls(monkeypatch, intpoly, name, calls)
+    for kw in ({"root_index": 0}, {"root_interval": (F(5, 4), F(7, 4))}):
+        calls.update(_sturm_chain_of=0, poly_gcd=0)
+        AlgebraicNumber.base_from_poly(poly, **kw)
+        assert calls == {"_sturm_chain_of": chains, "poly_gcd": 0}, kw
+
+
+def test_a_linear_base_interval_is_checked():
+    # the root 3 of x - 3 must lie strictly inside the interval
+    x_minus_3 = IntPolynomial([-3, 1])
+    for interval in [(5, 6), (math.nan, 4), (3, 4), (4, 2)]:
+        with pytest.raises(PreconditionError):
+            AlgebraicNumber.base_from_poly(x_minus_3, root_interval=interval)
+    q = AlgebraicNumber.base_from_poly(x_minus_3, root_interval=(2, 4))
+    assert q.exact_rational == 3
 
 
 def test_isolation_cells_are_pinned():
@@ -198,6 +228,27 @@ def test_isolation_cells_are_pinned():
     assert intpoly.isolate_roots_exact(p) == [
         (F(-9, 8), F(-7, 8)), (F(-7, 8), F(-1, 2)), (F(-1, 2), F(1, 2)),
         (F(1, 2), F(2))]
+
+
+def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
+    # the inputs of test_isolation_cells_are_pinned: the two ends of the
+    # root bound, then one evaluation at each split point, the bracket
+    # points of the rational root 0 of the last input included
+    evaluate = intpoly._variations_at
+    points = []
+    monkeypatch.setattr(intpoly, "_variations_at", lambda chain, num, den: (
+        points.append(F(num, den)) or evaluate(chain, num, den)))
+    big = 10**20 + 2
+    for p, splits in [
+            (IntPolynomial([-1, 1]) * PHI_POLY, [F(0), F(3, 2)]),
+            (IntPolynomial([1 - big, 0, 1]), [F(0)]),
+            (IntPolynomial([0, 1]) * IntPolynomial([-1, 0, 2])
+             * IntPolynomial([1, 1]),
+             [F(0), F(-1), F(-1, 2), F(1, 2), F(-5, 4), F(-7, 8)])]:
+        points.clear()
+        intpoly.isolate_roots_exact(p)
+        bound = intpoly.cauchy_root_bound(intpoly.squarefree_part(p))
+        assert points == [-bound, bound, *splits], p
 
 
 # -- conjugates ------------------------------------------------------------

@@ -129,6 +129,11 @@ CLASSIFY_SWEEP = [
                  ["inside", "outside"], id="non-squarefree-index"),
     pytest.param(["--poly", "-1,1,2,-3,1", "--root-interval", "1.5..1.7"], 0,
                  "Pisot", ["inside", "outside"], id="non-squarefree-interval"),
+    # a linear polynomial's interval is checked too: 3 is not in (5, 6)
+    pytest.param(["--poly", "-3,1", "--root-interval", "5..6"], 2, None, None,
+                 id="linear-root-outside-interval"),
+    pytest.param(["--poly", "-3,1", "--root-interval", "2..4"], 0,
+                 "PisotInteger", [], id="linear-root-in-interval"),
 ]
 
 

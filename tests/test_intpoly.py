@@ -451,9 +451,13 @@ def test_squarefree_part_is_computed_once(monkeypatch):
     sf = squarefree_part(p)
     assert sf == IntPolynomial([-1, 0, 1])
     cells = isolate_roots_exact(p)
-    gcd_calls = []
-    monkeypatch.setattr(intpoly, "poly_gcd",
-                        lambda *a: gcd_calls.append(a) or poly_gcd(*a))
+    chain = sturm_chain(sf)
+    chains = []
+    build = intpoly._sturm_chain_of
+    monkeypatch.setattr(intpoly, "_sturm_chain_of",
+                        lambda *a: chains.append(a) or build(*a))
     assert squarefree_part(sf) is sf
+    assert sturm_chain(sf) is chain
     assert isolate_roots_exact(sf) == cells
-    assert gcd_calls == []
+    assert count_roots_in(sf, Fraction(0), Fraction(2)) == 1
+    assert chains == []
