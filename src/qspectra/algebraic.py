@@ -455,16 +455,6 @@ class ZqContext:
         D = v[1] * self.lead
         return self._times_theta(v[0], s * D), D
 
-    def mul(self, a, b):
-        """Ring product: sum_j B_j theta^j A, over Da * Db."""
-        (A, Da), (B, Db) = a, b
-        acc = (0,) * self.d
-        for coeff in B:
-            if coeff:
-                acc = tuple(x + coeff * y for x, y in zip(acc, A))
-            A = self._times_theta(A)
-        return acc, Da * Db
-
     def _sign_of_vector(self, V) -> int:
         """Sign of sum V_i theta^i: that of V_0 on a rational base (d = 1),
         else the base's sign oracle on sum V_i a^i q^i."""
@@ -546,7 +536,8 @@ class ZqContext:
 
 
 def conjugates(p: IntPolynomial, radius=Fraction(1, 10**12),
-               budget_bits: int = 4096) -> ConjugateSet:
+               budget_bits: int = 4096, _on_count: int | None = None
+               ) -> ConjugateSet:
     """All complex roots of squarefree p with certified disks and exact
     unit-circle location tags.
 
@@ -559,6 +550,9 @@ def conjugates(p: IntPolynomial, radius=Fraction(1, 10**12),
     disks are disjoint, within ``radius``, and straddle the unit circle
     exactly ``on_circle_count`` times wins, and ``precision_bits`` names
     it.
+
+    ``_on_count``, when given, is the number of roots on the unit circle
+    (``classify_base`` has counted them), so they are not counted again.
 
     Raises PreconditionError for non-squarefree input.  If the precision
     budget runs out before every off-circle root is certified inside or
@@ -591,7 +585,8 @@ def conjugates(p: IntPolynomial, radius=Fraction(1, 10**12),
         return ConjugateSet(p, tuple(sorted_disks(disks)), True, 0,
                             sum(1 for x in disks if x.location == "on"))
 
-    on_count = unit_circle_counts(work)[1]
+    on_count = (unit_circle_counts(work)[1] if _on_count is None
+                else _on_count)
     prec, ran, start, best, resolved = 53, 0, None, (), False
     while prec <= budget_bits and not resolved:
         z = _dk_iterate(coeffs, prec, start)
@@ -646,7 +641,8 @@ class NumberClass(FrozenRecord):
     def conjugate_set(self) -> ConjugateSet | None:
         if self.evidence_poly is None:
             return None
-        return conjugates(self.evidence_poly, budget_bits=self.budget_bits)
+        return conjugates(self.evidence_poly, budget_bits=self.budget_bits,
+                          _on_count=self.n_on)
 
     def evidence(self) -> list[dict]:
         if self.conjugate_set is None:

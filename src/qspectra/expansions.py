@@ -414,9 +414,7 @@ def periodic_completion(digits, q: AlgebraicNumber, m: int) -> DigitSequence:
     if any(abs(s) > m for s in digits):
         raise PreconditionError("digit exceeds height bound")
     ar = ZqContext(q)
-    acc = ar.zero
-    for s in digits:
-        acc = ar.step(acc, s)
+    acc = ar.from_digits(digits[::-1])      # sum s_i q^(n-i), from s_0
     if ar.sign(acc) != 0:
         raise PreconditionError(
             f"value of the digit string at q is nonzero "

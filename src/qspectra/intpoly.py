@@ -157,12 +157,13 @@ class IntPolynomial(FrozenRecord):
         return math.gcd(*(abs(c) for c in self.coeffs)) if self.coeffs else 0
 
     def primitive(self) -> "IntPolynomial":
-        """Divide out the content; normalize the leading coefficient > 0."""
+        """Divide out the content; normalize the leading coefficient > 0.
+        A polynomial already so is returned itself, with the chain it
+        keeps."""
         if self.is_zero:
             return self
-        g = self.content()
-        sign = 1 if self.coeffs[-1] > 0 else -1
-        return IntPolynomial(sign * c // g for c in self.coeffs)
+        g = self.content() * (1 if self.coeffs[-1] > 0 else -1)
+        return self if g == 1 else IntPolynomial(c // g for c in self.coeffs)
 
 
 # -- integer evaluation and division helpers (internal) ------------------

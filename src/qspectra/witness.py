@@ -6,6 +6,11 @@ while its partial sums at p are certified to stay away from zero, diverge,
 or run through many distinct moduli, depending on where p sits relative to
 the unit circle.
 
+The forced prefix {1..k} is decided by the lazy corridor's capacity test
+(``_Corridor.capacity_bounds``), or for a periodic membership pattern (p
+real or a root of unity) by its exact closed form, which also settles a
+capacity of exactly one.  ``_report`` builds every report.
+
 The companion point enters as an exact Gaussian rational (decimal input is
 rational), so p^-1 = G/M for a Gaussian integer G and an int M > 0, and
 p^-i = G^i / M^i: one ``_Powers`` stream per witness yields the Gaussian
@@ -31,6 +36,7 @@ from .errors import (
 from .expansions import (
     DigitSequence,
     SignPattern,
+    _Corridor,
     greedy_expansion,
     lazy_constrained,
     periodic_completion,
@@ -119,18 +125,21 @@ def parse_complex(text: str) -> GR:
 
 
 def as_gaussian(p) -> GR:
-    """Exact companion point from a pair, a complex, text or a real; one
-    beyond the float range is rejected, as its display floats overflow."""
+    """Exact companion point from a pair (a tuple or a list of two), a
+    complex, text or a real.  Anything else, and a point beyond the float
+    range (its display floats overflow), is rejected."""
     try:
         if isinstance(p, str):
             z = parse_complex(p)
         elif isinstance(p, complex):
             z = Fraction(p.real), Fraction(p.imag)
+        elif isinstance(p, (tuple, list)):
+            re, im = p                  # ValueError unless exactly two
+            z = Fraction(re), Fraction(im)
         else:
-            z = (Fraction(p[0]), Fraction(p[1])) if isinstance(p, tuple) \
-                else (Fraction(p), Fraction(0))
+            z = Fraction(p), Fraction(0)
         _complex(z)
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError):
         raise PreconditionError(f"companion point {p!r} is not a finite "
                                 "point within the float range") from None
     return z
@@ -276,9 +285,10 @@ def build_P_and_k(q: AlgebraicNumber, m: int, p, w0: GR, horizon: int,
                   powers: _Powers | None = None
                   ) -> tuple[SignPattern, int, list[int]]:
     """Membership set P' = {i : Re(w p^-i) <= 0} materialized to the
-    horizon, and the least k making the forced-prefix capacity at least one:
-    sum_{i<=k} m q^-i + sum_{i>k, i in P'} m q^-i >= 1, decided exactly
-    (truncation lower bound, full-tail upper bound).
+    horizon, and the least k making the capacity of the forced pattern
+    P' u {1..k}, m sum_{i in it} q^-i, at least one: exactly by the closed
+    form when the membership is periodic (p real or a root of unity), else
+    by the corridor's truncation lower bound and full-tail upper bound.
     """
     p = as_gaussian(p)
     if not (q.compare_to_fraction(m) > 0 and q.compare_to_fraction(m + 1) < 0):
@@ -290,12 +300,11 @@ def build_P_and_k(q: AlgebraicNumber, m: int, p, w0: GR, horizon: int,
                 for x in map(pw.at, range(1, horizon + 1))]
     members = [i for i, re in enumerate(re_signs, 1) if re <= 0]
     member_set = set(members)
-    ar = ZqContext(q)
-    period = _membership_period(p)
+    period = 2 if p[1] == 0 else _root_of_unity_order(p)
     if period is not None:
-        k = _least_k_periodic(ar, q, m, member_set, period, horizon)
+        k = _least_k_periodic(q, m, member_set, period, horizon)
     else:
-        k = _least_k_truncated(ar, m, member_set, horizon)
+        k = _least_k_corridor(q, m, member_set, horizon)
     if k > 0 and re_signs[k - 1] <= 0:
         raise QSpectraError("construction invariant failed: Re(w p^-k) <= 0")
     pattern = SignPattern.from_membership(member_set | set(range(1, k + 1)),
@@ -303,81 +312,50 @@ def build_P_and_k(q: AlgebraicNumber, m: int, p, w0: GR, horizon: int,
     return pattern, k, members
 
 
-def _membership_period(p: GR) -> int | None:
-    """Exact period of i -> sign(Re(w p^-i)) when p is real (alternating)
-    or a root of unity; None when the sign pattern is aperiodic."""
-    if p[1] == 0:
-        return 2
-    order = _root_of_unity_order(p)
-    return order
-
-
-def _least_k_periodic(ar: ZqContext, q: AlgebraicNumber, m: int,
-                      member_set: set[int], period: int, horizon: int) -> int:
+def _least_k_periodic(q: AlgebraicNumber, m: int, member_set: set[int],
+                      period: int, horizon: int) -> int:
     """Least k with sum_{i<=k} m q^-i + sum_{i>k, i in P'} m q^-i >= 1,
     decided exactly through the geometric closed form of the periodic
-    membership classes (handles boundary equalities like capacity == 1)."""
+    membership classes (handles boundary equalities like capacity == 1).
+    Times q^k D, D = q^period - 1 > 0, the test is
+    m (S_k D + sum_r q^e_r) - q^k D >= 0 with S_k = sum_{j<k} q^j; S_k D and
+    q^k D are carried, one add and one q-step per k."""
+    ar = ZqContext(q)
     residues = {i % period for i in range(1, horizon + 1) if i in member_set}
-    # D = q^period - 1 > 0
     qpow = [ar.from_fraction(1)]
     for _ in range(period):
         qpow.append(ar.mul_q(qpow[-1]))
     D = ar.add_fraction(qpow[period], -1)
+    sD, qD = ar.zero, D                     # S_k D and q^k D
     for k in range(0, horizon + 1):
-        # capacity(k)*q^k*D - q^k*D >= 0 ?
-        prefix = ar.from_fraction(0)
-        cur = ar.from_fraction(1)           # q^j
-        for _ in range(k):                   # sum_{j=0}^{k-1} q^j
-            prefix = ar.add(prefix, cur)
-            cur = ar.mul_q(cur)
-        qk = cur                             # q^k
-        acc = ar.mul(prefix, D)
+        acc = sD
         for r in residues:
-            e = (period - 1) - ((r - k - 1) % period)
-            acc = ar.add(acc, qpow[e])
-        lhs = ar.scale(acc, m)
-        if ar.sign(ar.sub(lhs, ar.mul(qk, D))) >= 0:
+            acc = ar.add(acc, qpow[(period - 1) - ((r - k - 1) % period)])
+        if ar.sign(ar.sub(ar.scale(acc, m), qD)) >= 0:
             return k
+        sD, qD = ar.add(sD, qD), ar.mul_q(qD)
     raise PrecisionExhaustedError(
         "capacity never reached 1 within the horizon; extend it")
 
 
-def _least_k_truncated(ar: ZqContext, m: int, member_set: set[int],
-                       horizon: int) -> int:
-    """Truncation/tail-bound decision of the least k for aperiodic
-    membership; exact-equality capacities surface as an extension signal."""
-    one = ar.from_fraction(1)
-    qm1 = ar.sub(ar.mul_q(one), one)
-    h = horizon
-    pw = [None] * (h + 1)   # pw[i] = q^{h-i} (q-1)
-    cur = qm1
-    for i in range(h, 0, -1):
-        pw[i] = cur
-        cur = ar.mul_q(cur)
-    w_h = cur               # q^h (q-1)
-
-    def capacity_lower_scaled(k: int):
-        acc = ar.zero
-        for i in range(1, h + 1):
-            if i <= k or i in member_set:
-                acc = ar.add(acc, pw[i])
-        return ar.scale(acc, m)
-
-    k = None
-    for cand in range(0, h + 1):
-        lower = capacity_lower_scaled(cand)
-        if ar.sign(ar.sub(lower, w_h)) >= 0:
-            k = cand
-            break
-    if k is None:
-        raise PrecisionExhaustedError(
-            "capacity never reached 1 within the horizon; extend it")
-    if k > 0:
-        upper_prev = ar.add_fraction(capacity_lower_scaled(k - 1), m)
-        if ar.sign(ar.sub(upper_prev, w_h)) >= 0:
+def _least_k_corridor(q: AlgebraicNumber, m: int, member_set: set[int],
+                      horizon: int) -> int:
+    """Least k whose pattern P' u {1..k} the lazy corridor certifies at
+    capacity >= 1, that of k - 1 certified below 1; an undecided bound
+    (an exact-equality capacity among them) is an extension signal."""
+    below = True                            # k = 0 has no predecessor
+    for k in range(0, horizon + 1):
+        pattern = SignPattern.from_membership(
+            member_set | set(range(1, k + 1)), horizon)
+        ge1, lt1 = _Corridor(q, m, pattern, horizon).capacity_bounds()
+        if ge1:
+            if below:
+                return k
             raise PrecisionExhaustedError(
                 "minimality of k undecidable at this horizon; extend it")
-    return k
+        below = lt1
+    raise PrecisionExhaustedError(
+        "capacity never reached 1 within the horizon; extend it")
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +392,22 @@ class WitnessReport(namedtuple(
             "distinct_moduli": self.distinct_moduli,
             "certified": self.certified,
         }
+
+
+def _report(step: int, verdict: str, q: AlgebraicNumber, m: int, p: GR,
+            horizon: int, seq: DigitSequence, p_re_trace, p_abs_trace,
+            certified: dict, direction: Direction | None = None,
+            k: int | None = None, members=None,
+            distinct_moduli: int | None = None) -> WitnessReport:
+    """The report of a witness whose p side is done.  Its q side is the
+    residual certificate, then the residual trace: both refine the base,
+    and the display floats read it, so they run in this order and last."""
+    cert = verify_expansion(seq, q, 0, horizon)
+    return WitnessReport(
+        step, verdict, q, m, p, horizon, seq, direction, k,
+        None if members is None else tuple(members),
+        _q_residual_trace(seq, q, horizon), cert.to_dict(), p_re_trace,
+        p_abs_trace, distinct_moduli, certified)
 
 
 def _q_residual_trace(seq: DigitSequence, q: AlgebraicNumber, N: int
@@ -497,25 +491,19 @@ def _step1_sequence(q: AlgebraicNumber, m: int, horizon: int) -> DigitSequence:
 def _witness_step1(q: AlgebraicNumber, m: int, p: GR,
                    horizon: int) -> WitnessReport:
     seq = _step1_sequence(q, m, horizon)
-    cert = verify_expansion(seq, q, 0, horizon)
     pw = _Powers(p, horizon)
     g, M = pw.G[0], pw.M                     # p^-1 = g / M, 0 < g < M
     # -1 + sum_{i<=h} s_i p^-i = t / D; the tail m p^-h / (p-1) is
     # m g^(h+1) / (M^h (M - g))
     res, abss, _, (t, D), _ = _p_traces(seq, ((1, 0), 1), pw, horizon)
     tail_num, tail_den = m * g ** (horizon + 1), M ** horizon * (M - g)
-    return WitnessReport(
-        step=1, verdict="nonvanishing-by-monotonicity", base=q, m=m, p=p,
-        horizon=horizon, sequence=seq, direction=None, k=None, members=None,
-        q_residual=_q_residual_trace(seq, q, horizon),
-        q_certificate=cert.to_dict(),
-        p_re_trace=res, p_abs_trace=abss, distinct_moduli=None,
-        certified={
-            "p_sum_minus_target": t / D,
-            "p_tail_bound": tail_num / tail_den,
-            "nonzero": abs(t) * tail_den > tail_num * D,
-            "monotone_evaluation": True,
-        })
+    return _report(1, "nonvanishing-by-monotonicity", q, m, p, horizon, seq,
+                   res, abss, {
+                       "p_sum_minus_target": t / D,
+                       "p_tail_bound": tail_num / tail_den,
+                       "nonzero": abs(t) * tail_den > tail_num * D,
+                       "monotone_evaluation": True,
+                   })
 
 
 def _witness_step2(q: AlgebraicNumber, m: int, horizon: int) -> WitnessReport:
@@ -523,28 +511,19 @@ def _witness_step2(q: AlgebraicNumber, m: int, horizon: int) -> WitnessReport:
     if seq.exact_zero_tail:
         zero_from = seq.meta.get("zero_from") or horizon
         block = tuple(seq.preperiod[: zero_from + 1])
-        per = periodic_completion(block, q, m)
-        seq = per
+        seq = periodic_completion(block, q, m)
     # at p = 1 the partial sums are the digit sums
     sums = []
     acc = 0
     for i in range(0, horizon + 1):
         acc += seq.digit(i)
         sums.append(float(acc))
-    cert = verify_expansion(seq, q, 0, horizon)
-    return WitnessReport(
-        step=2, verdict="divergent-real-part", base=q, m=m,
-        p=(Fraction(1), Fraction(0)),
-        horizon=horizon, sequence=seq, direction=None, k=None, members=None,
-        q_residual=_q_residual_trace(seq, q, horizon),
-        q_certificate=cert.to_dict(),
-        p_re_trace=sums, p_abs_trace=[abs(s) for s in sums],
-        distinct_moduli=None,
-        certified={
-            "digit_sum_per_period": seq.period_digit_sum(),
-            "divergent": (seq.period_digit_sum() or 0) > 0
-            or not seq.is_finitely_supported,
-        })
+    return _report(2, "divergent-real-part", q, m, (Fraction(1), Fraction(0)),
+                   horizon, seq, sums, [abs(s) for s in sums], {
+                       "digit_sum_per_period": seq.period_digit_sum(),
+                       "divergent": (seq.period_digit_sum() or 0) > 0
+                       or not seq.is_finitely_supported,
+                   })
 
 
 def _witness_steps34(q: AlgebraicNumber, m: int, p: GR,
@@ -556,12 +535,11 @@ def _witness_steps34(q: AlgebraicNumber, m: int, p: GR,
     pattern, k, members = build_P_and_k(q, m, p, w0, horizon, pw)
     seq = lazy_constrained(q, m, pattern, horizon)
     _assert_witness_structure(seq, pattern, k, m)
-    cert = verify_expansion(seq, q, 0, horizon)
 
     w = _over_int(w0)
     if on_circle and seq.is_finitely_supported:
         return _witness_step4_finite(q, m, p, pw, w, direction, seq, k,
-                                     members, horizon, cert)
+                                     members, horizon)
 
     res, abss, signs, _, moduli = _p_traces(seq, w, pw, horizon, on_circle)
     chain, chain_negative = _chain_bound(w, pw, m, k)
@@ -571,21 +549,11 @@ def _witness_steps34(q: AlgebraicNumber, m: int, p: GR,
         "chain_bound_negative": chain_negative,
     }
     if not on_circle:
-        return WitnessReport(
-            step=3, verdict="negative-real-part-certified", base=q, m=m,
-            p=p, horizon=horizon, sequence=seq, direction=direction, k=k,
-            members=tuple(members),
-            q_residual=_q_residual_trace(seq, q, horizon),
-            q_certificate=cert.to_dict(), p_re_trace=res, p_abs_trace=abss,
-            distinct_moduli=None, certified=certified)
+        return _report(3, "negative-real-part-certified", q, m, p, horizon,
+                       seq, res, abss, certified, direction, k, members)
     certified["moduli_exact"] = True
-    return WitnessReport(
-        step=4, verdict="distinct-moduli", base=q, m=m, p=p,
-        horizon=horizon, sequence=seq, direction=direction, k=k,
-        members=tuple(members),
-        q_residual=_q_residual_trace(seq, q, horizon),
-        q_certificate=cert.to_dict(), p_re_trace=res, p_abs_trace=abss,
-        distinct_moduli=len(moduli), certified=certified)
+    return _report(4, "distinct-moduli", q, m, p, horizon, seq, res, abss,
+                   certified, direction, k, members, len(moduli))
 
 
 def _chain_bound(w, pw: _Powers, m: int, k: int) -> tuple[float, bool]:
@@ -615,7 +583,7 @@ def _assert_witness_structure(seq: DigitSequence, pattern: SignPattern,
 
 
 def _witness_step4_finite(q, m, p, pw, w, direction, seq, k, members,
-                          horizon, cert) -> WitnessReport:
+                          horizon) -> WitnessReport:
     """Finitely supported digits at a unit-circle p: replicate the block at
     shifts r_j with p^{-r_j} close enough to 1 that each copy contributes at
     most half the (negative) block sum; real parts then diverge to -inf."""
@@ -672,20 +640,13 @@ def _witness_step4_finite(q, m, p, pw, w, direction, seq, k, members,
         height=m, first_index=0, exact_zero_tail=True,
         meta={"shifts": shifts, "block_length": n + 1})
     res, abss, _, _, _ = _p_traces(rep, w, pw, out_h)
-    cert_rep = verify_expansion(rep, q, 0, out_h)
-    return WitnessReport(
-        step=4, verdict="divergent-real-part", base=q, m=m, p=p,
-        horizon=out_h, sequence=rep, direction=direction, k=k,
-        members=tuple(members), q_residual=_q_residual_trace(rep, q, out_h),
-        q_certificate=cert_rep.to_dict(), p_re_trace=res, p_abs_trace=abss,
-        distinct_moduli=None,
-        certified={
-            "block_sum": cn / (e * M ** n) / abs(_complex(direction.w0)),
-            "shifts": shifts,
-            "block_sums_below_half": block_sums_ok,
-            "re_trace_final": res[-1],
-            **truncated,
-        })
+    return _report(4, "divergent-real-part", q, m, p, out_h, rep, res, abss, {
+        "block_sum": cn / (e * M ** n) / abs(_complex(direction.w0)),
+        "shifts": shifts,
+        "block_sums_below_half": block_sums_ok,
+        "re_trace_final": res[-1],
+        **truncated,
+    }, direction, k, members)
 
 
 # ---------------------------------------------------------------------------

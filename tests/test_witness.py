@@ -18,6 +18,7 @@ import pytest
 from qspectra import cli
 from qspectra.algebraic import AlgebraicNumber
 from qspectra.errors import PreconditionError
+from qspectra.expansions import SignPattern, _Corridor
 from qspectra.intpoly import IntPolynomial
 from qspectra.serialize import canonical_json
 from qspectra.witness import (
@@ -65,6 +66,17 @@ def test_parse_complex():
     assert parse_complex("0.5,-0.25") == (Fraction(1, 2), Fraction(-1, 4))
     with pytest.raises(PreconditionError):
         parse_complex("fish")
+
+
+def test_as_gaussian_takes_exactly_a_pair():
+    assert as_gaussian([0, 2]) == as_gaussian((0, 2)) == (0, 2)
+    assert as_gaussian(-1.25) == (Fraction(-5, 4), 0)
+    assert as_gaussian(0.5 + 2j) == (Fraction(1, 2), 2)
+    for bad in ((1, 2, 3), (0,), None, [0, "1/0"], [float("inf"), 0]):
+        with pytest.raises(PreconditionError):
+            as_gaussian(bad)
+    with pytest.raises(PreconditionError):
+        build_witness(q18(), 1, (1, 2, 3), horizon=40)
 
 
 def test_choose_w_negative_real():
@@ -177,6 +189,52 @@ def test_build_P_and_k_k0_when_capacity_rich():
     d = choose_w("-2", 1)
     pattern, k, members = build_P_and_k(q, 1, "-2", d.w0, 60)
     assert k == 0
+
+
+def _truncated_k_oracle(q: Fraction, m: int, p, horizon: int):
+    """P' = {i <= horizon : Re((1 - p) p^-i) <= 0} and the least k whose
+    truncated capacity m sum_{i <= horizon, i <= k or i in P'} q^-i reaches
+    1, with the capacity of k - 1 below 1 even with the full tail
+    m q^-horizon / (q - 1) added: all in Fractions."""
+    (pr, pi), (wr, wi) = p, (1 - p[0], -p[1])
+    n = pr * pr + pi * pi
+    inv, z, members = (pr / n, -pi / n), (Fraction(1), Fraction(0)), []
+    for i in range(1, horizon + 1):
+        z = (z[0] * inv[0] - z[1] * inv[1], z[0] * inv[1] + z[1] * inv[0])
+        if wr * z[0] - wi * z[1] <= 0:
+            members.append(i)
+
+    def lower(k):
+        return sum(m * q ** -i for i in range(1, horizon + 1)
+                   if i <= k or i in members)
+
+    k = next(k for k in range(horizon + 1) if lower(k) >= 1)
+    assert k == 0 or lower(k - 1) + m * q ** -horizon / (q - 1) < 1
+    return members, k
+
+
+def test_build_P_and_k_aperiodic_matches_the_fraction_oracle():
+    # p = 2i is neither real nor a root of unity, so its k is decided by
+    # the truncated bounds, not by a closed form
+    q, p = q18(), as_gaussian("0,2")
+    members, k = _truncated_k_oracle(Fraction(9, 5), 1, p, 60)
+    assert k == 3
+    pattern, got_k, got_members = build_P_and_k(q, 1, p, choose_w(p, 1).w0, 60)
+    assert (got_k, got_members) == (k, members)
+    assert pattern == SignPattern.from_membership(
+        set(members) | {1, 2, 3}, 60)
+
+
+def test_build_P_and_k_decides_capacity_exactly_one():
+    # on phi the odd indices have capacity sum_{i odd} phi^-i = 1 exactly:
+    # the periodic closed form gives k = 0, while the corridor's truncated
+    # bounds at horizon 60 certify neither side of 1
+    pattern, k, members = build_P_and_k(phi(), 1, "-1.2",
+                                        choose_w("-1.2", 1).w0, 60)
+    assert k == 0 and members == list(range(1, 61, 2))
+    odd = SignPattern.from_membership(members, 60)
+    assert pattern == odd
+    assert _Corridor(phi(), 1, odd, 60).capacity_bounds() == (False, False)
 
 
 def test_build_P_and_k_requires_window():
