@@ -15,15 +15,16 @@ Three layers live here:
   evidence, computed (and ``disks`` loaded) only when a ``NumberClass``'s
   ``conjugate_set`` is read.
 * ``ZqContext`` -- the one exact value kernel, Q[q] for any base, run in
-  integers: every value is a pair (V, D) of an int vector V over the
-  algebraic integer theta = a*q (a the leading coefficient; theta = q on a
-  monic base) and an int denominator D > 0.  The search and the windows
-  pack these vectors into one int each (``spectrum._PackedZq``).  Ring
-  operations, exact signs and ordering (``sign``, ``compare``,
+  integers: a context is built at one scale, a^D times a rational target's
+  denominator (a the leading coefficient, D the highest degree its values
+  reach), and every value is the int vector over the algebraic integer
+  theta = a*q (theta = q on a monic base) of that scale times the value.
+  The search and the windows pack these vectors into one int each
+  (``spectrum._PackedZq``).  Digit steps, exact signs (``sign``,
   ``cmp_fraction``) from the base's sign oracle, display floats read off
   exact enclosures, and the floating-point model (``float_model``) under
   which the spectrum engines carry proven float enclosures of their search
-  states.
+  states; sums are tuple sums (``_axpy``).
 
 Minimal polynomials are free of rational roots: ``AlgebraicNumber`` divides
 the rational roots of its polynomial out (``real_roots`` reads them off its
@@ -53,6 +54,7 @@ from .intpoly import (
     refine_root_interval,
     squarefree_part,
     unit_circle_counts,
+    _integer,
     _prem,
     _rational,
 )
@@ -103,8 +105,8 @@ class AlgebraicNumber:
     interval only ever shrinks) and idempotent, so concurrent refiners can
     race harmlessly.  Every exact decision ends in :meth:`_sign_of_reduced`:
     through :meth:`sign_of_int_poly` (``compare_to_fraction``,
-    ``greater_than``), or through ``ZqContext``'s element signs (``sign``,
-    ``compare``, ``cmp_fraction``, the packed kernels, the lazy corridor).
+    ``greater_than``), or through ``ZqContext``'s signs (``sign`` and
+    ``cmp_fraction``, under the packed kernels and the lazy corridor too).
     """
 
     def __init__(self, min_poly: IntPolynomial, lo: Fraction, hi: Fraction,
@@ -313,28 +315,39 @@ class AlgebraicNumber:
 # Z[q] canonical kernel
 
 
+def _axpy(x, c, y):
+    """x + c*y, entry by entry."""
+    return tuple(a + c * b for a, b in zip(x, y))
+
+
 class ZqContext:
-    """Exact arithmetic in Q[q] = Q[x]/(min_poly) for any algebraic base.
+    """Exact arithmetic in Q[q] = Q[x]/(min_poly) for any algebraic base, at
+    one scale fixed when the context is built.
 
     Let a be the leading coefficient of the minimal polynomial f (degree d):
     theta = a*q is an algebraic integer, a root of the monic a^(d-1) f(y/a),
     and ``qd_terms`` holds theta^d = sum c_i theta^i (theta = q if a = 1).
-    An element is a pair (V, D), an int tuple V and an int D > 0 with value
-    sum V_i theta^i / D, on every base; a monic base is a = 1, where an
-    integer value has D = 1.  A digit step is (theta*V + s*a*D, a*D), add
-    and sub put two pairs over one D, a rational scalar (int or Fraction)
-    enters by its numerator and denominator, and no Fraction arises.
-    ``coefficients`` reads an element back in the basis 1, q, ...,
-    q^(d-1).  A zero vector represents the real number zero because the
-    minimal polynomial is irreducible (input contract).  Every ``sign``,
-    and so every ``compare`` and ``cmp_fraction``, is exact: the base's
-    sign oracle (``_sign_of_reduced``) decides the int polynomial
-    sum V_i a^i q^i, refining q only when its enclosure on the current
-    interval contains zero; on a rational base (d = 1) the sign is that of
-    V_0.  ``interval`` is that exact enclosure, and ``float_value`` its
-    midpoint on the base refined to ``FLOAT_WIDTH``, rounded once.  The
-    polynomial is a positive multiple of the value for any D, so no sign,
-    refinement of the base or display float depends on the scale.
+    A context of ``depth`` D and denominator ``den`` has the scale
+    S = a^D * den, and holds a value v as the int tuple V over theta of
+    S * v; ``one`` is the tuple of the value 1.  This is exact while v's
+    digits (its coefficients in 1, q, q^2, ...) reach degree <= D and are
+    multiples of 1/den, since a^D q^i = a^(D-i) theta^i; each caller picks
+    D and den for the values it makes.  On a monic base a^D = 1, so the
+    depth does not matter.  Sums and int multiples of values are tuple
+    sums (``_axpy``); ``mul_q`` is theta*V and one exact division by a
+    (none when a = 1), and a digit ``step`` adds s * ``one`` to that: no
+    denominator is ever aligned and no Fraction arises.  ``coefficients``
+    reads a value back in the basis 1, q, ..., q^(d-1).  A zero vector
+    represents the real number zero because the minimal polynomial is
+    irreducible (input contract).  Every ``sign``, and so every
+    ``cmp_fraction``, is exact: the base's sign oracle
+    (``_sign_of_reduced``) decides the int polynomial sum V_i a^i q^i,
+    refining q only when its enclosure on the current interval contains
+    zero; on a rational base (d = 1) the sign is that of V_0.
+    ``float_value`` is the midpoint of that exact enclosure on the base
+    refined to ``FLOAT_WIDTH``, rounded once.  The polynomial is a positive
+    multiple of the value for any scale, so no sign, refinement of the base
+    or display float depends on it.
 
     Carried enclosures.  The search engines keep, beside each exact vector
     v, a float f and one radius R per level with |value(v) - f| <= R, so
@@ -354,23 +367,21 @@ class ZqContext:
     model stays valid for a whole search, and the window points display
     their carried floats.
 
-    Packed vectors.  The smallest-positive search and the windows keep an
-    int vector (a_0, ..., a_{d-1}) over theta as one int V = sum a_i 2^(W i)
+    Packed vectors.  The smallest-positive search and the windows keep a
+    context's vector (a_0, ..., a_{d-1}) as one int V = sum a_i 2^(W i)
     (signed Kronecker substitution: Schoenhage, 1982; Harvey, *J. Symbolic
     Comput.* 44, 2009), built by ``spectrum._PackedZq``.  Packing is
     additive and, while every |a_i| < 2^(W-1), one-to-one, so equal
-    vectors are equal ints and a sign flip is -V.  A value v is stored as
-    the vector of a^D * v: D = 0 on a monic base, where theta = q, and on
-    any other base the window's depth bound, the highest degree of any
-    child it computes.  A value with digits up to degree n < D is a^(D-n)
-    times an int vector (a^n q^i = a^(n-i) theta^i), so it is an int vector
-    too.  With theta^d = sum c_i theta^i, the top entry is
+    vectors are equal ints and a sign flip is -V.  The context's depth is 0
+    on a monic base and on any other base the window's depth bound, the
+    highest degree of any child it computes.  With
+    theta^d = sum c_i theta^i, the top entry is
     t = (V + 2^(W(d-1)-1)) >> W(d-1) and
 
         theta*v = (V << W) - t*R,    R = 2^(W d) - sum c_i 2^(W i),
 
     once per parent; q*v is then one exact division of that int by a (each
-    entry is divisible by a while n < D, and packing is linear), and a
+    entry is divisible by a below the depth, and packing is linear), and a
     child q*v + s adds s*a^D.  Width bound: if a level's entries are at
     most E, its children's are at most E' = E*(1 + max|c_i|)/a + m*a^D.
     The engines carry E per level and keep E' below 2^(W-2), so a state,
@@ -381,137 +392,80 @@ class ZqContext:
     Each value was below 2^(W-2) when it was made and W never shrinks, so
     the values of all levels stay below it (E may restart below an earlier
     level's entries), and differences across levels (a window's sort and
-    gap keys) decode exactly too.  The exact methods read a packed V as
-    the element (V, a^D).
+    gap keys) decode exactly too.  The exact methods unpack V to the
+    context's vector.
     """
 
-    def __init__(self, q: AlgebraicNumber):
+    def __init__(self, q: AlgebraicNumber, depth: int = 0, den: int = 1):
         self.q = q
         *low, a = q.min_poly.coeffs
-        self.d, self.lead = len(low), a
+        self.d, self.lead, self.depth = len(low), a, depth
         self.qd_terms = tuple((i, -c * a ** (self.d - 1 - i))
                               for i, c in enumerate(low) if c)
         self._apow = tuple(a**i for i in range(self.d))    # q^i = theta^i/a^i
+        self.one = (a**depth * den,) + (0,) * (self.d - 1)
 
-    @property
-    def zero(self):
-        return (0,) * self.d, 1
-
-    def from_fraction(self, c):
-        """The element of the rational c (an int or a Fraction)."""
-        return (c.numerator,) + (0,) * (self.d - 1), c.denominator
-
-    def coefficients(self, v) -> tuple:
+    def coefficients(self, V) -> tuple:
         """The coefficients of v in the basis 1, q, ..., q^(d-1)."""
-        V, D = v
-        return tuple(Fraction(x * p, D) for x, p in zip(V, self._apow))
+        S = self.one[0]
+        return tuple(Fraction(x * p, S) for x, p in zip(V, self._apow))
 
-    @staticmethod
-    def _common(a, b):
-        """(A, B, D): the int tuples of the pairs a and b over one D."""
-        (A, Da), (B, Db) = a, b
-        if Da == Db:
-            return A, B, Da
-        g = math.gcd(Da, Db)
-        fa, fb = Db // g, Da // g
-        return [x * fa for x in A], [x * fb for x in B], Da * fa
+    def mul_q(self, V):
+        return self.step(V, 0)
 
-    def mul_q(self, v):
-        return self.step(v, 0)
-
-    def add(self, a, b):
-        A, B, D = self._common(a, b)
-        return tuple(x + y for x, y in zip(A, B)), D
-
-    def sub(self, a, b):
-        A, B, D = self._common(a, b)
-        return tuple(x - y for x, y in zip(A, B)), D
-
-    def neg(self, a):
-        return tuple(-x for x in a[0]), a[1]
-
-    def scale(self, a, c):
-        """c*a for a rational c (an int or a Fraction)."""
-        n = c.numerator
-        return tuple(n * x for x in a[0]), a[1] * c.denominator
-
-    def add_fraction(self, a, c):
-        """a + c for a rational c (an int or a Fraction)."""
-        (x0, *rest), D = a
-        r = c.denominator
-        return (x0 * r + c.numerator * D, *(x * r for x in rest)), D * r
-
-    def _times_theta(self, V, c=0) -> tuple:
-        """theta*V + c for a tuple V."""
-        out = [c, *V[:-1]]
+    def step(self, V, s: int):
+        """q*v + s for an int digit s: one digit-append step, for v with
+        digits below the context's depth."""
+        out = [0, *V[:-1]]
         top = V[-1]
         if top:
             for i, t in self.qd_terms:
                 out[i] += top * t
+        a = self.lead
+        if a != 1:
+            out = [x // a for x in out]
+        out[0] += s * self.one[0]
         return tuple(out)
 
-    def step(self, v, s: int):
-        """q*v + s for an int digit s: one digit-append step."""
-        D = v[1] * self.lead
-        return self._times_theta(v[0], s * D), D
+    def from_digits(self, digits):
+        """The vector of sum digits[i] * q^i (ascending int digits)."""
+        digits = [_integer(s, "digit") for s in digits]
+        if self.lead != 1 and len(digits) > self.depth + 1:
+            raise PreconditionError(
+                f"{len(digits)} digits pass the context's depth {self.depth}")
+        acc = (0,) * self.d
+        for s in reversed(digits):
+            acc = self.step(acc, s)
+        return acc
 
-    def _sign_of_vector(self, V) -> int:
-        """Sign of sum V_i theta^i: that of V_0 on a rational base (d = 1),
-        else the base's sign oracle on sum V_i a^i q^i."""
+    def sign(self, V) -> int:
+        """Sign of v: that of V_0 on a rational base (d = 1), else the
+        base's sign oracle on sum V_i a^i q^i."""
         if self.d == 1:
             return (V[0] > 0) - (V[0] < 0)
         return self.q._sign_of_reduced([x * p for x, p in zip(V, self._apow)])
 
-    def at_scale(self, D: int):
-        """(one, mul_q, sign, elem) for values held at one fixed scale: v is
-        the int tuple V over theta of a^D * v, with no denominator while v
-        has integer digits up to degree D, so sums are tuple sums.
-        ``mul_q`` is theta*V and one exact division by a (none when a = 1);
-        ``sign`` is the sign of every element; ``elem`` is the element
-        (V, a^D)."""
-        a = self.lead
-        one = (a**D,) + (0,) * (self.d - 1)
-        mul_q = (self._times_theta if a == 1
-                 else lambda V: tuple(x // a for x in self._times_theta(V)))
-        return one, mul_q, self._sign_of_vector, lambda V: (V, one[0])
+    def cmp_fraction(self, V, c) -> int:
+        """Sign of v - c for a rational c (an int or a Fraction)."""
+        r = c.denominator
+        return self.sign((V[0] * r - c.numerator * self.one[0],
+                          *(x * r for x in V[1:])))
 
-    def from_digits(self, digits):
-        """Element of sum digits[i] * q^i (ascending digits)."""
-        acc = self.zero
-        for s in reversed(list(digits)):
-            acc = self.step(acc, int(s))
-        return acc
-
-    def sign(self, v) -> int:
-        return self._sign_of_vector(v[0])
-
-    def compare(self, a, b) -> int:
-        return self.sign(self.sub(a, b))
-
-    def cmp_fraction(self, v, c: Fraction) -> int:
-        """Sign of value(v) - c for a rational c."""
-        return self.sign(self.add_fraction(v, -c))
-
-    def _bounds(self, v) -> tuple[int, int, int]:
-        """(vlo, vhi, den): value(v) lies in [vlo/den, vhi/den] on the
-        current base interval."""
-        V, D = v
+    def _bounds(self, V) -> tuple[int, int, int]:
+        """(vlo, vhi, den): v lies in [vlo/den, vhi/den] on the current base
+        interval."""
         vlo, vhi, den = self.q._int_interval(
             [x * p for x, p in zip(V, self._apow)])
-        return vlo, vhi, D * den
+        return vlo, vhi, self.one[0] * den
 
-    def interval(self, v) -> tuple[Fraction, Fraction]:
-        """Exact rational bounds of value(v) on the current base interval."""
-        vlo, vhi, den = self._bounds(v)
-        return Fraction(vlo, den), Fraction(vhi, den)
-
-    def float_value(self, v) -> float:
-        """Display float of v: the midpoint of its exact enclosure on the
-        base refined to FLOAT_WIDTH, correctly rounded by one int division
-        (a coarser interval's midpoint can be off in the leading digits)."""
+    def float_value(self, V, shift: int = 0) -> float:
+        """Display float of v / 2^shift: the midpoint of its exact enclosure
+        on the base refined to FLOAT_WIDTH, correctly rounded by one int
+        division (a coarser interval's midpoint can be off in the leading
+        digits).  Away from underflow, a shift moves only the exponent."""
         self.q.refine_to_width(FLOAT_WIDTH)
-        vlo, vhi, den = self._bounds(v)
-        return (vlo + vhi) / (2 * den)
+        vlo, vhi, den = self._bounds(V)
+        return (vlo + vhi) / (2 * den << shift)
 
     def float_model(self) -> tuple[float, float, float]:
         """(qf, dq, qabs): floats with |q - qf| <= dq over the current base
@@ -729,14 +683,15 @@ def power_base(q: AlgebraicNumber, k: int) -> AlgebraicNumber:
     constructor divides its rational roots out.  ``_charpoly`` starts from a
     Fraction identity, so it divides exactly on int entries too.
     """
+    k = _integer(k, "exponent")
     if k < 1:
         raise PreconditionError("exponent must be >= 1")
     if k == 1:
         return q
     if q.exact_rational is not None:
         return AlgebraicNumber.from_rational(q.exact_rational ** k)
-    ctx = ZqContext(q)
-    powers = [ctx.from_fraction(1)]
+    ctx = ZqContext(q, k + q.degree - 1)
+    powers = [ctx.one]
     for _ in range(k + ctx.d - 1):
         powers.append(ctx.mul_q(powers[-1]))
     # rows q^k, ..., q^(k+d-1): the transpose, same characteristic polynomial

@@ -6,19 +6,21 @@ All digit decisions are exact: remainders and corridor capacities are
 tracked as elements of Q[q] and compared through the base's certified sign
 oracle, so boundary ties (remainder exactly zero, capacity exactly one)
 are decided correctly instead of dithering at floating precision.
-``ZqContext`` holds them in integers on every base, so no step, test or
-sign does Fraction arithmetic; the lazy corridor holds its values at one
-scale a^D fixed at construction and carries z_k = u_k w_k, so a digit
-aligns no denominator and forms no ring product (``_Corridor``).
+Each routine holds its values in one ``ZqContext``, as int vectors at one
+scale fixed up front (a^D for the highest degree D a value reaches, times
+a rational target's denominator), so no step, test or sign aligns a
+denominator or does Fraction arithmetic.  The lazy corridor carries
+z_k = u_k w_k, so a digit forms no ring product (``_Corridor``).
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
-from .algebraic import AlgebraicNumber, ZqContext
+from .algebraic import AlgebraicNumber, ZqContext, _axpy
 from .errors import PreconditionError, QSpectraError
-from .intpoly import _rational
+from .intpoly import _integer, _rational
 from .records import FrozenRecord
 
 
@@ -169,22 +171,24 @@ def greedy_expansion(x, q: AlgebraicNumber, m: int, N: int) -> DigitSequence:
     At each step the largest digit keeping the remainder nonnegative is
     taken; remainders are exact, so a terminating expansion is detected as
     a certified all-zero tail.  x must be rational (exactly representable).
+    The remainders q^k x - sum_{i<=k} c_i q^(k-i) reach degree N, so they
+    sit at the scale a^N times x's denominator.
     """
+    m, N = _integer(m, "m"), _integer(N, "N")
     if m < 1 or N < 1:
         raise PreconditionError("need m >= 1 and N >= 1")
     if not q.greater_than(1):
         raise PreconditionError("base must satisfy q > 1")
     x = _rational(x)
-    ar = ZqContext(q)
+    ar = ZqContext(q, N, x.denominator)
+    one = ar.one
     # range check: 0 <= x <= m/(q-1)  <=>  x*(q-1) - m <= 0
     if x < 0:
         raise PreconditionError("x must be >= 0")
-    xv = ar.from_fraction(x)
-    top = ar.add_fraction(ar.sub(ar.mul_q(xv), xv), -m)
-    if ar.sign(top) > 0:
+    rem = (x.numerator * one[0] // x.denominator, *one[1:])
+    if ar.sign(_axpy(_axpy(ar.mul_q(rem), -1, rem), -m, one)) > 0:
         raise PreconditionError("x exceeds m/(q-1): not representable")
     digits = []
-    rem = xv
     zero_from = None
     for k in range(1, N + 1):
         if zero_from is not None:
@@ -193,29 +197,17 @@ def greedy_expansion(x, q: AlgebraicNumber, m: int, N: int) -> DigitSequence:
         t = ar.mul_q(rem)
         c = 0
         for cand in range(m, -1, -1):
-            if ar.sign(ar.add_fraction(t, -cand)) >= 0:
+            if ar.sign(_axpy(t, -cand, one)) >= 0:
                 c = cand
                 break
         digits.append(c)
-        rem = ar.add_fraction(t, -c)
+        rem = _axpy(t, -c, one)
         if ar.sign(rem) == 0:
             zero_from = k
     return DigitSequence(
         preperiod=tuple(digits), height=m, first_index=1,
         exact_zero_tail=zero_from is not None,
         meta={"zero_from": zero_from})
-
-
-def _residual_scaled(seq: DigitSequence, ar: ZqContext, target, N: int):
-    """q^N * (sum_{i<=N} s_i q^{-i} - target) as an exact element."""
-
-    def digit(i: int) -> int:
-        return seq.digit(i) if i >= seq.first_index else 0
-
-    acc = ar.add_fraction(ar.from_fraction(-target), digit(0))
-    for i in range(1, N + 1):
-        acc = ar.step(acc, digit(i))
-    return acc
 
 
 class ResidualCertificate(namedtuple(
@@ -231,15 +223,30 @@ def verify_expansion(seq: DigitSequence, q: AlgebraicNumber, target,
     """Certificate that |sum_{i<=N} s_i q^{-i} - target| <= m q^{-N}/(q-1).
 
     The comparison is exact (scaled through q^N); the reported magnitudes
-    are floats for display.
+    are floats for display.  The scaled residual
+    q^N (sum_{i<=N} s_i q^{-i} - target) reaches degree N and the test
+    multiplies it by q once, so the values sit at the scale a^(N+1) times
+    the target's denominator.
     """
-    ar = ZqContext(q)
-    scaled = _residual_scaled(seq, ar, _rational(target), N)
+    N = _integer(N, "N")
+    if N < 0:
+        raise PreconditionError("need N >= 0")
+    target = _rational(target)
+    ar = ZqContext(q, N + 1, target.denominator)
+    one = ar.one
+
+    def digit(i: int) -> int:
+        return seq.digit(i) if i >= seq.first_index else 0
+
+    scaled = (digit(0) * one[0] - target.numerator * one[0]
+              // target.denominator, *one[1:])
+    for i in range(1, N + 1):
+        scaled = ar.step(scaled, digit(i))
     sgn = ar.sign(scaled)
-    abs_scaled = scaled if sgn >= 0 else ar.scale(scaled, -1)
+    abs_scaled = scaled if sgn >= 0 else tuple(-x for x in scaled)
     # |scaled| <= m/(q-1)  <=>  |scaled|*(q-1) - m <= 0
-    test = ar.add_fraction(ar.sub(ar.mul_q(abs_scaled), abs_scaled),
-                           -seq.height)
+    test = _axpy(_axpy(ar.mul_q(abs_scaled), -1, abs_scaled), -seq.height,
+                 one)
     passed = ar.sign(test) <= 0
     qf = q.float_value()
     residual = abs(ar.float_value(scaled)) * qf ** (-N)
@@ -249,11 +256,6 @@ def verify_expansion(seq: DigitSequence, q: AlgebraicNumber, target,
 
 # ---------------------------------------------------------------------------
 # lazy constrained expansion
-
-
-def _axpy(x, c, y):
-    """x + c*y, entry by entry."""
-    return tuple(a + c * b for a, b in zip(x, y))
 
 
 class _Corridor:
@@ -271,14 +273,10 @@ class _Corridor:
     horizon.
 
     Every value here (w, up, dn, u, z) has integer digits up to degree
-    D = max(horizon, T) + 1, so all sit at the one scale a^D fixed at
-    construction (``ZqContext.at_scale``): int tuples over theta = a*q
-    (theta = q on a monic base).  A digit then costs tuple sums,
-    the q-steps of u and (above T) of z, and two signs: no denominator is
-    aligned and no ring product is formed.  Each sign is taken of a
-    positive multiple of the polynomial an unscaled test would give the
-    base's sign oracle, so the digits, the refinement of the base and
-    every display float are those of any other scale.
+    D = max(horizon, T) + 1, so all sit in the context of depth D: int
+    tuples over theta = a*q (theta = q on a monic base) at the scale a^D.
+    A digit then costs tuple sums, the q-steps of u and (above T) of z,
+    and two signs: no ring product is formed.
     """
 
     def __init__(self, q: AlgebraicNumber, m: int, pattern: SignPattern,
@@ -287,11 +285,11 @@ class _Corridor:
             raise PreconditionError(
                 "pattern threshold too far beyond the horizon for the "
                 "scaled corridor")
-        self.ar, self.m, self.pattern = ZqContext(q), m, pattern
+        self.m, self.pattern = m, pattern
         self.T = T = pattern.threshold
-        one, self.mul_q, self.sign, self.elem = self.ar.at_scale(
-            max(horizon, T) + 1)
-        zero, qvec = _axpy(one, -1, one), self.mul_q(one)
+        self.ar = ar = ZqContext(q, max(horizon, T) + 1)
+        self.mul_q, self.sign, one = ar.mul_q, ar.sign, ar.one
+        zero, qvec = (0,) * ar.d, self.mul_q(one)
         # rows[k] = (w_k, up_k, dn_k): w_k = q^{T-k} (q-1) and the RHS sums
         # for k < T; from T on, w = q-1 and the tails are m or 0
         w, tail = _axpy(qvec, -1, one), m * (pattern.eventual == "in")
@@ -322,11 +320,17 @@ class _Corridor:
                 self.sign(_axpy(self.cap_upper, -1, w0)) < 0)
 
     def capacity_floats(self) -> tuple[float, float]:
-        """Display bounds (lower, upper) of the capacity."""
-        ar, elem = self.ar, self.elem
-        w0 = ar.float_value(elem(self.rows[0][0]))
-        return (ar.float_value(elem(self.cap_lower)) / w0,
-                ar.float_value(elem(self.cap_upper)) / w0)
+        """Display bounds (lower, upper) of the capacity: each bound's
+        display float over that of w_0 = q^T (q-1).  All three are read at
+        one power-of-two scale 2^-e, so that w_0 stays in the float range:
+        e = 0 while q^T < 2^960 (q read at its interval's upper end), and a
+        shared shift leaves the quotient unchanged."""
+        ar, hi = self.ar, self.ar.q.interval()[1]
+        e = max(0, int(self.T * (math.log2(hi.numerator)
+                                 - math.log2(hi.denominator))) - 960)
+        w0 = ar.float_value(self.rows[0][0], e)
+        return (ar.float_value(self.cap_lower, e) / w0,
+                ar.float_value(self.cap_upper, e) / w0)
 
     def feasible_digits(self, k: int):
         """Candidate digits at index k in minimal-|s| order."""
@@ -356,7 +360,7 @@ class _Corridor:
 
     def residual_float(self) -> float:
         qf = self.ar.q.float_value()
-        return self.ar.float_value(self.elem(self.u)) * qf ** (-self.k)
+        return self.ar.float_value(self.u) * qf ** (-self.k)
 
 
 def lazy_constrained(q: AlgebraicNumber, m: int, pattern: SignPattern,
@@ -368,6 +372,7 @@ def lazy_constrained(q: AlgebraicNumber, m: int, pattern: SignPattern,
     Requires m > q-1 and certified capacity m sum_{i in P} q^{-i} >= 1;
     rejected when the certified capacity upper bound is below one.
     """
+    m, horizon = _integer(m, "m"), _integer(horizon, "horizon")
     if m < 1 or horizon < 1:
         raise PreconditionError("need m >= 1 and horizon >= 1")
     if not q.greater_than(1):
@@ -408,12 +413,12 @@ def periodic_completion(digits, q: AlgebraicNumber, m: int) -> DigitSequence:
     """Infinite repetition (s_0...s_n)^infinity of a finite string whose
     value sum s_i q^{-i} is exactly zero; the q-value of the periodic
     sequence is then zero as well.  Reports the digit sum per period."""
-    digits = tuple(int(s) for s in digits)
+    digits = tuple(_integer(s, "digit") for s in digits)
     if not digits:
         raise PreconditionError("empty digit string")
     if any(abs(s) > m for s in digits):
         raise PreconditionError("digit exceeds height bound")
-    ar = ZqContext(q)
+    ar = ZqContext(q, len(digits) - 1)
     acc = ar.from_digits(digits[::-1])      # sum s_i q^(n-i), from s_0
     if ar.sign(acc) != 0:
         raise PreconditionError(

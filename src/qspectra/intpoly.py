@@ -19,14 +19,16 @@ from .errors import PreconditionError
 from .records import FrozenRecord
 
 
-def _integer(c) -> int:
-    """c as an int; int(c) alone would truncate a Fraction or a float."""
+def _integer(c, name: str = "coefficient") -> int:
+    """c as an int; int(c) alone would truncate a Fraction or a float.  An
+    integral float or Fraction is taken, anything else is a
+    PreconditionError naming c as ``name``."""
     try:
         if int(c) == c:
             return int(c)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise PreconditionError(f"coefficient {c!r} is not an integer")
+    raise PreconditionError(f"{name} {c!r} is not an integer")
 
 
 def _rational(x) -> Fraction:

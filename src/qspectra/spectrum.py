@@ -1,13 +1,14 @@
 """Spectra of a base q > 1: window enumeration, gap statistics, and the
 branch-and-bound engine for the smallest positive element.
 
-Every window, and the search on a monic base, runs on the base's exact
-``ZqContext``: each value's integer vector over theta = a*q (a the leading
-coefficient of the minimal polynomial) packed into one int by this module's
-``_PackedZq``, so deduplication and ordering are exact, and every sign the
-kernel decides comes from the base's exact sign oracle.  On a non-monic
-base, a rational one included, a window stores a^D times each value, D the
-highest degree it steps to (see "Packed vectors" in ``ZqContext``).  The
+Every window, and the search on a monic base, runs on an exact
+``ZqContext`` of the base: each value's integer vector over theta = a*q (a
+the leading coefficient of the minimal polynomial) packed into one int by
+this module's ``_PackedZq``, so deduplication and ordering are exact, and
+every sign the kernel decides comes from the base's exact sign oracle.  On
+a non-monic base, a rational one included, a window's context has the
+scale a^D, D the highest degree it steps to, so it stores a^D times each
+value (see "Packed vectors" in ``ZqContext``).  The
 search on a non-monic base has no depth bound, so it runs ``_FloatKernel``:
 floats deduplicated within a declared tolerance, whose radius (below) is
 infinite, so every decision falls through to its tolerance tests.
@@ -53,11 +54,11 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, compress
 
-from .algebraic import AlgebraicNumber, ZqContext, _float_enclosure
+from .algebraic import AlgebraicNumber, ZqContext, _axpy, _float_enclosure
 from .config import (DEFAULT_NUMERIC_TOL, DEFAULT_STATE_BUDGET,
                      MAX_SCALE_BITS)
 from .errors import PreconditionError
-from .intpoly import _rational
+from .intpoly import _integer, _rational
 from .records import FrozenRecord
 
 
@@ -66,17 +67,16 @@ from .records import FrozenRecord
 
 
 class _PackedZq:
-    """The Z[theta] vectors of a base packed into one int each (see "Packed
-    vectors" in ``algebraic.ZqContext``), each value x stored as the vector of
-    ``one * x``, one = a^depth; the exact methods decode to elements of the
-    wrapped context."""
+    """The vectors of a ``ZqContext`` packed into one int each (see "Packed
+    vectors" in ``algebraic.ZqContext``); ``one`` is the packed vector of 1,
+    and the exact methods unpack to the context's vectors."""
 
     zero = 0
     exact = True
 
-    def __init__(self, ctx: ZqContext, m: int, depth: int = 0):
+    def __init__(self, ctx: ZqContext, m: int):
         self.ctx, self.d, self.m, self.lead = ctx, ctx.d, m, ctx.lead
-        self.one = ctx.lead ** depth
+        self.one = ctx.one[0]
         self.float_model = ctx.float_model
         self.growth = 1 + max((abs(c) for _, c in ctx.qd_terms), default=0)
         self.bound = m * self.one   # entries of the current level are <= it
@@ -86,8 +86,8 @@ class _PackedZq:
         self._set_width(W)
 
     def _set_width(self, W: int):
-        """Bind ``pack``, ``unpack``, ``elem`` and ``mul_q`` to width W."""
-        d, a, one = self.d, self.lead, self.one
+        """Bind ``pack``, ``unpack`` and ``mul_q`` to width W."""
+        d, a = self.d, self.lead
         shift = W * (d - 1)
         half, sign_bit, mask = (1 << shift) >> 1, 1 << (W - 1), (1 << W) - 1
         # theta^d = sum c_i theta^i, so theta*V = (V << W) - t*R for the
@@ -114,7 +114,6 @@ class _PackedZq:
         self.W, self.limit = W, 1 << (W - 2)
         self.pack, self.unpack = pack, unpack
         self.mul_q = mul_q
-        self.elem = lambda V: (unpack(V), one)
 
     def fit_step(self, level):
         """Make room for the children q*v + s (|s| <= m) of ``level``.
@@ -153,13 +152,13 @@ class _PackedZq:
         return out
 
     def sign(self, V) -> int:
-        return self.ctx.sign(self.elem(V))
+        return self.ctx.sign(self.unpack(V))
 
     def cmp_fraction(self, V, c: Fraction) -> int:
-        return self.ctx.cmp_fraction(self.elem(V), c)
+        return self.ctx.cmp_fraction(self.unpack(V), c)
 
     def float_value(self, V) -> float:
-        return self.ctx.float_value(self.elem(V))
+        return self.ctx.float_value(self.unpack(V))
 
 
 class _FloatKernel:
@@ -225,15 +224,17 @@ def make_kernel(q: AlgebraicNumber, m: int, depth: int | None = None,
     ``depth`` steps whose scale a^depth has at most MAX_SCALE_BITS bits;
     else (a non-monic search) numeric with absolute tolerance 2 * tol."""
     if depth is not None or q.min_poly.is_monic:
-        ctx = q.zq_context()
-        # a >= 2 passes the cap by a^(MAX_SCALE_BITS + 1), so stop there
-        scale = ctx.lead ** min(depth or 0, MAX_SCALE_BITS + 1)
-        if scale.bit_length() > MAX_SCALE_BITS:
+        # checked before the context computes a^depth: a >= 2 passes the
+        # cap by a^(MAX_SCALE_BITS + 1), so stop there
+        a = q.min_poly.coeffs[-1]
+        if (a ** min(depth or 0, MAX_SCALE_BITS + 1)).bit_length() \
+                > MAX_SCALE_BITS:
             raise PreconditionError(
                 f"an exact window of {depth} or more levels scales its values"
-                f" by at least {ctx.lead}^{depth}, over {MAX_SCALE_BITS} bits")
+                f" by at least {a}^{depth}, over {MAX_SCALE_BITS} bits")
+        ctx = ZqContext(q, depth) if depth else q.zq_context()
         ctx.ensure_float_resolution()
-        return _PackedZq(ctx, m, depth or 0)
+        return _PackedZq(ctx, m)
     tol = DEFAULT_NUMERIC_TOL if tol is None else tol
     check_tolerance(tol)
     return _FloatKernel(q, 2.0 * tol)
@@ -528,6 +529,7 @@ def enumerate_X(q: AlgebraicNumber, m: int, B, *,
     the recursion stops after ~log_q B levels.
     """
     _check_inputs(q, budget)
+    m = _integer(m, "m")
     if m < 1:
         raise PreconditionError("m >= 1 required")
     B = _check_bound(B)
@@ -617,6 +619,7 @@ def enumerate_Y(q: AlgebraicNumber, m: int, degree: int, B, *,
     growth bound applies: q > m+1 and q^(degree+1) (1 - m/(q-1)) >= B.
     """
     _check_inputs(q, budget)
+    m, degree = _integer(m, "m"), _integer(degree, "degree")
     if m < 1 or degree < 0:
         raise PreconditionError("need m >= 1 and degree >= 0")
     B = _check_bound(B)
@@ -653,6 +656,7 @@ def enumerate_A(q: AlgebraicNumber, degree: int, B, *,
     _check_inputs(q, budget)
     if q.compare_to_fraction(2) > 0:
         raise PreconditionError("A(q) windows require 1 < q <= 2")
+    degree = _integer(degree, "degree")
     if degree < 0:
         raise PreconditionError("degree >= 0 required")
     B = _check_bound(B)
@@ -679,7 +683,8 @@ def _covering_radius(values: list[float], B: float) -> float | None:
 class GapReport(namedtuple(
         "GapReport", "window_kind bound point_count min_gap max_gap_tail "
         "tail_fraction histogram min_gap_vec")):
-    """``min_gap_vec`` is the minimal gap as a ``ZqContext`` element."""
+    """``min_gap_vec`` is the minimal gap as a vector of the window's
+    ``ZqContext``, at its scale."""
     __slots__ = ()
 
     def count_equal(self, value: float, tol: float = 1e-9) -> int:
@@ -710,8 +715,9 @@ def gap_report(window: SpectrumWindow,
     Gaps are grouped by packed difference, one per exact value, so the
     histogram and minimum are exact, and each group's float is read off its
     value on the refined base, not a difference of display floats that
-    cancels.  ``min_gap_vec`` is the minimal gap as a ``ZqContext``
-    element.
+    cancels.  ``min_gap_vec`` is the minimal gap as a vector of the
+    window's ``ZqContext``; the minimum is certified by the exact sign of
+    the difference of two gap vectors.
     """
     check_tail_fraction(tail_fraction)
     order = window.order
@@ -723,13 +729,13 @@ def gap_report(window: SpectrumWindow,
     tail_from = tail_fraction * float(window.bound)
     tail = set(compress(map(int.__sub__, keys[1:], keys), map(
         tail_from.__le__, map(window.floats.__getitem__, order))))
-    ctx, elem = window.kernel.ctx, window.kernel.elem
-    vecs = {k: elem(k) for k in groups}
+    ctx = window.kernel.ctx
+    vecs = {k: window.kernel.unpack(k) for k in groups}
     gap_floats = {k: ctx.float_value(v) for k, v in vecs.items()}
     # certify the minimal group exactly among float near-ties
     min_key = next(iter(groups))
     for k in groups:
-        if ctx.compare(vecs[k], vecs[min_key]) < 0:
+        if ctx.sign(_axpy(vecs[k], -1, vecs[min_key])) < 0:
             min_key = k
     hist = sorted((gap_floats[k], n) for k, n in groups.items())
     max_tail = max(map(gap_floats.__getitem__, tail), default=hist[-1][0])
@@ -795,6 +801,7 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
     included, re-keyed first by the call's re-pack map.
     """
     _check_inputs(q, state_budget)
+    m, max_depth = _integer(m, "m"), _integer(max_depth, "max_depth")
     if m < 1:
         raise PreconditionError("m >= 1 required")
     if max_depth < 1:
@@ -810,9 +817,9 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
     def in_upper(v) -> bool:
         # v <= c  <=>  v*(q-1) - m <= 0; exact mode scales through min_poly
         if exact:
-            ctx, v = kernel.ctx, kernel.elem(v)
-            w = ctx.sub(ctx.mul_q(v), v)
-            return ctx.sign(ctx.add_fraction(w, -m)) <= 0
+            ctx, v = kernel.ctx, kernel.unpack(v)
+            w = _axpy(ctx.mul_q(v), -1, v)
+            return ctx.sign(_axpy(w, -m, ctx.one)) <= 0
         c = m / (kernel.qf - 1.0)
         return v <= c + kernel.tol
 

@@ -27,7 +27,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebraic import AlgebraicNumber, ZqContext, classify_base
+from .algebraic import AlgebraicNumber, ZqContext, _axpy, classify_base
 from .errors import (
     PreconditionError,
     PrecisionExhaustedError,
@@ -42,6 +42,7 @@ from .expansions import (
     periodic_completion,
     verify_expansion,
 )
+from .intpoly import _integer
 
 # Gaussian rationals at the public boundary: (re, im) Fraction pairs.
 GR = tuple[Fraction, Fraction]
@@ -319,21 +320,22 @@ def _least_k_periodic(q: AlgebraicNumber, m: int, member_set: set[int],
     membership classes (handles boundary equalities like capacity == 1).
     Times q^k D, D = q^period - 1 > 0, the test is
     m (S_k D + sum_r q^e_r) - q^k D >= 0 with S_k = sum_{j<k} q^j; S_k D and
-    q^k D are carried, one add and one q-step per k."""
-    ar = ZqContext(q)
+    q^k D are carried, one add and one q-step per k, up to degree
+    horizon + period + 1."""
+    ar = ZqContext(q, horizon + period + 1)
     residues = {i % period for i in range(1, horizon + 1) if i in member_set}
-    qpow = [ar.from_fraction(1)]
+    qpow = [ar.one]
     for _ in range(period):
         qpow.append(ar.mul_q(qpow[-1]))
-    D = ar.add_fraction(qpow[period], -1)
-    sD, qD = ar.zero, D                     # S_k D and q^k D
+    D = _axpy(qpow[period], -1, ar.one)
+    sD, qD = (0,) * ar.d, D                 # S_k D and q^k D
     for k in range(0, horizon + 1):
         acc = sD
         for r in residues:
-            acc = ar.add(acc, qpow[(period - 1) - ((r - k - 1) % period)])
-        if ar.sign(ar.sub(ar.scale(acc, m), qD)) >= 0:
+            acc = _axpy(acc, 1, qpow[(period - 1) - ((r - k - 1) % period)])
+        if ar.sign(_axpy(qD, -m, acc)) <= 0:     # m acc - q^k D >= 0
             return k
-        sD, qD = ar.add(sD, qD), ar.mul_q(qD)
+        sD, qD = _axpy(sD, 1, qD), ar.mul_q(qD)
     raise PrecisionExhaustedError(
         "capacity never reached 1 within the horizon; extend it")
 
@@ -461,6 +463,7 @@ def build_witness(q: AlgebraicNumber, m: int, p, horizon: int = 120
     (p = 1, and unit-circle p with finitely supported digits), certified
     negative real part (|p| > 1 off the positive axis), or many distinct
     moduli (|p| = 1 with infinite support)."""
+    m, horizon = _integer(m, "m"), _integer(horizon, "horizon")
     p = as_gaussian(p)
     if not (q.compare_to_fraction(m) > 0 and q.compare_to_fraction(m + 1) < 0):
         raise PreconditionError("need m < q < m+1 (diminish m if needed)")
@@ -677,6 +680,7 @@ def accumulation_verdict(q: AlgebraicNumber, m: int, *,
     when q >= m+1 also the growth-bound certificate.  The cross-checks are
     evidence, never the proof."""
     from .spectrum import min_positive_bfs   # build_witness never loads it
+    m = _integer(m, "m")
     if m < 1:
         raise PreconditionError("m >= 1 required")
     if not q.greater_than(1):

@@ -25,6 +25,7 @@ from qspectra.algebraic import (
     AlgebraicNumber,
     NumberClass,
     ZqContext,
+    _axpy,
     classify_base,
     conjugates,
     power_base,
@@ -457,46 +458,62 @@ def test_power_gcd_property_concrete():
 # -- Z[q] kernel -------------------------------------------------------------
 
 
+def _interval(ctx, V) -> tuple[Fraction, Fraction]:
+    """The exact enclosure of the value of ctx's vector V on the current
+    base interval."""
+    lo, hi, den = ctx._bounds(V)
+    return Fraction(lo, den), Fraction(hi, den)
+
+
+def _compare(ctx, a, b) -> int:
+    """The exact comparison of two vectors of ctx."""
+    return ctx.sign(_axpy(a, -1, b))
+
+
 def test_zq_zero_digits():
-    assert sqrt2().zq_context().from_digits([0]) == ((0, 0), 1)
+    assert sqrt2().zq_context().from_digits([0]) == (0, 0)
 
 
 def test_zq_example_values():
-    assert sqrt2().zq_context().from_digits([1, 0, 1]) == ((3, 0), 1)
-    assert phi().zq_context().from_digits([1, 1]) == ((1, 1), 1)
+    assert sqrt2().zq_context().from_digits([1, 0, 1]) == (3, 0)
+    assert phi().zq_context().from_digits([1, 1]) == (1, 1)
 
 
 def test_zq_compare_examples():
     ctx = sqrt2().zq_context()
     one = ctx.from_digits([1])
-    assert ctx.compare(one, ctx.from_digits([1])) == 0
+    assert one == ctx.one and _compare(ctx, one, ctx.from_digits([1])) == 0
     # 3 - 2*sqrt2 vs 0
-    assert ctx.compare(((3, -2), 1), ((0, 0), 1)) == 1
-    assert phi().zq_context().compare(((-1, 1), 1), ((1, 0), 1)) == -1
+    assert _compare(ctx, (3, -2), (0, 0)) == 1
+    assert _compare(phi().zq_context(), (-1, 1), (1, 0)) == -1
 
 
 def test_zq_cmp_fraction():
     ctx = sqrt2().zq_context()
-    assert ctx.cmp_fraction(((0, 1), 1), Fraction(141, 100)) == 1
-    assert ctx.cmp_fraction(((0, 1), 1), Fraction(142, 100)) == -1
-    assert ctx.cmp_fraction(((1, 1), 1), Fraction(5, 2)) == -1  # 1+sqrt2 < 2.5
-    assert ctx.cmp_fraction(((3, 0), 1), Fraction(3)) == 0
+    assert ctx.cmp_fraction((0, 1), Fraction(141, 100)) == 1
+    assert ctx.cmp_fraction((0, 1), Fraction(142, 100)) == -1
+    assert ctx.cmp_fraction((1, 1), Fraction(5, 2)) == -1  # 1+sqrt2 < 2.5
+    assert ctx.cmp_fraction((3, 0), Fraction(3)) == 0
 
 
 def test_zq_sign_of_coefficients_beyond_float_range():
     ctx = AlgebraicNumber.base_from_poly(P1_POLY, root_index=0).zq_context()
-    big = ((10**400, -1, 0), 1)
+    big = (10**400, -1, 0)
     assert ctx.sign(big) == 1
-    assert ctx.compare(ctx.zero, big) == -1
+    assert _compare(ctx, (0, 0, 0), big) == -1
     assert ctx.cmp_fraction(big, Fraction(10**399)) == 1
 
 
 def test_zq_context_serves_a_non_monic_base():
-    # the windows of a non-monic base run on its context, so it no longer
-    # refuses one: here q = sqrt(3/2), a root of 2x^2 - 3
+    # the windows of a non-monic base run on its contexts, so they no
+    # longer refuse one: here q = sqrt(3/2), a root of 2x^2 - 3, whose
+    # vectors of degree up to 2 need the scale 2^2
     q = AlgebraicNumber.base_from_poly(IntPolynomial([-3, 0, 2]), root_index=0)
-    ctx = q.zq_context()
-    assert ctx is q.zq_context() and ctx.lead == 2
+    assert q.zq_context() is q.zq_context() and q.zq_context().lead == 2
+    with pytest.raises(PreconditionError):
+        q.zq_context().from_digits([0, 1])
+    ctx = ZqContext(q, 2)
+    assert ctx.one == (4, 0)
     q2 = ctx.from_digits([0, 0, 1])
     assert ctx.coefficients(q2) == (Fraction(3, 2), 0)
     assert ctx.cmp_fraction(q2, Fraction(3, 2)) == 0
@@ -515,7 +532,7 @@ def test_zq_round_trip_1000_random_strings():
             direct = 0.0
             for i, s in enumerate(digits):
                 direct += s * qf**i
-            lo, hi = q.zq_context().interval(vec)
+            lo, hi = _interval(q.zq_context(), vec)
             assert float(lo) - 1e-6 <= direct <= float(hi) + 1e-6
 
 
@@ -529,27 +546,28 @@ def test_packed_vectors_round_trip_at_the_width_bound(poly):
     rng = random.Random(f"packed:{poly.coeffs}")
     ctx = AlgebraicNumber.base_from_poly(poly, root_index=0).zq_context()
     packed = _PackedZq(ctx, 1)
-    assert packed.pack(ctx.zero[0]) == packed.zero == 0
+    zero = (0,) * ctx.d
+    assert packed.pack(zero) == packed.zero == 0
+    assert packed.pack(ctx.one) == packed.one == 1
     for W in (32, 64, 128):
         packed._set_width(W)
         e = (1 << (W - 2)) - 1
-        vecs = [ctx.zero[0], (e,) * ctx.d, (-e,) * ctx.d,
+        vecs = [zero, (e,) * ctx.d, (-e,) * ctx.d,
                 tuple(e if i % 2 else -e for i in range(ctx.d))]
         vecs += [tuple(rng.randint(-e, e) for _ in range(ctx.d))
                  for _ in range(20)]
         for v in vecs:
             V = packed.pack(v)
-            assert packed.unpack(V) == v and packed.elem(V) == (v, 1)
-            assert packed.elem(-V) == ctx.neg((v, 1))
+            assert packed.unpack(V) == v
+            assert packed.unpack(-V) == tuple(-x for x in v)
             for s in (-2, 0, 1):
-                assert (packed.mul_q(V) + s
-                        == packed.pack(ctx.step((v, 1), s)[0]))
+                assert packed.mul_q(V) + s == packed.pack(ctx.step(v, s))
 
 
 def test_packed_width_grows_and_repacks_the_stored_values():
     ctx = AlgebraicNumber.base_from_poly(P1_POLY, root_index=0).zq_context()
     packed = _PackedZq(ctx, 2)
-    vecs = [(3, -1, 2), (-2, 0, 1), ctx.zero[0]]
+    vecs = [(3, -1, 2), (-2, 0, 1), (0, 0, 0)]
     level = [packed.pack(v) for v in vecs]
     assert packed.fit_step(level) is None and packed.bound == 2 * 2 + 2
     # the carried bound trips, but the level's true maximum fits: the bound
@@ -577,9 +595,9 @@ def test_zq_equal_vectors_have_overlapping_intervals():
         vec = ctx.from_digits(digits)
         if vec in seen and seen[vec] != digits:
             hits += 1
-            lo1, hi1 = ctx.interval(vec)
+            lo1, hi1 = _interval(ctx, vec)
             other = ctx.from_digits(seen[vec])
-            lo2, hi2 = ctx.interval(other)
+            lo2, hi2 = _interval(ctx, other)
             assert not (hi1 < lo2 or hi2 < lo1)
         seen.setdefault(vec, digits)
     assert hits > 10  # collisions do occur for phi
@@ -590,9 +608,9 @@ def test_sign_determination_exact():
     ctx = q.zq_context()
     # phi^2 - phi - 1 = 0 exactly
     assert ctx.sign(ctx.from_digits([-1, -1, 1])) == 0
-    assert ctx.sign(((-1, 1), 1)) == 1   # phi - 1 > 0
-    assert ctx.sign(((2, -1), 1)) == 1   # 2 - phi > 0
-    assert ctx.sign(((1, -1), 1)) == -1  # 1 - phi < 0
+    assert ctx.sign((-1, 1)) == 1   # phi - 1 > 0
+    assert ctx.sign((2, -1)) == 1   # 2 - phi > 0
+    assert ctx.sign((1, -1)) == -1  # 1 - phi < 0
 
 
 def test_classification_stability_at_two_radii():
@@ -1127,9 +1145,9 @@ def test_integer_evaluator_equals_the_fraction_reference(name, poly,
         lo, hi = q.interval()
         vecs = _random_vectors(rng, d)
         vecs += [_near_zero(v, x) for v in vecs[1:5]]
-        ctx = ZqContext(q)
         for vec in vecs:
-            assert ctx.interval(_encode(ctx, vec)) == \
+            ctx = _context(q, vec)
+            assert _interval(ctx, _encode(ctx, vec)) == \
                 _reference_interval(vec, lo, hi), (width, vec)
         for vec in vecs:
             got = _evaluator_base(poly, interval)
@@ -1137,7 +1155,7 @@ def test_integer_evaluator_equals_the_fraction_reference(name, poly,
             if width is not None:
                 got.refine_to_width(width)
                 want.refine_to_width(width)
-            ctx = ZqContext(got)
+            ctx = _context(got, vec)
             assert ctx.sign(_encode(ctx, vec)) == \
                 _reference_sign(want, vec), (width, vec)
             # the same decisions refine the base along the same trajectory
@@ -1187,12 +1205,13 @@ def test_sign_of_high_degree_poly_equals_the_fraction_reference(name, poly):
 
 
 def test_rational_base_sign_of_mixed_vectors():
-    ctx = ZqContext(AlgebraicNumber.from_rational(Fraction(9, 5)))
-    assert ctx.sign(_encode(ctx, (-9, 5))) == 0
-    assert ctx.sign(_encode(ctx, (Fraction(-9, 5), 1))) == 0
-    assert ctx.sign(_encode(ctx, (Fraction(-17, 10), 1))) == 1
-    assert ctx.sign(_encode(ctx, (2, Fraction(-10, 9)))) == 0
-    assert ctx.interval(_encode(ctx, (1, Fraction(1, 3)))) == \
+    q = AlgebraicNumber.from_rational(Fraction(9, 5))
+    for vec, sign in [((-9, 5), 0), ((Fraction(-9, 5), 1), 0),
+                      ((Fraction(-17, 10), 1), 1), ((2, Fraction(-10, 9)), 0)]:
+        ctx = _context(q, vec)
+        assert ctx.sign(_encode(ctx, vec)) == sign, vec
+    ctx = _context(q, (1, Fraction(1, 3)))
+    assert _interval(ctx, _encode(ctx, (1, Fraction(1, 3)))) == \
         (Fraction(8, 5), Fraction(8, 5))
 
 
@@ -1217,23 +1236,18 @@ class _ReferenceVecArith:
     before non-monic and rational bases moved to integers: vectors in the
     basis 1, q, ..., q^(d-1), whole entries as int, others as Fraction, and
     signs and display floats read off those vectors.  It has the
-    ZqContext interface that the expansions use, so it can stand in for
-    the kernel there."""
+    ZqContext interface that the expansions use: a context of any depth
+    and denominator ``den`` holds v as the vector of den * v, so it can
+    stand in for the kernel there."""
 
-    def __init__(self, q):
+    def __init__(self, q, depth=0, den=1):
         self.q = q
         self.d = q.min_poly.degree
         lead = q.min_poly.coeffs[-1]
         self.qd_terms = tuple((i, _whole(Fraction(-c, lead)))
                               for i, c in enumerate(q.min_poly.coeffs[:-1])
                               if c)
-
-    @property
-    def zero(self):
-        return (0,) * self.d
-
-    def from_fraction(self, c):
-        return (_whole(c),) + (0,) * (self.d - 1)
+        self.one = (den,) + (0,) * (self.d - 1)
 
     def mul_q(self, v):
         out = [0, *v[:-1]]
@@ -1243,42 +1257,26 @@ class _ReferenceVecArith:
                 out[i] += top * c
         return tuple(out)
 
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def scale(self, a, c):
-        c = _whole(c)
-        return tuple(c * x for x in a)
-
-    def add_fraction(self, a, c):
-        return (a[0] + _whole(c),) + a[1:]
-
     def step(self, v, s):
-        return self.add_fraction(self.mul_q(v), s)
+        out = self.mul_q(v)
+        return (out[0] + s * self.one[0],) + out[1:]
 
     def mul(self, a, b):
         acc = (0,) * self.d
         power = a
         for coeff in b:
             if coeff:
-                acc = self.add(acc, self.scale(power, coeff))
+                acc = _axpy(acc, _whole(coeff), power)
             power = self.mul_q(power)
         return acc
-
-    def at_scale(self, D):
-        """The values themselves, at scale 1, with the operations above."""
-        return self.from_fraction(1), self.mul_q, self.sign, lambda v: v
 
     def sign(self, v):
         return _fraction_vec_sign(self.q, v)
 
-    def float_value(self, v):
+    def float_value(self, v, shift=0):
         self.q.refine_to_width(FLOAT_WIDTH)
         lo, hi = _reference_interval(v, *self.q.interval())
-        return float((lo + hi) / 2)
+        return float((lo + hi) / (2 * self.one[0] << shift))
 
 
 def _reference_filtered_sign(q, v):
@@ -1312,20 +1310,30 @@ def _reference_filtered_sign(q, v):
     return _fraction_vec_sign(q, v)
 
 
+def _context(q, *vecs):
+    """A context that holds the vectors vecs in the basis 1, q, ...,
+    q^(d-1) and one q-step of each: depth d, over the lcm of their entries'
+    denominators."""
+    return ZqContext(q, q.degree, math.lcm(
+        *(Fraction(c).denominator for vec in vecs for c in vec)))
+
+
 def _encode(ctx, vec):
-    """The kernel element of the vector vec in the basis 1, q, ...,
-    q^(d-1), built by the kernel (Horner's rule in mul_q and add_fraction)."""
-    acc = ctx.zero
+    """ctx's vector of the vector vec in the basis 1, q, ..., q^(d-1),
+    built by the kernel: Horner's rule in mul_q, each entry c added as
+    c * ``one`` (an int multiple of it: ``_context``)."""
+    acc = (0,) * ctx.d
     for c in reversed(vec):
-        acc = ctx.add_fraction(ctx.mul_q(acc), c)
+        c = Fraction(c) * ctx.one[0]
+        assert c.denominator == 1
+        acc = _axpy(ctx.mul_q(acc), c.numerator, (1,) + (0,) * (ctx.d - 1))
     return acc
 
 
 def _holds(ctx, got, want):
-    """The kernel element got has the value of the vector want: a pair of
-    an int tuple and an int D > 0 that decodes to want."""
-    V, D = got
-    return (all(type(x) is int for x in (*V, D)) and D > 0
+    """ctx's vector got has the value of the vector want: an int tuple that
+    decodes to want."""
+    return (all(type(x) is int for x in got)
             and ctx.coefficients(got) == tuple(want))
 
 
@@ -1364,8 +1372,11 @@ def _kernel_vectors(rng, make_base):
 def test_zq_ring_operations_equal_the_fraction_kernel(name, make_base):
     rng = random.Random(f"kernel-ops:{name}")
     q = make_base()
-    ctx, ref = ZqContext(q), _ReferenceVecArith(q)
+    ref = _ReferenceVecArith(q)
     vecs = _kernel_vectors(rng, make_base)
+    # one context holds every vector, a q-step of each and the sevenths
+    ctx = _context(q, *vecs, (Fraction(1, 7),))
+    zero = (0,) * ctx.d
     for v in vecs:
         e = _encode(ctx, v)
         assert _holds(ctx, e, v), v
@@ -1373,14 +1384,20 @@ def test_zq_ring_operations_equal_the_fraction_kernel(name, make_base):
             assert _holds(ctx, ctx.step(e, s), ref.step(v, s)), (v, s)
         assert _holds(ctx, ctx.mul_q(e), ref.mul_q(v)), v
         for c in (0, -1, 7, Fraction(3, 7), Fraction(-10, 5)):
-            assert _holds(ctx, ctx.scale(e, c), ref.scale(v, c)), (v, c)
-            assert _holds(ctx, ctx.add_fraction(e, c),
-                          ref.add_fraction(v, c)), (v, c)
+            c = Fraction(c)
+            # c*v: c's numerator times e, read at a scale c's denominator
+            # times finer
+            finer = ZqContext(q, q.degree, ctx.one[0] // ctx.lead ** q.degree
+                              * c.denominator)
+            assert _holds(finer, _axpy(zero, c.numerator, e),
+                          tuple(_whole(c) * x for x in v)), (v, c)
+            assert _holds(ctx, _axpy(e, 1, _encode(ctx, (c,))),
+                          (v[0] + _whole(c),) + v[1:]), (v, c)
         w = vecs[rng.randrange(len(vecs))]
-        # a step first, so that the two operands' scales differ
         f = ctx.step(_encode(ctx, w), 2)
-        assert _holds(ctx, ctx.add(e, f), ref.add(v, ref.step(w, 2))), (v, w)
-        assert _holds(ctx, ctx.sub(e, f), ref.sub(v, ref.step(w, 2))), (v, w)
+        assert _holds(ctx, _axpy(e, 1, f), _axpy(v, 1, ref.step(w, 2))), (v, w)
+        assert _holds(ctx, _axpy(e, -1, f),
+                      _axpy(v, -1, ref.step(w, 2))), (v, w)
 
 
 @pytest.mark.parametrize("name,make_base", KERNEL_BASES,
@@ -1397,7 +1414,7 @@ def test_zq_sign_and_float_equal_the_filtered_kernel(name, make_base):
             if width is not None:
                 got.refine_to_width(width)
                 want.refine_to_width(width)
-            ctx = ZqContext(got)
+            ctx = _context(got, v)
             e = _encode(ctx, v)
             assert ctx.sign(e) == _reference_filtered_sign(want, v), (width, v)
             assert got.interval() == want.interval(), (width, v)
@@ -1492,23 +1509,25 @@ def test_expansions_equal_the_fraction_kernel(monkeypatch, make_base):
                          ids=[b[0] for b in SCALED_BASES])
 def test_scaled_elements_stay_ints_and_create_no_fraction(monkeypatch, name,
                                                           make_base):
-    """On a non-monic, a rational and a monic base every entry of an
-    element, and its scale, stays an int through digit steps, sums and
-    rational scalars; and once the base decides their signs, step, add,
-    sub, scale and sign create no Fraction."""
+    """On a non-monic, a rational and a monic base every entry of a vector
+    stays an int through digit steps, sums and rational constants (held at
+    the context's scale: depth 32 covers 30 steps and one more, and the
+    denominator 2520 the constants' 1..9); and once the base decides
+    their signs, step, tuple sums and sign create no Fraction."""
     q = make_base()
-    ctx = ZqContext(q)
+    ctx = ZqContext(q, 32, 2520)
     rng = random.Random(f"scaled:{name}")
     elements = []
     for _ in range(8):
-        acc = ctx.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        acc = _encode(ctx, (Fraction(rng.randint(-9, 9), rng.randint(1, 9)),))
         for _ in range(rng.randint(1, 30)):
             acc = ctx.step(acc, rng.randint(-2, 2))
         elements.append(acc)
-    elements += [ctx.sub(ctx.scale(a, Fraction(-5, 3)), b)
+    zero = (0,) * ctx.d
+    elements += [_axpy(_axpy(zero, -5, a), -3, b)    # 3 (-5/3 a - b)
                  for a, b in zip(elements, elements[2:])]
-    for V, D in elements:
-        assert all(type(x) is int for x in (*V, D)) and D > 0
+    for V in elements:
+        assert all(type(x) is int for x in V)
     signs = [ctx.sign(e) for e in elements]          # refines the base
 
     created = []
@@ -1520,9 +1539,9 @@ def test_scaled_elements_stay_ints_and_create_no_fraction(monkeypatch, name,
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     for a, b in zip(elements, elements[1:]):
-        c = ctx.add(ctx.step(a, -1), ctx.scale(b, 3))
-        ctx.sub(c, ctx.neg(b))
-        ctx.add_fraction(c, 2)
+        c = _axpy(ctx.step(a, -1), 3, b)
+        _axpy(c, -1, tuple(-x for x in b))
+        _axpy(c, 2, ctx.one)
     assert [ctx.sign(e) for e in elements] == signs
     monkeypatch.undo()
     assert created == []
@@ -1541,10 +1560,10 @@ def test_zq_display_float_of_a_cancelling_vector_is_accurate():
         ctx = ZqContext(q)
         if refine:
             ctx.ensure_float_resolution()
-        for v in (((-665857, 470832), 1), ((-3880899, 2744210), 1)):
+        for v in ((-665857, 470832), (-3880899, 2744210)):
             value = ctx.float_value(v)
-            lo, hi = ctx.interval(v)
-            flo, fhi = ZqContext(fine).interval(v)
+            lo, hi = _interval(ctx, v)
+            flo, fhi = _interval(ZqContext(fine), v)
             exact = (flo + fhi) / 2
             error = abs(Fraction(value) - exact)
             assert error <= (hi - lo) / 2 + Fraction(math.ulp(value)) / 2, v

@@ -455,6 +455,30 @@ def test_cli_witness_point_beyond_float_range_exit2(capsys, p):
                    "within the float range\n")
 
 
+def test_cli_expand_capacity_beyond_the_float_range_exit2(capsys):
+    # w_0 = q^1600 (q-1) is past the float range: the capacity display once
+    # ended in an OverflowError traceback (exit 1)
+    code = cli.main(["expand", "--poly", "-1,-1,1", "--m", "1", "--pattern",
+                     "explicit:1;eventual:in;threshold:1600", "--horizon",
+                     "10"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == ("error: capacity condition violated: m*sum q^-i = "
+                   "0.618034 < 1\n")
+
+
+@pytest.mark.parametrize("p", ["-1.2", "0,2"])
+def test_cli_witness_capacity_beyond_the_float_range_exit0(capsys, p):
+    # the lazy run's w_0 = 1.8^2001 * 0.8 is past the float range: its
+    # capacity display once ended in an OverflowError traceback (exit 1)
+    code, doc = run_json(capsys, "witness", "--base", "1.8", "--m", "1",
+                         "--p", p, "--horizon", "2000")
+    assert code == 0
+    assert doc["result"]["q_certificate"]["passed"]
+    assert len(doc["result"]["digits"]) == 2001
+
+
 @pytest.mark.parametrize("depth", ["0", "-3"])
 def test_cli_minpos_rejects_a_depth_below_one_exit2(capsys, depth):
     # a search of no depth used to exit 0 with one "stalled" record

@@ -21,7 +21,8 @@ from functools import cmp_to_key
 import pytest
 
 from qspectra import spectrum
-from qspectra.algebraic import AlgebraicNumber, _float_enclosure
+from qspectra.algebraic import (AlgebraicNumber, ZqContext, _axpy,
+                                _float_enclosure)
 from qspectra.config import DEFAULT_STATE_BUDGET
 from qspectra.intpoly import IntPolynomial
 from qspectra.reproduce import case_oracle_equivalence
@@ -63,11 +64,18 @@ def base(key) -> AlgebraicNumber:
                                           root_index=0)
 
 
-def walk(q: AlgebraicNumber, model, m: int, top_first):
-    """(vector, carried float, radius) after each digit of a top-first
-    string, as the engines compute them for a one-state level."""
-    ctx = q.zq_context()
-    vec, f, r = ctx.zero, 0.0, 0.0
+def interval(ctx: ZqContext, vec) -> tuple[Fraction, Fraction]:
+    """The exact enclosure of the value of ctx's vector vec on the current
+    base interval."""
+    lo, hi, den = ctx._bounds(vec)
+    return Fraction(lo, den), Fraction(hi, den)
+
+
+def walk(ctx: ZqContext, model, m: int, top_first):
+    """(vector of ctx, carried float, radius) after each digit of a
+    top-first string no longer than ctx's depth + 1, as the engines compute
+    them for a one-state level."""
+    vec, f, r = (0,) * ctx.d, 0.0, 0.0
     out = []
     for s in top_first:
         r = _child_radius(model, r, [f], m)
@@ -101,17 +109,17 @@ def test_enclosure_contains_exact_value_and_decides_signs(
         deadline, key, m, witness_depth):
     with deadline(60):
         q = base(key)
-        ctx = q.zq_context()
+        strings = digit_strings(q, m, witness_depth, seed=f"enc:{key}")
+        ctx = ZqContext(q, max(map(len, strings)))
         ctx.ensure_float_resolution()
         model = ctx.float_model()
-        strings = digit_strings(q, m, witness_depth, seed=f"enc:{key}")
         # exact values are read on a much finer interval; the model was
         # taken before, and refinement only shrinks the interval
         q.refine_to_width(Fraction(1, 2**100))
         decided = 0
         for digits in strings:
-            for vec, f, r in walk(q, model, m, digits):
-                lo, hi = ctx.interval(vec)
+            for vec, f, r in walk(ctx, model, m, digits):
+                lo, hi = interval(ctx, vec)
                 assert Fraction(f) - Fraction(r) <= lo
                 assert hi <= Fraction(f) + Fraction(r)
                 if f > r or f < -r:
@@ -129,8 +137,8 @@ def test_zero_children_are_left_to_the_exact_sign(key, m, digits):
     ctx = q.zq_context()
     ctx.ensure_float_resolution()
     zeros = 0
-    for vec, f, r in walk(q, ctx.float_model(), m, digits):
-        if not any(vec[0]):
+    for vec, f, r in walk(ctx, ctx.float_model(), m, digits):
+        if not any(vec):
             zeros += 1
             assert -r <= f <= r       # the enclosure cannot decide it
             assert ctx.sign(vec) == 0
@@ -168,7 +176,7 @@ def _canonical(top_first):
 def reference_bfs(q: AlgebraicNumber, m: int, max_depth: int,
                   budget: int = DEFAULT_STATE_BUDGET) -> BfsResult:
     """The smallest-positive search with every sign, window test and
-    comparison made by ``ZqContext.sign``/``compare``.  The budget rule is
+    comparison made by ``ZqContext.sign``.  The budget rule is
     the engine's: expansion stops after the first parent whose children
     push ``seen`` past the budget, and that partial level still offers its
     best."""
@@ -176,7 +184,10 @@ def reference_bfs(q: AlgebraicNumber, m: int, max_depth: int,
     ctx.ensure_float_resolution()
 
     def in_upper(v):
-        return ctx.sign(ctx.add_fraction(ctx.sub(ctx.mul_q(v), v), -m)) <= 0
+        return ctx.sign(_axpy(_axpy(ctx.mul_q(v), -1, v), -m, ctx.one)) <= 0
+
+    def less(a, b):
+        return ctx.sign(_axpy(a, -1, b)) < 0
 
     seen, level, best, trace = {}, [], None, []
 
@@ -184,7 +195,7 @@ def reference_bfs(q: AlgebraicNumber, m: int, max_depth: int,
         if best is None:
             return BfsDepthRecord(depth, math.inf, None, (), len(seen),
                                   len(new_level))
-        return BfsDepthRecord(depth, ctx.float_value(best[0]), best[0][0],
+        return BfsDepthRecord(depth, ctx.float_value(best[0]), best[0],
                               _canonical(best[1]), len(seen), len(new_level))
 
     for s in range(1, m + 1):
@@ -192,7 +203,7 @@ def reference_bfs(q: AlgebraicNumber, m: int, max_depth: int,
         if ctx.sign(v) > 0 and in_upper(v) and v not in seen:
             seen[v] = (s,)
             level.append((v, (s,)))
-            if best is None or ctx.compare(v, best[0]) < 0:
+            if best is None or less(v, best[0]):
                 best = (v, (s,))
     depth, closed, exhausted = 1, False, False
     trace.append(record(depth, level))
@@ -205,7 +216,7 @@ def reference_bfs(q: AlgebraicNumber, m: int, max_depth: int,
                 if sign == 0:
                     continue
                 if sign < 0:
-                    child = ctx.neg(child)
+                    child = tuple(-x for x in child)
                     cpath = tuple(-x for x in path) + (-s,)
                 else:
                     cpath = path + (s,)
@@ -213,7 +224,7 @@ def reference_bfs(q: AlgebraicNumber, m: int, max_depth: int,
                     continue
                 seen[child] = cpath
                 nxt.append((child, cpath))
-                if best is None or ctx.compare(child, best[0]) < 0:
+                if best is None or less(child, best[0]):
                     best = (child, cpath)
             if len(seen) > budget:
                 exhausted = True
@@ -228,11 +239,11 @@ def reference_bfs(q: AlgebraicNumber, m: int, max_depth: int,
         level = nxt
     closed_states = None
     if closed:
-        closed_states = tuple((ctx.float_value(v), v[0])
+        closed_states = tuple((ctx.float_value(v), v)
                               for v in sorted(seen, key=ctx.float_value))
     return BfsResult(q, m, tuple(trace), closed, exhausted, closed_states,
                      ctx.float_value(best[0]) if best else None,
-                     best[0][0] if best else None,
+                     best[0] if best else None,
                      _canonical(best[1]) if best else None)
 
 
@@ -293,27 +304,30 @@ def test_packed_search_repacks_at_a_wider_width(monkeypatch, deadline, key,
     assert got == want
 
 
-def _coarse_model(q: AlgebraicNumber, shift: Fraction) -> AlgebraicNumber:
-    """Give q's kernel a valid but coarse float model: qf is off by
-    ``shift`` and dq covers it.  The carried floats are then wrong by far
-    more than rounding, the radius still bounds the error, and the exact
-    fallbacks decide a large share of the children."""
+def _coarse_model(monkeypatch, q: AlgebraicNumber,
+                  shift: Fraction) -> AlgebraicNumber:
+    """Give every context of q a valid but coarse float model: qf is off
+    by ``shift`` and dq covers it.  The carried floats are then wrong by
+    far more than rounding, the radius still bounds the error, and the
+    exact fallbacks decide a large share of the children."""
     ctx = q.zq_context()
     ctx.ensure_float_resolution()
     qf, dq, _ = ctx.float_model()
     off = float(Fraction(qf) + shift)
     dq = _float_enclosure(abs(Fraction(off) - Fraction(qf)) + Fraction(dq))[1]
     coarse = (off, dq, _float_enclosure(Fraction(off) + Fraction(dq))[1])
-    ctx.float_model = lambda: coarse
+    model = ZqContext.float_model
+    monkeypatch.setattr(ZqContext, "float_model", lambda self: (
+        coarse if self.q is q else model(self)))
     return q
 
 
 @pytest.mark.parametrize("key,m,depth,budget", BFS_CASES)
-def test_coarse_enclosures_reach_the_same_result(deadline, key, m, depth,
-                                                 budget):
+def test_coarse_enclosures_reach_the_same_result(monkeypatch, deadline, key,
+                                                 m, depth, budget):
     with deadline(60):
         want = reference_bfs(base(key), m, depth, budget).to_dict()
-        q = _coarse_model(base(key), Fraction(1, 2**12))
+        q = _coarse_model(monkeypatch, base(key), Fraction(1, 2**12))
         got = min_positive_bfs(q, m, depth, state_budget=budget).to_dict()
     assert got == want
 
@@ -383,9 +397,10 @@ def test_exact_windows_keep_their_recorded_points(name, make, count, sha):
 
 
 @pytest.mark.parametrize("name,make,count,sha", WINDOWS)
-def test_coarse_window_tests_keep_the_recorded_points(name, make, count, sha):
+def test_coarse_window_tests_keep_the_recorded_points(monkeypatch, name, make,
+                                                      count, sha):
     def coarse(key):
-        return _coarse_model(base(key), Fraction(1, 2**16))
+        return _coarse_model(monkeypatch, base(key), Fraction(1, 2**16))
     assert _digest(make(coarse)) == (count, sha)
 
 
@@ -418,50 +433,50 @@ ORDER_CASES = [  # (name, window of a base factory, bound)
 
 
 def _elements(w) -> list:
-    """The window's values by position, as elements (V, a^D) of the base's
-    ``ZqContext``."""
-    return list(map(w.kernel.elem, w.keys))
+    """The window's values by position, as vectors of its kernel's
+    ``ZqContext`` (at the window's scale)."""
+    return list(map(w.kernel.unpack, w.keys))
 
 
-def _counting_compare(q: AlgebraicNumber) -> list[int]:
-    """Count the exact comparisons q's kernel makes from now on."""
-    ctx = q.zq_context()
-    calls = [0]
-    compare = ctx.compare
-
-    def counted(a, b):
-        calls[0] += 1
-        return compare(a, b)
-
-    ctx.compare = counted
-    return calls
+def _compare(ctx: ZqContext):
+    """The exact comparison of two vectors of ctx."""
+    return lambda a, b: ctx.sign(_axpy(a, -1, b))
 
 
 @pytest.mark.parametrize("coarse", [False, True])
 @pytest.mark.parametrize("name,make,bound", ORDER_CASES)
-def test_window_order_is_the_exact_order(deadline, name, make, bound,
-                                         coarse):
+def test_window_order_is_the_exact_order(monkeypatch, deadline, name, make,
+                                         bound, coarse):
     made = []
 
     def factory(key):
         q = base(key)
         if coarse:
-            q = _coarse_model(q, Fraction(1, 2**16))
-        made.append((q, _counting_compare(q)))
+            q = _coarse_model(monkeypatch, q, Fraction(1, 2**16))
+        made.append(q)
         return q
 
+    # the exact decisions of the window's kernel: its sort's comparisons
+    # (``sign``) and its clip and keep tests (``cmp_fraction``)
+    exact = []
+    for attr in ("sign", "cmp_fraction"):
+        real = getattr(_PackedZq, attr)
+        monkeypatch.setattr(_PackedZq, attr, lambda self, *a, real=real: (
+            exact.append(a), real(self, *a))[1])
     with deadline(60):
         w = make(factory)
-    (q, compares), = made
+    monkeypatch.undo()
+    assert len(made) == 1
     # the order is a permutation of the columns
     elems = _elements(w)
     assert sorted(w.order) == list(range(len(elems)))
     vecs = [elems[i] for i in w.order]
     assert len(vecs) > 10 and len(set(vecs)) == len(vecs)
-    assert vecs == sorted(vecs, key=cmp_to_key(q.zq_context().compare))
-    if coarse and name != "X 2":
-        # the coarse floats leave many pairs to the exact comparison
-        assert compares[0] > 0
+    assert vecs == sorted(vecs, key=cmp_to_key(_compare(w.kernel.ctx)))
+    if coarse and not name.endswith((" 2", " phi")):
+        # the coarse floats leave tests to the exact kernel, except on the
+        # integer and golden-ratio bases, whose values stay far apart
+        assert exact
 
 
 @pytest.mark.parametrize("name,make,bound", ORDER_CASES)
@@ -475,21 +490,22 @@ def test_window_display_floats_are_close_to_the_exact_values(name, make,
 
     w = make(factory)
     q, = holder
-    ctx = q.zq_context()
+    ctx = w.kernel.ctx
     q.refine_to_width(Fraction(1, 2**100))
     tol = Fraction(1e-12) * max(1, bound)
     for p, elem in zip(w.points, map(_elements(w).__getitem__, w.order)):
-        lo, hi = ctx.interval(elem)
+        lo, hi = interval(ctx, elem)
         assert lo - tol <= Fraction(p.value) <= hi + tol
 
 
 def test_exact_gap_floats_come_from_the_gap_vectors():
     for key in ("quartic", "27/20", "nonmonic"):
         q = base(key)
-        rep = gap_report(enumerate_X(q, 1, 60))
-        ctx = q.zq_context()
+        w = enumerate_X(q, 1, 60)
+        rep = gap_report(w)
+        ctx = w.kernel.ctx
         q.refine_to_width(Fraction(1, 2**100))
-        lo, hi = ctx.interval(rep.min_gap_vec)
+        lo, hi = interval(ctx, rep.min_gap_vec)
         exact = (lo + hi) / 2
         assert (abs(Fraction(rep.min_gap) - exact)
                 <= Fraction(2.0 ** -52) * exact)
@@ -512,9 +528,8 @@ def test_overlapping_enclosures_are_ordered_by_the_exact_compare():
     floats, radii = array("d", [1.1, 1.15, 1.2]), array("d", [0.5] * 3)
     order = _sort_order(kernel, list(map(kernel.pack, vecs)), floats, radii)
     assert list(order) == [2, 1, 0]
-    elems = [(v, 1) for v in vecs]
-    assert [elems[i] for i in order] == \
-        sorted(elems, key=cmp_to_key(ctx.compare))
+    assert [vecs[i] for i in order] == \
+        sorted(vecs, key=cmp_to_key(_compare(ctx)))
 
 
 def test_lazy_points_match_the_streamed_texts(monkeypatch):
@@ -534,7 +549,7 @@ def test_lazy_points_match_the_streamed_texts(monkeypatch):
             assert (d["approx"], d["digits"], d["vec"]) == \
                 (p.value, list(p.digits), list(p.vec))
             assert text == canonical_json(p.to_dict())
-            assert ctx.from_digits(p.digits) == (p.vec, 1)
+            assert ctx.from_digits(p.digits) == p.vec
             assert len(p.digits) == 1 or p.digits[-1] != 0
     # the library's oracle comparison reads the vector columns only
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from qspectra import expansions
-from qspectra.algebraic import AlgebraicNumber, ZqContext
+from qspectra.algebraic import AlgebraicNumber, ZqContext, power_base
 from qspectra.errors import PreconditionError
 from qspectra.intpoly import IntPolynomial
 from qspectra.expansions import (
@@ -26,6 +26,9 @@ from qspectra.expansions import (
     periodic_completion,
     verify_expansion,
 )
+from qspectra.spectrum import (enumerate_A, enumerate_X, enumerate_Y,
+                               min_positive_bfs)
+from qspectra.witness import accumulation_verdict, build_witness
 
 PHI_POLY = IntPolynomial([-1, -1, 1])
 
@@ -453,6 +456,14 @@ def test_lazy_on_a_non_monic_base_is_pinned():
     assert verify_expansion(out, q, 0, 40).passed
 
 
+def _times_theta(ctx, V):
+    """theta*V in tuple arithmetic, before any division by a."""
+    out = [0, *V[:-1]]
+    for i, t in ctx.qd_terms:
+        out[i] += V[-1] * t
+    return tuple(out)
+
+
 @pytest.mark.parametrize("make_base", [
     lambda: rational(Fraction(27, 20)),
     lambda: _non_monic_base(),
@@ -462,18 +473,15 @@ def test_lazy_on_a_non_monic_base_is_pinned():
     SignPattern.from_membership(range(1, 121, 2), 120),
 ], ids=["crossing", "materialized"])
 def test_the_corridor_holds_one_scale(monkeypatch, make_base, pattern):
-    """Once the corridor is built, choosing its digits calls neither
-    math.gcd nor ZqContext._common and creates no Fraction: every value
-    sits at the one scale a^D fixed at construction.  Each q-step of a
-    value there, theta*V / a, divides exactly: a^D covers the highest
-    degree of any value, w_0 = q^T (q-1) and the last z_N = u_N (q-1)
-    included (a scale one level short rounds them by less than a float
-    can show).  A first run refines the base, so that no sign of the
-    counted run refines it."""
+    """Once the corridor is built, choosing its digits calls no math.gcd
+    and creates no Fraction: every value sits at the one scale a^D of the
+    corridor's context.  Each q-step of a value there, theta*V / a,
+    divides exactly: a^D covers the highest degree of any value,
+    w_0 = q^T (q-1) and the last z_N = u_N (q-1) included (a scale one
+    level short rounds them by less than a float can show).  A first run
+    refines the base, so that no sign of the counted run refines it."""
     q = make_base()
     want = lazy_constrained(q, 2, pattern, 120).preperiod
-    ctx = ZqContext(q)
-    x = ctx.from_fraction(Fraction(1, 3))
     calls, stepped = [], []
 
     def spy(name, real):
@@ -482,24 +490,105 @@ def test_the_corridor_holds_one_scale(monkeypatch, make_base, pattern):
             return real(*args, **kwargs)
         return counted
 
-    def times_theta(self, V, c=0, real=ZqContext._times_theta):
-        stepped.append(real(self, V, c))
-        return stepped[-1]
+    def step(self, V, s, real=ZqContext.step):
+        stepped.append((self, _times_theta(self, V)))
+        return real(self, V, s)
 
-    monkeypatch.setattr(ZqContext, "_times_theta", times_theta)
+    monkeypatch.setattr(ZqContext, "step", step)
     corridor = expansions._Corridor(q, 2, pattern, 120)
     monkeypatch.setattr(math, "gcd", spy("gcd", math.gcd))
-    monkeypatch.setattr(ZqContext, "_common",
-                        staticmethod(spy("_common", ZqContext._common)))
     monkeypatch.setattr(Fraction, "__new__",
                         spy("Fraction", Fraction.__new__))
-    # the spies see an aligning sum of two scales
-    ctx.sub(ctx.step(x, 0), x)
-    seen, calls[:], stepped[:] = sorted(set(calls)), [], stepped[:-1]
+    # the spies see a Fraction reduced to lowest terms
+    Fraction(2, 6)
+    seen, calls[:] = sorted(set(calls)), []
     digits = [corridor.choose(k) for k in range(1, 121)]
     monkeypatch.undo()
-    assert seen == ["_common", "gcd"]
+    assert seen == ["Fraction", "gcd"]
     assert calls == []
     assert (-1, *digits) == want
     assert len(stepped) > 120
-    assert all(e % ctx.lead == 0 for V in stepped for e in V)
+    assert all(e % ctx.lead == 0 for ctx, V in stepped for e in V)
+
+
+# -- counts, digits and horizons ------------------------------------------
+
+
+def _greedy_third():
+    return greedy_expansion(Fraction(1, 3), phi(), 1, 10)
+
+
+#: (call, name): each passes a count or a digit that is not an integer,
+#: which once truncated silently or ended in an untyped error
+NON_INTEGER_PROBES = [
+    (lambda: greedy_expansion(Fraction(1, 3), phi(), 1.5, 10), "m"),
+    (lambda: greedy_expansion(Fraction(1, 3), phi(), 1, 10.5), "N"),
+    (lambda: verify_expansion(_greedy_third(), phi(), 0, 2.5), "N"),
+    (lambda: power_base(phi(), 2.5), "exponent"),
+    (lambda: enumerate_X(phi(), 1.5, 5), "m"),
+    (lambda: enumerate_Y(phi(), 1, 2.5, 2), "degree"),
+    (lambda: enumerate_A(phi(), 2.5, 2), "degree"),
+    (lambda: min_positive_bfs(phi(), 1.5), "m"),
+    (lambda: min_positive_bfs(phi(), 1, max_depth=2.5), "max_depth"),
+    (lambda: lazy_constrained(phi(), 1.5, SignPattern.all_indices(), 10),
+     "m"),
+    (lambda: lazy_constrained(phi(), 1, SignPattern.all_indices(), 10.5),
+     "horizon"),
+    (lambda: build_witness(rational("1.8"), 1.5, (2, 0)), "m"),
+    (lambda: build_witness(rational("1.8"), 1, (2, 0), 120.5), "horizon"),
+    (lambda: accumulation_verdict(phi(), 1.5), "m"),
+    (lambda: periodic_completion([1.5, -1, -1], phi(), 2), "digit"),
+    (lambda: ZqContext(phi()).from_digits([1.5]), "digit"),
+]
+
+
+@pytest.mark.parametrize("call,name", NON_INTEGER_PROBES,
+                         ids=[f"{i}-{name}" for i, (_, name)
+                              in enumerate(NON_INTEGER_PROBES)])
+def test_a_count_or_digit_that_is_not_an_integer_is_refused(call, name):
+    with pytest.raises(PreconditionError,
+                       match=f"^{name} [^ ]+ is not an integer$"):
+        call()
+
+
+def test_integral_floats_and_fractions_count_as_their_ints():
+    want = greedy_expansion(Fraction(1, 3), phi(), 1, 10)
+    assert greedy_expansion(Fraction(1, 3), phi(), 1.0, Fraction(10)) == want
+    assert periodic_completion([1.0, Fraction(-1), -1], phi(), 2).period \
+        == (1, -1, -1)
+
+
+def test_verify_rejects_a_negative_horizon():
+    # N = -1 once passed: it tested the N = 0 residual, reported it scaled
+    # by q, against the N = -1 bound
+    seq = lazy_constrained(phi(), 1, SignPattern.all_indices(), 10)
+    with pytest.raises(PreconditionError, match="N >= 0"):
+        verify_expansion(seq, phi(), 0, -1)
+    assert verify_expansion(seq, phi(), 0, 0).passed
+
+
+def test_capacity_floats_beyond_the_float_range_are_finite():
+    """w_0 = q^T (q-1) is beyond the float range at T = 1600 on phi; the
+    capacity is read with w_0 at one shared power-of-two scale."""
+    corridor = expansions._Corridor(
+        phi(), 1, SignPattern.from_text(
+            "explicit:1;eventual:in;threshold:1600"), 10)
+    lower, upper = corridor.capacity_floats()
+    assert lower == upper == pytest.approx(1 / 1.6180339887498949)
+    with pytest.raises(PreconditionError, match="0.618034 < 1"):
+        lazy_constrained(phi(), 1, SignPattern.from_text(
+            "explicit:1;eventual:in;threshold:1600"), 10)
+
+
+def test_capacity_floats_at_a_shifted_scale_are_the_unshifted_quotient():
+    # T = 1430 on phi: q^T ~ 2^993 passes 2^960, so the floats are read
+    # shifted, yet w_0 is finite, and the quotient is bit for bit the one
+    # of the unshifted display floats
+    corridor = expansions._Corridor(
+        phi(), 1, SignPattern.from_text(
+            "explicit:1,3,1429;eventual:out;threshold:1430"), 10)
+    ar, w0 = corridor.ar, corridor.rows[0][0]
+    got = corridor.capacity_floats()
+    want = tuple(ar.float_value(cap) / ar.float_value(w0)
+                 for cap in (corridor.cap_lower, corridor.cap_upper))
+    assert [x.hex() for x in got] == [x.hex() for x in want]

@@ -22,7 +22,7 @@ from functools import cmp_to_key
 import pytest
 
 from qspectra import cli, spectrum
-from qspectra.algebraic import AlgebraicNumber
+from qspectra.algebraic import AlgebraicNumber, _axpy
 from qspectra.errors import PreconditionError
 from qspectra.intpoly import IntPolynomial
 from qspectra.serialize import (JsonArray, canonical_json,
@@ -51,8 +51,9 @@ def sqrt2():
 
 
 def brute_force_values(q: AlgebraicNumber, alphabet, max_degree: int):
-    """The ``ZqContext`` elements of every digit string over the alphabet
-    with degree <= max_degree: pairs (V, 1) on a monic base."""
+    """The ``ZqContext`` vectors of every digit string over the alphabet
+    with degree <= max_degree, on a monic base (whose vectors need no
+    scale)."""
     ctx = q.zq_context()
     out = set()
     for n in range(max_degree + 1):
@@ -108,7 +109,7 @@ def test_X_matches_brute_force_oracle():
     oracle = set()
     for vec in brute_force_values(q, (0, 1), 5):
         if ctx.cmp_fraction(vec, B) <= 0 and ctx.sign(vec) >= 0:
-            oracle.add(vec[0])
+            oracle.add(vec)
     assert {p.vec for p in w.points} == oracle
 
 
@@ -161,12 +162,13 @@ def test_Y_matches_brute_force_oracle():
     oracle = set()
     for digits in itertools.product((-1, 0, 1), repeat=n + 1):
         vec = ctx.from_digits(digits)
-        lo, hi = ctx.interval(vec)
+        lo, hi, den = ctx._bounds(vec)      # exact enclosure, over den
+        lo, hi = Fraction(lo, den), Fraction(hi, den)
         if -B <= lo <= B or -B <= hi <= B or (lo < -B and hi > B):
             # exact in-range test
             if (ctx.cmp_fraction(vec, B) <= 0
                     and ctx.cmp_fraction(vec, -B) >= 0):
-                oracle.add(vec[0])
+                oracle.add(vec)
     assert {p.vec for p in w.points} == oracle
 
 
@@ -186,11 +188,11 @@ def test_Y_shift_closure_property():
     bigger = {p.vec for p in wn1.points}
     for p in wn.points:
         for s in range(-m, m + 1):
-            child = ctx.step((p.vec, 1), s)
+            child = ctx.step(p.vec, s)
             # clipped to the bound: only check when |child| <= B
             if (ctx.cmp_fraction(child, B) <= 0
                     and ctx.cmp_fraction(child, -B) >= 0):
-                assert child[0] in bigger
+                assert child in bigger
 
 
 def test_Y_incomplete_without_devries():
@@ -236,15 +238,15 @@ def test_A_matches_brute_force_oracle(make_q):
     oracle = set()
     for digits in itertools.product((-1, 1), repeat=n + 1):
         vec = ctx.from_digits(digits)
-        if (ctx.sign(ctx.add_fraction(vec, -B)) <= 0
-                and ctx.sign(ctx.add_fraction(vec, B)) >= 0):
-            oracle.add(vec[0])
+        if (ctx.cmp_fraction(vec, B) <= 0
+                and ctx.cmp_fraction(vec, -B) >= 0):
+            oracle.add(vec)
     assert len(w.points) == len(oracle)
     assert {p.vec for p in w.points} == oracle
     for p in w.points:
         assert len(p.digits) == n + 1
         assert all(s in (-1, 1) for s in p.digits)
-        assert ctx.from_digits(p.digits) == (p.vec, 1)
+        assert ctx.from_digits(p.digits) == p.vec
 
 
 @pytest.mark.parametrize("make_window", [
@@ -261,7 +263,7 @@ def test_window_digits_evaluate_to_each_point(make_window):
     ctx = w.base.zq_context()
     assert len(w.points) > 5
     for p in w.points:
-        assert ctx.from_digits(p.digits) == (p.vec, 1)
+        assert ctx.from_digits(p.digits) == p.vec
         # canonical: no top zero, except the lone digit of zero
         assert p.digits[-1] != 0 or p.digits == (0,)
         assert max(map(abs, p.digits)) <= w.m
@@ -270,7 +272,8 @@ def test_window_digits_evaluate_to_each_point(make_window):
     if w.kind == "X":
         rep = gap_report(w)
         assert rep.point_count == len(w.points)
-        diffs = {ctx.sub(ctx.from_digits(b.digits), ctx.from_digits(a.digits))
+        diffs = {_axpy(ctx.from_digits(b.digits), -1,
+                       ctx.from_digits(a.digits))
                  for a, b in zip(w.points, w.points[1:])}
         assert rep.min_gap_vec in diffs
 
@@ -317,7 +320,7 @@ def test_gaps_phi_two_gap_values():
     assert abs(gap_values[0] - (1.6180339887498949 - 1)) < 1e-9
     assert abs(gap_values[1] - 1.0) < 1e-9
     assert abs(rep.min_gap - 0.6180339887498949) < 1e-9
-    assert rep.min_gap_vec == ((-1, 1), 1)
+    assert rep.min_gap_vec == (-1, 1)
 
 
 def test_gaps_histogram_mass():
@@ -420,14 +423,14 @@ def brute_force_window(q, c, kind, m, degree, B):
             level = {v for v in level - found
                      if sum(a * qf**i for i, a in enumerate(v)) <= 2 * B + 1}
             found = found | level
-        vecs = [v for v in found if ctx.cmp_fraction((v, 1), B) <= 0]
+        vecs = [v for v in found if ctx.cmp_fraction(v, B) <= 0]
     else:
         for _ in range(degree + 1):
             level = {_tuple_step(c, v, s) for v in level for s in alphabet}
-        vecs = [v for v in level if ctx.cmp_fraction((v, 1), B) <= 0
-                and ctx.cmp_fraction(ctx.neg((v, 1)), B) <= 0]
+        vecs = [v for v in level if ctx.cmp_fraction(v, B) <= 0
+                and ctx.cmp_fraction(v, -B) >= 0]
     return sorted(vecs, key=cmp_to_key(
-        lambda a, b: ctx.compare((a, 1), (b, 1))))
+        lambda a, b: ctx.sign(_axpy(a, -1, b))))
 
 
 @pytest.mark.parametrize("name,kind,m,degree,B,points_sha,gaps_sha",
@@ -444,15 +447,15 @@ def test_packed_windows_match_a_tuple_brute_force(name, kind, m, degree, B,
                     for a, b in zip(want, want[1:]))
     rep = gap_report(w)
     assert rep.histogram == tuple(sorted(
-        (ctx.float_value((k, 1)), n) for k, n in diffs.items()))
-    assert rep.min_gap_vec == (min(diffs, key=cmp_to_key(
-        lambda a, b: ctx.compare((a, 1), (b, 1)))), 1)
+        (ctx.float_value(k), n) for k, n in diffs.items()))
+    assert rep.min_gap_vec == min(diffs, key=cmp_to_key(
+        lambda a, b: ctx.sign(_axpy(a, -1, b))))
     if name == "wide":
         assert w.kernel.W >= 128
     # one point a line: the writer's runs are flat JSON objects, comma-joined
     text = ",".join(window_point_texts(w)).replace("},{", "}\n{")
     assert hashlib.sha256(text.encode()).hexdigest() == points_sha
-    text = canonical_json([rep.to_dict(), list(rep.min_gap_vec[0])])
+    text = canonical_json([rep.to_dict(), list(rep.min_gap_vec)])
     assert hashlib.sha256(text.encode()).hexdigest() == gaps_sha
 
 
@@ -494,7 +497,15 @@ def _exact_values(w) -> list[tuple]:
     """The window's values by position, as Fraction coefficients in the
     basis 1, q, ..., q^(d-1)."""
     k = w.kernel
-    return [k.ctx.coefficients(k.elem(V)) for V in w.keys]
+    return [k.ctx.coefficients(k.unpack(V)) for V in w.keys]
+
+
+def _times_theta(ctx, V):
+    """theta*V in tuple arithmetic, before any division by a."""
+    out = [0, *V[:-1]]
+    for i, t in ctx.qd_terms:
+        out[i] += V[-1] * t
+    return tuple(out)
 
 
 def _fraction_step(c, v, s):
@@ -610,7 +621,7 @@ def test_every_scaled_step_divides_exactly(monkeypatch, name, kind, m,
         a, mul_q, unpack, ctx = self.lead, self.mul_q, self.unpack, self.ctx
 
         def checked(V):
-            theta_v = ctx._times_theta(unpack(V))
+            theta_v = _times_theta(ctx, unpack(V))
             assert all(x % a == 0 for x in theta_v)
             out = mul_q(V)
             assert unpack(out) == tuple(x // a for x in theta_v)
@@ -658,7 +669,7 @@ def test_the_reach_cap_keeps_every_string_that_comes_back(name, kind):
 
         def sign(v):     # of a vector of Fractions, scaled to integers
             den = math.lcm(*(x.denominator for x in v))
-            return ctx.sign((tuple(int(x * den) for x in v), den))
+            return ctx.sign(tuple(int(x * den) for x in v))
 
     degree, alphabet = (6, (-1, 0, 1)) if kind == "Y" else (9, (-1, 1))
     first = _every_string(c, alphabet, degree)
@@ -712,28 +723,31 @@ def test_no_window_builds_the_float_kernel(monkeypatch):
     assert len(built) == 1
 
 
-def test_a_window_too_deep_for_its_scale_is_refused():
+def test_a_window_too_deep_for_its_scale_is_refused(deadline):
     # 1.000001 = 1000001/10^6: the X window to B = 2 would take about
-    # 700,000 levels of 20 bits each, so it exits at once with a typed error
+    # 700,000 levels of 20 bits each, so it exits at once with a typed
+    # error, before any scale (10^6)^depth is computed
     q = AlgebraicNumber.from_rational(Fraction("1.000001"))
-    with pytest.raises(PreconditionError, match="levels"):
-        enumerate_X(q, 1, 2)
-    with pytest.raises(PreconditionError, match="levels"):
-        enumerate_Y(q, 1, 10**9, 2)
+    with deadline(10):
+        with pytest.raises(PreconditionError, match="levels"):
+            enumerate_X(q, 1, 2)
+        with pytest.raises(PreconditionError, match="levels"):
+            enumerate_Y(q, 1, 10**9, 2)
 
 
-def test_the_scale_cap_counts_the_bits_of_a_to_the_depth():
+def test_the_scale_cap_counts_the_bits_of_a_to_the_depth(deadline):
     # 3^646 has 1,024 bits and 3^647 has 1,026: the cap reads the real
     # scale, not one bit per level of floor(log2 3) = 1
     q = AlgebraicNumber.from_rational(Fraction(4, 3))
-    assert make_kernel(q, 1, 646).one.bit_length() == 1024
-    with pytest.raises(PreconditionError, match="3\\^647"):
-        make_kernel(q, 1, 647)
-    with pytest.raises(PreconditionError, match="over 1024 bits"):
-        enumerate_Y(q, 1, 647, 2)
-    # a monic base scales by 1 at any depth, so an X window counts none
-    two = AlgebraicNumber.from_rational(2)
-    assert spectrum._x_depth(two, Fraction(10**9)) == 0
+    with deadline(10):
+        assert make_kernel(q, 1, 646).one.bit_length() == 1024
+        with pytest.raises(PreconditionError, match="3\\^647"):
+            make_kernel(q, 1, 647)
+        with pytest.raises(PreconditionError, match="over 1024 bits"):
+            enumerate_Y(q, 1, 647, 2)
+        # a monic base scales by 1 at any depth, so an X window counts none
+        two = AlgebraicNumber.from_rational(2)
+        assert spectrum._x_depth(two, Fraction(10**9)) == 0
 
 
 def test_x_window_skips_the_repack_of_a_level_with_no_child(monkeypatch):
@@ -858,10 +872,10 @@ def test_bfs_soundness_every_state_is_a_digit_string_value():
             assert rec.min_vec is not None
             # witness digits evaluate to the reported state, not its
             # negation
-            assert ctx.from_digits(rec.witness) == (rec.min_vec, 1)
+            assert ctx.from_digits(rec.witness) == rec.min_vec
             assert max(map(abs, rec.witness)) <= m
             assert rec.witness[-1] != 0
-        assert ctx.from_digits(res.min_witness) == (res.min_positive_vec, 1)
+        assert ctx.from_digits(res.min_witness) == res.min_positive_vec
 
 
 def test_bfs_matches_brute_force_minimum():
@@ -874,12 +888,12 @@ def test_bfs_matches_brute_force_minimum():
     for vec in brute_force_values(q, (-1, 0, 1), depth - 1):
         if ctx.sign(vec) <= 0:
             continue
-        w = ctx.sub(ctx.mul_q(vec), vec)
-        if ctx.sign(ctx.add_fraction(w, -m)) > 0:
+        w = _axpy(ctx.mul_q(vec), -1, vec)
+        if ctx.sign(_axpy(w, -m, ctx.one)) > 0:
             continue
-        if best is None or ctx.compare(vec, best) < 0:
+        if best is None or ctx.sign(_axpy(vec, -1, best)) < 0:
             best = vec
-    assert best[0] == res.trace[depth - 1].min_vec
+    assert best == res.trace[depth - 1].min_vec
 
 
 def test_bfs_budget_exhaustion_returns_partial():
@@ -1007,7 +1021,7 @@ def test_closed_state_set_reproduces_itself():
     ctx = q.zq_context()
     res = min_positive_bfs(q, 1)
     assert res.closed
-    closed = {(vec, 1) for _, vec in res.closed_states}
+    closed = {vec for _, vec in res.closed_states}
     m, c_test = 1, None
     for vec in closed:
         for s in (-1, 0, 1):
@@ -1016,8 +1030,8 @@ def test_closed_state_set_reproduces_itself():
             if sign == 0:
                 continue
             if sign < 0:
-                child = ctx.neg(child)
-            w = ctx.sub(ctx.mul_q(child), child)
-            if ctx.sign(ctx.add_fraction(w, -m)) > 0:
+                child = tuple(-x for x in child)
+            w = _axpy(ctx.mul_q(child), -1, child)
+            if ctx.sign(_axpy(w, -m, ctx.one)) > 0:
                 continue
             assert child in closed
