@@ -51,9 +51,9 @@ from .intpoly import (
     is_squarefree,
     isolate_roots_exact,
     rational_roots,
-    refine_root_interval,
     squarefree_part,
     unit_circle_counts,
+    _bisect,
     _integer,
     _prem,
     _rational,
@@ -77,13 +77,6 @@ def _float_enclosure(x) -> tuple[float, float]:
     return math.nextafter(f, -math.inf), f
 
 
-def _integer_numerators(vec) -> tuple[list[int], int]:
-    """(ints, L): L the lcm of the denominators of the int/Fraction entries
-    of vec, and ints = L * vec."""
-    scale = math.lcm(*(c.denominator for c in vec))
-    return [c.numerator * (scale // c.denominator) for c in vec], scale
-
-
 # ---------------------------------------------------------------------------
 # AlgebraicNumber
 
@@ -104,8 +97,8 @@ class AlgebraicNumber:
     The isolating interval is refinable; refinement is monotone (the stored
     interval only ever shrinks) and idempotent, so concurrent refiners can
     race harmlessly.  Every exact decision ends in :meth:`_sign_of_reduced`:
-    through :meth:`sign_of_int_poly` (``compare_to_fraction``,
-    ``greater_than``), or through ``ZqContext``'s signs (``sign`` and
+    from :meth:`sign_of_int_poly`, from ``compare_to_fraction`` (and
+    ``greater_than``) on q - c, or from ``ZqContext``'s signs (``sign`` and
     ``cmp_fraction``, under the packed kernels and the lazy corridor too).
     """
 
@@ -137,8 +130,10 @@ class AlgebraicNumber:
             c0, c1 = min_poly.coeffs
             self.exact_rational = Fraction(-c0, c1)
             lo = hi = self.exact_rational
-        (a, b), den = _integer_numerators((Fraction(lo), Fraction(hi)))
-        self._iv = (a, b, den)                # the interval [a/den, b/den]
+        lo, hi = Fraction(lo), Fraction(hi)
+        den = math.lcm(lo.denominator, hi.denominator)    # reduced, as _bisect
+        self._iv = (lo.numerator * den // lo.denominator,     # [a/den, b/den]
+                    hi.numerator * den // hi.denominator, den)
         self._lock = threading.Lock()
         # (interval, numerators of the bounds of q^k over den^k)
         self._pow_state: tuple = (None, [])
@@ -155,6 +150,15 @@ class AlgebraicNumber:
     def real_roots(cls, p: IntPolynomial,
                    radius: Fraction | None = None) -> list["AlgebraicNumber"]:
         """All real roots of p, ascending, refined to the target radius."""
+        roots = list(cls._real_roots(p))
+        if radius is not None:
+            for r in roots:
+                r.refine_to_radius(radius)
+        return roots
+
+    @classmethod
+    def _real_roots(cls, p: IntPolynomial, above: int | None = None):
+        """p's real roots, ascending, lazily; only of cells past ``above``."""
         if p.is_zero:
             raise PreconditionError("zero polynomial rejected")
         sf = squarefree_part(p)
@@ -168,20 +172,17 @@ class AlgebraicNumber:
         irr = sf
         for r in rats:
             irr = deflate_root(irr, r)
-        roots = [cls.from_rational(m) if m in rats
-                 else cls(irr, lo, hi, _validated=True)
-                 for (lo, hi), m in zip(cells, mids)]
-        if radius is not None:
-            for r in roots:
-                r.refine_to_radius(radius)
-        return roots
+        for (lo, hi), m in zip(cells, mids):
+            if above is None or hi > above:
+                yield (cls.from_rational(m) if m in rats
+                       else cls(irr, lo, hi, _validated=True))
 
     @classmethod
     def base_from_poly(cls, p: IntPolynomial, root_index: int | None = None,
                        root_interval: tuple[Fraction, Fraction] | None = None
                        ) -> "AlgebraicNumber":
         """Select a base q > 1: either by interval, or by 0-based index into
-        the ascending list of real roots greater than one."""
+        the ascending real roots > 1, each tested up to the one selected."""
         if (root_index is None) == (root_interval is None):
             raise PreconditionError("give exactly one of root index / interval")
         if root_interval is not None:
@@ -190,12 +191,15 @@ class AlgebraicNumber:
             if not q.greater_than(1):
                 raise PreconditionError("selected root is not > 1")
             return q
-        candidates = [r for r in cls.real_roots(p) if r.greater_than(1)]
-        if not 0 <= root_index < len(candidates):
-            raise PreconditionError(
-                f"root index {root_index} out of range: {len(candidates)} "
-                f"real roots > 1")
-        return candidates[root_index]
+        root_index = _integer(root_index, "root index")
+        found = 0
+        for r in cls._real_roots(p, above=1):
+            if r.greater_than(1):
+                if found == root_index:
+                    return r
+                found += 1
+        raise PreconditionError(
+            f"root index {root_index} out of range: {found} real roots > 1")
 
     # -- refinement --------------------------------------------------------
 
@@ -208,12 +212,14 @@ class AlgebraicNumber:
         return self.min_poly.degree
 
     def refine_to_width(self, width: Fraction) -> tuple[Fraction, Fraction]:
+        """The interval, bisected in ints (``intpoly._bisect``) on its
+        numerators until it is no wider than ``width``; a positive width."""
         a, b, den = self._iv
         width = _rational(width)
         if (self.exact_rational is None
                 and (b - a) * width.denominator > width.numerator * den):
-            (na, nb), nden = _integer_numerators(refine_root_interval(
-                self.min_poly, *self.interval(), width))
+            na, nb, nden = _bisect(self.min_poly.coeffs, a, b, den,
+                                   width.numerator, width.denominator)
             with self._lock:
                 # keep the narrower of racing refinements
                 a, b, den = self._iv
@@ -292,8 +298,9 @@ class AlgebraicNumber:
 
     def compare_to_fraction(self, c) -> int:
         c = _rational(c)
-        return self.sign_of_int_poly(
-            IntPolynomial([-c.numerator, c.denominator]))
+        if self.exact_rational is None:         # degree >= 2: q - c reduced
+            return self._sign_of_reduced((-c.numerator, c.denominator))
+        return (self.exact_rational > c) - (self.exact_rational < c)
 
     def greater_than(self, c) -> bool:
         return self.compare_to_fraction(c) > 0

@@ -413,7 +413,9 @@ def periodic_completion(digits, q: AlgebraicNumber, m: int) -> DigitSequence:
     """Infinite repetition (s_0...s_n)^infinity of a finite string whose
     value sum s_i q^{-i} is exactly zero; the q-value of the periodic
     sequence is then zero as well.  Reports the digit sum per period."""
-    digits = tuple(_integer(s, "digit") for s in digits)
+    digits, m = tuple(_integer(s, "digit") for s in digits), _integer(m, "m")
+    if m < 1:
+        raise PreconditionError("need m >= 1")
     if not digits:
         raise PreconditionError("empty digit string")
     if any(abs(s) > m for s in digits):

@@ -60,6 +60,13 @@ class IntPolynomial(FrozenRecord):
         object.__setattr__(self, "coeffs", _strip(      # hot: no field loop
             [c if type(c) is int else _integer(c) for c in coeffs]))
 
+    @classmethod
+    def _of(cls, coeffs: tuple[int, ...]) -> "IntPolynomial":
+        """The polynomial of a tuple of ints already stripped, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
+
     # -- construction / formatting -------------------------------------
 
     @classmethod
@@ -306,8 +313,8 @@ def _sturm_chain_of(f: IntPolynomial, g: IntPolynomial | None = None
     chain = [f, g]
     a, b = f.coeffs, g.coeffs
     while len(b) > 1 and (r := _prem(a, b)):
-        a, b = b, _prim([-c for c in r])
-        chain.append(IntPolynomial(b))
+        a, b = b, tuple(_prim([-c for c in r]))
+        chain.append(IntPolynomial._of(b))
     return chain
 
 
@@ -349,8 +356,8 @@ def _taylor_shift(cs, a: int) -> list[int]:
 
 def _variations_at_infinity(chain, sign: int) -> int:
     """Sign variations of the chain at +infinity (sign 1) or -infinity."""
-    return _sign_variations([f.leading * sign ** f.degree
-                             for f in chain if not f.is_zero])
+    return _sign_variations([f.coeffs[-1] if sign > 0 or len(f.coeffs) % 2
+                             else -f.coeffs[-1] for f in chain if f.coeffs])
 
 
 def unit_circle_counts(p: IntPolynomial) -> tuple[int, int, int]:
@@ -377,16 +384,16 @@ def unit_circle_counts(p: IntPolynomial) -> tuple[int, int, int]:
     r = _taylor_shift(p.coeffs, 1)                    # p(1 + t)
     g = _strip(_taylor_shift([r[d - j] << (d - j) for j in range(d + 1)],
                              -1))
-    a = IntPolynomial(c if j % 4 == 0 else -c if j % 4 == 2 else 0
-                      for j, c in enumerate(g))
-    b = IntPolynomial(c if j % 4 == 1 else -c if j % 4 == 3 else 0
-                      for j, c in enumerate(g))
+    a = IntPolynomial._of(_strip([c if j % 4 == 0 else -c if j % 4 == 2
+                                  else 0 for j, c in enumerate(g)]))
+    b = IntPolynomial._of(_strip([c if j % 4 == 1 else -c if j % 4 == 3
+                                  else 0 for j, c in enumerate(g)]))
     sign = 1 if a.degree > b.degree else -1
     chain = _sturm_chain_of(a, b) if sign > 0 else _sturm_chain_of(b, a)
     index = sign * (_variations_at_infinity(chain, -1)
                     - _variations_at_infinity(chain, 1))
     h = chain[-1] if not chain[-1].is_zero else chain[-2]        # gcd(A, B)
-    h_chain = _sturm_chain_of(h)
+    h_chain = _sturm_chain_of(h) if h.degree > 0 else []   # else n_axis = 0
     n_axis = (_variations_at_infinity(h_chain, -1)
               - _variations_at_infinity(h_chain, 1))
     n_in = (len(g) - 1 - n_axis - index) // 2
@@ -405,11 +412,12 @@ def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     split point that is a root is bracketed there.  Every other root is
     alone in its cell, and a rational root r of the primitive sf has a
     denominator dividing L = lc(sf) (rational root theorem), so L*r is an
-    integer: a copy of the cell refined to width <= 1/L holds at most one
-    multiple of 1/L, and r is rational iff that multiple is a root.  A
-    rational root's interval is centred on it; an irrational root keeps its
-    bisection cell.  So the midpoint of an interval is a root exactly when
-    the interval's root is rational.
+    integer: a copy of the cell bisected in ints (``_bisect``, on its
+    numerators) to width <= 1/L holds at most one multiple of 1/L, and r
+    is rational iff that multiple is a root.  A rational root's interval is
+    centred on it; an irrational root keeps its bisection cell.  So the
+    midpoint of an interval is a root exactly when the interval's root is
+    rational.  Fractions are made for the returned intervals only.
     """
     if p.is_zero:
         raise PreconditionError("zero polynomial")
@@ -429,10 +437,9 @@ def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
         m, e = a + b, b - a                       # the midpoint m/(2 den)
         if n == 1:
             lo, hi = Fraction(a, den), Fraction(b, den)
-            ra, rb = refine_root_interval(sf, lo, hi, Fraction(1, lead))
-            k = ra.numerator * lead // ra.denominator + 1       # r = k/lead
-            if (k * rb.denominator < rb.numerator * lead
-                    and _sign(cs, k, lead) == 0):
+            ra, rb, rd = _bisect(cs, a, b, den, 1, lead)
+            k = ra * lead // rd + 1                             # r = k/lead
+            if k * rd < rb * lead and _sign(cs, k, lead) == 0:
                 e = min(k * den - a * lead, b * lead - k * den)
                 lo = Fraction(k * den - e, den * lead)
                 hi = Fraction(k * den + e, den * lead)
@@ -454,29 +461,38 @@ def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
 def refine_root_interval(p: IntPolynomial, lo: Fraction, hi: Fraction,
                          width: Fraction) -> tuple[Fraction, Fraction]:
     """Bisect an isolating interval of a squarefree p down to a positive
-    width.  Requires p(lo), p(hi) != 0 and exactly one root inside; then the
-    endpoint signs differ, and plain bisection applies, to (a, a + gap)/den."""
-    wn, wd = _ratio(width)
-    if wn <= 0:
-        raise PreconditionError(f"width {width} is not positive")
-    (a, da), (b, db) = _ratio(lo), _ratio(hi)
+    width: ``_bisect`` on the endpoints over their common denominator."""
+    (wn, wd), (a, da), (b, db) = _ratio(width), _ratio(lo), _ratio(hi)
     den = math.lcm(da, db)
-    a, gap = a * (den // da), b * (den // db) - a * (den // da)
-    cs = p.coeffs
-    slo, shi = _sign(cs, a, den), _sign(cs, a + gap, den)
+    a, b, den = _bisect(p.coeffs, a * den // da, b * den // db, den, wn, wd)
+    return Fraction(a, den), Fraction(b, den)
+
+
+def _bisect(cs, a: int, b: int, den: int, wn: int, wd: int
+            ) -> tuple[int, int, int]:
+    """Bisect (a/den, b/den), den > 0, an isolating interval of a root of
+    the squarefree polynomial with coefficients cs, to width <= wn/wd > 0,
+    in ints.  Its endpoint signs must be nonzero and differ.  A split point
+    m that is a root gives m -+ wn/(4 wd).  Reduced by gcd(a, b, den)."""
+    if wn <= 0:
+        raise PreconditionError(f"width {Fraction(wn, wd)} is not positive")
+    slo, shi = _sign(cs, a, den), _sign(cs, b, den)
     if slo == 0 or shi == 0:
         raise PreconditionError("endpoint is a root")
     if slo == shi:
         raise PreconditionError("interval does not bracket a sign change")
-    gap_wd, wn_den = gap * wd, wn * den    # hi - lo > width: gap_wd > wn_den
-    while gap_wd > wn_den:
+    gap, wn_den = b - a, wn * den
+    while gap * wd > wn_den:                # wider than wn/wd, at (a, a + gap)
         a, den, wn_den = 2 * a, 2 * den, 2 * wn_den
         sm = _sign(cs, a + gap, den)
         if sm == 0:
             # rational root hit exactly; return a tight bracket around it
-            mid = Fraction(a + gap, den)
-            w = min(Fraction(wn, wd), Fraction(2 * gap, den)) / 4
-            return (mid - w, mid + w)
+            m, den = 4 * wd * (a + gap), 4 * wd * den
+            a, b = m - wn_den, m + wn_den
+            break
         if sm == slo:
             a += gap
-    return (Fraction(a, den), Fraction(a + gap, den))
+    else:
+        b = a + gap
+    g = math.gcd(a, b, den)
+    return a // g, b // g, den // g

@@ -7,6 +7,7 @@ floating evaluation for the Z[q] round trips.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import os
@@ -179,12 +180,12 @@ def _count_calls(monkeypatch, module, name, calls):
 @pytest.mark.parametrize("poly,interval,refined,evals,refines", PINNED_BASES)
 def test_base_refinement_trajectory_is_pinned(monkeypatch, poly, interval,
                                               refined, evals, refines):
-    calls = {"_variations_at": 0, "refine_root_interval": 0}
+    calls = {"_variations_at": 0, "_bisect": 0}
     _count_calls(monkeypatch, intpoly, "_variations_at", calls)
-    monkeypatch.setattr(algebraic, "refine_root_interval", _count_calls(
-        monkeypatch, intpoly, "refine_root_interval", calls))
+    monkeypatch.setattr(algebraic, "_bisect", _count_calls(
+        monkeypatch, intpoly, "_bisect", calls))
     q = AlgebraicNumber.base_from_poly(poly, root_index=0)
-    assert calls == {"_variations_at": evals, "refine_root_interval": refines}
+    assert calls == {"_variations_at": evals, "_bisect": refines}
     assert q.interval() == interval
     assert q.refine_to_width(F(1, 2**80)) == refined
 
@@ -208,20 +209,99 @@ def test_one_remainder_sequence_per_squarefree_input(monkeypatch, poly,
         assert calls == {"_sturm_chain_of": chains, "poly_gcd": 0}, kw
 
 
-def test_classification_and_its_disks_reuse_the_chain_and_counts(monkeypatch):
-    # x^3 - x - 1: base_from_poly builds its one chain, which min_poly keeps;
-    # classify_base counts the unit-circle roots with two more sequences,
-    # and reading the disks reuses the chain and the counts
+def _height_one_base_lines():
+    """One line per monic height-1 polynomial of degree 3-5 with a real root
+    > 1: its coefficients, the interval of base_from_poly's first root > 1
+    and that interval refined to width 2^-80."""
+    for d in (3, 4, 5):
+        for head in itertools.product((-1, 0, 1), repeat=d):
+            coeffs = (*head, 1)
+            try:
+                q = AlgebraicNumber.base_from_poly(IntPolynomial(coeffs),
+                                                   root_index=0)
+            except PreconditionError as exc:
+                assert "out of range: 0 real roots > 1" in str(exc), coeffs
+                continue
+            (lo, hi), (rlo, rhi) = q.interval(), q.refine_to_width(
+                F(1, 2**80))
+            yield f"{','.join(map(str, coeffs))} {lo} {hi} {rlo} {rhi}\n"
+
+
+def test_height_one_base_intervals_are_pinned():
+    # the recorded benchmark floats depend on each base's refinement
+    # trajectory; this pins it on every small height-1 base in tier 1
+    lines = list(_height_one_base_lines())
+    assert len(lines) == 76
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "1c9bbe4ebb36246b4f1b8742626c541a7de93a2d36b4bcfed4b8856e2c602e98")
+
+
+def _classify_counting_chains(monkeypatch, poly):
+    """(Sturm sequences built, class) of base_from_poly and classify_base
+    on a fresh copy of poly, with the conjugate disks read."""
     calls = {"_sturm_chain_of": 0}
     _count_calls(monkeypatch, intpoly, "_sturm_chain_of", calls)
-    q = AlgebraicNumber.base_from_poly(IntPolynomial(P1_POLY.coeffs),
+    q = AlgebraicNumber.base_from_poly(IntPolynomial(poly.coeffs),
                                        root_index=0)
     cls = classify_base(q)
-    disks = cls.conjugate_set
-    assert calls == {"_sturm_chain_of": 3}
+    cls.conjugate_set
     monkeypatch.undo()
+    return calls["_sturm_chain_of"], cls
+
+
+def test_classification_and_its_disks_reuse_the_chain_and_counts(monkeypatch):
+    # x^3 - x - 1: base_from_poly builds its one chain, which min_poly keeps;
+    # classify_base counts the unit-circle roots with the sequence of A, B,
+    # whose gcd is constant, so that no root lies on the axis and the gcd
+    # gets no chain; reading the disks reuses the chain and the counts
+    chains, cls = _classify_counting_chains(monkeypatch, P1_POLY)
+    assert chains == 2
     assert (cls.tag, cls.n_in, cls.n_on, cls.n_out) == ("Pisot", 2, 0, 1)
-    assert disks == conjugates(IntPolynomial(P1_POLY.coeffs))
+    assert cls.conjugate_set == conjugates(IntPolynomial(P1_POLY.coeffs))
+
+
+def test_a_gcd_with_roots_on_the_axis_keeps_its_chain(monkeypatch):
+    # Lehmer's polynomial (Salem): gcd(A, B) holds the images of its 8
+    # roots on the unit circle, and the gcd's own chain counts them
+    lehmer = IntPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+    chains, cls = _classify_counting_chains(monkeypatch, lehmer)
+    assert chains == 3
+    assert (cls.tag, cls.n_in, cls.n_on, cls.n_out) == (
+        "NotPisot-AlgebraicInteger", 1, 8, 1)
+    assert cls.conjugate_set.on_circle_count == 8
+
+
+def test_a_root_index_that_is_not_an_integer_is_refused():
+    # root_index=0.0 once raised TypeError (a list index), and so did "0"
+    for index in (0.5, "0", F(1, 2)):
+        with pytest.raises(PreconditionError,
+                           match="^root index .* is not an integer$"):
+            AlgebraicNumber.base_from_poly(PHI_POLY, root_index=index)
+    assert AlgebraicNumber.base_from_poly(
+        PHI_POLY, root_index=0.0).interval() == phi().interval()
+    for index in (1, -1):
+        with pytest.raises(PreconditionError,
+                           match="out of range: 1 real roots > 1"):
+            AlgebraicNumber.base_from_poly(PHI_POLY, root_index=index)
+
+
+def test_roots_below_one_are_not_built(monkeypatch):
+    # x (2x^2 - 1)(x + 1)(x^2 - x - 1): of its six isolating cells two
+    # reach past one, (7/16, 77/64) of 1/sqrt(2) and phi's, so two roots
+    # are built and tested, and the four roots below them never are
+    built = []
+    init = AlgebraicNumber.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(AlgebraicNumber, "__init__", counting_init)
+    p = (IntPolynomial([0, 1]) * IntPolynomial([-1, 0, 2])
+         * IntPolynomial([1, 1]) * PHI_POLY)
+    q = AlgebraicNumber.base_from_poly(p, root_index=0)
+    assert len(built) == 2
+    assert abs(q.float_value() - (1 + math.sqrt(5)) / 2) < 1e-15
+    assert len(AlgebraicNumber.real_roots(p)) == 6
 
 
 def test_a_linear_base_interval_is_checked():

@@ -539,6 +539,7 @@ NON_INTEGER_PROBES = [
     (lambda: accumulation_verdict(phi(), 1.5), "m"),
     (lambda: periodic_completion([1.5, -1, -1], phi(), 2), "digit"),
     (lambda: ZqContext(phi()).from_digits([1.5]), "digit"),
+    (lambda: periodic_completion([1, -1, -1], phi(), 2.5), "m"),
 ]
 
 
@@ -556,6 +557,15 @@ def test_integral_floats_and_fractions_count_as_their_ints():
     assert greedy_expansion(Fraction(1, 3), phi(), 1.0, Fraction(10)) == want
     assert periodic_completion([1.0, Fraction(-1), -1], phi(), 2).period \
         == (1, -1, -1)
+
+
+def test_periodic_completion_needs_a_height_of_at_least_one():
+    # a height of 2.5 once came back as the sequence's height
+    for m in (0, -1):
+        with pytest.raises(PreconditionError, match="need m >= 1"):
+            periodic_completion([1, -1, -1], phi(), m)
+    height = periodic_completion([1, -1, -1], phi(), 2.0).height
+    assert height == 2 and type(height) is int
 
 
 def test_verify_rejects_a_negative_horizon():

@@ -446,6 +446,95 @@ def test_refine_root_interval_equals_a_fraction_bisection():
                 _fraction_bisection(p, lo, hi, width), (p, lo, hi, width)
 
 
+def _fraction_refine_root_interval(p, lo, hi, width):
+    """refine_root_interval as it was before it wrapped the int bisection:
+    Fraction endpoints and width in, Fraction bracket out."""
+    wn, wd = Fraction(width).numerator, Fraction(width).denominator
+    if wn <= 0:
+        raise PreconditionError(f"width {width} is not positive")
+    lo, hi = Fraction(lo), Fraction(hi)
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    gap = hi.numerator * (den // hi.denominator) - a
+    slo, shi = p.sign_at(Fraction(a, den)), p.sign_at(Fraction(a + gap, den))
+    if slo == 0 or shi == 0:
+        raise PreconditionError("endpoint is a root")
+    if slo == shi:
+        raise PreconditionError("interval does not bracket a sign change")
+    gap_wd, wn_den = gap * wd, wn * den
+    while gap_wd > wn_den:
+        a, den, wn_den = 2 * a, 2 * den, 2 * wn_den
+        sm = p.sign_at(Fraction(a + gap, den))
+        if sm == 0:
+            mid = Fraction(a + gap, den)
+            w = min(Fraction(wn, wd), Fraction(2 * gap, den)) / 4
+            return (mid - w, mid + w)
+        if sm == slo:
+            a += gap
+    return (Fraction(a, den), Fraction(a + gap, den))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        return ("PreconditionError", str(exc))
+
+
+def test_int_bisection_equals_the_fraction_refinement():
+    # every case gives the same bracket or the same typed error: seeded
+    # squarefree isolating cells, non-dyadic endpoints, split points that
+    # are rational roots, non-positive widths, endpoints that are roots,
+    # no sign change, an empty and a reversed interval.  The int result is
+    # reduced by gcd(a, b, den), whatever the scale of its input
+    F = Fraction
+    rng = random.Random("int-bisection")
+    sqrt2, quarter = IntPolynomial([-2, 0, 1]), IntPolynomial([-1, 0, 4])
+    cubic = IntPolynomial([-1, -1, 0, 1])
+    cases = [(sqrt2, F(1, 3), F(7, 3)), (sqrt2, F(4, 3), F(10, 7)),
+             (quarter, F(0), F(1)),              # the first split is 1/2
+             (quarter, F(1, 3), F(5, 6)),        # the third split is 1/2
+             (IntPolynomial([-1, 3]), F(0), F(1, 2)),      # 1/3, never hit
+             (cubic, F(1), F(3, 2)), (cubic, F(3, 2), F(1)),   # reversed
+             (cubic, F(2), F(3)), (cubic, F(1), F(1)),
+             (quarter, F(1, 2), F(1)), (sqrt2, F(-7, 3), F(-1, 3))]
+    for _ in range(30):
+        p = squarefree_part(IntPolynomial(
+            [rng.randint(-9, 9) for _ in range(rng.randint(2, 8))] + [1]))
+        for lo, hi in isolate_roots_exact(p):
+            # a seeded point of ninths inside the cell as its new upper end
+            t = F(rng.randint(1, 8), 9)
+            cases += [(p, lo, hi), (p, lo, lo + t * (hi - lo))]
+    widths = [F(1), F(1, 3), F(1, 2**30), F(3, 1000), F(2, 3**20), 5,
+              0, F(-1, 3)]
+    seen = set()
+    for p, lo, hi in cases:
+        den = math.lcm(lo.denominator, hi.denominator)
+        for width in widths:
+            want = _outcome(_fraction_refine_root_interval, p, lo, hi, width)
+            assert _outcome(refine_root_interval, p, lo, hi, width) == want
+            seen.add(want[1] if want[0] == "PreconditionError" else "bracket")
+            for k in (1, 6):      # the reduced scale and a multiple of it
+                got = _outcome(
+                    intpoly._bisect, p.coeffs,
+                    k * lo.numerator * den // lo.denominator,
+                    k * hi.numerator * den // hi.denominator, k * den,
+                    F(width).numerator, F(width).denominator)
+                if want[0] == "PreconditionError":
+                    assert got == want, (p, lo, hi, width)
+                else:
+                    a, b, d = got
+                    assert (F(a, d), F(b, d)) == want, (p, lo, hi, width)
+                    assert d > 0 and math.gcd(a, b, d) == 1
+    assert seen == {"bracket", "width 0 is not positive",
+                    "width -1/3 is not positive", "endpoint is a root",
+                    "interval does not bracket a sign change"}
+    # the split point 1/2 is the root: a bracket of width/2 around it
+    assert refine_root_interval(quarter, F(0), F(1), F(1, 3)) == (
+        F(5, 12), F(7, 12))
+    assert intpoly._bisect(quarter.coeffs, 0, 3, 3, 1, 3) == (5, 7, 12)
+
+
 def test_squarefree_part_is_computed_once(monkeypatch):
     p = IntPolynomial([-1, 1]) * IntPolynomial([-1, 1]) * IntPolynomial([1, 1])
     sf = squarefree_part(p)
