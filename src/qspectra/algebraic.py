@@ -26,13 +26,14 @@ Three layers live here:
   which the spectrum engines carry proven float enclosures of their search
   states; sums are tuple sums (``_axpy``).
 
-Minimal polynomials are free of rational roots: ``AlgebraicNumber`` divides
-the rational roots of its polynomial out (``real_roots`` reads them off its
-one isolation pass, the checked constructor isolates once), so a base whose
-interval holds a rational root is that rational.  Irreducibility beyond
-that is an input contract: an irrational factor other than the minimal
-polynomial is not found, and surfaces as ``ReducibleInputError`` when a sign
-refinement fails to terminate.
+Minimal polynomials are free of rational roots: the root selectors
+(``real_roots``, ``base_from_poly``) and the checked constructor each
+isolate the squarefree part once and divide its rational roots out with one
+routine (``intpoly._split_rational_roots``), so a base whose interval holds
+a rational root is that rational.  Irreducibility beyond that is an input
+contract: an irrational factor other than the minimal polynomial is not
+found, and surfaces as ``ReducibleInputError`` when a sign refinement fails
+to terminate.
 """
 
 from __future__ import annotations
@@ -47,16 +48,15 @@ from .errors import PreconditionError, ReducibleInputError
 from .intpoly import (
     IntPolynomial,
     count_roots_in,
-    deflate_root,
     is_squarefree,
     isolate_roots_exact,
-    rational_roots,
     squarefree_part,
     unit_circle_counts,
     _bisect,
     _integer,
     _prem,
     _rational,
+    _split_rational_roots,
 )
 from .records import FrozenRecord
 
@@ -88,11 +88,12 @@ class AlgebraicNumber:
     """A real root of an integer polynomial, known exactly.
 
     The checked constructor (``_validated`` false) takes the squarefree part
-    of the polynomial, as ``real_roots`` does, requires an interval (lo, hi)
-    isolating one of its roots (a linear one's too), then divides its
-    rational roots out of ``min_poly``: if the root in the interval is
+    of the polynomial and requires an interval (lo, hi) isolating one of its
+    roots (a linear one's too); then, as ``real_roots`` does, it isolates
+    the part once and divides its rational roots out of ``min_poly``
+    (``intpoly._split_rational_roots``): if the root in the interval is
     rational, the number is that rational (``exact_rational``).
-    ``real_roots`` passes polynomials already free of rational roots.
+    Unchecked, ``min_poly`` is primitive, and linear or free of rational roots.
 
     The isolating interval is refinable; refinement is monotone (the stored
     interval only ever shrinks) and idempotent, so concurrent refiners can
@@ -106,9 +107,7 @@ class AlgebraicNumber:
                  _validated: bool = False):
         if min_poly.degree < 1:
             raise PreconditionError("minimal polynomial must have degree >= 1")
-        if _validated:
-            min_poly = min_poly.primitive()
-        else:
+        if not _validated:
             min_poly = squarefree_part(min_poly)    # as real_roots does
             lo, hi = _rational(lo), _rational(hi)
             if min_poly.sign_at(lo) == 0 or min_poly.sign_at(hi) == 0:
@@ -119,11 +118,11 @@ class AlgebraicNumber:
                 raise PreconditionError(
                     f"interval ({lo}, {hi}) does not isolate exactly one root")
             # divide the rational roots out; the one in (lo, hi) is q
-            for r in rational_roots(min_poly):
+            rats, min_poly = _split_rational_roots(
+                min_poly, isolate_roots_exact(min_poly))
+            for r in rats:
                 if lo < r < hi:
                     min_poly = IntPolynomial([-r.numerator, r.denominator])
-                    break
-                min_poly = deflate_root(min_poly, r).primitive()
         self.min_poly = min_poly
         self.exact_rational: Fraction | None = None
         if min_poly.degree == 1:
@@ -147,33 +146,21 @@ class AlgebraicNumber:
                    _validated=True)
 
     @classmethod
-    def real_roots(cls, p: IntPolynomial,
-                   radius: Fraction | None = None) -> list["AlgebraicNumber"]:
-        """All real roots of p, ascending, refined to the target radius."""
-        roots = list(cls._real_roots(p))
-        if radius is not None:
-            for r in roots:
-                r.refine_to_radius(radius)
-        return roots
+    def real_roots(cls, p: IntPolynomial) -> list["AlgebraicNumber"]:
+        """All real roots of p, ascending."""
+        return list(cls._real_roots(p))
 
     @classmethod
     def _real_roots(cls, p: IntPolynomial, above: int | None = None):
         """p's real roots, ascending, lazily; only of cells past ``above``."""
-        if p.is_zero:
-            raise PreconditionError("zero polynomial rejected")
         sf = squarefree_part(p)
-        cells = isolate_roots_exact(sf)
-        # a rational root's cell is centred on it, and no other cell's
-        # midpoint is a root of sf
-        mids = [(lo + hi) / 2 for lo, hi in cells]
-        rats = [m for m in mids if sf.sign_at(m) == 0]
+        cells = isolate_roots_exact(sf)            # refuses a zero p
         # the irrational roots are roots of sf with its linear factors
         # divided out; an isolating interval of sf isolates them in it too
-        irr = sf
-        for r in rats:
-            irr = deflate_root(irr, r)
-        for (lo, hi), m in zip(cells, mids):
+        rats, irr = _split_rational_roots(sf, cells)
+        for lo, hi in cells:
             if above is None or hi > above:
+                m = (lo + hi) / 2
                 yield (cls.from_rational(m) if m in rats
                        else cls(irr, lo, hi, _validated=True))
 
@@ -186,7 +173,11 @@ class AlgebraicNumber:
         if (root_index is None) == (root_interval is None):
             raise PreconditionError("give exactly one of root index / interval")
         if root_interval is not None:
-            lo, hi = root_interval
+            try:
+                lo, hi = root_interval
+            except (TypeError, ValueError):
+                raise PreconditionError(
+                    f"root interval {root_interval!r} is not a pair") from None
             q = cls(p, lo, hi)
             if not q.greater_than(1):
                 raise PreconditionError("selected root is not > 1")
@@ -207,10 +198,6 @@ class AlgebraicNumber:
         a, b, den = self._iv
         return (Fraction(a, den), Fraction(b, den))
 
-    @property
-    def degree(self) -> int:
-        return self.min_poly.degree
-
     def refine_to_width(self, width: Fraction) -> tuple[Fraction, Fraction]:
         """The interval, bisected in ints (``intpoly._bisect``) on its
         numerators until it is no wider than ``width``; a positive width."""
@@ -226,9 +213,6 @@ class AlgebraicNumber:
                 if (nb - na) * den < (b - a) * nden:
                     self._iv = (na, nb, nden)
         return self.interval()
-
-    def refine_to_radius(self, radius) -> tuple[Fraction, Fraction]:
-        return self.refine_to_width(2 * _rational(radius))
 
     def float_value(self) -> float:
         lo, hi = self.refine_to_width(FLOAT_WIDTH)
@@ -334,17 +318,16 @@ class ZqContext:
     Let a be the leading coefficient of the minimal polynomial f (degree d):
     theta = a*q is an algebraic integer, a root of the monic a^(d-1) f(y/a),
     and ``qd_terms`` holds theta^d = sum c_i theta^i (theta = q if a = 1).
-    A context of ``depth`` D and denominator ``den`` has the scale
-    S = a^D * den, and holds a value v as the int tuple V over theta of
-    S * v; ``one`` is the tuple of the value 1.  This is exact while v's
+    A context of int ``depth`` D >= 0 and denominator ``den`` >= 1 has the
+    scale S = a^D * den, and holds a value v as the int tuple V over theta
+    of S * v; ``one`` is the tuple of the value 1.  This is exact while v's
     digits (its coefficients in 1, q, q^2, ...) reach degree <= D and are
     multiples of 1/den, since a^D q^i = a^(D-i) theta^i; each caller picks
     D and den for the values it makes.  On a monic base a^D = 1, so the
     depth does not matter.  Sums and int multiples of values are tuple
     sums (``_axpy``); ``mul_q`` is theta*V and one exact division by a
     (none when a = 1), and a digit ``step`` adds s * ``one`` to that: no
-    denominator is ever aligned and no Fraction arises.  ``coefficients``
-    reads a value back in the basis 1, q, ..., q^(d-1).  A zero vector
+    denominator is ever aligned and no Fraction arises.  A zero vector
     represents the real number zero because the minimal polynomial is
     irreducible (input contract).  Every ``sign``, and so every
     ``cmp_fraction``, is exact: the base's sign oracle
@@ -404,6 +387,9 @@ class ZqContext:
     """
 
     def __init__(self, q: AlgebraicNumber, depth: int = 0, den: int = 1):
+        depth, den = _integer(depth, "depth"), _integer(den, "denominator")
+        if depth < 0 or den < 1:
+            raise PreconditionError("need depth >= 0 and denominator >= 1")
         self.q = q
         *low, a = q.min_poly.coeffs
         self.d, self.lead, self.depth = len(low), a, depth
@@ -411,11 +397,6 @@ class ZqContext:
                               for i, c in enumerate(low) if c)
         self._apow = tuple(a**i for i in range(self.d))    # q^i = theta^i/a^i
         self.one = (a**depth * den,) + (0,) * (self.d - 1)
-
-    def coefficients(self, V) -> tuple:
-        """The coefficients of v in the basis 1, q, ..., q^(d-1)."""
-        S = self.one[0]
-        return tuple(Fraction(x * p, S) for x, p in zip(V, self._apow))
 
     def mul_q(self, V):
         return self.step(V, 0)
@@ -527,6 +508,7 @@ def conjugates(p: IntPolynomial, radius=Fraction(1, 10**12),
     if not is_squarefree(p):
         raise PreconditionError("polynomial is not squarefree")
     radius = _rational(radius)
+    budget_bits = _integer(budget_bits, "budget bits")
 
     coeffs = p.coeffs
     zero_disks = []
@@ -659,36 +641,16 @@ def classify_base(q: AlgebraicNumber, budget_bits: int = 4096) -> NumberClass:
 # powers
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-
-
-def _charpoly(a) -> list[Fraction]:
-    """Faddeev-LeVerrier; ascending coefficients of det(xI - A), monic."""
-    n = len(a)
-    coeffs_desc = [Fraction(1)]
-    mk = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-          for i in range(n)]
-    for k in range(1, n + 1):
-        mk = _mat_mul(a, mk)
-        ck = -sum(mk[i][i] for i in range(n)) / k
-        coeffs_desc.append(ck)
-        for i in range(n):
-            mk[i][i] += ck
-    return list(reversed(coeffs_desc))
-
-
 def power_base(q: AlgebraicNumber, k: int) -> AlgebraicNumber:
     """q^k as a certified algebraic number.
 
-    The defining polynomial is the squarefree part of the characteristic
-    polynomial of the multiplication-by-q^k matrix, whose column j is the
-    ``ZqContext`` vector of q^(k+j); it provably vanishes at q^k, and is the
-    minimal polynomial of q^k when q's is irreducible.  The checked
-    constructor divides its rational roots out.  ``_charpoly`` starts from a
-    Fraction identity, so it divides exactly on int entries too.
+    The defining polynomial is the squarefree part of the monic polynomial
+    whose roots are the k-th powers of the roots of q's minimal polynomial
+    f: Newton's identities give f's power sums s_1, ..., s_dk, then the
+    polynomial whose power sums are s_k, s_2k, ..., s_dk, scaled to
+    integers.  It vanishes at q^k, and is the minimal polynomial of q^k
+    when f is irreducible.  The checked constructor divides its rational
+    roots out.
     """
     k = _integer(k, "exponent")
     if k < 1:
@@ -697,15 +659,22 @@ def power_base(q: AlgebraicNumber, k: int) -> AlgebraicNumber:
         return q
     if q.exact_rational is not None:
         return AlgebraicNumber.from_rational(q.exact_rational ** k)
-    ctx = ZqContext(q, k + q.degree - 1)
-    powers = [ctx.one]
-    for _ in range(k + ctx.d - 1):
-        powers.append(ctx.mul_q(powers[-1]))
-    # rows q^k, ..., q^(k+d-1): the transpose, same characteristic polynomial
-    frac_coeffs = _charpoly([ctx.coefficients(p) for p in powers[k:]])
-    den = math.lcm(*(c.denominator for c in frac_coeffs))
-    char_int = IntPolynomial(int(c * den) for c in frac_coeffs)
-    defining = squarefree_part(char_int)
+    *low, a = q.min_poly.coeffs
+    d = len(low)
+    b = [Fraction(c, a) for c in low]          # f/a = x^d + sum b_i x^i
+    # s_j = -(sum of b_(d-i) s_(j-i) over 0 < i < j, i <= d) - j b_(d-j),
+    # the last term for j <= d only
+    s = [None]
+    for j in range(1, d * k + 1):
+        s.append(-sum(b[d - i] * (s[j - i] if i < j else j)
+                      for i in range(1, min(j, d) + 1)))
+    # the power polynomial's descending coefficients: h_0 = 1 and
+    # j h_j = -(sum of h_(j-i) s_(ik) over 0 < i <= j)
+    h = [Fraction(1)]
+    for j in range(1, d + 1):
+        h.append(-sum(h[j - i] * s[i * k] for i in range(1, j + 1)) / j)
+    den = math.lcm(*(c.denominator for c in h))
+    defining = squarefree_part(IntPolynomial(int(c * den) for c in h[::-1]))
     while True:
         lo, hi = q.interval()
         plo, phi = lo**k, hi**k

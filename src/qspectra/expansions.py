@@ -43,6 +43,8 @@ class SignPattern(namedtuple("SignPattern", "explicit threshold eventual")):
                 eventual: str = "out"):
         if eventual not in ("in", "out", "unknown"):
             raise PreconditionError(f"bad eventual flag {eventual!r}")
+        threshold = _integer(threshold, "threshold")
+        explicit = frozenset(_integer(i, "explicit index") for i in explicit)
         if threshold < 1:
             raise PreconditionError("threshold must be >= 1")
         bad = [i for i in explicit if i < 1 or i >= threshold]
@@ -375,6 +377,8 @@ def lazy_constrained(q: AlgebraicNumber, m: int, pattern: SignPattern,
     m, horizon = _integer(m, "m"), _integer(horizon, "horizon")
     if m < 1 or horizon < 1:
         raise PreconditionError("need m >= 1 and horizon >= 1")
+    if not isinstance(pattern, SignPattern):
+        raise PreconditionError(f"pattern {pattern!r} is not a SignPattern")
     if not q.greater_than(1):
         raise PreconditionError("base must satisfy q > 1")
     # m > q - 1  <=>  q < m + 1

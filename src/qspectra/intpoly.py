@@ -276,11 +276,15 @@ def deflate_root(p: IntPolynomial, root: Fraction) -> IntPolynomial:
     return IntPolynomial(_exact_quo(p.coeffs, (-n, d))).scale(d)
 
 
-def rational_roots(p: IntPolynomial) -> list[Fraction]:
-    """All rational roots, ascending: the midpoints of the isolating cells
-    of ``isolate_roots_exact`` that are roots."""
-    return [m for lo, hi in isolate_roots_exact(p)
-            if p.sign_at(m := (lo + hi) / 2) == 0]
+def _split_rational_roots(sf: IntPolynomial, cells
+                          ) -> tuple[list[Fraction], IntPolynomial]:
+    """(rational roots, ascending; sf with them divided out, primitive) of
+    a squarefree sf from its cells of ``isolate_roots_exact``: a cell's
+    midpoint is a root exactly when the cell's root is rational."""
+    rats = [m for lo, hi in cells if sf.sign_at(m := (lo + hi) / 2) == 0]
+    for r in rats:
+        sf = deflate_root(sf, r)
+    return rats, sf.primitive()
 
 
 # -- root bounds, Sturm chains, isolation ---------------------------------
@@ -420,7 +424,7 @@ def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     rational.  Fractions are made for the returned intervals only.
     """
     if p.is_zero:
-        raise PreconditionError("zero polynomial")
+        raise PreconditionError("zero polynomial rejected")
     if p.degree < 1:
         return []
     sf = squarefree_part(p)
@@ -456,16 +460,6 @@ def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
         elif n:
             stack += [(2 * a, m, 2 * den, va, vm), (m, 2 * b, 2 * den, vm, vb)]
     return sorted(cells)
-
-
-def refine_root_interval(p: IntPolynomial, lo: Fraction, hi: Fraction,
-                         width: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect an isolating interval of a squarefree p down to a positive
-    width: ``_bisect`` on the endpoints over their common denominator."""
-    (wn, wd), (a, da), (b, db) = _ratio(width), _ratio(lo), _ratio(hi)
-    den = math.lcm(da, db)
-    a, b, den = _bisect(p.coeffs, a * den // da, b * den // db, den, wn, wd)
-    return Fraction(a, den), Fraction(b, den)
 
 
 def _bisect(cs, a: int, b: int, den: int, wn: int, wd: int

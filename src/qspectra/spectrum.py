@@ -490,11 +490,13 @@ def _sort_order(kernel, values, floats, radii) -> array:
     return order
 
 
-def _check_inputs(q: AlgebraicNumber, budget: int):
+def _check_inputs(q: AlgebraicNumber, budget: int) -> int:
     if not q.greater_than(1):
         raise PreconditionError("base must satisfy q > 1")
+    budget = _integer(budget, "state budget")
     if budget < 1:
         raise PreconditionError("state budget must be >= 1")
+    return budget
 
 
 def _check_bound(B) -> Fraction:
@@ -528,7 +530,7 @@ def enumerate_X(q: AlgebraicNumber, m: int, B, *,
     exhaustive; and a value with top digit at degree n is at least q^n, so
     the recursion stops after ~log_q B levels.
     """
-    _check_inputs(q, budget)
+    budget = _check_inputs(q, budget)
     m = _integer(m, "m")
     if m < 1:
         raise PreconditionError("m >= 1 required")
@@ -618,7 +620,7 @@ def enumerate_Y(q: AlgebraicNumber, m: int, degree: int, B, *,
     The window is certified complete for Y^m(q) cap [-B, B] only when the
     growth bound applies: q > m+1 and q^(degree+1) (1 - m/(q-1)) >= B.
     """
-    _check_inputs(q, budget)
+    budget = _check_inputs(q, budget)
     m, degree = _integer(m, "m"), _integer(degree, "degree")
     if m < 1 or degree < 0:
         raise PreconditionError("need m >= 1 and degree >= 0")
@@ -653,7 +655,7 @@ def enumerate_A(q: AlgebraicNumber, degree: int, B, *,
                 budget: int = DEFAULT_STATE_BUDGET) -> SpectrumWindow:
     """Window of A(q) = {sum a_i q^i, a_i in {-1, 1}} for strings of degree
     exactly ``degree``, clipped to [-B, B], with its covering radius."""
-    _check_inputs(q, budget)
+    budget = _check_inputs(q, budget)
     if q.compare_to_fraction(2) > 0:
         raise PreconditionError("A(q) windows require 1 < q <= 2")
     degree = _integer(degree, "degree")
@@ -702,10 +704,15 @@ class GapReport(namedtuple(
         }
 
 
-def check_tail_fraction(tail_fraction: float) -> None:
+def check_tail_fraction(tail_fraction: float) -> float:
+    """The tail fraction in [0, 1]; a float or an int as given, any other
+    rational as its float."""
+    if not isinstance(tail_fraction, (int, float)):
+        tail_fraction = float(_rational(tail_fraction))
     if not 0 <= tail_fraction <= 1:
         raise PreconditionError(
             f"tail fraction must lie in [0, 1], not {tail_fraction}")
+    return tail_fraction
 
 
 def gap_report(window: SpectrumWindow,
@@ -719,7 +726,7 @@ def gap_report(window: SpectrumWindow,
     window's ``ZqContext``; the minimum is certified by the exact sign of
     the difference of two gap vectors.
     """
-    check_tail_fraction(tail_fraction)
+    tail_fraction = check_tail_fraction(tail_fraction)
     order = window.order
     if len(order) < 2:
         raise PreconditionError("need at least 2 points for gaps")
@@ -800,7 +807,7 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
     takes the best from the new level, a partial one cut by the budget
     included, re-keyed first by the call's re-pack map.
     """
-    _check_inputs(q, state_budget)
+    state_budget = _check_inputs(q, state_budget)
     m, max_depth = _integer(m, "m"), _integer(max_depth, "max_depth")
     if m < 1:
         raise PreconditionError("m >= 1 required")

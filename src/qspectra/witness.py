@@ -186,7 +186,7 @@ def choose_w(p, m: int, horizon: int = 200,
     Accepts |p| >= 1 with p neither 1 nor a positive real; positive real
     companions are handled by the greedy/periodic steps of build_witness.
     """
-    p = as_gaussian(p)
+    p, horizon = as_gaussian(p), _integer(horizon, "horizon")
     a2 = p[0] * p[0] + p[1] * p[1]
     if a2 < 1:
         raise PreconditionError("need |p| >= 1")
@@ -291,7 +291,7 @@ def build_P_and_k(q: AlgebraicNumber, m: int, p, w0: GR, horizon: int,
     form when the membership is periodic (p real or a root of unity), else
     by the corridor's truncation lower bound and full-tail upper bound.
     """
-    p = as_gaussian(p)
+    p, horizon = as_gaussian(p), _integer(horizon, "horizon")
     if not (q.compare_to_fraction(m) > 0 and q.compare_to_fraction(m + 1) < 0):
         raise PreconditionError("need m < q < m+1")
     pw = powers or _Powers(p, horizon)

@@ -57,7 +57,9 @@ def sqrt2():
 
 
 def test_isolate_golden_ratio_roots():
-    roots = AlgebraicNumber.real_roots(PHI_POLY, radius=Fraction(1, 10**12))
+    roots = AlgebraicNumber.real_roots(PHI_POLY)
+    for r in roots:
+        r.refine_to_width(Fraction(2, 10**12))
     vals = [r.float_value() for r in roots]
     assert len(vals) == 2
     assert abs(vals[0] - (1 - math.sqrt(5)) / 2) < 1e-12
@@ -115,9 +117,9 @@ def test_non_positive_widths_are_rejected(deadline):
         with pytest.raises(PreconditionError):
             q.refine_to_width(0)
         with pytest.raises(PreconditionError):
-            q.refine_to_radius(-1)
+            q.refine_to_width(-2)
         with pytest.raises(PreconditionError):
-            intpoly.refine_root_interval(PHI_POLY, lo, hi, 0)
+            intpoly._bisect(PHI_POLY.coeffs, *q._iv, 0, 1)
     assert q.interval() == (lo, hi)
 
 
@@ -234,6 +236,33 @@ def test_height_one_base_intervals_are_pinned():
     assert len(lines) == 76
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
         "1c9bbe4ebb36246b4f1b8742626c541a7de93a2d36b4bcfed4b8856e2c602e98")
+
+
+def _checked_constructor_lines():
+    """One line per isolating cell of p = (bx - a) f, a/b in
+    {-2, 0, 1/2, 1, 3/2, 2} and f each monic height-1 quadratic and cubic:
+    p, then the checked constructor's min_poly, exact_rational and interval
+    on that cell."""
+    for r in (F(-2), F(0), F(1, 2), F(1), F(3, 2), F(2)):
+        for d in (2, 3):
+            for low in itertools.product((-1, 0, 1), repeat=d):
+                p = (IntPolynomial([-r.numerator, r.denominator])
+                     * IntPolynomial([*low, 1]))
+                for cell in intpoly.isolate_roots_exact(p):
+                    x = AlgebraicNumber(p, *cell)
+                    lo, hi = x.interval()
+                    yield (f"{p.to_text()} {x.min_poly.to_text()} "
+                           f"{x.exact_rational} {lo} {hi}\n")
+
+
+def test_checked_constructor_is_pinned():
+    # the rational roots that the checked constructor divides out, and the
+    # rational it becomes when its cell holds one, as recorded before it
+    # shared the root selector's split
+    lines = list(_checked_constructor_lines())
+    assert len(lines) == 484
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "94f763ba6868cbb51dcceae147d83231d7ef21545dab3dfdab455f58a17edf25")
 
 
 def _classify_counting_chains(monkeypatch, poly):
@@ -483,11 +512,33 @@ def test_proposition_pipeline_sqrt_p2_powers():
     assert classify_base(power_base(q, 3)).tag == "NotPisot-AlgebraicInteger"
 
 
+def _mat_mul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def _charpoly(a) -> list[Fraction]:
+    """Faddeev-LeVerrier; ascending coefficients of det(xI - A), monic."""
+    n = len(a)
+    coeffs_desc = [Fraction(1)]
+    mk = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
+          for i in range(n)]
+    for k in range(1, n + 1):
+        mk = _mat_mul(a, mk)
+        ck = -sum(mk[i][i] for i in range(n)) / k
+        coeffs_desc.append(ck)
+        for i in range(n):
+            mk[i][i] += ck
+    return list(reversed(coeffs_desc))
+
+
 def _reference_power_base(q, k):
-    """The route that power_base replaced: the k-th power of the companion
-    matrix by repeated matrix products, then the same characteristic
-    polynomial and interval search."""
-    p, d = q.min_poly, q.degree
+    """The companion-matrix route: the characteristic polynomial of the
+    k-th power of the companion matrix of q's minimal polynomial, its
+    squarefree part, the same interval search, then the checked
+    constructor."""
+    p, d = q.min_poly, q.min_poly.degree
     mat = [[Fraction(0)] * d for _ in range(d)]
     for j in range(d - 1):
         mat[j + 1][j] = Fraction(1)
@@ -495,35 +546,44 @@ def _reference_power_base(q, k):
         mat[i][d - 1] = Fraction(-p.coeffs[i], p.coeffs[-1])
     mk = mat
     for _ in range(k - 1):
-        mk = algebraic._mat_mul(mk, mat)
-    frac_coeffs = algebraic._charpoly(mk)
+        mk = _mat_mul(mk, mat)
+    frac_coeffs = _charpoly(mk)
     den = math.lcm(*(c.denominator for c in frac_coeffs))
     defining = intpoly.squarefree_part(
         IntPolynomial(int(c * den) for c in frac_coeffs))
-    if defining.degree == 1:
-        return defining, None
     while True:
         lo, hi = q.interval()
         plo, phi_ = lo**k, hi**k
         if (defining.sign_at(plo) != 0 and defining.sign_at(phi_) != 0
                 and intpoly.count_roots_in(defining, plo, phi_) == 1):
-            return defining, (plo, phi_)
+            return AlgebraicNumber(defining, plo, phi_)
         q.refine_to_width((hi - lo) / 4)
 
 
 def test_power_base_equals_the_companion_matrix_route(deadline):
-    polys = [SQRT_P2_POLY, PHI_POLY, SQRT2_POLY, IntPolynomial([-1, -2, 2]),
-             P1_POLY, IntPolynomial([-1, -1, 0, 0, 1]),
-             IntPolynomial([-3, 0, 0, 1])]
+    # every monic height-1 polynomial of degree 2 to 5 with a root > 1,
+    # reducible ones included, and four non-monic ones, each at k = 2, 3, 5
+    polys = [IntPolynomial([*low, 1]) for d in range(2, 6)
+             for low in itertools.product((-1, 0, 1), repeat=d)]
+    polys += [IntPolynomial(c) for c in ([-1, -2, 2], [-2, -3, 3],
+                                         [1, -5, 0, 2], [-7, 1, 0, 3])]
+    pairs = 0
     with deadline(30):
-        for poly, k in itertools.product(polys, range(2, 7)):
-            ref = _reference_power_base(
-                AlgebraicNumber.base_from_poly(poly, root_index=0), k)
-            got = power_base(AlgebraicNumber.base_from_poly(poly,
-                                                            root_index=0), k)
-            interval = None if got.exact_rational is not None \
-                else got.interval()
-            assert (got.min_poly, interval) == ref, (poly.coeffs, k)
+        for poly in polys:
+            try:
+                AlgebraicNumber.base_from_poly(poly, root_index=0)
+            except PreconditionError:
+                continue                              # no root > 1
+            for k in (2, 3, 5):
+                ref = _reference_power_base(
+                    AlgebraicNumber.base_from_poly(poly, root_index=0), k)
+                got = power_base(
+                    AlgebraicNumber.base_from_poly(poly, root_index=0), k)
+                assert (got.min_poly, got.exact_rational, got.interval()) \
+                    == (ref.min_poly, ref.exact_rational, ref.interval()), \
+                    (poly.coeffs, k)
+                pairs += 1
+    assert pairs == 243
 
 
 def test_power_gcd_property_concrete():
@@ -543,6 +603,12 @@ def _interval(ctx, V) -> tuple[Fraction, Fraction]:
     base interval."""
     lo, hi, den = ctx._bounds(V)
     return Fraction(lo, den), Fraction(hi, den)
+
+
+def _coefficients(ctx, V) -> tuple:
+    """The coefficients of the value of ctx's vector V in the basis 1, q,
+    ..., q^(d-1)."""
+    return tuple(Fraction(x * p, ctx.one[0]) for x, p in zip(V, ctx._apow))
 
 
 def _compare(ctx, a, b) -> int:
@@ -595,9 +661,27 @@ def test_zq_context_serves_a_non_monic_base():
     ctx = ZqContext(q, 2)
     assert ctx.one == (4, 0)
     q2 = ctx.from_digits([0, 0, 1])
-    assert ctx.coefficients(q2) == (Fraction(3, 2), 0)
+    assert _coefficients(ctx, q2) == (Fraction(3, 2), 0)
     assert ctx.cmp_fraction(q2, Fraction(3, 2)) == 0
     assert ctx.cmp_fraction(ctx.from_digits([0, 1]), Fraction(6, 5)) == 1
+
+
+def test_zq_context_refuses_a_depth_or_denominator_that_breaks_exactness():
+    # ZqContext(q, 0, -3) once gave sign(one) = -1, ZqContext(q, 0, 0) made
+    # every value 0, and a negative or fractional depth held floats
+    q = AlgebraicNumber.base_from_poly(IntPolynomial([-3, 0, 2]), root_index=0)
+    for depth, den in ((0, -3), (0, 0), (-1, 1)):
+        with pytest.raises(PreconditionError,
+                           match="need depth >= 0 and denominator >= 1"):
+            ZqContext(q, depth, den)
+    for depth, den, name in ((2.5, 1, "depth"), (0, 0.5, "denominator"),
+                             ("2", 1, "depth")):
+        with pytest.raises(PreconditionError,
+                           match=f"^{name} [^ ]+ is not an integer$"):
+            ZqContext(q, depth, den)
+    ctx = ZqContext(q, 2.0, Fraction(3))
+    assert ctx.one == (12, 0) and all(type(x) is int for x in ctx.one)
+    assert ctx.depth == 2 and ctx.sign(ctx.one) == 1
 
 
 def test_zq_round_trip_1000_random_strings():
@@ -1394,7 +1478,7 @@ def _context(q, *vecs):
     """A context that holds the vectors vecs in the basis 1, q, ...,
     q^(d-1) and one q-step of each: depth d, over the lcm of their entries'
     denominators."""
-    return ZqContext(q, q.degree, math.lcm(
+    return ZqContext(q, q.min_poly.degree, math.lcm(
         *(Fraction(c).denominator for vec in vecs for c in vec)))
 
 
@@ -1414,7 +1498,7 @@ def _holds(ctx, got, want):
     """ctx's vector got has the value of the vector want: an int tuple that
     decodes to want."""
     return (all(type(x) is int for x in got)
-            and ctx.coefficients(got) == tuple(want))
+            and _coefficients(ctx, got) == tuple(want))
 
 
 #: q8, phi, the non-monic root (1 + sqrt 3) / 2 of 2x^2 - 2x - 1, and the
@@ -1436,10 +1520,10 @@ def _kernel_vectors(rng, make_base):
     q = make_base()
     ref = _ReferenceVecArith(q)
     x = q.float_value()
-    vecs = _random_vectors(rng, q.degree)
+    vecs = _random_vectors(rng, q.min_poly.degree)
     vecs += [_near_zero(v, x) for v in vecs[1:9]]
     for _ in range(6):
-        acc = (0,) * q.degree
+        acc = (0,) * q.min_poly.degree
         for _ in range(rng.randint(1, 12)):
             acc = ref.step(acc, rng.randint(-3, 3))
         vecs.append(acc)
@@ -1467,7 +1551,8 @@ def test_zq_ring_operations_equal_the_fraction_kernel(name, make_base):
             c = Fraction(c)
             # c*v: c's numerator times e, read at a scale c's denominator
             # times finer
-            finer = ZqContext(q, q.degree, ctx.one[0] // ctx.lead ** q.degree
+            d = q.min_poly.degree
+            finer = ZqContext(q, d, ctx.one[0] // ctx.lead ** d
                               * c.denominator)
             assert _holds(finer, _axpy(zero, c.numerator, e),
                           tuple(_whole(c) * x for x in v)), (v, c)
@@ -1709,7 +1794,7 @@ def test_huge_constant_terms_isolate_without_trial_division(deadline):
     with deadline(1):
         q = AlgebraicNumber.base_from_poly(IntPolynomial([-(10**20 + 1), 0, 1]),
                                            root_index=0)
-        assert q.exact_rational is None and q.degree == 2
+        assert q.exact_rational is None and q.min_poly.degree == 2
         assert classify_base(q).tag == "NotPisot-AlgebraicInteger"
         roots = AlgebraicNumber.real_roots(IntPolynomial([-10**20, 0, 1]))
         assert [r.exact_rational for r in roots] == [-10**10, 10**10]

@@ -15,7 +15,8 @@ from fractions import Fraction
 import pytest
 
 from qspectra import expansions
-from qspectra.algebraic import AlgebraicNumber, ZqContext, power_base
+from qspectra.algebraic import (AlgebraicNumber, ZqContext, classify_base,
+                                conjugates, power_base)
 from qspectra.errors import PreconditionError
 from qspectra.intpoly import IntPolynomial
 from qspectra.expansions import (
@@ -27,8 +28,9 @@ from qspectra.expansions import (
     verify_expansion,
 )
 from qspectra.spectrum import (enumerate_A, enumerate_X, enumerate_Y,
-                               min_positive_bfs)
-from qspectra.witness import accumulation_verdict, build_witness
+                               gap_report, min_positive_bfs)
+from qspectra.witness import (accumulation_verdict, build_P_and_k,
+                              build_witness, choose_w)
 
 PHI_POLY = IntPolynomial([-1, -1, 1])
 
@@ -540,6 +542,20 @@ NON_INTEGER_PROBES = [
     (lambda: periodic_completion([1.5, -1, -1], phi(), 2), "digit"),
     (lambda: ZqContext(phi()).from_digits([1.5]), "digit"),
     (lambda: periodic_completion([1, -1, -1], phi(), 2.5), "m"),
+    (lambda: enumerate_X(phi(), 1, 5, budget="5"), "state budget"),
+    (lambda: enumerate_X(phi(), 1, 5, budget=2.5), "state budget"),
+    (lambda: min_positive_bfs(phi(), 1, state_budget="5"), "state budget"),
+    (lambda: accumulation_verdict(phi(), 1, state_budget="x"),
+     "state budget"),
+    (lambda: conjugates(PHI_POLY, budget_bits="x"), "budget bits"),
+    (lambda: classify_base(phi(), budget_bits="x").conjugate_set,
+     "budget bits"),
+    (lambda: choose_w("-1.2", 1, horizon=2.5), "horizon"),
+    (lambda: build_P_and_k(rational("1.8"), 1, "-1.2",
+                           (Fraction(1), Fraction(0)), 2.5), "horizon"),
+    (lambda: SignPattern(frozenset(), "3"), "threshold"),
+    (lambda: SignPattern(frozenset(), 2.5), "threshold"),
+    (lambda: SignPattern({1.5}, 3), "explicit index"),
 ]
 
 
@@ -552,11 +568,43 @@ def test_a_count_or_digit_that_is_not_an_integer_is_refused(call, name):
         call()
 
 
+#: calls with a malformed argument that is not a count, each with the
+#: start of its PreconditionError
+MALFORMED_ARGUMENT_PROBES = [
+    (lambda: gap_report(enumerate_X(phi(), 1, 5), tail_fraction="x"),
+     "'x' is not a finite rational"),
+    (lambda: lazy_constrained(phi(), 1, "explicit:1", 10),
+     "pattern 'explicit:1' is not a SignPattern"),
+    (lambda: AlgebraicNumber.base_from_poly(PHI_POLY,
+                                            root_interval=(1, 2, 3)),
+     "root interval (1, 2, 3) is not a pair"),
+    (lambda: AlgebraicNumber.base_from_poly(PHI_POLY, root_interval=2),
+     "root interval 2 is not a pair"),
+]
+
+
+@pytest.mark.parametrize("call,message", MALFORMED_ARGUMENT_PROBES,
+                         ids=range(len(MALFORMED_ARGUMENT_PROBES)))
+def test_a_malformed_argument_is_refused(call, message):
+    with pytest.raises(PreconditionError) as info:
+        call()
+    assert str(info.value).startswith(message)
+
+
 def test_integral_floats_and_fractions_count_as_their_ints():
     want = greedy_expansion(Fraction(1, 3), phi(), 1, 10)
     assert greedy_expansion(Fraction(1, 3), phi(), 1.0, Fraction(10)) == want
     assert periodic_completion([1.0, Fraction(-1), -1], phi(), 2).period \
         == (1, -1, -1)
+    window = enumerate_X(phi(), 1, 5)
+    assert enumerate_X(phi(), 1, 5, budget=1000.0).to_dict() == \
+        window.to_dict()
+    assert SignPattern({2.0, Fraction(3)}, 4.0) == SignPattern(
+        frozenset({2, 3}), 4)
+    # a tail fraction given as another rational is its float; an int stays
+    assert gap_report(window, tail_fraction=Fraction(1, 2)) == gap_report(
+        window, tail_fraction=0.5)
+    assert type(gap_report(window, tail_fraction=1).tail_fraction) is int
 
 
 def test_periodic_completion_needs_a_height_of_at_least_one():

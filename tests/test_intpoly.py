@@ -25,11 +25,28 @@ from qspectra.intpoly import (
     is_squarefree,
     isolate_roots_exact,
     poly_gcd,
-    rational_roots,
-    refine_root_interval,
     squarefree_part,
     sturm_chain,
 )
+
+
+def _rational_roots(p):
+    """The rational roots of p, ascending, from one isolation of its
+    squarefree part."""
+    sf = squarefree_part(p)
+    return intpoly._split_rational_roots(sf, isolate_roots_exact(sf))[0]
+
+
+def _refine(p, lo, hi, width):
+    """An isolating interval of a squarefree p bisected to a positive width:
+    ``_bisect`` on the endpoints over their common denominator."""
+    lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, b, den = intpoly._bisect(
+        p.coeffs, lo.numerator * den // lo.denominator,
+        hi.numerator * den // hi.denominator, den, width.numerator,
+        width.denominator)
+    return Fraction(a, den), Fraction(b, den)
 
 
 def bisection_oracle(coeffs, lo=-64.0, hi=64.0, grid=200_000, tol=1e-12):
@@ -135,8 +152,9 @@ def test_gcd_and_squarefree():
 def test_rational_roots_and_deflation():
     # (x - 2)(2x + 3)(x^2 + 1)
     p = IntPolynomial([-2, 1]) * IntPolynomial([3, 2]) * IntPolynomial([1, 0, 1])
-    roots = rational_roots(p)
+    roots, rest = intpoly._split_rational_roots(p, isolate_roots_exact(p))
     assert roots == [Fraction(-3, 2), Fraction(2)]
+    assert rest == IntPolynomial([1, 0, 1])
     q = deflate_root(p, Fraction(2))
     assert q.sign_at(Fraction(-3, 2)) == 0
 
@@ -147,7 +165,7 @@ def test_isolate_fibonacci_poly_against_bisection_oracle():
     oracle = bisection_oracle(p.coeffs)
     assert len(intervals) == len(oracle) == 2
     for (lo, hi), r in zip(intervals, oracle):
-        lo, hi = refine_root_interval(p, lo, hi, Fraction(1, 10**14))
+        lo, hi = _refine(p, lo, hi, Fraction(1, 10**14))
         assert lo < Fraction(r).limit_denominator(10**10) < hi or abs(float(lo) - r) < 1e-12
 
 
@@ -161,7 +179,7 @@ def test_isolate_plastic_poly():
     p = IntPolynomial([-1, -1, 0, 1])  # x^3 - x - 1, one real root ~1.3247
     intervals = isolate_roots_exact(p)
     assert len(intervals) == 1
-    lo, hi = refine_root_interval(p, *intervals[0], Fraction(1, 10**13))
+    lo, hi = _refine(p, *intervals[0], Fraction(1, 10**13))
     root = bisection_oracle(p.coeffs)[0]
     assert abs((float(lo) + float(hi)) / 2 - root) < 1e-12
     assert abs(root - 1.3247) < 5e-5
@@ -238,7 +256,7 @@ def test_random_products_isolation_matches_oracle():
         assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
         want = sorted({Fraction(a) for a in used}
                       | {Fraction(-c0, c1) for c0, c1 in extra[i % 4]})
-        assert rational_roots(p) == want
+        assert _rational_roots(p) == want
         assert [(lo + hi) / 2 for lo, hi in intervals
                 if p.sign_at((lo + hi) / 2) == 0] == want
 
@@ -383,7 +401,7 @@ def test_deflation_equals_the_fraction_reference():
     with pytest.raises(PreconditionError):
         deflate_root(p, Fraction(3, 7))
     for f in PRS_CORPUS:
-        for r in rational_roots(f):
+        for r in _rational_roots(f):
             assert deflate_root(f, r) == _reference_deflate_root(f, r), (f, r)
 
 
@@ -411,7 +429,7 @@ def test_pseudo_remainder_is_a_positive_multiple_of_the_remainder():
 
 
 def _fraction_bisection(p, lo, hi, width):
-    """Plain Fraction bisection, as refine_root_interval specifies it."""
+    """Plain Fraction bisection, as ``_bisect`` specifies it."""
     slo = p.sign_at(lo)
     while hi - lo > width:
         mid = (lo + hi) / 2
@@ -442,13 +460,14 @@ def test_refine_root_interval_equals_a_fraction_bisection():
                   if p.sign_at((lo + hi) / 2) != 0]
     for p, lo, hi in cases:
         for width in widths:
-            assert refine_root_interval(p, lo, hi, width) == \
+            assert _refine(p, lo, hi, width) == \
                 _fraction_bisection(p, lo, hi, width), (p, lo, hi, width)
 
 
 def _fraction_refine_root_interval(p, lo, hi, width):
-    """refine_root_interval as it was before it wrapped the int bisection:
-    Fraction endpoints and width in, Fraction bracket out."""
+    """The Fraction refinement of an isolating interval as it was before
+    the int bisection: Fraction endpoints and width in, Fraction bracket
+    out."""
     wn, wd = Fraction(width).numerator, Fraction(width).denominator
     if wn <= 0:
         raise PreconditionError(f"width {width} is not positive")
@@ -512,7 +531,7 @@ def test_int_bisection_equals_the_fraction_refinement():
         den = math.lcm(lo.denominator, hi.denominator)
         for width in widths:
             want = _outcome(_fraction_refine_root_interval, p, lo, hi, width)
-            assert _outcome(refine_root_interval, p, lo, hi, width) == want
+            assert _outcome(_refine, p, lo, hi, width) == want
             seen.add(want[1] if want[0] == "PreconditionError" else "bracket")
             for k in (1, 6):      # the reduced scale and a multiple of it
                 got = _outcome(
@@ -530,7 +549,7 @@ def test_int_bisection_equals_the_fraction_refinement():
                     "width -1/3 is not positive", "endpoint is a root",
                     "interval does not bracket a sign change"}
     # the split point 1/2 is the root: a bracket of width/2 around it
-    assert refine_root_interval(quarter, F(0), F(1), F(1, 3)) == (
+    assert _refine(quarter, F(0), F(1), F(1, 3)) == (
         F(5, 12), F(7, 12))
     assert intpoly._bisect(quarter.coeffs, 0, 3, 3, 1, 3) == (5, 7, 12)
 

@@ -497,7 +497,9 @@ def _exact_values(w) -> list[tuple]:
     """The window's values by position, as Fraction coefficients in the
     basis 1, q, ..., q^(d-1)."""
     k = w.kernel
-    return [k.ctx.coefficients(k.unpack(V)) for V in w.keys]
+    S, apow = k.ctx.one[0], k.ctx._apow
+    return [tuple(Fraction(x * p, S) for x, p in zip(k.unpack(V), apow))
+            for V in w.keys]
 
 
 def _times_theta(ctx, V):
