@@ -562,28 +562,40 @@ def _reference_power_base(q, k):
 
 def test_power_base_equals_the_companion_matrix_route(deadline):
     # every monic height-1 polynomial of degree 2 to 5 with a root > 1,
-    # reducible ones included, and four non-monic ones, each at k = 2, 3, 5
+    # reducible ones included, and four non-monic ones, each at k = 2, 3, 5;
+    # then seven bases at k = 2 to 6, among them sqrt 2, cbrt 3 and a root
+    # of x^8 - x^6 - 1: an irrational q with a rational q^k, whose power-sum
+    # polynomial is not squarefree, and 8k power sums
     polys = [IntPolynomial([*low, 1]) for d in range(2, 6)
              for low in itertools.product((-1, 0, 1), repeat=d)]
     polys += [IntPolynomial(c) for c in ([-1, -2, 2], [-2, -3, 3],
                                          [1, -5, 0, 2], [-7, 1, 0, 3])]
-    pairs = 0
+    cases = [(poly, k) for poly in polys for k in (2, 3, 5)]
+    cases += itertools.product(
+        [SQRT_P2_POLY, PHI_POLY, SQRT2_POLY, IntPolynomial([-1, -2, 2]),
+         P1_POLY, IntPolynomial([-1, -1, 0, 0, 1]),
+         IntPolynomial([-3, 0, 0, 1])], range(2, 7))
+    pairs, rationals = 0, {}
     with deadline(30):
-        for poly in polys:
+        for poly, k in cases:
             try:
                 AlgebraicNumber.base_from_poly(poly, root_index=0)
             except PreconditionError:
                 continue                              # no root > 1
-            for k in (2, 3, 5):
-                ref = _reference_power_base(
-                    AlgebraicNumber.base_from_poly(poly, root_index=0), k)
-                got = power_base(
-                    AlgebraicNumber.base_from_poly(poly, root_index=0), k)
-                assert (got.min_poly, got.exact_rational, got.interval()) \
-                    == (ref.min_poly, ref.exact_rational, ref.interval()), \
-                    (poly.coeffs, k)
-                pairs += 1
-    assert pairs == 243
+            ref = _reference_power_base(
+                AlgebraicNumber.base_from_poly(poly, root_index=0), k)
+            got = power_base(
+                AlgebraicNumber.base_from_poly(poly, root_index=0), k)
+            assert (got.min_poly, got.exact_rational, got.interval()) \
+                == (ref.min_poly, ref.exact_rational, ref.interval()), \
+                (poly.coeffs, k)
+            if got.exact_rational is not None and poly.degree > 1:
+                rationals[poly.coeffs, k] = got.exact_rational
+            pairs += 1
+    assert pairs == 243 + 35
+    assert rationals == {((-2, 0, 1), 2): 2, ((-2, 0, 1), 4): 4,
+                         ((-2, 0, 1), 6): 8, ((-3, 0, 0, 1), 3): 3,
+                         ((-3, 0, 0, 1), 6): 9}
 
 
 def test_power_gcd_property_concrete():
@@ -607,7 +619,7 @@ def _interval(ctx, V) -> tuple[Fraction, Fraction]:
 
 def _coefficients(ctx, V) -> tuple:
     """The coefficients of the value of ctx's vector V in the basis 1, q,
-    ..., q^(d-1)."""
+    ..., q^(d-1); test_spectrum decodes its windows with it too."""
     return tuple(Fraction(x * p, ctx.one[0]) for x, p in zip(V, ctx._apow))
 
 

@@ -37,6 +37,7 @@ from qspectra.spectrum import (
     make_kernel,
     min_positive_bfs,
 )
+from test_algebraic import _coefficients
 
 PHI_POLY = IntPolynomial([-1, -1, 1])
 SQRT2_POLY = IntPolynomial([-2, 0, 1])
@@ -497,9 +498,7 @@ def _exact_values(w) -> list[tuple]:
     """The window's values by position, as Fraction coefficients in the
     basis 1, q, ..., q^(d-1)."""
     k = w.kernel
-    S, apow = k.ctx.one[0], k.ctx._apow
-    return [tuple(Fraction(x * p, S) for x, p in zip(k.unpack(V), apow))
-            for V in w.keys]
+    return [_coefficients(k.ctx, k.unpack(V)) for V in w.keys]
 
 
 def _times_theta(ctx, V):
