@@ -47,16 +47,17 @@ from .config import MAX_CERTIFY_BITS
 from .errors import PreconditionError, ReducibleInputError
 from .intpoly import (
     IntPolynomial,
-    count_roots_in,
     is_squarefree,
     isolate_roots_exact,
     squarefree_part,
+    sturm_chain,
     unit_circle_counts,
     _bisect,
     _integer,
     _prem,
     _rational,
     _split_rational_roots,
+    _variations_at,
 )
 from .records import FrozenRecord
 
@@ -110,11 +111,14 @@ class AlgebraicNumber:
         if not _validated:
             min_poly = squarefree_part(min_poly)    # as real_roots does
             lo, hi = _rational(lo), _rational(hi)
-            if min_poly.sign_at(lo) == 0 or min_poly.sign_at(hi) == 0:
+            chain = sturm_chain(min_poly)   # V(lo) - V(hi) <= 0 if lo >= hi
+            va, vb = (_variations_at(chain, x.numerator, x.denominator)
+                      for x in (lo, hi))
+            if va is None or vb is None:
                 raise PreconditionError(
                     "interval endpoint is a root; use from_rational for "
                     "rational values")
-            if count_roots_in(min_poly, lo, hi) != 1:
+            if va - vb != 1:
                 raise PreconditionError(
                     f"interval ({lo}, {hi}) does not isolate exactly one root")
             # divide the rational roots out; the one in (lo, hi) is q
@@ -199,20 +203,22 @@ class AlgebraicNumber:
         return (Fraction(a, den), Fraction(b, den))
 
     def refine_to_width(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """The interval, bisected in ints (``intpoly._bisect``) on its
-        numerators until it is no wider than ``width``; a positive width."""
-        a, b, den = self._iv
+        """The interval, bisected in ints (``intpoly._bisect``, by
+        ``_refine``) until it is no wider than ``width``; a positive width."""
         width = _rational(width)
-        if (self.exact_rational is None
-                and (b - a) * width.denominator > width.numerator * den):
-            na, nb, nden = _bisect(self.min_poly.coeffs, a, b, den,
-                                   width.numerator, width.denominator)
+        self._refine(width.numerator, width.denominator)
+        return self.interval()
+
+    def _refine(self, wn: int, wd: int) -> None:
+        """Bisect the interval in ints until it is no wider than wn/wd."""
+        a, b, den = self._iv
+        if self.exact_rational is None and (b - a) * wd > wn * den:
+            na, nb, nden = _bisect(self.min_poly.coeffs, a, b, den, wn, wd)
             with self._lock:
                 # keep the narrower of racing refinements
                 a, b, den = self._iv
                 if (nb - na) * den < (b - a) * nden:
                     self._iv = (na, nb, nden)
-        return self.interval()
 
     def float_value(self) -> float:
         lo, hi = self.refine_to_width(FLOAT_WIDTH)
@@ -251,7 +257,7 @@ class AlgebraicNumber:
             if (b - a) << MAX_CERTIFY_BITS <= den:
                 raise ReducibleInputError(
                     "sign refinement stalled; input may be reducible")
-            self.refine_to_width(Fraction(b - a, 4 * den))
+            self._refine(b - a, 4 * den)
 
     def _int_interval(self, coeffs) -> tuple[int, int, int]:
         """(vlo, vhi, D^n) with vlo/D^n <= sum coeffs[i] q^i <= vhi/D^n for
@@ -374,16 +380,17 @@ class ZqContext:
     entry is divisible by a below the depth, and packing is linear), and a
     child q*v + s adds s*a^D.  Width bound: if a level's entries are at
     most E, its children's are at most E' = E*(1 + max|c_i|)/a + m*a^D.
-    The engines carry E per level and keep E' below 2^(W-2), so a state,
-    its negation and the difference of two states (a comparison) all have
-    entries below 2^(W-1) and decode exactly.  When E' would reach
-    2^(W-2), E restarts from the level's true maximum; if that does not fit
-    either, every stored value of every level is re-packed at a doubled W.
-    Each value was below 2^(W-2) when it was made and W never shrinks, so
-    the values of all levels stay below it (E may restart below an earlier
-    level's entries), and differences across levels (a window's sort and
-    gap keys) decode exactly too.  The exact methods unpack V to the
-    context's vector.
+    W starts at the least 16*2^k with m*a^D below 2^(W-2), and the engines
+    carry E per level and keep E' below 2^(W-2), so a state, its negation
+    and the difference of two states (a comparison) all have entries below
+    2^(W-1) and decode exactly.  When E' would reach 2^(W-2), E restarts
+    from the level's true maximum; if that does not fit either, every
+    stored value of every level is re-packed at a doubled W.  Each value
+    was below 2^(W-2) when it was made and W never shrinks, so the values
+    of all levels stay below it (E may restart below an earlier level's
+    entries), and differences across levels (a window's sort and gap keys)
+    decode exactly too.  The exact methods unpack V to the context's
+    vector.
     """
 
     def __init__(self, q: AlgebraicNumber, depth: int = 0, den: int = 1):
@@ -677,8 +684,7 @@ def power_base(q: AlgebraicNumber, k: int) -> AlgebraicNumber:
     defining = squarefree_part(IntPolynomial(int(c * den) for c in h[::-1]))
     while True:
         lo, hi = q.interval()
-        plo, phi = lo**k, hi**k
-        if (defining.sign_at(plo) != 0 and defining.sign_at(phi) != 0
-                and count_roots_in(defining, plo, phi) == 1):
-            return AlgebraicNumber(defining, plo, phi)
-        q.refine_to_width((hi - lo) / 4)
+        try:
+            return AlgebraicNumber(defining, lo**k, hi**k)
+        except PreconditionError:       # (lo^k, hi^k) does not isolate it yet
+            q.refine_to_width((hi - lo) / 4)

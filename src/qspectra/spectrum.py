@@ -19,26 +19,28 @@ and in the search, which folds each child to its absolute value.  The float
 search runs the same loop on floats.  A level is stored as columns: its
 values, an ``array('d')`` of carried floats with one proven radius R,
 |value - float| <= R (the bound is in ``ZqContext``'s docstring), and
-``array('i')`` columns of parent position and digit (a fold stores parent
-p as ~p).  A child's sign, its window test and the search's comparison with
-its best are read off [f - R, f + R]; the exact ``sign``/``cmp_fraction``
-run only when that enclosure straddles the threshold, and a level whose
-floats or radius overflow is decided exactly throughout.  ``seen`` is an
-insertion-ordered dict of Nones, the one deduplication test.  Packed values
-V = sum a_i 2^(W i) are decoded only for exact tests and output: a parent
-is multiplied by q once, a child adds its digit, and a fold is -V.  Before a
-level whose children's entries could reach 2^(W-2), the level and ``seen``
-(an X window's holds all its levels) are re-packed at a doubled W, and the
-search re-keys its best by the same map; a level whose smallest child is
-proven out of the band makes no room and no child.  Digit texts and
-witnesses are rebuilt from the parent columns only where they are read.  A
-window's order is a permutation sorted by the carried floats: the Y/A clip
-to [-B, B] and the sort run exact comparisons only where enclosures
-overlap, and the gaps group by packed difference.  A window point displays
-its carried float; the searches' display floats, their closed-state order
-and the gap floats come from the kernel's ``float_value``: the midpoint of
-the value's exact enclosure on the base refined to 2^-72, correctly rounded
-(in the float search, the float itself).
+columns of parent position (``array('i')``; a fold stores parent p as ~p)
+and digit (``array('b')`` while each digit fits in a byte).  A child's
+sign, its window test and the search's comparison with its best are read
+off [f - R, f + R]; the exact ``sign``/``cmp_fraction`` run only when that
+enclosure straddles the threshold, and a level whose floats or radius
+overflow is decided exactly throughout.  ``seen`` is an insertion-ordered
+dict of Nones, the one deduplication test.  Packed values
+V = sum a_i 2^(W i), W >= 16, are decoded only for exact tests and output:
+a parent is multiplied by q once, a child adds its digit, and a fold is -V.
+Before a level whose children's entries could reach 2^(W-2), the level and
+``seen`` (an X window's holds all its levels) are re-packed at a doubled W,
+and the search re-keys its best by the same map; a level whose smallest
+child is proven out of the band makes no room and no child.  Digit texts
+and witnesses are rebuilt from the parent columns only where they are
+read.  A window's order is a permutation sorted by the carried floats: the
+Y/A clip to [-B, B] and the sort run exact comparisons only where
+enclosures overlap, and the gaps group by packed difference.  A window
+point displays its carried float; the searches' display floats, their
+closed-state order and the gap floats come from the kernel's
+``float_value``: the midpoint of the value's exact enclosure on the base
+refined to 2^-72, correctly rounded (in the float search, the float
+itself).
 
 Results are deterministic: levels are expanded in sorted order and every
 window is canonically sorted before emission.
@@ -80,7 +82,7 @@ class _PackedZq:
         self.float_model = ctx.float_model
         self.growth = 1 + max((abs(c) for _, c in ctx.qd_terms), default=0)
         self.bound = m * self.one   # entries of the current level are <= it
-        W = 32
+        W = 16
         while self.bound >= 1 << (W - 2):
             W *= 2
         self._set_width(W)
@@ -124,12 +126,12 @@ class _PackedZq:
         the returned map re-packs a value stored at the old width."""
         bound = self.bound * self.growth // self.lead + self.m * self.one
         if bound >= self.limit:
-            old = self.unpack
-            top = max((abs(x) for V in level for x in old(V)), default=0)
+            top = max(map(abs, self.unpack_all(level)), default=0)
             bound = top * self.growth // self.lead + self.m * self.one
         self.bound = bound
         if bound < self.limit:
             return None
+        old = self.unpack
         W = 2 * self.W
         while bound >= 1 << (W - 2):
             W *= 2
@@ -145,7 +147,7 @@ class _PackedZq:
         if W > 64:
             return [a for V in column for a in self.unpack(V)]
         O, n = sum(1 << (W - 1 + W * i) for i in range(d)), W * d // 8
-        out = array("i" if W == 32 else "q")
+        out = array({16: "h", 32: "i", 64: "q"}[W])
         for k in range(0, len(column), 4096):
             out.frombytes(b"".join(((V + O) ^ O).to_bytes(n, sys.byteorder)
                                    for V in column[k:k + 4096]))
@@ -430,11 +432,11 @@ def _expand_level(kernel, model, level, alphabet, band, keep, seen: dict,
     re-packs nor steps.
     """
     values, floats, radius = level
-    qf = model[0]
-    r = _child_radius(model, radius, floats, max(map(abs, alphabet)))
+    qf, top = model[0], max(map(abs, alphabet))
+    r = _child_radius(model, radius, floats, top)
     in_lo, in_hi, out_lo, out_hi = band(r)
     nxt, nfl = [], array("d")
-    links = par, dig = array("i"), array("i")
+    links = par, dig = array("i"), array("b" if top < 128 else "i")
     if qf * min(floats, default=math.inf) + min(alphabet) > out_hi:
         return (nxt, nfl, r), links, True, None
     if (remap := kernel.fit_step(values)) is not None:
@@ -605,7 +607,7 @@ def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
             inside.append(i)
     values = [values[i] for i in inside]
     floats = array("d", map(floats.__getitem__, inside))
-    links[-1] = tuple(array("i", map(column.__getitem__, inside))
+    links[-1] = tuple(array(column.typecode, map(column.__getitem__, inside))
                       for column in links[-1])
     radii = array("d", [r]) * len(inside)
     return (kernel, values, floats, radii, links,

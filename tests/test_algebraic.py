@@ -716,16 +716,16 @@ def test_zq_round_trip_1000_random_strings():
                                   P1_POLY, SQRT_P2_POLY])
 def test_packed_vectors_round_trip_at_the_width_bound(poly):
     """Packing is one-to-one for entries up to 2^(W-2) - 1 at each width
-    the search uses, a sign flip is the negated int, and the per-parent
-    multiply plus a digit is the packed ``ZqContext.step``, exactly as
-    integers."""
+    the search uses, a sign flip is the negated int, ``unpack_all`` reads
+    the same entries, and the per-parent multiply plus a digit is the
+    packed ``ZqContext.step``, exactly as integers."""
     rng = random.Random(f"packed:{poly.coeffs}")
     ctx = AlgebraicNumber.base_from_poly(poly, root_index=0).zq_context()
     packed = _PackedZq(ctx, 1)
     zero = (0,) * ctx.d
     assert packed.pack(zero) == packed.zero == 0
     assert packed.pack(ctx.one) == packed.one == 1
-    for W in (32, 64, 128):
+    for W in (16, 32, 64, 128):
         packed._set_width(W)
         e = (1 << (W - 2)) - 1
         vecs = [zero, (e,) * ctx.d, (-e,) * ctx.d,
@@ -738,6 +738,8 @@ def test_packed_vectors_round_trip_at_the_width_bound(poly):
             assert packed.unpack(-V) == tuple(-x for x in v)
             for s in (-2, 0, 1):
                 assert packed.mul_q(V) + s == packed.pack(ctx.step(v, s))
+        assert list(packed.unpack_all([packed.pack(v) for v in vecs])) == [
+            x for v in vecs for x in v]
 
 
 def test_packed_width_grows_and_repacks_the_stored_values():
@@ -745,19 +747,22 @@ def test_packed_width_grows_and_repacks_the_stored_values():
     packed = _PackedZq(ctx, 2)
     vecs = [(3, -1, 2), (-2, 0, 1), (0, 0, 0)]
     level = [packed.pack(v) for v in vecs]
-    assert packed.fit_step(level) is None and packed.bound == 2 * 2 + 2
+    assert packed.fit_step(level) is None
+    assert packed.W == 16 and packed.bound == 2 * 2 + 2
     # the carried bound trips, but the level's true maximum fits: the bound
     # restarts from it and nothing is re-packed
     packed.bound = packed.limit
     assert packed.fit_step(level) is None
-    assert packed.W == 32 and packed.bound == 3 * 2 + 2
-    # an entry of 2^29 has children up to 2^30 + 2, past 2^(32-2)
-    vecs[0] = (1 << 29, -1, 2)
-    level = [packed.pack(v) for v in vecs]
-    packed.bound = packed.limit
-    remap = packed.fit_step(level)
-    assert packed.W == 64 and packed.bound == (1 << 29) * 2 + 2
-    assert [packed.unpack(remap(V)) for V in level] == vecs
+    assert packed.W == 16 and packed.bound == 3 * 2 + 2
+    # an entry of 2^13 has children up to 2^14 + 2, past 2^(16-2), and one
+    # of 2^29 children up to 2^30 + 2, past 2^(32-2)
+    for e, W in ((1 << 13, 32), (1 << 29, 64)):
+        vecs[0] = (e, -1, 2)
+        level = [packed.pack(v) for v in vecs]
+        packed.bound = packed.limit
+        remap = packed.fit_step(level)
+        assert packed.W == W and packed.bound == e * 2 + 2
+        assert [packed.unpack(remap(V)) for V in level] == vecs
 
 
 def test_zq_equal_vectors_have_overlapping_intervals():

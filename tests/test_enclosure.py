@@ -278,17 +278,18 @@ def test_min_positive_bfs_matches_the_exact_reference(deadline, key, m,
 
 
 @pytest.mark.parametrize("key,m,depth,widths", [
-    ("q3", 2, 60, [32]), ("sqrt2", 2, 24, [32]),
-    ("near1", 1, 5, [32, 64, 128]), ("far", 1, 4, [32])])
+    ("q3", 2, 60, [16]), ("sqrt2", 2, 24, [16, 32]),
+    ("near1", 1, 5, [16, 64, 128]), ("far", 1, 4, [16])])
 def test_packed_search_repacks_at_a_wider_width(monkeypatch, deadline, key,
                                                 m, depth, widths):
     """The carried entry bound E' = E*(1 + max|c_i|) + m passes 2^(W-2)
     mid-search (x^3 - x - 1 closes after it), or at once for coefficients
-    of 2^40.  It then restarts from the level's true maximum, and only
-    "near1", whose entries truly outgrow the width, has the level, the best
-    state and seen re-packed at a wider W; x^3 - x - 1 and sqrt 2 keep
-    entries far below 2^30, and "far" has no state at all.  The trace, the
-    witnesses and the closed states stay those of the tuple reference."""
+    of 2^40.  It then restarts from the level's true maximum.  The level,
+    the best state and seen are re-packed at a wider W only where the
+    entries truly outgrow the width: sqrt 2's pass 2^14 by depth 24, and
+    "near1"'s at once; x^3 - x - 1 keeps entries far below 2^14, and "far"
+    has no state at all.  The trace, the witnesses and the closed states
+    stay those of the tuple reference."""
     seen_widths = []
     set_width = _PackedZq._set_width
 

@@ -279,6 +279,23 @@ def test_window_digits_evaluate_to_each_point(make_window):
         assert rep.min_gap_vec in diffs
 
 
+def test_digit_columns_are_bytes_while_every_digit_fits_in_one():
+    """A level's digit column is an array('b') when every digit of the
+    alphabet fits in a byte, else an array('i'); the Y window's clip keeps
+    the typecode, and at m = 200 each point's digits still give its
+    vector."""
+    q = phi()
+    ctx = q.zq_context()
+    for m, code in ((1, "b"), (200, "i")):
+        for w in (enumerate_X(q, m, 10), enumerate_Y(q, m, 1, 10)):
+            assert {dig.typecode for _, dig in w.links} == {code}
+            assert {par.typecode for par, _ in w.links} == {"i"}
+            assert len(w.points) > 5
+            for p in w.points:
+                assert ctx.from_digits(p.digits) == p.vec
+    assert max(abs(s) for p in w.points for s in p.digits) > 127
+
+
 def test_Y_and_A_budget_flags_truncated():
     q = sqrt2()
     for w in (enumerate_Y(q, 1, 8, 3, budget=5),
@@ -753,7 +770,7 @@ def test_the_scale_cap_counts_the_bits_of_a_to_the_depth(deadline):
 
 def test_x_window_skips_the_repack_of_a_level_with_no_child(monkeypatch):
     """On x^2 - 2^40 x - 1 with B = 2^162 the last level's children all lie
-    above B: the window widens 32 -> 64 -> 128 for the levels it keeps, and
+    above B: the window widens 16 -> 64 -> 128 for the levels it keeps, and
     not to 256 for the one it drops."""
     widths = []
     set_width = _PackedZq._set_width
@@ -764,7 +781,7 @@ def test_x_window_skips_the_repack_of_a_level_with_no_child(monkeypatch):
 
     monkeypatch.setattr(_PackedZq, "_set_width", spy)
     w = _window_of("wide", "X", 1, None, 2**162)
-    assert widths == [32, 64, 128] and w.kernel.W == 128
+    assert widths == [16, 64, 128] and w.kernel.W == 128
     assert len(w.order) > 10
 
 
@@ -811,8 +828,9 @@ def test_gaps_never_build_the_digit_texts(monkeypatch, tmp_path):
 
 def test_x_window_build_and_write_bytes_per_point():
     """tracemalloc peak of enumerating the 60,504-point X window of x^4-x-1
-    at B = 300 and writing it: 153 B a point (it was 290 when every state
-    kept its digit text and the sort ran beside the seen dict)."""
+    at B = 300 and writing it: 142 B a point (153 with a 32-bit width
+    floor and 'i' digits, 290 when every state kept its digit text and the
+    sort ran beside the seen dict)."""
     q = AlgebraicNumber.base_from_poly(IntPolynomial([-1, -1, 0, 0, 1]),
                                        root_index=0)
     enumerate_X(q, 1, 10)       # refine the base untraced
@@ -918,7 +936,7 @@ def test_bfs_peak_memory_per_state():
         tracemalloc.stop()
     states = res.trace[-1].states
     assert states == 23313
-    assert peak / states <= 175
+    assert peak / states <= 145
 
 
 def test_bfs_empty_region_closes():
