@@ -260,7 +260,7 @@ class AlgebraicNumber:
             self._refine(b - a, 4 * den)
 
     def _int_interval(self, coeffs) -> tuple[int, int, int]:
-        """(vlo, vhi, D^n) with vlo/D^n <= sum coeffs[i] q^i <= vhi/D^n for
+        """(vlo, vhi, D) with vlo/D^n <= sum coeffs[i] q^i <= vhi/D^n for
         integer coeffs, n = len(coeffs) - 1, on the interval [a/D, b/D] of q
         (D the endpoints' common denominator).  Each bound of q^k is the min
         or max of four products, so any sign of interval is enclosed."""
@@ -284,7 +284,7 @@ class AlgebraicNumber:
             else:
                 vlo += c * phi
                 vhi += c * plo
-        return vlo, vhi, den**n
+        return vlo, vhi, den
 
     def compare_to_fraction(self, c) -> int:
         c = _rational(c)
@@ -314,7 +314,7 @@ class AlgebraicNumber:
 
 def _axpy(x, c, y):
     """x + c*y, entry by entry."""
-    return tuple(a + c * b for a, b in zip(x, y))
+    return tuple([a + c * b for a, b in zip(x, y)])
 
 
 class ZqContext:
@@ -411,16 +411,20 @@ class ZqContext:
     def step(self, V, s: int):
         """q*v + s for an int digit s: one digit-append step, for v with
         digits below the context's depth."""
+        out, a = self._theta(V), self.lead
+        if a != 1:
+            out = [x // a for x in out]
+        out[0] += s * self.one[0]
+        return tuple(out)
+
+    def _theta(self, V) -> list:
+        """theta*V as a list, with no division by a."""
         out = [0, *V[:-1]]
         top = V[-1]
         if top:
             for i, t in self.qd_terms:
                 out[i] += top * t
-        a = self.lead
-        if a != 1:
-            out = [x // a for x in out]
-        out[0] += s * self.one[0]
-        return tuple(out)
+        return out
 
     def from_digits(self, digits):
         """The vector of sum digits[i] * q^i (ascending int digits)."""
@@ -438,6 +442,8 @@ class ZqContext:
         base's sign oracle on sum V_i a^i q^i."""
         if self.d == 1:
             return (V[0] > 0) - (V[0] < 0)
+        if self.lead == 1:
+            return self.q._sign_of_reduced(V)
         return self.q._sign_of_reduced([x * p for x, p in zip(V, self._apow)])
 
     def cmp_fraction(self, V, c) -> int:
@@ -451,7 +457,7 @@ class ZqContext:
         interval."""
         vlo, vhi, den = self.q._int_interval(
             [x * p for x, p in zip(V, self._apow)])
-        return vlo, vhi, self.one[0] * den
+        return vlo, vhi, self.one[0] * den ** (self.d - 1)
 
     def float_value(self, V, shift: int = 0) -> float:
         """Display float of v / 2^shift: the midpoint of its exact enclosure

@@ -10,13 +10,18 @@ Each routine holds its values in one ``ZqContext``, as int vectors at one
 scale fixed up front (a^D for the highest degree D a value reaches, times
 a rational target's denominator), so no step, test or sign aligns a
 denominator or does Fraction arithmetic.  The lazy corridor carries
-z_k = u_k w_k, so a digit forms no ring product (``_Corridor``).
+z_k = u_k w_k, so a digit forms no ring product (``_Corridor``).  Each
+vector a digit decides on is signed once: greedy keeps the accepted
+remainder's sign from its candidate loop, and the corridor keeps row T's
+thresholds, so each test from T on is one vector sum on z.
+``verify_expansion`` walks its residual over theta = a*q with no division.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import chain, cycle, islice, repeat
 
 from .algebraic import AlgebraicNumber, ZqContext, _axpy
 from .errors import PreconditionError, QSpectraError
@@ -144,7 +149,11 @@ class DigitSequence(FrozenRecord):
         return 0
 
     def digits_through(self, last_index: int) -> list[int]:
-        return [self.digit(i) for i in range(self.first_index, last_index + 1)]
+        """[s_0, ..., s_last], zero below ``first_index``: entry i is s_i."""
+        f, start = self.first_index, max(0, -self.first_index)
+        tail = cycle(self.period) if self.period else repeat(0)
+        return list(islice(chain(repeat(0, max(0, f)), self.preperiod, tail),
+                           start, start + max(0, last_index + 1)))
 
     @property
     def is_finitely_supported(self) -> bool:
@@ -191,25 +200,18 @@ def greedy_expansion(x, q: AlgebraicNumber, m: int, N: int) -> DigitSequence:
     if ar.sign(_axpy(_axpy(ar.mul_q(rem), -1, rem), -m, one)) > 0:
         raise PreconditionError("x exceeds m/(q-1): not representable")
     digits = []
-    zero_from = None
     for k in range(1, N + 1):
-        if zero_from is not None:
-            digits.append(0)
-            continue
         t = ar.mul_q(rem)
-        c = 0
-        for cand in range(m, -1, -1):
-            if ar.sign(_axpy(t, -cand, one)) >= 0:
-                c = cand
+        for c in range(m, -1, -1):      # keeps the accepted rem and its sign
+            rem = _axpy(t, -c, one)
+            if (sgn := ar.sign(rem)) >= 0:
                 break
         digits.append(c)
-        rem = _axpy(t, -c, one)
-        if ar.sign(rem) == 0:
-            zero_from = k
+        if sgn == 0:                    # an exact expansion: zeros from k on
+            break
     return DigitSequence(
-        preperiod=tuple(digits), height=m, first_index=1,
-        exact_zero_tail=zero_from is not None,
-        meta={"zero_from": zero_from})
+        preperiod=tuple(digits) + (0,) * (N - k), height=m, first_index=1,
+        exact_zero_tail=sgn == 0, meta={"zero_from": k if sgn == 0 else None})
 
 
 class ResidualCertificate(namedtuple(
@@ -227,23 +229,26 @@ def verify_expansion(seq: DigitSequence, q: AlgebraicNumber, target,
     The comparison is exact (scaled through q^N); the reported magnitudes
     are floats for display.  The scaled residual
     q^N (sum_{i<=N} s_i q^{-i} - target) reaches degree N and the test
-    multiplies it by q once, so the values sit at the scale a^(N+1) times
-    the target's denominator.
+    multiplies it by q once, so the values sit at the scale
+    S = a^(N+1) den, den the target's denominator.  Horner's rule over
+    theta = a*q walks it with no division: S q^(N-i) = a^(i+1) den
+    theta^(N-i), so digit i adds s_i a^(i+1) den.
     """
+    if not isinstance(seq, DigitSequence):
+        raise PreconditionError(f"sequence {seq!r} is not a DigitSequence")
     N = _integer(N, "N")
     if N < 0:
         raise PreconditionError("need N >= 0")
     target = _rational(target)
     ar = ZqContext(q, N + 1, target.denominator)
-    one = ar.one
-
-    def digit(i: int) -> int:
-        return seq.digit(i) if i >= seq.first_index else 0
-
-    scaled = (digit(0) * one[0] - target.numerator * one[0]
-              // target.denominator, *one[1:])
-    for i in range(1, N + 1):
-        scaled = ar.step(scaled, digit(i))
+    one, a, digits = ar.one, ar.lead, seq.digits_through(N)
+    c = a * target.denominator    # a^(i+1) den at i = 0
+    scaled = [digits[0] * c - target.numerator * a, *one[1:]]
+    for s in digits[1:]:
+        c *= a
+        scaled = ar._theta(scaled)
+        scaled[0] += s * c
+    scaled = tuple(scaled)
     sgn = ar.sign(scaled)
     abs_scaled = scaled if sgn >= 0 else tuple(-x for x in scaled)
     # |scaled| <= m/(q-1)  <=>  |scaled|*(q-1) - m <= 0
@@ -278,7 +283,7 @@ class _Corridor:
     D = max(horizon, T) + 1, so all sit in the context of depth D: int
     tuples over theta = a*q (theta = q on a monic base) at the scale a^D.
     A digit then costs tuple sums, the q-steps of u and (above T) of z,
-    and two signs: no ring product is formed.
+    and two signs per candidate: no ring product is formed.
     """
 
     def __init__(self, q: AlgebraicNumber, m: int, pattern: SignPattern,
@@ -295,7 +300,12 @@ class _Corridor:
         # rows[k] = (w_k, up_k, dn_k): w_k = q^{T-k} (q-1) and the RHS sums
         # for k < T; from T on, w = q-1 and the tails are m or 0
         w, tail = _axpy(qvec, -1, one), m * (pattern.eventual == "in")
-        self.rows = [(w, _axpy(zero, tail, one), _axpy(zero, m - tail, one))]
+        up, dn = _axpy(zero, tail, one), _axpy(zero, m - tail, one)
+        self.rows = [(w, up, dn)]
+        # row T serves every index from T on, so its tests v - up and v + dn
+        # of v = z - s w are kept as z - (up + s w) and z + (dn - s w)
+        self.kept = [(s, _axpy(up, s, w), _axpy(dn, -s, w))
+                     for s in self.feasible_digits(T)] if horizon >= T else []
         up = _axpy(zero, m * (pattern.eventual in ("in", "unknown")), qvec)
         dn = _axpy(zero, m * (pattern.eventual in ("out", "unknown")), qvec)
         for k in range(T - 1, -1, -1):
@@ -306,9 +316,7 @@ class _Corridor:
             w = self.mul_q(w)
             self.rows.append((w, up, dn))
         self.rows.reverse()
-        self.one = self.u = one         # u_0 = 1
-        self.z = w                      # z_0 = u_0 w_0
-        self.k = 0
+        self.u, self.z, self.k = one, w, 0      # u_0 = 1, z_0 = u_0 w_0
         # the Eq-style capacity m sum_{i in P} q^{-i}, scaled by w_0, with
         # the pessimistic/optimistic tails of an unknown pattern
         self.cap_upper = up
@@ -336,26 +344,34 @@ class _Corridor:
 
     def feasible_digits(self, k: int):
         """Candidate digits at index k in minimal-|s| order."""
-        in_p = (k in self.pattern.explicit if k < self.T
-                else self.pattern.eventual == "in")
-        if k >= self.T and self.pattern.eventual == "unknown":
-            raise PreconditionError("horizon exceeds materialized pattern")
-        return range(0, self.m + 1) if in_p else range(0, -self.m - 1, -1)
+        if self.pattern.contains(k):
+            return range(0, self.m + 1)
+        return range(0, -self.m - 1, -1)
 
     def choose(self, k: int) -> int:
-        """Pick the minimal-|s| digit keeping the corridor invariant."""
-        wk, up, dn = self.rows[min(k, self.T)]
-        z = self.mul_q(self.z) if k > self.T else self.z
-        for s in self.feasible_digits(k):
-            v = _axpy(z, -s, wk)
-            if (self.sign(_axpy(v, -1, up)) <= 0
-                    and self.sign(_axpy(v, 1, dn)) >= 0):
-                self.z = v
-                self.u = _axpy(self.mul_q(self.u), -s, self.one)
-                self.k = k
-                return s
+        """Pick the minimal-|s| digit keeping the corridor invariant, the
+        upper test first.  Below T the tests are on the candidate
+        v = z - s w_k (v = z for s = 0); from T on they are on z, against
+        row T's kept thresholds."""
+        sign = self.sign
+        if k < self.T:
+            w, up, dn = self.rows[k]
+            for s in self.feasible_digits(k):
+                v = _axpy(self.z, -s, w) if s else self.z
+                if sign(_axpy(v, -1, up)) <= 0 and sign(_axpy(v, 1, dn)) >= 0:
+                    return self._take(k, s, v)
+        else:
+            z = self.mul_q(self.z) if k > self.T else self.z
+            for s, hi, lo in self.kept:
+                if sign(_axpy(z, -1, hi)) <= 0 and sign(_axpy(z, 1, lo)) >= 0:
+                    return self._take(
+                        k, s, _axpy(z, -s, self.rows[-1][0]) if s else z)
         raise QSpectraError(
             f"no feasible digit at index {k}: corridor invariant violated")
+
+    def _take(self, k: int, s: int, z) -> int:
+        self.z, self.u, self.k = z, self.ar.step(self.u, -s), k
+        return s
 
     def residual_is_zero(self) -> bool:
         return self.sign(self.u) == 0

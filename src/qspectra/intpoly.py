@@ -114,12 +114,6 @@ class IntPolynomial(FrozenRecord):
 
     # -- evaluation ------------------------------------------------------
 
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def sign_at(self, x: Fraction) -> int:
         """Exact sign of p(x) at a rational point, via integer arithmetic."""
         return _sign(self.coeffs, *_ratio(x))
@@ -156,11 +150,6 @@ class IntPolynomial(FrozenRecord):
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
-
-    def reciprocal(self) -> "IntPolynomial":
-        """x^d * p(1/x): coefficients reversed.  Roots are the inverses of
-        the nonzero roots of p."""
-        return IntPolynomial(reversed(self.coeffs))
 
     def content(self) -> int:
         return math.gcd(*(abs(c) for c in self.coeffs)) if self.coeffs else 0
@@ -232,15 +221,6 @@ def _prim(cs: list[int]) -> list[int]:
     """cs divided by its content, its sign kept."""
     g = math.gcd(*cs)
     return [c // g for c in cs] if g > 1 else cs
-
-
-def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Primitive integer gcd (positive leading coefficient) over Q, by a
-    primitive pseudo-remainder sequence."""
-    a, b = _prim(list(a.coeffs)), _prim(list(b.coeffs))
-    while b:
-        a, b = b, _prim(_prem(a, b))
-    return IntPolynomial(a).primitive()
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:

@@ -417,8 +417,7 @@ def _q_residual_trace(seq: DigitSequence, q: AlgebraicNumber, N: int
     qf = q.float_value()
     acc = 0.0
     out = []
-    for i in range(0, N + 1):
-        s = seq.digit(i) if i >= seq.first_index else 0
+    for i, s in enumerate(seq.digits_through(N)):
         acc += s * qf ** (-i)
         out.append(abs(acc))
     return out
@@ -436,8 +435,7 @@ def _p_traces(seq: DigitSequence, w, pw: _Powers, N: int,
     tr = ti = L = 0
     D = e
     res, abss, signs, seen = [], [], [], set()
-    for i in range(N + 1):
-        s = seq.digit(i) if i >= seq.first_index else 0
+    for i, s in enumerate(seq.digits_through(N)):
         if s or not i:
             xr, xi = pw.at(i)
             lift = M ** (i - L)

@@ -199,16 +199,15 @@ def test_base_refinement_trajectory_is_pinned(monkeypatch, poly, interval,
 def test_one_remainder_sequence_per_squarefree_input(monkeypatch, poly,
                                                      chains):
     # the Sturm chain of a squarefree input is its squarefree part's; a
-    # square factor costs one more chain, that of the quotient, and no
-    # separate gcd is taken
-    calls = {"_sturm_chain_of": 0, "poly_gcd": 0}
-    for name in calls:
-        _count_calls(monkeypatch, intpoly, name, calls)
+    # square factor costs one more chain, that of the quotient (the library
+    # has no separate gcd to take)
+    calls = {"_sturm_chain_of": 0}
+    _count_calls(monkeypatch, intpoly, "_sturm_chain_of", calls)
     for kw in ({"root_index": 0}, {"root_interval": (F(5, 4), F(7, 4))}):
-        calls.update(_sturm_chain_of=0, poly_gcd=0)
+        calls.update(_sturm_chain_of=0)
         # a fresh copy each time: a primitive squarefree input keeps its chain
         AlgebraicNumber.base_from_poly(IntPolynomial(poly.coeffs), **kw)
-        assert calls == {"_sturm_chain_of": chains, "poly_gcd": 0}, kw
+        assert calls == {"_sturm_chain_of": chains}, kw
 
 
 def _height_one_base_lines():
@@ -1005,13 +1004,26 @@ def _irreducible_height_one_corpus():
     return out + [LEHMER_POLY, X20_POLY]
 
 
+def _reciprocal(p: IntPolynomial) -> IntPolynomial:
+    """x^d p(1/x): the coefficients reversed, whose roots are the inverses
+    of p's nonzero roots."""
+    return IntPolynomial(reversed(p.coeffs))
+
+
+def _gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """Primitive gcd over Q, by a primitive pseudo-remainder sequence."""
+    while not b.is_zero:
+        a, b = b, IntPolynomial(intpoly._prem(a.coeffs, b.coeffs)).primitive()
+    return a.primitive()
+
+
 def _reference_on_circle_count(p: IntPolynomial) -> int:
     """The count of roots on the unit circle that ``unit_circle_counts``
     replaced.  Those roots are common roots of squarefree p and its
     reciprocal; after +-1 are deflated, the self-reciprocal gcd factor g is
     turned into its trace polynomial h, g(x)/x^e = h(x + 1/x), whose real
     roots in (-2, 2) are the conjugate pairs on the circle."""
-    g = intpoly.poly_gcd(p, p.reciprocal())
+    g = _gcd(p, _reciprocal(p))
     count = 0
     for r in (Fraction(1), Fraction(-1)):
         if g.degree > 0 and g.sign_at(r) == 0:
@@ -1019,7 +1031,7 @@ def _reference_on_circle_count(p: IntPolynomial) -> int:
             g = intpoly.deflate_root(g, r).primitive()
     if g.degree <= 0:
         return count
-    assert g == g.reciprocal().primitive() and g.degree % 2 == 0
+    assert g == _reciprocal(g).primitive() and g.degree % 2 == 0
     e = g.degree // 2
     v_prev, v_cur = IntPolynomial([2]), IntPolynomial([0, 1])
     h = IntPolynomial([g.coeffs[e]])
@@ -1047,7 +1059,7 @@ def test_unit_circle_counts_equal_the_reference_on_height_one(deadline):
                 assert n_in + n_on + n_out == d, p.coeffs
                 # the reciprocal's roots are the inverses of p's nonzero
                 # roots
-                assert intpoly.unit_circle_counts(p.reciprocal()) == (
+                assert intpoly.unit_circle_counts(_reciprocal(p)) == (
                     n_out, n_on, n_in - (low[0] == 0)), p.coeffs
     assert seen == 2849
 
@@ -1060,7 +1072,7 @@ def test_root_counts_equal_the_certified_disks(deadline):
             n_in, n_on, n_out = intpoly.unit_circle_counts(p)
             assert n_on == _reference_on_circle_count(p), p.coeffs
             # the roots outside are the reciprocal's roots inside
-            assert intpoly.unit_circle_counts(p.reciprocal())[0] == n_out
+            assert intpoly.unit_circle_counts(_reciprocal(p))[0] == n_out
             cs = conjugates(p)
             assert cs.resolved, p.coeffs
             assert (n_in, n_on, n_out) == (cs.count("inside"), cs.count("on"),
@@ -1074,7 +1086,7 @@ def test_root_counts_equal_the_certified_disks(deadline):
 def test_root_counts_of_a_polynomial_beyond_float_range():
     p = IntPolynomial([-10**400, 0, 1])           # roots +-10^200
     assert intpoly.unit_circle_counts(p) == (0, 0, 2)
-    assert intpoly.unit_circle_counts(p.reciprocal()) == (2, 0, 0)
+    assert intpoly.unit_circle_counts(_reciprocal(p)) == (2, 0, 0)
 
 
 def test_root_counts_with_roots_at_one_and_zero():
@@ -1419,7 +1431,11 @@ class _ReferenceVecArith:
     signs and display floats read off those vectors.  It has the
     ZqContext interface that the expansions use: a context of any depth
     and denominator ``den`` holds v as the vector of den * v, so it can
-    stand in for the kernel there."""
+    stand in for the kernel there.  Its basis is that of theta = q, so
+    ``lead`` is 1 and verify_expansion's division-free Horner walk over
+    theta is the Fraction walk over q (``_theta`` is ``mul_q``)."""
+
+    lead = 1
 
     def __init__(self, q, depth=0, den=1):
         self.q = q
@@ -1437,6 +1453,9 @@ class _ReferenceVecArith:
             for i, c in self.qd_terms:
                 out[i] += top * c
         return tuple(out)
+
+    def _theta(self, v):
+        return list(self.mul_q(v))
 
     def step(self, v, s):
         out = self.mul_q(v)

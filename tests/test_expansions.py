@@ -119,6 +119,24 @@ def test_sequence_equality_hash_and_repr_leave_meta_out():
     assert a != DigitSequence((1, 0, 1), 1, period=(1,))
 
 
+def test_digits_through_reads_every_index_from_zero():
+    """Entry i of digits_through(n) is s_i: the preperiod, then the period
+    (or zeros), with zeros below first_index and the indices below zero
+    left out; verify_expansion reads its digits so."""
+    for first in (-2, 0, 1, 3):
+        for period in (None, (1, -1)):
+            seq = DigitSequence((1, 0, -1), 1, period=period,
+                                first_index=first)
+            for n in range(-1, 12):
+                assert seq.digits_through(n) == [
+                    seq.digit(i) if i >= first else 0
+                    for i in range(n + 1)], (first, period, n)
+    padded = DigitSequence((0, 0, 0, 1, 0, -1), 1)
+    shifted = DigitSequence((1, 0, -1), 1, first_index=3)
+    assert verify_expansion(shifted, phi(), 0, 9) == verify_expansion(
+        padded, phi(), 0, 9)
+
+
 # -- greedy ------------------------------------------------------------------
 
 
@@ -412,6 +430,42 @@ def test_q8_refinement_trajectory_is_pinned():
         "passed": True, "exact_zero": False}
 
 
+def test_each_digit_signs_each_vector_once(monkeypatch):
+    """The exact signs of greedy and lazy runs on x^8 - x^6 - 1 to N = 400,
+    counted at the base's sign oracle: greedy signs the candidates it tries
+    and keeps the accepted remainder's sign (777; 1,177 when it signed that
+    remainder again), lazy the two tests of each candidate (1,170).  No
+    digit signs the vector signed just before it; the corridor's capacity
+    bounds, signed before the first digit, coincide for a known tail."""
+    signed, first_digit = [], []
+    sign_of_reduced = AlgebraicNumber._sign_of_reduced
+    choose = expansions._Corridor.choose
+
+    def spy(self, coeffs):
+        signed.append(tuple(coeffs))
+        return sign_of_reduced(self, coeffs)
+
+    def marked(self, k):
+        if not first_digit:
+            first_digit.append(len(signed))
+        return choose(self, k)
+
+    monkeypatch.setattr(AlgebraicNumber, "_sign_of_reduced", spy)
+    monkeypatch.setattr(expansions._Corridor, "choose", marked)
+    runs = [("greedy", lambda q: greedy_expansion(1, q, 1, 400)),
+            ("lazy", lambda q: lazy_constrained(
+                q, 1, SignPattern.all_indices(), 400))]
+    counts = {}
+    for name, run in runs:
+        q = AlgebraicNumber.base_from_poly(Q8_POLY, root_index=0)
+        signed.clear()
+        run(q)
+        counts[name] = len(signed)
+        digits = signed[first_digit[0]:] if name == "lazy" else signed
+        assert all(a != b for a, b in zip(digits, digits[1:])), name
+    assert counts == {"greedy": 777, "lazy": 1170}
+
+
 def _non_monic_base():
     # root > 1 of 2x^2 - 2x - 1, q = (1 + sqrt 3)/2 ~ 1.3660: q^2 = q + 1/2,
     # so Q[q] elements carry Fraction entries beside int ones
@@ -575,6 +629,9 @@ MALFORMED_ARGUMENT_PROBES = [
      "'x' is not a finite rational"),
     (lambda: lazy_constrained(phi(), 1, "explicit:1", 10),
      "pattern 'explicit:1' is not a SignPattern"),
+    # a list of digits once ended in an untyped AttributeError
+    (lambda: verify_expansion([1, 0, 1], phi(), 1, 3),
+     "sequence [1, 0, 1] is not a DigitSequence"),
     (lambda: AlgebraicNumber.base_from_poly(PHI_POLY,
                                             root_interval=(1, 2, 3)),
      "root interval (1, 2, 3) is not a pair"),
