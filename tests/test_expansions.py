@@ -433,10 +433,10 @@ def test_q8_refinement_trajectory_is_pinned():
 def test_each_digit_signs_each_vector_once(monkeypatch):
     """The exact signs of greedy and lazy runs on x^8 - x^6 - 1 to N = 400,
     counted at the base's sign oracle: greedy signs the candidates it tries
-    and keeps the accepted remainder's sign (777; 1,177 when it signed that
-    remainder again), lazy the two tests of each candidate (1,170).  No
-    digit signs the vector signed just before it; the corridor's capacity
-    bounds, signed before the first digit, coincide for a known tail."""
+    and keeps the accepted remainder's sign (777), lazy the two tests of
+    each candidate (1,170).  No digit signs the vector signed just before
+    it; the corridor's capacity bounds, signed before the first digit,
+    coincide for a known tail."""
     signed, first_digit = [], []
     sign_of_reduced = AlgebraicNumber._sign_of_reduced
     choose = expansions._Corridor.choose
