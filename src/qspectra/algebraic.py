@@ -164,9 +164,10 @@ class AlgebraicNumber:
         rats, irr = _split_rational_roots(sf, cells)
         for lo, hi in cells:
             if above is None or hi > above:
-                m = (lo + hi) / 2
-                yield (cls.from_rational(m) if m in rats
-                       else cls(irr, lo, hi, _validated=True))
+                if rats and (m := (lo + hi) / 2) in rats:
+                    yield cls.from_rational(m)
+                else:
+                    yield cls(irr, lo, hi, _validated=True)
 
     @classmethod
     def base_from_poly(cls, p: IntPolynomial, root_index: int | None = None,

@@ -35,9 +35,6 @@ class ConjugateSet(namedtuple("ConjugateSet", "poly disks resolved "
     """``disks`` holds a ``ConjugateDisk`` per root of ``poly``."""
     __slots__ = ()
 
-    def count(self, location: str) -> int:
-        return sum(1 for d in self.disks if d.location == location)
-
 
 def _dk_iterate(coeffs: tuple[int, ...], prec_bits: int, start=None):
     """Simultaneous Weierstrass/Durand-Kerner iteration at the given

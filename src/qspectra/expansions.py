@@ -316,7 +316,7 @@ class _Corridor:
             w = self.mul_q(w)
             self.rows.append((w, up, dn))
         self.rows.reverse()
-        self.u, self.z, self.k = one, w, 0      # u_0 = 1, z_0 = u_0 w_0
+        self.u, self.z = one, w        # u_0 = 1, z_0 = u_0 w_0
         # the Eq-style capacity m sum_{i in P} q^{-i}, scaled by w_0, with
         # the pessimistic/optimistic tails of an unknown pattern
         self.cap_upper = up
@@ -324,10 +324,13 @@ class _Corridor:
                           if pattern.eventual == "unknown" else up)
 
     def capacity_bounds(self) -> tuple[bool, bool]:
-        """(certified_ge_1, certified_lt_1) for the capacity."""
+        """(certified_ge_1, certified_lt_1) for the capacity.  A known tail
+        makes the two bounds one vector, signed once."""
         w0 = self.rows[0][0]
-        return (self.sign(_axpy(self.cap_lower, -1, w0)) >= 0,
-                self.sign(_axpy(self.cap_upper, -1, w0)) < 0)
+        lo = self.sign(_axpy(self.cap_lower, -1, w0))
+        hi = (lo if self.cap_upper is self.cap_lower
+              else self.sign(_axpy(self.cap_upper, -1, w0)))
+        return lo >= 0, hi < 0
 
     def capacity_floats(self) -> tuple[float, float]:
         """Display bounds (lower, upper) of the capacity: each bound's
@@ -359,26 +362,22 @@ class _Corridor:
             for s in self.feasible_digits(k):
                 v = _axpy(self.z, -s, w) if s else self.z
                 if sign(_axpy(v, -1, up)) <= 0 and sign(_axpy(v, 1, dn)) >= 0:
-                    return self._take(k, s, v)
+                    return self._take(s, v)
         else:
             z = self.mul_q(self.z) if k > self.T else self.z
             for s, hi, lo in self.kept:
                 if sign(_axpy(z, -1, hi)) <= 0 and sign(_axpy(z, 1, lo)) >= 0:
                     return self._take(
-                        k, s, _axpy(z, -s, self.rows[-1][0]) if s else z)
+                        s, _axpy(z, -s, self.rows[-1][0]) if s else z)
         raise QSpectraError(
             f"no feasible digit at index {k}: corridor invariant violated")
 
-    def _take(self, k: int, s: int, z) -> int:
-        self.z, self.u, self.k = z, self.ar.step(self.u, -s), k
+    def _take(self, s: int, z) -> int:
+        self.z, self.u = z, self.ar.step(self.u, -s)
         return s
 
     def residual_is_zero(self) -> bool:
         return self.sign(self.u) == 0
-
-    def residual_float(self) -> float:
-        qf = self.ar.q.float_value()
-        return self.ar.float_value(self.u) * qf ** (-self.k)
 
 
 def lazy_constrained(q: AlgebraicNumber, m: int, pattern: SignPattern,
@@ -421,8 +420,7 @@ def lazy_constrained(q: AlgebraicNumber, m: int, pattern: SignPattern,
         # read after the digits: refining the base for display first would
         # change how far the sign tests refine it, and so later displays
         meta={"capacity": corr.capacity_floats(),
-              "capacity_certified": ge1,
-              "residual_scaled_float": corr.residual_float()})
+              "capacity_certified": ge1})
 
 
 # ---------------------------------------------------------------------------

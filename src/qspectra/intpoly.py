@@ -105,10 +105,6 @@ class IntPolynomial(FrozenRecord):
     def is_monic(self) -> bool:
         return not self.is_zero and self.coeffs[-1] == 1
 
-    @property
-    def height(self) -> int:
-        return max((abs(c) for c in self.coeffs), default=0)
-
     def __str__(self) -> str:
         return self.to_text()
 
@@ -312,21 +308,6 @@ def _variations_at(chain, num: int, den: int) -> int | None:
     num/den is a root of its first member."""
     signs = [_sign(f.coeffs, num, den) for f in chain]
     return _sign_variations(signs) if signs[0] else None
-
-
-def count_roots_in(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in the open interval (lo, hi).
-
-    Endpoints must not be roots of the squarefree part.
-    """
-    (ln, ld), (hn, hd) = _ratio(lo), _ratio(hi)
-    if ln * hd >= hn * ld:
-        return 0
-    chain = sturm_chain(p)
-    va, vb = _variations_at(chain, ln, ld), _variations_at(chain, hn, hd)
-    if va is None or vb is None:
-        raise PreconditionError("interval endpoint is a root")
-    return va - vb
 
 
 def _taylor_shift(cs, a: int) -> list[int]:

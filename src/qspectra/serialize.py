@@ -118,12 +118,6 @@ def envelope(manifest: RunManifest, result) -> dict:
     return {"manifest": manifest.to_dict(), "result": result}
 
 
-def strip_wall_time(doc: dict) -> dict:
-    out = json.loads(canonical_json(doc))
-    out.get("manifest", {}).pop("wall_time_s", None)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # CSV emission
 

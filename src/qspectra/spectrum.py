@@ -691,9 +691,6 @@ class GapReport(namedtuple(
     ``ZqContext``, at its scale."""
     __slots__ = ()
 
-    def count_equal(self, value: float, tol: float = 1e-9) -> int:
-        return sum(n for g, n in self.histogram if abs(g - value) <= tol)
-
     def to_dict(self) -> dict:
         return {
             "kind": self.window_kind,

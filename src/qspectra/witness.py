@@ -638,8 +638,7 @@ def _witness_step4_finite(q, m, p, pw, w, direction, seq, k, members,
     out_h = shifts[-1] + n
     rep = DigitSequence(
         preperiod=tuple(rep_digits.get(i, 0) for i in range(out_h + 1)),
-        height=m, first_index=0, exact_zero_tail=True,
-        meta={"shifts": shifts, "block_length": n + 1})
+        height=m, first_index=0, exact_zero_tail=True)
     res, abss, _, _, _ = _p_traces(rep, w, pw, out_h)
     return _report(4, "divergent-real-part", q, m, p, out_h, rep, res, abss, {
         "block_sum": cn / (e * M ** n) / abs(_complex(direction.w0)),

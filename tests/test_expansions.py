@@ -434,24 +434,17 @@ def test_each_digit_signs_each_vector_once(monkeypatch):
     """The exact signs of greedy and lazy runs on x^8 - x^6 - 1 to N = 400,
     counted at the base's sign oracle: greedy signs the candidates it tries
     and keeps the accepted remainder's sign (777), lazy the two tests of
-    each candidate (1,170).  No digit signs the vector signed just before
-    it; the corridor's capacity bounds, signed before the first digit,
-    coincide for a known tail."""
-    signed, first_digit = [], []
+    each candidate (1,169).  No run signs a vector twice in a row: the
+    corridor's capacity bounds, which a known tail makes one vector, are
+    signed once (1,170 while they were signed twice)."""
+    signed = []
     sign_of_reduced = AlgebraicNumber._sign_of_reduced
-    choose = expansions._Corridor.choose
 
     def spy(self, coeffs):
         signed.append(tuple(coeffs))
         return sign_of_reduced(self, coeffs)
 
-    def marked(self, k):
-        if not first_digit:
-            first_digit.append(len(signed))
-        return choose(self, k)
-
     monkeypatch.setattr(AlgebraicNumber, "_sign_of_reduced", spy)
-    monkeypatch.setattr(expansions._Corridor, "choose", marked)
     runs = [("greedy", lambda q: greedy_expansion(1, q, 1, 400)),
             ("lazy", lambda q: lazy_constrained(
                 q, 1, SignPattern.all_indices(), 400))]
@@ -461,9 +454,8 @@ def test_each_digit_signs_each_vector_once(monkeypatch):
         signed.clear()
         run(q)
         counts[name] = len(signed)
-        digits = signed[first_digit[0]:] if name == "lazy" else signed
-        assert all(a != b for a, b in zip(digits, digits[1:])), name
-    assert counts == {"greedy": 777, "lazy": 1170}
+        assert all(a != b for a, b in zip(signed, signed[1:])), name
+    assert counts == {"greedy": 777, "lazy": 1169}
 
 
 def _non_monic_base():

@@ -20,7 +20,6 @@ from qspectra.intpoly import (
     IntPolynomial,
     _prem,
     cauchy_root_bound,
-    count_roots_in,
     deflate_root,
     is_squarefree,
     isolate_roots_exact,
@@ -35,6 +34,16 @@ def _eval(p, x):
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc
+
+
+def _count_roots(p, lo, hi):
+    """Distinct real roots of p in (lo, hi), lo < hi neither a root: the
+    drop in sign variations of p's Sturm chain."""
+    chain = sturm_chain(p)
+    va = intpoly._variations_at(chain, lo.numerator, lo.denominator)
+    vb = intpoly._variations_at(chain, hi.numerator, hi.denominator)
+    assert va is not None and vb is not None
+    return va - vb
 
 
 def _rational_roots(p):
@@ -223,9 +232,9 @@ def test_isolation_terminates_when_a_rational_root_meets_a_cell_edge(
             intervals = isolate_roots_exact(p)
             for lo, hi in intervals:
                 assert p.sign_at(lo) != 0 and p.sign_at(hi) != 0
-                assert count_roots_in(p, lo, hi) == 1
+                assert _count_roots(p, lo, hi) == 1
             bound = cauchy_root_bound(p)
-            assert len(intervals) == count_roots_in(p, -bound, bound)
+            assert len(intervals) == _count_roots(p, -bound, bound)
             checked += 1
     assert checked == 52
     assert len(isolate_roots_exact(IntPolynomial([1, -1, -1, 0, 1]))) == 2
@@ -269,9 +278,9 @@ def test_random_products_isolation_matches_oracle():
 
 def test_count_roots_in_open_interval():
     p = IntPolynomial([-2, 0, 1])
-    assert count_roots_in(p, Fraction(0), Fraction(2)) == 1
-    assert count_roots_in(p, Fraction(-2), Fraction(2)) == 2
-    assert count_roots_in(p, Fraction(3), Fraction(4)) == 0
+    assert _count_roots(p, Fraction(0), Fraction(2)) == 1
+    assert _count_roots(p, Fraction(-2), Fraction(2)) == 2
+    assert _count_roots(p, Fraction(3), Fraction(4)) == 0
 
 
 def test_polynomials_compare_and_hash_by_their_coefficients():
@@ -561,5 +570,5 @@ def test_squarefree_part_is_computed_once(monkeypatch):
     assert squarefree_part(sf) is sf
     assert sturm_chain(sf) is chain
     assert isolate_roots_exact(sf) == cells
-    assert count_roots_in(sf, Fraction(0), Fraction(2)) == 1
+    assert _count_roots(sf, Fraction(0), Fraction(2)) == 1
     assert chains == []
