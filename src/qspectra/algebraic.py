@@ -453,6 +453,11 @@ class ZqContext:
         return self.sign((V[0] * r - c.numerator * self.one[0],
                           *(x * r for x in V[1:])))
 
+    def cmp_tail(self, V, m: int) -> int:
+        """Sign of v - m/(q-1), the value of m sum_{i>=1} q^-i, as that of
+        v*(q-1) - m: exact while v's digits stay below the depth."""
+        return self.sign(_axpy(_axpy(self.mul_q(V), -1, V), -m, self.one))
+
     def _bounds(self, V) -> tuple[int, int, int]:
         """(vlo, vhi, den): v lies in [vlo/den, vhi/den] on the current base
         interval."""

@@ -193,11 +193,11 @@ def greedy_expansion(x, q: AlgebraicNumber, m: int, N: int) -> DigitSequence:
     x = _rational(x)
     ar = ZqContext(q, N, x.denominator)
     one = ar.one
-    # range check: 0 <= x <= m/(q-1)  <=>  x*(q-1) - m <= 0
+    # range check: 0 <= x <= m/(q-1)
     if x < 0:
         raise PreconditionError("x must be >= 0")
     rem = (x.numerator * one[0] // x.denominator, *one[1:])
-    if ar.sign(_axpy(_axpy(ar.mul_q(rem), -1, rem), -m, one)) > 0:
+    if ar.cmp_tail(rem, m) > 0:
         raise PreconditionError("x exceeds m/(q-1): not representable")
     digits = []
     for k in range(1, N + 1):
@@ -251,10 +251,7 @@ def verify_expansion(seq: DigitSequence, q: AlgebraicNumber, target,
     scaled = tuple(scaled)
     sgn = ar.sign(scaled)
     abs_scaled = scaled if sgn >= 0 else tuple(-x for x in scaled)
-    # |scaled| <= m/(q-1)  <=>  |scaled|*(q-1) - m <= 0
-    test = _axpy(_axpy(ar.mul_q(abs_scaled), -1, abs_scaled), -seq.height,
-                 one)
-    passed = ar.sign(test) <= 0
+    passed = ar.cmp_tail(abs_scaled, seq.height) <= 0     # <= m/(q-1)
     qf = q.float_value()
     residual = abs(ar.float_value(scaled)) * qf ** (-N)
     tail_bound = seq.height * qf ** (-N) / (qf - 1.0)

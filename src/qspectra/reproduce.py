@@ -318,8 +318,7 @@ def case_oracle_equivalence() -> dict:
         for vec in _brute_vectors(q, range(-m, m + 1), 4):
             if ctx.sign(vec) <= 0:
                 continue
-            w = _axpy(ctx.mul_q(vec), -1, vec)
-            if ctx.sign(_axpy(w, -m, ctx.one)) > 0:
+            if ctx.cmp_tail(vec, m) > 0:
                 continue
             if best is None or ctx.sign(_axpy(vec, -1, best)) < 0:
                 best = vec

@@ -821,11 +821,9 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
         return kernel.unpack(v) if exact else None
 
     def in_upper(v) -> bool:
-        # v <= c  <=>  v*(q-1) - m <= 0; exact mode scales through min_poly
+        # v <= c = m/(q-1); exact mode scales through min_poly
         if exact:
-            ctx, v = kernel.ctx, kernel.unpack(v)
-            w = _axpy(ctx.mul_q(v), -1, v)
-            return ctx.sign(_axpy(w, -m, ctx.one)) <= 0
+            return kernel.ctx.cmp_tail(kernel.unpack(v), m) <= 0
         c = m / (kernel.qf - 1.0)
         return v <= c + kernel.tol
 

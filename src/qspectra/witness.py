@@ -6,10 +6,12 @@ while its partial sums at p are certified to stay away from zero, diverge,
 or run through many distinct moduli, depending on where p sits relative to
 the unit circle.
 
-The forced prefix {1..k} is decided by the lazy corridor's capacity test
-(``_Corridor.capacity_bounds``), or for a periodic membership pattern (p
-real or a root of unity) by its exact closed form, which also settles a
-capacity of exactly one.  ``_report`` builds every report.
+The forced prefix {1..k} is decided by one exact capacity walk
+(``_least_k``), each capacity scaled by q^H (q^t - 1) at the horizon H.
+When p is real or a root of unity the membership pattern repeats with
+period t and each capacity is one exact sign, a capacity of exactly one
+included; otherwise t = 1, and the capacity lies between no index past H
+and all of them.  ``_report`` builds every report.
 
 The companion point enters as an exact Gaussian rational (decimal input is
 rational), so p^-1 = G/M for a Gaussian integer G and an int M > 0, and
@@ -36,7 +38,6 @@ from .errors import (
 from .expansions import (
     DigitSequence,
     SignPattern,
-    _Corridor,
     greedy_expansion,
     lazy_constrained,
     periodic_completion,
@@ -256,19 +257,19 @@ def _choose_w_rational_angle(base: GR, pw: _Powers, m: int,
     raise PrecisionExhaustedError("no perturbation scale worked")
 
 
-def _first_maximal_partial_sum(Z, pw: _Powers, cap: int = 100_000) -> int:
+def _first_maximal_partial_sum(Z, pw: _Powers) -> int:
     """Index of the first maximal partial sum of sum_{i>=0} Re(z p^-i), z a
     positive multiple of Z; exists because the total is zero and the first
     term is positive.  Past index n the sums stay within |z| r^(n+1)/(1-r)
     <= 2 |z| r^(n+1)/(1-r^2) of the n-th (r = |p^-1| < 1); the squared test
-    is exact in integers."""
+    is exact in integers.  The search gives up at index 100,000."""
     G, M = pw.G, pw.M
     gap = M * M - G[0] * G[0] - G[1] * G[1]           # M^2 (1 - r^2)
     if gap <= 0:
         raise PreconditionError("need |p| > 1 for the shift construction")
     scale = 4 * (Z[0] * Z[0] + Z[1] * Z[1]) * (M * M - gap) * M * M
     best, top = 0, Z[0]                  # top = R_best M^(i - best)
-    for i, x, R, _ in _re_sums(pw, Z, cap, start=0):
+    for i, x, R, _ in _re_sums(pw, Z, 100_000, start=0):
         if R > top:
             best, top = i, R
         if i and i % 32 == 0 and \
@@ -287,9 +288,9 @@ def build_P_and_k(q: AlgebraicNumber, m: int, p, w0: GR, horizon: int,
                   ) -> tuple[SignPattern, int, list[int]]:
     """Membership set P' = {i : Re(w p^-i) <= 0} materialized to the
     horizon, and the least k making the capacity of the forced pattern
-    P' u {1..k}, m sum_{i in it} q^-i, at least one: exactly by the closed
-    form when the membership is periodic (p real or a root of unity), else
-    by the corridor's truncation lower bound and full-tail upper bound.
+    P' u {1..k}, m sum_{i in it} q^-i, at least one, decided by one exact
+    capacity walk (``_least_k``): its period t is that of the membership
+    when p is real or a root of unity, else 1.
     """
     p, horizon = as_gaussian(p), _integer(horizon, "horizon")
     if not (q.compare_to_fraction(m) > 0 and q.compare_to_fraction(m + 1) < 0):
@@ -302,10 +303,7 @@ def build_P_and_k(q: AlgebraicNumber, m: int, p, w0: GR, horizon: int,
     members = [i for i, re in enumerate(re_signs, 1) if re <= 0]
     member_set = set(members)
     period = 2 if p[1] == 0 else _root_of_unity_order(p)
-    if period is not None:
-        k = _least_k_periodic(q, m, member_set, period, horizon)
-    else:
-        k = _least_k_corridor(q, m, member_set, horizon)
+    k = _least_k(q, m, member_set, period or 1, horizon)
     if k > 0 and re_signs[k - 1] <= 0:
         raise QSpectraError("construction invariant failed: Re(w p^-k) <= 0")
     pattern = SignPattern.from_membership(member_set | set(range(1, k + 1)),
@@ -313,49 +311,42 @@ def build_P_and_k(q: AlgebraicNumber, m: int, p, w0: GR, horizon: int,
     return pattern, k, members
 
 
-def _least_k_periodic(q: AlgebraicNumber, m: int, member_set: set[int],
-                      period: int, horizon: int) -> int:
-    """Least k with sum_{i<=k} m q^-i + sum_{i>k, i in P'} m q^-i >= 1,
-    decided exactly through the geometric closed form of the periodic
-    membership classes (handles boundary equalities like capacity == 1).
-    Times q^k D, D = q^period - 1 > 0, the test is
-    m (S_k D + sum_r q^e_r) - q^k D >= 0 with S_k = sum_{j<k} q^j; S_k D and
-    q^k D are carried, one add and one q-step per k, up to degree
-    horizon + period + 1."""
-    ar = ZqContext(q, horizon + period + 1)
-    residues = {i % period for i in range(1, horizon + 1) if i in member_set}
+def _least_k(q: AlgebraicNumber, m: int, member_set: set[int], t: int,
+             horizon: int) -> int:
+    """Least k whose pattern P' u {1..k} has capacity at least one, that of
+    k - 1 certified below one; an undecided bound is an extension signal.
+
+    Each capacity minus one is scaled by q^H (q^t - 1) > 0 (H the horizon)
+    in one context of depth H + t: index i <= H weighs q^(H-i) (q^t - 1),
+    the indices past H in residue class r weigh q^(t-1-((r-H-1) mod t))
+    together, and k adds m q^(H-k) (q^t - 1) unless k is in P'.  A periodic
+    P' (period t > 1) keeps its own classes past H, so its lower and upper
+    bounds are one vector and one exact sign, a capacity of exactly one
+    included.  t = 1 stands for an aperiodic P': its capacity lies between
+    no index past H and all of them, which weigh 1 together."""
+    ar = ZqContext(q, horizon + t)
     qpow = [ar.one]
-    for _ in range(period):
+    for _ in range(t):
         qpow.append(ar.mul_q(qpow[-1]))
-    D = _axpy(qpow[period], -1, ar.one)
-    sD, qD = (0,) * ar.d, D                 # S_k D and q^k D
-    for k in range(0, horizon + 1):
-        acc = sD
-        for r in residues:
-            acc = _axpy(acc, 1, qpow[(period - 1) - ((r - k - 1) % period)])
-        if ar.sign(_axpy(qD, -m, acc)) <= 0:     # m acc - q^k D >= 0
-            return k
-        sD, qD = _axpy(sD, 1, qD), ar.mul_q(qD)
-    raise PrecisionExhaustedError(
-        "capacity never reached 1 within the horizon; extend it")
-
-
-def _least_k_corridor(q: AlgebraicNumber, m: int, member_set: set[int],
-                      horizon: int) -> int:
-    """Least k whose pattern P' u {1..k} the lazy corridor certifies at
-    capacity >= 1, that of k - 1 certified below 1; an undecided bound
-    (an exact-equality capacity among them) is an extension signal."""
+    wts = [_axpy(qpow[t], -1, ar.one)]          # wts[j] = q^j (q^t - 1)
+    for _ in range(horizon):
+        wts.append(ar.mul_q(wts[-1]))
+    gap = tuple(-x for x in wts[horizon])     # k = 0: capacity minus 1
+    for i in member_set:
+        gap = _axpy(gap, m, wts[horizon - i])
+    if t > 1:
+        for r in {i % t for i in member_set}:
+            gap = _axpy(gap, m, qpow[t - 1 - (r - horizon - 1) % t])
     below = True                            # k = 0 has no predecessor
     for k in range(0, horizon + 1):
-        pattern = SignPattern.from_membership(
-            member_set | set(range(1, k + 1)), horizon)
-        ge1, lt1 = _Corridor(q, m, pattern, horizon).capacity_bounds()
-        if ge1:
+        if k and k not in member_set:
+            gap = _axpy(gap, m, wts[horizon - k])
+        if ar.sign(gap) >= 0:
             if below:
                 return k
             raise PrecisionExhaustedError(
                 "minimality of k undecidable at this horizon; extend it")
-        below = lt1
+        below = t > 1 or ar.sign(_axpy(gap, m, ar.one)) < 0
     raise PrecisionExhaustedError(
         "capacity never reached 1 within the horizon; extend it")
 
@@ -513,14 +504,12 @@ def _witness_step2(q: AlgebraicNumber, m: int, horizon: int) -> WitnessReport:
         zero_from = seq.meta.get("zero_from") or horizon
         block = tuple(seq.preperiod[: zero_from + 1])
         seq = periodic_completion(block, q, m)
-    # at p = 1 the partial sums are the digit sums
-    sums = []
-    acc = 0
-    for i in range(0, horizon + 1):
-        acc += seq.digit(i)
-        sums.append(float(acc))
-    return _report(2, "divergent-real-part", q, m, (Fraction(1), Fraction(0)),
-                   horizon, seq, sums, [abs(s) for s in sums], {
+    # at p = 1 (w = 1) the partial sums are the digit sums
+    one = (Fraction(1), Fraction(0))
+    sums, abss, _, _, _ = _p_traces(seq, ((1, 0), 1), _Powers(one, 0),
+                                    horizon)
+    return _report(2, "divergent-real-part", q, m, one, horizon, seq,
+                   sums, abss, {
                        "digit_sum_per_period": seq.period_digit_sum(),
                        "divergent": (seq.period_digit_sum() or 0) > 0
                        or not seq.is_finitely_supported,
@@ -698,18 +687,17 @@ def accumulation_verdict(q: AlgebraicNumber, m: int, *,
     return AccumulationVerdict("Accumulates", None, cls.tag, q, m, cross)
 
 
-def _devries_certificate(q: AlgebraicNumber, m: int,
-                         sample_bound: Fraction = Fraction(10)) -> dict:
+def _devries_certificate(q: AlgebraicNumber, m: int) -> dict:
     """Degree cap beyond which every spectrum value exceeds the sample
-    bound, from |y| > q^n (1 - m/(q-1)); empty at q = m+1 exactly, where
-    the unit gap bound takes over."""
+    bound 10, from |y| > q^n (1 - m/(q-1)); empty at q = m+1 exactly,
+    where the unit gap bound takes over."""
     from .spectrum import _devries_margin
     bound = _devries_margin(q, m)
     if bound is None:
         return {"applies": False}
     lo, margin = bound
     n = 0
-    while lo ** (n + 1) * margin < sample_bound and n < 10_000:
+    while lo ** (n + 1) * margin < 10 and n < 10_000:
         n += 1
-    return {"applies": True, "bound": float(sample_bound), "degree_cap": n,
+    return {"applies": True, "bound": 10.0, "degree_cap": n,
             "margin": float(margin)}

@@ -1483,6 +1483,9 @@ class _ReferenceVecArith:
     def sign(self, v):
         return _fraction_vec_sign(self.q, v)
 
+    def cmp_tail(self, v, m):
+        return self.sign(_axpy(_axpy(self.mul_q(v), -1, v), -m, self.one))
+
     def float_value(self, v, shift=0):
         self.q.refine_to_width(FLOAT_WIDTH)
         lo, hi = _reference_interval(v, *self.q.interval())

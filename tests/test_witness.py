@@ -17,7 +17,7 @@ import pytest
 
 from qspectra import cli
 from qspectra.algebraic import AlgebraicNumber
-from qspectra.errors import PreconditionError
+from qspectra.errors import PrecisionExhaustedError, PreconditionError
 from qspectra.expansions import SignPattern, _Corridor
 from qspectra.intpoly import IntPolynomial
 from qspectra.serialize import canonical_json
@@ -191,18 +191,24 @@ def test_build_P_and_k_k0_when_capacity_rich():
     assert k == 0
 
 
-def _truncated_k_oracle(q: Fraction, m: int, p, horizon: int):
-    """P' = {i <= horizon : Re((1 - p) p^-i) <= 0} and the least k whose
-    truncated capacity m sum_{i <= horizon, i <= k or i in P'} q^-i reaches
-    1, with the capacity of k - 1 below 1 even with the full tail
-    m q^-horizon / (q - 1) added: all in Fractions."""
-    (pr, pi), (wr, wi) = p, (1 - p[0], -p[1])
+def _members_oracle(p, w, horizon: int) -> list[int]:
+    """P' = {i <= horizon : Re(w p^-i) <= 0}, with p^-i in Fractions."""
+    (pr, pi), (wr, wi) = p, w
     n = pr * pr + pi * pi
     inv, z, members = (pr / n, -pi / n), (Fraction(1), Fraction(0)), []
     for i in range(1, horizon + 1):
         z = (z[0] * inv[0] - z[1] * inv[1], z[0] * inv[1] + z[1] * inv[0])
         if wr * z[0] - wi * z[1] <= 0:
             members.append(i)
+    return members
+
+
+def _truncated_k_oracle(q: Fraction, m: int, p, horizon: int):
+    """P' = {i <= horizon : Re((1 - p) p^-i) <= 0} and the least k whose
+    truncated capacity m sum_{i <= horizon, i <= k or i in P'} q^-i reaches
+    1, with the capacity of k - 1 below 1 even with the full tail
+    m q^-horizon / (q - 1) added: all in Fractions."""
+    members = _members_oracle(p, (1 - p[0], -p[1]), horizon)
 
     def lower(k):
         return sum(m * q ** -i for i in range(1, horizon + 1)
@@ -215,7 +221,7 @@ def _truncated_k_oracle(q: Fraction, m: int, p, horizon: int):
 
 def test_build_P_and_k_aperiodic_matches_the_fraction_oracle():
     # p = 2i is neither real nor a root of unity, so its k is decided by
-    # the truncated bounds, not by a closed form
+    # the truncated bounds, not by an exact periodic tail
     q, p = q18(), as_gaussian("0,2")
     members, k = _truncated_k_oracle(Fraction(9, 5), 1, p, 60)
     assert k == 3
@@ -225,10 +231,66 @@ def test_build_P_and_k_aperiodic_matches_the_fraction_oracle():
         set(members) | {1, 2, 3}, 60)
 
 
+def _periodic_k_oracle(q: Fraction, m: int, members: list[int], t: int,
+                       horizon: int) -> int:
+    """The least k whose capacity m sum_{i in P' u {1..k}} q^-i reaches 1,
+    for P' periodic with period t: the indices up to the horizon summed
+    one by one, and each class of P' past it as the geometric series
+    q^-j / (1 - q^-t) from its first index j > horizon.  All in
+    Fractions."""
+    classes = {i % t for i in members}
+    firsts = [horizon + 1 + (r - horizon - 1) % t for r in classes]
+    tail = sum(q ** -j for j in firsts) / (1 - q ** -t)
+
+    def cap(k):
+        return m * (tail + sum(q ** -i for i in range(1, horizon + 1)
+                               if i <= k or i in members))
+
+    return next(k for k in range(horizon + 1) if cap(k) >= 1)
+
+
+@pytest.mark.parametrize("qtext", ["1.8", "1.35"])
+@pytest.mark.parametrize("ptext,t", [("-1.2", 2), ("-2", 2), ("0,1", 4)])
+def test_build_P_and_k_periodic_matches_the_geometric_oracle(qtext, ptext,
+                                                             t):
+    # p real or a root of unity: P' repeats with period t, so the capacity
+    # of each forced pattern is exact, its tail a geometric series
+    q, p = Fraction(qtext), as_gaussian(ptext)
+    w0 = choose_w(p, 1).w0
+    members = _members_oracle(p, w0, 60)
+    assert all((i + t in members) == (i in members) for i in range(1, 61 - t))
+    k = _periodic_k_oracle(q, 1, members, t, 60)
+    pattern, got_k, got_members = build_P_and_k(
+        AlgebraicNumber.from_rational(q), 1, p, w0, 60)
+    assert (got_k, got_members) == (k, members)
+    assert pattern == SignPattern.from_membership(
+        set(members) | set(range(1, k + 1)), 60)
+
+
+# each error path of the forced prefix: the message, and exit 4 from the CLI
+FORCED_PREFIX_ERRORS = [
+    ("1.999", "-1.2", "capacity never reached 1 within the horizon"),
+    ("1.999", "0,2", "capacity never reached 1 within the horizon"),
+    ("1.71", "0.5,1.5", "minimality of k undecidable at this horizon"),
+]
+
+
+@pytest.mark.parametrize("qtext,ptext,message", FORCED_PREFIX_ERRORS)
+def test_forced_prefix_errors_are_inconclusive(qtext, ptext, message,
+                                               capsys):
+    q = AlgebraicNumber.from_rational(Fraction(qtext))
+    with pytest.raises(PrecisionExhaustedError) as info:
+        build_witness(q, 1, ptext, 8)
+    assert str(info.value) == f"{message}; extend it"
+    assert cli.main(["witness", "--base", qtext, "--m", "1", "--p", ptext,
+                     "--horizon", "8"]) == 4
+    assert capsys.readouterr().err == f"inconclusive: {message}; extend it\n"
+
+
 def test_build_P_and_k_decides_capacity_exactly_one():
     # on phi the odd indices have capacity sum_{i odd} phi^-i = 1 exactly:
-    # the periodic closed form gives k = 0, while the corridor's truncated
-    # bounds at horizon 60 certify neither side of 1
+    # the exact walk over the two classes gives k = 0, while the corridor's
+    # truncated bounds at horizon 60 certify neither side of 1
     pattern, k, members = build_P_and_k(phi(), 1, "-1.2",
                                         choose_w("-1.2", 1).w0, 60)
     assert k == 0 and members == list(range(1, 61, 2))
