@@ -6,9 +6,9 @@ detection, constrained lazy digit expansions, and the conjugate-witness
 construction, with a reproduction suite and CLI on top.
 
 ``import qspectra`` loads the classification layer (``algebraic``,
-``intpoly``) at once; the names of ``disks`` (the conjugate-disk engine),
-``expansions``, ``spectrum`` and ``witness`` load their module on first use
-(PEP 562).  Records are
+``intpoly``) at once; the names of ``disks`` (the certified conjugate
+disks, ``conjugates`` among them), ``expansions``, ``spectrum`` and
+``witness`` load their module on first use (PEP 562).  Records are
 ``collections.namedtuple`` subclasses, or plain classes on
 ``records.Record`` where a tuple does not fit, so that no module loads
 ``inspect`` or ``typing``, which are slow to import.
@@ -23,14 +23,13 @@ from .algebraic import (
     NumberClass,
     ZqContext,
     classify_base,
-    conjugates,
     power_base,
 )
 from .intpoly import IntPolynomial
 
 #: submodule -> the names it serves, loaded on first lookup
 _LAZY = {
-    "disks": ("ConjugateDisk", "ConjugateSet"),
+    "disks": ("ConjugateDisk", "ConjugateSet", "conjugates"),
     "expansions": ("DigitSequence", "SignPattern", "greedy_expansion",
                    "lazy_constrained", "periodic_completion",
                    "verify_expansion"),
@@ -45,7 +44,7 @@ _HOME = {name: mod for mod, names in _LAZY.items() for name in names}
 
 __all__ = [
     "AlgebraicNumber", "NumberClass", "ZqContext", "classify_base",
-    "conjugates", "power_base", "IntPolynomial", *_HOME, "__version__",
+    "power_base", "IntPolynomial", *_HOME, "__version__",
 ]
 
 

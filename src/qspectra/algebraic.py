@@ -10,21 +10,19 @@ Three layers live here:
   the roots of the minimal polynomial inside, on and outside the unit
   circle (``intpoly.unit_circle_counts``: Routh-Hurwitz after the Cayley
   map, the circle's roots read off the gcd that ends its Sturm sequence).
-  ``conjugates`` -- all complex roots with certified error disks, on a
-  precision ladder whose engine lives in ``disks`` -- is the label's
-  evidence, computed (and ``disks`` loaded) only when a ``NumberClass``'s
+  The certified disks (``disks.conjugates``) are the label's evidence,
+  computed, and ``disks`` loaded, only when a ``NumberClass``'s
   ``conjugate_set`` is read.
 * ``ZqContext`` -- the one exact value kernel, Q[q] for any base, run in
   integers: a context is built at one scale, a^D times a rational target's
   denominator (a the leading coefficient, D the highest degree its values
   reach), and every value is the int vector over the algebraic integer
   theta = a*q (theta = q on a monic base) of that scale times the value.
-  The search and the windows pack these vectors into one int each
-  (``spectrum._PackedZq``).  Digit steps, exact signs (``sign``,
-  ``cmp_fraction``) from the base's sign oracle, display floats read off
-  exact enclosures, and the floating-point model (``float_model``) under
-  which the spectrum engines carry proven float enclosures of their search
-  states; sums are tuple sums (``_axpy``).
+  Digit steps, exact signs (``sign``, ``cmp_fraction``) from the base's
+  sign oracle and display floats read off exact enclosures; sums are
+  tuple sums (``_axpy``).  The search and the windows pack these vectors
+  into one int each and carry float enclosures of them
+  (``spectrum._PackedZq``).
 
 Minimal polynomials are free of rational roots: the root selectors
 (``real_roots``, ``base_from_poly``) and the checked constructor each
@@ -47,7 +45,6 @@ from .config import MAX_CERTIFY_BITS
 from .errors import PreconditionError, ReducibleInputError
 from .intpoly import (
     IntPolynomial,
-    is_squarefree,
     isolate_roots_exact,
     squarefree_part,
     sturm_chain,
@@ -60,23 +57,6 @@ from .intpoly import (
     _variations_at,
 )
 from .records import FrozenRecord
-
-# ---------------------------------------------------------------------------
-# small exact helpers
-
-
-def _float_enclosure(x) -> tuple[float, float]:
-    """Floats (lo, hi) with lo <= x <= hi for a rational x, each at most one
-    unit in the last place from x (lo == hi when x is a float)."""
-    x = Fraction(x)
-    f = float(x)
-    exact = Fraction(f)
-    if exact == x:
-        return f, f
-    if exact < x:
-        return f, math.nextafter(f, math.inf)
-    return math.nextafter(f, -math.inf), f
-
 
 # ---------------------------------------------------------------------------
 # AlgebraicNumber
@@ -344,54 +324,9 @@ class ZqContext:
     ``float_value`` is the midpoint of that exact enclosure on the base
     refined to ``FLOAT_WIDTH``, rounded once.  The polynomial is a positive
     multiple of the value for any scale, so no sign, refinement of the base
-    or display float depends on it.
-
-    Carried enclosures.  The search engines keep, beside each exact vector
-    v, a float f and one radius R per level with |value(v) - f| <= R, so
-    that a sign or a comparison costs O(1) and the exact methods here run
-    only when [f - R, f + R] straddles the threshold.  ``float_model``
-    returns (qf, dq, qabs) with |q - qf| <= dq over the base interval and
-    qabs >= qf + dq.  A child q*v + s (|s| <= m) of a level whose floats
-    satisfy |f| <= F gets f' = fl(fl(qf*f) + s); under the standard model
-    fl(a op b) = (a op b)(1 + delta), |delta| <= u = 2^-53 (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, ch. 2-4),
-
-        |value(q*v + s) - f'| <= qabs*R + dq*F + u*(2*qf*F*(1 + 2u) + m).
-
-    The bound is evaluated in floats, so it is scaled by 1 + 2^-48 (more
-    than the rounding of its own few operations) and a tiny absolute term
-    covers underflow.  Refining q later only shrinks the interval, so the
-    model stays valid for a whole search, and the window points display
-    their carried floats.
-
-    Packed vectors.  The smallest-positive search and the windows keep a
-    context's vector (a_0, ..., a_{d-1}) as one int V = sum a_i 2^(W i)
-    (signed Kronecker substitution: Schoenhage, 1982; Harvey, *J. Symbolic
-    Comput.* 44, 2009), built by ``spectrum._PackedZq``.  Packing is
-    additive and, while every |a_i| < 2^(W-1), one-to-one, so equal
-    vectors are equal ints and a sign flip is -V.  The context's depth is 0
-    on a monic base and on any other base the window's depth bound, the
-    highest degree of any child it computes.  With
-    theta^d = sum c_i theta^i, the top entry is
-    t = (V + 2^(W(d-1)-1)) >> W(d-1) and
-
-        theta*v = (V << W) - t*R,    R = 2^(W d) - sum c_i 2^(W i),
-
-    once per parent; q*v is then one exact division of that int by a (each
-    entry is divisible by a below the depth, and packing is linear), and a
-    child q*v + s adds s*a^D.  Width bound: if a level's entries are at
-    most E, its children's are at most E' = E*(1 + max|c_i|)/a + m*a^D.
-    W starts at the least 16*2^k with m*a^D below 2^(W-2), and the engines
-    carry E per level and keep E' below 2^(W-2), so a state, its negation
-    and the difference of two states (a comparison) all have entries below
-    2^(W-1) and decode exactly.  When E' would reach 2^(W-2), E restarts
-    from the level's true maximum; if that does not fit either, every
-    stored value of every level is re-packed at a doubled W.  Each value
-    was below 2^(W-2) when it was made and W never shrinks, so the values
-    of all levels stay below it (E may restart below an earlier level's
-    entries), and differences across levels (a window's sort and gap keys)
-    decode exactly too.  The exact methods unpack V to the context's
-    vector.
+    or display float depends on it.  The spectrum engines pack these
+    vectors into one int each and carry float enclosures beside them
+    (``spectrum._PackedZq``).
     """
 
     def __init__(self, q: AlgebraicNumber, depth: int = 0, den: int = 1):
@@ -474,98 +409,6 @@ class ZqContext:
         vlo, vhi, den = self._bounds(V)
         return (vlo + vhi) / (2 * den << shift)
 
-    def float_model(self) -> tuple[float, float, float]:
-        """(qf, dq, qabs): floats with |q - qf| <= dq over the current base
-        interval and qabs >= qf + dq, rounded outward exactly."""
-        lo, hi = self.q.interval()
-        try:
-            qf = float((lo + hi) / 2)
-            x = Fraction(qf)
-            dq = _float_enclosure(max(hi - x, x - lo))[1]
-            return qf, dq, _float_enclosure(x + Fraction(dq))[1]
-        except OverflowError:
-            raise PreconditionError("base is beyond the float range") from None
-
-    def ensure_float_resolution(self):
-        """Refine the base interval to 2^-80, so that the float model's dq
-        is tiny against the carried floats."""
-        self.q.refine_to_width(Fraction(1, 2**80))
-
-
-# ---------------------------------------------------------------------------
-# conjugates with certified disks
-
-
-def conjugates(p: IntPolynomial, radius=Fraction(1, 10**12),
-               budget_bits: int = 4096, _on_count: int | None = None
-               ) -> ConjugateSet:
-    """All complex roots of squarefree p with certified disks and exact
-    unit-circle location tags.
-
-    The precision ladder is 53, 64, 128, ... bits up to ``budget_bits``,
-    with one fixed-point iteration on every rung: the rung of ``prec`` bits
-    iterates in Gaussian integers over 2^prec, the first from the seed
-    points and each later one from the previous rung's approximations.
-    Each rung's approximations are certified by ``_certified_disks``
-    (exact, in the same scaled Gaussian integers); the first rung whose
-    disks are disjoint, within ``radius``, and straddle the unit circle
-    exactly ``on_circle_count`` times wins, and ``precision_bits`` names
-    it.
-
-    ``_on_count``, when given, is the number of roots on the unit circle
-    (``classify_base`` has counted them), so they are not counted again.
-
-    Raises PreconditionError for non-squarefree input.  If the precision
-    budget runs out before every off-circle root is certified inside or
-    outside the unit circle, the set is returned with ``resolved=False``
-    and ``precision_bits`` is the last rung run (0 if none fit the budget).
-    """
-    from .disks import (ConjugateDisk, ConjugateSet, _certified_disks,
-                        _dk_iterate, _locate_disk, sorted_disks)
-    if p.is_zero or p.degree < 1:
-        raise PreconditionError("need a nonconstant polynomial")
-    if not is_squarefree(p):
-        raise PreconditionError("polynomial is not squarefree")
-    radius = _rational(radius)
-    budget_bits = _integer(budget_bits, "budget bits")
-
-    coeffs = p.coeffs
-    zero_disks = []
-    if coeffs[0] == 0:
-        # squarefree => simple root at the origin
-        zero_disks.append(ConjugateDisk(Fraction(0), Fraction(0),
-                                        Fraction(0), "inside"))
-        coeffs = coeffs[1:]
-    work = IntPolynomial(coeffs)
-    d = work.degree
-    if d == 0:
-        return ConjugateSet(p, tuple(zero_disks), True, 0, 0)
-    if d == 1:
-        r = Fraction(-coeffs[0], coeffs[1])
-        loc = "inside" if abs(r) < 1 else ("on" if abs(r) == 1 else "outside")
-        disks = zero_disks + [ConjugateDisk(r, Fraction(0), Fraction(0), loc)]
-        return ConjugateSet(p, tuple(sorted_disks(disks)), True, 0,
-                            sum(1 for x in disks if x.location == "on"))
-
-    on_count = (unit_circle_counts(work)[1] if _on_count is None
-                else _on_count)
-    prec, ran, start, best, resolved = 53, 0, None, (), False
-    while prec <= budget_bits and not resolved:
-        z = _dk_iterate(coeffs, prec, start)
-        ran, start = prec, z
-        disks = _certified_disks(coeffs, *z)
-        if disks is not None:
-            best = [(_locate_disk(*disk), *disk) for disk in disks]
-            resolved = (sum(loc == "straddle" for loc, *_ in best) == on_count
-                        and all(rad <= radius for *_, rad in best))
-        prec = 64 if prec == 53 else 2 * prec
-    straddle = "on" if resolved else "unresolved"
-    out = zero_disks + [ConjugateDisk(re, im, rad,
-                                      straddle if loc == "straddle" else loc)
-                        for loc, re, im, rad in best]
-    return ConjugateSet(p, tuple(sorted_disks(out)), resolved, ran, on_count)
-
-
 # ---------------------------------------------------------------------------
 # classification
 
@@ -582,8 +425,8 @@ class NumberClass(FrozenRecord):
 
     ``conjugate_set`` holds the certified disks of ``evidence_poly`` (the
     minimal polynomial of a monic irrational base, else None).  They are
-    evidence, not the label: ``conjugates`` runs at ``budget_bits`` when
-    the set is first read, and the result is kept in the instance's
+    evidence, not the label: ``disks.conjugates`` runs at ``budget_bits``
+    when the set is first read, and the result is kept in the instance's
     ``__dict__``."""
 
     _fields = ("tag", "detail", "n_in", "n_on", "n_out", "evidence_poly",
@@ -603,6 +446,7 @@ class NumberClass(FrozenRecord):
     def conjugate_set(self) -> ConjugateSet | None:
         if self.evidence_poly is None:
             return None
+        from .disks import conjugates
         return conjugates(self.evidence_poly, budget_bits=self.budget_bits,
                           _on_count=self.n_on)
 

@@ -25,7 +25,6 @@ from .errors import (
     PreconditionError,
     PrecisionExhaustedError,
     QSpectraError,
-    ReducibleInputError,
 )
 from .intpoly import IntPolynomial
 from .serialize import (
@@ -393,9 +392,6 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     try:
         result, csv_fn, code = COMMANDS[args.command](args)
-    except (PreconditionError, ReducibleInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except PrecisionExhaustedError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

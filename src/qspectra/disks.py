@@ -1,8 +1,10 @@
-"""Certified complex root disks, the evidence behind a Pisot label: the
-engine of ``algebraic.conjugates``, loaded only when a disk is computed.
-``_dk_iterate`` is simultaneous Weierstrass (Durand-Kerner) iteration in
-Gaussian integers; ``_certified_disks`` checks its a-posteriori disks
-exactly, and ``_locate_disk`` places each against the unit circle.
+"""Certified complex root disks, the evidence behind a Pisot label, loaded
+only when a disk is computed (``NumberClass.conjugate_set``, or
+``conjugates`` called).  ``conjugates`` runs the precision ladder: on each
+rung ``_dk_iterate`` runs simultaneous Weierstrass (Durand-Kerner)
+iteration in Gaussian integers, ``_certified_disks`` checks its
+a-posteriori disks exactly, and ``_locate_disk`` places each against the
+unit circle.
 """
 
 from __future__ import annotations
@@ -11,7 +13,12 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .intpoly import IntPolynomial, cauchy_root_bound
+from .errors import PreconditionError
+from .intpoly import (IntPolynomial, cauchy_root_bound, is_squarefree,
+                      unit_circle_counts, _integer)
+
+#: The largest disk radius a certified rung may have.
+RADIUS = Fraction(1, 10**12)
 
 
 class ConjugateDisk(namedtuple("ConjugateDisk", "re im radius location")):
@@ -139,6 +146,71 @@ def _locate_disk(re: Fraction, im: Fraction, radius: Fraction) -> str:
     return "outside" if s2 > (1 + radius) ** 2 else "straddle"
 
 
-
-def sorted_disks(disks):
+def _sorted_disks(disks):
     return sorted(disks, key=lambda x: (x.re, x.im))
+
+
+def conjugates(p: IntPolynomial, budget_bits: int = 4096,
+               _on_count: int | None = None) -> ConjugateSet:
+    """All complex roots of squarefree p with certified disks and exact
+    unit-circle location tags.
+
+    The precision ladder is 53, 64, 128, ... bits up to ``budget_bits``,
+    with one fixed-point iteration on every rung: the rung of ``prec`` bits
+    iterates in Gaussian integers over 2^prec, the first from the seed
+    points and each later one from the previous rung's approximations.
+    Each rung's approximations are certified by ``_certified_disks``
+    (exact, in the same scaled Gaussian integers); the first rung whose
+    disks are disjoint, within ``RADIUS``, and straddle the unit circle
+    exactly ``on_circle_count`` times wins, and ``precision_bits`` names
+    it.
+
+    ``_on_count``, when given, is the number of roots on the unit circle
+    (``classify_base`` has counted them), so they are not counted again.
+
+    Raises PreconditionError for non-squarefree input.  If the precision
+    budget runs out before every off-circle root is certified inside or
+    outside the unit circle, the set is returned with ``resolved=False``
+    and ``precision_bits`` is the last rung run (0 if none fit the budget).
+    """
+    if p.is_zero or p.degree < 1:
+        raise PreconditionError("need a nonconstant polynomial")
+    if not is_squarefree(p):
+        raise PreconditionError("polynomial is not squarefree")
+    budget_bits = _integer(budget_bits, "budget bits")
+
+    coeffs = p.coeffs
+    zero_disks = []
+    if coeffs[0] == 0:
+        # squarefree => simple root at the origin
+        zero_disks.append(ConjugateDisk(Fraction(0), Fraction(0),
+                                        Fraction(0), "inside"))
+        coeffs = coeffs[1:]
+    work = IntPolynomial(coeffs)
+    d = work.degree
+    if d == 0:
+        return ConjugateSet(p, tuple(zero_disks), True, 0, 0)
+    if d == 1:
+        r = Fraction(-coeffs[0], coeffs[1])
+        loc = "inside" if abs(r) < 1 else ("on" if abs(r) == 1 else "outside")
+        disks = zero_disks + [ConjugateDisk(r, Fraction(0), Fraction(0), loc)]
+        return ConjugateSet(p, tuple(_sorted_disks(disks)), True, 0,
+                            sum(1 for x in disks if x.location == "on"))
+
+    on_count = (unit_circle_counts(work)[1] if _on_count is None
+                else _on_count)
+    prec, ran, start, best, resolved = 53, 0, None, (), False
+    while prec <= budget_bits and not resolved:
+        z = _dk_iterate(coeffs, prec, start)
+        ran, start = prec, z
+        disks = _certified_disks(coeffs, *z)
+        if disks is not None:
+            best = [(_locate_disk(*disk), *disk) for disk in disks]
+            resolved = (sum(loc == "straddle" for loc, *_ in best) == on_count
+                        and all(rad <= RADIUS for *_, rad in best))
+        prec = 64 if prec == 53 else 2 * prec
+    straddle = "on" if resolved else "unresolved"
+    out = zero_disks + [ConjugateDisk(re, im, rad,
+                                      straddle if loc == "straddle" else loc)
+                        for loc, re, im, rad in best]
+    return ConjugateSet(p, tuple(_sorted_disks(out)), resolved, ran, on_count)

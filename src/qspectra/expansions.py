@@ -443,8 +443,5 @@ def periodic_completion(digits, q: AlgebraicNumber, m: int) -> DigitSequence:
             f"(~{ar.float_value(acc) * q.float_value() ** (-(len(digits) - 1)):.3g})")
     if all(s == 0 for s in digits):
         return DigitSequence(preperiod=(0,), height=m, period=None,
-                             first_index=0, exact_zero_tail=True,
-                             meta={"digit_sum": 0})
-    return DigitSequence(
-        preperiod=(), height=m, period=digits, first_index=0,
-        meta={"digit_sum": sum(digits)})
+                             first_index=0, exact_zero_tail=True)
+    return DigitSequence(preperiod=(), height=m, period=digits, first_index=0)

@@ -98,12 +98,11 @@ class RunManifest(Record):
                "wall_time_s", "input_hashes", "_t0")
 
     def __init__(self, command: str, params: dict, precision_bits: int,
-                 budgets: dict, version: str = __version__,
-                 wall_time_s: float | None = None):
+                 budgets: dict):
         self._t0 = time.perf_counter()
         self.command, self.params = command, params
         self.precision_bits, self.budgets = precision_bits, budgets
-        self.version, self.wall_time_s = version, wall_time_s
+        self.version, self.wall_time_s = __version__, None
         self.input_hashes = {"params_sha256": params_hash(params)}
 
     def finish(self):

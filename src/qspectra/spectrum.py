@@ -8,17 +8,17 @@ this module's ``_PackedZq``, so deduplication and ordering are exact, and
 every sign the kernel decides comes from the base's exact sign oracle.  On
 a non-monic base, a rational one included, a window's context has the
 scale a^D, D the highest degree it steps to, so it stores a^D times each
-value (see "Packed vectors" in ``ZqContext``).  The
-search on a non-monic base has no depth bound, so it runs ``_FloatKernel``:
-floats deduplicated within a declared tolerance, whose radius (below) is
-infinite, so every decision falls through to its tolerance tests.
+value (see ``_PackedZq``).  The search on a non-monic base has no depth
+bound, so it runs ``_FloatKernel``: floats deduplicated within a declared
+tolerance, whose radius (below) is infinite, so every decision falls
+through to its tolerance tests.
 
 One routine, ``_expand_level``, grows every engine: each state y of a level
 spawns q*y + s for every digit s of the alphabet, in the X, Y and A windows
 and in the search, which folds each child to its absolute value.  The float
 search runs the same loop on floats.  A level is stored as columns: its
 values, an ``array('d')`` of carried floats with one proven radius R,
-|value - float| <= R (the bound is in ``ZqContext``'s docstring), and
+|value - float| <= R (the bound is in ``_child_radius``), and
 columns of parent position (``array('i')``; a fold stores parent p as ~p)
 and digit (``array('b')`` while each digit fits in a byte).  A child's
 sign, its window test and the search's comparison with its best are read
@@ -56,7 +56,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, compress
 
-from .algebraic import AlgebraicNumber, ZqContext, _axpy, _float_enclosure
+from .algebraic import AlgebraicNumber, ZqContext
 from .config import (DEFAULT_NUMERIC_TOL, DEFAULT_STATE_BUDGET,
                      MAX_SCALE_BITS)
 from .errors import PreconditionError
@@ -67,11 +67,42 @@ from .records import FrozenRecord
 # ---------------------------------------------------------------------------
 # value kernels
 
+#: Width of the base interval under which the float model is taken.
+MODEL_WIDTH = Fraction(1, 2**80)
+
 
 class _PackedZq:
-    """The vectors of a ``ZqContext`` packed into one int each (see "Packed
-    vectors" in ``algebraic.ZqContext``); ``one`` is the packed vector of 1,
-    and the exact methods unpack to the context's vectors."""
+    """The vectors of a ``ZqContext`` packed into one int each; ``one`` is
+    the packed vector of 1, and the exact methods unpack to the context's
+    vectors.
+
+    The smallest-positive search and the windows keep a context's vector
+    (a_0, ..., a_{d-1}) as one int V = sum a_i 2^(W i) (signed Kronecker
+    substitution: Schoenhage, 1982; Harvey, *J. Symbolic Comput.* 44,
+    2009).  Packing is additive and, while every |a_i| < 2^(W-1),
+    one-to-one, so equal vectors are equal ints and a sign flip is -V.  The
+    context's depth is 0 on a monic base and on any other base the window's
+    depth bound, the highest degree of any child it computes.  With
+    theta^d = sum c_i theta^i, the top entry is
+    t = (V + 2^(W(d-1)-1)) >> W(d-1) and
+
+        theta*v = (V << W) - t*R,    R = 2^(W d) - sum c_i 2^(W i),
+
+    once per parent; q*v is then one exact division of that int by a (each
+    entry is divisible by a below the depth, and packing is linear), and a
+    child q*v + s adds s*a^D.  Width bound: if a level's entries are at
+    most E, its children's are at most E' = E*(1 + max|c_i|)/a + m*a^D.
+    W starts at the least 16*2^k with m*a^D below 2^(W-2), and the engines
+    carry E per level and keep E' below 2^(W-2), so a state, its negation
+    and the difference of two states (a comparison) all have entries below
+    2^(W-1) and decode exactly.  When E' would reach 2^(W-2), E restarts
+    from the level's true maximum; if that does not fit either, every
+    stored value of every level is re-packed at a doubled W.  Each value
+    was below 2^(W-2) when it was made and W never shrinks, so the values
+    of all levels stay below it (E may restart below an earlier level's
+    entries), and differences across levels (a window's sort and gap keys)
+    decode exactly too.
+    """
 
     zero = 0
     exact = True
@@ -79,7 +110,6 @@ class _PackedZq:
     def __init__(self, ctx: ZqContext, m: int):
         self.ctx, self.d, self.m, self.lead = ctx, ctx.d, m, ctx.lead
         self.one = ctx.one[0]
-        self.float_model = ctx.float_model
         self.growth = 1 + max((abs(c) for _, c in ctx.qd_terms), default=0)
         self.bound = m * self.one   # entries of the current level are <= it
         W = 16
@@ -162,6 +192,18 @@ class _PackedZq:
     def float_value(self, V) -> float:
         return self.ctx.float_value(self.unpack(V))
 
+    def float_model(self) -> tuple[float, float, float]:
+        """(qf, dq, qabs): floats with |q - qf| <= dq over the current base
+        interval and qabs >= qf + dq, rounded outward exactly."""
+        lo, hi = self.ctx.q.interval()
+        try:
+            qf = float((lo + hi) / 2)
+            x = Fraction(qf)
+            dq = _float_enclosure(max(hi - x, x - lo))[1]
+            return qf, dq, _float_enclosure(x + Fraction(dq))[1]
+        except OverflowError:
+            raise PreconditionError("base is beyond the float range") from None
+
 
 class _FloatKernel:
     """Values are floats; equality within an absolute tolerance.  Mirrors
@@ -235,7 +277,7 @@ def make_kernel(q: AlgebraicNumber, m: int, depth: int | None = None,
                 f"an exact window of {depth} or more levels scales its values"
                 f" by at least {a}^{depth}, over {MAX_SCALE_BITS} bits")
         ctx = ZqContext(q, depth) if depth else q.zq_context()
-        ctx.ensure_float_resolution()
+        q.refine_to_width(MODEL_WIDTH)     # dq tiny against the floats
         return _PackedZq(ctx, m)
     tol = DEFAULT_NUMERIC_TOL if tol is None else tol
     check_tolerance(tol)
@@ -261,10 +303,42 @@ def _up(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
+def _float_enclosure(x) -> tuple[float, float]:
+    """Floats (lo, hi) with lo <= x <= hi for a rational x, each at most one
+    unit in the last place from x (lo == hi when x is a float)."""
+    x = Fraction(x)
+    f = float(x)
+    exact = Fraction(f)
+    if exact == x:
+        return f, f
+    if exact < x:
+        return f, math.nextafter(f, math.inf)
+    return math.nextafter(f, -math.inf), f
+
+
 def _child_radius(model, radius: float, floats, m: int) -> float:
     """Proven radius of the children q*v + s (|s| <= m) of a level whose
-    floats lie within ``radius`` of their exact values (the bound in
-    ``ZqContext``'s docstring); infinite when it overflows."""
+    floats lie within ``radius`` of their exact values; infinite when it
+    overflows.
+
+    The engines keep, beside each exact value v, a float f and one radius
+    R per level with |value(v) - f| <= R, so that a sign or a comparison
+    costs O(1) and the exact methods run only when [f - R, f + R]
+    straddles the threshold.  The kernel's ``float_model`` gives
+    (qf, dq, qabs) with |q - qf| <= dq over the base interval and
+    qabs >= qf + dq.  A child q*v + s (|s| <= m) of a level whose floats
+    satisfy |f| <= F gets f' = fl(fl(qf*f) + s); under the standard model
+    fl(a op b) = (a op b)(1 + delta), |delta| <= u = 2^-53 (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 2-4),
+
+        |value(q*v + s) - f'| <= qabs*R + dq*F + u*(2*qf*F*(1 + 2u) + m).
+
+    The bound is evaluated in floats, so it is scaled by 1 + 2^-48 (more
+    than the rounding of its own few operations) and a tiny absolute term
+    covers underflow.  Refining q later only shrinks the interval, so the
+    model stays valid for a whole search, and the window points display
+    their carried floats.
+    """
     qf, dq, qabs = model
     F = max(map(abs, floats), default=0.0)
     r = ((qabs * radius + dq * F + _U * (2 * qf * F * (1 + 2 * _U) + m))
@@ -309,26 +383,26 @@ class _Texts:
 
 class SpectrumWindow(FrozenRecord):
     """A window as columns, one entry per point: the kernel's values (packed
-    ints), carried floats and their proven radii; ``links`` holds each
-    level's (parents, digits) columns: an X window's points are its levels,
-    a Y or A window's its clipped last.  ``order`` lists the positions in
-    increasing value.  Writers encode straight from the columns; ``texts``,
-    ``vecs`` and ``points`` are built when read, and kept in the instance's
-    ``__dict__``."""
+    ints) and carried floats, each within the proven ``radius`` of its
+    value; ``links`` holds each level's (parents, digits) columns: an X
+    window's points are its levels, a Y or A window's its clipped last.
+    ``order`` lists the positions in increasing value.  Writers encode
+    straight from the columns; ``texts``, ``vecs`` and ``points`` are built
+    when read, and kept in the instance's ``__dict__``."""
 
     _fields = ("base", "m", "kind", "degree", "bound", "complete", "kernel",
-               "keys", "floats", "radii", "links", "order", "covering_radius",
+               "keys", "floats", "radius", "links", "order", "covering_radius",
                "truncated")
 
     def __init__(self, base: AlgebraicNumber, m: int,
                  kind: str,                 # "X" | "Y" | "A"
                  degree: int | None,        # digit-string cap (None for X)
                  bound: Fraction, complete: bool, kernel: _PackedZq,
-                 keys: list, floats: array, radii: array, links: list,
+                 keys: list, floats: array, radius: float, links: list,
                  order: array, covering_radius: float | None = None,
                  truncated: bool = False):
         super().__init__(base, m, kind, degree, bound, complete, kernel,
-                         keys, floats, radii, links, order, covering_radius,
+                         keys, floats, radius, links, order, covering_radius,
                          truncated)
 
     @cached_property
@@ -469,13 +543,14 @@ def _expand_level(kernel, model, level, alphabet, band, keep, seen: dict,
     return (nxt, nfl, r), links, True, remap
 
 
-def _sort_order(kernel, values, floats, radii) -> array:
-    """Positions of the values in increasing order: the float order, which
-    they take when every adjacent float gap exceeds twice the largest radius
-    (with margin for its rounding)."""
+def _sort_order(kernel, values, floats, radius: float) -> array:
+    """Positions of the values in increasing order, each float within
+    ``radius`` of its value: the float order, which they take when every
+    adjacent float gap exceeds twice the radius (with margin for its
+    rounding)."""
     order = array("i", sorted(range(len(floats)), key=floats.__getitem__))
     fs = array("d", map(floats.__getitem__, order))
-    sep = 2 * max(radii, default=0.0) * (1 + 2.0 ** -40) + _TINY
+    sep = 2 * radius * (1 + 2.0 ** -40) + _TINY
     if min(map(float.__sub__, fs[1:], fs), default=math.inf) > sep:
         return order
     # else a pair whose enclosures are disjoint is certified, any other is
@@ -483,7 +558,7 @@ def _sort_order(kernel, values, floats, radii) -> array:
     i = 0
     while i < len(order) - 1:
         a, b = order[i], order[i + 1]
-        if (_up(floats[a] + radii[a]) < _down(floats[b] - radii[b])
+        if (_up(floats[a] + radius) < _down(floats[b] - radius)
                 or kernel.sign(values[a] - values[b]) < 0):
             i += 1
         else:
@@ -515,7 +590,7 @@ def _x_depth(q: AlgebraicNumber, B: Fraction) -> int:
     value with a digit at degree n is over B, so no child steps past n."""
     if q.min_poly.is_monic:
         return 0
-    lo = q.refine_to_width(Fraction(1, 2**80))[0]    # the float model's width
+    lo = q.refine_to_width(MODEL_WIDTH)[0]
     n, num, den = 0, 1, 1
     while num * B.denominator <= B.numerator * den and n <= MAX_SCALE_BITS:
         n, num, den = n + 1, num * lo.numerator, den * lo.denominator
@@ -543,7 +618,7 @@ def enumerate_X(q: AlgebraicNumber, m: int, B, *,
     seen = {kernel.zero: None}
     # seen holds the window's values by position, level after level
     level = [kernel.zero], array("d", [0.0]), 0.0     # the empty string
-    floats, radii = array("d", [0.0]), array("d", [0.0])
+    floats, radius = array("d", [0.0]), 0.0
     links = []
     complete = True
     while level[0] and complete:
@@ -553,12 +628,13 @@ def enumerate_X(q: AlgebraicNumber, m: int, B, *,
             lambda c: kernel.cmp_fraction(c, B) <= 0, seen, budget)
         links.append(link)
         floats += level[1]
-        radii += array("d", [level[2]]) * len(level[0])
+        if level[0]:    # each level's radius exceeds the one before
+            radius = level[2]
     values = list(seen)
     del seen, level     # the sort's peak holds only the columns
     return SpectrumWindow(q, m, "X", None, B, complete, kernel, values,
-                          floats, radii, links,
-                          _sort_order(kernel, values, floats, radii),
+                          floats, radius, links,
+                          _sort_order(kernel, values, floats, radius),
                           truncated=not complete)
 
 
@@ -609,9 +685,8 @@ def _signed_window(q: AlgebraicNumber, m: int, degree: int, B: Fraction,
     floats = array("d", map(floats.__getitem__, inside))
     links[-1] = tuple(array(column.typecode, map(column.__getitem__, inside))
                       for column in links[-1])
-    radii = array("d", [r]) * len(inside)
-    return (kernel, values, floats, radii, links,
-            _sort_order(kernel, values, floats, radii)), complete
+    return (kernel, values, floats, r, links,
+            _sort_order(kernel, values, floats, r)), complete
 
 
 def enumerate_Y(q: AlgebraicNumber, m: int, degree: int, B, *,
@@ -738,10 +813,12 @@ def gap_report(window: SpectrumWindow,
     ctx = window.kernel.ctx
     vecs = {k: window.kernel.unpack(k) for k in groups}
     gap_floats = {k: ctx.float_value(v) for k, v in vecs.items()}
-    # certify the minimal group exactly among float near-ties
+    # certify the minimal group exactly among float near-ties; a difference
+    # of two gaps has entries up to 2^W, past what a packed key decodes, so
+    # it is signed on the unpacked vectors
     min_key = next(iter(groups))
     for k in groups:
-        if ctx.sign(_axpy(vecs[k], -1, vecs[min_key])) < 0:
+        if ctx.sign(tuple(map(int.__sub__, vecs[k], vecs[min_key]))) < 0:
             min_key = k
     hist = sorted((gap_floats[k], n) for k, n in groups.items())
     max_tail = max(map(gap_floats.__getitem__, tail), default=hist[-1][0])

@@ -20,7 +20,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from qspectra import algebraic, expansions, intpoly, spectrum
+from qspectra import algebraic, disks, expansions, intpoly, spectrum
 from qspectra.algebraic import (
     FLOAT_WIDTH,
     AlgebraicNumber,
@@ -28,10 +28,9 @@ from qspectra.algebraic import (
     ZqContext,
     _axpy,
     classify_base,
-    conjugates,
     power_base,
 )
-from qspectra.disks import _certified_disks, _dk_iterate
+from qspectra.disks import _certified_disks, _dk_iterate, conjugates
 from qspectra.errors import PreconditionError
 from qspectra.intpoly import IntPolynomial, is_squarefree
 from qspectra.spectrum import _PackedZq
@@ -792,11 +791,14 @@ def test_sign_determination_exact():
     assert ctx.sign((1, -1)) == -1  # 1 - phi < 0
 
 
-def test_classification_stability_at_two_radii():
+def test_classification_stability_at_two_radii(monkeypatch):
     # same location tags when disks are refined to 1e-12 and 1e-24
+    assert disks.RADIUS == Fraction(1, 10**12)
     for poly in (P1_POLY, P2_POLY, SQRT2_POLY, SQRT_P2_POLY):
-        cs12 = conjugates(poly, radius=Fraction(1, 10**12))
-        cs24 = conjugates(poly, radius=Fraction(1, 10**24))
+        cs12 = conjugates(poly)
+        with monkeypatch.context() as mp:
+            mp.setattr(disks, "RADIUS", Fraction(1, 10**24))
+            cs24 = conjugates(poly)
         assert cs12.resolved and cs24.resolved
         assert [d.location for d in cs12.disks] == \
             [d.location for d in cs24.disks]
@@ -971,9 +973,10 @@ def test_bound_beyond_float_range_runs_the_53_bit_rung_in_integers(deadline):
         assert d.location == "outside"
 
 
-def test_tight_radius_escalates_past_the_double_rung(deadline):
+def test_tight_radius_escalates_past_the_double_rung(monkeypatch, deadline):
+    monkeypatch.setattr(disks, "RADIUS", Fraction(1, 10**24))
     with deadline(60):
-        cs = conjugates(P1_POLY, radius=Fraction(1, 10**24))
+        cs = conjugates(P1_POLY)
     assert cs.resolved and cs.precision_bits >= 128
     assert all(d.radius <= Fraction(1, 10**24) for d in cs.disks)
 
@@ -1119,7 +1122,7 @@ def test_labels_never_run_the_disks(monkeypatch):
         calls.append(args)
         raise AssertionError("conjugates() ran")
 
-    monkeypatch.setattr(algebraic, "conjugates", refuse)
+    monkeypatch.setattr(disks, "conjugates", refuse)
     for poly, tag in ((P1_POLY, "Pisot"), (SQRT_P2_POLY, "NotPisot-"
                                            "AlgebraicInteger"),
                       (LEHMER_POLY, "NotPisot-AlgebraicInteger")):
@@ -1773,7 +1776,7 @@ def test_zq_display_float_of_a_cancelling_vector_is_accurate():
         q = sqrt2()
         ctx = ZqContext(q)
         if refine:
-            ctx.ensure_float_resolution()
+            q.refine_to_width(spectrum.MODEL_WIDTH)
         for v in ((-665857, 470832), (-3880899, 2744210)):
             value = ctx.float_value(v)
             lo, hi = _interval(ctx, v)

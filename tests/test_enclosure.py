@@ -21,18 +21,19 @@ from functools import cmp_to_key
 import pytest
 
 from qspectra import spectrum
-from qspectra.algebraic import (AlgebraicNumber, ZqContext, _axpy,
-                                _float_enclosure)
+from qspectra.algebraic import AlgebraicNumber, ZqContext, _axpy
 from qspectra.config import DEFAULT_STATE_BUDGET
 from qspectra.intpoly import IntPolynomial
 from qspectra.reproduce import case_oracle_equivalence
 from qspectra.serialize import canonical_json, window_point_texts
 from qspectra.spectrum import (
     BfsDepthRecord,
+    MODEL_WIDTH,
     BfsResult,
     SpectrumWindow,
     _PackedZq,
     _child_radius,
+    _float_enclosure,
     _sort_order,
     enumerate_A,
     enumerate_X,
@@ -111,8 +112,8 @@ def test_enclosure_contains_exact_value_and_decides_signs(
         q = base(key)
         strings = digit_strings(q, m, witness_depth, seed=f"enc:{key}")
         ctx = ZqContext(q, max(map(len, strings)))
-        ctx.ensure_float_resolution()
-        model = ctx.float_model()
+        q.refine_to_width(MODEL_WIDTH)
+        model = _PackedZq(ctx, m).float_model()
         # exact values are read on a much finer interval; the model was
         # taken before, and refinement only shrinks the interval
         q.refine_to_width(Fraction(1, 2**100))
@@ -135,9 +136,9 @@ def test_enclosure_contains_exact_value_and_decides_signs(
 def test_zero_children_are_left_to_the_exact_sign(key, m, digits):
     q = base(key)
     ctx = q.zq_context()
-    ctx.ensure_float_resolution()
+    q.refine_to_width(MODEL_WIDTH)
     zeros = 0
-    for vec, f, r in walk(ctx, ctx.float_model(), m, digits):
+    for vec, f, r in walk(ctx, _PackedZq(ctx, m).float_model(), m, digits):
         if not any(vec):
             zeros += 1
             assert -r <= f <= r       # the enclosure cannot decide it
@@ -146,17 +147,17 @@ def test_zero_children_are_left_to_the_exact_sign(key, m, digits):
 
 
 def test_nonfinite_radius_leaves_every_decision_exact():
-    model = base("q3").zq_context().float_model()
+    model = _PackedZq(base("q3").zq_context(), 1).float_model()
     assert _child_radius(model, math.inf, [1.0], 1) == math.inf
     assert _child_radius(model, 0.0, [math.inf], 1) == math.inf
-    assert _child_radius(base(3).zq_context().float_model(), 0.0,
-                         [math.inf], 2) == math.inf   # dq = 0 for q = 3
+    assert _child_radius(_PackedZq(base(3).zq_context(), 2).float_model(),
+                         0.0, [math.inf], 2) == math.inf   # dq = 0 for q = 3
 
 
 def test_float_model_encloses_the_base():
     for key in ("q8", "q3", "phi", 3, "27/20", "nonmonic"):
         q = base(key)
-        qf, dq, qabs = q.zq_context().float_model()
+        qf, dq, qabs = _PackedZq(q.zq_context(), 1).float_model()
         lo, hi = q.interval()
         assert Fraction(qf) - Fraction(dq) <= lo <= hi <= (Fraction(qf)
                                                            + Fraction(dq))
@@ -181,7 +182,7 @@ def reference_bfs(q: AlgebraicNumber, m: int, max_depth: int,
     push ``seen`` past the budget, and that partial level still offers its
     best."""
     ctx = q.zq_context()
-    ctx.ensure_float_resolution()
+    q.refine_to_width(MODEL_WIDTH)
 
     def in_upper(v):
         return ctx.sign(_axpy(_axpy(ctx.mul_q(v), -1, v), -m, ctx.one)) <= 0
@@ -311,15 +312,14 @@ def _coarse_model(monkeypatch, q: AlgebraicNumber,
     by ``shift`` and dq covers it.  The carried floats are then wrong by
     far more than rounding, the radius still bounds the error, and the
     exact fallbacks decide a large share of the children."""
-    ctx = q.zq_context()
-    ctx.ensure_float_resolution()
-    qf, dq, _ = ctx.float_model()
+    q.refine_to_width(MODEL_WIDTH)
+    qf, dq, _ = _PackedZq(q.zq_context(), 1).float_model()
     off = float(Fraction(qf) + shift)
     dq = _float_enclosure(abs(Fraction(off) - Fraction(qf)) + Fraction(dq))[1]
     coarse = (off, dq, _float_enclosure(Fraction(off) + Fraction(dq))[1])
-    model = ZqContext.float_model
-    monkeypatch.setattr(ZqContext, "float_model", lambda self: (
-        coarse if self.q is q else model(self)))
+    model = _PackedZq.float_model
+    monkeypatch.setattr(_PackedZq, "float_model", lambda self: (
+        coarse if self.ctx.q is q else model(self)))
     return q
 
 
@@ -526,8 +526,8 @@ def test_overlapping_enclosures_are_ordered_by_the_exact_compare():
     ctx = base("quartic").zq_context()
     kernel = _PackedZq(ctx, 1)
     vecs = [(0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
-    floats, radii = array("d", [1.1, 1.15, 1.2]), array("d", [0.5] * 3)
-    order = _sort_order(kernel, list(map(kernel.pack, vecs)), floats, radii)
+    floats = array("d", [1.1, 1.15, 1.2])
+    order = _sort_order(kernel, list(map(kernel.pack, vecs)), floats, 0.5)
     assert list(order) == [2, 1, 0]
     assert [vecs[i] for i in order] == \
         sorted(vecs, key=cmp_to_key(_compare(ctx)))

@@ -16,7 +16,8 @@ import pytest
 
 from qspectra import expansions
 from qspectra.algebraic import (AlgebraicNumber, ZqContext, classify_base,
-                                conjugates, power_base)
+                                power_base)
+from qspectra.disks import conjugates
 from qspectra.errors import PreconditionError
 from qspectra.intpoly import IntPolynomial
 from qspectra.expansions import (
@@ -343,7 +344,7 @@ def test_periodic_completion_phi():
     q = phi()
     seq = periodic_completion([-1, 1, 1], q, 1)
     assert seq.period == (-1, 1, 1)
-    assert seq.meta["digit_sum"] == 1
+    assert seq.period_digit_sum() == 1
     assert seq.digit(0) == -1 and seq.digit(3) == -1 and seq.digit(4) == 1
 
 

@@ -487,8 +487,7 @@ def test_exact_sort_gives_the_certified_permutation(name, kind, m, degree, B):
     at 0 (the loop sorts from position order by exact compares alone).
     Both are valid enclosures of the same values."""
     w = _window_of(name, kind, m, degree, B)
-    n, R = len(w.floats), 2.0 * float(B)
-    wide = array("d", [R]) * n
+    n, wide = len(w.floats), 2.0 * float(B)
     assert _sort_order(w.kernel, w.keys, w.floats, wide) == w.order
     if n <= 64:
         tied = array("d", [0.0]) * n
@@ -828,9 +827,10 @@ def test_gaps_never_build_the_digit_texts(monkeypatch, tmp_path):
 
 def test_x_window_build_and_write_bytes_per_point():
     """tracemalloc peak of enumerating the 60,504-point X window of x^4-x-1
-    at B = 300 and writing it: 142 B a point (153 with a 32-bit width
-    floor and 'i' digits, 290 when every state kept its digit text and the
-    sort ran beside the seen dict)."""
+    at B = 300 and writing it: 134 B a point (142 with a radius column of
+    one float a point, 153 with a 32-bit width floor and 'i' digits, 290
+    when every state kept its digit text and the sort ran beside the seen
+    dict)."""
     q = AlgebraicNumber.base_from_poly(IntPolynomial([-1, -1, 0, 0, 1]),
                                        root_index=0)
     enumerate_X(q, 1, 10)       # refine the base untraced
@@ -843,7 +843,7 @@ def test_x_window_build_and_write_bytes_per_point():
     finally:
         tracemalloc.stop()
     assert len(w.order) == 60504
-    assert peak / len(w.order) <= 170
+    assert peak / len(w.order) <= 138
 
 
 # -- min positive BFS ---------------------------------------------------------
