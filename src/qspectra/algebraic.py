@@ -395,7 +395,10 @@ class ZqContext:
 
     def _bounds(self, V) -> tuple[int, int, int]:
         """(vlo, vhi, den): v lies in [vlo/den, vhi/den] on the current base
-        interval."""
+        interval ([V_0, V_0] over ``one``'s entry on a rational base).
+        Bounds at one den share units, and stay enclosures as q refines."""
+        if self.d == 1:
+            return V[0], V[0], self.one[0]
         vlo, vhi, den = self.q._int_interval(
             [x * p for x, p in zip(V, self._apow)])
         return vlo, vhi, self.one[0] * den ** (self.d - 1)

@@ -10,10 +10,11 @@ Each routine holds its values in one ``ZqContext``, as int vectors at one
 scale fixed up front (a^D for the highest degree D a value reaches, times
 a rational target's denominator), so no step, test or sign aligns a
 denominator or does Fraction arithmetic.  The lazy corridor carries
-z_k = u_k w_k, so a digit forms no ring product (``_Corridor``).  Each
-vector a digit decides on is signed once: greedy keeps the accepted
-remainder's sign from its candidate loop, and the corridor keeps row T's
-thresholds, so each test from T on is one vector sum on z.
+z_k = u_k w_k, so a digit forms no ring product (``_Corridor``).  A digit
+test reads integer enclosures on the base's interval (``ZqContext._bounds``)
+and signs only when they overlap: a test they settle is one the sign
+settles without refining q, so the digits, refinement and display floats
+are those of signing every test.
 ``verify_expansion`` walks its residual over theta = a*q with no division.
 """
 
@@ -202,9 +203,12 @@ def greedy_expansion(x, q: AlgebraicNumber, m: int, N: int) -> DigitSequence:
     digits = []
     for k in range(1, N + 1):
         t = ar.mul_q(rem)
+        lo, hi, den = ar._bounds(t)     # den (t-c) in [lo-c den, hi-c den]
         for c in range(m, -1, -1):      # keeps the accepted rem and its sign
+            if hi < c * den:            # t >= 0, so c = 0 is never skipped
+                continue
             rem = _axpy(t, -c, one)
-            if (sgn := ar.sign(rem)) >= 0:
+            if (sgn := 1 if lo > c * den else ar.sign(rem)) >= 0:
                 break
         digits.append(c)
         if sgn == 0:                    # an exact expansion: zeros from k on
@@ -276,11 +280,14 @@ class _Corridor:
     lower tail, which yields exactly the advertised residual bound at the
     horizon.
 
-    Every value here (w, up, dn, u, z) has integer digits up to degree
+    Every value here (w, up, dn, z) has integer digits up to degree
     D = max(horizon, T) + 1, so all sit in the context of depth D: int
     tuples over theta = a*q (theta = q on a monic base) at the scale a^D.
-    A digit then costs tuple sums, the q-steps of u and (above T) of z,
-    and two signs per candidate: no ring product is formed.
+    A digit then costs tuple sums and, above T, the q-step of z: no ring
+    product is formed.  Below T each candidate is two signs.  From T on a
+    test compares the integer bounds of z with those of a kept threshold,
+    read anew when their den changes, and signs the difference only when
+    the two overlap (strictly: a tie goes to the sign).
     """
 
     def __init__(self, q: AlgebraicNumber, m: int, pattern: SignPattern,
@@ -299,10 +306,11 @@ class _Corridor:
         w, tail = _axpy(qvec, -1, one), m * (pattern.eventual == "in")
         up, dn = _axpy(zero, tail, one), _axpy(zero, m - tail, one)
         self.rows = [(w, up, dn)]
-        # row T serves every index from T on, so its tests v - up and v + dn
-        # of v = z - s w are kept as z - (up + s w) and z + (dn - s w)
-        self.kept = [(s, _axpy(up, s, w), _axpy(dn, -s, w))
+        # row T serves every index from T on, so its tests v <= up and
+        # v >= -dn of v = z - s w are kept as z <= up + s w and z >= s w - dn
+        self.kept = [(s, _axpy(up, s, w), _axpy(_axpy(zero, s, w), -1, dn))
                      for s in self.feasible_digits(T)] if horizon >= T else []
+        self.den = None                 # the den of the kept bounds
         up = _axpy(zero, m * (pattern.eventual in ("in", "unknown")), qvec)
         dn = _axpy(zero, m * (pattern.eventual in ("out", "unknown")), qvec)
         for k in range(T - 1, -1, -1):
@@ -313,7 +321,7 @@ class _Corridor:
             w = self.mul_q(w)
             self.rows.append((w, up, dn))
         self.rows.reverse()
-        self.u, self.z = one, w        # u_0 = 1, z_0 = u_0 w_0
+        self.z = w                      # z_0 = u_0 w_0 with u_0 = 1
         # the Eq-style capacity m sum_{i in P} q^{-i}, scaled by w_0, with
         # the pessimistic/optimistic tails of an unknown pattern
         self.cap_upper = up
@@ -359,22 +367,35 @@ class _Corridor:
             for s in self.feasible_digits(k):
                 v = _axpy(self.z, -s, w) if s else self.z
                 if sign(_axpy(v, -1, up)) <= 0 and sign(_axpy(v, 1, dn)) >= 0:
-                    return self._take(s, v)
+                    self.z = v
+                    return s
         else:
             z = self.mul_q(self.z) if k > self.T else self.z
-            for s, hi, lo in self.kept:
-                if sign(_axpy(z, -1, hi)) <= 0 and sign(_axpy(z, 1, lo)) >= 0:
-                    return self._take(
-                        s, _axpy(z, -s, self.rows[-1][0]) if s else z)
+            zb = self.ar._bounds(z)
+            if zb[2] != self.den:       # other units: read the kept bounds
+                self.den, self.bounds = zb[2], [
+                    (self.ar._bounds(hi), self.ar._bounds(lo))
+                    for _, hi, lo in self.kept]
+            for (s, hi, lo), (hb, lb) in zip(self.kept, self.bounds):
+                if (self._cmp(z, zb, hi, hb) <= 0
+                        and self._cmp(z, zb, lo, lb) >= 0):
+                    self.z = _axpy(z, -s, self.rows[-1][0]) if s else z
+                    return s
         raise QSpectraError(
             f"no feasible digit at index {k}: corridor invariant violated")
 
-    def _take(self, s: int, z) -> int:
-        self.z, self.u = z, self.ar.step(self.u, -s)
-        return s
+    def _cmp(self, z, zb, t, tb) -> int:
+        """Sign of z - t: from their bounds zb and tb if apart at one den
+        (a thread may refine q between the reads), else exact."""
+        if zb[2] == tb[2]:
+            if zb[1] < tb[0]:
+                return -1
+            if zb[0] > tb[1]:
+                return 1
+        return self.sign(_axpy(z, -1, t))
 
     def residual_is_zero(self) -> bool:
-        return self.sign(self.u) == 0
+        return self.sign(self.z) == 0           # z = u w with w > 0
 
 
 def lazy_constrained(q: AlgebraicNumber, m: int, pattern: SignPattern,

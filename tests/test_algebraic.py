@@ -625,6 +625,22 @@ def _compare(ctx, a, b) -> int:
     return ctx.sign(_axpy(a, -1, b))
 
 
+def test_rational_bounds_are_the_general_enclosure():
+    """On a rational base (d = 1) ``_bounds`` returns (V_0, V_0, one[0])
+    without evaluating an interval; that is what the general path, one
+    ``_int_interval`` call scaled to the context's units, returns."""
+    for value in (Fraction(9, 5), Fraction(27, 20), Fraction(3)):
+        q = AlgebraicNumber.from_rational(value)
+        for depth, den in ((0, 1), (7, 3), (40, 2520)):
+            ctx = ZqContext(q, depth, den)
+            for V in ((0,), (1,), (-5,), ctx.one, ctx.step(ctx.one, -2),
+                      (value.denominator**depth * 10**30 + 1,)):
+                vlo, vhi, iden = q._int_interval(
+                    [x * p for x, p in zip(V, ctx._apow)])
+                assert ctx._bounds(V) == (
+                    vlo, vhi, ctx.one[0] * iden ** (ctx.d - 1)), (value, V)
+
+
 def test_zq_zero_digits():
     assert sqrt2().zq_context().from_digits([0]) == (0, 0)
 
@@ -1489,6 +1505,13 @@ class _ReferenceVecArith:
     def cmp_tail(self, v, m):
         return self.sign(_axpy(_axpy(self.mul_q(v), -1, v), -m, self.one))
 
+    def _bounds(self, v):
+        """An enclosure of the value over ``one``'s entry, by the reference
+        evaluator on the base's current interval: the units never change,
+        so a walk keeps the bounds it read across refinements of q."""
+        lo, hi = _reference_interval(v, *self.q.interval())
+        return lo, hi, self.one[0]
+
     def float_value(self, v, shift=0):
         self.q.refine_to_width(FLOAT_WIDTH)
         lo, hi = _reference_interval(v, *self.q.interval())
@@ -1716,7 +1739,8 @@ def test_expansions_equal_the_fraction_kernel(monkeypatch, make_base):
     """Greedy, verify and lazy runs on the integer kernel (the lazy corridor
     at its fixed scale) give the digits, the to_dict(), the meta and
     certificate floats (bit for bit) and the base refinement of the same
-    runs on the Fraction reference."""
+    runs on the Fraction reference, whose ``_bounds`` the walks' digit
+    tests read too."""
     got = _expansion_runs(make_base)
     monkeypatch.setattr(expansions, "ZqContext", _ReferenceVecArith)
     assert got == _expansion_runs(make_base)
