@@ -16,8 +16,10 @@ import contextlib
 import errno
 import os
 import sys
+import time
 from fractions import Fraction
 
+from . import __version__
 from .algebraic import AlgebraicNumber, classify_base
 from .config import (DEFAULT_NUMERIC_TOL, DEFAULT_PRECISION_BITS,
                      DEFAULT_STATE_BUDGET)
@@ -29,11 +31,10 @@ from .errors import (
 from .intpoly import IntPolynomial
 from .serialize import (
     JsonArray,
-    RunManifest,
-    envelope,
     gaps_csv,
     key_value_csv,
     minpos_csv,
+    params_hash,
     window_csv,
     window_point_texts,
     windows_csv,
@@ -381,12 +382,14 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     ap = build_parser()
     args = ap.parse_args(_preprocess_argv(argv))
-    manifest = RunManifest(
-        command=args.command,
-        params=_params_of(args),
-        precision_bits=args.precision,
-        budgets={"states": args.budget_states, "threads": args.threads},
-    )
+    t0, params = time.perf_counter(), _params_of(args)
+    manifest = {
+        "command": args.command, "params": params,
+        "precision_bits": args.precision,
+        "budgets": {"states": args.budget_states, "threads": args.threads},
+        "version": __version__, "wall_time_s": None,
+        "input_hashes": {"params_sha256": params_hash(params)},
+    }
     if args.out and (why := _out_error(args.out)):     # before the run
         print(f"error: cannot write {args.out!r}: {why}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -399,7 +402,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
-    doc = envelope(manifest, result)
+    manifest["wall_time_s"] = round(time.perf_counter() - t0, 6)
+    doc = {"manifest": manifest, "result": result}
     try:
         with (open(args.out, "w") if args.out
               else contextlib.nullcontext(sys.stdout)) as fh:

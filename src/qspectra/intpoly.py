@@ -77,8 +77,6 @@ class IntPolynomial(FrozenRecord):
             coeffs = [int(part.strip()) for part in text.split(",")]
         except ValueError as exc:
             raise PreconditionError(f"cannot parse polynomial {text!r}: {exc}") from None
-        if not coeffs:
-            raise PreconditionError("empty polynomial text")
         return cls(coeffs)
 
     def to_text(self) -> str:

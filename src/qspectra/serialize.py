@@ -1,5 +1,5 @@
-"""Result envelopes: run manifests, canonical JSON, CSV emission, and the
-published JSON schemas for machine consumers.
+"""Result envelopes: canonical JSON, the manifest hash, CSV emission, and
+the published JSON schemas for machine consumers.
 
 Canonical JSON is sorted-key with compact separators; identical manifests
 (wall time aside) must reproduce byte-identical output.  ``write_json``
@@ -15,10 +15,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import time
 from collections.abc import Iterable, Iterator
 
-from . import __version__
 from .records import Record
 
 
@@ -88,33 +86,6 @@ def window_point_texts(window) -> Iterator[str]:
 
 def params_hash(params: dict) -> str:
     return hashlib.sha256(canonical_json(params).encode()).hexdigest()
-
-
-class RunManifest(Record):
-    """A run's command, parameters and budgets, with its wall time once
-    ``finish`` is called (mutable: ``finish`` sets ``wall_time_s``)."""
-
-    _fields = ("command", "params", "precision_bits", "budgets", "version",
-               "wall_time_s", "input_hashes", "_t0")
-
-    def __init__(self, command: str, params: dict, precision_bits: int,
-                 budgets: dict):
-        self._t0 = time.perf_counter()
-        self.command, self.params = command, params
-        self.precision_bits, self.budgets = precision_bits, budgets
-        self.version, self.wall_time_s = __version__, None
-        self.input_hashes = {"params_sha256": params_hash(params)}
-
-    def finish(self):
-        self.wall_time_s = round(time.perf_counter() - self._t0, 6)
-
-    def to_dict(self) -> dict:
-        return dict(zip(self._fields[:-1], self._values()))   # without _t0
-
-
-def envelope(manifest: RunManifest, result) -> dict:
-    manifest.finish()
-    return {"manifest": manifest.to_dict(), "result": result}
 
 
 # ---------------------------------------------------------------------------

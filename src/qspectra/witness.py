@@ -4,7 +4,9 @@ Given m < q < m+1 and a companion point p != q, build a digit sequence
 whose value at q vanishes (up to a certified tail bound at the horizon)
 while its partial sums at p are certified to stay away from zero, diverge,
 or run through many distinct moduli, depending on where p sits relative to
-the unit circle.
+the unit circle.  The direction w is 1 - p, whose partial sums telescope
+to Re(p^-k) - 1, at every companion point but the shift case (|p| > 1 with
+Re p >= 1).
 
 The forced prefix {1..k} is decided by one exact capacity walk
 (``_least_k``), each capacity scaled by q^H (q^t - 1) at the horizon H.
@@ -151,8 +153,8 @@ def as_gaussian(p) -> GR:
 # direction vector
 
 
-class Direction(namedtuple("Direction", "w0 case shift_n period perturb_log2",
-                           defaults=(None, None, None))):
+class Direction(namedtuple("Direction", "w0 case shift_n period",
+                           defaults=(None, None))):
     """Scaled direction w0 (positive multiple of the unit w): Re w0 > 0 and
     the case-specific partial-sum inequalities hold exactly.  ``case`` is
     "a" | "a-shift" | "b-rational" | "b-irrational"."""
@@ -165,9 +167,10 @@ class Direction(namedtuple("Direction", "w0 case shift_n period perturb_log2",
 
     def to_dict(self) -> dict:
         u = self.w_unit()
+        # "perturb_log2" is always null; the recorded expand digests keep it
         return {"w": [u.real, u.imag], "case": self.case,
                 "shift_n": self.shift_n, "period": self.period,
-                "perturb_log2": self.perturb_log2}
+                "perturb_log2": None}
 
 
 def _root_of_unity_order(p: GR) -> int | None:
@@ -184,8 +187,10 @@ def choose_w(p, m: int, horizon: int = 200,
     Re(w p^-i) stay nonpositive (case a) or strictly below Re w / m
     (case b), exactly as the geometric-series construction prescribes.
 
-    Accepts |p| >= 1 with p neither 1 nor a positive real; positive real
-    companions are handled by the greedy/periodic steps of build_witness.
+    Every direction but the shift case (|p| > 1, Re p >= 1) is w = 1 - p,
+    whose partial sums telescope to Re(p^-k) - 1.  Accepts |p| >= 1 with p
+    neither 1 nor a positive real; positive real companions are handled by
+    the greedy/periodic steps of build_witness.
     """
     p, horizon = as_gaussian(p), _integer(horizon, "horizon")
     a2 = p[0] * p[0] + p[1] * p[1]
@@ -195,66 +200,40 @@ def choose_w(p, m: int, horizon: int = 200,
         raise PreconditionError("positive real p handled by the expansion "
                                 "steps, not the direction construction")
     pw = powers or _Powers(p, horizon)
-    w0 = (1 - p[0], -p[1])
+    if a2 > 1 and p[0] >= 1:
+        # shift construction from the seed z = (1 - p^-1) i
+        # = (G_im + (M - G_re) i) / M, turned to Re z > 0
+        G, M = pw.G, pw.M
+        Z = (G[1], M - G[0]) if G[1] > 0 else (-G[1], G[0] - M)
+        n = _first_maximal_partial_sum(Z, pw)
+        W = _gmul(Z, pw.at(n))              # w0 = z p^-n = W / M^(n+1)
+        if W[0] <= 0:
+            raise QSpectraError("shifted direction lost positivity")
+        for _, _, R, _ in _re_sums(pw, W, 4 * n + 64):
+            if R > 0:
+                raise QSpectraError("shifted partial sums went positive")
+        e = M ** (n + 1)
+        return Direction((Fraction(W[0], e), Fraction(W[1], e)), "a-shift",
+                         shift_n=n)
 
-    if a2 == 1:
-        order = _root_of_unity_order(p)
-        if order is not None:
-            return _choose_w_rational_angle(w0, pw, m, order)
-        W, _ = _over_int(w0)
-        for _, _, R, Mk in _re_sums(pw, W, horizon):
-            if m * R >= W[0] * Mk:
-                raise QSpectraError("case (b) strict inequality failed")
-        return Direction(w0, "b-irrational")
-
-    if p[0] < 1:              # w0 = 1 - p; Re w0 = 1 - Re p > 0
-        _assert_case_a_identity(*_over_int(w0), pw, horizon)
-        return Direction(w0, "a")
-
-    # |p| > 1, Re p >= 1, nonreal: shift construction from the seed
-    # z = (1 - p^-1) i = (G_im + (M - G_re) i) / M, turned to Re z > 0
-    G, M = pw.G, pw.M
-    Z = (G[1], M - G[0]) if G[1] > 0 else (-G[1], G[0] - M)
-    n = _first_maximal_partial_sum(Z, pw)
-    W = _gmul(Z, pw.at(n))                  # w0 = z p^-n = W / M^(n+1)
-    if W[0] <= 0:
-        raise QSpectraError("shifted direction lost positivity")
-    for _, _, R, _ in _re_sums(pw, W, 4 * n + 64):
-        if R > 0:
-            raise QSpectraError("shifted partial sums went positive")
-    e = M ** (n + 1)
-    return Direction((Fraction(W[0], e), Fraction(W[1], e)), "a-shift",
-                     shift_n=n)
-
-
-def _assert_case_a_identity(W, e: int, pw: _Powers, horizon: int):
-    # sum_{i=1}^k Re((1-p) p^-i) telescopes to Re(p^-k) - 1 <= 0
-    for _, x, R, Mk in _re_sums(pw, W, min(horizon, 64)):
+    w0 = (1 - p[0], -p[1])                  # Re w0 = 1 - Re p > 0
+    W, e = _over_int(w0)
+    order = _root_of_unity_order(p)
+    if a2 > 1:                              # nonpositive sums, case a
+        direction, stop = Direction(w0, "a"), min(horizon, 64)
+    elif order is None:
+        direction, stop = Direction(w0, "b-irrational"), horizon
+    else:                                   # one period, no zero term
+        direction, stop = Direction(w0, "b-rational", period=order), order
+        if any(W[0] * x[0] == W[1] * x[1] for x in map(pw.at, range(order))):
+            raise QSpectraError("a period term of Re(w p^-i) is zero")
+    for _, x, R, Mk in _re_sums(pw, W, stop):
         if R != e * (x[0] - Mk):
             raise QSpectraError("geometric telescope identity failed")
-        if R > 0:
-            raise QSpectraError("case (a) partial sum went positive")
-
-
-def _choose_w_rational_angle(base: GR, pw: _Powers, m: int,
-                             order: int) -> Direction:
-    """p a root of unity (order 2 or 4): perturb w = 1-p on the power-of-two
-    schedule until Re(w p^-i) != 0 through a full period and the strict
-    period inequalities hold; everything exact, so the first working scale
-    is certified."""
-    for j in (None, *range(1, 64)):
-        t = Fraction(1, 2**j) if j else 0          # w0 = base (1 + t i)
-        w0 = (base[0] - base[1] * t, base[1] + base[0] * t)
-        if w0[0] <= 0:
-            continue
-        W, _ = _over_int(w0)
-        wr, wi = W
-        if any(wr * x[0] == wi * x[1] for x in map(pw.at, range(order))):
-            continue
-        if all(m * R < wr * Mk for _, _, R, Mk in _re_sums(pw, W, order)):
-            return Direction(w0, "b-rational", period=order,
-                             perturb_log2=None if j is None else -j)
-    raise PrecisionExhaustedError("no perturbation scale worked")
+        if (R > 0) if a2 > 1 else (m * R >= W[0] * Mk):
+            raise QSpectraError(f"case {direction.case} partial sums "
+                                "broke their bound")
+    return direction
 
 
 def _first_maximal_partial_sum(Z, pw: _Powers) -> int:
@@ -501,8 +480,7 @@ def _witness_step1(q: AlgebraicNumber, m: int, p: GR,
 def _witness_step2(q: AlgebraicNumber, m: int, horizon: int) -> WitnessReport:
     seq = _step1_sequence(q, m, horizon)
     if seq.exact_zero_tail:
-        zero_from = seq.meta.get("zero_from") or horizon
-        block = tuple(seq.preperiod[: zero_from + 1])
+        block = tuple(seq.preperiod[: seq.meta["zero_from"] + 1])
         seq = periodic_completion(block, q, m)
     # at p = 1 (w = 1) the partial sums are the digit sums
     one = (Fraction(1), Fraction(0))

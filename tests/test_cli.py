@@ -23,9 +23,7 @@ from qspectra.serialize import (
     ENVELOPE_SCHEMA,
     MINPOS_SCHEMA,
     WINDOW_SCHEMA,
-    RunManifest,
     canonical_json,
-    envelope,
     params_hash,
 )
 
@@ -857,19 +855,15 @@ def test_window_writer_peak_per_point(tmp_path, monkeypatch):
     assert (output_peak - window) / 60504 <= 80
 
 
-def test_run_manifest_finish_sets_the_wall_time():
-    m = RunManifest("classify", {"poly": "-1,-1,1"}, 192, {"budget": 1})
-    assert m.wall_time_s is None and m.version == __version__
-    assert m.input_hashes == {"params_sha256": params_hash(m.params)}
-    assert repr(m) == (
-        "RunManifest(command='classify', params={'poly': '-1,-1,1'}, "
-        "precision_bits=192, budgets={'budget': 1}, version="
-        f"{__version__!r}, wall_time_s=None, input_hashes="
-        f"{m.input_hashes!r})")
-    m.finish()
-    assert isinstance(m.wall_time_s, float) and m.wall_time_s >= 0
-    doc = envelope(m, {"x": 1})
-    assert doc["manifest"]["wall_time_s"] >= m.wall_time_s
-    assert list(doc["manifest"]) == ["command", "params", "precision_bits",
-                                     "budgets", "version", "wall_time_s",
-                                     "input_hashes"]
+def test_main_writes_the_manifest(capsys):
+    code, doc = run_json(capsys, "classify", "--poly", "-1,-1,1")
+    assert code == 0
+    manifest = doc["manifest"]
+    assert set(manifest) == {"command", "params", "precision_bits", "budgets",
+                             "version", "wall_time_s", "input_hashes"}
+    params = manifest["params"]
+    assert manifest["command"] == "classify" and params["poly"] == "-1,-1,1"
+    assert manifest["version"] == __version__
+    assert manifest["input_hashes"] == {"params_sha256": params_hash(params)}
+    assert isinstance(manifest["wall_time_s"], float)
+    assert manifest["wall_time_s"] >= 0
