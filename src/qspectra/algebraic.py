@@ -78,10 +78,13 @@ class AlgebraicNumber:
 
     The isolating interval is refinable; refinement is monotone (the stored
     interval only ever shrinks) and idempotent, so concurrent refiners can
-    race harmlessly.  Every exact decision ends in :meth:`_sign_of_reduced`:
-    from :meth:`sign_of_int_poly`, from ``compare_to_fraction`` (and
-    ``greater_than``) on q - c, or from ``ZqContext``'s signs (``sign`` and
-    ``cmp_fraction``, under the packed kernels and the lazy corridor too).
+    race harmlessly: the package runs no threads, but the class is public,
+    so a caller may refine one number from two threads, and a lock keeps
+    the narrower result.  Every exact decision ends in
+    :meth:`_sign_of_reduced`: from :meth:`sign_of_int_poly`, from
+    ``compare_to_fraction`` (and ``greater_than``) on q - c, or from
+    ``ZqContext``'s signs (``sign`` and ``cmp_fraction``, under the packed
+    kernels and the lazy corridor too).
     """
 
     def __init__(self, min_poly: IntPolynomial, lo: Fraction, hi: Fraction,
@@ -429,8 +432,8 @@ class NumberClass(FrozenRecord):
     ``conjugate_set`` holds the certified disks of ``evidence_poly`` (the
     minimal polynomial of a monic irrational base, else None).  They are
     evidence, not the label: ``disks.conjugates`` runs at ``budget_bits``
-    when the set is first read, and the result is kept in the instance's
-    ``__dict__``."""
+    when the set is first read, on the counts ``classify_base`` left on
+    ``evidence_poly``, and the set is kept in the instance's ``__dict__``."""
 
     _fields = ("tag", "detail", "n_in", "n_on", "n_out", "evidence_poly",
                "budget_bits")
@@ -450,8 +453,7 @@ class NumberClass(FrozenRecord):
         if self.evidence_poly is None:
             return None
         from .disks import conjugates
-        return conjugates(self.evidence_poly, budget_bits=self.budget_bits,
-                          _on_count=self.n_on)
+        return conjugates(self.evidence_poly, budget_bits=self.budget_bits)
 
     def evidence(self) -> list[dict]:
         if self.conjugate_set is None:

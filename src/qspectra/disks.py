@@ -4,7 +4,8 @@ only when a disk is computed (``NumberClass.conjugate_set``, or
 rung ``_dk_iterate`` runs simultaneous Weierstrass (Durand-Kerner)
 iteration in Gaussian integers, ``_certified_disks`` checks its
 a-posteriori disks exactly, and ``_locate_disk`` places each against the
-unit circle.
+unit circle.  There is no special case (a linear polynomial or the root 0
+takes the ladder too), and the counts are read off the polynomial.
 """
 
 from __future__ import annotations
@@ -146,12 +147,7 @@ def _locate_disk(re: Fraction, im: Fraction, radius: Fraction) -> str:
     return "outside" if s2 > (1 + radius) ** 2 else "straddle"
 
 
-def _sorted_disks(disks):
-    return sorted(disks, key=lambda x: (x.re, x.im))
-
-
-def conjugates(p: IntPolynomial, budget_bits: int = 4096,
-               _on_count: int | None = None) -> ConjugateSet:
+def conjugates(p: IntPolynomial, budget_bits: int = 4096) -> ConjugateSet:
     """All complex roots of squarefree p with certified disks and exact
     unit-circle location tags.
 
@@ -163,10 +159,9 @@ def conjugates(p: IntPolynomial, budget_bits: int = 4096,
     (exact, in the same scaled Gaussian integers); the first rung whose
     disks are disjoint, within ``RADIUS``, and straddle the unit circle
     exactly ``on_circle_count`` times wins, and ``precision_bits`` names
-    it.
-
-    ``_on_count``, when given, is the number of roots on the unit circle
-    (``classify_base`` has counted them), so they are not counted again.
+    it.  Every squarefree p takes the ladder, with no special case, and
+    ``on_circle_count`` is read off p, where ``unit_circle_counts`` keeps
+    it (``classify_base`` has counted a base's minimal polynomial).
 
     Raises PreconditionError for non-squarefree input.  If the precision
     budget runs out before every off-circle root is certified inside or
@@ -179,26 +174,7 @@ def conjugates(p: IntPolynomial, budget_bits: int = 4096,
         raise PreconditionError("polynomial is not squarefree")
     budget_bits = _integer(budget_bits, "budget bits")
 
-    coeffs = p.coeffs
-    zero_disks = []
-    if coeffs[0] == 0:
-        # squarefree => simple root at the origin
-        zero_disks.append(ConjugateDisk(Fraction(0), Fraction(0),
-                                        Fraction(0), "inside"))
-        coeffs = coeffs[1:]
-    work = IntPolynomial(coeffs)
-    d = work.degree
-    if d == 0:
-        return ConjugateSet(p, tuple(zero_disks), True, 0, 0)
-    if d == 1:
-        r = Fraction(-coeffs[0], coeffs[1])
-        loc = "inside" if abs(r) < 1 else ("on" if abs(r) == 1 else "outside")
-        disks = zero_disks + [ConjugateDisk(r, Fraction(0), Fraction(0), loc)]
-        return ConjugateSet(p, tuple(_sorted_disks(disks)), True, 0,
-                            sum(1 for x in disks if x.location == "on"))
-
-    on_count = (unit_circle_counts(work)[1] if _on_count is None
-                else _on_count)
+    coeffs, on_count = p.coeffs, unit_circle_counts(p)[1]
     prec, ran, start, best, resolved = 53, 0, None, (), False
     while prec <= budget_bits and not resolved:
         z = _dk_iterate(coeffs, prec, start)
@@ -210,7 +186,7 @@ def conjugates(p: IntPolynomial, budget_bits: int = 4096,
                         and all(rad <= RADIUS for *_, rad in best))
         prec = 64 if prec == 53 else 2 * prec
     straddle = "on" if resolved else "unresolved"
-    out = zero_disks + [ConjugateDisk(re, im, rad,
-                                      straddle if loc == "straddle" else loc)
-                        for loc, re, im, rad in best]
-    return ConjugateSet(p, tuple(_sorted_disks(out)), resolved, ran, on_count)
+    out = sorted((ConjugateDisk(re, im, rad,
+                                straddle if loc == "straddle" else loc)
+                  for loc, re, im, rad in best), key=lambda x: (x.re, x.im))
+    return ConjugateSet(p, tuple(out), resolved, ran, on_count)

@@ -385,8 +385,10 @@ class _Corridor:
             f"no feasible digit at index {k}: corridor invariant violated")
 
     def _cmp(self, z, zb, t, tb) -> int:
-        """Sign of z - t: from their bounds zb and tb if apart at one den
-        (a thread may refine q between the reads), else exact."""
+        """Sign of z - t: from their bounds zb and tb if apart at one den,
+        else exact.  Within one thread ``choose`` re-reads the kept bounds
+        at z's den, so the den test guards only against a refinement of q
+        made by another thread between the reads."""
         if zb[2] == tb[2]:
             if zb[1] < tb[0]:
                 return -1

@@ -52,7 +52,8 @@ class IntPolynomial(FrozenRecord):
     """Integer polynomial c0 + c1*x + ... + cd*x^d with cd != 0 (or the
     zero polynomial, stored as an empty coefficient tuple ``coeffs``).
     Equal and hashed by ``coeffs``; its ``__dict__`` also holds the
-    Sturm chain that ``squarefree_part`` keeps on a squarefree result."""
+    Sturm chain that ``squarefree_part`` keeps on a squarefree result and
+    the counts that ``unit_circle_counts`` keeps."""
 
     _fields = ("coeffs",)
 
@@ -339,8 +340,11 @@ def unit_circle_counts(p: IntPolynomial) -> tuple[int, int, int]:
     which drops out of I: its real roots are the n_axis roots of g on the
     axis, and its other roots are pairs w, -w (roots z, 1/z of p), one on
     each side.  So n_in = (deg g - n_axis - I) / 2, and n_on is n_axis plus
-    the root z = 1, if any.
+    the root z = 1, if any.  The counts are kept on p (``_circle``), the
+    way ``squarefree_part`` keeps its chain, so p is counted once.
     """
+    if "_circle" in p.__dict__:
+        return p.__dict__["_circle"]
     d = p.degree
     if d < 1:
         return (0, 0, 0)
@@ -361,7 +365,7 @@ def unit_circle_counts(p: IntPolynomial) -> tuple[int, int, int]:
               - _variations_at_infinity(h_chain, 1))
     n_in = (len(g) - 1 - n_axis - index) // 2
     n_on = n_axis + (len(g) <= d)     # p(1) = 0: z = 1 went to infinity
-    return n_in, n_on, d - n_in - n_on
+    return p.__dict__.setdefault("_circle", (n_in, n_on, d - n_in - n_on))
 
 
 def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:

@@ -740,9 +740,10 @@ def enumerate_A(q: AlgebraicNumber, degree: int, B, *,
         raise PreconditionError("degree >= 0 required")
     B = _check_bound(B)
     columns, complete = _signed_window(q, 1, degree, B, (-1, 1), budget)
-    fields = (q, 1, "A", degree, B, complete, *columns)
-    radius = _covering_radius(SpectrumWindow(*fields).values(), float(B))
-    return SpectrumWindow(*fields, radius, not complete)
+    floats, order = columns[2], columns[-1]
+    radius = _covering_radius([floats[i] for i in order], float(B))
+    return SpectrumWindow(q, 1, "A", degree, B, complete, *columns, radius,
+                          not complete)
 
 
 def _covering_radius(values: list[float], B: float) -> float | None:
@@ -877,11 +878,11 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
     reports closure: the float search's dedup within its tolerance can
     empty a level without proving anything.
 
-    Depth 1 is the digits 1..m that are <= c; each further depth is one
-    ``_expand_level`` call with ``fold`` (floats up to c_lo - r kept, above
-    c_hi + r dropped, v <= c tested exactly between), after which ``_least``
-    takes the best from the new level, a partial one cut by the budget
-    included, re-keyed first by the call's re-pack map.
+    Every depth, the first included, is one ``_expand_level`` call with
+    ``fold`` (floats up to c_lo - r kept, above c_hi + r dropped, v <= c
+    tested exactly between); depth 1 expands the empty string over 0..m.
+    ``_least`` then takes the best from the new level, a partial one cut by
+    the budget included, re-keyed first by the call's re-pack map.
     """
     state_budget = _check_inputs(q, state_budget)
     m, max_depth = _integer(m, "m"), _integer(max_depth, "max_depth")
@@ -910,24 +911,23 @@ def min_positive_bfs(q: AlgebraicNumber, m: int, max_depth: int = 24, *,
     c_lo = _float_enclosure(m / (hi - 1))[0]
     c_hi = _float_enclosure(m / (lo - 1))[1] if lo > 1 else math.inf
 
-    # depth 1: the digits 1..m that are <= c, as the kernel stores values
+    def band(r):
+        return -math.inf, _down(c_lo - r), -math.inf, _up(c_hi + r)
+
+    # depth 1 grows from the empty string like every later depth; its one
+    # parent is expanded whole, so the budget is checked from depth 2
     seen = {} if exact else _FloatSeen(kernel.tol)
-    ones = []
-    for s in range(1, m + 1):
-        v = kernel.zero + s * kernel.one
-        if kernel.sign(v) > 0 and in_upper(v) and v not in seen:
-            seen[v] = None
-            ones.append(s)
-    level = list(seen), array("d", ones), 0.0
-    links = [(array("i", [0]) * len(ones), array("i", ones))]  # _digits_at
+    level, link, _, _ = _expand_level(
+        kernel, model, ([kernel.zero], array("d", [0.0]), 0.0),
+        range(m + 1), band, in_upper, seen, state_budget, fold=True)
+    links = [link]
     best = _least(kernel, None, level, 0)
     trace = [_depth_record(kernel, vec, 1, best, seen, level[0], links)]
     depth, closed, budget_exhausted = 1, False, False
     while depth < max_depth and not closed:
         level, link, within, remap = _expand_level(
-            kernel, model, level, range(-m, m + 1),
-            lambda r: (-math.inf, _down(c_lo - r), -math.inf, _up(c_hi + r)),
-            in_upper, seen, state_budget, fold=True)
+            kernel, model, level, range(-m, m + 1), band, in_upper, seen,
+            state_budget, fold=True)
         if remap and best:
             best = (remap(best[0]), *best[1:])
         links.append(link)

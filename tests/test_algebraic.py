@@ -407,6 +407,67 @@ def test_conjugates_rejects_non_squarefree():
         conjugates(IntPolynomial([-1, 1]) * IntPolynomial([-1, 1]))
 
 
+# (coefficients, non-real roots as (re, im), rung that certifies them)
+LADDER_CASES = [
+    ([0, 1], [], 53),                                   # x
+    ([-3, 2], [], 53),                                  # 2x - 3
+    ([-1, 3], [], 53),                                  # 3x - 1
+    ([-1, 1], [], 53),                                  # x - 1
+    ([1, 1], [], 53),                                   # x + 1
+    ([0, -2, 0, 1], [], 53),                            # x(x^2 - 2)
+    ([0, 1, 0, 1], [(0, 1), (0, -1)], 53),              # x(x^2 + 1)
+    ([0, -1, -1, 1], [], 53),                           # x(x^2 - x - 1)
+    ([0, -10**400, 1], [], 256),                        # x(x - 10^400)
+]
+
+
+@pytest.mark.parametrize("coeffs,nonreal,bits", LADDER_CASES)
+def test_linear_and_zero_root_inputs_take_the_ladder(coeffs, nonreal, bits):
+    """Each true root lies in exactly one disk, tagged with the root's own
+    place against the unit circle.  Real roots are exact rationals or
+    Sturm-isolated intervals; the disk holds the whole interval, and every
+    distance is compared squared, in Fractions."""
+    p = IntPolynomial(coeffs)
+    cs = conjugates(p)
+    assert cs.resolved and cs.precision_bits == bits
+    assert len(cs.disks) == p.degree
+    roots = []                          # (re_lo, re_hi, im), exact
+    for r in AlgebraicNumber.real_roots(p):
+        lo, hi = r.refine_to_width(Fraction(1, 2**120))
+        roots.append((lo, hi, Fraction(0)))
+    roots += [(Fraction(re), Fraction(re), Fraction(im)) for re, im in nonreal]
+    assert len(roots) == p.degree
+    for lo, hi, im in roots:
+        held = [d for d in cs.disks
+                if all((x - d.re) ** 2 + (im - d.im) ** 2 <= d.radius ** 2
+                       for x in (lo, hi))]
+        assert len(held) == 1, (lo, hi, im)
+        mods = {x * x + im * im for x in (lo, hi)}
+        where = ("on" if mods == {1} else "inside" if max(mods) < 1
+                 else "outside" if min(mods) > 1 else None)
+        assert held[0].location == where
+    assert cs.on_circle_count == sum(d.location == "on" for d in cs.disks)
+
+
+def test_unit_circle_counts_run_once_per_base(monkeypatch):
+    """``classify_base`` counts the minimal polynomial and leaves the counts
+    on it; the disks behind ``evidence()`` read them from there.  One count
+    is two Taylor shifts."""
+    q = AlgebraicNumber.base_from_poly(IntPolynomial(P1_POLY.coeffs),
+                                       root_index=0)
+    calls = []
+    shift = intpoly._taylor_shift
+
+    def counting(*args):
+        calls.append(args)
+        return shift(*args)
+
+    monkeypatch.setattr(intpoly, "_taylor_shift", counting)
+    cls = classify_base(q)
+    assert cls.evidence() and cls.conjugate_set.resolved
+    assert len(calls) == 2
+
+
 def test_root_count_matches_degree_corpus():
     corpus = [
         PHI_POLY, SQRT2_POLY, P1_POLY, P2_POLY, SQRT_P2_POLY,
@@ -485,6 +546,36 @@ def test_power_sqrt2_squared_is_two():
     p = power_base(sqrt2(), 2)
     assert p.exact_rational == 2
     assert p.min_poly.to_text() == "-2,1"
+
+
+def test_power_base_first_power_is_the_base():
+    q = phi()
+    assert power_base(q, 1) is q
+
+
+def test_power_base_of_a_rational_is_exact():
+    p = power_base(AlgebraicNumber.from_rational(Fraction(3, 2)), 3)
+    assert p.exact_rational == Fraction(27, 8)
+
+
+def test_power_base_refines_q_until_the_power_is_isolated():
+    # q = the root > 1 of 1000x^2 - x - 2000 starts at (21/16, 3/2); its
+    # square holds both real roots of 10^6 x^2 - 4000001 x + 4*10^6
+    q = AlgebraicNumber.base_from_poly(IntPolynomial([-2000, -1, 1000]),
+                                       root_index=0)
+    assert q.interval() == (Fraction(21, 16), Fraction(3, 2))
+    widths = []
+    refine = q.refine_to_width
+
+    def counting(width):
+        widths.append(width)
+        return refine(width)
+
+    q.refine_to_width = counting
+    p = power_base(q, 2)
+    assert len(widths) == 4
+    assert p.min_poly == IntPolynomial([4000000, -4000001, 1000000])
+    assert abs(p.float_value() - q.float_value() ** 2) < 1e-12
 
 
 def test_power_phi_squared():

@@ -356,7 +356,7 @@ def test_searches_keep_their_recorded_results(key, m, sha256):
 def test_each_search_depth_is_one_level_expansion(monkeypatch, key, depth,
                                                   exact):
     """The search grows through the windows' level routine, one call per
-    depth after the first, on the packed and on the float kernel."""
+    depth, the first included, on the packed and on the float kernel."""
     folds = []
     expand = spectrum._expand_level
 
@@ -369,7 +369,7 @@ def test_each_search_depth_is_one_level_expansion(monkeypatch, key, depth,
     assert not res.closed and not res.budget_exhausted
     assert len(res.trace) == depth
     assert (res.min_positive_vec is not None) == exact
-    assert folds == [True] * (depth - 1)
+    assert folds == [True] * depth
 
 
 def _digest(window):

@@ -55,6 +55,12 @@ def test_pattern_parse_round_trip():
     assert SignPattern.from_text(p.to_text()) == p
 
 
+def test_pattern_threshold_defaults_past_the_last_explicit_index():
+    p = SignPattern.from_text("explicit:2,4")
+    assert p.threshold == 5
+    assert p.eventual == "out"
+
+
 def test_pattern_membership():
     p = SignPattern(frozenset({2, 4}), 6, "in")
     assert [p.contains(i) for i in range(1, 9)] == [
