@@ -40,7 +40,10 @@ class ConjugateDisk(namedtuple("ConjugateDisk", "re im radius location")):
 
 class ConjugateSet(namedtuple("ConjugateSet", "poly disks resolved "
                               "precision_bits on_circle_count")):
-    """``disks`` holds a ``ConjugateDisk`` per root of ``poly``."""
+    """``disks`` holds a ``ConjugateDisk`` per root of ``poly`` from the
+    last rung whose disks were certified, and is empty when no rung run
+    certified them; with no rung in the budget it is empty and
+    ``precision_bits`` is 0."""
     __slots__ = ()
 
 

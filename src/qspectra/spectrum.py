@@ -739,11 +739,11 @@ def enumerate_A(q: AlgebraicNumber, degree: int, B, *,
     if degree < 0:
         raise PreconditionError("degree >= 0 required")
     B = _check_bound(B)
-    columns, complete = _signed_window(q, 1, degree, B, (-1, 1), budget)
-    floats, order = columns[2], columns[-1]
+    (kernel, keys, floats, r, links, order), complete = _signed_window(
+        q, 1, degree, B, (-1, 1), budget)
     radius = _covering_radius([floats[i] for i in order], float(B))
-    return SpectrumWindow(q, 1, "A", degree, B, complete, *columns, radius,
-                          not complete)
+    return SpectrumWindow(q, 1, "A", degree, B, complete, kernel, keys, floats,
+                          r, links, order, radius, not complete)
 
 
 def _covering_radius(values: list[float], B: float) -> float | None:
