@@ -40,10 +40,8 @@ class ConjugateDisk(namedtuple("ConjugateDisk", "re im radius location")):
 
 class ConjugateSet(namedtuple("ConjugateSet", "poly disks resolved "
                               "precision_bits on_circle_count")):
-    """``disks`` holds a ``ConjugateDisk`` per root of ``poly`` from the
-    last rung whose disks were certified, and is empty when no rung run
-    certified them; with no rung in the budget it is empty and
-    ``precision_bits`` is 0."""
+    """``disks`` holds a ``ConjugateDisk`` per root of ``poly`` from the last
+    certified rung, and is empty when no rung in the budget certified one."""
     __slots__ = ()
 
 
