@@ -10,7 +10,7 @@ construction, with a reproduction suite and CLI on top.
 disks, ``conjugates`` among them), ``expansions``, ``spectrum`` and
 ``witness`` load their module on first use (PEP 562).  Records are
 ``collections.namedtuple`` subclasses, or plain classes on
-``records.Record`` where a tuple does not fit, so that no module loads
+``records.FrozenRecord`` where a tuple does not fit, so that no module loads
 ``inspect`` or ``typing``, which are slow to import.
 """
 

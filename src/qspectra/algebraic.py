@@ -215,14 +215,8 @@ class AlgebraicNumber:
 
     def sign_of_int_poly(self, g: IntPolynomial) -> int:
         """Exact sign of g(q).  Zero is detected through divisibility by the
-        minimal polynomial, so the loop terminates for irreducible input."""
-        if g.is_zero:
-            return 0
-        if self.exact_rational is not None:
-            return g.sign_at(self.exact_rational)
-        if g.degree < self.min_poly.degree:
-            return self._sign_of_reduced(g.coeffs)
-        # a positive multiple of g mod min_poly: same sign, same refinement
+        minimal polynomial, so the loop terminates for irreducible input:
+        the sign is that of a positive multiple of g mod min_poly."""
         return self._sign_of_reduced(_prem(g.coeffs, self.min_poly.coeffs))
 
     def _sign_of_reduced(self, coeffs) -> int:

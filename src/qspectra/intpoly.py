@@ -104,9 +104,6 @@ class IntPolynomial(FrozenRecord):
     def is_monic(self) -> bool:
         return not self.is_zero and self.coeffs[-1] == 1
 
-    def __str__(self) -> str:
-        return self.to_text()
-
     # -- evaluation ------------------------------------------------------
 
     def sign_at(self, x: Fraction) -> int:
@@ -114,21 +111,6 @@ class IntPolynomial(FrozenRecord):
         return _sign(self.coeffs, *_ratio(x))
 
     # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero or other.is_zero:

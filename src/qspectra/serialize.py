@@ -17,8 +17,6 @@ import io
 import json
 from collections.abc import Iterable, Iterator
 
-from .records import Record
-
 
 _CANONICAL = {"sort_keys": True, "separators": (",", ":"), "allow_nan": True}
 
@@ -27,12 +25,12 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, **_CANONICAL)
 
 
-class JsonArray(Record):
+class JsonArray:
     """A JSON array given as an iterable of canonical JSON texts, each one
     item or comma-joined items; ``write_json`` consumes it text by text.
     Not a tuple, so that ``json`` hands it to ``write_json``'s marker."""
 
-    _fields = ("texts",)
+    __slots__ = ("texts",)
 
     def __init__(self, texts: Iterable[str]):
         self.texts = texts

@@ -243,9 +243,7 @@ def _first_maximal_partial_sum(Z, pw: _Powers) -> int:
     <= 2 |z| r^(n+1)/(1-r^2) of the n-th (r = |p^-1| < 1); the squared test
     is exact in integers.  The search gives up at index 100,000."""
     G, M = pw.G, pw.M
-    gap = M * M - G[0] * G[0] - G[1] * G[1]           # M^2 (1 - r^2)
-    if gap <= 0:
-        raise PreconditionError("need |p| > 1 for the shift construction")
+    gap = M * M - G[0] * G[0] - G[1] * G[1]     # M^2 (1 - r^2) > 0: |p| > 1
     scale = 4 * (Z[0] * Z[0] + Z[1] * Z[1]) * (M * M - gap) * M * M
     best, top = 0, Z[0]                  # top = R_best M^(i - best)
     for i, x, R, _ in _re_sums(pw, Z, 100_000, start=0):

@@ -31,7 +31,7 @@ from qspectra.algebraic import (
     power_base,
 )
 from qspectra.disks import _certified_disks, _dk_iterate, conjugates
-from qspectra.errors import PreconditionError
+from qspectra.errors import PreconditionError, ReducibleInputError
 from qspectra.intpoly import IntPolynomial, is_squarefree
 from qspectra.spectrum import _PackedZq
 
@@ -50,6 +50,12 @@ def phi():
 
 def sqrt2():
     return AlgebraicNumber.base_from_poly(SQRT2_POLY, root_index=0)
+
+
+def _poly_sum(*polys: IntPolynomial) -> IntPolynomial:
+    """The sum of the polynomials, coefficient by coefficient."""
+    return IntPolynomial(map(sum, itertools.zip_longest(
+        *(p.coeffs for p in polys), fillvalue=0)))
 
 
 # -- root isolation -------------------------------------------------------
@@ -1155,8 +1161,9 @@ def _reference_on_circle_count(p: IntPolynomial) -> int:
     v_prev, v_cur = IntPolynomial([2]), IntPolynomial([0, 1])
     h = IntPolynomial([g.coeffs[e]])
     for j in range(1, e + 1):
-        h = h + v_cur.scale(g.coeffs[e + j])
-        v_prev, v_cur = v_cur, IntPolynomial([0, 1]) * v_cur - v_prev
+        h = _poly_sum(h, v_cur.scale(g.coeffs[e + j]))
+        v_prev, v_cur = v_cur, _poly_sum(IntPolynomial([0, 1]) * v_cur,
+                                         v_prev.scale(-1))
     return count + 2 * _count_roots(h, Fraction(-2), Fraction(2))
 
 
@@ -1508,13 +1515,67 @@ def test_sign_of_high_degree_poly_equals_the_fraction_reference(name, poly):
             # g = poly * h + (a remainder whose value nearly cancels)
             h = IntPolynomial(g[:rng.randint(1, 2 * d)])
             rest = _near_zero(tuple(rng.randint(-10**3, 10**3) for _ in range(d)), x)
-            g = list((poly * h + IntPolynomial(rest if rng.random() < 0.7 else ())).coeffs)
+            g = list(_poly_sum(poly * h, IntPolynomial(
+                rest if rng.random() < 0.7 else ())).coeffs)
         g = IntPolynomial(g)
         got = AlgebraicNumber.base_from_poly(poly, root_index=0)
         want = AlgebraicNumber.base_from_poly(poly, root_index=0)
         rem = _reference_remainder(g.coeffs, poly.coeffs)
         assert got.sign_of_int_poly(g) == _reference_sign(want, rem), g
         assert got.interval() == want.interval(), g
+
+
+@pytest.mark.parametrize("make", [
+    phi, lambda: AlgebraicNumber.from_rational(Fraction(27, 20)),
+    lambda: AlgebraicNumber.base_from_poly(P1_POLY, root_index=0)],
+    ids=["phi", "rational", "x3-x-1"])
+def test_sign_of_the_zero_polynomial_is_zero(make):
+    assert make().sign_of_int_poly(IntPolynomial(())) == 0
+
+
+@pytest.mark.parametrize("coeffs,sign", [
+    ((-27, 20), 0),             # 20x - 27, the minimal polynomial itself
+    ((-2, 0, 1), -1),           # (27/20)^2 = 729/400 < 2
+    ((-729, 0, 400), 0),        # 400x^2 - 729 = (20x - 27)(20x + 27)
+])
+def test_sign_on_a_rational_base(coeffs, sign):
+    q = AlgebraicNumber.from_rational(Fraction(27, 20))
+    assert q.sign_of_int_poly(IntPolynomial(coeffs)) == sign
+    assert q.interval() == (Fraction(27, 20), Fraction(27, 20))
+
+
+@pytest.mark.parametrize("coeffs", [
+    (-2, 0, 1), (-7, 0, 4), (-1, -1, 1),                    # degree 2
+    (-1, -1, 0, 1), (-3, -2, 0, 2), (-2, 0, 0, 1),          # degree 3
+    (-1, 0, 0, 0, -1, 1), (-4, 0, 0, 0, 0, 1),              # degree 5
+], ids=lambda c: f"deg{len(c) - 1}:" + ",".join(map(str, c[:2])))
+def test_sign_on_x3_x_1_equals_the_fraction_reference(coeffs):
+    """Below, at and above the degree of x^3 - x - 1: the sign and the
+    refinement equal those of the remainder over Q.  x^3 - x - 1 and
+    x^5 - x^4 - 1 = (x^2 - x + 1)(x^3 - x - 1) sign 0."""
+    got = AlgebraicNumber.base_from_poly(P1_POLY, root_index=0)
+    want = AlgebraicNumber.base_from_poly(P1_POLY, root_index=0)
+    rem = _reference_remainder(coeffs, P1_POLY.coeffs)
+    assert got.sign_of_int_poly(IntPolynomial(coeffs)) == \
+        _reference_sign(want, rem)
+    assert got.interval() == want.interval()
+
+
+def test_a_sign_that_no_refinement_decides_raises_reducible_input(
+        monkeypatch):
+    """sqrt 2 taken as the first root above 1 of (x^2 - 2)(x^2 - 3): x^2 - 2
+    vanishes at q but is no multiple of the quartic, so both sign paths
+    refine to the cap and raise the typed error.  The cap is lowered to 256
+    bits, which the run reaches in milliseconds."""
+    monkeypatch.setattr(algebraic, "MAX_CERTIFY_BITS", 256)
+    q = AlgebraicNumber.base_from_poly(IntPolynomial([6, 0, -5, 0, 1]),
+                                       root_index=0)
+    with pytest.raises(ReducibleInputError, match="input may be reducible"):
+        q.zq_context().sign((-2, 0, 1, 0))
+    with pytest.raises(ReducibleInputError, match="input may be reducible"):
+        q.sign_of_int_poly(SQRT2_POLY)
+    lo, hi = q.interval()
+    assert lo * lo < 2 < hi * hi and (hi - lo) * 2**256 <= 1
 
 
 def test_rational_base_sign_of_mixed_vectors():

@@ -206,6 +206,20 @@ def test_cli_expand_digits_schema(capsys):
     assert doc["result"]["sequence"]["preperiod"][:2] == [1, 1]
 
 
+def test_cli_expand_lazy_as_in_the_readme(capsys):
+    pattern = "explicit:;eventual:in;threshold:1"
+    code, doc = run_json(capsys, "expand", "--base", "1.5", "--m", "1",
+                         "--pattern", pattern, "--horizon", "40")
+    assert code == 0
+    result = doc["result"]
+    assert result["mode"] == "lazy" and result["pattern"] == pattern
+    lo, hi = result["capacity"]
+    assert type(lo) is float and type(hi) is float and lo <= hi
+    assert result["capacity_certified"] is True
+    jsonschema.validate(result["sequence"], DIGITS_SCHEMA)
+    assert result["sequence"]["preperiod"][0] == -1
+
+
 def test_cli_expand_lazy_capacity_violation_exit2(capsys):
     code, _ = run_cli(capsys, "expand", "--base", "1.9", "--tolerance",
                       "1e-9", "--m", "1", "--pattern",
