@@ -28,10 +28,11 @@ Minimal polynomials are free of rational roots: the root selectors
 (``real_roots``, ``base_from_poly``) and the checked constructor each
 isolate the squarefree part once and divide its rational roots out with one
 routine (``intpoly._split_rational_roots``), so a base whose interval holds
-a rational root is that rational.  Irreducibility beyond that is an input
-contract: an irrational factor other than the minimal polynomial is not
-found, and surfaces as ``ReducibleInputError`` when a sign refinement fails
-to terminate.
+a rational root is that rational.  When a screen modulo small primes proves
+that there is none, ``base_from_poly`` isolates only the roots above 1.
+Irreducibility beyond that is an input contract: an irrational factor other
+than the minimal polynomial is not found, and surfaces as
+``ReducibleInputError`` when a sign refinement fails to terminate.
 """
 
 from __future__ import annotations
@@ -139,9 +140,10 @@ class AlgebraicNumber:
 
     @classmethod
     def _real_roots(cls, p: IntPolynomial, above: int | None = None):
-        """p's real roots, ascending, lazily; only of cells past ``above``."""
+        """p's real roots, ascending, lazily; only of cells past ``above``,
+        the only ones isolated if the mod-p screen finds no rational root."""
         sf = squarefree_part(p)
-        cells = isolate_roots_exact(sf)            # refuses a zero p
+        cells = isolate_roots_exact(sf, above)     # refuses a zero p
         # the irrational roots are roots of sf with its linear factors
         # divided out; an isolating interval of sf isolates them in it too
         rats, irr = _split_rational_roots(sf, cells)

@@ -51,9 +51,9 @@ def _strip(cs: list[int]) -> tuple[int, ...]:
 class IntPolynomial(FrozenRecord):
     """Integer polynomial c0 + c1*x + ... + cd*x^d with cd != 0 (or the
     zero polynomial, stored as an empty coefficient tuple ``coeffs``).
-    Equal and hashed by ``coeffs``; its ``__dict__`` also holds the
-    Sturm chain that ``squarefree_part`` keeps on a squarefree result and
-    the counts that ``unit_circle_counts`` keeps."""
+    Equal and hashed by ``coeffs``; its ``__dict__`` also holds what
+    ``squarefree_part`` (the Sturm chain of a squarefree result),
+    ``unit_circle_counts`` and ``_may_have_rational_root`` keep."""
 
     _fields = ("coeffs",)
 
@@ -233,11 +233,39 @@ def deflate_root(p: IntPolynomial, root: Fraction) -> IntPolynomial:
     return IntPolynomial(_exact_quo(p.coeffs, (-n, d))).scale(d)
 
 
+def _has_root_mod(cs, p: int) -> bool:
+    """Whether the polynomial with int coefficients cs has a root in F_p."""
+    cs = [c % p for c in reversed(cs)]
+    for x in range(p):
+        acc = 0
+        for c in cs:
+            acc = (acc * x + c) % p
+        if not acc:
+            return True
+    return False
+
+
+def _may_have_rational_root(sf: IntPolynomial) -> bool:
+    """False when a prime p < 50 that does not divide lc(sf) leaves sf with
+    no root in F_p, so with no rational root: a root n/d in lowest terms
+    has d | lc(sf), so n/d mod p is a root (the per-prime step of Musser's
+    degree sieve, J. ACM 25, 1978).  Kept on sf (``_rational``)."""
+    if "_rational" not in sf.__dict__:
+        cs = sf.coeffs
+        sf.__dict__["_rational"] = all(cs[-1] % p == 0 or _has_root_mod(cs, p)
+                                       for p in (2, 3, 5, 7, 11, 13, 17, 19,
+                                                 23, 29, 31, 37, 41, 43, 47))
+    return sf.__dict__["_rational"]
+
+
 def _split_rational_roots(sf: IntPolynomial, cells
                           ) -> tuple[list[Fraction], IntPolynomial]:
     """(rational roots, ascending; sf with them divided out, primitive) of
-    a squarefree sf from its cells of ``isolate_roots_exact``: a cell's
-    midpoint is a root exactly when the cell's root is rational."""
+    a squarefree primitive sf from its cells of ``isolate_roots_exact``: a
+    cell's midpoint is a root exactly when its root is rational; none is
+    signed when the mod-p screen finds no rational root."""
+    if not _may_have_rational_root(sf):
+        return [], sf
     rats = [m for lo, hi in cells if sf.sign_at(m := (lo + hi) / 2) == 0]
     for r in rats:
         sf = deflate_root(sf, r)
@@ -350,23 +378,27 @@ def unit_circle_counts(p: IntPolynomial) -> tuple[int, int, int]:
     return p.__dict__.setdefault("_circle", (n_in, n_on, d - n_in - n_on))
 
 
-def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
+def isolate_roots_exact(p: IntPolynomial, above: int | None = None
+                        ) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open rational intervals, ascending, each containing exactly
-    one real root of p; their union covers all real roots.
+    one real root of p; their union covers the real roots past ``above``
+    (all of them if p may have a rational root).
 
-    One bisection of the squarefree part sf, on its kept Sturm chain from
-    +-``cauchy_root_bound(sf)``, also decides which roots are rational.
-    Each cell carries the sign variations at its endpoints, so a split
-    evaluates the chain at its new midpoint only, and no point twice.  A
-    split point that is a root is bracketed there.  Every other root is
-    alone in its cell, and a rational root r of the primitive sf has a
-    denominator dividing L = lc(sf) (rational root theorem), so L*r is an
-    integer: a copy of the cell bisected in ints (``_bisect``, on its
-    numerators) to width <= 1/L holds at most one multiple of 1/L, and r
-    is rational iff that multiple is a root.  A rational root's interval is
-    centred on it; an irrational root keeps its bisection cell.  So the
-    midpoint of an interval is a root exactly when the interval's root is
-    rational.  Fractions are made for the returned intervals only.
+    One bisection of the squarefree part sf on its kept Sturm chain, from
+    +-``cauchy_root_bound(sf)``: no root lies beyond, so the chain varies
+    there as at +-infinity.  A cell carries the sign variations at its
+    ends, so a split evaluates the chain at its midpoint only, and no point
+    twice.  If the mod-p screen (``_may_have_rational_root``) finds no
+    rational root, a cell of one root is done and a cell with no point past
+    ``above`` is dropped.  Otherwise the bisection also decides which roots
+    are rational.  A split point that is a root is bracketed there.  Every
+    other root is alone in its cell, and a rational root r of the primitive
+    sf has a denominator dividing L = lc(sf), so L*r is an integer: a copy
+    of the cell bisected in ints (``_bisect``) to width <= 1/L holds at
+    most one multiple of 1/L, and r is rational iff that multiple is a
+    root.  A rational root's interval is centred on it, an irrational root
+    keeps its cell: so an interval's midpoint is a root exactly when its
+    root is rational.  Fractions are made for the returned intervals only.
     """
     if p.is_zero:
         raise PreconditionError("zero polynomial rejected")
@@ -375,25 +407,30 @@ def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     sf = squarefree_part(p)
     chain = sturm_chain(sf)
     cs, lead = sf.coeffs, sf.leading
+    rational = _may_have_rational_root(sf)
+    above = None if rational else above    # every rational root is wanted
     bn, bd = _ratio(cauchy_root_bound(sf))
     cells: list[tuple[Fraction, Fraction]] = []
-    stack = [(-bn, bn, bd, _variations_at(chain, -bn, bd),
-              _variations_at(chain, bn, bd))]
+    stack = [(-bn, bn, bd, _variations_at_infinity(chain, -1),
+              _variations_at_infinity(chain, 1))]
     while stack:
         # the cell (a/den, b/den), with the variations va, vb at its ends
         a, b, den, va, vb = stack.pop()
         n = va - vb
+        if not n or above is not None and b <= above * den:
+            continue
         m, e = a + b, b - a                       # the midpoint m/(2 den)
         if n == 1:
             lo, hi = Fraction(a, den), Fraction(b, den)
-            ra, rb, rd = _bisect(cs, a, b, den, 1, lead)
-            k = ra * lead // rd + 1                             # r = k/lead
-            if k * rd < rb * lead and _sign(cs, k, lead) == 0:
-                e = min(k * den - a * lead, b * lead - k * den)
-                lo = Fraction(k * den - e, den * lead)
-                hi = Fraction(k * den + e, den * lead)
+            if rational:
+                ra, rb, rd = _bisect(cs, a, b, den, 1, lead)
+                k = ra * lead // rd + 1                         # r = k/lead
+                if k * rd < rb * lead and _sign(cs, k, lead) == 0:
+                    e = min(k * den - a * lead, b * lead - k * den)
+                    lo = Fraction(k * den - e, den * lead)
+                    hi = Fraction(k * den + e, den * lead)
             cells.append((lo, hi))
-        elif n and (vm := _variations_at(chain, m, 2 * den)) is None:
+        elif (vm := _variations_at(chain, m, 2 * den)) is None:
             # bracket the root by m/den +- e/den, halving until it isolates
             a, b, m, den = 4 * a, 4 * b, 2 * m, 4 * den
             while ((vl := _variations_at(chain, m - e, den)) is None
@@ -402,7 +439,7 @@ def isolate_roots_exact(p: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
                 a, b, m, den = 2 * a, 2 * b, 2 * m, 2 * den
             cells.append((Fraction(m - e, den), Fraction(m + e, den)))
             stack += [(a, m - e, den, va, vl), (m + e, b, den, vr, vb)]
-        elif n:
+        else:
             stack += [(2 * a, m, 2 * den, va, vm), (m, 2 * b, 2 * den, vm, vb)]
     return sorted(cells)
 

@@ -163,13 +163,13 @@ F = Fraction
 PINNED_BASES = [
     (SQRT_P2_POLY, (F(9, 8), F(5, 4)),
      (F(88769318478590582402507, 75557863725914323419136),
-      F(1420309095657449318440113, 1208925819614629174706176)), 3, 4),
+      F(1420309095657449318440113, 1208925819614629174706176)), 1, 2),
     (P2_POLY, (F(11, 8), F(3, 2)),
      (F(417163297879255274724055, 302231454903657293676544),
-      F(1668653191517021098896221, 1208925819614629174706176)), 3, 4),
+      F(1668653191517021098896221, 1208925819614629174706176)), 1, 2),
     (P1_POLY, (F(5, 4), F(3, 2)),
      (F(200185717777540234707697, 151115727451828646838272),
-      F(1601485742220321877661577, 1208925819614629174706176)), 2, 3),
+      F(1601485742220321877661577, 1208925819614629174706176)), 0, 2),
 ]
 
 
@@ -269,6 +269,91 @@ def test_checked_constructor_is_pinned():
         "94f763ba6868cbb51dcceae147d83231d7ef21545dab3dfdab455f58a17edf25")
 
 
+def _unscreened_base(monkeypatch, coeffs):
+    """The first root > 1 of the polynomial of coeffs by the path that
+    finds every rational root: with the mod-p screen made to fail, every
+    cell is isolated and bisected to width 1/lc, the rational roots are
+    split off, and the first cell whose root ``greater_than(1)`` accepts
+    is taken."""
+    with monkeypatch.context() as m:
+        m.setattr(intpoly, "_has_root_mod", lambda cs, p: True)
+        sf = intpoly.squarefree_part(IntPolynomial(coeffs))
+        cells = intpoly.isolate_roots_exact(sf)
+        rats, irr = intpoly._split_rational_roots(sf, cells)
+    for lo, hi in cells:
+        mid = (lo + hi) / 2
+        r = (AlgebraicNumber.from_rational(mid) if mid in rats
+             else AlgebraicNumber(irr, lo, hi, _validated=True))
+        if r.greater_than(1):
+            return r
+    return None
+
+
+def _selection_record(q):
+    """What a selected base records: its polynomial, rational value,
+    unrefined interval, label and interval at width 2^-80."""
+    return (q.min_poly, q.exact_rational, q.interval(), classify_base(q).tag,
+            q.refine_to_width(F(1, 2**80)))
+
+
+def test_screened_selection_matches_the_unscreened_path(monkeypatch):
+    # every monic height-1 polynomial of degree 2-6 with a root > 1,
+    # reducible ones included, selects the same base either way
+    compared = screened = 0
+    for d in range(2, 7):
+        for head in itertools.product((-1, 0, 1), repeat=d):
+            coeffs = (*head, 1)
+            want = _unscreened_base(monkeypatch, coeffs)
+            if want is None:
+                continue
+            p = IntPolynomial(coeffs)
+            q = AlgebraicNumber.base_from_poly(p, root_index=0)
+            assert _selection_record(q) == _selection_record(want), coeffs
+            compared += 1
+            screened += not intpoly._may_have_rational_root(
+                intpoly.squarefree_part(p))
+    assert (compared, screened) == (264, 148)
+
+
+def test_screen_skips_no_prime_dividing_the_leading_coefficient():
+    # (2x - 1)(x^2 - x - 1) has no root mod 2, but 2 divides lc
+    p = IntPolynomial([1, -1, -3, 2])
+    assert not intpoly._has_root_mod(p.coeffs, 2)
+    assert intpoly._may_have_rational_root(p)
+    roots = AlgebraicNumber.real_roots(p)
+    assert [r.exact_rational for r in roots] == [None, F(1, 2), None]
+    q = AlgebraicNumber.base_from_poly(p, root_index=0)
+    assert (q.min_poly, q.exact_rational) == (PHI_POLY, None)
+    assert classify_base(q).tag == algebraic.PISOT
+
+
+def test_screen_fails_on_a_root_mod_every_prime(monkeypatch):
+    # one of 2, 3 and 6 is a square mod every prime, so the screen fails
+    # on (x^2 - 2)(x^2 - 3)(x^2 - 6), which has no rational root
+    coeffs = (IntPolynomial([-2, 0, 1]) * IntPolynomial([-3, 0, 1])
+              * IntPolynomial([-6, 0, 1])).coeffs
+    p = IntPolynomial(coeffs)
+    assert intpoly._may_have_rational_root(p)
+    q = AlgebraicNumber.base_from_poly(p, root_index=0)
+    assert q.exact_rational is None and q.min_poly == p
+    assert _selection_record(q) == _selection_record(
+        _unscreened_base(monkeypatch, coeffs))
+
+
+def test_screened_isolation_bisects_nothing(monkeypatch):
+    # x^2 - 10^600 x - 1: its cell is never bisected to width 1/lc = 1, and
+    # no cell midpoint is signed to find a rational root
+    calls = {"_bisect": 0, "sign_at": 0}
+    _count_calls(monkeypatch, intpoly, "_bisect", calls)
+    _count_calls(monkeypatch, IntPolynomial, "sign_at", calls)
+    big = 10**600
+    p = IntPolynomial([-1, -big, 1])
+    q = AlgebraicNumber.base_from_poly(p, root_index=0)
+    assert calls == {"_bisect": 0, "sign_at": 0}
+    assert q.min_poly == p and q.exact_rational is None
+    assert q.greater_than(big) and not q.greater_than(big + 1)
+
+
 def _classify_counting_chains(monkeypatch, poly):
     """(Sturm sequences built, class) of base_from_poly and classify_base
     on a fresh copy of poly, with the conjugate disks read."""
@@ -362,9 +447,10 @@ def test_isolation_cells_are_pinned():
 
 
 def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
-    # the inputs of test_isolation_cells_are_pinned: the two ends of the
-    # root bound, then one evaluation at each split point, the bracket
-    # points of the rational root 0 of the last input included
+    # the inputs of test_isolation_cells_are_pinned: one evaluation at each
+    # split point, the bracket points of the rational root 0 of the last
+    # input included; the two ends of the root bound are read off the
+    # leading coefficients, as no root lies beyond them
     evaluate = intpoly._variations_at
     points = []
     monkeypatch.setattr(intpoly, "_variations_at", lambda chain, num, den: (
@@ -378,8 +464,7 @@ def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
              [F(0), F(-1), F(-1, 2), F(1, 2), F(-5, 4), F(-7, 8)])]:
         points.clear()
         intpoly.isolate_roots_exact(p)
-        bound = intpoly.cauchy_root_bound(intpoly.squarefree_part(p))
-        assert points == [-bound, bound, *splits], p
+        assert points == splits, p
 
 
 # -- conjugates ------------------------------------------------------------
@@ -1970,9 +2055,9 @@ def test_base_from_poly_runs_one_isolation_pass(monkeypatch):
     calls = []
     isolate = intpoly.isolate_roots_exact
 
-    def counted(p):
+    def counted(p, above=None):
         calls.append(p)
-        return isolate(p)
+        return isolate(p, above)
 
     monkeypatch.setattr(intpoly, "isolate_roots_exact", counted)
     monkeypatch.setattr(algebraic, "isolate_roots_exact", counted)

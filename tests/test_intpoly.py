@@ -557,6 +557,37 @@ def test_int_bisection_equals_the_fraction_refinement():
     assert intpoly._bisect(quarter.coeffs, 0, 3, 3, 1, 3) == (5, 7, 12)
 
 
+def test_rational_root_screen_never_rejects_a_rational_root():
+    # a planted root n/d, d dividing lc, survives every prime's screen,
+    # including a prime dividing n (a root 0 mod p)
+    rng = random.Random("screen")
+    assert not intpoly._has_root_mod((-2, 0, 1), 3)          # x^2 - 2 mod 3
+    assert intpoly._has_root_mod((1, 0, 1), 5)               # 2^2 + 1 = 5
+    assert not intpoly._may_have_rational_root(IntPolynomial([-2, 0, 1]))
+    for _ in range(200):
+        n, d = rng.randint(-60, 60), rng.randint(1, 12)
+        rest = IntPolynomial([rng.randint(-9, 9) for _ in range(4)] + [1])
+        p = IntPolynomial([-n, d]) * rest
+        assert intpoly._may_have_rational_root(p), p
+        assert all(intpoly._has_root_mod(p.coeffs, q)
+                   for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+                             43, 47) if d % q), p
+
+
+def test_isolation_above_a_point_keeps_the_cells_past_it():
+    # free of rational roots, only the cells past ``above`` are isolated,
+    # each as the whole isolation has it; otherwise every cell is
+    for d in (2, 3, 4, 5):
+        for head in itertools.product((-1, 0, 1), repeat=d):
+            p = IntPolynomial((*head, 1))
+            cells = isolate_roots_exact(p)
+            kept = isolate_roots_exact(p, 1)
+            if intpoly._may_have_rational_root(squarefree_part(p)):
+                assert kept == cells, p
+            else:
+                assert kept == [c for c in cells if c[1] > 1], p
+
+
 def test_squarefree_part_is_computed_once(monkeypatch):
     p = IntPolynomial([-1, 1]) * IntPolynomial([-1, 1]) * IntPolynomial([1, 1])
     sf = squarefree_part(p)
