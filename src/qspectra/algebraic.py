@@ -25,11 +25,12 @@ Three layers live here:
   (``spectrum._PackedZq``).
 
 Minimal polynomials are free of rational roots: the root selectors
-(``real_roots``, ``base_from_poly``) and the checked constructor each
-isolate the squarefree part once and divide its rational roots out with one
-routine (``intpoly._split_rational_roots``), so a base whose interval holds
-a rational root is that rational.  When a screen modulo small primes proves
-that there is none, ``base_from_poly`` isolates only the roots above 1.
+(``real_roots``, ``base_from_poly``) and the checked constructor divide
+them out with one routine (``intpoly._split_rational_roots``), which takes
+them as the point cells of one isolation, so a base whose interval holds a
+rational root is that rational.  When a screen modulo small primes proves
+that there is none, ``base_from_poly`` isolates only the roots above 1 and
+the checked constructor isolates nothing.
 Irreducibility beyond that is an input contract: an irrational factor other
 than the minimal polynomial is not found, and surfaces as
 ``ReducibleInputError`` when a sign refinement fails to terminate.
@@ -71,8 +72,8 @@ class AlgebraicNumber:
 
     The checked constructor (``_validated`` false) takes the squarefree part
     of the polynomial and requires an interval (lo, hi) isolating one of its
-    roots (a linear one's too); then, as ``real_roots`` does, it isolates
-    the part once and divides its rational roots out of ``min_poly``
+    roots (a linear one's too); then, as the selectors do, it divides the
+    part's rational roots out of ``min_poly``
     (``intpoly._split_rational_roots``): if the root in the interval is
     rational, the number is that rational (``exact_rational``).
     Unchecked, ``min_poly`` is primitive, and linear or free of rational roots.
@@ -106,8 +107,7 @@ class AlgebraicNumber:
                 raise PreconditionError(
                     f"interval ({lo}, {hi}) does not isolate exactly one root")
             # divide the rational roots out; the one in (lo, hi) is q
-            rats, min_poly = _split_rational_roots(
-                min_poly, isolate_roots_exact(min_poly))
+            rats, min_poly = _split_rational_roots(min_poly)
             for r in rats:
                 if lo < r < hi:
                     min_poly = IntPolynomial([-r.numerator, r.denominator])
@@ -146,11 +146,11 @@ class AlgebraicNumber:
         cells = isolate_roots_exact(sf, above)     # refuses a zero p
         # the irrational roots are roots of sf with its linear factors
         # divided out; an isolating interval of sf isolates them in it too
-        rats, irr = _split_rational_roots(sf, cells)
+        irr = _split_rational_roots(sf, cells)[1]
         for lo, hi in cells:
             if above is None or hi > above:
-                if rats and (m := (lo + hi) / 2) in rats:
-                    yield cls.from_rational(m)
+                if lo == hi:                    # the rational root lo
+                    yield cls.from_rational(lo)
                 else:
                     yield cls(irr, lo, hi, _validated=True)
 
@@ -514,7 +514,8 @@ def power_base(q: AlgebraicNumber, k: int) -> AlgebraicNumber:
     polynomial whose power sums are s_k, s_2k, ..., s_dk, scaled to
     integers.  It vanishes at q^k, and is the minimal polynomial of q^k
     when f is irreducible.  The checked constructor divides its rational
-    roots out.
+    roots out.  q is refined until its interval misses 0 and x^k maps it
+    onto an interval that isolates q^k.
     """
     k = _integer(k, "exponent")
     if k < 1:
@@ -541,7 +542,9 @@ def power_base(q: AlgebraicNumber, k: int) -> AlgebraicNumber:
     defining = squarefree_part(IntPolynomial(int(c * den) for c in h[::-1]))
     while True:
         lo, hi = q.interval()
-        try:
-            return AlgebraicNumber(defining, lo**k, hi**k)
-        except PreconditionError:       # (lo^k, hi^k) does not isolate it yet
-            q.refine_to_width((hi - lo) / 4)
+        if not lo < 0 < hi:             # x^k is monotone on (lo, hi)
+            try:
+                return AlgebraicNumber(defining, *sorted((lo**k, hi**k)))
+            except PreconditionError:       # it does not isolate q^k yet
+                pass
+        q.refine_to_width((hi - lo) / 4)

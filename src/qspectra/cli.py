@@ -70,6 +70,9 @@ def resolve_base(args) -> AlgebraicNumber:
     if (args.poly is None) == (args.base is None):
         raise PreconditionError("give exactly one of --poly / --base")
     if args.base is not None:
+        if args.root_index is not None or args.root_interval is not None:
+            raise PreconditionError("--root-index and --root-interval select "
+                                    "a root of --poly, not of --base")
         if args.tolerance is not None:
             from .spectrum import check_tolerance
             check_tolerance(args.tolerance)

@@ -5,9 +5,10 @@ the digit-indexing convention used throughout the package and the CLI text
 format "c0,c1,...,cd".  All polynomial algebra is over the integers: gcds,
 squarefree parts and Sturm chains come from primitive pseudo-remainder
 sequences (one per input for the squarefree part and its Sturm chain),
-and known factors are divided out exactly.  Signs, Sturm counts,
-isolation and bisection run on int numerators over one denominator;
-Fractions appear only at their API boundary.  No floating point is used.
+and known factors are divided out exactly, a rational root at the point
+cell that isolation returns for it.  Signs, Sturm counts, isolation and
+bisection run on int numerators over one denominator; Fractions appear
+only at their API boundary.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -104,12 +105,6 @@ class IntPolynomial(FrozenRecord):
     def is_monic(self) -> bool:
         return not self.is_zero and self.coeffs[-1] == 1
 
-    # -- evaluation ------------------------------------------------------
-
-    def sign_at(self, x: Fraction) -> int:
-        """Exact sign of p(x) at a rational point, via integer arithmetic."""
-        return _sign(self.coeffs, *_ratio(x))
-
     # -- ring operations ---------------------------------------------------
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
@@ -121,9 +116,6 @@ class IntPolynomial(FrozenRecord):
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPolynomial(out)
-
-    def scale(self, k: int) -> "IntPolynomial":
-        return IntPolynomial(k * c for c in self.coeffs)
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
@@ -142,12 +134,6 @@ class IntPolynomial(FrozenRecord):
 
 
 # -- integer evaluation and division helpers (internal) ------------------
-
-
-def _ratio(x) -> tuple[int, int]:
-    """(numerator, denominator > 0) of a rational x."""
-    x = x if isinstance(x, (int, Fraction)) else _rational(x)
-    return x.numerator, x.denominator
 
 
 def _sign(cs, num: int, den: int) -> int:
@@ -222,17 +208,6 @@ def is_squarefree(p: IntPolynomial) -> bool:
     return not p.is_zero and squarefree_part(p).degree == p.degree
 
 
-def deflate_root(p: IntPolynomial, root: Fraction) -> IntPolynomial:
-    """Exact division of p by (x - root) for a known rational root n/d:
-    d * (p / (d*x - n)), the quotient over Q, which has integer
-    coefficients."""
-    root = Fraction(root)
-    if p.sign_at(root):
-        raise PreconditionError(f"{root} is not a root")
-    n, d = root.numerator, root.denominator
-    return IntPolynomial(_exact_quo(p.coeffs, (-n, d))).scale(d)
-
-
 def _has_root_mod(cs, p: int) -> bool:
     """Whether the polynomial with int coefficients cs has a root in F_p."""
     cs = [c % p for c in reversed(cs)]
@@ -258,18 +233,22 @@ def _may_have_rational_root(sf: IntPolynomial) -> bool:
     return sf.__dict__["_rational"]
 
 
-def _split_rational_roots(sf: IntPolynomial, cells
+def _split_rational_roots(sf: IntPolynomial, cells=None
                           ) -> tuple[list[Fraction], IntPolynomial]:
-    """(rational roots, ascending; sf with them divided out, primitive) of
-    a squarefree primitive sf from its cells of ``isolate_roots_exact``: a
-    cell's midpoint is a root exactly when its root is rational; none is
-    signed when the mod-p screen finds no rational root."""
-    if not _may_have_rational_root(sf):
-        return [], sf
-    rats = [m for lo, hi in cells if sf.sign_at(m := (lo + hi) / 2) == 0]
+    """(rational roots, ascending; sf with them divided out) of a
+    squarefree primitive sf: the point cells among its ``cells`` of
+    ``isolate_roots_exact``, made here unless the mod-p screen rules the
+    roots out.  A root n/d is divided out by the primitive d*x - n, which
+    leaves an integral, primitive quotient (Gauss's lemma); with none, sf."""
+    if cells is None:
+        if not _may_have_rational_root(sf):
+            return [], sf
+        cells = isolate_roots_exact(sf)
+    rats = [lo for lo, hi in cells if lo == hi]
+    cs = sf.coeffs
     for r in rats:
-        sf = deflate_root(sf, r)
-    return rats, sf.primitive()
+        cs = _exact_quo(cs, (-r.numerator, r.denominator))
+    return rats, IntPolynomial(cs) if rats else sf
 
 
 # -- root bounds, Sturm chains, isolation ---------------------------------
@@ -380,9 +359,10 @@ def unit_circle_counts(p: IntPolynomial) -> tuple[int, int, int]:
 
 def isolate_roots_exact(p: IntPolynomial, above: int | None = None
                         ) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open rational intervals, ascending, each containing exactly
-    one real root of p; their union covers the real roots past ``above``
-    (all of them if p may have a rational root).
+    """Disjoint rational cells, ascending, one per real root of p: a
+    rational root r as the point (r, r), an irrational root as an open
+    interval isolating it.  They cover the real roots past ``above`` (all
+    of them if p may have a rational root).
 
     One bisection of the squarefree part sf on its kept Sturm chain, from
     +-``cauchy_root_bound(sf)``: no root lies beyond, so the chain varies
@@ -390,15 +370,14 @@ def isolate_roots_exact(p: IntPolynomial, above: int | None = None
     ends, so a split evaluates the chain at its midpoint only, and no point
     twice.  If the mod-p screen (``_may_have_rational_root``) finds no
     rational root, a cell of one root is done and a cell with no point past
-    ``above`` is dropped.  Otherwise the bisection also decides which roots
-    are rational.  A split point that is a root is bracketed there.  Every
-    other root is alone in its cell, and a rational root r of the primitive
-    sf has a denominator dividing L = lc(sf), so L*r is an integer: a copy
-    of the cell bisected in ints (``_bisect``) to width <= 1/L holds at
-    most one multiple of 1/L, and r is rational iff that multiple is a
-    root.  A rational root's interval is centred on it, an irrational root
-    keeps its cell: so an interval's midpoint is a root exactly when its
-    root is rational.  Fractions are made for the returned intervals only.
+    ``above`` is dropped.  Otherwise the bisection also finds the rational
+    roots.  A split point that is a root is one; the cell is split at the
+    ends of a bracket isolating it.  Every other root is alone in its cell,
+    and a rational root r of the primitive sf has a denominator dividing
+    L = lc(sf), so L*r is an integer: a copy of the cell bisected in ints
+    (``_bisect``) to width <= 1/L holds at most one multiple of 1/L, and r
+    is rational iff that multiple is a root.  Fractions are made for the
+    returned cells only.
     """
     if p.is_zero:
         raise PreconditionError("zero polynomial rejected")
@@ -409,7 +388,7 @@ def isolate_roots_exact(p: IntPolynomial, above: int | None = None
     cs, lead = sf.coeffs, sf.leading
     rational = _may_have_rational_root(sf)
     above = None if rational else above    # every rational root is wanted
-    bn, bd = _ratio(cauchy_root_bound(sf))
+    bn, bd = cauchy_root_bound(sf).as_integer_ratio()
     cells: list[tuple[Fraction, Fraction]] = []
     stack = [(-bn, bn, bd, _variations_at_infinity(chain, -1),
               _variations_at_infinity(chain, 1))]
@@ -426,9 +405,7 @@ def isolate_roots_exact(p: IntPolynomial, above: int | None = None
                 ra, rb, rd = _bisect(cs, a, b, den, 1, lead)
                 k = ra * lead // rd + 1                         # r = k/lead
                 if k * rd < rb * lead and _sign(cs, k, lead) == 0:
-                    e = min(k * den - a * lead, b * lead - k * den)
-                    lo = Fraction(k * den - e, den * lead)
-                    hi = Fraction(k * den + e, den * lead)
+                    lo = hi = Fraction(k, lead)
             cells.append((lo, hi))
         elif (vm := _variations_at(chain, m, 2 * den)) is None:
             # bracket the root by m/den +- e/den, halving until it isolates
@@ -437,7 +414,7 @@ def isolate_roots_exact(p: IntPolynomial, above: int | None = None
                    or (vr := _variations_at(chain, m + e, den)) is None
                    or vl - vr != 1):
                 a, b, m, den = 2 * a, 2 * b, 2 * m, 2 * den
-            cells.append((Fraction(m - e, den), Fraction(m + e, den)))
+            cells.append((r := Fraction(m, den), r))
             stack += [(a, m - e, den, va, vl), (m + e, b, den, vr, vb)]
         else:
             stack += [(2 * a, m, 2 * den, va, vm), (m, 2 * b, 2 * den, vm, vb)]

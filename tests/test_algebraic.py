@@ -58,6 +58,25 @@ def _poly_sum(*polys: IntPolynomial) -> IntPolynomial:
         *(p.coeffs for p in polys), fillvalue=0)))
 
 
+def _sign_at(p: IntPolynomial, x) -> int:
+    """The exact sign of p at a rational x."""
+    x = Fraction(x)
+    return intpoly._sign(p.coeffs, x.numerator, x.denominator)
+
+
+def _open_cells(cells):
+    """Isolation cells with each point cell (r, r) widened to the open
+    interval between the midpoints from r to its neighbour cells (r -+ 1
+    past the last ones), which isolates r."""
+    out = []
+    for i, (lo, hi) in enumerate(cells):
+        if lo == hi:
+            lo = (cells[i - 1][1] + lo) / 2 if i else lo - 1
+            hi = (hi + cells[i + 1][0]) / 2 if i + 1 < len(cells) else hi + 1
+        out.append((lo, hi))
+    return out
+
+
 # -- root isolation -------------------------------------------------------
 
 
@@ -109,7 +128,7 @@ def test_refinement_is_monotone():
         lo, hi = q.refine_to_width(Fraction(1, 2**bits))
         widths.append(hi - lo)
         # interval always brackets the root
-        assert PHI_POLY.sign_at(lo) * PHI_POLY.sign_at(hi) < 0
+        assert _sign_at(PHI_POLY, lo) * _sign_at(PHI_POLY, hi) < 0
         assert hi - lo <= Fraction(1, 2**bits)
     assert all(a >= b for a, b in zip(widths, widths[1:]))
 
@@ -244,15 +263,16 @@ def test_height_one_base_intervals_are_pinned():
 
 def _checked_constructor_lines():
     """One line per isolating cell of p = (bx - a) f, a/b in
-    {-2, 0, 1/2, 1, 3/2, 2} and f each monic height-1 quadratic and cubic:
-    p, then the checked constructor's min_poly, exact_rational and interval
-    on that cell."""
+    {-2, 0, 1/2, 1, 3/2, 2} and f each monic height-1 quadratic and cubic
+    (a rational root's point cell widened to an open one): p, then the
+    checked constructor's min_poly, exact_rational and interval on that
+    cell."""
     for r in (F(-2), F(0), F(1, 2), F(1), F(3, 2), F(2)):
         for d in (2, 3):
             for low in itertools.product((-1, 0, 1), repeat=d):
                 p = (IntPolynomial([-r.numerator, r.denominator])
                      * IntPolynomial([*low, 1]))
-                for cell in intpoly.isolate_roots_exact(p):
+                for cell in _open_cells(intpoly.isolate_roots_exact(p)):
                     x = AlgebraicNumber(p, *cell)
                     lo, hi = x.interval()
                     yield (f"{p.to_text()} {x.min_poly.to_text()} "
@@ -267,6 +287,73 @@ def test_checked_constructor_is_pinned():
     assert len(lines) == 484
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
         "94f763ba6868cbb51dcceae147d83231d7ef21545dab3dfdab455f58a17edf25")
+
+
+def _divided_out(p: IntPolynomial, r: Fraction) -> IntPolynomial:
+    """p / (x - r) for a root r of p, by synthetic division in Fractions,
+    cleared of denominators and made primitive."""
+    acc, quot = Fraction(0), []
+    for c in reversed(p.coeffs):
+        acc = acc * r + c
+        quot.append(acc)
+    assert quot.pop() == 0                              # the remainder p(r)
+    den = math.lcm(*(c.denominator for c in quot))
+    return IntPolynomial(int(c * den) for c in reversed(quot)).primitive()
+
+
+def _centred_cells(cells):
+    """Isolation cells with each point cell (r, r) widened to an open
+    interval centred on r that isolates it, as isolation once returned a
+    rational root."""
+    out = []
+    for (lo, hi), (wlo, whi) in zip(cells, _open_cells(cells)):
+        e = min(lo - wlo, whi - hi)                     # 0 on an open cell
+        out.append((lo - e, hi + e))
+    return out
+
+
+def _reference_real_roots(p: IntPolynomial) -> list[AlgebraicNumber]:
+    """``real_roots`` as it was when a rational root's cell was centred on
+    it: a cell whose midpoint is a root is that rational, and the roots so
+    found are divided out of the squarefree part in Fractions, for the
+    minimal polynomial of the others."""
+    sf = intpoly.squarefree_part(p)
+    cells = _centred_cells(intpoly.isolate_roots_exact(sf))
+    rats = [m for lo, hi in cells if _sign_at(sf, m := (lo + hi) / 2) == 0]
+    irr = sf
+    for r in rats:
+        irr = _divided_out(irr, r)
+    return [AlgebraicNumber.from_rational(m) if (m := (lo + hi) / 2) in rats
+            else AlgebraicNumber(irr, lo, hi, _validated=True)
+            for lo, hi in cells]
+
+
+def _root_record(x: AlgebraicNumber):
+    return x.min_poly, x.exact_rational, x.interval()
+
+
+def test_real_roots_and_the_checked_constructor_match_the_midpoint_path():
+    # every monic height-1 polynomial of degree 1-6, and a constant: each
+    # real root, and the checked constructor on its cell (a rational root's
+    # widened), as the path that signed cell midpoints found them
+    assert intpoly.isolate_roots_exact(IntPolynomial([5])) == []
+    assert AlgebraicNumber.real_roots(IntPolynomial([5])) == []
+    polys = roots = rationals = 0
+    for d in range(1, 7):
+        for low in itertools.product((-1, 0, 1), repeat=d):
+            p = IntPolynomial([*low, 1])
+            got = AlgebraicNumber.real_roots(p)
+            want = _reference_real_roots(p)
+            assert list(map(_root_record, got)) == list(
+                map(_root_record, want)), low
+            cells = _open_cells(intpoly.isolate_roots_exact(p))
+            for (lo, hi), x in zip(cells, want):
+                assert _root_record(AlgebraicNumber(p, lo, hi)) == \
+                    _root_record(x), (low, lo, hi)
+            polys += 1
+            roots += len(got)
+            rationals += sum(x.exact_rational is not None for x in got)
+    assert (polys, roots, rationals) == (1092, 1816, 756)
 
 
 def _unscreened_base(monkeypatch, coeffs):
@@ -342,14 +429,14 @@ def test_screen_fails_on_a_root_mod_every_prime(monkeypatch):
 
 def test_screened_isolation_bisects_nothing(monkeypatch):
     # x^2 - 10^600 x - 1: its cell is never bisected to width 1/lc = 1, and
-    # no cell midpoint is signed to find a rational root
-    calls = {"_bisect": 0, "sign_at": 0}
+    # no rational root is divided out
+    calls = {"_bisect": 0, "_exact_quo": 0}
     _count_calls(monkeypatch, intpoly, "_bisect", calls)
-    _count_calls(monkeypatch, IntPolynomial, "sign_at", calls)
+    _count_calls(monkeypatch, intpoly, "_exact_quo", calls)
     big = 10**600
     p = IntPolynomial([-1, -big, 1])
     q = AlgebraicNumber.base_from_poly(p, root_index=0)
-    assert calls == {"_bisect": 0, "sign_at": 0}
+    assert calls == {"_bisect": 0, "_exact_quo": 0}
     assert q.min_poly == p and q.exact_rational is None
     assert q.greater_than(big) and not q.greater_than(big + 1)
 
@@ -433,17 +520,18 @@ def test_a_linear_base_interval_is_checked():
 
 
 def test_isolation_cells_are_pinned():
+    # a rational root is its point cell, found by the bisection to width
+    # 1/lc (1 and -1) or as a split point (0)
     x_minus_1 = IntPolynomial([-1, 1])
     assert intpoly.isolate_roots_exact(x_minus_1 * PHI_POLY) == [
-        (F(-3), F(0)), (F(1, 2), F(3, 2)), (F(3, 2), F(3))]
+        (F(-3), F(0)), (F(1), F(1)), (F(3, 2), F(3))]
     big = 10**20 + 2
     assert intpoly.isolate_roots_exact(IntPolynomial([1 - big, 0, 1])) == [
         (F(-big), F(0)), (F(0), F(big))]
     # x (2x^2 - 1)(x + 1): the first midpoint, 0, is a root
     p = IntPolynomial([0, 1]) * IntPolynomial([-1, 0, 2]) * IntPolynomial([1, 1])
     assert intpoly.isolate_roots_exact(p) == [
-        (F(-9, 8), F(-7, 8)), (F(-7, 8), F(-1, 2)), (F(-1, 2), F(1, 2)),
-        (F(1, 2), F(2))]
+        (F(-1), F(-1)), (F(-7, 8), F(-1, 2)), (F(0), F(0)), (F(1, 2), F(2))]
 
 
 def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
@@ -691,6 +779,32 @@ def test_proposition_pipeline_sqrt_p2_powers():
     assert classify_base(power_base(q, 3)).tag == "NotPisot-AlgebraicInteger"
 
 
+@pytest.mark.parametrize("poly,interval,k,min_poly,value", [
+    # the root 0.3028 of x^2 + 3x - 1 on an interval that holds 0 and whose
+    # square held the conjugate's square 10.908
+    ([-1, 3, 1], (-1, 5), 2, [1, -11, 1], (11 - 117**0.5) / 2),
+    # -sqrt 2 and -phi, squares over intervals that hold 0 refined for
+    # seconds, then ended in an untyped error
+    ([-2, 0, 1], None, 2, [-2, 1], 2),
+    ([-2, 0, 1], None, 3, [-8, 0, 1], -8**0.5),
+    ([-2, 0, 1], None, 4, [-4, 1], 4),
+    ([1, -1, -1], None, 2, [1, -3, 1], (3 + 5**0.5) / 2),
+    ([1, -1, -1], None, 3, [-1, 4, 1], -(2 + 5**0.5)),
+])
+def test_power_base_of_a_root_below_one(deadline, poly, interval, k,
+                                        min_poly, value):
+    # without an interval, the first real root of poly, which is negative
+    p = IntPolynomial(poly)
+    q = (AlgebraicNumber(p, *interval) if interval
+         else AlgebraicNumber.real_roots(p)[0])
+    with deadline(1):
+        got = power_base(q, k)
+    assert got.min_poly == IntPolynomial(min_poly)
+    assert abs(got.float_value() - value) < 1e-12 * max(1, abs(value))
+    assert abs(got.float_value() - q.float_value() ** k) < 1e-12 * max(
+        1, abs(value))
+
+
 def _mat_mul(a, b):
     n = len(a)
     return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
@@ -733,7 +847,7 @@ def _reference_power_base(q, k):
     while True:
         lo, hi = q.interval()
         plo, phi_ = lo**k, hi**k
-        if (defining.sign_at(plo) != 0 and defining.sign_at(phi_) != 0
+        if (_sign_at(defining, plo) != 0 and _sign_at(defining, phi_) != 0
                 and _count_roots(defining, plo, phi_) == 1):
             return AlgebraicNumber(defining, plo, phi_)
         q.refine_to_width((hi - lo) / 4)
@@ -1235,10 +1349,10 @@ def _reference_on_circle_count(p: IntPolynomial) -> int:
     roots in (-2, 2) are the conjugate pairs on the circle."""
     g = _gcd(p, _reciprocal(p))
     count = 0
-    for r in (Fraction(1), Fraction(-1)):
-        if g.degree > 0 and g.sign_at(r) == 0:
+    for r in (1, -1):
+        if g.degree > 0 and _sign_at(g, r) == 0:
             count += 1
-            g = intpoly.deflate_root(g, r).primitive()
+            g = IntPolynomial(intpoly._exact_quo(g.coeffs, (-r, 1))).primitive()
     if g.degree <= 0:
         return count
     assert g == _reciprocal(g).primitive() and g.degree % 2 == 0
@@ -1246,9 +1360,9 @@ def _reference_on_circle_count(p: IntPolynomial) -> int:
     v_prev, v_cur = IntPolynomial([2]), IntPolynomial([0, 1])
     h = IntPolynomial([g.coeffs[e]])
     for j in range(1, e + 1):
-        h = _poly_sum(h, v_cur.scale(g.coeffs[e + j]))
+        h = _poly_sum(h, IntPolynomial([g.coeffs[e + j]]) * v_cur)
         v_prev, v_cur = v_cur, _poly_sum(IntPolynomial([0, 1]) * v_cur,
-                                         v_prev.scale(-1))
+                                         IntPolynomial([-1]) * v_prev)
     return count + 2 * _count_roots(h, Fraction(-2), Fraction(2))
 
 
@@ -1288,7 +1402,7 @@ def test_root_counts_equal_the_certified_disks(deadline):
             assert (n_in, n_on, n_out) == tuple(
                 sum(d.location == where for d in cs.disks)
                 for where in ("inside", "on", "outside")), p.coeffs
-            if p.sign_at(1) < 0:      # a real root above 1: classify it
+            if _sign_at(p, 1) < 0:    # a real root above 1: classify it
                 cls = classify_base(AlgebraicNumber.base_from_poly(
                     p, root_index=0))
                 assert (cls.n_in, cls.n_on, cls.n_out) == (n_in, n_on, n_out)
@@ -2051,7 +2165,8 @@ def test_zq_display_float_of_a_cancelling_vector_is_accurate():
 def test_base_from_poly_runs_one_isolation_pass(monkeypatch):
     """Real roots read the rational roots off the cells of one isolation
     pass; selecting a root by index isolates nothing more, and selecting
-    it by interval isolates once, to divide the rational roots out."""
+    it by interval isolates once, to divide the rational roots out, or not
+    at all when the mod-p screen rules them out."""
     calls = []
     isolate = intpoly.isolate_roots_exact
 
@@ -2081,7 +2196,24 @@ def test_base_from_poly_runs_one_isolation_pass(monkeypatch):
         if q.exact_rational is None:
             calls.clear()
             AlgebraicNumber(poly, *q.interval())
-            assert len(calls) == 1, poly
+            assert len(calls) == intpoly._may_have_rational_root(
+                intpoly.squarefree_part(poly)), poly
+
+
+def test_checked_constructor_isolates_only_when_the_screen_fails(
+        monkeypatch):
+    # x^2 - x - 1 has no root mod 2, so no rational root to look for;
+    # (x - 3)(x^2 - 2) has one, found by one isolation
+    calls = {"isolate_roots_exact": 0}
+    _count_calls(monkeypatch, intpoly, "isolate_roots_exact", calls)
+    q = AlgebraicNumber(IntPolynomial([-1, -1, 1]), 1, 2)
+    assert calls == {"isolate_roots_exact": 0}
+    assert q.min_poly == PHI_POLY and q.exact_rational is None
+    three = AlgebraicNumber(IntPolynomial([-3, 1]) * SQRT2_POLY,
+                            Fraction(5, 2), Fraction(7, 2))
+    assert calls == {"isolate_roots_exact": 1}
+    assert three.exact_rational == 3
+    assert three.min_poly == IntPolynomial([-3, 1])
 
 
 def test_a_base_pinned_on_a_polynomial_with_a_rational_root_drops_it():
@@ -2127,7 +2259,7 @@ def test_concurrent_refinement_stays_valid():
         try:
             for b in range(8, bits, 8):
                 lo, hi = q.refine_to_width(Fraction(1, 2**b))
-                assert P1_POLY.sign_at(lo) * P1_POLY.sign_at(hi) < 0
+                assert _sign_at(P1_POLY, lo) * _sign_at(P1_POLY, hi) < 0
         except Exception as exc:  # surface in the main thread
             errors.append(exc)
 
@@ -2140,4 +2272,4 @@ def test_concurrent_refinement_stays_valid():
     assert not errors
     lo, hi = q.interval()
     assert hi - lo <= Fraction(1, 2**192)
-    assert P1_POLY.sign_at(lo) * P1_POLY.sign_at(hi) < 0
+    assert _sign_at(P1_POLY, lo) * _sign_at(P1_POLY, hi) < 0

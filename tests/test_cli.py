@@ -692,6 +692,18 @@ def test_cli_root_selectors_agree_on_a_non_squarefree_polynomial(capsys):
     assert first["base"]["poly"] == "-1,-1,1"
 
 
+@pytest.mark.parametrize("selector", [["--root-index", "0"],
+                                      ["--root-index", "1"],
+                                      ["--root-interval", "1..3"]])
+def test_cli_root_selection_next_to_a_rational_base_exit2(capsys, selector):
+    # --base 2 --root-index 1 once exited 0, the selector silently ignored
+    code = cli.main(["classify", "--base", "2", *selector])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: --root-index and --root-interval select "
+                            "a root of --poly, not of --base\n")
+
+
 def test_cli_classify_a_huge_constant_term(capsys, deadline):
     # x^2 - (10^20 + 1): its rational root search once ran for hours
     with deadline(1):

@@ -20,7 +20,6 @@ from qspectra.intpoly import (
     IntPolynomial,
     _prem,
     cauchy_root_bound,
-    deflate_root,
     is_squarefree,
     isolate_roots_exact,
     squarefree_part,
@@ -34,6 +33,25 @@ def _eval(p, x):
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc
+
+
+def _sign_at(p, x):
+    """The exact sign of p at a rational x."""
+    x = Fraction(x)
+    return intpoly._sign(p.coeffs, x.numerator, x.denominator)
+
+
+def _open_cells(cells):
+    """Isolation cells with each point cell (r, r) widened to the open
+    interval between the midpoints from r to its neighbour cells (r -+ 1
+    past the last ones), which isolates r."""
+    out = []
+    for i, (lo, hi) in enumerate(cells):
+        if lo == hi:
+            lo = (cells[i - 1][1] + lo) / 2 if i else lo - 1
+            hi = (hi + cells[i + 1][0]) / 2 if i + 1 < len(cells) else hi + 1
+        out.append((lo, hi))
+    return out
 
 
 def _count_roots(p, lo, hi):
@@ -132,7 +150,7 @@ def test_sign_at_matches_fraction_eval():
         p = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 7))])
         x = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
         v = _eval(p, x)
-        assert p.sign_at(x) == (v > 0) - (v < 0)
+        assert _sign_at(p, x) == (v > 0) - (v < 0)
     # the zero polynomial and degrees 0-12, at 0, negative, integer and huge
     # rational points (numerators and denominators above 2^200), roots too
     rng = random.Random("sign-at")
@@ -152,7 +170,7 @@ def test_sign_at_matches_fraction_eval():
     for p in polys:
         for x in points:
             v = _eval(p, Fraction(x))
-            assert p.sign_at(x) == (v > 0) - (v < 0), (p, x)
+            assert _sign_at(p, x) == (v > 0) - (v < 0), (p, x)
 
 
 def test_gcd_and_squarefree():
@@ -170,8 +188,9 @@ def test_rational_roots_and_deflation():
     roots, rest = intpoly._split_rational_roots(p, isolate_roots_exact(p))
     assert roots == [Fraction(-3, 2), Fraction(2)]
     assert rest == IntPolynomial([1, 0, 1])
-    q = deflate_root(p, Fraction(2))
-    assert q.sign_at(Fraction(-3, 2)) == 0
+    assert intpoly._split_rational_roots(p) == (roots, rest)
+    q = IntPolynomial(intpoly._exact_quo(p.coeffs, (-2, 1)))
+    assert _sign_at(q, Fraction(-3, 2)) == 0
 
 
 def test_isolate_fibonacci_poly_against_bisection_oracle():
@@ -185,9 +204,10 @@ def test_isolate_fibonacci_poly_against_bisection_oracle():
 
 
 def test_isolate_linear_exact():
-    p = IntPolynomial([-2, 1])
-    (lo, hi), = isolate_roots_exact(p)
-    assert lo < 2 < hi
+    # a rational root is its point cell
+    assert isolate_roots_exact(IntPolynomial([-2, 1])) == [(2, 2)]
+    assert isolate_roots_exact(IntPolynomial([-2, 3])) == [
+        (Fraction(2, 3), Fraction(2, 3))]
 
 
 def test_isolate_plastic_poly():
@@ -231,7 +251,10 @@ def test_isolation_terminates_when_a_rational_root_meets_a_cell_edge(
                 continue
             intervals = isolate_roots_exact(p)
             for lo, hi in intervals:
-                assert p.sign_at(lo) != 0 and p.sign_at(hi) != 0
+                if lo == hi:                    # a rational root
+                    assert _sign_at(p, lo) == 0
+                    continue
+                assert _sign_at(p, lo) != 0 and _sign_at(p, hi) != 0
                 assert _count_roots(p, lo, hi) == 1
             bound = cauchy_root_bound(p)
             assert len(intervals) == _count_roots(p, -bound, bound)
@@ -266,14 +289,18 @@ def test_random_products_isolation_matches_oracle():
         oracle = bisection_oracle(p.coeffs)
         assert len(intervals) == len(oracle)
         for (lo, hi), r in zip(intervals, oracle):
-            assert lo < hi and float(lo) - 1e-9 <= r <= float(hi) + 1e-9
-            assert p.sign_at(lo) != 0 and p.sign_at(hi) != 0
+            assert lo <= hi and float(lo) - 1e-9 <= r <= float(hi) + 1e-9
+            # a point cell is a rational root, an open one has no root at
+            # either end
+            if lo == hi:
+                assert _sign_at(p, lo) == 0
+            else:
+                assert _sign_at(p, lo) != 0 and _sign_at(p, hi) != 0
         assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
         want = sorted({Fraction(a) for a in used}
                       | {Fraction(-c0, c1) for c0, c1 in extra[i % 4]})
         assert _rational_roots(p) == want
-        assert [(lo + hi) / 2 for lo, hi in intervals
-                if p.sign_at((lo + hi) / 2) == 0] == want
+        assert [lo for lo, hi in intervals if lo == hi] == want
 
 
 def test_count_roots_in_open_interval():
@@ -364,10 +391,12 @@ def _reference_sturm_chain(p):
     return chain
 
 
-def _reference_deflate_root(p, root):
-    quot, rem = _frac_divmod(_fracs(p), [-Fraction(root), Fraction(1)])
-    assert not any(rem)
-    return _cleared(quot)
+def _reference_exact_quo(p, root):
+    """p / (d x - n) for a root n/d of p, by Fraction division."""
+    quot, rem = _frac_divmod(_fracs(p), [Fraction(-root.numerator),
+                                         Fraction(root.denominator)])
+    assert not any(rem) and all(c.denominator == 1 for c in quot)
+    return [int(c) for c in quot]
 
 
 def _prs_corpus():
@@ -405,14 +434,19 @@ def test_prs_gcd_squarefree_and_sturm_equal_the_fraction_reference():
 
 
 def test_deflation_equals_the_fraction_reference():
+    # a root n/d is divided out by the primitive d x - n: the quotient is
+    # integral (Gauss's lemma), even for a non-primitive p
     p = IntPolynomial([1, -3, 2])                          # 2x^2 - 3x + 1
-    assert deflate_root(p, Fraction(1, 2)) == IntPolynomial([-2, 2])
-    assert deflate_root(p, Fraction(1)) == IntPolynomial([-1, 2])
-    with pytest.raises(PreconditionError):
-        deflate_root(p, Fraction(3, 7))
+    assert intpoly._exact_quo(p.coeffs, (-1, 2)) == [-1, 1]
+    assert intpoly._exact_quo(p.coeffs, (-1, 1)) == [-1, 2]
+    # 3/7 is no root: the quotient by 7x - 3 does not give p back
+    assert _sign_at(p, Fraction(3, 7)) != 0
+    assert IntPolynomial(intpoly._exact_quo(p.coeffs, (-3, 7))) \
+        * IntPolynomial([-3, 7]) != p
     for f in PRS_CORPUS:
         for r in _rational_roots(f):
-            assert deflate_root(f, r) == _reference_deflate_root(f, r), (f, r)
+            got = intpoly._exact_quo(f.coeffs, (-r.numerator, r.denominator))
+            assert got == _reference_exact_quo(f, r), (f, r)
 
 
 def test_pseudo_remainder_is_a_positive_multiple_of_the_remainder():
@@ -433,7 +467,7 @@ def test_pseudo_remainder_is_a_positive_multiple_of_the_remainder():
 
 def _fraction_bisection(p, lo, hi, width):
     """Plain Fraction bisection, as ``_bisect`` specifies it."""
-    slo = p.sign_at(lo)
+    slo = _sign_at(p, lo)
     while hi - lo > width:
         mid = (lo + hi) / 2
         v = _eval(p, mid)
@@ -460,7 +494,7 @@ def test_refine_root_interval_equals_a_fraction_bisection():
         p = squarefree_part(IntPolynomial(
             [rng.randint(-9, 9) for _ in range(rng.randint(2, 9))] + [1]))
         cases += [(p, lo, hi) for lo, hi in isolate_roots_exact(p)
-                  if p.sign_at((lo + hi) / 2) != 0]
+                  if lo != hi]
     for p, lo, hi in cases:
         for width in widths:
             assert _refine(p, lo, hi, width) == \
@@ -478,7 +512,7 @@ def _fraction_refine_root_interval(p, lo, hi, width):
     den = math.lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
     gap = hi.numerator * (den // hi.denominator) - a
-    slo, shi = p.sign_at(Fraction(a, den)), p.sign_at(Fraction(a + gap, den))
+    slo, shi = _sign_at(p, Fraction(a, den)), _sign_at(p, Fraction(a + gap, den))
     if slo == 0 or shi == 0:
         raise PreconditionError("endpoint is a root")
     if slo == shi:
@@ -486,7 +520,7 @@ def _fraction_refine_root_interval(p, lo, hi, width):
     gap_wd, wn_den = gap * wd, wn * den
     while gap_wd > wn_den:
         a, den, wn_den = 2 * a, 2 * den, 2 * wn_den
-        sm = p.sign_at(Fraction(a + gap, den))
+        sm = _sign_at(p, Fraction(a + gap, den))
         if sm == 0:
             mid = Fraction(a + gap, den)
             w = min(Fraction(wn, wd), Fraction(2 * gap, den)) / 4
@@ -523,7 +557,7 @@ def test_int_bisection_equals_the_fraction_refinement():
     for _ in range(30):
         p = squarefree_part(IntPolynomial(
             [rng.randint(-9, 9) for _ in range(rng.randint(2, 8))] + [1]))
-        for lo, hi in isolate_roots_exact(p):
+        for lo, hi in _open_cells(isolate_roots_exact(p)):
             # a seeded point of ninths inside the cell as its new upper end
             t = F(rng.randint(1, 8), 9)
             cases += [(p, lo, hi), (p, lo, lo + t * (hi - lo))]
