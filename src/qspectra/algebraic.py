@@ -4,8 +4,10 @@ Three layers live here:
 
 * ``AlgebraicNumber`` -- a real root of an integer polynomial pinned by a
   rational isolating interval [a/D, b/D], kept as the ints a, b and D, with
-  monotone on-demand refinement and an exact sign oracle for polynomial
-  expressions in the root, evaluated in integers over D^n.
+  monotone on-demand refinement, an exact sign oracle for polynomial
+  expressions in the root, evaluated in integers over D^n, and comparisons
+  with a rational read off the interval by one sign of the minimal
+  polynomial, with no refinement.
 * ``classify_base`` -- the Pisot label, from the exact integer counts of
   the roots of the minimal polynomial inside, on and outside the unit
   circle (``intpoly.unit_circle_counts``: Routh-Hurwitz after the Cayley
@@ -30,7 +32,8 @@ them out with one routine (``intpoly._split_rational_roots``), which takes
 them as the point cells of one isolation, so a base whose interval holds a
 rational root is that rational.  When a screen modulo small primes proves
 that there is none, ``base_from_poly`` isolates only the roots above 1 and
-the checked constructor isolates nothing.
+the checked constructor isolates nothing.  A selected root keeps its
+isolation cell as it is: deciding q > 1 bisects nothing.
 Irreducibility beyond that is an input contract: an irrational factor other
 than the minimal polynomial is not found, and surfaces as
 ``ReducibleInputError`` when a sign refinement fails to terminate.
@@ -55,6 +58,7 @@ from .intpoly import (
     _integer,
     _prem,
     _rational,
+    _sign,
     _split_rational_roots,
     _variations_at,
 )
@@ -67,71 +71,91 @@ from .records import FrozenRecord
 FLOAT_WIDTH = Fraction(1, 2**72)
 
 
+def _show(x: Fraction) -> str:
+    """x for a message: exact while str() can print its terms, else its
+    sign and nearest power of ten (str() refuses an int past Python's
+    4,300-digit limit)."""
+    try:
+        return str(x)
+    except ValueError:
+        e = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+        return f"{'-' if x < 0 else ''}~1e{round(e)}"
+
+
 class AlgebraicNumber:
     """A real root of an integer polynomial, known exactly.
 
-    The checked constructor (``_validated`` false) takes the squarefree part
-    of the polynomial and requires an interval (lo, hi) isolating one of its
-    roots (a linear one's too); then, as the selectors do, it divides the
-    part's rational roots out of ``min_poly``
-    (``intpoly._split_rational_roots``): if the root in the interval is
-    rational, the number is that rational (``exact_rational``).
-    Unchecked, ``min_poly`` is primitive, and linear or free of rational roots.
+    The constructor is checked: it takes the squarefree part of the
+    polynomial and requires an interval (lo, hi) isolating one of its roots
+    (a linear one's too); then, as the selectors do, it divides the part's
+    rational roots out of ``min_poly`` (``intpoly._split_rational_roots``):
+    if the root in the interval is rational, the number is that rational
+    (``exact_rational``).  The selectors build their roots unchecked from
+    isolation's cells (``_set_cell``): ``min_poly`` is primitive, and
+    linear or free of rational roots.
 
     The isolating interval is refinable; refinement is monotone (the stored
     interval only ever shrinks) and idempotent, so concurrent refiners can
     race harmlessly: the package runs no threads, but the class is public,
     so a caller may refine one number from two threads, and a lock keeps
-    the narrower result.  Every exact decision ends in
-    :meth:`_sign_of_reduced`: from :meth:`sign_of_int_poly`, from
-    ``compare_to_fraction`` (and ``greater_than``) on q - c, or from
-    ``ZqContext``'s signs (``sign`` and ``cmp_fraction``, under the packed
-    kernels and the lazy corridor too).
+    the narrower result.  Every exact sign of a polynomial expression in q
+    ends in :meth:`_sign_of_reduced`, which refines as it needs: from
+    :meth:`sign_of_int_poly` or from ``ZqContext``'s signs (``sign`` and
+    ``cmp_fraction``, under the packed kernels and the lazy corridor too).
+    A comparison with a rational (``compare_to_fraction``, ``greater_than``)
+    is read off the interval as it stands and refines nothing.
     """
 
-    def __init__(self, min_poly: IntPolynomial, lo: Fraction, hi: Fraction,
-                 _validated: bool = False):
+    def __init__(self, min_poly: IntPolynomial, lo: Fraction, hi: Fraction):
         if min_poly.degree < 1:
             raise PreconditionError("minimal polynomial must have degree >= 1")
-        if not _validated:
-            min_poly = squarefree_part(min_poly)    # as real_roots does
-            lo, hi = _rational(lo), _rational(hi)
-            chain = sturm_chain(min_poly)   # V(lo) - V(hi) <= 0 if lo >= hi
-            va, vb = (_variations_at(chain, x.numerator, x.denominator)
-                      for x in (lo, hi))
-            if va is None or vb is None:
-                raise PreconditionError(
-                    "interval endpoint is a root; use from_rational for "
-                    "rational values")
-            if va - vb != 1:
-                raise PreconditionError(
-                    f"interval ({lo}, {hi}) does not isolate exactly one root")
-            # divide the rational roots out; the one in (lo, hi) is q
-            rats, min_poly = _split_rational_roots(min_poly)
-            for r in rats:
-                if lo < r < hi:
-                    min_poly = IntPolynomial([-r.numerator, r.denominator])
-        self.min_poly = min_poly
-        self.exact_rational: Fraction | None = None
+        min_poly = squarefree_part(min_poly)    # as real_roots does
+        lo, hi = _rational(lo), _rational(hi)
+        chain = sturm_chain(min_poly)   # V(lo) - V(hi) <= 0 if lo >= hi
+        va, vb = (_variations_at(chain, x.numerator, x.denominator)
+                  for x in (lo, hi))
+        if va is None or vb is None:
+            raise PreconditionError(
+                "interval endpoint is a root; use from_rational for "
+                "rational values")
+        if va - vb != 1:
+            raise PreconditionError(
+                f"interval ({_show(lo)}, {_show(hi)}) does not isolate "
+                f"exactly one root")
+        # divide the rational roots out; the one in (lo, hi) is q
+        rats, min_poly = _split_rational_roots(min_poly)
+        for r in rats:
+            if lo < r < hi:
+                min_poly = IntPolynomial([-r.numerator, r.denominator])
         if min_poly.degree == 1:
             c0, c1 = min_poly.coeffs
-            self.exact_rational = Fraction(-c0, c1)
-            lo = hi = self.exact_rational
-        lo, hi = Fraction(lo), Fraction(hi)
+            lo = hi = Fraction(-c0, c1)
         den = math.lcm(lo.denominator, hi.denominator)    # reduced, as _bisect
-        self._iv = (lo.numerator * den // lo.denominator,     # [a/den, b/den]
-                    hi.numerator * den // hi.denominator, den)
+        self._set_cell(min_poly, lo.numerator * den // lo.denominator,
+                       hi.numerator * den // hi.denominator, den)
+
+    def _set_cell(self, min_poly: IntPolynomial, a: int, b: int, den: int
+                  ) -> "AlgebraicNumber":
+        """The root of ``min_poly`` in the cell [a/den, b/den], den > 0,
+        reduced by gcd(a, b, den) (a == b for a linear ``min_poly``),
+        unchecked; self.  Every constructor ends here."""
+        self.min_poly = min_poly
+        self.exact_rational = (Fraction(a, den) if min_poly.degree == 1
+                               else None)
+        self._iv = (a, b, den)
         self._lock = threading.Lock()
         # (interval, numerators of the bounds of q^k over den^k)
         self._pow_state: tuple = (None, [])
+        return self
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_rational(cls, value) -> "AlgebraicNumber":
         v = _rational(value)
-        return cls(IntPolynomial([-v.numerator, v.denominator]), v, v,
-                   _validated=True)
+        n, d = v.numerator, v.denominator
+        return object.__new__(cls)._set_cell(IntPolynomial._of((-n, d)),
+                                             n, n, d)
 
     @classmethod
     def real_roots(cls, p: IntPolynomial) -> list["AlgebraicNumber"]:
@@ -147,19 +171,23 @@ class AlgebraicNumber:
         # the irrational roots are roots of sf with its linear factors
         # divided out; an isolating interval of sf isolates them in it too
         irr = _split_rational_roots(sf, cells)[1]
-        for lo, hi in cells:
-            if above is None or hi > above:
-                if lo == hi:                    # the rational root lo
-                    yield cls.from_rational(lo)
-                else:
-                    yield cls(irr, lo, hi, _validated=True)
+        for a, b, den in cells:
+            if above is None or b > above * den:
+                yield (cls.from_rational(Fraction(a, den)) if a == b
+                       else object.__new__(cls)._set_cell(irr, a, b, den))
 
     @classmethod
     def base_from_poly(cls, p: IntPolynomial, root_index: int | None = None,
                        root_interval: tuple[Fraction, Fraction] | None = None
                        ) -> "AlgebraicNumber":
         """Select a base q > 1: either by interval, or by 0-based index into
-        the ascending real roots > 1, each tested up to the one selected."""
+        the ascending real roots > 1, each tested up to the one selected.
+
+        The base keeps the interval it was selected on, unrefined: by index
+        that is its isolation cell, whose lower end may be <= 1 or even
+        negative (x^3 - x^2 - x - 1 gives (-2, 2)).  A reader that needs
+        more refines first: ``float_value``, ``refine_to_width`` and the
+        spectrum kernels (``make_kernel``) do; ``power_base`` refines off 0."""
         if (root_index is None) == (root_interval is None):
             raise PreconditionError("give exactly one of root index / interval")
         if root_interval is not None:
@@ -267,10 +295,23 @@ class AlgebraicNumber:
         return vlo, vhi, den
 
     def compare_to_fraction(self, c) -> int:
-        c = _rational(c)
-        if self.exact_rational is None:         # degree >= 2: q - c reduced
-            return self._sign_of_reduced((-c.numerator, c.denominator))
-        return (self.exact_rational > c) - (self.exact_rational < c)
+        """Sign of q - c for a rational c, read off the cell (lo, hi) as it
+        stands, with no refinement: +1 if c <= lo, -1 if c >= hi, and else
+        +1 iff the minimal polynomial f changes sign on (c, hi).  q is the
+        only root of f in the cell, and f(c) != 0, since f has no rational
+        root."""
+        if type(c) is not int:          # an int is its own numerator
+            c = _rational(c)
+        if self.exact_rational is not None:
+            return (self.exact_rational > c) - (self.exact_rational < c)
+        a, b, den = self._iv
+        n, d = c.numerator, c.denominator
+        if n * den <= a * d:
+            return 1
+        if n * den >= b * d:
+            return -1
+        cs = self.min_poly.coeffs
+        return 1 if _sign(cs, n, d) != _sign(cs, b, den) else -1
 
     def greater_than(self, c) -> bool:
         return self.compare_to_fraction(c) > 0

@@ -235,20 +235,22 @@ def _may_have_rational_root(sf: IntPolynomial) -> bool:
 
 def _split_rational_roots(sf: IntPolynomial, cells=None
                           ) -> tuple[list[Fraction], IntPolynomial]:
-    """(rational roots, ascending; sf with them divided out) of a
-    squarefree primitive sf: the point cells among its ``cells`` of
-    ``isolate_roots_exact``, made here unless the mod-p screen rules the
-    roots out.  A root n/d is divided out by the primitive d*x - n, which
-    leaves an integral, primitive quotient (Gauss's lemma); with none, sf."""
+    """(rational roots as Fractions, ascending; sf with them divided out)
+    of a squarefree primitive sf: the point cells (n, n, d) among its
+    ``cells`` of ``isolate_roots_exact``, made here unless the mod-p screen
+    rules the roots out.  A root n/d, in lowest terms, is divided out by
+    the primitive d*x - n, which leaves an integral, primitive quotient
+    (Gauss's lemma); with none, sf."""
     if cells is None:
         if not _may_have_rational_root(sf):
             return [], sf
         cells = isolate_roots_exact(sf)
-    rats = [lo for lo, hi in cells if lo == hi]
+    points = [(n, d) for n, b, d in cells if n == b]
     cs = sf.coeffs
-    for r in rats:
-        cs = _exact_quo(cs, (-r.numerator, r.denominator))
-    return rats, IntPolynomial(cs) if rats else sf
+    for n, d in points:
+        cs = _exact_quo(cs, (-n, d))
+    return ([Fraction(n, d) for n, d in points],
+            IntPolynomial(cs) if points else sf)
 
 
 # -- root bounds, Sturm chains, isolation ---------------------------------
@@ -358,11 +360,13 @@ def unit_circle_counts(p: IntPolynomial) -> tuple[int, int, int]:
 
 
 def isolate_roots_exact(p: IntPolynomial, above: int | None = None
-                        ) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational cells, ascending, one per real root of p: a
-    rational root r as the point (r, r), an irrational root as an open
-    interval isolating it.  They cover the real roots past ``above`` (all
-    of them if p may have a rational root).
+                        ) -> list[tuple[int, int, int]]:
+    """Disjoint int cells (a, b, den), den > 0, ascending, one per real root
+    of p, each reduced by gcd(a, b, den): a rational root r as the point
+    cell a == b, r = a/den in lowest terms, an irrational root as the open
+    interval (a/den, b/den) isolating it, whose ends are not roots.  They
+    cover the real roots past ``above`` (all of them if p may have a
+    rational root).
 
     One bisection of the squarefree part sf on its kept Sturm chain, from
     +-``cauchy_root_bound(sf)``: no root lies beyond, so the chain varies
@@ -376,8 +380,7 @@ def isolate_roots_exact(p: IntPolynomial, above: int | None = None
     and a rational root r of the primitive sf has a denominator dividing
     L = lc(sf), so L*r is an integer: a copy of the cell bisected in ints
     (``_bisect``) to width <= 1/L holds at most one multiple of 1/L, and r
-    is rational iff that multiple is a root.  Fractions are made for the
-    returned cells only.
+    is rational iff that multiple is a root.  No Fraction is made.
     """
     if p.is_zero:
         raise PreconditionError("zero polynomial rejected")
@@ -389,7 +392,7 @@ def isolate_roots_exact(p: IntPolynomial, above: int | None = None
     rational = _may_have_rational_root(sf)
     above = None if rational else above    # every rational root is wanted
     bn, bd = cauchy_root_bound(sf).as_integer_ratio()
-    cells: list[tuple[Fraction, Fraction]] = []
+    cells: list[tuple[int, int, int]] = []      # descending, the right first
     stack = [(-bn, bn, bd, _variations_at_infinity(chain, -1),
               _variations_at_infinity(chain, 1))]
     while stack:
@@ -400,13 +403,13 @@ def isolate_roots_exact(p: IntPolynomial, above: int | None = None
             continue
         m, e = a + b, b - a                       # the midpoint m/(2 den)
         if n == 1:
-            lo, hi = Fraction(a, den), Fraction(b, den)
-            if rational:
+            if rational and a < b:          # a == b: a bracketed root
                 ra, rb, rd = _bisect(cs, a, b, den, 1, lead)
                 k = ra * lead // rd + 1                         # r = k/lead
                 if k * rd < rb * lead and _sign(cs, k, lead) == 0:
-                    lo = hi = Fraction(k, lead)
-            cells.append((lo, hi))
+                    a, b, den = k, k, lead
+            g = math.gcd(a, b, den)
+            cells.append((a // g, b // g, den // g))
         elif (vm := _variations_at(chain, m, 2 * den)) is None:
             # bracket the root by m/den +- e/den, halving until it isolates
             a, b, m, den = 4 * a, 4 * b, 2 * m, 4 * den
@@ -414,11 +417,12 @@ def isolate_roots_exact(p: IntPolynomial, above: int | None = None
                    or (vr := _variations_at(chain, m + e, den)) is None
                    or vl - vr != 1):
                 a, b, m, den = 2 * a, 2 * b, 2 * m, 2 * den
-            cells.append((r := Fraction(m, den), r))
-            stack += [(a, m - e, den, va, vl), (m + e, b, den, vr, vb)]
+            # the point cell waits on the stack between its two sides
+            stack += [(a, m - e, den, va, vl), (m, m, den, 1, 0),
+                      (m + e, b, den, vr, vb)]
         else:
             stack += [(2 * a, m, 2 * den, va, vm), (m, 2 * b, 2 * den, vm, vb)]
-    return sorted(cells)
+    return cells[::-1]
 
 
 def _bisect(cs, a: int, b: int, den: int, wn: int, wd: int

@@ -64,6 +64,22 @@ def _sign_at(p: IntPolynomial, x) -> int:
     return intpoly._sign(p.coeffs, x.numerator, x.denominator)
 
 
+def _cells(p, above=None):
+    """``isolate_roots_exact``'s int cells (a, b, den) as Fraction pairs
+    (a/den, b/den)."""
+    return [(Fraction(a, den), Fraction(b, den))
+            for a, b, den in intpoly.isolate_roots_exact(p, above)]
+
+
+def _unchecked(p: IntPolynomial, lo: Fraction, hi: Fraction):
+    """The root of p in (lo, hi), built unchecked as the selectors build
+    one: p is taken as its minimal polynomial."""
+    den = math.lcm(lo.denominator, hi.denominator)
+    return object.__new__(AlgebraicNumber)._set_cell(
+        p, lo.numerator * den // lo.denominator,
+        hi.numerator * den // hi.denominator, den)
+
+
 def _open_cells(cells):
     """Isolation cells with each point cell (r, r) widened to the open
     interval between the midpoints from r to its neighbour cells (r -+ 1
@@ -176,19 +192,19 @@ def test_a_nonfinite_float_is_a_typed_error(entry, x):
 F = Fraction
 
 #: The refinement trajectory the recorded floats depend on: base intervals
-#: from ``base_from_poly`` and after ``refine_to_width(2^-80)``, isolation
-#: cells, and the Sturm chain evaluations and refinements of one
-#: ``base_from_poly``.
+#: from ``base_from_poly`` (the isolation cells, unrefined) and after
+#: ``refine_to_width(2^-80)``, and the Sturm chain evaluations and
+#: refinements of one ``base_from_poly``.
 PINNED_BASES = [
-    (SQRT_P2_POLY, (F(9, 8), F(5, 4)),
+    (SQRT_P2_POLY, (F(0), F(2)),
      (F(88769318478590582402507, 75557863725914323419136),
-      F(1420309095657449318440113, 1208925819614629174706176)), 1, 2),
-    (P2_POLY, (F(11, 8), F(3, 2)),
+      F(1420309095657449318440113, 1208925819614629174706176)), 1, 0),
+    (P2_POLY, (F(0), F(2)),
      (F(417163297879255274724055, 302231454903657293676544),
-      F(1668653191517021098896221, 1208925819614629174706176)), 1, 2),
-    (P1_POLY, (F(5, 4), F(3, 2)),
+      F(1668653191517021098896221, 1208925819614629174706176)), 1, 0),
+    (P1_POLY, (F(-2), F(2)),
      (F(200185717777540234707697, 151115727451828646838272),
-      F(1601485742220321877661577, 1208925819614629174706176)), 0, 2),
+      F(1601485742220321877661577, 1208925819614629174706176)), 0, 0),
 ]
 
 
@@ -235,9 +251,10 @@ def test_one_remainder_sequence_per_squarefree_input(monkeypatch, poly,
 
 
 def _height_one_base_lines():
-    """One line per monic height-1 polynomial of degree 3-5 with a real root
-    > 1: its coefficients, the interval of base_from_poly's first root > 1
-    and that interval refined to width 2^-80."""
+    """Two lines per monic height-1 polynomial of degree 3-5 with a real
+    root > 1: its coefficients with the interval of base_from_poly's first
+    root > 1, and its coefficients with that interval refined to width
+    2^-80."""
     for d in (3, 4, 5):
         for head in itertools.product((-1, 0, 1), repeat=d):
             coeffs = (*head, 1)
@@ -249,16 +266,21 @@ def _height_one_base_lines():
                 continue
             (lo, hi), (rlo, rhi) = q.interval(), q.refine_to_width(
                 F(1, 2**80))
-            yield f"{','.join(map(str, coeffs))} {lo} {hi} {rlo} {rhi}\n"
+            text = ",".join(map(str, coeffs))
+            yield f"{text} {lo} {hi}\n", f"{text} {rlo} {rhi}\n"
 
 
 def test_height_one_base_intervals_are_pinned():
     # the recorded benchmark floats depend on each base's refinement
-    # trajectory; this pins it on every small height-1 base in tier 1
-    lines = list(_height_one_base_lines())
-    assert len(lines) == 76
-    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
-        "1c9bbe4ebb36246b4f1b8742626c541a7de93a2d36b4bcfed4b8856e2c602e98")
+    # trajectory; this pins it on every small height-1 base in tier 1: the
+    # selected cells, unrefined, and the intervals at 2^-80, which are the
+    # same as when selection refined each cell until it cleared 1
+    cells, refined = zip(*_height_one_base_lines())
+    assert len(cells) == 76
+    assert hashlib.sha256("".join(cells).encode()).hexdigest() == (
+        "954570d318ba6e544733772456ecbde291a5bbe67ac6e3ed974d39e131349386")
+    assert hashlib.sha256("".join(refined).encode()).hexdigest() == (
+        "88b300d38f518d38a14529239237fdd328f16d47db851bf3b8658181f38917ba")
 
 
 def _checked_constructor_lines():
@@ -272,7 +294,7 @@ def _checked_constructor_lines():
             for low in itertools.product((-1, 0, 1), repeat=d):
                 p = (IntPolynomial([-r.numerator, r.denominator])
                      * IntPolynomial([*low, 1]))
-                for cell in _open_cells(intpoly.isolate_roots_exact(p)):
+                for cell in _open_cells(_cells(p)):
                     x = AlgebraicNumber(p, *cell)
                     lo, hi = x.interval()
                     yield (f"{p.to_text()} {x.min_poly.to_text()} "
@@ -318,14 +340,13 @@ def _reference_real_roots(p: IntPolynomial) -> list[AlgebraicNumber]:
     found are divided out of the squarefree part in Fractions, for the
     minimal polynomial of the others."""
     sf = intpoly.squarefree_part(p)
-    cells = _centred_cells(intpoly.isolate_roots_exact(sf))
+    cells = _centred_cells(_cells(sf))
     rats = [m for lo, hi in cells if _sign_at(sf, m := (lo + hi) / 2) == 0]
     irr = sf
     for r in rats:
         irr = _divided_out(irr, r)
     return [AlgebraicNumber.from_rational(m) if (m := (lo + hi) / 2) in rats
-            else AlgebraicNumber(irr, lo, hi, _validated=True)
-            for lo, hi in cells]
+            else _unchecked(irr, lo, hi) for lo, hi in cells]
 
 
 def _root_record(x: AlgebraicNumber):
@@ -346,7 +367,7 @@ def test_real_roots_and_the_checked_constructor_match_the_midpoint_path():
             want = _reference_real_roots(p)
             assert list(map(_root_record, got)) == list(
                 map(_root_record, want)), low
-            cells = _open_cells(intpoly.isolate_roots_exact(p))
+            cells = _open_cells(_cells(p))
             for (lo, hi), x in zip(cells, want):
                 assert _root_record(AlgebraicNumber(p, lo, hi)) == \
                     _root_record(x), (low, lo, hi)
@@ -365,12 +386,13 @@ def _unscreened_base(monkeypatch, coeffs):
     with monkeypatch.context() as m:
         m.setattr(intpoly, "_has_root_mod", lambda cs, p: True)
         sf = intpoly.squarefree_part(IntPolynomial(coeffs))
-        cells = intpoly.isolate_roots_exact(sf)
-        rats, irr = intpoly._split_rational_roots(sf, cells)
+        rats, irr = intpoly._split_rational_roots(
+            sf, intpoly.isolate_roots_exact(sf))
+        cells = _cells(sf)
     for lo, hi in cells:
         mid = (lo + hi) / 2
         r = (AlgebraicNumber.from_rational(mid) if mid in rats
-             else AlgebraicNumber(irr, lo, hi, _validated=True))
+             else _unchecked(irr, lo, hi))
         if r.greater_than(1):
             return r
     return None
@@ -441,6 +463,81 @@ def test_screened_isolation_bisects_nothing(monkeypatch):
     assert q.greater_than(big) and not q.greater_than(big + 1)
 
 
+def _height_one_bases():
+    """Every monic {-1, 0, 1} polynomial of degree 2-6 with a root > 1."""
+    for d in range(2, 7):
+        for head in itertools.product((-1, 0, 1), repeat=d):
+            p = IntPolynomial((*head, 1))
+            if any(r.float_value() > 1 for r in AlgebraicNumber.real_roots(p)):
+                yield p
+
+
+def test_selecting_a_screened_base_bisects_nothing(monkeypatch):
+    # with no rational root possible, selection isolates the cells above 1
+    # and decides q > 1 on the selected cell by one sign, refining nothing
+    polys = [p for p in _height_one_bases()
+             if not intpoly._may_have_rational_root(intpoly.squarefree_part(p))]
+    calls = {"_bisect": 0}
+    monkeypatch.setattr(algebraic, "_bisect", _count_calls(
+        monkeypatch, intpoly, "_bisect", calls))
+    for p in polys:
+        q = AlgebraicNumber.base_from_poly(IntPolynomial(p.coeffs),
+                                           root_index=0)
+        assert calls == {"_bisect": 0}, p
+        assert q.exact_rational is None, p
+    assert len(polys) == 148
+
+
+def _refined_compare(q, c: Fraction) -> int:
+    """Sign of q - c for an irrational q as ``compare_to_fraction`` once
+    decided it: a copy of q's interval bisected by quarter steps until it
+    clears c (the loop of ``_sign_of_reduced`` on the enclosure of q - c)."""
+    a, b, den = q._iv
+    n, d = c.numerator, c.denominator
+    while True:
+        if d * a > n * den:
+            return 1
+        if d * b < n * den:
+            return -1
+        a, b, den = intpoly._bisect(q.min_poly.coeffs, a, b, den, b - a,
+                                    4 * den)
+
+
+def test_comparison_reads_the_cell_as_refinement_decided(monkeypatch):
+    # every height-1 base of degree 2-6 with a root > 1 and the four
+    # non-monic bases of the power_base test, against 1, 2, m and m + 1 for
+    # m = 1-3, 0, the cell's ends and midpoint, and rationals beside q: the
+    # same sign as refining until the cell clears c, read with no
+    # refinement and with two evaluations of the minimal polynomial when c
+    # lies inside the cell, none when it does not
+    signs = {"_sign": 0}
+    _count_calls(monkeypatch, algebraic, "_sign", signs)
+    polys = list(_height_one_bases()) + [
+        IntPolynomial(c) for c in ([-1, -2, 2], [-2, -3, 3], [1, -5, 0, 2],
+                                   [-7, 1, 0, 3])]
+    bases = inside = outside = 0
+    for p in polys:
+        q = AlgebraicNumber.base_from_poly(p, root_index=0)
+        assert q.exact_rational is None, p
+        lo, hi = cell = q.interval()
+        near = AlgebraicNumber(q.min_poly, lo, hi).refine_to_width(
+            F(1, 2**40))
+        for c in (F(0), F(1), F(2), F(3), F(4), lo, hi, (lo + hi) / 2,
+                  *near, near[0] - F(1, 2**41), near[1] + F(1, 2**41)):
+            signs["_sign"] = 0
+            assert q.compare_to_fraction(c) == _refined_compare(q, c), (p, c)
+            assert q.greater_than(c) == (_refined_compare(q, c) > 0), (p, c)
+            assert q.interval() == cell, (p, c)
+            if lo < c < hi:
+                assert signs["_sign"] == 4, (p, c)
+                inside += 1
+            else:
+                assert signs["_sign"] == 0, (p, c)
+                outside += 1
+        bases += 1
+    assert (bases, inside, outside) == (268, 1540, 1676)
+
+
 def _classify_counting_chains(monkeypatch, poly):
     """(Sturm sequences built, class) of base_from_poly and classify_base
     on a fresh copy of poly, with the conjugate disks read."""
@@ -495,12 +592,12 @@ def test_roots_below_one_are_not_built(monkeypatch):
     # reach past one, (7/16, 77/64) of 1/sqrt(2) and phi's, so two roots
     # are built and tested, and the four roots below them never are
     built = []
-    init = AlgebraicNumber.__init__
+    set_cell = AlgebraicNumber._set_cell
 
-    def counting_init(self, *args, **kwargs):
+    def counting_set_cell(self, *args):
         built.append(args)
-        init(self, *args, **kwargs)
-    monkeypatch.setattr(AlgebraicNumber, "__init__", counting_init)
+        return set_cell(self, *args)
+    monkeypatch.setattr(AlgebraicNumber, "_set_cell", counting_set_cell)
     p = (IntPolynomial([0, 1]) * IntPolynomial([-1, 0, 2])
          * IntPolynomial([1, 1]) * PHI_POLY)
     q = AlgebraicNumber.base_from_poly(p, root_index=0)
@@ -519,19 +616,34 @@ def test_a_linear_base_interval_is_checked():
     assert q.exact_rational == 3
 
 
+def test_an_interval_end_past_the_str_digit_limit_is_shown_rounded():
+    # str() refuses an int of over 4,300 digits, which once turned the
+    # refusal of such an interval into an untyped ValueError
+    for lo, hi, shown in ((F(-10**5000), F(3), "(-~1e5000, 3)"),
+                          (F(1, 10**5000), F(1), "(~1e-5000, 1)"),
+                          (F(2), F(10**4400 + 1, 10**4398), "(2, ~1e2)")):
+        with pytest.raises(PreconditionError) as info:
+            AlgebraicNumber(PHI_POLY, lo, hi)
+        assert str(info.value) == (
+            f"interval {shown} does not isolate exactly one root")
+
+
 def test_isolation_cells_are_pinned():
     # a rational root is its point cell, found by the bisection to width
     # 1/lc (1 and -1) or as a split point (0)
     x_minus_1 = IntPolynomial([-1, 1])
-    assert intpoly.isolate_roots_exact(x_minus_1 * PHI_POLY) == [
+    assert _cells(x_minus_1 * PHI_POLY) == [
         (F(-3), F(0)), (F(1), F(1)), (F(3, 2), F(3))]
     big = 10**20 + 2
-    assert intpoly.isolate_roots_exact(IntPolynomial([1 - big, 0, 1])) == [
+    assert _cells(IntPolynomial([1 - big, 0, 1])) == [
         (F(-big), F(0)), (F(0), F(big))]
     # x (2x^2 - 1)(x + 1): the first midpoint, 0, is a root
     p = IntPolynomial([0, 1]) * IntPolynomial([-1, 0, 2]) * IntPolynomial([1, 1])
-    assert intpoly.isolate_roots_exact(p) == [
+    assert _cells(p) == [
         (F(-1), F(-1)), (F(-7, 8), F(-1, 2)), (F(0), F(0)), (F(1, 2), F(2))]
+    # as int cells (a, b, den), each reduced by gcd(a, b, den)
+    assert intpoly.isolate_roots_exact(p) == [
+        (-1, -1, 1), (-7, -4, 8), (0, 0, 1), (1, 4, 2)]
 
 
 def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
@@ -738,11 +850,12 @@ def test_power_base_of_a_rational_is_exact():
 
 
 def test_power_base_refines_q_until_the_power_is_isolated():
-    # q = the root > 1 of 1000x^2 - x - 2000 starts at (21/16, 3/2); its
-    # square holds both real roots of 10^6 x^2 - 4000001 x + 4*10^6
+    # q = the root > 1 of 1000x^2 - x - 2000 starts at its isolation cell
+    # (0, 3), and two refinements later at (21/16, 3/2), whose square still
+    # holds both real roots of 10^6 x^2 - 4000001 x + 4*10^6
     q = AlgebraicNumber.base_from_poly(IntPolynomial([-2000, -1, 1000]),
                                        root_index=0)
-    assert q.interval() == (Fraction(21, 16), Fraction(3, 2))
+    assert q.interval() == (Fraction(0), Fraction(3))
     widths = []
     refine = q.refine_to_width
 
@@ -752,8 +865,11 @@ def test_power_base_refines_q_until_the_power_is_isolated():
 
     q.refine_to_width = counting
     p = power_base(q, 2)
-    assert len(widths) == 4
+    assert widths[:2] == [Fraction(3, 4), Fraction(3, 16)]
+    assert len(widths) == 6
     assert p.min_poly == IntPolynomial([4000000, -4000001, 1000000])
+    assert p.interval() == (Fraction(33558849, 16777216),
+                            Fraction(2099601, 1048576))
     assert abs(p.float_value() - q.float_value() ** 2) < 1e-12
 
 
@@ -829,7 +945,8 @@ def _charpoly(a) -> list[Fraction]:
 def _reference_power_base(q, k):
     """The companion-matrix route: the characteristic polynomial of the
     k-th power of the companion matrix of q's minimal polynomial, its
-    squarefree part, the same interval search, then the checked
+    squarefree part, the same interval search (q refined off 0 first, as x^k
+    maps an interval of q > 0 onto one of q^k only there), then the checked
     constructor."""
     p, d = q.min_poly, q.min_poly.degree
     mat = [[Fraction(0)] * d for _ in range(d)]
@@ -847,7 +964,8 @@ def _reference_power_base(q, k):
     while True:
         lo, hi = q.interval()
         plo, phi_ = lo**k, hi**k
-        if (_sign_at(defining, plo) != 0 and _sign_at(defining, phi_) != 0
+        if (lo >= 0 and _sign_at(defining, plo) != 0
+                and _sign_at(defining, phi_) != 0
                 and _count_roots(defining, plo, phi_) == 1):
             return AlgebraicNumber(defining, plo, phi_)
         q.refine_to_width((hi - lo) / 4)

@@ -442,9 +442,10 @@ def test_each_digit_signs_each_vector_once(monkeypatch):
     x^8 - x^6 - 1 to N = 400, counted at the base's sign oracle and at
     ``_int_interval``.  Each digit reads one enclosure of its carried
     vector, and a candidate test is signed only when that enclosure does
-    not settle it: greedy makes 38 exact signs and 487 evaluations (777
-    and 826 while every tried candidate was signed), lazy 44 and 660
-    (1,169 and 1,221 while both tests of each candidate were).  No run
+    not settle it: greedy makes 38 exact signs and 489 evaluations (777
+    and 826 while every tried candidate was signed), lazy 42 and 660
+    (1,169 and 1,221 while both tests of each candidate were).  The base
+    starts at its isolation cell, unrefined.  No run
     signs a vector twice in a row: the corridor's capacity bounds, which a
     known tail makes one vector, are signed once."""
     signed, evaluated = [], []
@@ -472,7 +473,7 @@ def test_each_digit_signs_each_vector_once(monkeypatch):
         run(q)
         counts[name] = (len(signed), len(evaluated))
         assert all(a != b for a, b in zip(signed, signed[1:])), name
-    assert counts == {"greedy": (38, 487), "lazy": (44, 660)}
+    assert counts == {"greedy": (38, 489), "lazy": (42, 660)}
 
 
 def _non_monic_base():

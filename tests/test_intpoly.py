@@ -54,6 +54,13 @@ def _open_cells(cells):
     return out
 
 
+def _cells(p, above=None):
+    """``isolate_roots_exact``'s int cells (a, b, den) as Fraction pairs
+    (a/den, b/den)."""
+    return [(Fraction(a, den), Fraction(b, den))
+            for a, b, den in isolate_roots_exact(p, above)]
+
+
 def _count_roots(p, lo, hi):
     """Distinct real roots of p in (lo, hi), lo < hi neither a root: the
     drop in sign variations of p's Sturm chain."""
@@ -195,7 +202,7 @@ def test_rational_roots_and_deflation():
 
 def test_isolate_fibonacci_poly_against_bisection_oracle():
     p = IntPolynomial([-1, -1, 1])  # x^2 - x - 1
-    intervals = isolate_roots_exact(p)
+    intervals = _cells(p)
     oracle = bisection_oracle(p.coeffs)
     assert len(intervals) == len(oracle) == 2
     for (lo, hi), r in zip(intervals, oracle):
@@ -204,15 +211,15 @@ def test_isolate_fibonacci_poly_against_bisection_oracle():
 
 
 def test_isolate_linear_exact():
-    # a rational root is its point cell
-    assert isolate_roots_exact(IntPolynomial([-2, 1])) == [(2, 2)]
-    assert isolate_roots_exact(IntPolynomial([-2, 3])) == [
-        (Fraction(2, 3), Fraction(2, 3))]
+    # a rational root is its point cell, in lowest terms
+    assert isolate_roots_exact(IntPolynomial([-2, 1])) == [(2, 2, 1)]
+    assert isolate_roots_exact(IntPolynomial([-2, 3])) == [(2, 2, 3)]
+    assert isolate_roots_exact(IntPolynomial([-4, 6])) == [(2, 2, 3)]
 
 
 def test_isolate_plastic_poly():
     p = IntPolynomial([-1, -1, 0, 1])  # x^3 - x - 1, one real root ~1.3247
-    intervals = isolate_roots_exact(p)
+    intervals = _cells(p)
     assert len(intervals) == 1
     lo, hi = _refine(p, *intervals[0], Fraction(1, 10**13))
     root = bisection_oracle(p.coeffs)[0]
@@ -229,7 +236,7 @@ def test_isolate_plastic_poly():
 ])
 def test_isolation_count_and_disjointness_vs_oracle(coeffs):
     p = IntPolynomial(coeffs)
-    intervals = isolate_roots_exact(p)
+    intervals = _cells(p)
     oracle = bisection_oracle(list(coeffs))
     assert len(intervals) == len(oracle)
     for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
@@ -249,7 +256,7 @@ def test_isolation_terminates_when_a_rational_root_meets_a_cell_edge(
             p = IntPolynomial(head + (1,))
             if head[0] == 0 or not is_squarefree(p):
                 continue
-            intervals = isolate_roots_exact(p)
+            intervals = _cells(p)
             for lo, hi in intervals:
                 if lo == hi:                    # a rational root
                     assert _sign_at(p, lo) == 0
@@ -285,7 +292,7 @@ def test_random_products_isolation_matches_oracle():
             p = p * IntPolynomial(factor)
         if not is_squarefree(p):
             continue
-        intervals = isolate_roots_exact(p)
+        intervals = _cells(p)
         oracle = bisection_oracle(p.coeffs)
         assert len(intervals) == len(oracle)
         for (lo, hi), r in zip(intervals, oracle):
@@ -493,8 +500,7 @@ def test_refine_root_interval_equals_a_fraction_bisection():
     for _ in range(40):
         p = squarefree_part(IntPolynomial(
             [rng.randint(-9, 9) for _ in range(rng.randint(2, 9))] + [1]))
-        cases += [(p, lo, hi) for lo, hi in isolate_roots_exact(p)
-                  if lo != hi]
+        cases += [(p, lo, hi) for lo, hi in _cells(p) if lo != hi]
     for p, lo, hi in cases:
         for width in widths:
             assert _refine(p, lo, hi, width) == \
@@ -557,7 +563,7 @@ def test_int_bisection_equals_the_fraction_refinement():
     for _ in range(30):
         p = squarefree_part(IntPolynomial(
             [rng.randint(-9, 9) for _ in range(rng.randint(2, 8))] + [1]))
-        for lo, hi in _open_cells(isolate_roots_exact(p)):
+        for lo, hi in _open_cells(_cells(p)):
             # a seeded point of ninths inside the cell as its new upper end
             t = F(rng.randint(1, 8), 9)
             cases += [(p, lo, hi), (p, lo, lo + t * (hi - lo))]
@@ -614,8 +620,8 @@ def test_isolation_above_a_point_keeps_the_cells_past_it():
     for d in (2, 3, 4, 5):
         for head in itertools.product((-1, 0, 1), repeat=d):
             p = IntPolynomial((*head, 1))
-            cells = isolate_roots_exact(p)
-            kept = isolate_roots_exact(p, 1)
+            cells = _cells(p)
+            kept = _cells(p, 1)
             if intpoly._may_have_rational_root(squarefree_part(p)):
                 assert kept == cells, p
             else:

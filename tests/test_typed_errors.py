@@ -79,6 +79,8 @@ CASES = {
         IntPolynomial([-2, 0, 1])),
     "selected root <= 1": lambda: AlgebraicNumber.base_from_poly(
         IntPolynomial([-2, 0, 1]), root_interval=(Fraction(-2), Fraction(-1))),
+    "interval end past the int-to-str digit limit": lambda: AlgebraicNumber(
+        IntPolynomial([-1, -1, 1]), Fraction(-10**5000), Fraction(3)),
     "classify q <= 1": lambda: classify_base(one()),
     "power exponent < 1": lambda: power_base(phi(), 0),
     "leading coefficient of zero": lambda: IntPolynomial([]).leading,
@@ -103,6 +105,8 @@ CLI_CASES = {
     "base <= 1": ["classify", "--base", "0.5"],
     "both root selectors": ["classify", "--poly", "-2,0,1", "--root-index",
                             "0", "--root-interval", "1..2"],
+    "root interval end past the int-to-str digit limit": [
+        "classify", "--poly", "-1,-1,1", "--root-interval", "-1e5000..3"],
     "expand with both": ["expand", "--poly", "-1,-1,1", "--m", "1",
                          "--target", "1", "--pattern", "explicit:1"],
     "expand with neither": ["expand", "--poly", "-1,-1,1", "--m", "1"],
