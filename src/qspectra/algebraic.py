@@ -58,6 +58,7 @@ from .intpoly import (
     _integer,
     _prem,
     _rational,
+    _show,
     _sign,
     _split_rational_roots,
     _variations_at,
@@ -69,17 +70,6 @@ from .records import FrozenRecord
 
 #: Interval width at which a base's float values are read.
 FLOAT_WIDTH = Fraction(1, 2**72)
-
-
-def _show(x: Fraction) -> str:
-    """x for a message: exact while str() can print its terms, else its
-    sign and nearest power of ten (str() refuses an int past Python's
-    4,300-digit limit)."""
-    try:
-        return str(x)
-    except ValueError:
-        e = math.log10(abs(x.numerator)) - math.log10(x.denominator)
-        return f"{'-' if x < 0 else ''}~1e{round(e)}"
 
 
 class AlgebraicNumber:
@@ -195,7 +185,8 @@ class AlgebraicNumber:
                 lo, hi = root_interval
             except (TypeError, ValueError):
                 raise PreconditionError(
-                    f"root interval {root_interval!r} is not a pair") from None
+                    f"root interval {_show(root_interval)} is not a pair"
+                ) from None
             q = cls(p, lo, hi)
             if not q.greater_than(1):
                 raise PreconditionError("selected root is not > 1")
@@ -208,7 +199,8 @@ class AlgebraicNumber:
                     return r
                 found += 1
         raise PreconditionError(
-            f"root index {root_index} out of range: {found} real roots > 1")
+            f"root index {_show(root_index)} out of range: {found} real "
+            "roots > 1")
 
     # -- refinement --------------------------------------------------------
 
@@ -526,9 +518,10 @@ def classify_base(q: AlgebraicNumber, budget_bits: int = 4096) -> NumberClass:
     if q.exact_rational is not None:
         r = q.exact_rational
         if r.denominator == 1:
-            return NumberClass(PISOT_INTEGER, f"rational integer {r}", 0, 0, 1)
+            return NumberClass(PISOT_INTEGER, f"rational integer {_show(r)}",
+                               0, 0, 1)
         return NumberClass(NOT_ALGEBRAIC_INTEGER,
-                           f"rational non-integer {r}", 0, 0, 1)
+                           f"rational non-integer {_show(r)}", 0, 0, 1)
     p = q.min_poly
     n_in, n_on, n_out = unit_circle_counts(p)
     if not p.is_monic:
@@ -540,6 +533,17 @@ def classify_base(q: AlgebraicNumber, budget_bits: int = 4096) -> NumberClass:
     else:
         tag, detail = PISOT, "all other conjugates inside"
     return NumberClass(tag, detail, n_in, n_on, n_out, p, budget_bits)
+
+
+def _devries_margin(q: AlgebraicNumber, m: int
+                    ) -> tuple[Fraction, Fraction] | None:
+    """(lo, margin) with lo a rational lower bound of q and
+    margin = 1 - m/(lo-1), so that every spectrum value with top digit at
+    degree n satisfies |y| > lo^n * margin; None when lo <= m+1."""
+    lo, _ = q.refine_to_width(Fraction(1, 2**24))
+    if lo <= m + 1:
+        return None
+    return lo, 1 - Fraction(m) / (lo - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: classify, spectrum, gaps, minpos, expand, witness, aq,
-reproduce.  Every run emits a manifest-carrying envelope (JSON, or CSV for
-tabular results); re-running the same manifest reproduces the output byte
-for byte apart from the wall time.
+verdict, reproduce.  Every run emits a manifest-carrying envelope (JSON,
+or CSV for tabular results); re-running the same manifest reproduces the
+output byte for byte apart from the wall time.
 
 Exit codes: 0 ok, 1 a reproduction case failed, 2 precondition violation,
 3 budget exhaustion, 4 precision exhaustion / a withheld result.
@@ -218,8 +218,7 @@ def cmd_aq(args):
 def cmd_verdict(args):
     from .witness import accumulation_verdict
     q = resolve_base(args)
-    v = accumulation_verdict(q, args.m, state_budget=args.budget_states,
-                             tol=args.tolerance)
+    v = accumulation_verdict(q, args.m)
     return v.to_dict(), key_value_csv, EXIT_OK
 
 
@@ -260,11 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
                         f"max(1024, 4x) bits")
     g.add_argument("--format", choices=["json", "csv"],
                    default=argparse.SUPPRESS)
-    g.add_argument("--budget-states", type=int, default=argparse.SUPPRESS)
+    g.add_argument("--budget-states", type=int, default=argparse.SUPPRESS,
+                   help="read by spectrum, gaps, aq and minpos: the "
+                        "states a window or search may hold before it "
+                        f"stops with exit 3 (default {DEFAULT_STATE_BUDGET})")
     g.add_argument("--tolerance", type=float, default=argparse.SUPPRESS,
-                   help="read only by minpos and verdict: the dedup "
-                        "tolerance of their float search on a non-monic "
-                        f"base (default {DEFAULT_NUMERIC_TOL})")
+                   help="read only by minpos: the dedup tolerance of its "
+                        "float search on a non-monic base (default "
+                        f"{DEFAULT_NUMERIC_TOL})")
     g.add_argument("--out", default=argparse.SUPPRESS,
                    help="write output to this file")
 

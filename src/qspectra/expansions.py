@@ -26,7 +26,7 @@ from itertools import chain, cycle, islice, repeat
 
 from .algebraic import AlgebraicNumber, ZqContext, _axpy
 from .errors import PreconditionError, QSpectraError
-from .intpoly import _integer, _rational
+from .intpoly import _integer, _rational, _show
 from .records import FrozenRecord
 
 
@@ -48,7 +48,7 @@ class SignPattern(namedtuple("SignPattern", "explicit threshold eventual")):
     def __new__(cls, explicit: frozenset[int], threshold: int,
                 eventual: str = "out"):
         if eventual not in ("in", "out", "unknown"):
-            raise PreconditionError(f"bad eventual flag {eventual!r}")
+            raise PreconditionError(f"bad eventual flag {_show(eventual)}")
         threshold = _integer(threshold, "threshold")
         explicit = frozenset(_integer(i, "explicit index") for i in explicit)
         if threshold < 1:
@@ -56,7 +56,7 @@ class SignPattern(namedtuple("SignPattern", "explicit threshold eventual")):
         bad = [i for i in explicit if i < 1 or i >= threshold]
         if bad:
             raise PreconditionError(
-                f"explicit indices {bad} outside [1, threshold)")
+                f"explicit indices {_show(bad)} outside [1, threshold)")
         return super().__new__(cls, explicit, threshold, eventual)
 
     _make = classmethod(lambda cls, fields: cls(*fields))   # _replace too
@@ -78,7 +78,7 @@ class SignPattern(namedtuple("SignPattern", "explicit threshold eventual")):
             return i in self.explicit
         if self.eventual == "unknown":
             raise PreconditionError(
-                f"membership of {i} beyond the materialized horizon")
+                f"membership of {_show(i)} beyond the materialized horizon")
         return self.eventual == "in"
 
     @classmethod
@@ -141,7 +141,8 @@ class DigitSequence(FrozenRecord):
 
     def digit(self, i: int) -> int:
         if i < self.first_index:
-            raise PreconditionError(f"sequence starts at {self.first_index}")
+            raise PreconditionError(
+                f"sequence starts at {_show(self.first_index)}")
         j = i - self.first_index
         if j < len(self.preperiod):
             return self.preperiod[j]
@@ -239,7 +240,8 @@ def verify_expansion(seq: DigitSequence, q: AlgebraicNumber, target,
     theta^(N-i), so digit i adds s_i a^(i+1) den.
     """
     if not isinstance(seq, DigitSequence):
-        raise PreconditionError(f"sequence {seq!r} is not a DigitSequence")
+        raise PreconditionError(
+            f"sequence {_show(seq)} is not a DigitSequence")
     N = _integer(N, "N")
     if N < 0:
         raise PreconditionError("need N >= 0")
@@ -413,7 +415,8 @@ def lazy_constrained(q: AlgebraicNumber, m: int, pattern: SignPattern,
     if m < 1 or horizon < 1:
         raise PreconditionError("need m >= 1 and horizon >= 1")
     if not isinstance(pattern, SignPattern):
-        raise PreconditionError(f"pattern {pattern!r} is not a SignPattern")
+        raise PreconditionError(
+            f"pattern {_show(pattern)} is not a SignPattern")
     if not q.greater_than(1):
         raise PreconditionError("base must satisfy q > 1")
     # m > q - 1  <=>  q < m + 1

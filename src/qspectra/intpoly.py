@@ -20,6 +20,19 @@ from .errors import PreconditionError
 from .records import FrozenRecord
 
 
+def _show(x) -> str:
+    """x for a message: str() of an int or a Fraction, repr() of anything
+    else.  Past Python's 4,300-digit int-to-str limit, a number is its sign
+    and nearest power of ten, anything else its type."""
+    try:
+        return str(x) if isinstance(x, (int, Fraction)) else repr(x)
+    except ValueError:
+        if not isinstance(x, (int, Fraction)):
+            return f"<{type(x).__name__} too long to show>"
+        e = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+        return f"{'-' if x < 0 else ''}~1e{round(e)}"
+
+
 def _integer(c, name: str = "coefficient") -> int:
     """c as an int; int(c) alone would truncate a Fraction or a float.  An
     integral float or Fraction is taken, anything else is a
@@ -29,7 +42,7 @@ def _integer(c, name: str = "coefficient") -> int:
             return int(c)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise PreconditionError(f"{name} {c!r} is not an integer")
+    raise PreconditionError(f"{name} {_show(c)} is not an integer")
 
 
 def _rational(x) -> Fraction:
@@ -40,7 +53,8 @@ def _rational(x) -> Fraction:
     try:
         return Fraction(x)
     except (OverflowError, ValueError, ZeroDivisionError):
-        raise PreconditionError(f"{x!r} is not a finite rational") from None
+        raise PreconditionError(
+            f"{_show(x)} is not a finite rational") from None
 
 
 def _strip(cs: list[int]) -> tuple[int, ...]:
@@ -82,7 +96,10 @@ class IntPolynomial(FrozenRecord):
         return cls(coeffs)
 
     def to_text(self) -> str:
-        return ",".join(str(c) for c in (self.coeffs or (0,)))
+        try:
+            return ",".join(str(c) for c in (self.coeffs or (0,)))
+        except ValueError:      # str() refuses an int over 4,300 digits
+            raise PreconditionError("coefficient too long to print") from None
 
     # -- basic queries ---------------------------------------------------
 
@@ -432,7 +449,8 @@ def _bisect(cs, a: int, b: int, den: int, wn: int, wd: int
     in ints.  Its endpoint signs must be nonzero and differ.  A split point
     m that is a root gives m -+ wn/(4 wd).  Reduced by gcd(a, b, den)."""
     if wn <= 0:
-        raise PreconditionError(f"width {Fraction(wn, wd)} is not positive")
+        raise PreconditionError(
+            f"width {_show(Fraction(wn, wd))} is not positive")
     slo, shi = _sign(cs, a, den), _sign(cs, b, den)
     if slo == 0 or shi == 0:
         raise PreconditionError("endpoint is a root")

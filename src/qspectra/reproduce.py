@@ -83,27 +83,23 @@ def case_sqrt2_descent() -> dict:
     res = min_positive_bfs(_base(SQRT2_POLY), 1, max_depth=14)
     # expected exact vectors (a, b) for a + b sqrt2, alternating signs
     oracle = _pell_oracle(5)
-    want_vecs = []
-    for (p, q), _ in oracle:
-        want_vecs.append((-p, q) if (p - q * math.sqrt(2)) < 0 else (p, -q))
+    want_vecs = [(-p, q) if p < q * math.sqrt(2) else (p, -q)
+                 for (p, q), _ in oracle]
     seen = {}
     for rec in res.trace:
         if rec.min_vec is not None and rec.min_vec not in seen:
             seen[rec.min_vec] = (rec.depth, rec.min_value)
     passed = not res.closed
-    depths = []
-    value_errors = []
-    for vec, ((_, _), val) in zip(want_vecs, oracle):
+    depths, value_errors = [], []
+    for vec, (_, val) in zip(want_vecs, oracle):
         if vec not in seen:
             passed = False
             continue
         depth, got = seen[vec]
         depths.append(depth)
         value_errors.append(abs(got - val))
-        if abs(got - val) > 1e-9:
-            passed = False
-    if depths != sorted(depths):
-        passed = False
+        passed &= abs(got - val) <= 1e-9
+    passed &= depths == sorted(depths)
     return {"passed": passed,
             "measured": {"depths": depths, "value_errors": value_errors,
                          "vectors": [list(v) for v in want_vecs]}}
@@ -142,16 +138,18 @@ def case_verdict_corpus() -> dict:
     measured = {}
     passed = True
     for q, m in discrete:
-        v = accumulation_verdict(q, m, bfs_depth=10, state_budget=100_000)
+        v = accumulation_verdict(q, m)
         measured[f"{q.min_poly.to_text()}|m={m}"] = v.verdict
         passed &= v.verdict == "Discrete"
     for q, m in accumulating:
-        v = accumulation_verdict(q, m, bfs_depth=12, state_budget=100_000)
+        v = accumulation_verdict(q, m)
         key = f"{q.min_poly.to_text()}|m={m}"
         measured[key] = v.verdict
         passed &= v.verdict == "Accumulates"
-        trace = v.cross_check["bfs"]["trace"]
-        ratio = trace[3] / trace[-1] if trace[-1] > 0 else math.inf
+        # the verdict runs no search: the trace is minpos's, to depth 12
+        trace = min_positive_bfs(q, m, 12, state_budget=100_000).trace
+        ratio = (trace[3].min_value / trace[-1].min_value
+                 if trace[-1].min_value > 0 else math.inf)
         measured[key + "|drop"] = ratio
         passed &= ratio >= 5
     return {"passed": passed, "measured": measured}
@@ -195,9 +193,7 @@ def case_lazy_contract() -> dict:
     when the certified capacity upper bound is below one."""
     rng = random.Random(20240811)
     horizon = 80
-    runs = 0
-    accepted = 0
-    rejected = 0
+    runs = accepted = rejected = 0
     passed = True
     while runs < 50:
         qf = Fraction(rng.randint(105, 260), 100)
@@ -251,20 +247,9 @@ def case_pm_one_density() -> dict:
     """Signed unit-digit values at q = 1.35 fill [-2, 2] more densely as the
     degree grows: the covering radius strictly decreases from 7 to 14."""
     q = AlgebraicNumber.from_rational(Fraction("1.35"))
-    radii = []
-    for n in range(7, 15):
-        w = enumerate_A(q, n, 2)
-        radii.append(w.covering_radius)
+    radii = [enumerate_A(q, n, 2).covering_radius for n in range(7, 15)]
     passed = all(a > b for a, b in zip(radii, radii[1:]))
     return {"passed": passed, "measured": {"radii": radii}}
-
-
-def _brute_vectors(q: AlgebraicNumber, alphabet, degree: int):
-    ctx = q.zq_context()
-    out = set()
-    for digits in itertools.product(alphabet, repeat=degree + 1):
-        out.add(ctx.from_digits(digits))
-    return out
 
 
 def case_oracle_equivalence() -> dict:
@@ -311,16 +296,15 @@ def case_oracle_equivalence() -> dict:
         # minimal positive at depth 5 vs brute force over strings deg <= 4
         res = min_positive_bfs(q, m, max_depth=5)
         best = None
-        for vec in _brute_vectors(q, range(-m, m + 1), 4):
+        for vec in {ctx.from_digits(digits) for digits in
+                    itertools.product(range(-m, m + 1), repeat=5)}:
             if ctx.sign(vec) <= 0:
                 continue
             if ctx.cmp_tail(vec, m) > 0:
                 continue
             if best is None or ctx.sign(_axpy(vec, -1, best)) < 0:
                 best = vec
-        got_min = res.trace[4].min_vec if len(res.trace) > 4 else \
-            res.trace[-1].min_vec
-        checks.append(best == got_min)
+        checks.append(best == res.trace[min(4, len(res.trace) - 1)].min_vec)
     return {"passed": all(checks),
             "measured": {"checks": checks, "cases": len(checks)}}
 

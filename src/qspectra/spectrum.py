@@ -56,11 +56,11 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, compress
 
-from .algebraic import AlgebraicNumber, ZqContext
+from .algebraic import AlgebraicNumber, ZqContext, _devries_margin
 from .config import (DEFAULT_NUMERIC_TOL, DEFAULT_STATE_BUDGET,
                      MAX_SCALE_BITS)
 from .errors import PreconditionError
-from .intpoly import _integer, _rational
+from .intpoly import _integer, _rational, _show
 from .records import FrozenRecord
 
 
@@ -274,8 +274,8 @@ def make_kernel(q: AlgebraicNumber, m: int, depth: int | None = None,
         if (a ** min(depth or 0, MAX_SCALE_BITS + 1)).bit_length() \
                 > MAX_SCALE_BITS:
             raise PreconditionError(
-                f"an exact window of {depth} or more levels scales its values"
-                f" by at least {a}^{depth}, over {MAX_SCALE_BITS} bits")
+                f"an exact window of {_show(depth)} levels scales its values"
+                f" by {_show(a)}^{_show(depth)}, over {MAX_SCALE_BITS} bits")
         ctx = ZqContext(q, depth) if depth else q.zq_context()
         q.refine_to_width(MODEL_WIDTH)     # dq tiny against the floats
         return _PackedZq(ctx, m)
@@ -285,9 +285,9 @@ def make_kernel(q: AlgebraicNumber, m: int, depth: int | None = None,
 
 
 def check_tolerance(tol: float) -> None:
-    if not (tol > 0 and math.isfinite(tol)):
+    if not 0 < tol <= sys.float_info.max:   # refuses NaN and huge ints
         raise PreconditionError(f"tolerance must be positive and finite, "
-                                f"not {tol}")
+                                f"not {_show(tol)}")
 
 
 _U = 2.0 ** -53
@@ -709,17 +709,6 @@ def enumerate_Y(q: AlgebraicNumber, m: int, degree: int, B, *,
                           truncated=not complete)
 
 
-def _devries_margin(q: AlgebraicNumber, m: int
-                    ) -> tuple[Fraction, Fraction] | None:
-    """(lo, margin) with lo a rational lower bound of q and
-    margin = 1 - m/(lo-1), so that every spectrum value with top digit at
-    degree n satisfies |y| > lo^n * margin; None when lo <= m+1."""
-    lo, _ = q.refine_to_width(Fraction(1, 2**24))
-    if lo <= m + 1:
-        return None
-    return lo, 1 - Fraction(m) / (lo - 1)
-
-
 def _devries_complete(q: AlgebraicNumber, m: int, degree: int, B: Fraction
                       ) -> bool:
     """True when every spectrum value with a digit beyond the degree cap
@@ -781,13 +770,13 @@ class GapReport(namedtuple(
 
 def check_tail_fraction(tail_fraction: float) -> float:
     """The tail fraction in [0, 1]; a float or an int as given, any other
-    rational as its float."""
-    if not isinstance(tail_fraction, (int, float)):
-        tail_fraction = float(_rational(tail_fraction))
-    if not 0 <= tail_fraction <= 1:
+    rational as its float, checked exactly before it is rounded."""
+    t = (tail_fraction if isinstance(tail_fraction, (int, float))
+         else _rational(tail_fraction))
+    if not 0 <= t <= 1:
         raise PreconditionError(
-            f"tail fraction must lie in [0, 1], not {tail_fraction}")
-    return tail_fraction
+            f"tail fraction must lie in [0, 1], not {_show(t)}")
+    return float(t) if isinstance(t, Fraction) else t
 
 
 def gap_report(window: SpectrumWindow,

@@ -23,6 +23,9 @@ invariant under positive real scaling of the direction w, so w is scaled
 once to a Gaussian integer W over an int e.  A sign is then the sign of an
 int, a partial sum an int over e M^i, and a display float one correctly
 rounded int / int, the same float as that of the exact rational.
+
+The verdict is the paper's rule alone (``accumulation_verdict``), with one
+certificate slot; it loads no search module.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebraic import AlgebraicNumber, ZqContext, _axpy, classify_base
+from .algebraic import (AlgebraicNumber, ZqContext, _axpy, _devries_margin,
+                        classify_base)
 from .errors import (
     PreconditionError,
     PrecisionExhaustedError,
@@ -45,7 +49,7 @@ from .expansions import (
     periodic_completion,
     verify_expansion,
 )
-from .intpoly import _integer
+from .intpoly import _integer, _show
 
 # Gaussian rationals at the public boundary: (re, im) Fraction pairs.
 GR = tuple[Fraction, Fraction]
@@ -144,7 +148,7 @@ def as_gaussian(p) -> GR:
             z = Fraction(p), Fraction(0)
         _complex(z)
     except (OverflowError, TypeError, ValueError, ZeroDivisionError):
-        raise PreconditionError(f"companion point {p!r} is not a finite "
+        raise PreconditionError(f"companion point {_show(p)} is not a finite "
                                 "point within the float range") from None
     return z
 
@@ -622,7 +626,7 @@ class AccumulationVerdict(namedtuple(
         "AccumulationVerdict", "verdict reason classification base m "
         "cross_check")):
     """``verdict`` is "Discrete" | "Accumulates", ``reason`` "Pisot" |
-    "q>=m+1" | None."""
+    "q>=m+1" | None; ``cross_check`` holds one slot, ``certificate``."""
 
     __slots__ = ()
 
@@ -630,50 +634,45 @@ class AccumulationVerdict(namedtuple(
         return {**self._asdict(), "base": self.base.describe()}
 
 
-def accumulation_verdict(q: AlgebraicNumber, m: int, *,
-                         bfs_depth: int = 16,
-                         state_budget: int = 200_000,
-                         tol: float | None = None) -> AccumulationVerdict:
+def accumulation_verdict(q: AlgebraicNumber, m: int) -> AccumulationVerdict:
     """Decision rule for accumulation points of the m-spectrum: none exist
-    exactly when q is Pisot or q >= m+1.  Attaches one minimal-positive
-    search, to depth 8 when q >= m+1 and to ``bfs_depth`` otherwise, as
-    ``cross_check["bfs"]``: whether it closed, its minimum, its state count
-    and its per-depth minima (None where no positive state was reached);
-    when q >= m+1 also the growth-bound certificate.  The cross-checks are
-    evidence, never the proof."""
-    from .spectrum import min_positive_bfs   # build_witness never loads it
+    exactly when q is Pisot or q >= m+1.  No search runs (``minpos`` is
+    the search).  The certificate is de Vries's growth margin when a
+    rational lower bound of q exceeds m+1; otherwise ``kind`` None,
+    ``certified`` False and the ``reason``."""
     m = _integer(m, "m")
     if m < 1:
         raise PreconditionError("m >= 1 required")
     if not q.greater_than(1):
         raise PreconditionError("base must satisfy q > 1")
     cls = classify_base(q)
-    large = q.compare_to_fraction(m + 1) >= 0
-    cross = {"devries": _devries_certificate(q, m)} if large else {}
-    res = min_positive_bfs(q, m, 8 if large else bfs_depth,
-                           state_budget=state_budget, tol=tol)
-    cross["bfs"] = {"closed": res.closed, "min_positive": res.min_positive,
-                    "states": res.trace[-1].states,
-                    "trace": [r.min_value if math.isfinite(r.min_value)
-                              else None for r in res.trace]}
-    if large:
-        return AccumulationVerdict("Discrete", "q>=m+1", cls.tag, q, m, cross)
-    if cls.is_pisot:
-        return AccumulationVerdict("Discrete", "Pisot", cls.tag, q, m, cross)
-    return AccumulationVerdict("Accumulates", None, cls.tag, q, m, cross)
+    if q.compare_to_fraction(m + 1) >= 0:
+        label, cert = ("Discrete", "q>=m+1"), _devries_certificate(q, m)
+    elif cls.is_pisot:
+        label, cert = ("Discrete", "Pisot"), _uncertified(
+            "the Pisot label is exact; no separation bound is attached")
+    else:
+        label, cert = ("Accumulates", None), _uncertified(
+            "the label is exact; no accumulation witness is attached")
+    return AccumulationVerdict(*label, cls.tag, q, m, {"certificate": cert})
+
+
+def _uncertified(reason: str) -> dict:
+    return {"kind": None, "certified": False, "reason": reason}
 
 
 def _devries_certificate(q: AlgebraicNumber, m: int) -> dict:
     """Degree cap beyond which every spectrum value exceeds the sample
-    bound 10, from |y| > q^n (1 - m/(q-1)); empty at q = m+1 exactly,
-    where the unit gap bound takes over."""
-    from .spectrum import _devries_margin
+    bound 10, from |y| > lo^n (1 - m/(lo-1)) for a rational lower bound lo
+    of q; uncertified when lo <= m+1, as at q = m+1 exactly."""
     bound = _devries_margin(q, m)
     if bound is None:
-        return {"applies": False}
+        return _uncertified("q has no lower bound above m+1 at width 2^-24, "
+                            "so the growth margin is not positive")
     lo, margin = bound
     n = 0
     while lo ** (n + 1) * margin < 10 and n < 10_000:
         n += 1
-    return {"applies": True, "bound": 10.0, "degree_cap": n,
-            "margin": float(margin)}
+    return {"kind": "devries", "certified": True, "bound": 10.0,
+            "degree_cap": n, "margin": float(margin),
+            "margin_exact": _show(margin), "q_lower_exact": _show(lo)}

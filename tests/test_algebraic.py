@@ -1561,8 +1561,7 @@ def test_labels_never_run_the_disks(monkeypatch):
         assert classify_base(q).tag == tag
     for poly in (PHI_POLY, SQRT2_POLY):
         accumulation_verdict(AlgebraicNumber.base_from_poly(poly,
-                                                            root_index=0),
-                             1, bfs_depth=8)
+                                                            root_index=0), 1)
     assert all(r["passed"] for r in run_cases())
     assert calls == []
 

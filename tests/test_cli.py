@@ -275,6 +275,37 @@ def test_cli_verdict(capsys):
     assert doc["result"]["verdict"] == "Accumulates"
 
 
+@pytest.mark.parametrize("base,verdict,kind", [
+    (["--poly", "1,1,0,-1,-1,-1,-1,-1,0,1,1"], "Accumulates", None),
+    (["--base", "1.35"], "Accumulates", None),
+    (["--base", "3"], "Discrete", "devries"),
+], ids=["lehmer", "1.35", "3"])
+def test_cli_verdict_runs_no_search(capsys, deadline, base, verdict, kind):
+    # the verdict once ran a search to depth 16 beside its label, about 2 s
+    # on the first two; now it is the label and one certificate slot
+    with deadline(0.5):
+        code, doc = run_json(capsys, "verdict", *base, "--m", "1")
+    assert code == 0 and doc["result"]["verdict"] == verdict
+    cert = doc["result"]["cross_check"]["certificate"]
+    assert cert["kind"] == kind
+    assert cert["certified"] is (kind is not None)
+    assert kind is not None or cert["reason"]
+
+
+def test_cli_verdict_loads_no_search_module():
+    code = (
+        "import contextlib, io, sys\n"
+        "from qspectra import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verdict', '--poly', '-1,-1,0,1', '--m', '1'])\n"
+        "print(code, sorted({'qspectra.spectrum', 'qspectra.disks'}\n"
+        "                   & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout == "0 []\n"
+
+
 TREND_WORDS = ("decreasing", "stalled", "positive-certified", "constant",
                "mixed")
 
@@ -300,8 +331,8 @@ def test_search_outputs_carry_no_trend_word(capsys, base):
             texts.append(out)
     for text in texts:
         assert not [w for w in TREND_WORDS if w in text], text[:200]
-    bfs = json.loads(texts[-2])["result"]["cross_check"]["bfs"]
-    assert sorted(bfs) == ["closed", "min_positive", "states", "trace"]
+    cross_check = json.loads(texts[-2])["result"]["cross_check"]
+    assert list(cross_check) == ["certificate"]
 
 
 def test_cli_float_search_never_claims_closure(capsys):

@@ -609,8 +609,7 @@ NON_INTEGER_PROBES = [
     (lambda: enumerate_X(phi(), 1, 5, budget="5"), "state budget"),
     (lambda: enumerate_X(phi(), 1, 5, budget=2.5), "state budget"),
     (lambda: min_positive_bfs(phi(), 1, state_budget="5"), "state budget"),
-    (lambda: accumulation_verdict(phi(), 1, state_budget="x"),
-     "state budget"),
+    (lambda: enumerate_A(phi(), 3, 2, budget="x"), "state budget"),
     (lambda: conjugates(PHI_POLY, budget_bits="x"), "budget bits"),
     (lambda: classify_base(phi(), budget_bits="x").conjugate_set,
      "budget bits"),

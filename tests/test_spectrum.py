@@ -874,6 +874,8 @@ def test_bfs_sqrt2_pell_trace():
         assert vec in mins
     values = [r.min_value for r in res.trace]
     assert all(a >= b for a, b in zip(values, values[1:]))
+    # the minimum keeps falling: by a factor > 5 from depth 4 on
+    assert values[-1] < values[3] / 5
 
 
 def test_bfs_soundness_every_state_is_a_digit_string_value():

@@ -16,10 +16,10 @@ from qspectra.disks import conjugates
 from qspectra.errors import PreconditionError
 from qspectra.expansions import (DigitSequence, SignPattern,
                                  greedy_expansion, lazy_constrained,
-                                 periodic_completion)
+                                 periodic_completion, verify_expansion)
 from qspectra.intpoly import IntPolynomial, cauchy_root_bound
 from qspectra.spectrum import (enumerate_A, enumerate_X, enumerate_Y,
-                               min_positive_bfs)
+                               gap_report, min_positive_bfs)
 from qspectra.witness import (accumulation_verdict, build_witness,
                               parse_complex)
 
@@ -31,6 +31,13 @@ def phi():
 
 def one():
     return AlgebraicNumber.from_rational(Fraction(1))
+
+
+def rational(text):
+    return AlgebraicNumber.from_rational(Fraction(text))
+
+
+BIG = 10**5000
 
 
 CASES = {
@@ -88,6 +95,45 @@ CASES = {
     "conjugates of a constant": lambda: conjugates(IntPolynomial([3])),
     "empty polynomial text": lambda: IntPolynomial.from_text(""),
     "blank polynomial text": lambda: IntPolynomial.from_text(" "),
+    # values past Python's 4,300-digit int-to-str limit or the float range,
+    # which once broke the message that named them
+    "root index past the digit limit": lambda: AlgebraicNumber.base_from_poly(
+        IntPolynomial([-1, -1, 1]), root_index=BIG),
+    "root interval of three parts past the digit limit":
+        lambda: AlgebraicNumber.base_from_poly(
+            IntPolynomial([-1, -1, 1]), root_interval=(BIG, 1, 2)),
+    "Y degree past the digit limit": lambda: enumerate_Y(
+        rational("27/20"), 1, BIG, 2),
+    "A degree past the digit limit": lambda: enumerate_A(
+        rational("27/20"), BIG, 2),
+    "X m past the digit limit": lambda: enumerate_X(
+        phi(), Fraction(BIG, 3), 5),
+    "search depth past the digit limit": lambda: min_positive_bfs(
+        phi(), 1, Fraction(BIG, 3)),
+    "coefficient past the digit limit": lambda: IntPolynomial(
+        [Fraction(BIG, 3)]),
+    "tail fraction past the float range": lambda: gap_report(
+        enumerate_X(phi(), 1, 3), Fraction(BIG)),
+    "tolerance past the float range": lambda: min_positive_bfs(
+        rational("27/20"), 1, 3, tol=BIG),
+    "companion point past the digit limit": lambda: build_witness(
+        rational("9/5"), 1, BIG),
+    "explicit index past the digit limit": lambda: SignPattern(
+        frozenset({BIG}), 3),
+    "eventual flag past the digit limit": lambda: SignPattern(
+        frozenset(), 3, BIG),
+    "membership past the digit limit": lambda: SignPattern.from_membership(
+        [1], 3).contains(BIG),
+    "first index past the digit limit": lambda: DigitSequence(
+        (1,), 1, first_index=BIG).digit(0),
+    "sequence past the digit limit": lambda: verify_expansion(
+        BIG, phi(), 1, 3),
+    "pattern past the digit limit": lambda: lazy_constrained(
+        phi(), 1, BIG, 3),
+    "refinement width past the digit limit": lambda: phi().refine_to_width(
+        -BIG),
+    "verdict on an integer past the digit limit": lambda:
+        accumulation_verdict(rational(BIG), 1).to_dict(),
 }
 
 
@@ -107,6 +153,8 @@ CLI_CASES = {
                             "0", "--root-interval", "1..2"],
     "root interval end past the int-to-str digit limit": [
         "classify", "--poly", "-1,-1,1", "--root-interval", "-1e5000..3"],
+    "base past the int-to-str digit limit": ["verdict", "--base", "1e5000",
+                                             "--m", "1"],
     "expand with both": ["expand", "--poly", "-1,-1,1", "--m", "1",
                          "--target", "1", "--pattern", "explicit:1"],
     "expand with neither": ["expand", "--poly", "-1,-1,1", "--m", "1"],

@@ -560,18 +560,22 @@ def test_verdict_examples():
 
 
 def test_verdict_cross_checks():
-    v = accumulation_verdict(phi(), 1)
-    assert v.cross_check["bfs"]["closed"]
-    v3 = accumulation_verdict(AlgebraicNumber.from_rational(3), 2)
-    assert v3.cross_check["bfs"]["min_positive"] == 1
-    # q = 3 = m+1 exactly: growth bound does not apply, closure does
-    assert v3.cross_check["devries"]["applies"] is False
+    # one slot: de Vries's growth margin where q clears m+1, else no kind
+    # and the reason (the search is minpos's, tested with min_positive_bfs)
     v4 = accumulation_verdict(AlgebraicNumber.from_rational(4), 2)
-    assert v4.cross_check["devries"]["applies"] is True
+    assert v4.cross_check == {"certificate": {
+        "kind": "devries", "certified": True, "bound": 10.0,
+        "degree_cap": 2, "margin": 1 / 3, "margin_exact": "1/3",
+        "q_lower_exact": "4"}}        # 4^2 / 3 < 10 < 4^3 / 3
     sqrt2 = AlgebraicNumber.base_from_poly(SQRT2_POLY, root_index=0)
-    va = accumulation_verdict(sqrt2, 1)
-    trace = va.cross_check["bfs"]["trace"]
-    assert trace[-1] < trace[3] / 5
+    # q = 3 = m+1 exactly: the margin 1 - m/(q-1) is 0
+    for q, m in ((AlgebraicNumber.from_rational(3), 2), (phi(), 1),
+                 (sqrt2, 1)):
+        v = accumulation_verdict(q, m)
+        assert list(v.cross_check) == ["certificate"]
+        cert = v.cross_check["certificate"]
+        assert cert.pop("reason")
+        assert cert == {"kind": None, "certified": False}, q
 
 
 def test_verdict_rational_nonintegers_accumulate():
