@@ -12,9 +12,9 @@ Three layers live here:
   the roots of the minimal polynomial inside, on and outside the unit
   circle (``intpoly.unit_circle_counts``: Routh-Hurwitz after the Cayley
   map, the circle's roots read off the gcd that ends its Sturm sequence).
-  The certified disks (``disks.conjugates``) are the label's evidence,
-  computed, and ``disks`` loaded, only when a ``NumberClass``'s
-  ``conjugate_set`` is read.
+  It takes no budget.  The certified disks (``disks.conjugates``, at a
+  caller's budget) are its evidence, computed, and ``disks`` loaded, only
+  when asked for or a ``NumberClass``'s ``conjugate_set`` is read.
 * ``ZqContext`` -- the one exact value kernel, Q[q] for any base, run in
   integers: a context is built at one scale, a^D times a rational target's
   denominator (a the leading coefficient, D the highest degree its values
@@ -318,7 +318,9 @@ class AlgebraicNumber:
                 "root": self.float_value()}
 
     def __repr__(self):
-        return f"AlgebraicNumber({self.min_poly.to_text()}, ~{self.float_value():.6f})"
+        lo, hi = self.interval()        # as it stands: no refinement
+        return (f"AlgebraicNumber({_show(self.min_poly)}, "
+                f"[{_show(lo)}, {_show(hi)}])")
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +462,15 @@ class NumberClass(FrozenRecord):
 
     ``conjugate_set`` holds the certified disks of ``evidence_poly`` (the
     minimal polynomial of a monic irrational base, else None).  They are
-    evidence, not the label: ``disks.conjugates`` runs at ``budget_bits``
-    when the set is first read, on the counts ``classify_base`` left on
+    evidence, not the label: ``disks.conjugates`` runs at its default when
+    the set is first read, on the counts ``classify_base`` left on
     ``evidence_poly``, and the set is kept in the instance's ``__dict__``."""
 
-    _fields = ("tag", "detail", "n_in", "n_on", "n_out", "evidence_poly",
-               "budget_bits")
+    _fields = ("tag", "detail", "n_in", "n_on", "n_out", "evidence_poly")
 
     def __init__(self, tag: str, detail: str, n_in: int, n_on: int,
-                 n_out: int, evidence_poly: IntPolynomial | None = None,
-                 budget_bits: int = 4096):
-        super().__init__(tag, detail, n_in, n_on, n_out, evidence_poly,
-                         budget_bits)
+                 n_out: int, evidence_poly: IntPolynomial | None = None):
+        super().__init__(tag, detail, n_in, n_on, n_out, evidence_poly)
 
     @property
     def is_pisot(self) -> bool:
@@ -482,34 +481,19 @@ class NumberClass(FrozenRecord):
         if self.evidence_poly is None:
             return None
         from .disks import conjugates
-        return conjugates(self.evidence_poly, budget_bits=self.budget_bits)
-
-    def evidence(self) -> list[dict]:
-        if self.conjugate_set is None:
-            return []
-        try:
-            return [
-                {"center": [float(d.re), float(d.im)],
-                 "radius": float(d.radius),
-                 "modulus_bounds": list(d.modulus_bounds()),
-                 "location": d.location}
-                for d in self.conjugate_set.disks
-            ]
-        except OverflowError:
-            raise PreconditionError(
-                "conjugate beyond the float range") from None
+        return conjugates(self.evidence_poly)
 
 
-def classify_base(q: AlgebraicNumber, budget_bits: int = 4096) -> NumberClass:
+def classify_base(q: AlgebraicNumber) -> NumberClass:
     """Theorem-grade Pisot classification of a base q > 1.
 
     Pisot iff the minimal polynomial P is monic and every conjugate other
     than q lies strictly inside the unit circle.  The label comes from the
     exact integer counts of the roots of P inside, on and outside the unit
     circle (``unit_circle_counts``), so it needs no precision and is never
-    inconclusive.  The certified disks are evidence only, computed at
-    ``budget_bits`` when ``conjugate_set`` is first read; a budget too small
-    for them leaves disks tagged 'unresolved' but the label exact.
+    inconclusive; it takes no budget.  The disks (``conjugate_set``, or
+    ``disks.conjugates`` at a caller's budget) are evidence only: a budget
+    too small for them tags disks 'unresolved' and leaves the label exact.
     P has no rational root (``AlgebraicNumber`` divides them out); that it
     has no other factor either is an input contract.
     """
@@ -532,7 +516,7 @@ def classify_base(q: AlgebraicNumber, budget_bits: int = 4096) -> NumberClass:
                                   f"the unit circle")
     else:
         tag, detail = PISOT, "all other conjugates inside"
-    return NumberClass(tag, detail, n_in, n_on, n_out, p, budget_bits)
+    return NumberClass(tag, detail, n_in, n_on, n_out, p)
 
 
 def _devries_margin(q: AlgebraicNumber, m: int

@@ -106,15 +106,18 @@ def _window_result(w) -> dict:
 
 def cmd_classify(args):
     q = resolve_base(args)
-    budget = max(1024, 4 * args.precision)
-    cls = classify_base(q, budget_bits=budget)
+    cls = classify_base(q)
     result = {
         "base": q.describe(),
         "class": cls.tag,
         "is_pisot": cls.is_pisot,
         "detail": cls.detail,
-        "conjugates": cls.evidence(),
+        "conjugates": [],
     }
+    if cls.evidence_poly is not None:      # the disks, at --precision's cap
+        from .disks import conjugates
+        result["conjugates"] = conjugates(cls.evidence_poly, budget_bits=max(
+            1024, 4 * args.precision)).evidence()
     return result, key_value_csv, EXIT_OK
 
 

@@ -1,11 +1,12 @@
 """Certified complex root disks, the evidence behind a Pisot label, loaded
 only when a disk is computed (``NumberClass.conjugate_set``, or
-``conjugates`` called).  ``conjugates`` runs the precision ladder: on each
-rung ``_dk_iterate`` runs simultaneous Weierstrass (Durand-Kerner)
-iteration in Gaussian integers, ``_certified_disks`` checks its
-a-posteriori disks exactly, and ``_locate_disk`` places each against the
-unit circle.  There is no special case (a linear polynomial or the root 0
-takes the ladder too), and the counts are read off the polynomial.
+``conjugates`` called) and formatted by ``ConjugateSet.evidence``.
+``conjugates`` runs the precision ladder up to ``budget_bits``, its one
+option: on each rung ``_dk_iterate`` runs simultaneous Weierstrass
+(Durand-Kerner) iteration in Gaussian integers, ``_certified_disks`` checks
+its a-posteriori disks exactly, and ``_locate_disk`` places each against
+the unit circle.  There is no special case (a linear polynomial or the root
+0 takes the ladder too), and the counts are read off the polynomial.
 """
 
 from __future__ import annotations
@@ -38,11 +39,21 @@ class ConjugateDisk(namedtuple("ConjugateDisk", "re im radius location")):
         return (max(0.0, m - r), m + r)
 
 
-class ConjugateSet(namedtuple("ConjugateSet", "poly disks resolved "
+class ConjugateSet(namedtuple("ConjugateSet", "disks resolved "
                               "precision_bits on_circle_count")):
-    """``disks`` holds a ``ConjugateDisk`` per root of ``poly`` from the last
-    certified rung, and is empty when no rung in the budget certified one."""
+    """``disks``: a ``ConjugateDisk`` per root from the last certified rung,
+    none if no rung in the budget certified; ``evidence`` formats them."""
     __slots__ = ()
+
+    def evidence(self) -> list[dict]:
+        try:
+            return [{"center": [float(d.re), float(d.im)],
+                     "radius": float(d.radius),
+                     "modulus_bounds": list(d.modulus_bounds()),
+                     "location": d.location} for d in self.disks]
+        except OverflowError:
+            raise PreconditionError(
+                "conjugate beyond the float range") from None
 
 
 def _dk_iterate(coeffs: tuple[int, ...], prec_bits: int, start=None):
@@ -190,4 +201,4 @@ def conjugates(p: IntPolynomial, budget_bits: int = 4096) -> ConjugateSet:
     out = sorted((ConjugateDisk(re, im, rad,
                                 straddle if loc == "straddle" else loc)
                   for loc, re, im, rad in best), key=lambda x: (x.re, x.im))
-    return ConjugateSet(p, tuple(out), resolved, ran, on_count)
+    return ConjugateSet(tuple(out), resolved, ran, on_count)

@@ -285,7 +285,11 @@ def make_kernel(q: AlgebraicNumber, m: int, depth: int | None = None,
 
 
 def check_tolerance(tol: float) -> None:
-    if not 0 < tol <= sys.float_info.max:   # refuses NaN and huge ints
+    try:
+        ok = 0 < tol <= sys.float_info.max  # refuses NaN and huge ints
+    except TypeError:                       # not a number
+        ok = False
+    if not ok:
         raise PreconditionError(f"tolerance must be positive and finite, "
                                 f"not {_show(tol)}")
 

@@ -23,6 +23,7 @@ invariant under positive real scaling of the direction w, so w is scaled
 once to a Gaussian integer W over an int e.  A sign is then the sign of an
 int, a partial sum an int over e M^i, and a display float one correctly
 rounded int / int, the same float as that of the exact rational.
+``_p_traces`` walks every digit-weighted sum, ``_re_sums`` the unweighted.
 
 The verdict is the paper's rule alone (``accumulation_verdict``), with one
 certificate slot; it loads no search module.
@@ -399,9 +400,9 @@ def _p_traces(seq: DigitSequence, w, pw: _Powers, N: int,
               moduli: bool = False):
     """Partial sums S_i = sum_{j<=i} s_j w p^-j (w = W / e) for i <= N: the
     floats of Re S_i and |S_i| divided by |w|, the signs of Re S_i, the last
-    sum as ints (Re, denominator), and with ``moduli`` the set of distinct
-    |S_i|^2 as reduced int pairs.  S is (t_re + t_im i) / D with D = e M^L,
-    L the last nonzero digit; the powers between two are only streamed."""
+    sum as ints (Re, Im, D), and with ``moduli`` the set of distinct |S_i|^2
+    as reduced int pairs.  S is (t_re + t_im i) / D with D = e M^L, L the
+    last nonzero digit; the powers between two are only streamed."""
     (wr, wi), e = w
     M, scale = pw.M, 1.0 / abs(complex(wr / e, wi / e))
     tr = ti = L = 0
@@ -423,7 +424,7 @@ def _p_traces(seq: DigitSequence, w, pw: _Powers, N: int,
         res.append(re)
         abss.append(ab)
         signs.append(sign)
-    return res, abss, signs, (tr, D), seen
+    return res, abss, signs, (tr, ti, D), seen
 
 
 def build_witness(q: AlgebraicNumber, m: int, p, horizon: int = 120
@@ -468,7 +469,7 @@ def _witness_step1(q: AlgebraicNumber, m: int, p: GR,
     g, M = pw.G[0], pw.M                     # p^-1 = g / M, 0 < g < M
     # -1 + sum_{i<=h} s_i p^-i = t / D; the tail m p^-h / (p-1) is
     # m g^(h+1) / (M^h (M - g))
-    res, abss, _, (t, D), _ = _p_traces(seq, ((1, 0), 1), pw, horizon)
+    res, abss, _, (t, _, D), _ = _p_traces(seq, ((1, 0), 1), pw, horizon)
     tail_num, tail_den = m * g ** (horizon + 1), M ** horizon * (M - g)
     return _report(1, "nonvanishing-by-monotonicity", q, m, p, horizon, seq,
                    res, abss, {
@@ -512,11 +513,14 @@ def _witness_steps34(q: AlgebraicNumber, m: int, p: GR,
                                      members, horizon)
 
     res, abss, signs, _, moduli = _p_traces(seq, w, pw, horizon, on_circle)
-    chain, chain_negative = _chain_bound(w, pw, m, k)
+    # the bound -Re w + m sum_{i<=k} Re(w p^-i) on every Re(w S_N), N >= k,
+    # is the last sum over the digits (-1, m, ..., m)
+    chain = DigitSequence((-1,) + (m,) * k, m, exact_zero_tail=True)
+    _, _, _, (cr, _, cd), _ = _p_traces(chain, w, pw, k)
     certified = {
         "re_negative_from_k": all(s < 0 for s in signs[k:]),
-        "chain_bound": chain / abs(_complex(w0)),
-        "chain_bound_negative": chain_negative,
+        "chain_bound": cr / cd / abs(_complex(w0)),
+        "chain_bound_negative": cr < 0,
     }
     if not on_circle:
         return _report(3, "negative-real-part-certified", q, m, p, horizon,
@@ -524,16 +528,6 @@ def _witness_steps34(q: AlgebraicNumber, m: int, p: GR,
     certified["moduli_exact"] = True
     return _report(4, "distinct-moduli", q, m, p, horizon, seq, res, abss,
                    certified, direction, k, members, len(moduli))
-
-
-def _chain_bound(w, pw: _Powers, m: int, k: int) -> tuple[float, bool]:
-    """-Re w + m sum_{i=1}^k Re(w p^-i), the certified upper bound for
-    every Re(w S_N) with N >= k: its float, and whether it is negative."""
-    (W, e), R, Mk = w, 0, 1
-    for _, _, R, Mk in _re_sums(pw, W, k):
-        pass
-    num = m * R - W[0] * Mk
-    return num / (e * Mk), num < 0
 
 
 def _assert_witness_structure(seq: DigitSequence, pattern: SignPattern,
@@ -557,17 +551,13 @@ def _witness_step4_finite(q, m, p, pw, w, direction, seq, k, members,
     """Finitely supported digits at a unit-circle p: replicate the block at
     shifts r_j with p^{-r_j} close enough to 1 that each copy contributes at
     most half the (negative) block sum; real parts then diverge to -inf."""
-    (wr, wi), e = w
     M = pw.M
     digits = seq.digits_through(horizon)
     n = max(i for i, s in enumerate(digits) if s != 0)
     block = digits[: n + 1]
-    # B = sum_j s_j X_j M^(n-j): a copy at shift r sums to
-    # Re(w B p^-r) / M^n, the block sum c = cn / (e M^n) at r = 0
-    br = bi = 0
-    for s, (xr, xi) in zip(block, map(pw.at, range(n + 1))):
-        br, bi = br * M + s * xr, bi * M + s * xi
-    cn = wr * br - wi * bi
+    # the block sums to (cn + ci i) / D, D = e M^n, so the copy at shift r
+    # to Re((cn + ci i) X_r) / (D M^r): the block sum c = cn / D at r = 0
+    _, _, _, (cn, ci, D), _ = _p_traces(seq, w, pw, n)
     if cn >= 0:
         raise QSpectraError("block sum not negative")
     # shift schedule: eps_j halves, r_{j+1} - r_j > n, |p^-r - 1| < eps_j,
@@ -575,7 +565,7 @@ def _witness_step4_finite(q, m, p, pw, w, direction, seq, k, members,
     # |p^-r - 1|^2 = 2 - 2 Re p^-r < u / v  <=>  (2v - u) M^r < 2v Re X_r.
     # A float z_r ~ p^-r, |z_r - p^-r| <= r 2^-50, skips the exact test
     # where |z_r - 1| clears eps_j by more than its error.
-    u, v = cn * cn, (2 * (n + 1) * m * e * M ** n) ** 2
+    u, v = cn * cn, (2 * (n + 1) * m * D) ** 2
     z1, z, eps = complex(pw.G[0] / M, pw.G[1] / M), 1 + 0j, math.sqrt(u / v)
     shifts = [0]
     blocks_wanted = max(3, horizon // max(n + 1, 1))
@@ -594,23 +584,19 @@ def _witness_step4_finite(q, m, p, pw, w, direction, seq, k, members,
             v *= 4
             eps = math.sqrt(u / v)
             # the copy at r sums to at most half the block sum c
-            br_r, bi_r = _gmul((br, bi), (xr, xi))
-            block_sums_ok &= 2 * (wr * br_r - wi * bi_r) <= cn * Mr
+            block_sums_ok &= 2 * (cn * xr - ci * xi) <= cn * Mr
     # the search stops at r = 100,000; a report short of its shifts says so
     reached = {"shifts": len(shifts), "wanted": blocks_wanted}
     truncated = ({"schedule_truncated": reached}
                  if len(shifts) < blocks_wanted else {})
-    rep_digits = {}
-    for r in shifts:
-        for i, s in enumerate(block):
-            rep_digits[r + i] = s
     out_h = shifts[-1] + n
-    rep = DigitSequence(
-        preperiod=tuple(rep_digits.get(i, 0) for i in range(out_h + 1)),
-        height=m, first_index=0, exact_zero_tail=True)
+    rep_digits = [0] * (out_h + 1)
+    for r in shifts:                        # the copies do not overlap
+        rep_digits[r: r + n + 1] = block
+    rep = DigitSequence(tuple(rep_digits), m, exact_zero_tail=True)
     res, abss, _, _, _ = _p_traces(rep, w, pw, out_h)
     return _report(4, "divergent-real-part", q, m, p, out_h, rep, res, abss, {
-        "block_sum": cn / (e * M ** n) / abs(_complex(direction.w0)),
+        "block_sum": cn / D / abs(_complex(direction.w0)),
         "shifts": shifts,
         "block_sums_below_half": block_sums_ok,
         "re_trace_final": res[-1],

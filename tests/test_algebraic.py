@@ -742,8 +742,8 @@ def test_linear_and_zero_root_inputs_take_the_ladder(coeffs, nonreal, bits):
 
 def test_unit_circle_counts_run_once_per_base(monkeypatch):
     """``classify_base`` counts the minimal polynomial and leaves the counts
-    on it; the disks behind ``evidence()`` read them from there.  One count
-    is two Taylor shifts."""
+    on it; the disks of ``conjugates`` read them from there.  One count is
+    two Taylor shifts."""
     q = AlgebraicNumber.base_from_poly(IntPolynomial(P1_POLY.coeffs),
                                        root_index=0)
     calls = []
@@ -755,7 +755,8 @@ def test_unit_circle_counts_run_once_per_base(monkeypatch):
 
     monkeypatch.setattr(intpoly, "_taylor_shift", counting)
     cls = classify_base(q)
-    assert cls.evidence() and cls.conjugate_set.resolved
+    cs = conjugates(cls.evidence_poly, budget_bits=1024)
+    assert cs.evidence() and cs.resolved
     assert len(calls) == 2
 
 
@@ -821,13 +822,19 @@ def test_classify_non_monic():
 
 
 def test_classification_stability_under_budget():
-    # same non-Inconclusive tag at generous and very generous budgets
+    # the label takes no budget; the disks at generous and very generous
+    # budgets both place the conjugates as its exact counts do
     for poly, idx in [(P1_POLY, 0), (P2_POLY, 0), (SQRT2_POLY, 0),
                       (SQRT_P2_POLY, 0)]:
         q = AlgebraicNumber.base_from_poly(poly, root_index=idx)
-        t1 = classify_base(q, budget_bits=2048).tag
-        t2 = classify_base(q, budget_bits=8192).tag
-        assert t1 == t2 != "Inconclusive"
+        cls = classify_base(q)
+        assert cls.tag != "Inconclusive"
+        counts = (cls.n_in, cls.n_on, cls.n_out)
+        for budget in (2048, 8192):
+            cs = conjugates(cls.evidence_poly, budget_bits=budget)
+            assert cs.resolved
+            assert tuple(sum(d.location == loc for d in cs.disks)
+                         for loc in ("inside", "on", "outside")) == counts
 
 
 # -- powers -----------------------------------------------------------------
@@ -1644,21 +1651,36 @@ def test_no_package_module_loads_dataclasses_inspect_or_typing():
 def test_number_class_compares_hashes_and_prints_by_its_fields():
     q = AlgebraicNumber.base_from_poly(P1_POLY, root_index=0)
     cls = classify_base(q)
-    fields = ("Pisot", "all other conjugates inside", 2, 0, 1, P1_POLY, 4096)
+    fields = ("Pisot", "all other conjugates inside", 2, 0, 1, P1_POLY)
     assert cls == NumberClass(*fields) and hash(cls) == hash(fields)
-    assert cls != NumberClass(*fields[:6], 64) and cls != fields
+    assert cls != NumberClass(*fields[:5]) and cls != fields
     assert repr(cls) == (
         "NumberClass(tag='Pisot', detail='all other conjugates inside', "
         "n_in=2, n_on=0, n_out=1, evidence_poly=IntPolynomial(coeffs=(-1, "
-        "-1, 0, 1)), budget_bits=4096)")
+        "-1, 0, 1)))")
+    # the set is read at the disk engine's default budget
+    assert cls.conjugate_set == conjugates(P1_POLY, budget_bits=4096)
     disk = cls.conjugate_set.disks[0]
     assert repr(disk).startswith("ConjugateDisk(re=Fraction(")
     assert disk == type(disk)(disk.re, disk.im, disk.radius, disk.location)
-    for record, name in ((cls, "tag"), (cls, "budget_bits"), (disk, "re"),
+    for record, name in ((cls, "tag"), (cls, "evidence_poly"), (disk, "re"),
                          (cls.conjugate_set, "resolved")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
     assert cls.conjugate_set is cls.conjugate_set and cls.tag == "Pisot"
+
+
+def test_repr_reads_the_interval_as_it_stands():
+    # past the float range repr once raised; it names the polynomial and
+    # the interval through _show, and refines nothing
+    big = repr(AlgebraicNumber.from_rational(10**400))
+    assert big.startswith("AlgebraicNumber(IntPolynomial(coeffs=(-1000")
+    assert big.endswith(f", [{10**400}, {10**400}])")
+    q = phi()
+    cell = q.interval()
+    assert repr(q) == ("AlgebraicNumber(IntPolynomial(coeffs=(-1, -1, 1)), "
+                       f"[{cell[0]}, {cell[1]}])")
+    assert q.interval() == cell
 
 
 def test_lazy_package_names_bind_on_first_use():
@@ -1682,9 +1704,11 @@ def test_lazy_package_names_bind_on_first_use():
 
 def test_unresolved_disks_leave_the_label_exact():
     q = AlgebraicNumber.base_from_poly(P1_POLY, root_index=0)
-    cls = classify_base(q, budget_bits=32)        # no rung fits 32 bits
+    cls = classify_base(q)
     assert cls.tag == "Pisot" and (cls.n_in, cls.n_on, cls.n_out) == (2, 0, 1)
-    assert not cls.conjugate_set.resolved and cls.evidence() == []
+    cs = conjugates(cls.evidence_poly, budget_bits=32)    # no rung fits 32
+    assert not cs.resolved and cs.evidence() == []
+    assert cls.conjugate_set.resolved                     # at its default
     assert cls.conjugate_set is cls.conjugate_set            # computed once
 
 

@@ -15,8 +15,7 @@ from fractions import Fraction
 import pytest
 
 from qspectra import expansions
-from qspectra.algebraic import (AlgebraicNumber, ZqContext, classify_base,
-                                power_base)
+from qspectra.algebraic import AlgebraicNumber, ZqContext, power_base
 from qspectra.disks import conjugates
 from qspectra.errors import PreconditionError
 from qspectra.intpoly import IntPolynomial
@@ -611,8 +610,7 @@ NON_INTEGER_PROBES = [
     (lambda: min_positive_bfs(phi(), 1, state_budget="5"), "state budget"),
     (lambda: enumerate_A(phi(), 3, 2, budget="x"), "state budget"),
     (lambda: conjugates(PHI_POLY, budget_bits="x"), "budget bits"),
-    (lambda: classify_base(phi(), budget_bits="x").conjugate_set,
-     "budget bits"),
+    (lambda: conjugates(PHI_POLY, budget_bits=2.5), "budget bits"),
     (lambda: choose_w("-1.2", 1, horizon=2.5), "horizon"),
     (lambda: build_P_and_k(rational("1.8"), 1, "-1.2",
                            (Fraction(1), Fraction(0)), 2.5), "horizon"),

@@ -116,6 +116,8 @@ CASES = {
         enumerate_X(phi(), 1, 3), Fraction(BIG)),
     "tolerance past the float range": lambda: min_positive_bfs(
         rational("27/20"), 1, 3, tol=BIG),
+    "tolerance that is not a number": lambda: min_positive_bfs(
+        rational("27/20"), 1, 3, tol="x"),
     "companion point past the digit limit": lambda: build_witness(
         rational("9/5"), 1, BIG),
     "explicit index past the digit limit": lambda: SignPattern(

@@ -18,12 +18,12 @@ import pytest
 from qspectra import cli
 from qspectra.algebraic import AlgebraicNumber
 from qspectra.errors import PrecisionExhaustedError, PreconditionError
-from qspectra.expansions import SignPattern, _Corridor
+from qspectra.expansions import SignPattern, _Corridor, lazy_constrained
 from qspectra.intpoly import IntPolynomial
 from qspectra.serialize import canonical_json
 from qspectra.witness import (
-    _chain_bound,
     _first_maximal_partial_sum,
+    _gmul,
     _over_int,
     _p_traces,
     _Powers,
@@ -502,10 +502,110 @@ def _count_fractions(monkeypatch, call):
     return created
 
 
+# -- the digit-weighted sums against their former loops -----------------------
+
+
+def _chain_bound_reference(w, pw, m, k):
+    """-Re w + m sum_{i=1}^k Re(w p^-i) by its own walk over the unweighted
+    sums, as the chain bound was computed before ``_p_traces`` ran it: the
+    float before the division by |w|, and whether it is negative."""
+    (W, e), R, Mk = w, 0, 1
+    for _, _, R, Mk in _re_sums(pw, W, k):
+        pass
+    num = m * R - W[0] * Mk
+    return num / (e * Mk), num < 0
+
+
+def _block_reference(seq, w, pw, m, horizon, w_abs):
+    """The finite step-4 block sum B by its own Horner loop, and the shift
+    schedule with each copy's half-sum test on W (B X_r), as the block was
+    computed before ``_p_traces`` summed it; with B and the block's last
+    index n."""
+    (wr, wi), e = w
+    M = pw.M
+    digits = seq.digits_through(horizon)
+    n = max(i for i, s in enumerate(digits) if s != 0)
+    br = bi = 0
+    for s, (xr, xi) in zip(digits[: n + 1], map(pw.at, range(n + 1))):
+        br, bi = br * M + s * xr, bi * M + s * xi
+    cn = wr * br - wi * bi
+    u, v = cn * cn, (2 * (n + 1) * m * e * M ** n) ** 2
+    z1, z, eps = complex(pw.G[0] / M, pw.G[1] / M), 1 + 0j, math.sqrt(u / v)
+    shifts, ok = [0], True
+    for r in range(1, 100_001):
+        if len(shifts) >= max(3, horizon // (n + 1)):
+            break
+        z *= z1
+        if r - shifts[-1] <= n or \
+                abs(z - 1) > eps * (1 + 2**-40) + (r + 1) * 2**-48:
+            continue
+        xr, xi = pw.at(r)
+        if (2 * v - u) * M ** r < 2 * v * xr:
+            shifts.append(r)
+            v *= 4
+            eps = math.sqrt(u / v)
+            br_r, bi_r = _gmul((br, bi), (xr, xi))
+            ok &= 2 * (wr * br_r - wi * bi_r) <= cn * M ** r
+    return {"block_sum": cn / (e * M ** n) / w_abs, "shifts": shifts,
+            "block_sums_below_half": ok}, (br, bi), n
+
+
+def x8():
+    return AlgebraicNumber.base_from_poly(
+        IntPolynomial([-1, 0, 0, 0, 0, 0, -1, 0, 1]), root_index=0)
+
+
+def q25():
+    return AlgebraicNumber.from_rational(Fraction("2.5"))
+
+
+#: (base, m, p, horizon): the CI's witness calls (the horizon-60 run at
+#: 0.6+0.8i stops short of its shifts), then the benchmark's nine points
+SUM_CASES = [(plastic, 1, p, 120) for p in
+             ("3", "1", "0,2", "1.5,0.5", "-1.2", "0,1", "-1")] + [
+    (plastic, 1, "0.6,0.8", 40), (phi, 1, "-1.2", 120),
+    (q18, 1, "-1.2", 2000), (q18, 1, "0,2", 2000),
+    (q25, 2, "-1", 120), (q25, 2, "0,1", 120), (q25, 2, "0,-1", 120),
+    (plastic, 1, "0.6,0.8", 60)] + [
+    (q18, 1, p, 120) for p in ("-1.2", "0,2", "0,1", "1", "3")] + [
+    (x8, 1, p, 120) for p in ("-1.2", "0,2", "1", "3")]
+
+
+@pytest.mark.parametrize(
+    "make_base, m, p, horizon", SUM_CASES,
+    ids=[f"{b.__name__}-m{m}-p{p}-H{h}" for b, m, p, h in SUM_CASES])
+def test_digit_weighted_sums_match_their_former_loops(make_base, m, p,
+                                                      horizon):
+    """The chain bound and the finite step-4 block, now last sums of
+    ``_p_traces``, equal the values of the loops they replaced exactly."""
+    certified = build_witness(make_base(), m, p, horizon).certified
+    if "chain_bound" not in certified and "block_sum" not in certified:
+        assert p in ("1", "3")                  # steps 1 and 2
+        return
+    q, pw = make_base(), _Powers(as_gaussian(p), horizon)
+    direction = choose_w(p, m, horizon, pw)
+    pattern, k, _ = build_P_and_k(q, m, p, direction.w0, horizon, pw)
+    w = _over_int(direction.w0)
+    w_abs = abs(complex(*map(float, direction.w0)))
+    if "block_sum" in certified:
+        seq = lazy_constrained(q, m, pattern, horizon)
+        ref, B, n = _block_reference(seq, w, pw, m, horizon, w_abs)
+        assert {key: certified[key] for key in ref} == ref
+        # the last sum is W B over e M^n, its imaginary part included
+        *_, (cn, ci, D), _ = _p_traces(seq, w, pw, n)
+        assert (cn, ci, D) == (*_gmul(w[0], B), w[1] * pw.M ** n)
+        assert p == "0.6,0.8"
+    else:
+        chain, negative = _chain_bound_reference(w, pw, m, k)
+        assert certified["chain_bound"] == chain / w_abs
+        assert certified["chain_bound_negative"] is negative
+
+
 def test_per_index_witness_loops_create_no_fraction(monkeypatch):
     """The loops over indices run on Gaussian integers: partial sums, the
-    first maximal partial sum, the chain bound, the traces with their
-    moduli, and the powers streamed and jumped past the table."""
+    first maximal partial sum, the traces with their moduli (the chain
+    bound's sum among them), and the powers streamed and jumped past the
+    table."""
     circle = build_witness(plastic(), 1, "0.6,0.8", 40)
     cases = []
     for p, rep in (("0.6,0.8", circle),
@@ -522,7 +622,6 @@ def test_per_index_witness_loops_create_no_fraction(monkeypatch):
     def loops():
         for pw, w, rep in cases:
             list(_re_sums(pw, w[0], 300))
-            _chain_bound(w, pw, 1, 50)
             _p_traces(rep.sequence, w, pw, rep.horizon, moduli=True)
             pw.at(10_000)
         assert _first_maximal_partial_sum(seed, pw_shift) == shift_n
